@@ -59,4 +59,7 @@ echo "==> perf-regression gate (supersteps/total_bytes enforced; timing warn-onl
 FLASH_SCALE=small FLASH_BASELINE_WARN=1 \
     cargo run --release -q -p flash-bench --bin bench_flash -- --baseline BENCH_flash.json
 
+echo "==> benchmark package smoke (own workspace with path deps: builds against this tree, checks the answer)"
+bash benchmark/run.sh --workload bfs_road --seconds 1 | tail -n 1
+
 echo "==> OK"

@@ -116,7 +116,7 @@ pub fn run(
     let u = ctx.vertex_filter(&u, move |_, val| val.out.len() >= k - 1);
     let counts = ctx.gather(
         move |w| {
-            let actives = u.filter_masters(w.masters());
+            let actives = u.actives_for(w.worker(), w.partition());
             let verts = w.current_slice();
             let mut total = 0u64;
             for &v in &actives {

@@ -4,8 +4,7 @@ use crate::edgeset::EdgeSet;
 use crate::subset::VertexSubset;
 use crate::EdgeRef;
 use flash_graph::{
-    BitSet, BlockHandle, BlockTouch, Graph, HashPartitioner, PartitionMap, StreamScope, VertexId,
-    Weight,
+    BlockHandle, BlockTouch, Graph, HashPartitioner, PartitionMap, StreamScope, VertexId, Weight,
 };
 use flash_runtime::par::parallel_chunks;
 use flash_runtime::{
@@ -207,7 +206,7 @@ impl<V: VertexData> FlashContext<V> {
         let out =
             self.cluster
                 .step_direct(StepKind::VertexMap, u.len(), SyncScope::Necessary, |ctx| {
-                    let actives = u.filter_masters(ctx.masters());
+                    let actives = u.actives_for(ctx.worker(), ctx.partition());
                     let cur = ctx.current_slice();
                     let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
                         let mut writes = Vec::new();
@@ -230,7 +229,7 @@ impl<V: VertexData> FlashContext<V> {
                     }
                     all_passed
                 });
-        let subset = subset_from_lists(n, &out.per_worker);
+        let subset = VertexSubset::from_lists(n, &out.per_worker);
         self.cluster.recycle_updated(out.updated);
         subset
     }
@@ -247,7 +246,7 @@ impl<V: VertexData> FlashContext<V> {
         let out =
             self.cluster
                 .step_direct(StepKind::VertexMap, u.len(), SyncScope::Necessary, |ctx| {
-                    let actives = u.filter_masters(ctx.masters());
+                    let actives = u.actives_for(ctx.worker(), ctx.partition());
                     let cur = ctx.current_slice();
                     let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
                         chunk
@@ -258,7 +257,7 @@ impl<V: VertexData> FlashContext<V> {
                     });
                     results.into_iter().flatten().collect::<Vec<_>>()
                 });
-        let subset = subset_from_lists(n, &out.per_worker);
+        let subset = VertexSubset::from_lists(n, &out.per_worker);
         self.cluster.recycle_updated(out.updated);
         subset
     }
@@ -379,6 +378,7 @@ impl<V: VertexData> FlashContext<V> {
             let g = ctx.graph();
             let masters = ctx.masters();
             let cur = ctx.current_slice();
+            let members = u.bits();
             let results = parallel_chunks(masters, ctx.threads(), |chunk| {
                 let mut writes: Vec<(VertexId, V)> = Vec::new();
                 let mut outs: Vec<VertexId> = Vec::new();
@@ -392,7 +392,7 @@ impl<V: VertexData> FlashContext<V> {
                         if !c(d, d_ref) {
                             break;
                         }
-                        if !u.contains(s) {
+                        if !members.contains(s) {
                             continue;
                         }
                         let s_val = &cur[s as usize];
@@ -423,7 +423,7 @@ impl<V: VertexData> FlashContext<V> {
             }
             all_outs
         });
-        let subset = subset_from_lists(n, &out.per_worker);
+        let subset = VertexSubset::from_lists(n, &out.per_worker);
         self.cluster.recycle_updated(out.updated);
         subset
     }
@@ -458,7 +458,7 @@ impl<V: VertexData> FlashContext<V> {
                 return sparse_streamed(ctx, bh, sc, u, h, &f, &m, &c, &r);
             }
             let g = ctx.graph();
-            let actives = u.filter_masters(ctx.masters());
+            let actives = u.actives_for(ctx.worker(), ctx.partition());
             let cur = ctx.current_slice();
             let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
                 let mut updates: Vec<(VertexId, V)> = Vec::new();
@@ -487,7 +487,7 @@ impl<V: VertexData> FlashContext<V> {
                 ctx.puts(updates, &r);
             }
         });
-        let subset = subset_from_lists(n, &out.updated);
+        let subset = VertexSubset::from_lists(n, &out.updated);
         self.cluster.recycle_updated(out.updated);
         subset
     }
@@ -511,7 +511,7 @@ impl<V: VertexData> FlashContext<V> {
         let out =
             self.cluster
                 .step_direct(StepKind::Global, u.len(), SyncScope::Necessary, |ctx| {
-                    let actives = u.filter_masters(ctx.masters());
+                    let actives = u.actives_for(ctx.worker(), ctx.partition());
                     let cur = ctx.current_slice();
                     let mut acc = init.clone();
                     for &v in &actives {
@@ -611,6 +611,7 @@ fn dense_streamed<V: VertexData>(
     let worker = ctx.worker();
     let masters = ctx.masters();
     let cur = ctx.current_slice();
+    let members = u.bits();
     let results = parallel_chunks(masters, ctx.threads(), |chunk| {
         let mut rows: Vec<DenseRow<'_, V>> = chunk
             .iter()
@@ -665,7 +666,7 @@ fn dense_streamed<V: VertexData>(
                         break;
                     }
                     let s = row.srcs[i];
-                    if !u.contains(s) {
+                    if !members.contains(s) {
                         continue;
                     }
                     let s_val = &cur[s as usize];
@@ -740,7 +741,7 @@ fn sparse_streamed<V: VertexData>(
         _ => None,
     };
     let worker = ctx.worker();
-    let actives = u.filter_masters(ctx.masters());
+    let actives = u.actives_for(ctx.worker(), ctx.partition());
     let cur = ctx.current_slice();
     let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
         let mut rows: Vec<SparseRow<'_>> = chunk
@@ -827,17 +828,4 @@ fn sync_scope<V>(h: &EdgeSet<V>) -> SyncScope {
     } else {
         SyncScope::Necessary
     }
-}
-
-/// Builds a subset from per-worker id lists. Borrows the lists so callers
-/// can hand the buffers back to the runtime's superstep pool afterwards
-/// ([`flash_runtime::Cluster::recycle_updated`]).
-fn subset_from_lists(n: usize, lists: &[Vec<VertexId>]) -> VertexSubset {
-    let mut bits = BitSet::new(n);
-    for list in lists {
-        for &v in list {
-            bits.insert(v);
-        }
-    }
-    VertexSubset::from_bits(bits)
 }

@@ -272,6 +272,45 @@ mod tests {
         assert!(seen.iter().all(|&x| x == 42));
     }
 
+    /// A sparse superstep is frontier-proportional by construction: over a
+    /// whole BFS down a 65 536-vertex path (one-vertex frontiers, adaptive
+    /// mode picks push every time) no frontier is ever anything but an id
+    /// list, and no kernel asks one for its `n`-bit set.
+    #[test]
+    fn sparse_bfs_never_materialises_a_frontier_bitset() {
+        const UNSEEN: u64 = u64::MAX;
+        let n = 1 << 16;
+        let mut ctx = ctx_on_path(n, 2);
+        let all = ctx.all();
+        ctx.vertex_map(
+            &all,
+            |_, _| true,
+            |v, val| val.x = if v == 0 { 0 } else { UNSEEN },
+        );
+        let mut frontier = ctx.vertex_filter(&all, |v, _| v == 0);
+        let mut levels = 0;
+        while !frontier.is_empty() {
+            let next = ctx.edge_map(
+                &frontier,
+                &EdgeSet::forward(),
+                |_, _, _| true,
+                |_, s, d| d.x = s.x + 1,
+                |_, d| d.x == UNSEEN,
+                |t, d| d.x = t.x,
+            );
+            for u in [&frontier, &next] {
+                assert!(u.is_list(), "level {levels}: frontier is not an id list");
+                assert!(!u.bitset_materialised(), "level {levels}: bit set built");
+            }
+            frontier = next;
+            levels += 1;
+        }
+        assert_eq!(levels, n, "one level per path vertex");
+        assert_eq!(ctx.value(n as u32 - 1).x, n as u64 - 1);
+        let (_, dense, sparse, _) = ctx.stats().kind_counts();
+        assert_eq!((dense, sparse), (0, n), "every EDGEMAP ran the push kernel");
+    }
+
     #[test]
     fn empty_frontier_is_a_noop() {
         let mut ctx = ctx_on_path(4, 2);

@@ -11,6 +11,7 @@ use crate::durable::{DiskWrite, DurableSession, DurableValue, ScrubReport};
 use crate::error::RuntimeError;
 use crate::fault::{payload_checksum, FaultInjector, FaultKind, FaultSpec};
 use crate::par::{parallel_ranges, parallel_scratch_chunks};
+use crate::pool::WorkerPool;
 use crate::state::{StepBuffers, WorkerState};
 use crate::stats::{ns_u64, us_half_up, RunStats, StepKind, StepStats, StorageInfo};
 use crate::transport::{RoundBatches, ScriptedChannelFault, Transport};
@@ -89,6 +90,11 @@ pub struct Cluster<V: VertexData> {
     /// Pooled per-superstep scratch buffers, reused clear-don't-drop across
     /// supersteps under [`HotPath::PooledParallel`] (DESIGN.md §11).
     buffers: StepBuffers<V>,
+    /// The persistent threads every parallel phase of a superstep fans out
+    /// over (DESIGN.md §11). Spawned — or checked out of
+    /// `config.buffer_pool` — by the first superstep that runs a parallel
+    /// phase, so `.sequential()` clusters never own a thread.
+    pool: Option<WorkerPool>,
     /// This cluster's private block-streaming scope: counters and FIFO
     /// caches for replays of this run's block touches. Owned per cluster
     /// (not per graph) so concurrent runs over one shared block-backed
@@ -268,6 +274,7 @@ impl<V: VertexData> Cluster<V> {
             disk_ioerr: false,
             disk_damage: Vec::new(),
             buffers,
+            pool: None,
             // A fresh scope per cluster: counters start at zero and the
             // FIFO caches are cold, regardless of how many other clusters
             // already streamed from the same graph.
@@ -521,18 +528,44 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Thread count for superstep bookkeeping phases (serialization
-    /// bucketing, the sync fan-out scan): one thread per logical worker
+    /// The worker pool for a superstep bookkeeping phase (serialization
+    /// bucketing, the sync fan-out scan): one lane per logical worker
     /// under the pooled-parallel hot path, matching the
-    /// one-thread-per-worker compute simulation. Serial under
-    /// [`HotPath::FreshSerial`] and under `.sequential()` configs, so
-    /// deterministic-by-construction test setups stay single-threaded.
-    fn hotpath_threads(&self) -> usize {
-        if self.config.hotpath == HotPath::FreshSerial || !self.config.parallel_workers {
-            1
+    /// one-thread-per-worker compute simulation. `None` — run the phase
+    /// serially — under [`HotPath::FreshSerial`] and under `.sequential()`
+    /// configs, so deterministic-by-construction test setups stay
+    /// single-threaded.
+    ///
+    /// Takes the fields it needs rather than `&mut self` so callers can
+    /// keep borrowing the worker states the phase runs over.
+    fn hotpath_pool<'p>(
+        slot: &'p mut Option<WorkerPool>,
+        config: &ClusterConfig,
+        lanes: usize,
+    ) -> Option<&'p mut WorkerPool> {
+        if config.hotpath == HotPath::FreshSerial {
+            None
         } else {
-            self.config.workers
+            Self::lane_pool(slot, config, lanes)
         }
+    }
+
+    /// The pool parallel phases run on, created on first use: checked out
+    /// of the config's shared [`BufferPool`](crate::session::BufferPool)
+    /// when one is attached (serving sessions), else spawned. `None` when
+    /// the cluster is sequential or has a single worker.
+    fn lane_pool<'p>(
+        slot: &'p mut Option<WorkerPool>,
+        config: &ClusterConfig,
+        lanes: usize,
+    ) -> Option<&'p mut WorkerPool> {
+        if !config.parallel_workers || lanes <= 1 {
+            return None;
+        }
+        Some(slot.get_or_insert_with(|| match &config.buffer_pool {
+            Some(shared) => shared.checkout_workers(lanes),
+            None => WorkerPool::new(lanes),
+        }))
     }
 
     /// Hands out the per-owner updated-master lists: pooled under
@@ -777,11 +810,12 @@ impl<V: VertexData> Cluster<V> {
         let mut bucket_sets = std::mem::take(&mut self.buffers.bucket_sets);
         let track_batches = self.transport.is_some();
         let partition = Arc::clone(&self.partition);
-        let threads = self.hotpath_threads().min(m);
+        let pool = Self::hotpath_pool(&mut self.pool, &self.config, m);
+        let serial = pool.is_none();
         let partials = parallel_scratch_chunks(
+            pool,
             &mut self.states,
             &mut bucket_sets,
-            threads,
             Vec::new,
             |base, chunk, set: &mut Vec<Vec<(VertexId, V)>>| {
                 if set.len() != m {
@@ -833,7 +867,7 @@ impl<V: VertexData> Cluster<V> {
         }
         self.buffers.bucket_sets = bucket_sets;
         stats.serialize = t1.elapsed();
-        if threads == 1 {
+        if serial {
             stats.serialize_max = stats.serialize;
         }
         (buckets, upd_batches)
@@ -1762,31 +1796,17 @@ impl<V: VertexData> Cluster<V> {
             let out = f(&mut ctx);
             (out, t.elapsed())
         };
-        let results: Vec<(Out, Duration)> = if self.config.parallel_workers && self.states.len() > 1
-        {
-            std::thread::scope(|s| {
-                let timed = &timed;
-                let handles: Vec<_> = self
+        let lanes = self.states.len();
+        let results: Vec<(Out, Duration)> =
+            match Self::lane_pool(&mut self.pool, &self.config, lanes) {
+                Some(pool) => pool.run(self.states.iter_mut(), timed),
+                None => self
                     .states
                     .iter_mut()
                     .enumerate()
-                    .map(|(w, st)| s.spawn(move || timed(w, st)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(out) => out,
-                        Err(p) => std::panic::resume_unwind(p),
-                    })
-                    .collect()
-            })
-        } else {
-            self.states
-                .iter_mut()
-                .enumerate()
-                .map(|(w, st)| timed(w, st))
-                .collect()
-        };
+                    .map(|(w, st)| timed(w, st))
+                    .collect(),
+            };
         let (outs, durations) = results.into_iter().unzip();
         (outs, durations)
     }
@@ -1897,14 +1917,9 @@ impl<V: VertexData> Cluster<V> {
                 }
                 (messages, bytes_total)
             };
-            let threads = self.hotpath_threads().min(m);
-            if threads <= 1 {
-                let (messages, bytes) = scan(0, m, &mut host_buf, &mut sync_batches);
-                stats.sync_messages += messages;
-                stats.sync_bytes += bytes;
-            } else {
+            if let Some(pool) = Self::hotpath_pool(&mut self.pool, &self.config, m) {
                 let scan_wall = Instant::now();
-                let partials = parallel_ranges(m, threads, |lo, hi| {
+                let partials = parallel_ranges(Some(pool), m, |lo, hi| {
                     let range_timer = Instant::now();
                     let mut local_hosts = Vec::new();
                     let mut local_batches = RoundBatches::new();
@@ -1923,6 +1938,10 @@ impl<V: VertexData> Cluster<V> {
                     }
                 }
                 scan_overhead = scan_wall.elapsed().saturating_sub(scan_max);
+            } else {
+                let (messages, bytes) = scan(0, m, &mut host_buf, &mut sync_batches);
+                stats.sync_messages += messages;
+                stats.sync_bytes += bytes;
             }
         }
         // Scan time as charged: wall so far minus the single-core
@@ -2120,8 +2139,11 @@ impl<V: VertexData> Drop for Cluster<V> {
     fn drop(&mut self) {
         // Return pooled scratch to the shared pool (reset happens at
         // checkin). Clusters without a pool just drop their buffers.
-        if let Some(pool) = self.config.buffer_pool.clone() {
-            pool.checkin(std::mem::replace(&mut self.buffers, StepBuffers::new()));
+        if let Some(shared) = self.config.buffer_pool.clone() {
+            shared.checkin(std::mem::replace(&mut self.buffers, StepBuffers::new()));
+            if let Some(workers) = self.pool.take() {
+                shared.checkin_workers(workers);
+            }
         }
     }
 }

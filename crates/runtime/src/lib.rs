@@ -66,6 +66,7 @@ pub mod fault;
 pub mod netmodel;
 pub mod par;
 pub mod plan;
+pub mod pool;
 pub mod session;
 pub mod state;
 pub mod stats;
@@ -86,6 +87,7 @@ pub use fault::{
 };
 pub use flash_obs::MetricsRegistry;
 pub use netmodel::NetworkModel;
+pub use pool::WorkerPool;
 pub use session::{BufferPool, ServingStats, Session};
 pub use stats::{
     ns_u64, us_half_up, ConsensusStats, DeliveryStats, DurabilityStats, RecoveryStats, RunStats,

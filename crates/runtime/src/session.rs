@@ -20,6 +20,7 @@
 
 use crate::config::ClusterConfig;
 use crate::error::RuntimeError;
+use crate::pool::WorkerPool;
 use crate::state::StepBuffers;
 use crate::VertexData;
 use flash_graph::{Graph, HashPartitioner, PartitionMap};
@@ -33,18 +34,22 @@ use std::sync::{Arc, Mutex, PoisonError};
 // BufferPool
 // ---------------------------------------------------------------------------
 
-/// A shared pool of superstep scratch buffers, keyed by vertex type.
+/// A shared pool of superstep scratch buffers, keyed by vertex type, and
+/// of the worker threads that fill them.
 ///
 /// Clusters built with [`ClusterConfig::buffer_pool`] check a
 /// `StepBuffers<V>` set out at construction and back in at drop; the
 /// checkin [`reset`s](StepBuffers::reset) the buffers and the checkout
 /// asserts they are pristine, so a recycled pool starts each run exactly
 /// as empty as a fresh allocation — while keeping the allocations warm
-/// across back-to-back query runs.
+/// across back-to-back query runs. Their [`WorkerPool`] travels the same
+/// way, so a serving session pays no thread spawn per query.
 #[derive(Default)]
 pub struct BufferPool {
     /// One `Vec<StepBuffers<V>>` free list per vertex type `V`.
     slots: Mutex<HashMap<TypeId, Box<dyn Any + Send>>>,
+    /// Idle worker pools (not generic over `V`, so one list serves all).
+    workers: Mutex<Vec<WorkerPool>>,
     checkouts: AtomicU64,
     reuses: AtomicU64,
 }
@@ -97,7 +102,23 @@ impl BufferPool {
         }
     }
 
-    /// Total checkouts served (fresh + reused).
+    /// Takes an idle [`WorkerPool`] with exactly `lanes` lanes, spawning
+    /// one if none is checked in.
+    pub(crate) fn checkout_workers(&self, lanes: usize) -> WorkerPool {
+        let mut idle = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
+        let found = idle.iter().position(|p| p.lanes() == lanes);
+        let pooled = found.map(|i| idle.swap_remove(i));
+        drop(idle);
+        pooled.unwrap_or_else(|| WorkerPool::new(lanes))
+    }
+
+    /// Returns a worker pool for the next cluster to check out.
+    pub(crate) fn checkin_workers(&self, pool: WorkerPool) {
+        let mut idle = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
+        idle.push(pool);
+    }
+
+    /// Total buffer checkouts served (fresh + reused).
     pub fn checkouts(&self) -> u64 {
         self.checkouts.load(Ordering::Relaxed)
     }
@@ -401,6 +422,33 @@ mod tests {
             .map(|e| e.kind.tag().to_string())
             .collect();
         assert_eq!(tags, ["session_start", "update_applied", "session_end"]);
+    }
+
+    /// A pooled session pays no thread spawn per query: every query's
+    /// cluster runs on the OS threads the first one spawned, the calling
+    /// thread being lane 0. (At one spawn per superstep the helper ids
+    /// would differ every time — thread ids are never reused.)
+    #[test]
+    fn pooled_session_reuses_os_threads_across_queries() {
+        use crate::{Cluster, StepKind, SyncScope};
+        let g = Arc::new(generators::path(64, true));
+        let s = Session::new(3, Arc::clone(&g), ClusterConfig::with_workers(3)).unwrap();
+        let query_threads = || {
+            let partition = Arc::clone(s.partition());
+            let mut c: Cluster<D> =
+                Cluster::new(Arc::clone(&g), partition, s.config(), |_| D::default()).unwrap();
+            let who = |_: &mut crate::WorkerCtx<'_, D>| std::thread::current().id();
+            c.step_direct(StepKind::VertexMap, 0, SyncScope::Necessary, who)
+                .per_worker
+        };
+        let first = query_threads();
+        assert_eq!(first[0], std::thread::current().id());
+        assert!(first[1] != first[0] && first[2] != first[0] && first[1] != first[2]);
+        for _ in 0..5 {
+            assert_eq!(query_threads(), first);
+        }
+        // The reuse counters keep counting buffer checkouts only.
+        assert_eq!((s.pool().checkouts(), s.pool().reuses()), (6, 5));
     }
 
     #[test]

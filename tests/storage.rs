@@ -9,7 +9,7 @@
 
 use flash_graph::generators;
 use flash_graph::Graph;
-use flash_runtime::{ClusterConfig, RuntimeError, StorageMode};
+use flash_runtime::{ClusterConfig, ModePolicy, RuntimeError, StorageMode};
 use std::sync::Arc;
 
 /// Serializes `g` to a temporary block file and reopens it through the
@@ -142,6 +142,46 @@ fn weighted_blocks_match_in_memory() {
         "sssp distances (bitwise)"
     );
     assert!(stream.stats.bytes_streamed() > 0);
+}
+
+/// The streamed *push* kernel on its own: under `ForceSparse` every
+/// `EDGEMAP` of BFS, CC and SSSP goes through `sparse_streamed`, with
+/// frontiers on both sides of the list/bit-set switch, and must match the
+/// in-memory push kernel bit for bit.
+#[test]
+fn forced_sparse_block_engine_matches_in_memory() {
+    let base = generators::web_graph(9_000, 8, 12, 11);
+    let g = Arc::new(generators::with_random_weights(&base, 0.5, 2.0, 13));
+    let blk = reopen_as_blocks(&g, "sparse");
+    let mem_cfg = || mem_config(3).mode(ModePolicy::ForceSparse);
+    let blk_cfg = || blk_config(3).mode(ModePolicy::ForceSparse);
+
+    let mem = flash_algos::bfs::run(&g, mem_cfg(), 0).unwrap();
+    let stream = flash_algos::bfs::run(&blk, blk_cfg(), 0).unwrap();
+    assert_eq!(mem.result, stream.result, "bfs distances");
+    assert_eq!(mem.stats.kind_counts(), stream.stats.kind_counts());
+    assert_eq!(mem.stats.kind_counts().1, 0, "no dense step ran");
+    assert_eq!(mem.stats.total_bytes(), stream.stats.total_bytes());
+    assert!(stream.stats.bytes_streamed() > 0);
+
+    let mem = flash_algos::cc::run(&g, mem_cfg()).unwrap();
+    let stream = flash_algos::cc::run(&blk, blk_cfg()).unwrap();
+    assert_eq!(mem.result, stream.result, "cc labels");
+    assert_eq!(mem.stats.kind_counts(), stream.stats.kind_counts());
+    assert_eq!(mem.stats.total_bytes(), stream.stats.total_bytes());
+
+    let mem = flash_algos::sssp::run(&g, mem_cfg(), 0).unwrap();
+    let stream = flash_algos::sssp::run(&blk, blk_cfg(), 0).unwrap();
+    assert_eq!(
+        mem.result.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+        stream
+            .result
+            .iter()
+            .map(|d| d.to_bits())
+            .collect::<Vec<_>>(),
+        "sssp distances (bitwise)"
+    );
+    assert_eq!(mem.stats.total_bytes(), stream.stats.total_bytes());
 }
 
 /// ~10⁶-arc identity check — ignored by default (slow under the debug

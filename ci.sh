@@ -62,4 +62,7 @@ FLASH_SCALE=small FLASH_BASELINE_WARN=1 \
 echo "==> benchmark package smoke (own workspace with path deps: builds against this tree, checks the answer)"
 bash benchmark/run.sh --workload bfs_road --seconds 1 | tail -n 1
 
+echo "==> benchmark push-path smoke (forced-sparse CC: oracle, bit-identity across reps, exact counters)"
+bash benchmark/run.sh --workload cc_push --seconds 1 | tail -n 1
+
 echo "==> OK"

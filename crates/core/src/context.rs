@@ -402,12 +402,11 @@ impl<V: VertexData> FlashContext<V> {
                             weight: w,
                         };
                         if f(e, s_val, d_ref) {
-                            let mut val = d_ref.clone();
-                            m(e, s_val, &mut val);
-                            if d_new.is_none() {
+                            let val = d_new.get_or_insert_with(|| {
                                 outs.push(d);
-                            }
-                            d_new = Some(val);
+                                cur[d as usize].clone()
+                            });
+                            m(e, s_val, val);
                         }
                     }
                     if let Some(val) = d_new {
@@ -458,33 +457,29 @@ impl<V: VertexData> FlashContext<V> {
                 return sparse_streamed(ctx, bh, sc, u, h, &f, &m, &c, &r);
             }
             let g = ctx.graph();
+            let threads = ctx.threads();
             let actives = u.actives_for(ctx.worker(), ctx.partition());
-            let cur = ctx.current_slice();
-            let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
-                let mut updates: Vec<(VertexId, V)> = Vec::new();
-                for &s in chunk {
-                    let s_val = &cur[s as usize];
-                    for (d, w) in h.targets(g, s, s_val) {
-                        let d_val = &cur[d as usize];
-                        if !c(d, d_val) {
-                            continue;
-                        }
-                        let e = EdgeRef {
-                            src: s,
-                            dst: d,
-                            weight: w,
-                        };
-                        if f(e, s_val, d_val) {
-                            let mut temp = d_val.clone();
-                            m(e, s_val, &mut temp);
-                            updates.push((d, temp));
-                        }
-                    }
+            let (cur, mut puts) = ctx.split();
+            // One kernel body, two sinks. A single chunk (the default
+            // `threads_per_worker = 1`) stages every update the moment it
+            // is computed; several chunks buffer theirs and the buffers
+            // are staged in chunk order. Either way one destination's
+            // temporaries meet `r` in source order.
+            if threads <= 1 {
+                sparse_chunk(g, &actives, cur, h, &f, &m, &c, |d, temp| {
+                    puts.put(d, temp, &r)
+                });
+            } else {
+                let results = parallel_chunks(&actives, threads, |chunk| {
+                    let mut updates: Vec<(VertexId, V)> = Vec::new();
+                    sparse_chunk(g, chunk, cur, h, &f, &m, &c, |d, temp| {
+                        updates.push((d, temp))
+                    });
+                    updates
+                });
+                for (d, temp) in results.into_iter().flatten() {
+                    puts.put(d, temp, &r);
                 }
-                updates
-            });
-            for updates in results {
-                ctx.puts(updates, &r);
             }
         });
         let subset = VertexSubset::from_lists(n, &out.updated);
@@ -676,9 +671,8 @@ fn dense_streamed<V: VertexData>(
                         weight: row.wts.map_or(1.0, |w| w[i]),
                     };
                     if f(e, s_val, d_ref) {
-                        let mut val = d_ref.clone();
-                        m(e, s_val, &mut val);
-                        row.d_new = Some(val);
+                        let val = row.d_new.get_or_insert_with(|| cur[row.d as usize].clone());
+                        m(e, s_val, val);
                     }
                 }
             }
@@ -702,6 +696,41 @@ fn dense_streamed<V: VertexData>(
     all_outs
 }
 
+/// The in-memory `EDGEMAPSPARSE` kernel body over one chunk of active
+/// sources: every qualifying edge hands `(target, temporary)` to `sink`,
+/// in source order.
+#[allow(clippy::too_many_arguments)]
+fn sparse_chunk<V: VertexData>(
+    g: &Graph,
+    chunk: &[VertexId],
+    cur: &[V],
+    h: &EdgeSet<V>,
+    f: &impl Fn(EdgeRef, &V, &V) -> bool,
+    m: &impl Fn(EdgeRef, &V, &mut V),
+    c: &impl Fn(VertexId, &V) -> bool,
+    mut sink: impl FnMut(VertexId, V),
+) {
+    for &s in chunk {
+        let s_val = &cur[s as usize];
+        for (d, w) in h.targets(g, s, s_val) {
+            let d_val = &cur[d as usize];
+            if !c(d, d_val) {
+                continue;
+            }
+            let e = EdgeRef {
+                src: s,
+                dst: d,
+                weight: w,
+            };
+            if f(e, s_val, d_val) {
+                let mut temp = d_val.clone();
+                m(e, s_val, &mut temp);
+                sink(d, temp);
+            }
+        }
+    }
+}
+
 /// Per-source streaming state of the sparse (push) kernel: a cursor into
 /// the sorted target list, advanced one destination block at a time.
 struct SparseRow<'g> {
@@ -719,7 +748,9 @@ struct SparseRow<'g> {
 /// but iterates destination blocks outermost, the GPOP-style binned
 /// scatter that confines the random target accesses of one pass to a
 /// single block's range. Block touches are replayed for deterministic
-/// streaming accounting.
+/// streaming accounting. Updates are staged as in the in-memory kernel:
+/// directly with one chunk, buffered and committed in chunk order with
+/// several.
 #[allow(clippy::too_many_arguments)]
 fn sparse_streamed<V: VertexData>(
     ctx: &mut WorkerCtx<'_, V>,
@@ -733,6 +764,47 @@ fn sparse_streamed<V: VertexData>(
     r: &(impl Fn(&V, &mut V) + Sync),
 ) {
     let g = ctx.graph();
+    let worker = ctx.worker();
+    let threads = ctx.threads();
+    let actives = u.actives_for(worker, ctx.partition());
+    let (cur, mut puts) = ctx.split();
+    if threads <= 1 {
+        let touches = sparse_streamed_chunk(g, bh, &actives, cur, h, f, m, c, |d, temp| {
+            puts.put(d, temp, r)
+        });
+        bh.replay(scope, worker, &touches);
+    } else {
+        let results = parallel_chunks(&actives, threads, |chunk| {
+            let mut updates: Vec<(VertexId, V)> = Vec::new();
+            let touches = sparse_streamed_chunk(g, bh, chunk, cur, h, f, m, c, |d, temp| {
+                updates.push((d, temp))
+            });
+            (updates, touches)
+        });
+        for (updates, touches) in results {
+            bh.replay(scope, worker, &touches);
+            for (d, temp) in updates {
+                puts.put(d, temp, r);
+            }
+        }
+    }
+}
+
+/// The streamed push kernel body over one chunk of active sources: hands
+/// every update to `sink` and returns the edge blocks it touched, in
+/// touch order.
+#[allow(clippy::too_many_arguments)]
+fn sparse_streamed_chunk<V: VertexData>(
+    g: &Graph,
+    bh: &BlockHandle,
+    chunk: &[VertexId],
+    cur: &[V],
+    h: &EdgeSet<V>,
+    f: &impl Fn(EdgeRef, &V, &V) -> bool,
+    m: &impl Fn(EdgeRef, &V, &mut V),
+    c: &impl Fn(VertexId, &V) -> bool,
+    mut sink: impl FnMut(VertexId, V),
+) -> Vec<BlockTouch> {
     let grid = bh.grid();
     let nb = grid.nb();
     let reverse = matches!(h, EdgeSet::Reverse);
@@ -740,83 +812,73 @@ fn sparse_streamed<V: VertexData>(
         EdgeSet::TargetsIn(set) => Some(set),
         _ => None,
     };
-    let worker = ctx.worker();
-    let actives = u.actives_for(ctx.worker(), ctx.partition());
-    let cur = ctx.current_slice();
-    let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
-        let mut rows: Vec<SparseRow<'_>> = chunk
-            .iter()
-            .copied()
-            .map(|s| {
-                let (tgts, wts) = if reverse {
-                    (g.in_neighbors(s), g.in_weights(s))
-                } else {
-                    (g.out_neighbors(s), g.out_weights(s))
-                };
-                SparseRow {
-                    s,
-                    sb: grid.block_of(s) as u32,
-                    tgts,
-                    wts,
-                    cursor: 0,
-                }
-            })
-            .collect();
-        let mut updates: Vec<(VertexId, V)> = Vec::new();
-        let mut touches: Vec<BlockTouch> = Vec::new();
-        for db in 0..nb {
-            let end = grid.block_end(db);
-            for row in rows.iter_mut() {
-                let lo = row.cursor;
-                let mut hi = lo;
-                while hi < row.tgts.len() && (row.tgts[hi] as usize) < end {
-                    hi += 1;
-                }
-                row.cursor = hi;
-                if lo == hi {
-                    continue;
-                }
-                // Pushing reads the out-CSR copy of block (sb, db);
-                // reversed pushes read the in-CSR copy of (db, sb).
-                let touch: BlockTouch = if reverse {
-                    (1, db as u32, row.sb)
-                } else {
-                    (0, row.sb, db as u32)
-                };
-                if touches.last() != Some(&touch) {
-                    touches.push(touch);
-                }
-                let s_val = &cur[row.s as usize];
-                for i in lo..hi {
-                    let d = row.tgts[i];
-                    if let Some(set) = gate {
-                        if !set.contains(d) {
-                            continue;
-                        }
-                    }
-                    let d_val = &cur[d as usize];
-                    if !c(d, d_val) {
+    let mut rows: Vec<SparseRow<'_>> = chunk
+        .iter()
+        .copied()
+        .map(|s| {
+            let (tgts, wts) = if reverse {
+                (g.in_neighbors(s), g.in_weights(s))
+            } else {
+                (g.out_neighbors(s), g.out_weights(s))
+            };
+            SparseRow {
+                s,
+                sb: grid.block_of(s) as u32,
+                tgts,
+                wts,
+                cursor: 0,
+            }
+        })
+        .collect();
+    let mut touches: Vec<BlockTouch> = Vec::new();
+    for db in 0..nb {
+        let end = grid.block_end(db);
+        for row in rows.iter_mut() {
+            let lo = row.cursor;
+            let mut hi = lo;
+            while hi < row.tgts.len() && (row.tgts[hi] as usize) < end {
+                hi += 1;
+            }
+            row.cursor = hi;
+            if lo == hi {
+                continue;
+            }
+            // Pushing reads the out-CSR copy of block (sb, db);
+            // reversed pushes read the in-CSR copy of (db, sb).
+            let touch: BlockTouch = if reverse {
+                (1, db as u32, row.sb)
+            } else {
+                (0, row.sb, db as u32)
+            };
+            if touches.last() != Some(&touch) {
+                touches.push(touch);
+            }
+            let s_val = &cur[row.s as usize];
+            for i in lo..hi {
+                let d = row.tgts[i];
+                if let Some(set) = gate {
+                    if !set.contains(d) {
                         continue;
                     }
-                    let e = EdgeRef {
-                        src: row.s,
-                        dst: d,
-                        weight: row.wts.map_or(1.0, |w| w[i]),
-                    };
-                    if f(e, s_val, d_val) {
-                        let mut temp = d_val.clone();
-                        m(e, s_val, &mut temp);
-                        updates.push((d, temp));
-                    }
+                }
+                let d_val = &cur[d as usize];
+                if !c(d, d_val) {
+                    continue;
+                }
+                let e = EdgeRef {
+                    src: row.s,
+                    dst: d,
+                    weight: row.wts.map_or(1.0, |w| w[i]),
+                };
+                if f(e, s_val, d_val) {
+                    let mut temp = d_val.clone();
+                    m(e, s_val, &mut temp);
+                    sink(d, temp);
                 }
             }
         }
-        (updates, touches)
-    });
-    for (updates, touches) in results {
-        bh.replay(scope, worker, &touches);
-        ctx.puts(updates, r);
     }
+    touches
 }
 
 /// Chooses the mirror-sync scope for an edge set: virtual edges escape the

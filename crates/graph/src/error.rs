@@ -25,6 +25,9 @@ pub enum GraphError {
     },
     /// A partitioning with zero workers was requested.
     NoWorkers,
+    /// A partitioning needs more necessary mirrors than the mirror table's
+    /// `u32` offsets can address.
+    TooManyMirrors,
     /// Malformed input while parsing an edge-list.
     Parse {
         /// 1-based line number of the offending line.
@@ -57,6 +60,9 @@ impl fmt::Display for GraphError {
                 write!(f, "{weights} weights supplied for {edges} edges")
             }
             GraphError::NoWorkers => write!(f, "a partition requires at least one worker"),
+            GraphError::TooManyMirrors => {
+                write!(f, "the partition's mirror table exceeds its u32 offsets")
+            }
             GraphError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             GraphError::Io(msg) => write!(f, "i/o error: {msg}"),
             GraphError::BlockFormat(msg) => write!(f, "block file rejected: {msg}"),

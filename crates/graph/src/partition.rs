@@ -87,9 +87,12 @@ pub struct PartitionMap {
     m: usize,
     owner: Vec<u16>,
     masters: Vec<Vec<VertexId>>,
-    /// `mirror_workers[v]` = sorted worker ids (excluding the owner) that
-    /// hold a necessary mirror of `v`.
-    mirror_workers: Vec<Vec<u16>>,
+    /// The mirror table in CSR form: `mirror_ids[mirror_off[v]..mirror_off[v + 1]]`
+    /// = ascending worker ids (excluding the owner) that hold a necessary
+    /// mirror of `v`. Two flat arrays, so building and dropping the map
+    /// costs no per-vertex allocation.
+    mirror_off: Vec<u32>,
+    mirror_ids: Vec<u16>,
     scheme: &'static str,
     /// Membership epoch: bumped by every [`rebalance`](Self::rebalance) or
     /// [`rejoin`](Self::rejoin). Epoch 0 is the initial identity hosting.
@@ -145,67 +148,88 @@ impl PartitionMap {
         }
 
         // A worker holds a necessary mirror of v if it has an edge touching v
-        // but does not own v. Collect via per-vertex worker sets (bit mask up
-        // to 64 workers, spill to sorted vec otherwise).
-        let mut mirror_workers: Vec<Vec<u16>> = vec![Vec::new(); n];
-        if m > 1 {
-            let mut touched: Vec<u64> = vec![0u64; n]; // bitmask for m <= 64
-            let wide = m > 64;
-            let mut touched_wide: Vec<Vec<u16>> = if wide {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            };
-            let touch =
-                |v: usize, w: u16, touched: &mut Vec<u64>, touched_wide: &mut Vec<Vec<u16>>| {
-                    if wide {
-                        if !touched_wide[v].contains(&w) {
-                            touched_wide[v].push(w);
-                        }
-                    } else {
-                        touched[v] |= 1u64 << w;
-                    }
-                };
-            for (s, d, _) in graph.edges() {
-                let ws = owner[s as usize];
-                let wd = owner[d as usize];
-                if ws != wd {
-                    // The source's worker touches d (push destination);
-                    // the target's worker touches s (pull source).
-                    touch(d as usize, ws, &mut touched, &mut touched_wide);
-                    touch(s as usize, wd, &mut touched, &mut touched_wide);
-                }
-            }
-            for v in 0..n {
-                if wide {
-                    let mut ws = std::mem::take(&mut touched_wide[v]);
-                    ws.retain(|&w| w != owner[v]);
-                    ws.sort_unstable();
-                    mirror_workers[v] = ws;
-                } else {
-                    let mut mask = touched[v];
-                    mask &= !(1u64 << owner[v]);
-                    let mut ws = Vec::with_capacity(mask.count_ones() as usize);
-                    while mask != 0 {
-                        let w = mask.trailing_zeros() as u16;
-                        ws.push(w);
-                        mask &= mask - 1;
-                    }
-                    mirror_workers[v] = ws;
-                }
-            }
+        // but does not own v: across a cut edge s -> d the source's worker
+        // touches d (push destination) and the target's worker touches s
+        // (pull source).
+        let (mirror_off, mirror_ids) = if m == 1 {
+            Some((vec![0; n + 1], Vec::new()))
+        } else if m <= 64 {
+            Self::mirrors_by_mask(graph, &owner)
+        } else {
+            Self::mirrors_by_sort(graph, &owner)
         }
+        .ok_or(GraphError::TooManyMirrors)?;
 
         Ok(PartitionMap {
             m,
             owner,
             masters,
-            mirror_workers,
+            mirror_off,
+            mirror_ids,
             scheme: scheme.name(),
             epoch: 0,
             host: (0..m as u16).collect(),
             dead: vec![false; m],
         })
+    }
+
+    /// The mirror table for `m <= 64`: one worker bit mask per vertex.
+    /// Uncut edges need no test — they only ever set the owner's own bit,
+    /// which is cleared when the masks are flattened. `None` if the table
+    /// outgrows its `u32` offsets.
+    fn mirrors_by_mask(graph: &Graph, owner: &[u16]) -> Option<(Vec<u32>, Vec<u16>)> {
+        let n = owner.len();
+        let mut touched = vec![0u64; n];
+        for s in 0..n {
+            let source_bit = 1u64 << owner[s];
+            let mut target_workers = 0u64;
+            for &d in graph.out_neighbors(s as VertexId) {
+                touched[d as usize] |= source_bit;
+                target_workers |= 1u64 << owner[d as usize];
+            }
+            touched[s] |= target_workers;
+        }
+        let mut off = Vec::with_capacity(n + 1);
+        let mut total = 0u32;
+        off.push(total);
+        for (mask, &w) in touched.iter_mut().zip(owner) {
+            *mask &= !(1u64 << w);
+            total = total.checked_add(mask.count_ones())?;
+            off.push(total);
+        }
+        let mut ids = Vec::with_capacity(total as usize);
+        for mut mask in touched {
+            while mask != 0 {
+                ids.push(mask.trailing_zeros() as u16);
+                mask &= mask - 1;
+            }
+        }
+        Some((off, ids))
+    }
+
+    /// The mirror table for `m > 64`, where a machine word no longer holds
+    /// a worker set: the `(vertex, worker)` pairs of every cut edge, sorted
+    /// and deduplicated, already are the table's rows in order.
+    fn mirrors_by_sort(graph: &Graph, owner: &[u16]) -> Option<(Vec<u32>, Vec<u16>)> {
+        let mut pairs: Vec<(VertexId, u16)> = Vec::new();
+        for (s, d, _) in graph.edges() {
+            let (ws, wd) = (owner[s as usize], owner[d as usize]);
+            if ws != wd {
+                pairs.push((d, ws));
+                pairs.push((s, wd));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        u32::try_from(pairs.len()).ok()?;
+        let mut off = vec![0u32; owner.len() + 1];
+        for &(v, _) in &pairs {
+            off[v as usize + 1] += 1;
+        }
+        for v in 0..owner.len() {
+            off[v + 1] += off[v];
+        }
+        Some((off, pairs.into_iter().map(|(_, w)| w).collect()))
     }
 
     /// Number of workers `m`.
@@ -242,13 +266,14 @@ impl PartitionMap {
     /// the recipients under the "necessary mirrors only" sync policy.
     #[inline]
     pub fn necessary_mirrors(&self, v: VertexId) -> &[u16] {
-        &self.mirror_workers[v as usize]
+        let v = v as usize;
+        &self.mirror_ids[self.mirror_off[v] as usize..self.mirror_off[v + 1] as usize]
     }
 
     /// Total number of necessary mirror replicas across all vertices
     /// (the replication factor numerator).
     pub fn total_mirrors(&self) -> usize {
-        self.mirror_workers.iter().map(Vec::len).sum()
+        self.mirror_ids.len()
     }
 
     /// Average replicas per vertex, counting the master (>= 1.0).
@@ -308,7 +333,7 @@ impl PartitionMap {
     pub fn necessary_mirror_hosts(&self, v: VertexId, buf: &mut Vec<u16>) -> usize {
         buf.clear();
         let owner_host = self.host[self.owner[v as usize] as usize];
-        for &w in &self.mirror_workers[v as usize] {
+        for &w in self.necessary_mirrors(v) {
             let h = self.host[w as usize];
             if h != owner_host && !buf.contains(&h) {
                 buf.push(h);
@@ -608,6 +633,85 @@ mod tests {
         assert_eq!(p.num_live_hosts(), 3);
         for w in 0..6 {
             assert!(p.is_host_live(p.host_of_worker(w)));
+        }
+    }
+
+    /// The mirror table recomputed the slow, obvious way: one ordered set
+    /// per vertex, filled straight from the edge list.
+    fn brute_force_mirrors(g: &Graph, p: &PartitionMap) -> Vec<Vec<u16>> {
+        let mut sets = vec![std::collections::BTreeSet::new(); g.num_vertices()];
+        for (s, d, _) in g.edges() {
+            let (ws, wd) = (p.owner(s) as u16, p.owner(d) as u16);
+            if ws != wd {
+                sets[d as usize].insert(ws);
+                sets[s as usize].insert(wd);
+            }
+        }
+        sets.into_iter()
+            .map(|set| set.into_iter().collect())
+            .collect()
+    }
+
+    #[test]
+    fn flat_mirror_table_equals_brute_force() {
+        let empty = GraphBuilder::new(0).build().unwrap();
+        let edgeless = GraphBuilder::new(5).build().unwrap();
+        // Asymmetric: 0 fans out, 6 only receives, 7 is isolated.
+        let directed = GraphBuilder::new(8)
+            .edges([
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (1, 4),
+                (2, 4),
+                (4, 5),
+                (5, 0),
+                (3, 6),
+            ])
+            .build()
+            .unwrap();
+        let rmat = crate::generators::rmat(10, 8, Default::default(), 3);
+        for g in [&empty, &edgeless, &directed, &rmat] {
+            // 64 is the widest cluster a mask covers; 65 takes the sorted
+            // pair path.
+            for m in [1usize, 2, 3, 64, 65] {
+                let p = PartitionMap::build(g, m, &HashPartitioner).unwrap();
+                let expected = brute_force_mirrors(g, &p);
+                let mut buf = Vec::new();
+                for v in 0..g.num_vertices() as VertexId {
+                    let want = &expected[v as usize];
+                    assert_eq!(p.necessary_mirrors(v), want.as_slice(), "m={m} v={v}");
+                    assert_eq!(p.necessary_mirror_hosts(v, &mut buf), want.len());
+                }
+                let total: usize = expected.iter().map(Vec::len).sum();
+                assert_eq!(p.total_mirrors(), total, "m={m}");
+            }
+        }
+    }
+
+    /// Pinned to the bit: a table that gained or lost a single mirror on
+    /// any of these fixtures would move its replication factor.
+    #[test]
+    fn replication_factor_is_pinned_on_the_fixtures() {
+        let cases: [(Graph, usize, u64); 4] = [
+            (path(10), 2, 0x3ffe_6666_6666_6666),
+            (path(200), 8, 0x4007_eb85_1eb8_51ec),
+            (path(300), 80, 0x4007_f258_bf25_8bf2),
+            (
+                crate::generators::rmat(10, 8, Default::default(), 3),
+                4,
+                0x4005_2400_0000_0000,
+            ),
+        ];
+        for (g, m, bits) in cases {
+            let p = PartitionMap::build(&g, m, &HashPartitioner).unwrap();
+            assert_eq!(
+                p.replication_factor().to_bits(),
+                bits,
+                "n={} m={m}: {:#018x}",
+                g.num_vertices(),
+                p.replication_factor().to_bits()
+            );
         }
     }
 

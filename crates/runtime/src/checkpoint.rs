@@ -207,7 +207,7 @@ mod tests {
             for slot in &mut st.current {
                 slot.x = 999;
             }
-            st.pending.insert(0, Val { x: 1 });
+            st.pending.upsert(0, Val { x: 1 }, &|_, _| {});
             st.direct.push((1, Val { x: 2 }));
             st.op_puts = 7;
         }

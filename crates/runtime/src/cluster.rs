@@ -648,9 +648,8 @@ impl<V: VertexData> Cluster<V> {
         let m = self.states.len();
         let mut updated: Vec<Vec<VertexId>> = self.take_updated(m);
         for (w, st) in self.states.iter_mut().enumerate() {
-            let writes = std::mem::take(&mut st.direct);
-            updated[w].reserve(writes.len());
-            for (v, val) in writes {
+            updated[w].reserve(st.direct.len());
+            for (v, val) in st.direct.drain(..) {
                 st.current[v as usize] = val;
                 updated[w].push(v);
             }
@@ -747,9 +746,10 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// The original single-threaded, fresh-allocation serialization pass,
-    /// kept verbatim as the [`HotPath::FreshSerial`] baseline so A/B
-    /// comparisons measure the real before/after, not a degraded variant.
+    /// The single-threaded, fresh-allocation serialization pass, kept as
+    /// the [`HotPath::FreshSerial`] A/B baseline. It drains the same dense
+    /// accumulator as the pooled pass; threading and buffer reuse are what
+    /// differ.
     fn route_updates_serial(
         &mut self,
         stats: &mut StepStats,
@@ -793,10 +793,10 @@ impl<V: VertexData> Cluster<V> {
     /// in chunk — i.e. ascending-worker — order.
     ///
     /// The merged bucket order is *bit-identical* to the serial pass: each
-    /// worker's `pending` map is drained exactly once by exactly one
-    /// thread, so its internal drain order is unchanged, and concatenating
-    /// per-chunk buckets in chunk order reproduces the serial outer loop's
-    /// front-to-back worker order. Message/byte counters and cross-host
+    /// worker's `pending` accumulator is drained exactly once by exactly
+    /// one thread, so its internal drain order is unchanged, and
+    /// concatenating per-chunk buckets in chunk order reproduces the serial
+    /// outer loop's front-to-back worker order. Message/byte counters and cross-host
     /// batch maps are commutative sums, merged in the same order for good
     /// measure (DESIGN.md §11).
     fn route_updates_pooled(
@@ -1218,7 +1218,7 @@ impl<V: VertexData> Cluster<V> {
                     let expected = payload_checksum(
                         st.pending
                             .iter()
-                            .map(|(v, val)| (*v, val.bytes()))
+                            .map(|(v, val)| (v, val.bytes()))
                             .chain(st.direct.iter().map(|(v, val)| (*v, val.bytes()))),
                     );
                     let nonce = match &mut self.injector {
@@ -1370,7 +1370,7 @@ impl<V: VertexData> Cluster<V> {
                     let computed = payload_checksum(
                         st.pending
                             .iter()
-                            .map(|(v, val)| (*v, val.bytes()))
+                            .map(|(v, val)| (v, val.bytes()))
                             .chain(st.direct.iter().map(|(v, val)| (*v, val.bytes()))),
                     );
                     let nonce = match &mut self.injector {

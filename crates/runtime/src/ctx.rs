@@ -1,6 +1,6 @@
 //! The view a kernel has of one worker during a superstep.
 
-use crate::state::WorkerState;
+use crate::state::{ReduceAcc, WorkerState};
 use crate::VertexData;
 use flash_graph::{Graph, PartitionMap, VertexId};
 
@@ -21,6 +21,11 @@ use flash_graph::{Graph, PartitionMap, VertexId};
 /// The `barrier()` of the paper is implicit: it runs when the superstep's
 /// compute closure returns, publishing all staged writes and synchronizing
 /// mirrors.
+///
+/// A kernel that stages `put`s while it reads — the push kernel does, once
+/// per qualifying edge — takes the two halves apart with
+/// [`WorkerCtx::split`]: the current-state slice to read from and a
+/// [`PutSink`] to stage into, borrowed side by side.
 pub struct WorkerCtx<'a, V: VertexData> {
     worker: usize,
     graph: &'a Graph,
@@ -101,6 +106,21 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
         &self.state.current
     }
 
+    /// Splits the context into its read half — the current-state replica,
+    /// as [`current_slice`](Self::current_slice) returns it — and its put
+    /// half, so a kernel can stage every update the moment it is computed
+    /// instead of buffering `(vertex, value)` pairs until its reads end.
+    #[inline]
+    pub fn split(&mut self) -> (&[V], PutSink<'_, V>) {
+        let WorkerState {
+            current,
+            pending,
+            op_puts,
+            ..
+        } = &mut *self.state;
+        (current, PutSink { pending, op_puts })
+    }
+
     /// Stages an update of `v` with temporary value `temp`, combining with
     /// any previously staged temporary via `reduce` — the paper's
     /// `put(id, v, R)`. `reduce(t, acc)` must be associative and
@@ -110,14 +130,7 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
     /// mirror→master messages at the barrier.
     #[inline]
     pub fn put(&mut self, v: VertexId, temp: V, reduce: &(impl Fn(&V, &mut V) + ?Sized)) {
-        use std::collections::hash_map::Entry;
-        self.state.op_puts += 1;
-        match self.state.pending.entry(v) {
-            Entry::Occupied(mut e) => reduce(&temp, e.get_mut()),
-            Entry::Vacant(e) => {
-                e.insert(temp);
-            }
-        }
+        self.split().1.put(v, temp, reduce);
     }
 
     /// Stages a whole-value write of a vertex this worker masters
@@ -144,16 +157,22 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
             self.write_master(v, val);
         }
     }
+}
 
-    /// Bulk variant of [`WorkerCtx::put`].
-    pub fn puts<I: IntoIterator<Item = (VertexId, V)>>(
-        &mut self,
-        updates: I,
-        reduce: &(impl Fn(&V, &mut V) + ?Sized),
-    ) {
-        for (v, temp) in updates {
-            self.put(v, temp, reduce);
-        }
+/// The put half of a [`WorkerCtx`] (see [`WorkerCtx::split`]): stages
+/// reduce-accumulated updates into the worker's dense accumulator while
+/// the current-state slice stays readable.
+pub struct PutSink<'a, V: VertexData> {
+    pending: &'a mut ReduceAcc<V>,
+    op_puts: &'a mut u64,
+}
+
+impl<V: VertexData> PutSink<'_, V> {
+    /// [`WorkerCtx::put`] on the split-off half.
+    #[inline]
+    pub fn put(&mut self, v: VertexId, temp: V, reduce: &(impl Fn(&V, &mut V) + ?Sized)) {
+        *self.op_puts += 1;
+        self.pending.upsert(v, temp, reduce);
     }
 }
 
@@ -183,8 +202,9 @@ mod tests {
         ctx.put(3, Acc { sum: 5 }, &r);
         ctx.put(3, Acc { sum: 7 }, &r);
         ctx.put(1, Acc { sum: 1 }, &r);
-        assert_eq!(st.pending[&3], Acc { sum: 12 });
-        assert_eq!(st.pending[&1], Acc { sum: 1 });
+        let staged: Vec<(VertexId, &Acc)> = st.pending.iter().collect();
+        assert_eq!(staged, [(3, &Acc { sum: 12 }), (1, &Acc { sum: 1 })]);
+        assert_eq!(st.op_puts, 3, "every call counts, merged or not");
     }
 
     #[test]

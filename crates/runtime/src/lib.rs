@@ -78,7 +78,7 @@ pub use config::{ClusterConfig, HotPath, ModePolicy, StorageMode, SyncMode, Sync
 pub use consensus::{
     checksum_quorum, ChecksumVerdict, Commit, Consensus, Election, LogEntry, LogEntryKind,
 };
-pub use ctx::WorkerCtx;
+pub use ctx::{PutSink, WorkerCtx};
 pub use durable::{DurableField, DurableValue, FrameReader};
 pub use error::RuntimeError;
 pub use fault::{

@@ -3,7 +3,113 @@
 use crate::transport::RoundBatches;
 use crate::VertexData;
 use flash_graph::VertexId;
-use std::collections::HashMap;
+
+/// The mirror-side combiner of `put(id, v, R)` (§IV-A, Algorithm 6): one
+/// reduce-accumulated temporary per vertex a worker has staged this
+/// superstep, held in a dense slot array indexed by vertex id plus the
+/// list of ids whose slot is occupied (DESIGN.md §11).
+///
+/// Invariant: `slots[v].is_some()` exactly for the ids in `touched`, each
+/// listed once. Every operation keeps it at every step, so clearing and
+/// draining walk `touched` — O(staged), never O(n) — and a leaked
+/// [`ReduceAcc::drain`] iterator leaves a consistent (merely non-empty)
+/// accumulator behind.
+///
+/// The slot array is allocated on the first `upsert`: a worker that never
+/// stages a `put` (PageRank, k-core and every other dense-only program)
+/// pays nothing; one that does holds `n * size_of::<Option<V>>()` bytes
+/// for the life of the run.
+#[derive(Debug)]
+pub(crate) struct ReduceAcc<V> {
+    n: usize,
+    slots: Vec<Option<V>>,
+    touched: Vec<VertexId>,
+}
+
+impl<V> ReduceAcc<V> {
+    /// An empty accumulator for vertices `0..n`; allocates nothing.
+    pub(crate) fn new(n: usize) -> Self {
+        ReduceAcc {
+            n,
+            slots: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Stages `temp` for `v`: stored as-is on first touch, else combined
+    /// into the staged temporary as `reduce(&temp, staged)` — so one
+    /// vertex's temporaries are reduced in call order.
+    #[inline]
+    pub(crate) fn upsert(&mut self, v: VertexId, temp: V, reduce: &(impl Fn(&V, &mut V) + ?Sized)) {
+        if self.slots.is_empty() {
+            self.slots.resize_with(self.n, || None);
+        }
+        match &mut self.slots[v as usize] {
+            Some(staged) => reduce(&temp, staged),
+            slot => {
+                *slot = Some(temp);
+                self.touched.push(v);
+            }
+        }
+    }
+
+    /// Number of vertices with a staged temporary.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.touched.len()
+    }
+
+    /// `true` if nothing is staged.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.touched.is_empty()
+    }
+
+    /// The staged `(vertex, temporary)` pairs, in first-touch order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VertexId, &V)> + '_ {
+        self.touched.iter().map(|&v| {
+            let staged = self.slots[v as usize].as_ref();
+            (v, staged.expect("a touched vertex has a staged value"))
+        })
+    }
+
+    /// Removes and yields every staged pair, most recently touched first
+    /// (each vertex appears once, so the order carries no reduce
+    /// semantics). Dropping the iterator early discards the rest.
+    pub(crate) fn drain(&mut self) -> Drain<'_, V> {
+        Drain { acc: self }
+    }
+
+    /// Discards everything staged, keeping both allocations.
+    pub(crate) fn clear(&mut self) {
+        for v in self.touched.drain(..) {
+            self.slots[v as usize] = None;
+        }
+    }
+}
+
+/// Draining iterator of a [`ReduceAcc`]: each `next` unlists one vertex
+/// and empties its slot together, so the accumulator's invariant holds
+/// however far the iteration got.
+pub(crate) struct Drain<'a, V> {
+    acc: &'a mut ReduceAcc<V>,
+}
+
+impl<V> Iterator for Drain<'_, V> {
+    type Item = (VertexId, V);
+
+    #[inline]
+    fn next(&mut self) -> Option<(VertexId, V)> {
+        let v = self.acc.touched.pop()?;
+        let staged = self.acc.slots[v as usize].take();
+        Some((v, staged.expect("a touched vertex has a staged value")))
+    }
+}
+
+impl<V> Drop for Drain<'_, V> {
+    fn drop(&mut self) {
+        self.acc.clear();
+    }
+}
 
 /// The state a single worker holds.
 ///
@@ -14,19 +120,19 @@ use std::collections::HashMap;
 /// workers who access it in the current superstep", while updates go to
 /// next-state structures invisible until the barrier:
 ///
-/// * `pending` — reduce-accumulated temporary values from
-///   `put` calls (the mirror-side combining of `EDGEMAPSPARSE`);
+/// * `pending` — reduce-accumulated temporary values from `put` calls
+///   (the mirror-side combining of `EDGEMAPSPARSE`), a [`ReduceAcc`];
 /// * `direct` — whole-value master writes from `VERTEXMAP`
 ///   and `EDGEMAPDENSE`, which never need a reduce function.
 #[derive(Debug)]
 pub struct WorkerState<V: VertexData> {
     pub(crate) current: Vec<V>,
-    pub(crate) pending: HashMap<VertexId, V>,
+    pub(crate) pending: ReduceAcc<V>,
     pub(crate) direct: Vec<(VertexId, V)>,
     /// `put` operations staged this superstep (counts every call, including
     /// ones merged into an existing temporary — the true op count, which
-    /// `pending.len()` under-reports). Taken and reset at each barrier for
-    /// `worker_phase` trace events.
+    /// the number of staged temporaries under-reports). Taken and reset at
+    /// each barrier for `worker_phase` trace events.
     pub(crate) op_puts: u64,
     /// `write_master` operations staged this superstep; reset per barrier.
     pub(crate) op_writes: u64,
@@ -37,7 +143,7 @@ impl<V: VertexData> WorkerState<V> {
     pub(crate) fn new(n: usize, init: &impl Fn(VertexId) -> V) -> Self {
         WorkerState {
             current: (0..n as VertexId).map(init).collect(),
-            pending: HashMap::new(),
+            pending: ReduceAcc::new(n),
             direct: Vec::new(),
             op_puts: 0,
             op_writes: 0,
@@ -221,6 +327,8 @@ impl<V: VertexData> StepBuffers<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_graph::rng::Prng;
+    use std::collections::BTreeMap;
 
     #[derive(Clone, Default, Debug, PartialEq)]
     struct D {
@@ -233,6 +341,68 @@ mod tests {
         let st = WorkerState::new(4, &|v| D { v: v * 10 });
         assert_eq!(st.current(2), &D { v: 20 });
         assert!(st.is_clean());
+    }
+
+    /// A heap-owning value: `reduce` appends, so a temporary that is
+    /// dropped, duplicated or merged out of call order shows in the result.
+    type Log = Vec<u32>;
+
+    fn append(t: &Log, acc: &mut Log) {
+        acc.extend_from_slice(t);
+    }
+
+    /// Staged contents as a sorted map, via `iter` (which must also list
+    /// every vertex exactly once).
+    fn staged(acc: &ReduceAcc<Log>) -> BTreeMap<VertexId, Log> {
+        let got: BTreeMap<VertexId, Log> = acc.iter().map(|(v, l)| (v, l.clone())).collect();
+        assert_eq!(got.len(), acc.len(), "iter lists a vertex twice");
+        got
+    }
+
+    #[test]
+    fn reduce_acc_matches_a_btreemap_model() {
+        const N: usize = 97;
+        let mut rng = Prng::seed_from_u64(0x5eed_acc0);
+        for round in 0..50 {
+            let mut acc: ReduceAcc<Log> = ReduceAcc::new(N);
+            let mut model: BTreeMap<VertexId, Log> = BTreeMap::new();
+            assert!(acc.is_empty() && acc.slots.is_empty(), "allocates lazily");
+            for op in 0..rng.gen_range(1..400u32) {
+                match rng.gen_range(0..100u32) {
+                    // Far more upserts than ids, so most of them merge.
+                    0..=89 => {
+                        let v = rng.gen_range(0..N as u32);
+                        acc.upsert(v, vec![op], &append);
+                        assert_eq!(acc.slots.len(), N, "first put allocates all slots");
+                        model.entry(v).or_default().push(op);
+                    }
+                    90..=92 => {
+                        acc.clear();
+                        model.clear();
+                    }
+                    // Full drain: every pair exactly once, in any order.
+                    93..=95 => {
+                        let drained: BTreeMap<VertexId, Log> = acc.drain().collect();
+                        assert_eq!(drained, std::mem::take(&mut model), "round {round}");
+                    }
+                    // A drain dropped half-way discards the rest.
+                    _ => {
+                        let take = acc.len() / 2;
+                        let mut drain = acc.drain();
+                        for _ in 0..take {
+                            let (v, log) = drain.next().expect("len counted it");
+                            assert_eq!(model.remove(&v), Some(log), "round {round}");
+                        }
+                        drop(drain);
+                        model.clear();
+                    }
+                }
+                assert_eq!(staged(&acc), model, "round {round} op {op}");
+                assert_eq!(acc.is_empty(), model.is_empty());
+                let occupied = acc.slots.iter().filter(|s| s.is_some()).count();
+                assert_eq!(occupied, model.len(), "a slot outlived its listing");
+            }
+        }
     }
 
     #[test]
@@ -287,7 +457,9 @@ mod tests {
         st.direct.push((0, D { v: 1 }));
         assert!(!st.is_clean());
         st.direct.clear();
-        st.pending.insert(1, D { v: 2 });
+        st.pending.upsert(1, D { v: 2 }, &|_, _| {});
         assert!(!st.is_clean());
+        st.discard_staged();
+        assert!(st.is_clean());
     }
 }

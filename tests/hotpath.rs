@@ -161,3 +161,108 @@ fn serialize_makespan_is_bounded_by_wall_time() {
         assert!(stats.serialize_time() >= stats.parallel_serialize_time());
     }
 }
+
+// ----------------------------------------------------------------------
+// The dense reduce accumulator behind `put` (DESIGN.md §11)
+// ----------------------------------------------------------------------
+
+/// A heap-owning vertex value: the sorted multiset of vertex ids whose
+/// trail reached this vertex. Nothing deduplicates, so a temporary that is
+/// lost, staged twice or merged into a stale slot changes the answer.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Trail {
+    ids: Vec<u32>,
+}
+
+impl flash_runtime::VertexData for Trail {
+    type Critical = Trail;
+    fn critical(&self) -> Trail {
+        self.clone()
+    }
+    fn apply_critical(&mut self, c: Trail) {
+        *self = c;
+    }
+    fn bytes(&self) -> usize {
+        8 + 4 * self.ids.len()
+    }
+    fn critical_bytes(c: &Trail) -> usize {
+        c.bytes()
+    }
+}
+
+/// Three all-sparse supersteps of trail propagation: every vertex pushes
+/// its whole trail over its out-edges; the reduce concatenates, then sorts.
+fn run_trails(cfg: flash_runtime::ClusterConfig) -> (Vec<Vec<u32>>, RunStats) {
+    use flash_core::prelude::*;
+    let g = graph();
+    let cfg = cfg.mode(flash_runtime::ModePolicy::ForceSparse);
+    let mut ctx = FlashContext::build(g, cfg, |v| Trail { ids: vec![v] }).expect("context builds");
+    let mut frontier = ctx.all();
+    for _ in 0..3 {
+        frontier = ctx.edge_map(
+            &frontier,
+            &EdgeSet::forward(),
+            |_, _, _| true,
+            |_, s: &Trail, temp: &mut Trail| temp.ids.clone_from(&s.ids),
+            |_, _| true,
+            |t: &Trail, acc: &mut Trail| {
+                acc.ids.extend_from_slice(&t.ids);
+                acc.ids.sort_unstable();
+            },
+        );
+    }
+    assert!(ctx.fault_error().is_none(), "{:?}", ctx.fault_error());
+    let trails = ctx.collect(|_, t| t.ids.clone());
+    let stats = ctx.take_stats();
+    let sparse = flash_runtime::StepKind::EdgeMapSparse;
+    assert!(stats.steps().iter().all(|s| s.kind == sparse));
+    (trails, stats)
+}
+
+#[test]
+fn heap_owning_values_reduce_identically_on_every_push_path() {
+    use flash_runtime::ClusterConfig;
+    let (expected, _) = run_trails(ClusterConfig::with_workers(1));
+    assert!(expected.iter().any(|t| t.len() > 100), "trails grew");
+    for workers in [1usize, 2, 4] {
+        let (_, base) = run_trails(ClusterConfig::with_workers(workers));
+        for threads in [1usize, 4] {
+            for hotpath in [HotPath::PooledParallel, HotPath::FreshSerial] {
+                let cfg = ClusterConfig::with_workers(workers)
+                    .threads(threads)
+                    .hotpath(hotpath);
+                let (trails, stats) = run_trails(cfg);
+                let case = format!("workers={workers} threads={threads} {hotpath:?}");
+                assert_eq!(trails, expected, "{case}: answer diverged");
+                assert_eq!(
+                    counter_trace(&stats),
+                    counter_trace(&base),
+                    "{case}: counters diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A rolled-back attempt has already staged its `put`s. If the discard left
+/// one temporary behind in the accumulator, the retry would merge into it
+/// and that trail would come out longer.
+#[test]
+fn faults_on_a_sparse_superstep_leave_nothing_staged() {
+    use flash_runtime::ClusterConfig;
+    let (expected, clean) = run_trails(ClusterConfig::with_workers(3));
+    for plan in ["crash@1:w1", "corrupt@2:w0"] {
+        let faulted = ClusterConfig::with_workers(3)
+            .faults(FaultPlan::parse(plan).expect("plan parses"))
+            .checkpoint_every(2);
+        let (trails, stats) = run_trails(faulted);
+        assert_eq!(trails, expected, "{plan}: answer diverged");
+        assert_eq!(
+            counter_trace(&stats),
+            counter_trace(&clean),
+            "{plan}: counters diverged"
+        );
+        assert_eq!(stats.recovery.faults_injected, 1, "{plan}");
+        assert!(stats.recovery.rollbacks >= 1, "{plan}: no rollback");
+    }
+}

@@ -65,4 +65,7 @@ bash benchmark/run.sh --workload bfs_road --seconds 1 | tail -n 1
 echo "==> benchmark push-path smoke (forced-sparse CC: oracle, bit-identity across reps, exact counters)"
 bash benchmark/run.sh --workload cc_push --seconds 1 | tail -n 1
 
+echo "==> benchmark durable-store smoke (k-core through the write-ahead log: oracle, bit-identity across reps, exact counters)"
+bash benchmark/run.sh --workload kcore_ckpt --seconds 1 | tail -n 1
+
 echo "==> OK"

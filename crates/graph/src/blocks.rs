@@ -37,6 +37,7 @@
 use crate::csr::{Csr, MapBuf, Segment};
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::hash::{fnv1a, Fnv1a};
 use crate::{VertexId, Weight};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write as _;
@@ -55,15 +56,6 @@ const FLAG_SYMMETRIC: u32 = 2;
 const NUM_SECTIONS: usize = 7;
 /// Header offset of the first per-section checksum slot.
 const CHECKSUM_OFF: usize = 40;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// Dense blocks cached per worker before FIFO eviction kicks in.
 const CACHE_BLOCKS: usize = 256;
@@ -499,23 +491,21 @@ fn write_weights<W: std::io::Write>(w: &mut W, weights: &[Weight]) -> std::io::R
 /// checksums without buffering whole sections.
 struct HashingWriter<'a, W: std::io::Write> {
     inner: &'a mut W,
-    hash: u64,
+    hash: Fnv1a,
 }
 
 impl<'a, W: std::io::Write> HashingWriter<'a, W> {
     fn new(inner: &'a mut W) -> Self {
         HashingWriter {
             inner,
-            hash: FNV_OFFSET,
+            hash: Fnv1a::new(),
         }
     }
 }
 
 impl<W: std::io::Write> std::io::Write for HashingWriter<'_, W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.hash = buf.iter().fold(self.hash, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-        });
+        self.hash.update(buf);
         self.inner.write_all(buf)?;
         Ok(buf.len())
     }
@@ -560,22 +550,22 @@ pub fn write_blocks(g: &Graph, path: impl AsRef<Path>) -> Result<(), GraphError>
     for csr in [g.out_csr(), g.in_csr()] {
         let mut hw = HashingWriter::new(&mut w);
         write_offsets(&mut hw, csr.offsets())?;
-        sums[si] = hw.hash;
+        sums[si] = hw.hash.finish();
         let mut hw = HashingWriter::new(&mut w);
         write_targets(&mut hw, csr.targets())?;
-        sums[si + 1] = hw.hash;
+        sums[si + 1] = hw.hash.finish();
         let mut hw = HashingWriter::new(&mut w);
         if let Some(weights) = csr.weights() {
             write_weights(&mut hw, weights)?;
         }
-        sums[si + 2] = hw.hash;
+        sums[si + 2] = hw.hash.finish();
         si += 3;
     }
     let mut hw = HashingWriter::new(&mut w);
     for &c in &grid.edge_counts {
         hw.write_all(&c.to_ne_bytes())?;
     }
-    sums[si] = hw.hash;
+    sums[si] = hw.hash.finish();
 
     w.flush()?;
     let mut file = w

@@ -21,8 +21,9 @@
 //! * [`blocks`] — the out-of-core `.fgb` block format: an mmap-or-buffered
 //!   reader serving CSR adjacency zero-copy, plus the M-Flash-style
 //!   source×destination block grid the streaming EDGEMAP path charges.
-//! * [`bitset`], [`dsu`], [`stats`], [`io`] — supporting utilities
-//!   (the paper's `dsu_find`/`dsu_union` built-ins live in [`dsu`]).
+//! * [`bitset`], [`dsu`], [`stats`], [`io`], [`hash`] — supporting utilities
+//!   (the paper's `dsu_find`/`dsu_union` built-ins live in [`dsu`]; the one
+//!   FNV-1a behind every checksum lives in [`hash`]).
 //!
 //! ```
 //! use flash_graph::prelude::*;
@@ -47,6 +48,7 @@ pub mod dsu;
 pub mod error;
 pub mod generators;
 pub mod graph;
+pub mod hash;
 pub mod io;
 pub mod overlay;
 pub mod partition;

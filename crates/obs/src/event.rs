@@ -346,32 +346,38 @@ pub enum EventKind {
         observed: u64,
     },
     /// The durable checkpoint store committed a generation to disk
-    /// (tmp + fsync + atomic rename) — only after this does the
-    /// `CheckpointCommit` consensus entry replicate.
+    /// (tmp + fsync + atomic rename + directory fsync) — only after this
+    /// does the `CheckpointCommit` consensus entry replicate.
     CheckpointDurable {
         /// The generation number committed.
         generation: u64,
         /// The superstep the generation's checkpoint frame precedes.
         step: u64,
-        /// Frames in the generation file (checkpoint + delta tail).
+        /// Frames in the generation file at commit: the checkpoint
+        /// frame alone — delta frames are appended to it afterwards.
         frames: u64,
         /// Bytes written and fsynced for this commit.
         bytes: u64,
     },
-    /// The scrub pass at open found a damaged generation (bad frame
-    /// checksum, truncation, or unreadable header) and skipped it.
+    /// The scrub pass at open repaired the store: it condemned a
+    /// generation whose header or checkpoint frame is damaged and skipped
+    /// it, or cut a torn / bit-rotted delta tail back to the longest
+    /// valid frame prefix.
     CheckpointScrubbed {
         /// The damaged generation number.
         generation: u64,
         /// What the scrub found: e.g. `"frame checksum mismatch"`,
         /// `"truncated mid-frame"`.
         reason: String,
-        /// Whether an older valid generation was available to fall back
-        /// to (`false` means the store degraded to `DurabilityLost`).
+        /// `true`: the generation was condemned and the scrub fell back
+        /// to an older one. `false`: only its tail was cut and the
+        /// generation was loaded — or it was condemned with nothing older
+        /// left, and the store degraded to `DurabilityLost`.
         fallback: bool,
     },
-    /// A durable write or fsync failed (injected `ioerr@` fault): the
-    /// commit was skipped and the store self-heals on its next write.
+    /// A durable write or fsync failed (injected `ioerr@` fault or a real
+    /// I/O error): nothing was committed, and the step is a gap in the
+    /// log that a resume re-executes.
     DurableIoError {
         /// The superstep whose durable write failed.
         step: u64,
@@ -1028,7 +1034,7 @@ impl Event {
                 if *fallback {
                     "falling back to previous generation"
                 } else {
-                    "no valid generation remains"
+                    "no fallback"
                 }
             ),
             EventKind::DurableIoError { step, op } => format!(

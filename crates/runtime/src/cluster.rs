@@ -129,11 +129,12 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Builds a cluster with the durable checkpoint store attached
-    /// (`config.durable_dir` must be set): every checkpoint plus the
-    /// per-step delta log is committed to disk through a crash-consistent
-    /// two-phase commit, so a killed run can be resumed bit-identically by
-    /// [`Cluster::resume`]. With `config.durable_resume` set, this *opens*
-    /// the store instead of starting it fresh.
+    /// (`config.durable_dir` must be set): every checkpoint opens a
+    /// generation file through a crash-consistent two-phase commit and
+    /// every superstep appends (and `fdatasync`s) its delta to it, so a
+    /// killed run can be resumed bit-identically by [`Cluster::resume`].
+    /// With `config.durable_resume` set, this *opens* the store instead of
+    /// starting it fresh.
     pub fn new_durable(
         graph: Arc<Graph>,
         partition: Arc<PartitionMap>,
@@ -171,9 +172,10 @@ impl<V: VertexData> Cluster<V> {
 
     /// Resumes a killed run from the durable checkpoint store in
     /// `config.durable_dir`: the scrub pass loads the newest valid
-    /// generation (falling back past damaged ones), the loaded checkpoint
-    /// and delta log replay as the driver re-executes, and the run
-    /// continues bit-identically to an uninterrupted one.
+    /// generation (falling back past condemned ones, cutting a torn tail
+    /// to its longest valid frame prefix), the loaded checkpoint and delta
+    /// log replay as the driver re-executes, and the run continues
+    /// bit-identically to an uninterrupted one.
     pub fn resume(
         graph: Arc<Graph>,
         partition: Arc<PartitionMap>,
@@ -329,9 +331,9 @@ impl<V: VertexData> Cluster<V> {
         // it — and `leader@0` has someone to crash.
         let live = cluster.partition.live_hosts();
         cluster.elect_leader(0, &live);
-        // Surface what the resume-time scrub pass found: each damaged
-        // generation is one event (and one fallback hop when an older
-        // generation remained to fall back to).
+        // Surface what the resume-time scrub pass repaired: each
+        // condemned generation or truncated tail is one event (and one
+        // fallback hop when the scrub moved on to an older generation).
         for report in scrubs {
             cluster.stats.durability.scrub_repairs += 1;
             if report.fallback {
@@ -348,7 +350,7 @@ impl<V: VertexData> Cluster<V> {
         // re-firing them *after* the frontier (where `step <= now` would
         // otherwise match). Within the replayed prefix the loaded frames
         // are authoritative anyway.
-        if let Some(frontier) = cluster.durable.as_ref().and_then(|d| d.resume_frontier()) {
+        if let Some(frontier) = cluster.durable.as_ref().and_then(|d| d.resume_frontier) {
             if let Some(inj) = &mut cluster.injector {
                 inj.drain_through(frontier);
             }
@@ -891,12 +893,13 @@ impl<V: VertexData> Cluster<V> {
         // Durable store first: on a resumed run the loaded checkpoint
         // frame is authoritative (it overwrites the re-executed state
         // before the snapshot below captures it), and on a live run the
-        // two-phase commit must land *before* the consensus
-        // CheckpointCommit — the replicated log never commits a
-        // generation whose bytes are not durable. A failed write skips
-        // the whole checkpoint (install, stats, consensus): the interval
-        // logic then retries at the very next superstep, and the store
-        // self-heals by rewriting the full generation.
+        // two-phase commit (rename *and* directory fsync) must land
+        // *before* the consensus CheckpointCommit — the replicated log
+        // never commits a generation whose bytes are not durable. A
+        // failed write skips the whole checkpoint (install, stats,
+        // consensus): the interval logic then retries at the very next
+        // superstep, and until it lands the store keeps appending deltas
+        // to the previous generation.
         if self.durable.is_some() {
             let step = self.next_step;
             let ioerr = self.disk_ioerr;
@@ -1047,7 +1050,7 @@ impl<V: VertexData> Cluster<V> {
             }
             // At-rest damage lands at the end of the step, after the
             // writes it is scripted to corrupt, and wedges the store so
-            // no later rewrite masks it.
+            // no later write masks it.
             let damage = std::mem::take(&mut self.disk_damage);
             if let Some(d) = self.durable.as_mut() {
                 for (kind, byte, mask) in damage {

@@ -4,10 +4,10 @@
 //! *within one process lifetime*: a whole-process kill loses every
 //! superstep of work. This module extends the `.fgb` on-disk discipline
 //! to *mutable* state: each checkpoint (full per-replica vertex state)
-//! plus the per-step delta log is written to a versioned on-disk format
-//! so a cold restart can resume the run bit-identically.
+//! opens a write-ahead log that every later superstep appends its delta
+//! to, so a cold restart can resume the run bit-identically.
 //!
-//! # On-disk format (`FCK1`)
+//! # On-disk format (`FCK1`, version 2)
 //!
 //! One file per checkpoint **generation**, `gen-N.fck`:
 //!
@@ -16,36 +16,41 @@
 //!                checkpoint step u64, workers u64, vertices u64,
 //!                FNV-1a checksum of the preceding 40 bytes
 //! frames:        kind u32 (0 checkpoint | 1 delta), step u64,
-//!                payload_len u64, payload, FNV-1a frame checksum u64
-//! footer:        magic "FCKF", frame count u64,
-//!                FNV-1a checksum of magic + count
+//!                payload_len u64, payload,
+//!                FNV-1a checksum u64 of kind..payload
 //! ```
 //!
 //! Frame 0 is the generation's checkpoint (every replica's full state —
 //! replicas may diverge in non-critical fields under `CriticalOnly`
 //! sync, so masters alone are not enough to rebuild the cluster);
-//! frames 1.. are the step-tagged delta log recorded after it. All
-//! integers are little-endian.
+//! frames 1.. are the step-tagged delta log recorded after it. The file
+//! ends after its last frame — no footer. All integers are little-endian.
 //!
 //! # Commit protocol
 //!
-//! Every write is a crash-consistent two-phase commit: serialize the
-//! whole generation, write to `gen-N.tmp`, `fsync`, atomically rename
-//! onto `gen-N.fck`. Only after the rename does `maybe_checkpoint` feed
+//! A generation is **created once**, by a two-phase commit: header +
+//! frame 0 to `gen-N.tmp`, `fsync`, rename onto `gen-N.fck`, directory
+//! `fsync`. Only after all of it succeeded does `maybe_checkpoint` feed
 //! the consensus `CheckpointCommit` entry — the replicated log never
-//! commits a generation whose bytes are not durable. The two newest
-//! generations are retained so a damaged newest generation can fall
-//! back to its predecessor (replaying the longer delta tail).
+//! commits a generation whose bytes are not durable. Every delta is then
+//! **appended** to the open file (`write_all` of the one frame,
+//! `fdatasync`) before the superstep's barrier returns; nothing already
+//! on disk is rewritten. A failed append is truncated back off; if that
+//! fails too the store stops appending until the next checkpoint opens a
+//! fresh generation. The two newest generations are retained so a
+//! condemned newest generation can fall back to its predecessor.
 //!
-//! # Scrub and fallback
+//! # Scrub, prefix rule and fallback
 //!
-//! Opening a store for resume runs a scrub pass: stale `.tmp` files are
-//! deleted, and generations are validated newest-first — header and
-//! footer checksums, every frame checksum, frame count. A damaged
-//! generation is reported (a `checkpoint_scrubbed` trace event) and the
-//! scrub falls back to the next older one; when no valid generation
-//! remains the run degrades to a typed
-//! [`RuntimeError::DurabilityLost`].
+//! Opening a store for resume deletes stale `.tmp` files and validates
+//! generations newest-first. A generation whose header or frame 0 does
+//! not verify is condemned (a `checkpoint_scrubbed` trace event with
+//! `fallback: true`) and the scrub moves to the next older one; when none
+//! remains the run degrades to [`RuntimeError::DurabilityLost`]. After
+//! frame 0 the **longest valid frame prefix wins**: every prefix is a
+//! true earlier state of the run and re-execution from it is
+//! bit-identical, so a torn or bit-rotted tail is truncated (`set_len` +
+//! `fsync`) and reported with `fallback: false`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -54,36 +59,28 @@ use crate::fault::FaultKind;
 use crate::state::WorkerState;
 use crate::stats::DurabilityStats;
 use crate::VertexData;
+use flash_graph::hash::fnv1a;
 use flash_graph::VertexId;
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every generation file.
 pub const MAGIC: [u8; 4] = *b"FCK1";
-/// Current format version.
-pub const VERSION: u32 = 1;
-/// Magic bytes opening the footer.
-const FOOTER_MAGIC: [u8; 4] = *b"FCKF";
+/// Current format version. Version 1 (footer-terminated, rewritten whole
+/// on every delta) is rejected: stores are per-run scratch.
+pub const VERSION: u32 = 2;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 48;
+/// Bytes of a frame before its payload: kind, step, payload length.
+const FRAME_HEAD: usize = 20;
+/// Frame bytes around the payload: [`FRAME_HEAD`] plus the checksum.
+const FRAME_OVERHEAD: usize = FRAME_HEAD + 8;
 /// Frame kind: a full per-replica checkpoint.
 const FRAME_CHECKPOINT: u32 = 0;
 /// Frame kind: one superstep's delta (updated lists + values).
 const FRAME_DELTA: u32 = 1;
-
-/// FNV-1a over a byte slice — the same constants the sync-payload and
-/// wire-batch checksums use ([`crate::fault::payload_checksum`]).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Cursor over a frame payload handed to [`DurableValue::decode`].
 /// Returns `None` past the end, so a short or corrupted payload degrades
@@ -226,7 +223,8 @@ macro_rules! durable_value {
     };
 }
 
-/// One frame of a generation file.
+/// One parsed frame of a generation file, held only while a resumed run
+/// replays it.
 #[derive(Clone, Debug, PartialEq)]
 struct FrameData {
     kind: u32,
@@ -234,60 +232,46 @@ struct FrameData {
     payload: Vec<u8>,
 }
 
-impl FrameData {
-    /// The checksum covers the frame's framing and payload, so a flipped
-    /// bit anywhere in the frame is detected.
-    fn checksum(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(20 + self.payload.len());
-        bytes.extend_from_slice(&self.kind.to_le_bytes());
-        bytes.extend_from_slice(&self.step.to_le_bytes());
-        bytes.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&self.payload);
-        fnv1a(&bytes)
-    }
+/// Encodes one self-delimiting frame: head, the payload `fill` writes,
+/// and the checksum over both (hashed in place — no payload copy).
+fn encode_frame(kind: u32, step: u64, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&step.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    fill(&mut out);
+    let payload_len = (out.len() - FRAME_HEAD) as u64;
+    out[12..FRAME_HEAD].copy_from_slice(&payload_len.to_le_bytes());
+    let sum = fnv1a(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
 }
 
-/// A parsed, fully validated generation file.
-struct ParsedStore {
-    generation: u64,
-    checkpoint_step: u64,
-    workers: u64,
-    vertices: u64,
-    frames: Vec<FrameData>,
-}
-
-fn serialize_store(
-    generation: u64,
-    checkpoint_step: u64,
-    workers: u64,
-    vertices: u64,
-    frames: &[FrameData],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        HEADER_LEN + frames.iter().map(|f| 28 + f.payload.len()).sum::<usize>() + 20,
-    );
+fn encode_header(generation: u64, checkpoint_step: u64, workers: u64, vertices: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&checkpoint_step.to_le_bytes());
-    out.extend_from_slice(&workers.to_le_bytes());
-    out.extend_from_slice(&vertices.to_le_bytes());
-    let hsum = fnv1a(&out[..HEADER_LEN - 8]);
-    out.extend_from_slice(&hsum.to_le_bytes());
-    for f in frames {
-        out.extend_from_slice(&f.kind.to_le_bytes());
-        out.extend_from_slice(&f.step.to_le_bytes());
-        out.extend_from_slice(&(f.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&f.payload);
-        out.extend_from_slice(&f.checksum().to_le_bytes());
+    for word in [generation, checkpoint_step, workers, vertices] {
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    out.extend_from_slice(&FOOTER_MAGIC);
-    out.extend_from_slice(&(frames.len() as u64).to_le_bytes());
-    let mut fsum = Vec::with_capacity(12);
-    fsum.extend_from_slice(&FOOTER_MAGIC);
-    fsum.extend_from_slice(&(frames.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&fsum).to_le_bytes());
+    let sum = fnv1a(&out);
+    out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// A parsed generation file: the verified header and the longest valid
+/// frame prefix.
+struct ParsedStore {
+    generation: u64,
+    workers: u64,
+    vertices: u64,
+    /// Frame 0 (the checkpoint) and every delta frame that verified.
+    frames: Vec<FrameData>,
+    /// Bytes of the file the header and `frames` cover.
+    valid_len: usize,
+    /// Why parsing stopped before the end of the file (the scrub reason
+    /// of the tail to truncate); `None` when the file ends on a frame.
+    tail: Option<String>,
 }
 
 fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
@@ -298,8 +282,35 @@ fn read_u64(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
 }
 
-/// Parses and validates a generation file. The error string is the scrub
-/// reason reported in `checkpoint_scrubbed` events.
+/// Parses the frame starting at `pos` and returns it with the position
+/// just past it. The error string is a scrub reason.
+fn parse_frame(buf: &[u8], pos: usize) -> Result<(FrameData, usize), &'static str> {
+    const TORN: &str = "truncated mid-frame";
+    let kind = read_u32(buf, pos).ok_or(TORN)?;
+    let step = read_u64(buf, pos + 4).ok_or(TORN)?;
+    let payload_len = read_u64(buf, pos + 12).ok_or(TORN)?;
+    // A corrupted length must neither overflow nor pass for a short file.
+    let end = usize::try_from(payload_len)
+        .ok()
+        .and_then(|len| (pos + FRAME_HEAD).checked_add(len))
+        .filter(|end| *end <= buf.len())
+        .ok_or(TORN)?;
+    let sum = read_u64(buf, end).ok_or(TORN)?;
+    if sum != fnv1a(&buf[pos..end]) {
+        return Err("frame checksum mismatch");
+    }
+    let frame = FrameData {
+        kind,
+        step,
+        payload: buf[pos + FRAME_HEAD..end].to_vec(),
+    };
+    Ok((frame, end + 8))
+}
+
+/// Parses a generation file. The header and frame 0 must verify — the
+/// error string is then the scrub reason condemning the generation.
+/// Past frame 0 the longest valid prefix of delta frames is returned and
+/// [`ParsedStore::tail`] says why it ended early, if it did.
 fn parse_store(buf: &[u8]) -> Result<ParsedStore, String> {
     if buf.len() < HEADER_LEN {
         return Err("truncated header".into());
@@ -319,115 +330,101 @@ fn parse_store(buf: &[u8]) -> Result<ParsedStore, String> {
     let checkpoint_step = read_u64(buf, 16).ok_or("truncated header")?;
     let workers = read_u64(buf, 24).ok_or("truncated header")?;
     let vertices = read_u64(buf, 32).ok_or("truncated header")?;
-    let mut frames = Vec::new();
-    let mut pos = HEADER_LEN;
-    loop {
-        let head = buf
-            .get(pos..pos + 4)
-            .ok_or("truncated mid-frame (no footer)")?;
-        if head == FOOTER_MAGIC {
-            let count = read_u64(buf, pos + 4).ok_or("truncated footer")?;
-            let fsum = read_u64(buf, pos + 12).ok_or("truncated footer")?;
-            let mut check = Vec::with_capacity(12);
-            check.extend_from_slice(&FOOTER_MAGIC);
-            check.extend_from_slice(&count.to_le_bytes());
-            if fsum != fnv1a(&check) {
-                return Err("footer checksum mismatch".into());
-            }
-            if count != frames.len() as u64 {
-                return Err(format!(
-                    "footer frame count {count} != {} frames present",
-                    frames.len()
-                ));
-            }
-            if pos + 20 != buf.len() {
-                return Err("trailing bytes after footer".into());
-            }
-            return Ok(ParsedStore {
-                generation,
-                checkpoint_step,
-                workers,
-                vertices,
-                frames,
-            });
-        }
-        let kind = read_u32(buf, pos).ok_or("truncated mid-frame")?;
-        if kind != FRAME_CHECKPOINT && kind != FRAME_DELTA {
-            return Err(format!("unknown frame kind {kind}"));
-        }
-        let step = read_u64(buf, pos + 4).ok_or("truncated mid-frame")?;
-        let payload_len = usize::try_from(read_u64(buf, pos + 12).ok_or("truncated mid-frame")?)
-            .map_err(|_| "implausible payload length".to_string())?;
-        let payload = buf
-            .get(pos + 20..pos + 20 + payload_len)
-            .ok_or("truncated mid-frame")?
-            .to_vec();
-        let sum = read_u64(buf, pos + 20 + payload_len).ok_or("truncated mid-frame")?;
-        let frame = FrameData {
-            kind,
-            step,
-            payload,
-        };
-        if sum != frame.checksum() {
-            return Err(format!("frame checksum mismatch (frame {})", frames.len()));
-        }
-        frames.push(frame);
-        pos += 28 + payload_len;
+    let (frame0, mut pos) = parse_frame(buf, HEADER_LEN).map_err(|e| format!("{e} (frame 0)"))?;
+    if frame0.kind != FRAME_CHECKPOINT || frame0.step != checkpoint_step {
+        return Err("frame 0 is not the header's checkpoint".into());
     }
+    let mut frames = vec![frame0];
+    let mut tail = None;
+    while pos < buf.len() {
+        let reason = match parse_frame(buf, pos) {
+            Ok((frame, next)) if frame.kind == FRAME_DELTA => {
+                frames.push(frame);
+                pos = next;
+                continue;
+            }
+            Ok((frame, _)) => format!("unexpected frame kind {}", frame.kind),
+            Err(reason) => reason.to_string(),
+        };
+        tail = Some(format!(
+            "{reason} (frame {}): tail cut at byte {pos} of {}",
+            frames.len(),
+            buf.len()
+        ));
+        break;
+    }
+    Ok(ParsedStore {
+        generation,
+        workers,
+        vertices,
+        frames,
+        valid_len: pos,
+        tail,
+    })
 }
 
-/// One damaged generation the scrub pass found at open.
+/// One repair the scrub pass made at open: a condemned generation, or a
+/// torn tail cut back to the last whole frame.
 #[derive(Clone, Debug)]
 pub(crate) struct ScrubReport {
     /// The damaged generation number (from the filename).
     pub(crate) generation: u64,
     /// What the scrub found.
     pub(crate) reason: String,
-    /// Whether an older generation remained to fall back to.
+    /// `true`: the generation was condemned and an older one remained to
+    /// fall back to. `false`: either nothing older remained, or only the
+    /// tail was cut and the generation itself was loaded.
     pub(crate) fallback: bool,
 }
 
 /// Outcome of a durable write attempt, for the cluster's bookkeeping.
 pub(crate) enum DiskWrite {
-    /// Nothing was written: the store is replaying, frozen, or has no
-    /// generation yet. (Replay applications also land here.)
+    /// Nothing to report: a delta was appended, or the store is
+    /// replaying, frozen, or has no generation to append to.
     None,
-    /// A new generation was committed (tmp + fsync + rename succeeded).
+    /// A new generation was committed (tmp + fsync + rename + directory
+    /// fsync all succeeded).
     Committed {
         /// The generation number committed.
         generation: u64,
-        /// Frames in the generation file.
+        /// Frames in the generation file: the checkpoint frame alone.
         frames: u64,
         /// Bytes written and fsynced.
         bytes: u64,
     },
     /// The write or fsync failed — an injected `ioerr@` fault or a real
-    /// I/O error. The commit is skipped; the store self-heals on its
-    /// next write by rewriting the whole generation.
+    /// I/O error. Nothing was committed; the step is a gap in the log
+    /// that a resume re-executes.
     Failed {
         /// The failed operation: `"checkpoint"` or `"delta"`.
         op: &'static str,
     },
 }
 
-/// The cluster's handle on a durable store: the current generation's
-/// frames, the replay cursor for resumed runs, and the fault wiring.
-/// Fully inert when absent — a run without `--durable-dir` never
-/// constructs one.
+/// The cluster's handle on a durable store: the append handle on the
+/// current generation, the replay queue for resumed runs, and the fault
+/// wiring. A live session holds no frame payloads. Fully inert when
+/// absent — a run without `--durable-dir` never constructs one.
 pub(crate) struct DurableSession<V> {
     dir: PathBuf,
     encode: fn(&V, &mut Vec<u8>),
     decode: fn(&mut FrameReader<'_>) -> Option<V>,
     workers: usize,
     vertices: usize,
-    /// The current generation number; meaningful once `has_generation`.
-    generation: u64,
-    checkpoint_step: u64,
-    has_generation: bool,
-    frames: Vec<FrameData>,
-    /// Replay cursor into `frames`: below `frames.len()` the session is
-    /// fast-forwarding a resumed run and writes nothing.
-    cursor: usize,
+    /// The newest generation created or loaded, `None` before the first.
+    generation: Option<u64>,
+    /// Append handle on that generation's file. `None` before the first
+    /// generation, and after a failed append that could not be rolled
+    /// back (until the next checkpoint opens a fresh generation).
+    log: Option<File>,
+    /// Length of the file `log` appends to, all of it durable.
+    durable_len: u64,
+    /// Frames loaded at open that the resumed run has not yet reached;
+    /// while any remain the session fast-forwards and writes nothing.
+    replay: VecDeque<FrameData>,
+    /// The first superstep past the log loaded at open — scripted faults
+    /// before it already fired in the original run and must not re-fire.
+    pub(crate) resume_frontier: Option<u64>,
     /// Set after `torn@`/`bitrot@` damage is applied: all further writes
     /// are skipped so the at-rest damage survives to the next cold
     /// start. Models the process dying right after the damage landed.
@@ -450,15 +447,19 @@ impl<V> std::fmt::Debug for DurableSession<V> {
         f.debug_struct("DurableSession")
             .field("dir", &self.dir)
             .field("generation", &self.generation)
-            .field("has_generation", &self.has_generation)
-            .field("checkpoint_step", &self.checkpoint_step)
-            .field("frames", &self.frames.len())
-            .field("cursor", &self.cursor)
+            .field("durable_len", &self.durable_len)
+            .field("replay", &self.replay.len())
             .field("wedged", &self.wedged)
             .field("halt_after", &self.halt_after)
             .field("halted", &self.halted)
             .finish_non_exhaustive()
     }
+}
+
+/// The handle delta frames are appended through. `O_APPEND`, so a write
+/// after a rollback `set_len` lands at the new end of the file.
+fn open_log(path: &Path) -> io::Result<File> {
+    OpenOptions::new().append(true).open(path)
 }
 
 impl<V: VertexData> DurableSession<V> {
@@ -474,8 +475,7 @@ impl<V: VertexData> DurableSession<V> {
     ) -> Result<Self, RuntimeError> {
         fs::create_dir_all(dir)
             .map_err(|e| RuntimeError::Storage(format!("durable dir {dir:?}: {e}")))?;
-        for (gen, path) in list_generations(dir) {
-            let _ = gen;
+        for (_, path) in list_generations(dir) {
             let _ = fs::remove_file(path);
         }
         remove_tmp_files(dir);
@@ -485,11 +485,11 @@ impl<V: VertexData> DurableSession<V> {
             decode,
             workers,
             vertices,
-            generation: 0,
-            checkpoint_step: 0,
-            has_generation: false,
-            frames: Vec::new(),
-            cursor: 0,
+            generation: None,
+            log: None,
+            durable_len: 0,
+            replay: VecDeque::new(),
+            resume_frontier: None,
             wedged: false,
             halt_after,
             halted: None,
@@ -498,9 +498,10 @@ impl<V: VertexData> DurableSession<V> {
     }
 
     /// Opens an existing store for resume: scrubs the directory, loads
-    /// the newest valid generation, and arms the replay cursor. Damaged
-    /// generations are reported; no valid generation degrades to
-    /// [`RuntimeError::DurabilityLost`].
+    /// the newest generation whose header and frame 0 verify (cutting a
+    /// damaged tail back to its longest valid frame prefix), and queues
+    /// its frames for replay. Every repair is reported; no valid
+    /// generation degrades to [`RuntimeError::DurabilityLost`].
     pub(crate) fn open(
         dir: &Path,
         workers: usize,
@@ -520,53 +521,71 @@ impl<V: VertexData> DurableSession<V> {
         let total = gens.len();
         let mut reports = Vec::new();
         for (i, (gen, path)) in gens.iter().enumerate() {
-            let reason = match fs::read(path) {
-                Ok(buf) => match parse_store(&buf) {
-                    Ok(parsed) => {
-                        if parsed.generation != *gen {
-                            format!(
-                                "header generation {} != filename generation {gen}",
-                                parsed.generation
-                            )
-                        } else if parsed.workers != workers as u64
-                            || parsed.vertices != vertices as u64
-                        {
-                            format!(
-                                "geometry mismatch: file has {} workers x {} vertices, \
-                                 cluster has {workers} x {vertices}",
-                                parsed.workers, parsed.vertices
-                            )
-                        } else {
-                            return Ok((
-                                DurableSession {
-                                    dir: dir.to_path_buf(),
-                                    encode,
-                                    decode,
-                                    workers,
-                                    vertices,
-                                    generation: *gen,
-                                    checkpoint_step: parsed.checkpoint_step,
-                                    has_generation: true,
-                                    frames: parsed.frames,
-                                    cursor: 0,
-                                    wedged: false,
-                                    halt_after,
-                                    halted: None,
-                                    last_apply_matched: true,
-                                },
-                                reports,
-                            ));
-                        }
+            let loaded = fs::read(path)
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|buf| parse_store(&buf))
+                .and_then(|parsed| {
+                    if parsed.generation != *gen {
+                        return Err(format!(
+                            "header generation {} != filename generation {gen}",
+                            parsed.generation
+                        ));
                     }
-                    Err(reason) => reason,
-                },
-                Err(e) => format!("unreadable: {e}"),
+                    if parsed.workers != workers as u64 || parsed.vertices != vertices as u64 {
+                        return Err(format!(
+                            "geometry mismatch: file has {} workers x {} vertices, \
+                             cluster has {workers} x {vertices}",
+                            parsed.workers, parsed.vertices
+                        ));
+                    }
+                    // A damaged tail must be off the disk before anything
+                    // is appended behind the valid prefix.
+                    let log = open_log(path)
+                        .and_then(|log| {
+                            if parsed.tail.is_some() {
+                                log.set_len(parsed.valid_len as u64)?;
+                                log.sync_all()?;
+                            }
+                            Ok(log)
+                        })
+                        .map_err(|e| format!("not writable: {e}"))?;
+                    Ok((parsed, log))
+                });
+            let (parsed, log) = match loaded {
+                Ok(loaded) => loaded,
+                Err(reason) => {
+                    reports.push(ScrubReport {
+                        generation: *gen,
+                        reason,
+                        fallback: i + 1 < total,
+                    });
+                    continue;
+                }
             };
-            reports.push(ScrubReport {
-                generation: *gen,
-                reason,
-                fallback: i + 1 < total,
-            });
+            if let Some(reason) = parsed.tail {
+                reports.push(ScrubReport {
+                    generation: *gen,
+                    reason,
+                    fallback: false,
+                });
+            }
+            let session = DurableSession {
+                dir: dir.to_path_buf(),
+                encode,
+                decode,
+                workers,
+                vertices,
+                generation: Some(*gen),
+                log: Some(log),
+                durable_len: parsed.valid_len as u64,
+                resume_frontier: parsed.frames.last().map(|f| f.step + 1),
+                replay: parsed.frames.into(),
+                wedged: false,
+                halt_after,
+                halted: None,
+                last_apply_matched: true,
+            };
+            return Ok((session, reports));
         }
         Err(RuntimeError::DurabilityLost(format!(
             "all {total} generation file(s) in {dir:?} damaged: {}",
@@ -580,16 +599,7 @@ impl<V: VertexData> DurableSession<V> {
 
     /// Whether the session is still fast-forwarding loaded frames.
     pub(crate) fn replaying(&self) -> bool {
-        self.cursor < self.frames.len()
-    }
-
-    /// The first superstep past the loaded log — scripted faults before
-    /// it already fired in the original run and must not re-fire.
-    pub(crate) fn resume_frontier(&self) -> Option<u64> {
-        if self.frames.is_empty() || !self.has_generation {
-            return None;
-        }
-        self.frames.last().map(|f| f.step + 1)
+        !self.replay.is_empty()
     }
 
     /// The superstep the kill switch fired at, if it has.
@@ -615,14 +625,23 @@ impl<V: VertexData> DurableSession<V> {
         self.dir.join(format!("gen-{generation}.fck"))
     }
 
-    fn encode_checkpoint(&self, states: &[WorkerState<V>]) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Pops the next queued frame when it is the `kind` frame of `step`.
+    /// A frame of a later step stays queued: the steps before it are a
+    /// gap in the log (a skipped write) that re-execution fills.
+    fn next_replay(&mut self, kind: u32, step: u64) -> Option<Vec<u8>> {
+        let front = self.replay.front()?;
+        if front.kind != kind || front.step != step {
+            return None;
+        }
+        self.replay.pop_front().map(|f| f.payload)
+    }
+
+    fn encode_checkpoint(&self, states: &[WorkerState<V>], out: &mut Vec<u8>) {
         for st in states {
             for v in &st.current {
-                (self.encode)(v, &mut out);
+                (self.encode)(v, out);
             }
         }
-        out
     }
 
     fn apply_checkpoint(&self, payload: &[u8], states: &mut [WorkerState<V>]) -> Option<()> {
@@ -638,25 +657,28 @@ impl<V: VertexData> DurableSession<V> {
         Some(())
     }
 
-    fn encode_delta(&self, states: &[WorkerState<V>], updated: &[Vec<VertexId>]) -> Vec<u8> {
-        let mut out = Vec::new();
-        (updated.len() as u32).put(&mut out);
+    fn encode_delta(
+        &self,
+        states: &[WorkerState<V>],
+        updated: &[Vec<VertexId>],
+        out: &mut Vec<u8>,
+    ) {
+        (updated.len() as u32).put(out);
         for list in updated {
-            (list.len() as u32).put(&mut out);
+            (list.len() as u32).put(out);
             for &v in list {
-                v.put(&mut out);
+                v.put(out);
             }
         }
         for st in states {
             for list in updated {
                 for &v in list {
                     if let Some(val) = st.current.get(v as usize) {
-                        (self.encode)(val, &mut out);
+                        (self.encode)(val, out);
                     }
                 }
             }
         }
-        out
     }
 
     fn apply_delta(
@@ -698,26 +720,30 @@ impl<V: VertexData> DurableSession<V> {
         Some(())
     }
 
-    fn persist(&self) -> io::Result<u64> {
-        let bytes = serialize_store(
-            self.generation,
-            self.checkpoint_step,
-            self.workers as u64,
-            self.vertices as u64,
-            &self.frames,
-        );
-        let tmp = self.dir.join(format!("gen-{}.tmp", self.generation));
+    /// Creates generation `generation` — header plus frame 0 — through
+    /// the two-phase commit and returns its append handle and length.
+    /// The one whole-file write of the store: deltas only ever append.
+    fn persist(
+        &self,
+        generation: u64,
+        step: u64,
+        states: &[WorkerState<V>],
+    ) -> io::Result<(File, u64)> {
+        let mut bytes = encode_header(generation, step, self.workers as u64, self.vertices as u64);
+        bytes.extend(encode_frame(FRAME_CHECKPOINT, step, |out| {
+            self.encode_checkpoint(states, out)
+        }));
+        let tmp = self.dir.join(format!("gen-{generation}.tmp"));
+        let path = self.gen_path(generation);
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.sync_all()?;
         }
-        fs::rename(&tmp, self.gen_path(self.generation))?;
-        // Best-effort directory fsync so the rename itself is durable.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(bytes.len() as u64)
+        fs::rename(&tmp, &path)?;
+        // The rename is durable only once the directory is.
+        File::open(&self.dir)?.sync_all()?;
+        Ok((open_log(&path)?, bytes.len() as u64))
     }
 
     /// The checkpoint hook, called by `maybe_checkpoint` *before* the
@@ -725,7 +751,8 @@ impl<V: VertexData> DurableSession<V> {
     /// precedes. On a resumed run the loaded checkpoint frame is applied
     /// (disk is authoritative); on a live run a new generation is
     /// committed. Only a [`DiskWrite::Committed`] outcome may feed the
-    /// consensus `CheckpointCommit` entry.
+    /// consensus `CheckpointCommit` entry. A failed commit leaves the
+    /// session on the previous generation, which keeps taking deltas.
     pub(crate) fn on_checkpoint(
         &mut self,
         step: u64,
@@ -735,24 +762,19 @@ impl<V: VertexData> DurableSession<V> {
     ) -> Result<DiskWrite, RuntimeError> {
         self.check_halt(step);
         if self.replaying() {
-            let matches = {
-                let f = &self.frames[self.cursor];
-                f.kind == FRAME_CHECKPOINT && f.step == step
-            };
-            if matches {
-                let payload = std::mem::take(&mut self.frames[self.cursor].payload);
-                self.last_apply_matched = self.encode_checkpoint(states) == payload;
+            if let Some(payload) = self.next_replay(FRAME_CHECKPOINT, step) {
+                let mut reexecuted = Vec::with_capacity(payload.len());
+                self.encode_checkpoint(states, &mut reexecuted);
+                self.last_apply_matched = reexecuted == payload;
                 if !self.last_apply_matched {
                     self.apply_checkpoint(&payload, states).ok_or_else(|| {
                         RuntimeError::DurabilityLost(format!(
                             "generation {} checkpoint frame failed to decode \
                              (vertex codec mismatch?)",
-                            self.generation
+                            self.generation.unwrap_or_default()
                         ))
                     })?;
                 }
-                self.frames[self.cursor].payload = payload;
-                self.cursor += 1;
             }
             return Ok(DiskWrite::None);
         }
@@ -763,47 +785,34 @@ impl<V: VertexData> DurableSession<V> {
             stats.io_errors += 1;
             return Ok(DiskWrite::Failed { op: "checkpoint" });
         }
-        self.generation = if self.has_generation {
-            self.generation + 1
-        } else {
-            0
+        let generation = self.generation.map_or(0, |g| g + 1);
+        let Ok((log, bytes)) = self.persist(generation, step, states) else {
+            stats.io_errors += 1;
+            return Ok(DiskWrite::Failed { op: "checkpoint" });
         };
-        self.has_generation = true;
-        self.checkpoint_step = step;
-        self.frames = vec![FrameData {
-            kind: FRAME_CHECKPOINT,
-            step,
-            payload: self.encode_checkpoint(states),
-        }];
-        self.cursor = self.frames.len();
-        match self.persist() {
-            Ok(bytes) => {
-                stats.generations_written += 1;
-                stats.bytes_fsynced += bytes;
-                // Two-generation retention: the predecessor stays (the
-                // scrub's fallback target), anything older goes.
-                if self.generation >= 2 {
-                    let _ = fs::remove_file(self.gen_path(self.generation - 2));
-                }
-                Ok(DiskWrite::Committed {
-                    generation: self.generation,
-                    frames: self.frames.len() as u64,
-                    bytes,
-                })
-            }
-            Err(_) => {
-                stats.io_errors += 1;
-                Ok(DiskWrite::Failed { op: "checkpoint" })
-            }
+        self.generation = Some(generation);
+        self.log = Some(log);
+        self.durable_len = bytes;
+        stats.generations_written += 1;
+        stats.bytes_fsynced += bytes;
+        // Two-generation retention: the predecessor stays (the scrub's
+        // fallback target), anything older goes.
+        if generation >= 2 {
+            let _ = fs::remove_file(self.gen_path(generation - 2));
         }
+        Ok(DiskWrite::Committed {
+            generation,
+            frames: 1,
+            bytes,
+        })
     }
 
     /// The delta hook, called by `record_delta` after a compute
     /// superstep's barrier. On a resumed run the loaded delta frame is
     /// applied (overwriting the re-executed state and the `updated`
-    /// lists — disk is authoritative); on a live run the frame is
-    /// appended and the whole generation rewritten through the two-phase
-    /// commit.
+    /// lists — disk is authoritative); on a live run the one frame is
+    /// appended to the generation file and `fdatasync`ed before this
+    /// returns.
     pub(crate) fn on_delta(
         &mut self,
         step: u64,
@@ -814,52 +823,50 @@ impl<V: VertexData> DurableSession<V> {
     ) -> Result<DiskWrite, RuntimeError> {
         self.check_halt(step);
         if self.replaying() {
-            let matches = {
-                let f = &self.frames[self.cursor];
-                f.kind == FRAME_DELTA && f.step == step
-            };
-            if matches {
-                let payload = std::mem::take(&mut self.frames[self.cursor].payload);
-                self.last_apply_matched = self.encode_delta(states, updated) == payload;
+            if let Some(payload) = self.next_replay(FRAME_DELTA, step) {
+                let mut reexecuted = Vec::with_capacity(payload.len());
+                self.encode_delta(states, updated, &mut reexecuted);
+                self.last_apply_matched = reexecuted == payload;
                 if !self.last_apply_matched {
                     self.apply_delta(&payload, states, updated).ok_or_else(|| {
                         RuntimeError::DurabilityLost(format!(
                             "generation {} delta frame (step {step}) failed to decode \
                              (vertex codec mismatch?)",
-                            self.generation
+                            self.generation.unwrap_or_default()
                         ))
                     })?;
                 }
-                self.frames[self.cursor].payload = payload;
-                self.cursor += 1;
                 stats.resumed_steps += 1;
             }
             return Ok(DiskWrite::None);
         }
-        if self.frozen() || !self.has_generation {
+        if self.frozen() || self.log.is_none() {
             return Ok(DiskWrite::None);
         }
         if ioerr {
             stats.io_errors += 1;
             return Ok(DiskWrite::Failed { op: "delta" });
         }
-        self.frames.push(FrameData {
-            kind: FRAME_DELTA,
-            step,
-            payload: self.encode_delta(states, updated),
+        let frame = encode_frame(FRAME_DELTA, step, |out| {
+            self.encode_delta(states, updated, out)
         });
-        self.cursor = self.frames.len();
-        match self.persist() {
-            Ok(bytes) => {
-                stats.bytes_fsynced += bytes;
-                stats.delta_frames += 1;
-                Ok(DiskWrite::None)
-            }
-            Err(_) => {
-                stats.io_errors += 1;
-                Ok(DiskWrite::Failed { op: "delta" })
-            }
+        let Some(log) = self.log.as_mut() else {
+            return Ok(DiskWrite::None);
+        };
+        if log.write_all(&frame).and_then(|()| log.sync_data()).is_ok() {
+            self.durable_len += frame.len() as u64;
+            stats.bytes_fsynced += frame.len() as u64;
+            stats.delta_frames += 1;
+            return Ok(DiskWrite::None);
         }
+        stats.io_errors += 1;
+        // Take the partial frame back off the disk; if even that fails,
+        // stop appending behind it (the next open's scrub cuts it off).
+        let rolled_back = log.set_len(self.durable_len).and_then(|()| log.sync_data());
+        if rolled_back.is_err() {
+            self.log = None;
+        }
+        Ok(DiskWrite::Failed { op: "delta" })
     }
 
     /// Applies scripted at-rest damage (`torn@` / `bitrot@`) to the
@@ -869,38 +876,34 @@ impl<V: VertexData> DurableSession<V> {
     /// guaranteed detectable.
     pub(crate) fn damage(&mut self, kind: FaultKind, byte: u64, mask: u8) {
         self.wedged = true;
-        if !self.has_generation {
-            return;
-        }
-        let path = self.gen_path(self.generation);
-        let Ok(buf) = fs::read(&path) else {
+        self.log = None;
+        let Some(path) = self.generation.map(|g| self.gen_path(g)) else {
             return;
         };
-        let damaged: Vec<u8> = match kind {
+        let Ok(mut buf) = fs::read(&path) else {
+            return;
+        };
+        let Some(last) = buf.len().checked_sub(1) else {
+            return;
+        };
+        let at = usize::try_from(byte).unwrap_or(usize::MAX).min(last);
+        match kind {
+            // An explicit offset cuts there (a tear mid-append when it
+            // lies in the delta tail). Without one the cut is two thirds
+            // into the file but never past frame 0, so the generation is
+            // condemned however long its delta tail has grown.
+            FaultKind::Torn if byte != 0 => buf.truncate(at),
             FaultKind::Torn => {
-                // Cut mid-frame: keep the header plus roughly two thirds
-                // of the body, never the footer.
-                let keep = (HEADER_LEN + 5).max(buf.len().saturating_mul(2) / 3);
-                let keep = keep.min(buf.len().saturating_sub(1));
-                buf.get(..keep).map(<[u8]>::to_vec).unwrap_or_default()
+                let frame0_end = read_u64(&buf, HEADER_LEN + 12).map_or(buf.len(), |len| {
+                    (HEADER_LEN + FRAME_OVERHEAD).saturating_add(len as usize)
+                });
+                let keep = (HEADER_LEN + 5).max(buf.len() * 2 / 3);
+                buf.truncate(keep.min(frame0_end - 1).min(last));
             }
-            FaultKind::Bitrot => {
-                let mut b = buf;
-                if b.is_empty() {
-                    return;
-                }
-                let at = usize::try_from(byte).unwrap_or(usize::MAX).min(b.len() - 1);
-                b[at] ^= if mask == 0 { 1 } else { mask };
-                b
-            }
+            FaultKind::Bitrot => buf[at] ^= if mask == 0 { 1 } else { mask },
             _ => return,
-        };
-        let write = (|| -> io::Result<()> {
-            let mut f = OpenOptions::new().write(true).truncate(true).open(&path)?;
-            f.write_all(&damaged)?;
-            f.sync_all()
-        })();
-        let _ = write;
+        }
+        let _ = fs::write(&path, &buf);
     }
 }
 
@@ -998,58 +1001,90 @@ mod tests {
         assert_eq!(Vec::<u32>::take(&mut r), None);
     }
 
+    /// A generation file as the session writes it: header, then frames.
+    fn store_bytes(generation: u64, frames: &[FrameData]) -> Vec<u8> {
+        let mut out = encode_header(generation, frames[0].step, 2, 16);
+        for f in frames {
+            out.extend(encode_frame(f.kind, f.step, |o| {
+                o.extend_from_slice(&f.payload)
+            }));
+        }
+        out
+    }
+
     #[test]
-    fn store_serialization_round_trips_and_detects_damage() {
+    fn damaged_store_parses_to_an_exact_frame_prefix_or_an_error() {
+        let frame = |kind, step, payload: &[u8]| FrameData {
+            kind,
+            step,
+            payload: payload.to_vec(),
+        };
         let frames = vec![
-            FrameData {
-                kind: FRAME_CHECKPOINT,
-                step: 4,
-                payload: vec![1, 2, 3, 4],
-            },
-            FrameData {
-                kind: FRAME_DELTA,
-                step: 4,
-                payload: vec![9, 9],
-            },
-            FrameData {
-                kind: FRAME_DELTA,
-                step: 5,
-                payload: vec![],
-            },
+            frame(FRAME_CHECKPOINT, 4, &[1, 2, 3, 4]),
+            frame(FRAME_DELTA, 4, &[9, 9]),
+            frame(FRAME_DELTA, 5, &[]),
+            frame(FRAME_DELTA, 7, &[5; 40]),
         ];
-        let bytes = serialize_store(3, 4, 2, 16, &frames);
+        let bytes = store_bytes(3, &frames);
         let parsed = parse_store(&bytes).expect("round-trip");
         assert_eq!(parsed.generation, 3);
-        assert_eq!(parsed.checkpoint_step, 4);
         assert_eq!(parsed.workers, 2);
         assert_eq!(parsed.vertices, 16);
         assert_eq!(parsed.frames, frames);
+        assert_eq!(parsed.valid_len, bytes.len());
+        assert_eq!(parsed.tail, None);
 
-        // Every single-byte flip anywhere in the file is detected.
+        // Frame i ends at ends[i]; the header and frame 0 end at ends[0].
+        let mut ends = Vec::new();
+        let mut pos = HEADER_LEN;
+        for f in &frames {
+            pos += FRAME_OVERHEAD + f.payload.len();
+            ends.push(pos);
+        }
+        // The WAL invariant: damage at byte `at` yields an error when it
+        // hits the header or frame 0, else exactly the frames that end
+        // at or before it — never an altered frame, never one past it.
+        let check = |damaged: &[u8], at: usize, what: &str| {
+            let intact = ends.iter().take_while(|end| **end <= at).count();
+            match parse_store(damaged) {
+                Err(_) => assert_eq!(intact, 0, "{what}: condemned with frame 0 intact"),
+                Ok(p) => {
+                    assert!(intact >= 1, "{what}: damage in header/frame 0 undetected");
+                    assert_eq!(p.frames, frames[..intact], "{what}: not the exact prefix");
+                    assert_eq!(p.valid_len, ends[intact - 1], "{what}");
+                    assert_eq!(p.tail.is_some(), p.valid_len < damaged.len(), "{what}");
+                }
+            }
+        };
         for at in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[at] ^= 0x40;
-            assert!(
-                parse_store(&bad).is_err(),
-                "flip at byte {at} went undetected"
-            );
+            for mask in [0x01, 0x40, 0xff] {
+                let mut bad = bytes.clone();
+                bad[at] ^= mask;
+                check(&bad, at, &format!("flip {mask:#x} at byte {at}"));
+            }
         }
-        // So is truncation at every possible length.
         for len in 0..bytes.len() {
-            assert!(
-                parse_store(&bytes[..len]).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
+            check(&bytes[..len], len, &format!("truncation to {len} bytes"));
         }
+
+        // A v1 file (or any other version) is rejected, not misread.
+        let mut v1 = bytes;
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = parse_store(&v1).err().expect("v1 rejected");
+        assert!(err.contains("unsupported version 1"), "{err}");
+    }
+
+    fn val_states(workers: usize, vertices: usize) -> Vec<WorkerState<Val>> {
+        (0..workers)
+            .map(|_| WorkerState::new(vertices, &|_| Val::default()))
+            .collect()
     }
 
     #[test]
     fn session_commits_generations_with_retention() {
         let dir = TempDirGuard::new("durable-session");
         let mut stats = DurabilityStats::default();
-        let mut states: Vec<WorkerState<Val>> = (0..2)
-            .map(|_| WorkerState::new(4, &|_| Val::default()))
-            .collect();
+        let mut states = val_states(2, 4);
         let mut s: DurableSession<Val> =
             DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
         // Three checkpoints: gen 0, 1, 2 — retention keeps the last two.
@@ -1058,7 +1093,7 @@ mod tests {
             let out = s
                 .on_checkpoint(step, &mut states, false, &mut stats)
                 .unwrap();
-            assert!(matches!(out, DiskWrite::Committed { .. }));
+            assert!(matches!(out, DiskWrite::Committed { frames: 1, .. }));
             let mut upd = vec![vec![0u32], vec![]];
             let out = s
                 .on_delta(step, &mut states, &mut upd, false, &mut stats)
@@ -1067,51 +1102,146 @@ mod tests {
         }
         assert_eq!(stats.generations_written, 3);
         assert_eq!(stats.delta_frames, 3);
-        assert!(stats.bytes_fsynced > 0);
         let mut gens: Vec<u64> = list_generations(dir.path())
             .into_iter()
             .map(|(g, _)| g)
             .collect();
         gens.sort_unstable();
         assert_eq!(gens, vec![1, 2], "gen 0 removed by retention");
+        // Append-only: what was fsynced is what is on disk, once.
+        let on_disk = |g: u64| fs::metadata(s.gen_path(g)).unwrap().len();
+        assert_eq!(on_disk(2), s.durable_len);
+        assert_eq!(stats.bytes_fsynced, 3 * on_disk(2));
+        assert!(!s.replaying(), "a live session holds no frames");
 
         // The newest generation re-opens with its delta tail.
         let (s2, reports) =
             DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
         assert!(reports.is_empty());
-        assert_eq!(s2.generation, 2);
-        assert_eq!(s2.frames.len(), 2, "checkpoint + one delta");
+        assert_eq!(s2.generation, Some(2));
+        assert_eq!(s2.replay.len(), 2, "checkpoint + one delta");
         assert!(s2.replaying());
-        assert_eq!(s2.resume_frontier(), Some(9));
+        assert_eq!(s2.resume_frontier, Some(9));
     }
 
     #[test]
-    fn ioerr_skips_commit_and_store_self_heals() {
+    fn torn_tail_is_cut_to_the_valid_prefix_and_appended_after() {
+        let dir = TempDirGuard::new("durable-tail");
+        let mut stats = DurabilityStats::default();
+        let mut states = val_states(2, 4);
+        let mut s: DurableSession<Val> =
+            DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
+        s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
+        let mut lens = vec![s.durable_len];
+        for step in 0..3u64 {
+            states[1].current[2].b = step as i64 + 1;
+            let mut upd = vec![vec![], vec![2u32]];
+            s.on_delta(step, &mut states, &mut upd, false, &mut stats)
+                .unwrap();
+            lens.push(s.durable_len);
+        }
+        let path = s.gen_path(0);
+        drop(s);
+        // Tear the third delta mid-frame, as a crash mid-append would.
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(lens[3] - 5).unwrap();
+        drop(f);
+
+        let (mut s2, reports) =
+            DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
+        assert_eq!(reports.len(), 1);
+        assert!(!reports[0].fallback, "the generation itself survived");
+        assert!(
+            reports[0].reason.contains("truncated mid-frame"),
+            "{reports:?}"
+        );
+        assert_eq!(s2.replay.len(), 3, "checkpoint + the two whole deltas");
+        assert_eq!(s2.resume_frontier, Some(2));
+        assert_eq!(fs::metadata(&path).unwrap().len(), lens[2], "tail off disk");
+
+        // Replay the prefix, then go live: step 2 is appended behind it.
+        let mut states = val_states(2, 4);
+        let mut resumed = DurabilityStats::default();
+        s2.on_checkpoint(0, &mut states, false, &mut resumed)
+            .unwrap();
+        for step in 0..3u64 {
+            states[1].current[2].b = step as i64 + 1;
+            let mut upd = vec![vec![], vec![2u32]];
+            s2.on_delta(step, &mut states, &mut upd, false, &mut resumed)
+                .unwrap();
+            assert!(s2.last_apply_matched);
+        }
+        assert_eq!(resumed.resumed_steps, 2);
+        assert_eq!(resumed.delta_frames, 1);
+        assert_eq!(resumed.generations_written, 0);
+        assert_eq!(fs::metadata(&path).unwrap().len(), lens[3]);
+        drop(s2);
+        let (s3, reports) =
+            DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
+        assert!(reports.is_empty(), "{reports:?}");
+        assert_eq!(s3.replay.len(), 4);
+    }
+
+    #[test]
+    fn ioerr_skips_the_commit_and_the_next_one_lands() {
         let dir = TempDirGuard::new("durable-ioerr");
         let mut stats = DurabilityStats::default();
-        let mut states: Vec<WorkerState<Val>> = (0..1)
-            .map(|_| WorkerState::new(2, &|_| Val::default()))
-            .collect();
+        let mut states = val_states(1, 2);
         let mut s: DurableSession<Val> =
             DurableSession::create(dir.path(), 1, 2, None, Val::encode, Val::decode).unwrap();
         let out = s.on_checkpoint(0, &mut states, true, &mut stats).unwrap();
         assert!(matches!(out, DiskWrite::Failed { op: "checkpoint" }));
         assert_eq!(stats.io_errors, 1);
         assert!(list_generations(dir.path()).is_empty(), "nothing committed");
-        // The next write rewrites the whole generation — self-healing.
         let out = s.on_checkpoint(1, &mut states, false, &mut stats).unwrap();
-        assert!(matches!(out, DiskWrite::Committed { .. }));
+        assert!(matches!(out, DiskWrite::Committed { generation: 0, .. }));
         assert_eq!(list_generations(dir.path()).len(), 1);
+        // An injected delta failure writes nothing either.
+        let before = s.durable_len;
+        let mut upd = vec![vec![0u32]];
+        let out = s
+            .on_delta(1, &mut states, &mut upd, true, &mut stats)
+            .unwrap();
+        assert!(matches!(out, DiskWrite::Failed { op: "delta" }));
+        assert_eq!(fs::metadata(s.gen_path(0)).unwrap().len(), before);
+    }
+
+    #[test]
+    fn failed_generation_commit_is_not_reported_and_the_log_carries_on() {
+        let dir = TempDirGuard::new("durable-commit-fail");
+        let mut stats = DurabilityStats::default();
+        let mut states = val_states(1, 2);
+        let mut s: DurableSession<Val> =
+            DurableSession::create(dir.path(), 1, 2, None, Val::encode, Val::decode).unwrap();
+        s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
+        // A real failure after the tmp file is written: the rename target
+        // is occupied by a directory.
+        fs::create_dir(s.gen_path(1)).unwrap();
+        let out = s.on_checkpoint(2, &mut states, false, &mut stats).unwrap();
+        assert!(matches!(out, DiskWrite::Failed { op: "checkpoint" }));
+        assert_eq!(stats.io_errors, 1);
+        assert_eq!(stats.generations_written, 1);
+        assert_eq!(s.generation, Some(0), "still on the committed generation");
+        let mut upd = vec![vec![1u32]];
+        s.on_delta(2, &mut states, &mut upd, false, &mut stats)
+            .unwrap();
+        assert_eq!(stats.delta_frames, 1, "gen 0 keeps taking deltas");
+        fs::remove_dir(s.gen_path(1)).unwrap();
+        let out = s.on_checkpoint(3, &mut states, false, &mut stats).unwrap();
+        assert!(matches!(out, DiskWrite::Committed { generation: 1, .. }));
     }
 
     #[test]
     fn torn_and_bitrot_damage_fall_back_to_previous_generation() {
-        for kind in [FaultKind::Torn, FaultKind::Bitrot] {
+        // Byte 60 lies in frame 0; so does the default (offset-less) tear.
+        for (kind, byte) in [
+            (FaultKind::Torn, 0),
+            (FaultKind::Torn, 60),
+            (FaultKind::Bitrot, 60),
+        ] {
             let dir = TempDirGuard::new("durable-damage");
             let mut stats = DurabilityStats::default();
-            let mut states: Vec<WorkerState<Val>> = (0..2)
-                .map(|_| WorkerState::new(4, &|_| Val::default()))
-                .collect();
+            let mut states = val_states(2, 4);
             let mut s: DurableSession<Val> =
                 DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
             s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
@@ -1119,19 +1249,30 @@ mod tests {
             s.on_delta(0, &mut states, &mut upd, false, &mut stats)
                 .unwrap();
             s.on_checkpoint(4, &mut states, false, &mut stats).unwrap();
+            // A delta tail longer than frame 0 must not pull the default
+            // tear out of frame 0.
+            for step in 4..12u64 {
+                let mut upd = vec![vec![0u32, 1, 2, 3], vec![]];
+                s.on_delta(step, &mut states, &mut upd, false, &mut stats)
+                    .unwrap();
+            }
             // Damage the newest committed generation (gen 1) and verify
             // the wedge freezes later writes.
-            s.damage(kind, 60, 0x20);
+            s.damage(kind, byte, 0x20);
             let mut upd = vec![vec![2u32], vec![]];
-            let frames_before = s.frames.len();
-            s.on_delta(4, &mut states, &mut upd, false, &mut stats)
+            let frames_before = stats.delta_frames;
+            s.on_delta(12, &mut states, &mut upd, false, &mut stats)
                 .unwrap();
-            assert_eq!(s.frames.len(), frames_before, "wedged store is frozen");
+            assert_eq!(stats.delta_frames, frames_before, "wedged store is frozen");
 
             let (s2, reports) =
                 DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode, Val::decode)
                     .unwrap();
-            assert_eq!(s2.generation, 0, "fell back to the previous generation");
+            assert_eq!(
+                s2.generation,
+                Some(0),
+                "fell back to the previous generation"
+            );
             assert_eq!(reports.len(), 1, "{kind:?}");
             assert!(reports[0].fallback);
             assert_eq!(reports[0].generation, 1);
@@ -1156,9 +1297,7 @@ mod tests {
     fn geometry_mismatch_is_scrubbed_not_loaded() {
         let dir = TempDirGuard::new("durable-geometry");
         let mut stats = DurabilityStats::default();
-        let mut states: Vec<WorkerState<Val>> = (0..2)
-            .map(|_| WorkerState::new(4, &|_| Val::default()))
-            .collect();
+        let mut states = val_states(2, 4);
         let mut s: DurableSession<Val> =
             DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
         s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
@@ -1173,9 +1312,7 @@ mod tests {
     fn halt_after_freezes_persistence() {
         let dir = TempDirGuard::new("durable-halt");
         let mut stats = DurabilityStats::default();
-        let mut states: Vec<WorkerState<Val>> = (0..1)
-            .map(|_| WorkerState::new(2, &|_| Val::default()))
-            .collect();
+        let mut states = val_states(1, 2);
         let mut s: DurableSession<Val> =
             DurableSession::create(dir.path(), 1, 2, Some(3), Val::encode, Val::decode).unwrap();
         s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();

@@ -46,14 +46,17 @@
 //!                       death declaration through the consensus log
 //! ioerr@4               the durable checkpoint store's write/fsync fails
 //!                       at superstep 4: the commit is skipped (and never
-//!                       fed to the consensus log) and the store self-heals
-//!                       on its next write. Names no worker — it targets
-//!                       the store itself (DESIGN.md §15)
+//!                       fed to the consensus log), leaving a gap in the
+//!                       log that a resume re-executes. Names no worker —
+//!                       it targets the store itself (DESIGN.md §15)
 //! torn@4                the newest committed checkpoint generation is
-//!                       truncated mid-frame after superstep 4's commit,
-//!                       simulating a crash mid-write; the scrub pass at
-//!                       the next cold start detects the damage and falls
-//!                       back to the previous generation
+//!                       truncated inside frame 0 after superstep 4's
+//!                       commit; the scrub pass at the next cold start
+//!                       condemns it and falls back to the previous
+//!                       generation
+//! torn@4:b2000          the same, cut at byte 2000 — a tear mid-append
+//!                       when that lies in the delta tail, which the scrub
+//!                       truncates to the longest valid frame prefix
 //! bitrot@4:b17          byte 17 of the newest committed checkpoint
 //!                       generation is flipped (seeded nonzero mask) after
 //!                       superstep 4's commit — at-rest corruption the
@@ -81,6 +84,7 @@
 //! steps beyond [`MAX_PLAUSIBLE_STEP`], duplicate specs, a `rejoin` with no
 //! preceding `die`, or a plan that kills every worker all fail fast.
 
+use flash_graph::hash::Fnv1a;
 use flash_graph::Prng;
 use std::time::Duration;
 
@@ -150,15 +154,16 @@ pub enum FaultKind {
     /// log — the byzantine fault of DESIGN.md §14.
     Lie,
     /// The durable checkpoint store's write/fsync fails at the scripted
-    /// superstep: the generation commit is skipped (and never fed to the
-    /// consensus log), and the store self-heals on the next write by
-    /// rewriting the whole generation. Names no worker — it targets the
-    /// store itself (DESIGN.md §15).
+    /// superstep: the write is skipped (a generation commit is never fed
+    /// to the consensus log), leaving a gap in the log that a resume
+    /// re-executes. Names no worker — it targets the store itself
+    /// (DESIGN.md §15).
     Ioerr,
-    /// The newest *committed* checkpoint generation is truncated mid-frame
-    /// after the scripted superstep's commit — the on-disk damage a crash
-    /// mid-write leaves behind. Detected by the scrub pass at the next
-    /// cold start, which falls back to the previous valid generation.
+    /// The newest *committed* checkpoint generation is truncated after the
+    /// scripted superstep's commit: inside frame 0 by default (the scrub
+    /// pass condemns the generation and falls back to the previous one),
+    /// or at the scripted byte — a tear mid-append when that lies in the
+    /// delta tail, which the scrub cuts back to the last whole frame.
     Torn,
     /// One byte of the newest committed checkpoint generation is flipped
     /// (seeded nonzero mask) after the scripted superstep's commit —
@@ -226,8 +231,10 @@ pub struct FaultSpec {
     /// Extra compute delay for [`FaultKind::Straggler`]; ignored for other
     /// kinds.
     pub delay: Duration,
-    /// Byte offset the [`FaultKind::Bitrot`] flip lands on (clamped to the
-    /// generation's length at fire time); ignored for other kinds.
+    /// Byte offset the [`FaultKind::Bitrot`] flip or the
+    /// [`FaultKind::Torn`] cut lands on (clamped to the generation's
+    /// length at fire time; `0` on a `torn` means the default cut inside
+    /// frame 0); ignored for other kinds.
     pub byte: u64,
 }
 
@@ -501,8 +508,9 @@ impl FaultPlan {
             .map(|s| {
                 // Worker-less kinds name no worker: `leader` targets
                 // whoever leads, the disk kinds target the durable store.
-                let mut out = if s.kind == FaultKind::Bitrot {
-                    format!("bitrot@{}:b{}", s.step, s.byte)
+                let torn_at = s.kind == FaultKind::Torn && s.byte != 0;
+                let mut out = if s.kind == FaultKind::Bitrot || torn_at {
+                    format!("{}@{}:b{}", s.kind.label(), s.step, s.byte)
                 } else if s.kind.is_workerless() {
                     format!("{}@{}", s.kind.label(), s.step)
                 } else {
@@ -592,10 +600,11 @@ fn parse_spec(part: &str) -> Result<FaultSpec, String> {
         .parse()
         .map_err(|_| format!("invalid superstep {step_s:?} in fault spec {part:?}"))?;
     if kind.is_workerless() {
-        // `bitrot@STEP:bB` carries the byte offset of the flip; the other
-        // worker-less kinds take nothing after the step.
+        // `bitrot@STEP:bB` / `torn@STEP:bB` carry the byte offset of the
+        // flip / cut; the other worker-less kinds take nothing after the
+        // step.
         let mut byte = 0u64;
-        if kind == FaultKind::Bitrot {
+        if matches!(kind, FaultKind::Bitrot | FaultKind::Torn) {
             if let Some(seg) = segs.next() {
                 byte = seg
                     .trim()
@@ -604,8 +613,9 @@ fn parse_spec(part: &str) -> Result<FaultSpec, String> {
                     .ok_or_else(|| {
                         format!(
                             "invalid byte offset {:?} in fault spec {part:?} (expected \
-                             bitrot@{step}:bB)",
-                            seg.trim()
+                             {}@{step}:bB)",
+                            seg.trim(),
+                            kind.label()
                         )
                     })?;
             }
@@ -932,27 +942,23 @@ impl FaultInjector {
     }
 }
 
+/// Multiplier of the wire checksums ([`payload_checksum`], `batch_checksum`):
+/// 2^44 + 0x1b3, not FNV's 2^40 + 0x1b3. Their values show in
+/// `worker_accused` trace events, so the constant they shipped with stays.
+pub(crate) const WIRE_PRIME: u64 = 0x1000_0000_01b3;
+
 /// Order-independent FNV-1a checksum over a sync payload's framing: each
 /// `(vertex, byte-length)` record hashes independently and the digests
 /// combine commutatively, so the iteration order of the staging maps does
 /// not affect the result.
 pub fn payload_checksum<I: IntoIterator<Item = (u32, usize)>>(items: I) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut sum = OFFSET;
-    for (v, len) in items {
-        let mut h = OFFSET;
-        for byte in v
-            .to_le_bytes()
-            .iter()
-            .chain((len as u64).to_le_bytes().iter())
-        {
-            h ^= u64::from(*byte);
-            h = h.wrapping_mul(PRIME);
-        }
-        sum = sum.wrapping_add(h);
-    }
-    sum
+    let empty = Fnv1a::with_prime(WIRE_PRIME);
+    items.into_iter().fold(empty.finish(), |sum, (v, len)| {
+        let mut h = empty;
+        h.update(&v.to_le_bytes());
+        h.update(&(len as u64).to_le_bytes());
+        sum.wrapping_add(h.finish())
+    })
 }
 
 #[cfg(test)]
@@ -1049,6 +1055,8 @@ mod tests {
         let a = payload_checksum([(1u32, 8usize), (2, 16), (3, 8)]);
         let b = payload_checksum([(3u32, 8usize), (1, 8), (2, 16)]);
         assert_eq!(a, b);
+        // Pinned: the value appears in `worker_accused` trace events.
+        assert_eq!(a, 0xf71e_b2b3_90ef_c246);
         let c = payload_checksum([(1u32, 9usize), (2, 16), (3, 8)]);
         assert_ne!(a, c, "payload length is part of the frame");
         let d = payload_checksum(std::iter::empty::<(u32, usize)>());
@@ -1085,12 +1093,16 @@ mod tests {
 
     #[test]
     fn parses_disk_fault_specs() {
-        let p = FaultPlan::parse("ioerr@4,torn@6,bitrot@8:b17").unwrap();
-        assert_eq!(p.specs.len(), 3);
+        let p = FaultPlan::parse("ioerr@4,torn@6,bitrot@8:b17,torn@9:b2000").unwrap();
+        assert_eq!(p.specs.len(), 4);
         assert_eq!(p.specs[0].kind, FaultKind::Ioerr);
         assert_eq!(p.specs[1].kind, FaultKind::Torn);
+        assert_eq!(p.specs[1].byte, 0, "no offset: the default cut");
         assert_eq!(p.specs[2].kind, FaultKind::Bitrot);
         assert_eq!(p.specs[2].byte, 17);
+        assert_eq!(p.specs[3].kind, FaultKind::Torn);
+        assert_eq!(p.specs[3].byte, 2000);
+        assert_eq!(p.summary(), "ioerr@4,torn@6,bitrot@8:b17,torn@9:b2000");
         assert!(p.has_disk_faults());
         assert!(!FaultPlan::parse("crash@1:w0").unwrap().has_disk_faults());
         // The summary round-trips, including the byte offset.
@@ -1102,6 +1114,8 @@ mod tests {
         assert!(FaultPlan::parse("torn@4:x2").is_err());
         assert!(FaultPlan::parse("bitrot@4:17").is_err());
         assert!(FaultPlan::parse("bitrot@4:b1:b2").is_err());
+        assert!(FaultPlan::parse("torn@4:17").is_err());
+        assert!(FaultPlan::parse("torn@4:b1:b2").is_err());
         // A bitrot without an offset defaults to byte 0.
         assert_eq!(FaultPlan::parse("bitrot@4").unwrap().specs[0].byte, 0);
     }

@@ -368,20 +368,22 @@ impl ConsensusStats {
 /// on runs without a durable directory). See [`crate::durable`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
-    /// Checkpoint generations committed to disk (tmp + fsync + rename).
+    /// Checkpoint generations committed to disk (tmp + fsync + rename +
+    /// directory fsync).
     pub generations_written: u64,
-    /// Bytes written and fsynced across every generation rewrite,
-    /// including the per-step delta-log appends.
+    /// Bytes written and synced: each generation's header and checkpoint
+    /// frame once, plus every appended delta frame once.
     pub bytes_fsynced: u64,
     /// Delta-log frames appended after their generation's checkpoint.
     pub delta_frames: u64,
-    /// Damaged generations the scrub pass detected (and skipped) at open.
+    /// Repairs the scrub pass made at open: generations condemned (and
+    /// skipped) plus torn tails cut back to the last whole frame.
     pub scrub_repairs: u64,
     /// Times the scrub pass fell back to an older generation because a
     /// newer one was damaged.
     pub fallbacks: u64,
-    /// Durable writes skipped because an injected `ioerr@` fault failed
-    /// the write/fsync (the store self-heals on its next write).
+    /// Durable writes that failed — an injected `ioerr@` fault or a real
+    /// I/O error. Each is a gap in the log that a resume re-executes.
     pub io_errors: u64,
     /// Supersteps fast-forwarded from the durable log on a resumed run.
     pub resumed_steps: u64,

@@ -34,9 +34,10 @@
 //! panic — and the rest of the run executes with the transport disabled.
 
 use crate::error::RuntimeError;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan, WIRE_PRIME};
 use crate::netmodel::NetworkModel;
 use crate::stats::DeliveryStats;
+use flash_graph::hash::Fnv1a;
 use flash_graph::Prng;
 use flash_obs::{EventKind, MetricsRegistry};
 use std::collections::BTreeMap;
@@ -92,16 +93,11 @@ impl DedupWindow {
 /// per-vertex records commutatively) because the framing is a fixed-layout
 /// header, not a set.
 pub fn batch_checksum(sender: usize, receiver: usize, seq: u64, messages: u64, bytes: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv1a::with_prime(WIRE_PRIME);
     for word in [sender as u64, receiver as u64, seq, messages, bytes] {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
+        h.update(&word.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// One message round's cross-host traffic, aggregated per
@@ -390,6 +386,7 @@ mod tests {
         assert_ne!(base, batch_checksum(0, 1, 2, 4, 4));
         assert_ne!(base, batch_checksum(0, 1, 2, 3, 5));
         assert_eq!(base, batch_checksum(0, 1, 2, 3, 4), "deterministic");
+        assert_eq!(base, 0x33aa_d3b1_8a01_afc1, "pinned wire value");
     }
 
     #[test]

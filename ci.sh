@@ -25,23 +25,8 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> chaos smoke (fault injection + recovery must be exact)"
-cargo run --release -q -p flash-bench --bin fig_chaos -- --smoke
-
-echo "==> elastic smoke (permanent loss + repartitioning must be exact)"
-cargo run --release -q -p flash-bench --bin fig_elastic -- --smoke
-
-echo "==> lossy smoke (drop/dup/reorder channel + retransmit must be exact)"
-cargo run --release -q -p flash-bench --bin fig_lossy -- --smoke
-
-echo "==> consensus smoke (leader crashes + lying workers must be exact)"
-cargo run --release -q -p flash-bench --bin fig_consensus -- --smoke
-
-echo "==> durability smoke (cold restarts + torn/bitrot scrub fallback must be exact)"
-cargo run --release -q -p flash-bench --bin fig_durable -- --smoke
-
-echo "==> hot-path smoke (pooled-parallel vs fresh-serial must be bit-identical)"
-cargo run --release -q -p flash-bench --bin perf_hotpath -- --smoke
+echo "==> robustness smokes (chaos, elastic, lossy, consensus, durable: every fault family must recover bit-identically)"
+cargo run --release -q -p flash-bench --bin fig_robust -- --suite all --smoke
 
 echo "==> trace analyzer smoke (record, validate schema, critical path, Chrome export)"
 cargo run --release -q -p flash-bench --bin flash_trace -- --smoke
@@ -52,20 +37,10 @@ cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
 echo "==> serving smoke (concurrent sessions + incremental repair must be exact)"
 cargo run --release -q -p flash-bench --bin fig_serve -- --smoke
 
-echo "==> bench snapshot (regenerates BENCH_flash.json at the repo root)"
-FLASH_SCALE=small cargo run --release -q -p flash-bench --bin bench_flash
+echo "==> regression gate (supersteps/total_bytes of all 19 algorithms must equal the committed BENCH_flash.json)"
+FLASH_SCALE=small cargo run --release -q -p flash-bench --bin bench_flash -- --baseline BENCH_flash.json
 
-echo "==> perf-regression gate (supersteps/total_bytes enforced; timing warn-only)"
-FLASH_SCALE=small FLASH_BASELINE_WARN=1 \
-    cargo run --release -q -p flash-bench --bin bench_flash -- --baseline BENCH_flash.json
-
-echo "==> benchmark package smoke (own workspace with path deps: builds against this tree, checks the answer)"
-bash benchmark/run.sh --workload bfs_road --seconds 1 | tail -n 1
-
-echo "==> benchmark push-path smoke (forced-sparse CC: oracle, bit-identity across reps, exact counters)"
-bash benchmark/run.sh --workload cc_push --seconds 1 | tail -n 1
-
-echo "==> benchmark durable-store smoke (k-core through the write-ahead log: oracle, bit-identity across reps, exact counters)"
-bash benchmark/run.sh --workload kcore_ckpt --seconds 1 | tail -n 1
+echo "==> benchmark package smoke (own workspace with path deps: all six workloads — oracle, bit-identity across reps, exact counters)"
+bash benchmark/run.sh --seconds 1 | tail -n 1
 
 echo "==> OK"

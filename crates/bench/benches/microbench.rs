@@ -107,57 +107,6 @@ fn bench_substrate() -> Vec<flash_bench::microbench::BenchResult> {
     group.finish()
 }
 
-/// Superstep-phase benchmarks for the hot-path overhaul: the upd-round
-/// bucketing phase (a full-frontier sparse step) and the mirror-sync
-/// fan-out (a write-all vertex map), each under the pooled-parallel hot
-/// path and the pre-overhaul fresh-serial baseline so the pooled-vs-fresh
-/// delta stays visible in the trajectory.
-fn bench_superstep_phases() -> Vec<flash_bench::microbench::BenchResult> {
-    let g = Arc::new(generators::rmat(12, 8, Default::default(), 7));
-    let mut group = Group::new("superstep_phases");
-
-    for (label, hotpath) in [
-        ("pooled", HotPath::PooledParallel),
-        ("fresh", HotPath::FreshSerial),
-    ] {
-        let mut ctx = FlashContext::build(
-            Arc::clone(&g),
-            ClusterConfig::with_workers(8).hotpath(hotpath),
-            |v| Val { x: v as u64 },
-        )
-        .unwrap();
-        let all = ctx.all();
-        group.bench(&format!("upd_bucketing/{label}"), || {
-            ctx.edge_map_sparse(
-                &all,
-                &EdgeSet::forward(),
-                |_, _, _| true,
-                |_, s, d| d.x = d.x.max(s.x),
-                |_, _| true,
-                |t, d| d.x = d.x.max(t.x),
-            )
-        });
-    }
-
-    for (label, hotpath) in [
-        ("pooled", HotPath::PooledParallel),
-        ("fresh", HotPath::FreshSerial),
-    ] {
-        let mut ctx = FlashContext::build(
-            Arc::clone(&g),
-            ClusterConfig::with_workers(8).hotpath(hotpath),
-            |v| Val { x: v as u64 },
-        )
-        .unwrap();
-        let all = ctx.all();
-        group.bench(&format!("mirror_sync/{label}"), || {
-            ctx.vertex_map(&all, |_, _| true, |_, val| val.x = val.x.wrapping_add(1))
-        });
-    }
-
-    group.finish()
-}
-
 /// Observability overhead: the cost of one full-frontier vertex-map
 /// superstep under each sink (none, `NullSink`, `CollectSink`, a
 /// `JsonLinesSink` into `io::sink()`), plus the `--metrics` registry.
@@ -200,7 +149,6 @@ fn bench_obs_overhead() -> Vec<flash_bench::microbench::BenchResult> {
 fn main() {
     let mut results = bench_primitives();
     results.extend(bench_substrate());
-    results.extend(bench_superstep_phases());
     results.extend(bench_obs_overhead());
     finish_suite("microbench", &results);
 }

@@ -1,78 +1,50 @@
-//! The perf-regression gate: compares a fresh `bench_flash` run against a
+//! The regression gate: compares a fresh `bench_flash` run against the
 //! committed `BENCH_flash.json` baseline.
 //!
-//! Each per-algorithm record in the snapshot carries three promises
-//! (see [`crate::jsonio::run_record`]):
+//! Each per-algorithm record in the snapshot carries two promises
+//! (see [`crate::jsonio::run_record`]): `supersteps` and `total_bytes`
+//! are **deterministic**, so any change is a behavioral regression and
+//! fails the gate exactly. Nothing timed is compared — timings live in
+//! the snapshot's `workloads` object (copied from `benchmark/run.sh`) and
+//! are judged by the pairing rule in `benchmark/README.md`, not here.
 //!
-//! * `supersteps` and `total_bytes` are **deterministic** — any change is
-//!   a behavioral regression and fails the gate exactly;
-//! * `simulated_parallel_time` is **measured** — it fails the gate only
-//!   when it exceeds the baseline by more than the relative tolerance
-//!   *and* the absolute noise floor (tiny runs jitter by milliseconds,
-//!   so a pure ratio test would flake at `FLASH_SCALE=small`).
-//!
-//! Non-algorithm sections of the snapshot (e.g. `superstep_phases`) are
-//! ignored. The `bench_flash --baseline <path>` CLI wraps [`compare`] and
-//! exits nonzero on regression. The two promise classes are enforced
-//! separately: `FLASH_BASELINE_WARN=1` downgrades **timing** regressions
-//! to warnings (for small-scale CI runs where noise dominates), but
-//! deterministic `supersteps`/`total_bytes` mismatches always fail —
-//! they mean behavior changed, not that the machine was busy.
+//! Non-algorithm sections of the snapshot (`workloads`) are ignored. The
+//! `bench_flash --baseline <path>` CLI wraps [`compare`] and exits
+//! nonzero on any mismatch.
 
 use flash_obs::Json;
-
-/// Default relative tolerance for `simulated_parallel_time`: the fresh
-/// run may be up to 50% slower before the gate fails. Generous because
-/// the simulated clock aggregates real (noisy) compute measurements.
-pub const DEFAULT_TOLERANCE: f64 = 0.5;
-
-/// Absolute slack on `simulated_parallel_time`, in seconds. Regressions
-/// smaller than this are below measurement noise regardless of ratio.
-pub const NOISE_FLOOR_SECS: f64 = 0.010;
 
 /// Outcome of one baseline comparison.
 #[derive(Clone, Debug, Default)]
 pub struct GateResult {
     /// One human-readable line per compared algorithm.
     pub lines: Vec<String>,
-    /// Deterministic-promise breaks (`supersteps`/`total_bytes` changed,
-    /// an algorithm missing, a malformed baseline). These mean behavior
-    /// changed and are never downgradeable to warnings.
-    pub exact_regressions: Vec<String>,
-    /// Measured `simulated_parallel_time` regressions beyond tolerance.
-    /// Downgradeable to warn-only on noisy hosts.
-    pub time_regressions: Vec<String>,
+    /// Deterministic-promise breaks: `supersteps`/`total_bytes` changed,
+    /// an algorithm missing, a malformed baseline.
+    pub regressions: Vec<String>,
 }
 
 impl GateResult {
-    /// True when no regression of either class was detected.
+    /// True when no regression was detected.
     pub fn passed(&self) -> bool {
-        self.exact_regressions.is_empty() && self.time_regressions.is_empty()
-    }
-
-    /// All regressions, exact first.
-    pub fn all_regressions(&self) -> impl Iterator<Item = &String> {
-        self.exact_regressions.iter().chain(&self.time_regressions)
+        self.regressions.is_empty()
     }
 }
 
 fn is_algo_record(j: &Json) -> bool {
-    j.get("simulated_parallel_time")
-        .and_then(Json::as_f64)
-        .is_some()
-        && j.get("total_bytes").and_then(Json::as_u64).is_some()
+    j.get("total_bytes").and_then(Json::as_u64).is_some()
         && j.get("supersteps").and_then(Json::as_u64).is_some()
 }
 
 /// Compares a fresh snapshot against a baseline snapshot.
 ///
 /// Every per-algorithm record of the *baseline* must be present and
-/// no worse in the fresh snapshot; extra algorithms in the fresh run
+/// equal in the fresh snapshot; extra algorithms in the fresh run
 /// (a growing catalogue) are fine and never fail the gate.
-pub fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> GateResult {
+pub fn compare(baseline: &Json, fresh: &Json) -> GateResult {
     let mut out = GateResult::default();
     let Json::Obj(entries) = baseline else {
-        out.exact_regressions
+        out.regressions
             .push("baseline is not a JSON object".to_string());
         return out;
     };
@@ -81,50 +53,33 @@ pub fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> GateResult {
             continue;
         }
         let Some(cur) = fresh.get(algo).filter(|c| is_algo_record(c)) else {
-            out.exact_regressions
+            out.regressions
                 .push(format!("{algo}: missing from fresh run"));
             continue;
         };
         let get_u = |j: &Json, f: &str| j.get(f).and_then(Json::as_u64).unwrap_or(0);
-        let get_t = |j: &Json| {
-            j.get("simulated_parallel_time")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0)
-        };
 
         let (bs, cs) = (get_u(base, "supersteps"), get_u(cur, "supersteps"));
         if bs != cs {
-            out.exact_regressions
+            out.regressions
                 .push(format!("{algo}: supersteps changed {bs} -> {cs}"));
         }
         let (bb, cb) = (get_u(base, "total_bytes"), get_u(cur, "total_bytes"));
         if bb != cb {
-            out.exact_regressions
+            out.regressions
                 .push(format!("{algo}: total_bytes changed {bb} -> {cb}"));
         }
-
-        let (bt, ct) = (get_t(base), get_t(cur));
-        let ratio = if bt > 0.0 { ct / bt } else { f64::INFINITY };
-        let slow = ct > bt * (1.0 + tolerance) && (ct - bt) > NOISE_FLOOR_SECS;
-        if slow {
-            out.time_regressions.push(format!(
-                "{algo}: simulated_parallel_time {bt:.4}s -> {ct:.4}s ({ratio:.2}x, tolerance {:.0}%)",
-                tolerance * 100.0
-            ));
-        }
-        let verdict = if slow || bs != cs || bb != cb {
+        let verdict = if bs != cs || bb != cb {
             "REGRESSED"
-        } else if ct < bt {
-            "improved"
         } else {
             "ok"
         };
         out.lines.push(format!(
-            "{algo:<10} {bt:>9.4}s -> {ct:>9.4}s ({ratio:>5.2}x)  steps {bs:>4} -> {cs:<4}  bytes {bb:>12} -> {cb:<12}  {verdict}"
+            "{algo:<10} steps {bs:>4} -> {cs:<4}  bytes {bb:>12} -> {cb:<12}  {verdict}"
         ));
     }
     if out.lines.is_empty() && out.passed() {
-        out.exact_regressions
+        out.regressions
             .push("baseline contains no algorithm records".to_string());
     }
     out
@@ -134,9 +89,8 @@ pub fn compare(baseline: &Json, fresh: &Json, tolerance: f64) -> GateResult {
 mod tests {
     use super::*;
 
-    fn record(t: f64, bytes: u64, steps: u64) -> Json {
+    fn record(bytes: u64, steps: u64) -> Json {
         Json::object()
-            .set("simulated_parallel_time", t)
             .set("total_bytes", bytes)
             .set("supersteps", steps)
     }
@@ -152,74 +106,40 @@ mod tests {
     #[test]
     fn clean_rerun_passes() {
         let base = snapshot(&[
-            ("bfs", record(0.5, 1000, 8)),
-            ("cc", record(1.0, 2000, 12)),
-            ("superstep_phases", Json::object().set("workload", "cc")),
+            ("bfs", record(1000, 8)),
+            ("cc", record(2000, 12)),
+            ("workloads", Json::object().set("seed", 12u64)),
         ]);
-        let r = compare(&base, &base, DEFAULT_TOLERANCE);
-        assert!(r.passed(), "{:?}", r.all_regressions().collect::<Vec<_>>());
-        assert_eq!(r.lines.len(), 2, "phase section is not an algo record");
-    }
-
-    #[test]
-    fn injected_slowdown_fails() {
-        let base = snapshot(&[("bfs", record(0.5, 1000, 8))]);
-        let slow = snapshot(&[("bfs", record(1.5, 1000, 8))]);
-        let r = compare(&base, &slow, DEFAULT_TOLERANCE);
-        assert!(!r.passed());
-        assert!(r.time_regressions[0].contains("simulated_parallel_time"));
-        assert!(r.time_regressions[0].contains("3.00x"));
-        assert!(
-            r.exact_regressions.is_empty(),
-            "slowdown is a timing regression"
-        );
-    }
-
-    #[test]
-    fn slowdown_within_tolerance_or_noise_floor_passes() {
-        let base = snapshot(&[("bfs", record(0.5, 1000, 8))]);
-        // 40% slower: within the 50% tolerance.
-        let r = compare(&base, &snapshot(&[("bfs", record(0.7, 1000, 8))]), 0.5);
-        assert!(r.passed(), "{:?}", r.all_regressions().collect::<Vec<_>>());
-        // 3x slower but only 4ms absolute: below the noise floor.
-        let tiny = snapshot(&[("bfs", record(0.002, 1000, 8))]);
-        let tiny_slow = snapshot(&[("bfs", record(0.006, 1000, 8))]);
-        assert!(compare(&tiny, &tiny_slow, 0.5).passed());
-    }
-
-    #[test]
-    fn improvement_passes_and_is_labeled() {
-        let base = snapshot(&[("bfs", record(0.5, 1000, 8))]);
-        let fast = snapshot(&[("bfs", record(0.2, 1000, 8))]);
-        let r = compare(&base, &fast, DEFAULT_TOLERANCE);
-        assert!(r.passed());
-        assert!(r.lines[0].contains("improved"));
+        let r = compare(&base, &base);
+        assert!(r.passed(), "{:?}", r.regressions);
+        assert_eq!(r.lines.len(), 2, "workloads is not an algo record");
     }
 
     #[test]
     fn determinism_breaks_fail_exactly() {
-        let base = snapshot(&[("bfs", record(0.5, 1000, 8))]);
-        let r = compare(&base, &snapshot(&[("bfs", record(0.5, 1001, 8))]), 0.5);
+        let base = snapshot(&[("bfs", record(1000, 8))]);
+        let r = compare(&base, &snapshot(&[("bfs", record(1001, 8))]));
         assert!(!r.passed());
-        assert!(r.exact_regressions[0].contains("total_bytes"));
-        let r = compare(&base, &snapshot(&[("bfs", record(0.5, 1000, 9))]), 0.5);
+        assert!(r.regressions[0].contains("total_bytes"));
+        assert!(r.lines[0].contains("REGRESSED"));
+        let r = compare(&base, &snapshot(&[("bfs", record(1000, 9))]));
         assert!(!r.passed());
-        assert!(r.exact_regressions[0].contains("supersteps"));
+        assert!(r.regressions[0].contains("supersteps"));
     }
 
     #[test]
     fn missing_algorithm_fails_but_extra_is_fine() {
-        let base = snapshot(&[("bfs", record(0.5, 1000, 8))]);
-        let r = compare(&base, &snapshot(&[("cc", record(0.5, 1000, 8))]), 0.5);
+        let base = snapshot(&[("bfs", record(1000, 8))]);
+        let r = compare(&base, &snapshot(&[("cc", record(1000, 8))]));
         assert!(!r.passed());
-        assert!(r.exact_regressions[0].contains("missing"));
-        let grown = snapshot(&[("bfs", record(0.5, 1000, 8)), ("cc", record(1.0, 1, 1))]);
-        assert!(compare(&base, &grown, 0.5).passed());
+        assert!(r.regressions[0].contains("missing"));
+        let grown = snapshot(&[("bfs", record(1000, 8)), ("cc", record(1, 1))]);
+        assert!(compare(&base, &grown).passed());
     }
 
     #[test]
     fn malformed_baseline_fails_closed() {
-        assert!(!compare(&Json::from(3u64), &Json::object(), 0.5).passed());
-        assert!(!compare(&Json::object(), &Json::object(), 0.5).passed());
+        assert!(!compare(&Json::from(3u64), &Json::object()).passed());
+        assert!(!compare(&Json::object(), &Json::object()).passed());
     }
 }

@@ -14,7 +14,7 @@ use flash_graph::io::{read_edge_list, ReadOptions};
 use flash_graph::{Dataset, Graph};
 use flash_obs::Json;
 use flash_runtime::{
-    parse_duration, ClusterConfig, FaultPlan, HotPath, ModePolicy, NetworkModel, StorageMode,
+    parse_duration, ClusterConfig, FaultPlan, ModePolicy, NetworkModel, StorageMode,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,10 +57,6 @@ pub struct CliOptions {
     /// Explicitly disable checkpointing (`--checkpoint-every off`), even
     /// when a fault plan would normally force it on.
     pub checkpoint_off: bool,
-    /// Superstep hot-path variant (`--hotpath pooled|fresh-serial`): the
-    /// pooled-parallel default, or the pre-overhaul serial baseline kept
-    /// for A/B perf comparisons.
-    pub hotpath: HotPath,
     /// Record phase/transport/recovery percentile histograms into the
     /// stats JSON (`--metrics`). Never changes results — only aggregates
     /// durations the runtime already measures.
@@ -108,7 +104,6 @@ impl Default for CliOptions {
             faults: None,
             checkpoint_every: 0,
             checkpoint_off: false,
-            hotpath: HotPath::default(),
             metrics: false,
             storage: StorageMode::default(),
             detector_timeout: None,
@@ -243,13 +238,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                         .map_err(|_| "--halt-after needs a superstep number".to_string())?,
                 );
             }
-            "--hotpath" => {
-                opts.hotpath = match value_of(&arg, &mut it)?.as_str() {
-                    "pooled" | "pooled-parallel" => HotPath::PooledParallel,
-                    "fresh-serial" | "fresh" | "serial" => HotPath::FreshSerial,
-                    other => return Err(format!("unknown hotpath {other:?}")),
-                };
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
@@ -283,9 +271,8 @@ pub fn usage() -> String {
          \x20      [--workers N] [--threads N] [--mode auto|push|pull] [--root V]\n\
          \x20      [--iters N] [--k N] [--symmetric] [--simulate-network]\n\
          \x20      [--json] [--metrics] [--trace <file|-|text>]\n\
-         \x20      [--hotpath pooled|fresh-serial] [--storage mem|block]\n\
          \x20      [--faults <plan>] [--checkpoint-every N|off]\n\
-         \x20      [--detector-timeout D]\n\
+         \x20      [--detector-timeout D] [--storage mem|block]\n\
          \x20      [--durable-dir DIR] [--resume] [--halt-after N]\n\
          fault plans: comma-separated crash@STEP:wW[:xN], corrupt@STEP:wW[:xN],\n\
          \x20            straggle@STEP:wW:DELAY, die@STEP:wW, rejoin@STEP:wW,\n\
@@ -330,7 +317,6 @@ pub fn cluster_config(opts: &CliOptions) -> ClusterConfig {
     let mut cfg = ClusterConfig::with_workers(opts.workers)
         .mode(opts.mode)
         .threads(opts.threads)
-        .hotpath(opts.hotpath)
         .storage(opts.storage);
     if opts.simulate_network {
         cfg = cfg.network(NetworkModel::ten_gbe());
@@ -730,16 +716,6 @@ mod tests {
         let g = load_graph(&o).unwrap();
         let (summary, _) = dispatch(&o, &g).unwrap();
         assert_eq!(summary, "1 triangles");
-    }
-
-    #[test]
-    fn parses_hotpath_flag_and_wires_it_into_the_config() {
-        let o = parse_args(args("--algo bfs --dataset or --hotpath fresh-serial")).unwrap();
-        assert_eq!(o.hotpath, HotPath::FreshSerial);
-        assert_eq!(cluster_config(&o).hotpath, HotPath::FreshSerial);
-        let d = parse_args(args("--algo bfs --dataset or")).unwrap();
-        assert_eq!(d.hotpath, HotPath::PooledParallel, "pooled is the default");
-        assert!(parse_args(args("--algo bfs --dataset or --hotpath turbo")).is_err());
     }
 
     #[test]

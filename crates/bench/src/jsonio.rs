@@ -28,14 +28,22 @@ pub fn write_results(name: &str, value: &Json) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Writes the top-level perf snapshot `BENCH_flash.json` (directory
-/// overridable via `FLASH_BENCH_DIR`) and returns the path.
-pub fn write_bench_snapshot(value: &Json) -> io::Result<PathBuf> {
-    let dir = std::env::var_os("FLASH_BENCH_DIR")
+/// Where the top-level snapshot `BENCH_flash.json` lives: the working
+/// directory, or `$FLASH_BENCH_DIR` when set.
+pub fn bench_snapshot_path() -> PathBuf {
+    std::env::var_os("FLASH_BENCH_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_flash.json");
+        .unwrap_or_else(|| PathBuf::from("."))
+        .join("BENCH_flash.json")
+}
+
+/// Writes the top-level snapshot to [`bench_snapshot_path`] and returns
+/// the path.
+pub fn write_bench_snapshot(value: &Json) -> io::Result<PathBuf> {
+    let path = bench_snapshot_path();
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
+    }
     fs::write(&path, format!("{}\n", value.to_pretty_string()))?;
     Ok(path)
 }
@@ -44,10 +52,6 @@ pub fn write_bench_snapshot(value: &Json) -> io::Result<PathBuf> {
 /// the `BENCH_flash.json` snapshot promises per algorithm.
 pub fn run_record(stats: &flash_runtime::RunStats) -> Json {
     Json::object()
-        .set(
-            "simulated_parallel_time",
-            stats.simulated_parallel_time().as_secs_f64(),
-        )
         .set("total_bytes", stats.total_bytes())
         .set("supersteps", stats.num_supersteps())
 }

@@ -20,7 +20,8 @@
 //! | `fig5_breakdown`       | §V-E (time breakdown) |
 //! | `summary_verdicts`     | §V-B headline claims |
 //!
-//! | `bench_flash`          | aggregate `BENCH_flash.json` perf snapshot, plus the `--baseline` perf-regression gate ([`baseline`]) |
+//! | `bench_flash`          | aggregate `BENCH_flash.json` snapshot, plus the exact `--baseline` regression gate ([`baseline`]) |
+//! | `fig_robust`           | the five fault-family bit-identity suites ([`robust`]) |
 //! | `flash_trace`          | critical-path analyzer over `--trace` JSONL files, with Chrome trace export ([`trace`]) |
 //!
 //! Micro-benchmarks live in `benches/` and run on the offline
@@ -34,6 +35,7 @@ pub mod jsonio;
 pub mod lloc;
 pub mod microbench;
 pub mod report;
+pub mod robust;
 pub mod serve;
 pub mod trace;
 

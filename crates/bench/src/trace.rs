@@ -39,8 +39,6 @@ pub struct TraceMeta {
     pub workers: u64,
     /// Physical host count at startup.
     pub hosts: u64,
-    /// Hot-path mode label.
-    pub hotpath: String,
     /// Compact fault-plan description.
     pub fault_plan: String,
 }
@@ -198,7 +196,6 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
                 seed: need_u64(&obj, "seed", line_no)?,
                 workers: need_u64(&obj, "workers", line_no)?,
                 hosts: need_u64(&obj, "hosts", line_no)?,
-                hotpath: str_or(&obj, "hotpath", "?"),
                 fault_plan: str_or(&obj, "fault_plan", "?"),
             });
             continue;
@@ -300,8 +297,8 @@ pub fn render_report(trace: &Trace, report: &Report) -> String {
     let m = &trace.meta;
     let mut out = String::new();
     out.push_str(&format!(
-        "trace: schema v{}, {} workers on {} hosts, hotpath={}, faults={}, seed={}\n",
-        m.schema, m.workers, m.hosts, m.hotpath, m.fault_plan, m.seed
+        "trace: schema v{}, {} workers on {} hosts, faults={}, seed={}\n",
+        m.schema, m.workers, m.hosts, m.fault_plan, m.seed
     ));
     out.push_str(&format!(
         "{} events, {} supersteps, critical path {}\n\n",
@@ -374,7 +371,6 @@ pub fn report_json(trace: &Trace, report: &Report) -> Json {
         .set("seed", trace.meta.seed)
         .set("workers", trace.meta.workers)
         .set("hosts", trace.meta.hosts)
-        .set("hotpath", trace.meta.hotpath.as_str())
         .set("fault_plan", trace.meta.fault_plan.as_str());
     let steps: Vec<Json> = trace
         .steps
@@ -458,10 +454,7 @@ pub fn chrome_trace(trace: &Trace) -> Json {
                 "args",
                 Json::object().set(
                     "name",
-                    format!(
-                        "flash run ({} workers, {})",
-                        trace.meta.workers, trace.meta.hotpath
-                    ),
+                    format!("flash run ({} workers)", trace.meta.workers),
                 ),
             ),
     );
@@ -532,7 +525,7 @@ mod tests {
 
     fn sample_trace() -> String {
         let header = format!(
-            r#"{{"event":"run_meta","seq":0,"schema":{},"seed":7,"workers":2,"hosts":2,"hotpath":"pooled-parallel","fault_plan":"none"}}"#,
+            r#"{{"event":"run_meta","seq":0,"schema":{},"seed":7,"workers":2,"hosts":2,"fault_plan":"none"}}"#,
             flash_obs::TRACE_SCHEMA_VERSION
         );
         let lines = [

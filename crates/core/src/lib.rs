@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::subset::VertexSubset;
     pub use crate::EdgeRef;
     pub use flash_runtime::{
-        ClusterConfig, HotPath, ModePolicy, NetworkModel, RunStats, StepKind, SyncMode, VertexData,
+        ClusterConfig, ModePolicy, NetworkModel, RunStats, StepKind, SyncMode, VertexData,
     };
 }
 

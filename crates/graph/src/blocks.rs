@@ -18,10 +18,11 @@
 //!          [in_weights] · grid nb²×u64
 //! ```
 //!
-//! Version 2 added the checksum block (one FNV-1a hash per section, in
-//! file order, absent weight sections hashing as empty) and grew the
-//! header from 64 to 128 bytes; version-1 files are still readable but
-//! carry no content checksums.
+//! The checksum block holds one FNV-1a hash per section, in file order
+//! (absent weight sections hash as empty); every one is verified at open.
+//! Version 1 had no checksum block and a 64-byte header: nothing writes it
+//! any more and a file stamped version 1 is refused, so no `.fgb` is ever
+//! opened unverified.
 //!
 //! The `grid` section stores per-block arc counts in row-major
 //! `[source_block × nb + dest_block]` order, over out-edges.
@@ -48,11 +49,10 @@ use std::sync::{Arc, Mutex};
 const MAGIC: &[u8; 4] = b"FGB1";
 const VERSION: u32 = 2;
 const ENDIAN_MARK: u32 = 0x0102_0304;
-const HEADER_LEN_V1: usize = 64;
 const HEADER_LEN: usize = 128;
 const FLAG_WEIGHTED: u32 = 1;
 const FLAG_SYMMETRIC: u32 = 2;
-/// Sections covered by the v2 header checksums, in file order.
+/// Sections covered by the header checksums, in file order.
 const NUM_SECTIONS: usize = 7;
 /// Header offset of the first per-section checksum slot.
 const CHECKSUM_OFF: usize = 40;
@@ -143,12 +143,12 @@ struct Layout {
     total: usize,
 }
 
-fn layout(n: usize, m: usize, nb: usize, weighted: bool, header_len: usize) -> Option<Layout> {
+fn layout(n: usize, m: usize, nb: usize, weighted: bool) -> Option<Layout> {
     let offsets_sz = n.checked_add(1)?.checked_mul(8)?;
     let targets_sz = pad8(m.checked_mul(4)?);
     let weights_sz = if weighted { targets_sz } else { 0 };
     let grid_sz = nb.checked_mul(nb)?.checked_mul(8)?;
-    let out_offsets = header_len;
+    let out_offsets = HEADER_LEN;
     let out_targets = out_offsets.checked_add(offsets_sz)?;
     let out_weights = out_targets.checked_add(targets_sz)?;
     let in_offsets = out_weights.checked_add(weights_sz)?;
@@ -650,7 +650,7 @@ pub fn open_blocks(path: impl AsRef<Path>) -> Result<Graph, GraphError> {
 fn open_blocks_impl(path: &Path, force_heap: bool) -> Result<Graph, GraphError> {
     let meta = std::fs::metadata(path)?;
     let file_len = usize::try_from(meta.len()).map_err(|_| bad("file too large for this host"))?;
-    if file_len < HEADER_LEN_V1 {
+    if file_len < HEADER_LEN {
         return Err(bad(format!("{file_len} bytes is shorter than the header")));
     }
     let buf = load_buffer(path, file_len, force_heap)?;
@@ -660,15 +660,8 @@ fn open_blocks_impl(path: &Path, force_heap: bool) -> Result<Graph, GraphError> 
         return Err(bad("bad magic (not an FGB1 file)"));
     }
     let version = u32_at(bytes, 4)?;
-    let header_len = match version {
-        1 => HEADER_LEN_V1,
-        2 => HEADER_LEN,
-        v => return Err(bad(format!("unsupported version {v}"))),
-    };
-    if file_len < header_len {
-        return Err(bad(format!(
-            "{file_len} bytes is shorter than the v{version} header"
-        )));
+    if version != VERSION {
+        return Err(bad(format!("unsupported version {version}")));
     }
     if u32_at(bytes, 8)? != ENDIAN_MARK {
         return Err(bad("endianness mismatch (written on a different host)"));
@@ -691,8 +684,7 @@ fn open_blocks_impl(path: &Path, force_heap: bool) -> Result<Graph, GraphError> 
             "inconsistent grid geometry (block_bits {block_bits}, nb {nb}, n {n})"
         )));
     }
-    let lay =
-        layout(n, m, nb, weighted, header_len).ok_or_else(|| bad("section layout overflows"))?;
+    let lay = layout(n, m, nb, weighted).ok_or_else(|| bad("section layout overflows"))?;
     if lay.total != file_len {
         return Err(bad(format!(
             "expected {} bytes for n={n} m={m}, file has {file_len}",
@@ -700,24 +692,22 @@ fn open_blocks_impl(path: &Path, force_heap: bool) -> Result<Graph, GraphError> 
         )));
     }
 
-    if version >= 2 {
-        let sections = [
-            ("out_offsets", lay.out_offsets, lay.out_targets),
-            ("out_targets", lay.out_targets, lay.out_weights),
-            ("out_weights", lay.out_weights, lay.in_offsets),
-            ("in_offsets", lay.in_offsets, lay.in_targets),
-            ("in_targets", lay.in_targets, lay.in_weights),
-            ("in_weights", lay.in_weights, lay.grid),
-            ("grid", lay.grid, lay.total),
-        ];
-        for (i, (name, start, end)) in sections.into_iter().enumerate() {
-            let want = u64_at(bytes, CHECKSUM_OFF + i * 8)?;
-            let got = fnv1a(&bytes[start..end]);
-            if want != got {
-                return Err(bad(format!(
-                    "{name} section checksum mismatch (stored {want:#018x}, computed {got:#018x})"
-                )));
-            }
+    let sections = [
+        ("out_offsets", lay.out_offsets, lay.out_targets),
+        ("out_targets", lay.out_targets, lay.out_weights),
+        ("out_weights", lay.out_weights, lay.in_offsets),
+        ("in_offsets", lay.in_offsets, lay.in_targets),
+        ("in_targets", lay.in_targets, lay.in_weights),
+        ("in_weights", lay.in_weights, lay.grid),
+        ("grid", lay.grid, lay.total),
+    ];
+    for (i, (name, start, end)) in sections.into_iter().enumerate() {
+        let want = u64_at(bytes, CHECKSUM_OFF + i * 8)?;
+        let got = fnv1a(&bytes[start..end]);
+        if want != got {
+            return Err(bad(format!(
+                "{name} section checksum mismatch (stored {want:#018x}, computed {got:#018x})"
+            )));
         }
     }
 
@@ -886,33 +876,29 @@ mod tests {
         assert_bit_identical(&g, &open_blocks_impl(&path, true).unwrap());
     }
 
+    /// Version 1 carried no section checksums, so a file that says
+    /// "version 1" is refused by its header — the same rule the durable
+    /// store applies — rather than opened unverified.
     #[test]
-    fn still_reads_version_1_files() {
-        // Synthesize a v1 file from the v2 writer's output: same fields,
-        // no checksum block, 64-byte header.
+    fn version_1_files_are_rejected() {
         let guard = TempDirGuard::new("blocks");
         let g = generators::erdos_renyi(50, 200, 3);
-        let p2 = guard.path().join("v2.fgb");
-        write_blocks(&g, &p2).unwrap();
-        let full = std::fs::read(&p2).unwrap();
-        let mut v1 = full[..CHECKSUM_OFF].to_vec();
-        v1.resize(HEADER_LEN_V1, 0);
-        v1[4..8].copy_from_slice(&1u32.to_ne_bytes());
-        v1.extend_from_slice(&full[HEADER_LEN..]);
-        let p1 = guard.path().join("v1.fgb");
-        std::fs::write(&p1, &v1).unwrap();
-        for force_heap in [false, true] {
-            assert_bit_identical(&g, &open_blocks_impl(&p1, force_heap).unwrap());
+        let path = guard.path().join("g.fgb");
+        write_blocks(&g, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for (version, force_heap) in [(1u32, false), (1, true), (9, true)] {
+            let mut stamped = full.clone();
+            stamped[4..8].copy_from_slice(&version.to_ne_bytes());
+            std::fs::write(&path, &stamped).unwrap();
+            match open_blocks_impl(&path, force_heap) {
+                Err(GraphError::BlockFormat(msg)) => {
+                    assert_eq!(msg, format!("unsupported version {version}"))
+                }
+                other => panic!("version {version}: expected a refusal, got {other:?}"),
+            }
         }
-        // Unknown future versions are still rejected.
-        let mut v9 = full.clone();
-        v9[4..8].copy_from_slice(&9u32.to_ne_bytes());
-        let p9 = guard.path().join("v9.fgb");
-        std::fs::write(&p9, &v9).unwrap();
-        assert!(matches!(
-            open_blocks_impl(&p9, true),
-            Err(GraphError::BlockFormat(_))
-        ));
+        std::fs::write(&path, &full).unwrap();
+        assert_bit_identical(&g, &open_blocks_impl(&path, true).unwrap());
     }
 
     #[test]

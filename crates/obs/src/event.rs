@@ -34,8 +34,6 @@ pub enum EventKind {
         /// Physical host count at startup (before any elastic membership
         /// change).
         hosts: usize,
-        /// Hot-path mode label: `"pooled-parallel"` or `"fresh-serial"`.
-        hotpath: String,
         /// Compact fault-plan description (`"none"` when faults are off).
         fault_plan: String,
     },
@@ -485,14 +483,12 @@ impl Event {
                 seed,
                 workers,
                 hosts,
-                hotpath,
                 fault_plan,
             } => base
                 .set("schema", *schema)
                 .set("seed", *seed)
                 .set("workers", *workers)
                 .set("hosts", *hosts)
-                .set("hotpath", hotpath.as_str())
                 .set("fault_plan", fault_plan.as_str()),
             EventKind::RunStart {
                 workers,
@@ -830,10 +826,9 @@ impl Event {
                 seed,
                 workers,
                 hosts,
-                hotpath,
                 fault_plan,
             } => format!(
-                "[{:>4}] trace schema v{schema}: {workers} workers on {hosts} hosts, hotpath={hotpath}, faults={fault_plan}, seed={seed}",
+                "[{:>4}] trace schema v{schema}: {workers} workers on {hosts} hosts, faults={fault_plan}, seed={seed}",
                 self.seq
             ),
             EventKind::RunStart {
@@ -1155,7 +1150,6 @@ mod tests {
                 seed: 0,
                 workers: 1,
                 hosts: 1,
-                hotpath: String::new(),
                 fault_plan: String::new(),
             }
             .tag(),
@@ -1565,7 +1559,6 @@ mod tests {
                 seed: 42,
                 workers: 4,
                 hosts: 2,
-                hotpath: "pooled-parallel".to_string(),
                 fault_plan: "loss=0.01".to_string(),
             },
         };
@@ -1579,16 +1572,14 @@ mod tests {
         assert_eq!(j.get("workers").and_then(Json::as_u64), Some(4));
         assert_eq!(j.get("hosts").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            j.get("hotpath").and_then(Json::as_str),
-            Some("pooled-parallel")
-        );
-        assert_eq!(
             j.get("fault_plan").and_then(Json::as_str),
             Some("loss=0.01")
         );
         let back = json::parse(&j.to_string()).unwrap();
         assert_eq!(back, j);
-        assert!(e.to_text().contains("schema v1"));
+        assert!(e
+            .to_text()
+            .contains(&format!("schema v{}", crate::TRACE_SCHEMA_VERSION)));
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! mirror synchronization.
 
 use crate::checkpoint::{Checkpoint, RecoveryLog, StepDelta};
-use crate::config::{
-    ClusterConfig, HotPath, StorageMode, SyncMode, SyncScope, DEFAULT_CHECKPOINT_INTERVAL,
-};
+use crate::config::{ClusterConfig, StorageMode, SyncMode, SyncScope, DEFAULT_CHECKPOINT_INTERVAL};
 use crate::consensus::{checksum_quorum, Consensus, LogEntryKind};
 use crate::ctx::WorkerCtx;
 use crate::durable::{DiskWrite, DurableSession, DurableValue, ScrubReport};
 use crate::error::RuntimeError;
 use crate::fault::{payload_checksum, FaultInjector, FaultKind, FaultSpec};
+use crate::netmodel::NetworkModel;
 use crate::par::{parallel_ranges, parallel_scratch_chunks};
 use crate::pool::WorkerPool;
 use crate::state::{StepBuffers, WorkerState};
@@ -88,7 +87,7 @@ pub struct Cluster<V: VertexData> {
     /// generation at this superstep's end: `(kind, byte offset, mask)`.
     disk_damage: Vec<(FaultKind, u64, u8)>,
     /// Pooled per-superstep scratch buffers, reused clear-don't-drop across
-    /// supersteps under [`HotPath::PooledParallel`] (DESIGN.md §11).
+    /// supersteps (DESIGN.md §11).
     buffers: StepBuffers<V>,
     /// The persistent threads every parallel phase of a superstep fans out
     /// over (DESIGN.md §11). Spawned — or checked out of
@@ -286,10 +285,6 @@ impl<V: VertexData> Cluster<V> {
         cluster.stats.storage = cluster.storage_info();
         // The run_meta header is always the first trace line: analyzers
         // (flash_trace) validate its schema version before reading on.
-        let hotpath = match cluster.config.hotpath {
-            HotPath::PooledParallel => "pooled-parallel",
-            HotPath::FreshSerial => "fresh-serial",
-        };
         let (seed, fault_plan) = match &cluster.config.fault_plan {
             None => (0, "none".to_string()),
             Some(p) => (
@@ -309,7 +304,6 @@ impl<V: VertexData> Cluster<V> {
             seed,
             workers: cluster.config.workers,
             hosts: cluster.partition.num_live_hosts(),
-            hotpath: hotpath.to_string(),
             fault_plan,
         });
         let (net_latency_us, net_bandwidth_bps) = match &cluster.config.network {
@@ -496,6 +490,45 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
+    /// Emits the `fault_injected` event of one scripted fault firing.
+    fn emit_fault(&mut self, step: u64, worker: usize, kind: FaultKind, attempt: u64) {
+        self.emit(EventKind::FaultInjected {
+            step,
+            worker,
+            kind: kind.label().to_string(),
+            attempt,
+        });
+    }
+
+    /// Records the run's terminal error; only the first one sticks (see
+    /// [`Cluster::fault_error`]).
+    fn fail(&mut self, e: RuntimeError) {
+        self.failed.get_or_insert(e);
+    }
+
+    /// Prices a recovery or control-plane transfer on the simulated
+    /// network — zero without one — and records it under `metric`.
+    fn charge(
+        &mut self,
+        metric: &'static str,
+        price: impl FnOnce(NetworkModel) -> Duration,
+    ) -> Duration {
+        let Some(net) = self.config.network else {
+            return Duration::ZERO;
+        };
+        let cost = price(net);
+        self.record_cost(metric, cost);
+        cost
+    }
+
+    /// Adds one recovery/control-plane duration to the `metric` histogram
+    /// when metrics are on.
+    fn record_cost(&mut self, metric: &'static str, cost: Duration) {
+        if self.config.metrics {
+            self.stats.metrics.record_duration(metric, cost);
+        }
+    }
+
     /// The authoritative (master) value of vertex `v`.
     pub fn value(&self, v: VertexId) -> &V {
         self.states[self.partition.owner(v)].current(v)
@@ -530,32 +563,14 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// The worker pool for a superstep bookkeeping phase (serialization
-    /// bucketing, the sync fan-out scan): one lane per logical worker
-    /// under the pooled-parallel hot path, matching the
-    /// one-thread-per-worker compute simulation. `None` — run the phase
-    /// serially — under [`HotPath::FreshSerial`] and under `.sequential()`
-    /// configs, so deterministic-by-construction test setups stay
-    /// single-threaded.
+    /// The pool parallel phases run on, created on first use: checked out
+    /// of the config's shared [`BufferPool`](crate::session::BufferPool)
+    /// when one is attached (serving sessions), else spawned. `None` — run
+    /// the phase serially on the caller — when the cluster is
+    /// `.sequential()` or has a single worker.
     ///
     /// Takes the fields it needs rather than `&mut self` so callers can
     /// keep borrowing the worker states the phase runs over.
-    fn hotpath_pool<'p>(
-        slot: &'p mut Option<WorkerPool>,
-        config: &ClusterConfig,
-        lanes: usize,
-    ) -> Option<&'p mut WorkerPool> {
-        if config.hotpath == HotPath::FreshSerial {
-            None
-        } else {
-            Self::lane_pool(slot, config, lanes)
-        }
-    }
-
-    /// The pool parallel phases run on, created on first use: checked out
-    /// of the config's shared [`BufferPool`](crate::session::BufferPool)
-    /// when one is attached (serving sessions), else spawned. `None` when
-    /// the cluster is sequential or has a single worker.
     fn lane_pool<'p>(
         slot: &'p mut Option<WorkerPool>,
         config: &ClusterConfig,
@@ -570,23 +585,11 @@ impl<V: VertexData> Cluster<V> {
         }))
     }
 
-    /// Hands out the per-owner updated-master lists: pooled under
-    /// [`HotPath::PooledParallel`], freshly allocated otherwise.
-    fn take_updated(&mut self, m: usize) -> Vec<Vec<VertexId>> {
-        if self.config.hotpath == HotPath::FreshSerial {
-            vec![Vec::new(); m]
-        } else {
-            self.buffers.take_updated(m)
-        }
-    }
-
     /// Returns a consumed [`StepOutput::updated`] buffer to the pool so the
     /// next superstep reuses its allocations. Optional — skipping it just
-    /// drops the buffer — and a no-op under [`HotPath::FreshSerial`].
+    /// drops the buffer.
     pub fn recycle_updated(&mut self, updated: Vec<Vec<VertexId>>) {
-        if self.config.hotpath != HotPath::FreshSerial {
-            self.buffers.recycle_updated(updated);
-        }
+        self.buffers.recycle_updated(updated);
     }
 
     /// Records a driver-side global operation (gather/broadcast) in the
@@ -620,6 +623,81 @@ impl<V: VertexData> Cluster<V> {
         scope: SyncScope,
         f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
     ) -> StepOutput<Out> {
+        self.superstep(kind, active, scope, f, |this, _, _, updated| {
+            debug_assert!(
+                this.states.iter().all(|s| s.pending.is_empty()),
+                "direct superstep must not stage reduce-updates; use step_reduce"
+            );
+            // Direct writes are master-local: no cross-worker traffic.
+            let publishing = Instant::now();
+            for (st, upd) in this.states.iter_mut().zip(updated) {
+                upd.reserve(st.direct.len());
+                for (v, val) in st.direct.drain(..) {
+                    st.current[v as usize] = val;
+                    upd.push(v);
+                }
+            }
+            publishing
+        })
+    }
+
+    /// Runs a *reduce* superstep: compute on every worker, combine staged
+    /// `put` temporaries into masters via `reduce` (mirror→master round),
+    /// then synchronize mirrors (master→mirror round). Backs
+    /// `EDGEMAPSPARSE` — the paper's three-phase procedure with "two rounds
+    /// of message-passing".
+    pub fn step_reduce<Out: Send>(
+        &mut self,
+        active: usize,
+        scope: SyncScope,
+        reduce: impl Fn(&V, &mut V) + Sync,
+        f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
+    ) -> StepOutput<Out> {
+        let kind = StepKind::EdgeMapSparse;
+        self.superstep(kind, active, scope, f, |this, step_id, stats, updated| {
+            debug_assert!(
+                this.states.iter().all(|s| s.direct.is_empty()),
+                "reduce superstep must not stage direct writes; use step_direct"
+            );
+            // Serialization: route mirror-side accumulated temporaries to
+            // the owners of their target vertices.
+            let upd_batches = this.route_updates(stats);
+            stats.delivery += this.deliver_round(step_id, "upd", &upd_batches);
+            this.buffers.put_upd_batches(upd_batches);
+
+            // Communication round 1: masters merge incoming temporaries
+            // into their current value (d_new = R(t, d) per Algorithm 6).
+            let merging = Instant::now();
+            let masters = this.states.iter_mut().zip(updated);
+            for ((st, upd), bucket) in masters.zip(&mut this.buffers.buckets) {
+                upd.reserve(bucket.len());
+                for (v, temp) in bucket.drain(..) {
+                    reduce(&temp, &mut st.current[v as usize]);
+                    upd.push(v);
+                }
+            }
+            merging
+        })
+    }
+
+    /// The one superstep pipeline behind [`Cluster::step_direct`] and
+    /// [`Cluster::step_reduce`] — FLASHWARE's three phases: compute, the
+    /// mirror→master round (`publish`), the master→mirror round.
+    ///
+    /// `publish` folds what the compute phase staged into the masters and
+    /// pushes every written master onto its owner's `updated` list (any
+    /// order, duplicates allowed). It returns the instant that folding
+    /// began: everything from there to the sorted lists is the step's
+    /// `communicate` time, what `publish` did before it (routing,
+    /// delivery) is charged by `publish` itself.
+    fn superstep<Out: Send>(
+        &mut self,
+        kind: StepKind,
+        active: usize,
+        scope: SyncScope,
+        f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
+        publish: impl FnOnce(&mut Self, u64, &mut StepStats, &mut [Vec<VertexId>]) -> Instant,
+    ) -> StepOutput<Out> {
         self.maybe_rejoin();
         self.poll_disk_faults();
         self.maybe_checkpoint();
@@ -640,25 +718,13 @@ impl<V: VertexData> Cluster<V> {
         stats.compute_min = host_min;
         self.emit_worker_phases(step_id, &durations);
 
-        debug_assert!(
-            self.states.iter().all(|s| s.pending.is_empty()),
-            "direct superstep must not stage reduce-updates; use step_reduce"
-        );
-
-        // Publish direct writes (master-local, no cross-worker traffic).
-        let t1 = Instant::now();
-        let m = self.states.len();
-        let mut updated: Vec<Vec<VertexId>> = self.take_updated(m);
-        for (w, st) in self.states.iter_mut().enumerate() {
-            updated[w].reserve(st.direct.len());
-            for (v, val) in st.direct.drain(..) {
-                st.current[v as usize] = val;
-                updated[w].push(v);
-            }
-            updated[w].sort_unstable();
-            updated[w].dedup();
+        let mut updated = self.buffers.take_updated(self.states.len());
+        let publishing = publish(self, step_id, &mut stats, &mut updated);
+        for list in &mut updated {
+            list.sort_unstable();
+            list.dedup();
         }
-        stats.communicate = t1.elapsed();
+        stats.communicate = publishing.elapsed();
 
         self.sync_mirrors(&updated, scope, &mut stats);
         self.record_delta(&mut updated);
@@ -669,142 +735,22 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Runs a *reduce* superstep: compute on every worker, combine staged
-    /// `put` temporaries into masters via `reduce` (mirror→master round),
-    /// then synchronize mirrors (master→mirror round). Backs
-    /// `EDGEMAPSPARSE` — the paper's three-phase procedure with "two rounds
-    /// of message-passing".
-    pub fn step_reduce<Out: Send>(
-        &mut self,
-        active: usize,
-        scope: SyncScope,
-        reduce: impl Fn(&V, &mut V) + Sync,
-        f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
-    ) -> StepOutput<Out> {
-        self.maybe_rejoin();
-        self.poll_disk_faults();
-        self.maybe_checkpoint();
-        let step_id = self.next_step;
-        self.emit(EventKind::StepStart {
-            step: step_id,
-            kind: StepKind::EdgeMapSparse.label().to_string(),
-            active,
-        });
-        self.emit_sync_plan(step_id, scope);
-        let mut stats = StepStats::new(StepKind::EdgeMapSparse, active);
-
-        let t0 = Instant::now();
-        let (per_worker, durations) = self.compute_with_recovery(step_id, &f);
-        stats.compute = t0.elapsed();
-        let (host_max, host_min) = self.host_makespan(&durations);
-        stats.compute_max = host_max;
-        stats.compute_min = host_min;
-        self.emit_worker_phases(step_id, &durations);
-
-        debug_assert!(
-            self.states.iter().all(|s| s.direct.is_empty()),
-            "reduce superstep must not stage direct writes; use step_direct"
-        );
-
-        // Serialization: route mirror-side accumulated temporaries to the
-        // owners of their target vertices — in parallel with pooled buffers
-        // under the default hot path (see `route_updates_pooled` for the
-        // bit-identical-ordering argument).
-        let m = self.states.len();
-        let fresh = self.config.hotpath == HotPath::FreshSerial;
-        let (mut buckets, upd_batches) = if fresh {
-            self.route_updates_serial(&mut stats)
-        } else {
-            self.route_updates_pooled(&mut stats)
-        };
-        stats.delivery += self.deliver_round(step_id, "upd", &upd_batches);
-
-        // Communication round 1: masters merge incoming temporaries into
-        // their current value (d_new = R(t, d) per Algorithm 6).
-        let t2 = Instant::now();
-        let mut updated: Vec<Vec<VertexId>> = self.take_updated(m);
-        for (owner, bucket) in buckets.iter_mut().enumerate() {
-            let st = &mut self.states[owner];
-            updated[owner].reserve(bucket.len());
-            for (v, temp) in bucket.drain(..) {
-                reduce(&temp, &mut st.current[v as usize]);
-                updated[owner].push(v);
-            }
-            updated[owner].sort_unstable();
-            updated[owner].dedup();
-        }
-        stats.communicate = t2.elapsed();
-        if !fresh {
-            self.buffers.put_buckets(buckets);
-            self.buffers.put_upd_batches(upd_batches);
-        }
-
-        self.sync_mirrors(&updated, scope, &mut stats);
-        self.record_delta(&mut updated);
-        self.finish_step(stats);
-        StepOutput {
-            per_worker,
-            updated,
-        }
-    }
-
-    /// The single-threaded, fresh-allocation serialization pass, kept as
-    /// the [`HotPath::FreshSerial`] A/B baseline. It drains the same dense
-    /// accumulator as the pooled pass; threading and buffer reuse are what
-    /// differ.
-    fn route_updates_serial(
-        &mut self,
-        stats: &mut StepStats,
-    ) -> (Vec<Vec<(VertexId, V)>>, RoundBatches) {
-        let t1 = Instant::now();
-        let m = self.states.len();
-        let track_batches = self.transport.is_some();
-        let mut upd_batches = RoundBatches::new();
-        let mut buckets: Vec<Vec<(VertexId, V)>> = vec![Vec::new(); m];
-        for (w, st) in self.states.iter_mut().enumerate() {
-            for (v, temp) in st.pending.drain() {
-                let owner = self.partition.owner(v);
-                // Traffic crosses the wire only between distinct physical
-                // hosts: after an elastic rebalance several logical workers
-                // may share a host, and their exchanges become local moves.
-                let sender_host = self.partition.host_of_worker(w);
-                let owner_host = self.partition.host_of_worker(owner);
-                if owner_host != sender_host {
-                    let bytes = (4 + temp.bytes()) as u64;
-                    stats.upd_messages += 1;
-                    stats.upd_bytes += bytes;
-                    if track_batches {
-                        let batch = upd_batches
-                            .entry((sender_host, owner_host))
-                            .or_insert((0, 0));
-                        batch.0 += 1;
-                        batch.1 += bytes;
-                    }
-                }
-                buckets[owner].push((v, temp));
-            }
-        }
-        stats.serialize = t1.elapsed();
-        // One thread did everything: the per-thread makespan is the total.
-        stats.serialize_max = stats.serialize;
-        (buckets, upd_batches)
-    }
-
-    /// Pooled-parallel serialization: each thread drains a contiguous chunk
-    /// of workers into its own (pooled) bucket set, and the sets are merged
-    /// in chunk — i.e. ascending-worker — order.
+    /// Serialization of a reduce superstep: each lane drains a contiguous
+    /// chunk of workers' `pending` accumulators into its own (pooled)
+    /// bucket set, and the sets are merged in chunk — i.e.
+    /// ascending-worker — order into `buffers.buckets`, one per owner,
+    /// where the master fold drains them. Returns the upd round's
+    /// cross-host batches.
     ///
-    /// The merged bucket order is *bit-identical* to the serial pass: each
-    /// worker's `pending` accumulator is drained exactly once by exactly
-    /// one thread, so its internal drain order is unchanged, and
-    /// concatenating per-chunk buckets in chunk order reproduces the serial
-    /// outer loop's front-to-back worker order. Message/byte counters and cross-host
-    /// batch maps are commutative sums, merged in the same order for good
-    /// measure (DESIGN.md §11).
-    fn route_updates_pooled(
-        &mut self,
-        stats: &mut StepStats,
-    ) -> (Vec<Vec<(VertexId, V)>>, RoundBatches) {
+    /// That merged order does not depend on how many lanes ran: each
+    /// accumulator is drained exactly once by exactly one lane, so its
+    /// internal drain order is fixed, and concatenating per-chunk buckets
+    /// in chunk order is the front-to-back worker order a single lane
+    /// (`.sequential()`, the serial reference in `tests/hotpath.rs`)
+    /// produces. Message/byte counters and cross-host batch maps are
+    /// commutative sums, merged in the same order for good measure
+    /// (DESIGN.md §11).
+    fn route_updates(&mut self, stats: &mut StepStats) -> RoundBatches {
         let t1 = Instant::now();
         let m = self.states.len();
         let mut buckets = self.buffers.take_buckets(m);
@@ -812,7 +758,7 @@ impl<V: VertexData> Cluster<V> {
         let mut bucket_sets = std::mem::take(&mut self.buffers.bucket_sets);
         let track_batches = self.transport.is_some();
         let partition = Arc::clone(&self.partition);
-        let pool = Self::hotpath_pool(&mut self.pool, &self.config, m);
+        let pool = Self::lane_pool(&mut self.pool, &self.config, m);
         let serial = pool.is_none();
         let partials = parallel_scratch_chunks(
             pool,
@@ -831,16 +777,17 @@ impl<V: VertexData> Cluster<V> {
                     let sender_host = partition.host_of_worker(base + i);
                     for (v, temp) in st.pending.drain() {
                         let owner = partition.owner(v);
+                        // Traffic crosses the wire only between distinct
+                        // physical hosts: after an elastic rebalance several
+                        // logical workers may share a host, and their
+                        // exchanges become local moves.
                         let owner_host = partition.host_of_worker(owner);
                         if owner_host != sender_host {
                             let bytes = (4 + temp.bytes()) as u64;
                             messages += 1;
                             bytes_total += bytes;
                             if track_batches {
-                                let batch =
-                                    batches.entry((sender_host, owner_host)).or_insert((0, 0));
-                                batch.0 += 1;
-                                batch.1 += bytes;
+                                bump(&mut batches, (sender_host, owner_host), 1, bytes);
                             }
                         }
                         set[owner].push((v, temp));
@@ -854,11 +801,9 @@ impl<V: VertexData> Cluster<V> {
             stats.upd_messages += messages;
             stats.upd_bytes += bytes;
             for (key, (bm, bb)) in batches {
-                let batch = upd_batches.entry(key).or_insert((0, 0));
-                batch.0 += bm;
-                batch.1 += bb;
+                bump(&mut upd_batches, key, bm, bb);
             }
-            // Simulated makespan of the phase: the slowest thread, the
+            // Simulated makespan of the phase: the slowest lane, the
             // analogue of `compute_max` for the compute phase.
             stats.serialize_max = stats.serialize_max.max(elapsed);
         }
@@ -870,9 +815,11 @@ impl<V: VertexData> Cluster<V> {
         self.buffers.bucket_sets = bucket_sets;
         stats.serialize = t1.elapsed();
         if serial {
+            // One lane did everything: the makespan is the total.
             stats.serialize_max = stats.serialize;
         }
-        (buckets, upd_batches)
+        self.buffers.put_buckets(buckets);
+        upd_batches
     }
 
     /// Takes a periodic checkpoint when one is due: at the first superstep
@@ -900,19 +847,18 @@ impl<V: VertexData> Cluster<V> {
         // consensus): the interval logic then retries at the very next
         // superstep, and until it lands the store keeps appending deltas
         // to the previous generation.
-        if self.durable.is_some() {
+        if let Some(d) = self.durable.as_mut() {
             let step = self.next_step;
-            let ioerr = self.disk_ioerr;
-            let mut outcome = Ok(DiskWrite::None);
-            if let Some(d) = self.durable.as_mut() {
-                outcome =
-                    d.on_checkpoint(step, &mut self.states, ioerr, &mut self.stats.durability);
-                debug_assert!(
-                    d.last_apply_matched,
-                    "resumed re-execution diverged from the durable log at the step-{step} \
-                     checkpoint"
-                );
-            }
+            let outcome = d.on_checkpoint(
+                step,
+                &mut self.states,
+                self.disk_ioerr,
+                &mut self.stats.durability,
+            );
+            debug_assert!(
+                d.last_apply_matched,
+                "resumed re-execution diverged from the durable log at the step-{step} checkpoint"
+            );
             match outcome {
                 Ok(DiskWrite::None) => {}
                 Ok(DiskWrite::Committed {
@@ -935,9 +881,7 @@ impl<V: VertexData> Cluster<V> {
                     return;
                 }
                 Err(e) => {
-                    if self.failed.is_none() {
-                        self.failed = Some(e);
-                    }
+                    self.fail(e);
                     return;
                 }
             }
@@ -945,17 +889,10 @@ impl<V: VertexData> Cluster<V> {
         let cp = Checkpoint::capture(self.next_step, &self.states, &self.partition);
         self.stats.recovery.checkpoints += 1;
         self.stats.recovery.checkpoint_bytes += cp.bytes;
-        if let Some(net) = &self.config.network {
-            // Persisting a checkpoint costs one round of shipping the
-            // master state off-worker.
-            let cost = net.cost(1, cp.bytes);
-            self.stats.recovery.checkpoint_time += cost;
-            if self.config.metrics {
-                self.stats
-                    .metrics
-                    .record_duration("recovery/checkpoint_ns", cost);
-            }
-        }
+        // Persisting a checkpoint costs one round of shipping the master
+        // state off-worker.
+        let cost = self.charge("recovery/checkpoint_ns", |net| net.cost(1, cp.bytes));
+        self.stats.recovery.checkpoint_time += cost;
         self.emit(EventKind::CheckpointTaken {
             step: self.next_step,
             bytes: cp.bytes,
@@ -990,12 +927,7 @@ impl<V: VertexData> Cluster<V> {
             None => Vec::new(),
         };
         for spec in specs {
-            self.emit(EventKind::FaultInjected {
-                step,
-                worker: spec.worker,
-                kind: spec.kind.label().to_string(),
-                attempt: 0,
-            });
+            self.emit_fault(step, spec.worker, spec.kind, 0);
             if spec.kind == FaultKind::Ioerr {
                 self.disk_ioerr = true;
             } else {
@@ -1017,23 +949,19 @@ impl<V: VertexData> Cluster<V> {
     /// re-executed state and the `updated` lists, so the driver's control
     /// flow continues exactly as the killed run's did.
     fn record_delta(&mut self, updated: &mut Vec<Vec<VertexId>>) {
-        if self.durable.is_some() {
+        if let Some(d) = self.durable.as_mut() {
             let step = self.next_step;
-            let ioerr = self.disk_ioerr;
-            let mut outcome = Ok(DiskWrite::None);
-            if let Some(d) = self.durable.as_mut() {
-                outcome = d.on_delta(
-                    step,
-                    &mut self.states,
-                    updated,
-                    ioerr,
-                    &mut self.stats.durability,
-                );
-                debug_assert!(
-                    d.last_apply_matched,
-                    "resumed re-execution diverged from the durable log at step {step}"
-                );
-            }
+            let outcome = d.on_delta(
+                step,
+                &mut self.states,
+                updated,
+                self.disk_ioerr,
+                &mut self.stats.durability,
+            );
+            debug_assert!(
+                d.last_apply_matched,
+                "resumed re-execution diverged from the durable log at step {step}"
+            );
             match outcome {
                 Ok(DiskWrite::Failed { op }) => {
                     self.emit(EventKind::DurableIoError {
@@ -1042,30 +970,23 @@ impl<V: VertexData> Cluster<V> {
                     });
                 }
                 Ok(_) => {}
-                Err(e) => {
-                    if self.failed.is_none() {
-                        self.failed = Some(e);
-                    }
-                }
+                Err(e) => self.fail(e),
             }
+        }
+        if let Some(d) = self.durable.as_mut() {
             // At-rest damage lands at the end of the step, after the
             // writes it is scripted to corrupt, and wedges the store so
             // no later write masks it.
-            let damage = std::mem::take(&mut self.disk_damage);
-            if let Some(d) = self.durable.as_mut() {
-                for (kind, byte, mask) in damage {
-                    d.damage(kind, byte, mask);
-                }
-                // The scripted kill switch: persistence froze at this
-                // step, so the in-memory run from here on is doomed work
-                // a real kill would lose — the run degrades to a clean
-                // `Halted` while compute continues deterministically
-                // (the QuorumLost degradation pattern).
-                if let Some(k) = d.halted_at() {
-                    if self.failed.is_none() {
-                        self.failed = Some(RuntimeError::Halted { step: k });
-                    }
-                }
+            for (kind, byte, mask) in self.disk_damage.drain(..) {
+                d.damage(kind, byte, mask);
+            }
+            // The scripted kill switch: persistence froze at this step, so
+            // the in-memory run from here on is doomed work a real kill
+            // would lose — the run degrades to a clean `Halted` while
+            // compute continues deterministically (the QuorumLost
+            // degradation pattern).
+            if let Some(k) = d.halted_at() {
+                self.fail(RuntimeError::Halted { step: k });
             }
         }
         if self.injector.is_some() {
@@ -1076,12 +997,13 @@ impl<V: VertexData> Cluster<V> {
 
     /// Runs the compute phase under the fault injector: detected failures
     /// (crashes, corrupted sync payloads) roll all workers back to the
-    /// last checkpoint, replay the redo log, charge backoff, and retry.
-    /// After `max_retries` failed retries the run degrades gracefully: the
-    /// injector is disabled, the final attempt's output is kept (keeping
-    /// the simulation deterministic), and a clean
-    /// [`RuntimeError::RecoveryExhausted`] is surfaced via
-    /// [`Cluster::fault_error`].
+    /// last checkpoint, replay the redo log, charge backoff, and retry;
+    /// permanent losses re-home the lost partitions and retry with a fresh
+    /// budget. A fault nothing can recover from — `max_retries` failed
+    /// retries, a loss without a checkpoint or a quorum — degrades the run
+    /// gracefully: the first such error is kept for
+    /// [`Cluster::fault_error`], the injector is disabled, and the final
+    /// attempt's output stands (keeping the simulation deterministic).
     fn compute_with_recovery<Out: Send>(
         &mut self,
         step_id: u64,
@@ -1093,264 +1015,208 @@ impl<V: VertexData> Cluster<V> {
         let mut attempt: u64 = 0;
         loop {
             let (outs, mut durations) = self.run_compute(f);
-
-            // Stragglers: charge the delay into the worker's compute time
-            // (it shows up as barrier skew); no recovery needed.
-            let stragglers = match &mut self.injector {
-                Some(inj) => inj.stragglers(step_id),
-                None => Vec::new(),
-            };
-            for s in &stragglers {
-                if let Some(d) = durations.get_mut(s.worker) {
-                    *d += s.delay;
-                }
-                self.stats.recovery.stragglers += 1;
-                self.stats.recovery.straggler_delay += s.delay;
-                self.emit(EventKind::FaultInjected {
-                    step: step_id,
-                    worker: s.worker,
-                    kind: s.kind.label().to_string(),
-                    attempt,
-                });
-            }
-
-            // Failure detector, deadline half: a straggler whose simulated
-            // delay reaches the detector timeout missed the barrier for good
-            // and is declared permanently dead right away. A config-level
-            // override (`--detector-timeout`) wins over the plan's
-            // `detector=` option.
-            let detector = match self.config.detector_timeout {
-                Some(d) => d,
-                None => self
-                    .injector
-                    .as_ref()
-                    .map_or(Duration::MAX, |i| i.plan().detector_timeout),
-            };
-            let mut deadline_dead: Vec<usize> = stragglers
-                .iter()
-                .filter(|s| s.delay >= detector)
-                .map(|s| s.worker)
-                .collect();
-            deadline_dead.sort_unstable();
-            deadline_dead.dedup();
-            if !deadline_dead.is_empty() {
-                match self.declare_dead(step_id, &deadline_dead, "deadline", attempt) {
-                    Ok(()) => {
-                        attempt = 0;
-                        continue;
+            match self.judge_attempt(step_id, attempt, &mut durations) {
+                Ok(None) => return (outs, durations),
+                Ok(Some(retry)) => attempt = retry,
+                Err(e) => {
+                    self.fail(e);
+                    if let Some(inj) = &mut self.injector {
+                        inj.active = false;
                     }
-                    Err(e) => {
-                        if self.failed.is_none() {
-                            self.failed = Some(e);
-                        }
-                        if let Some(inj) = &mut self.injector {
-                            inj.active = false;
-                        }
-                        return (outs, durations);
-                    }
+                    return (outs, durations);
                 }
             }
-
-            // Coordinator crash: a `leader@` fault kills whichever host
-            // currently leads the control plane. The survivors elect a new
-            // leader, the death declaration commits under the new term, and
-            // the superstep retries from the checkpoint like any other
-            // permanent loss — so results stay bit-identical.
-            let leader_fires = match &mut self.injector {
-                Some(inj) => inj.leader_crashes(step_id),
-                None => 0,
-            };
-            if leader_fires > 0 {
-                let mut error = None;
-                let mut crashed = false;
-                for _ in 0..leader_fires {
-                    let Some(leader) = self.consensus.as_ref().and_then(|c| c.leader()) else {
-                        break;
-                    };
-                    crashed = true;
-                    self.stats.consensus.leader_crashes += 1;
-                    self.stats.recovery.faults_injected += 1;
-                    self.emit(EventKind::FaultInjected {
-                        step: step_id,
-                        worker: leader,
-                        kind: FaultKind::Leader.label().to_string(),
-                        attempt,
-                    });
-                    if let Some(cons) = &mut self.consensus {
-                        cons.vacate();
-                    }
-                    if let Err(e) = self.declare_dead(step_id, &[leader], "leader", attempt) {
-                        error = Some(e);
-                        break;
-                    }
-                }
-                match error {
-                    None if crashed => {
-                        attempt = 0;
-                        continue;
-                    }
-                    None => {}
-                    Some(e) => {
-                        if self.failed.is_none() {
-                            self.failed = Some(e);
-                        }
-                        if let Some(inj) = &mut self.injector {
-                            inj.active = false;
-                        }
-                        return (outs, durations);
-                    }
-                }
-            }
-
-            // Byzantine workers: a `lie@` fault makes a worker report a
-            // checksum-mismatched sync payload. Every live host recomputes
-            // the payload checksum independently; a strict majority
-            // agreeing on the true value pins the lie on the worker, and
-            // the accusation escalates to a committed death declaration.
-            // Without enough honest replicas to form that majority the run
-            // degrades to [`RuntimeError::QuorumLost`].
-            let liars = match &mut self.injector {
-                Some(inj) => inj.liars(step_id),
-                None => Vec::new(),
-            };
-            if !liars.is_empty() {
-                let mut error = None;
-                let mut accused = false;
-                for w in liars {
-                    let st = &self.states[w];
-                    let expected = payload_checksum(
-                        st.pending
-                            .iter()
-                            .map(|(v, val)| (v, val.bytes()))
-                            .chain(st.direct.iter().map(|(v, val)| (*v, val.bytes()))),
-                    );
-                    let nonce = match &mut self.injector {
-                        Some(inj) => inj.corruption_nonce(),
-                        None => 1,
-                    };
-                    let observed = expected ^ nonce;
-                    let liar_host = self.partition.host_of_worker(w);
-                    let votes: Vec<(usize, u64)> = self
-                        .partition
-                        .live_hosts()
-                        .into_iter()
-                        .map(|h| (h, if h == liar_host { observed } else { expected }))
-                        .collect();
-                    self.stats.recovery.faults_injected += 1;
-                    self.emit(EventKind::FaultInjected {
-                        step: step_id,
-                        worker: w,
-                        kind: FaultKind::Lie.label().to_string(),
-                        attempt,
-                    });
-                    match checksum_quorum(&votes) {
-                        Ok(verdict) => {
-                            self.stats.consensus.accusations += 1;
-                            self.emit(EventKind::WorkerAccused {
-                                step: step_id,
-                                worker: w,
-                                accusers: verdict.accusers,
-                                quorum: verdict.quorum,
-                                expected: verdict.expected,
-                                observed,
-                            });
-                            accused = true;
-                            if let Err(e) = self.declare_dead(step_id, &[w], "accused", attempt) {
-                                error = Some(e);
-                            }
-                        }
-                        Err(needed) => {
-                            error = Some(RuntimeError::QuorumLost {
-                                step: step_id,
-                                live: votes.len(),
-                                needed,
-                            });
-                        }
-                    }
-                    if error.is_some() {
-                        break;
-                    }
-                }
-                match error {
-                    None if accused => {
-                        attempt = 0;
-                        continue;
-                    }
-                    None => {}
-                    Some(e) => {
-                        if self.failed.is_none() {
-                            self.failed = Some(e);
-                        }
-                        if let Some(inj) = &mut self.injector {
-                            inj.active = false;
-                        }
-                        return (outs, durations);
-                    }
-                }
-            }
-
-            let detected = self.detect_failures(step_id);
-            if detected.is_empty() {
-                return (outs, durations);
-            }
-            for spec in &detected {
-                self.stats.recovery.faults_injected += 1;
-                self.emit(EventKind::FaultInjected {
-                    step: step_id,
-                    worker: spec.worker,
-                    kind: spec.kind.label().to_string(),
-                    attempt,
-                });
-            }
-
-            let budget = self
-                .injector
-                .as_ref()
-                .map_or(0, |i| u64::from(i.plan().max_retries));
-            if attempt >= budget {
-                // Failure detector, retry half: a `die` fault re-fires on
-                // every attempt, so an exhausted budget on one distinguishes
-                // a permanent loss from a transient fault that merely kept
-                // recurring. The dead worker's partition re-homes onto the
-                // survivors and the superstep retries with a fresh budget.
-                let mut dead: Vec<usize> = detected
-                    .iter()
-                    .filter(|s| s.kind == FaultKind::Die)
-                    .map(|s| s.worker)
-                    .collect();
-                dead.sort_unstable();
-                dead.dedup();
-                if !dead.is_empty() {
-                    match self.declare_dead(step_id, &dead, "die", attempt) {
-                        Ok(()) => {
-                            attempt = 0;
-                            continue;
-                        }
-                        Err(e) => {
-                            if self.failed.is_none() {
-                                self.failed = Some(e);
-                            }
-                            if let Some(inj) = &mut self.injector {
-                                inj.active = false;
-                            }
-                            return (outs, durations);
-                        }
-                    }
-                }
-                if self.failed.is_none() {
-                    self.failed = Some(RuntimeError::RecoveryExhausted {
-                        step: step_id,
-                        attempts: (attempt + 1) as u32,
-                    });
-                }
-                if let Some(inj) = &mut self.injector {
-                    inj.active = false;
-                }
-                return (outs, durations);
-            }
-            self.rollback(step_id, attempt);
-            attempt += 1;
         }
+    }
+
+    /// Fires the faults scripted for this attempt of `step_id`, in barrier
+    /// order: stragglers (and the deadline detector), a coordinator crash,
+    /// byzantine lies, then crashes and corruption. The first stage that
+    /// loses a host for good ends the attempt — the stages after it fire
+    /// on the re-run.
+    ///
+    /// `Ok(None)`: nothing failed and the attempt's output stands.
+    /// `Ok(Some(n))`: re-run the superstep as attempt `n` — `attempt + 1`
+    /// after a rollback, `0` (a fresh retry budget) once lost hosts'
+    /// partitions were re-homed onto the survivors.
+    fn judge_attempt(
+        &mut self,
+        step_id: u64,
+        attempt: u64,
+        durations: &mut [Duration],
+    ) -> Result<Option<u64>, RuntimeError> {
+        if self.miss_deadlines(step_id, attempt, durations)?
+            || self.crash_leader(step_id, attempt)?
+            || self.expose_liars(step_id, attempt)?
+        {
+            return Ok(Some(0));
+        }
+        let detected = self.detect_failures(step_id);
+        if detected.is_empty() {
+            return Ok(None);
+        }
+        for spec in &detected {
+            self.stats.recovery.faults_injected += 1;
+            self.emit_fault(step_id, spec.worker, spec.kind, attempt);
+        }
+        let budget = self
+            .injector
+            .as_ref()
+            .map_or(0, |i| u64::from(i.plan().max_retries));
+        if attempt < budget {
+            self.rollback(step_id, attempt);
+            return Ok(Some(attempt + 1));
+        }
+        // Failure detector, retry half: a `die` fault re-fires on every
+        // attempt, so an exhausted budget on one distinguishes a permanent
+        // loss from a transient fault that merely kept recurring. The dead
+        // worker's partition re-homes onto the survivors and the superstep
+        // retries with a fresh budget.
+        let mut dead: Vec<usize> = detected
+            .iter()
+            .filter(|s| s.kind == FaultKind::Die)
+            .map(|s| s.worker)
+            .collect();
+        dead.sort_unstable();
+        dead.dedup();
+        if dead.is_empty() {
+            return Err(RuntimeError::RecoveryExhausted {
+                step: step_id,
+                attempts: (attempt + 1) as u32,
+            });
+        }
+        self.declare_dead(step_id, &dead, "die", attempt)?;
+        Ok(Some(0))
+    }
+
+    /// Stragglers: charges each scripted delay into the worker's compute
+    /// time (it shows up as barrier skew; no recovery needed) — unless the
+    /// delay reaches the failure detector's deadline, in which case the
+    /// worker missed the barrier for good and is declared dead right away
+    /// (`Ok(true)`). A config-level override (`--detector-timeout`) wins
+    /// over the plan's `detector=` option.
+    fn miss_deadlines(
+        &mut self,
+        step_id: u64,
+        attempt: u64,
+        durations: &mut [Duration],
+    ) -> Result<bool, RuntimeError> {
+        let Some(inj) = &mut self.injector else {
+            return Ok(false);
+        };
+        let stragglers = inj.stragglers(step_id);
+        let detector = self
+            .config
+            .detector_timeout
+            .unwrap_or(inj.plan().detector_timeout);
+        for s in &stragglers {
+            if let Some(d) = durations.get_mut(s.worker) {
+                *d += s.delay;
+            }
+            self.stats.recovery.stragglers += 1;
+            self.stats.recovery.straggler_delay += s.delay;
+            self.emit_fault(step_id, s.worker, s.kind, attempt);
+        }
+        let mut dead: Vec<usize> = stragglers
+            .iter()
+            .filter(|s| s.delay >= detector)
+            .map(|s| s.worker)
+            .collect();
+        dead.sort_unstable();
+        dead.dedup();
+        if dead.is_empty() {
+            return Ok(false);
+        }
+        self.declare_dead(step_id, &dead, "deadline", attempt)?;
+        Ok(true)
+    }
+
+    /// Coordinator crash: a `leader@` fault kills whichever host currently
+    /// leads the control plane. The survivors elect a new leader, the
+    /// death declaration commits under the new term, and the superstep
+    /// retries from the checkpoint like any other permanent loss — so
+    /// results stay bit-identical. `Ok(true)` when a leader went down.
+    fn crash_leader(&mut self, step_id: u64, attempt: u64) -> Result<bool, RuntimeError> {
+        let fires = self
+            .injector
+            .as_mut()
+            .map_or(0, |inj| inj.leader_crashes(step_id));
+        let mut crashed = false;
+        for _ in 0..fires {
+            let Some(leader) = self.consensus.as_ref().and_then(|c| c.leader()) else {
+                break;
+            };
+            crashed = true;
+            self.stats.consensus.leader_crashes += 1;
+            self.stats.recovery.faults_injected += 1;
+            self.emit_fault(step_id, leader, FaultKind::Leader, attempt);
+            if let Some(cons) = &mut self.consensus {
+                cons.vacate();
+            }
+            self.declare_dead(step_id, &[leader], "leader", attempt)?;
+        }
+        Ok(crashed)
+    }
+
+    /// Byzantine workers: a `lie@` fault makes a worker report a
+    /// checksum-mismatched sync payload. Every live host recomputes the
+    /// payload checksum independently; a strict majority agreeing on the
+    /// true value pins the lie on the worker, and the accusation escalates
+    /// to a committed death declaration (`Ok(true)`). Without enough
+    /// honest replicas to form that majority the run degrades to
+    /// [`RuntimeError::QuorumLost`].
+    fn expose_liars(&mut self, step_id: u64, attempt: u64) -> Result<bool, RuntimeError> {
+        let liars = match &mut self.injector {
+            Some(inj) => inj.liars(step_id),
+            None => Vec::new(),
+        };
+        let mut accused = false;
+        for w in liars {
+            let expected = self.staged_checksum(w);
+            let nonce = self
+                .injector
+                .as_mut()
+                .map_or(1, |inj| inj.corruption_nonce());
+            let observed = expected ^ nonce;
+            let liar_host = self.partition.host_of_worker(w);
+            let votes: Vec<(usize, u64)> = self
+                .partition
+                .live_hosts()
+                .into_iter()
+                .map(|h| (h, if h == liar_host { observed } else { expected }))
+                .collect();
+            self.stats.recovery.faults_injected += 1;
+            self.emit_fault(step_id, w, FaultKind::Lie, attempt);
+            let verdict = checksum_quorum(&votes).map_err(|needed| RuntimeError::QuorumLost {
+                step: step_id,
+                live: votes.len(),
+                needed,
+            })?;
+            self.stats.consensus.accusations += 1;
+            self.emit(EventKind::WorkerAccused {
+                step: step_id,
+                worker: w,
+                accusers: verdict.accusers,
+                quorum: verdict.quorum,
+                expected: verdict.expected,
+                observed,
+            });
+            accused = true;
+            self.declare_dead(step_id, &[w], "accused", attempt)?;
+        }
+        Ok(accused)
+    }
+
+    /// Checksum of the sync payload worker `w` has staged, framed as
+    /// `(vertex, byte-length)` records — what it would put on the wire.
+    fn staged_checksum(&self, w: usize) -> u64 {
+        let st = &self.states[w];
+        payload_checksum(
+            st.pending
+                .iter()
+                .map(|(v, val)| (v, val.bytes()))
+                .chain(st.direct.iter().map(|(v, val)| (*v, val.bytes()))),
+        )
     }
 
     /// Decides which scripted failures actually fire this attempt. Crashes
@@ -1369,13 +1235,7 @@ impl<V: VertexData> Cluster<V> {
             match spec.kind {
                 FaultKind::Crash | FaultKind::Die => detected.push(spec),
                 FaultKind::CorruptSync => {
-                    let st = &self.states[spec.worker];
-                    let computed = payload_checksum(
-                        st.pending
-                            .iter()
-                            .map(|(v, val)| (v, val.bytes()))
-                            .chain(st.direct.iter().map(|(v, val)| (*v, val.bytes()))),
-                    );
+                    let computed = self.staged_checksum(spec.worker);
                     let nonce = match &mut self.injector {
                         Some(inj) => inj.corruption_nonce(),
                         None => 0,
@@ -1451,12 +1311,12 @@ impl<V: VertexData> Cluster<V> {
         // typed errors rather than panic — even on the "impossible" shapes
         // (an empty dead-set, a checkpoint that vanished between the check
         // and the rollback).
-        let lost = dead.first().copied().unwrap_or(0);
+        let lost = || RuntimeError::WorkerLost {
+            worker: dead.first().copied().unwrap_or(0),
+            step: step_id,
+        };
         if self.recovery.checkpoint_step().is_none() {
-            return Err(RuntimeError::WorkerLost {
-                worker: lost,
-                step: step_id,
-            });
+            return Err(lost());
         }
         // Control plane first: the death is a replicated decision, voted
         // on by the survivors only (the dying hosts cannot acknowledge
@@ -1486,42 +1346,13 @@ impl<V: VertexData> Cluster<V> {
                 survivors.len(),
             );
         }
-        for st in &mut self.states {
-            st.discard_staged();
-        }
-        let (from_step, replayed, bytes) = match self.recovery.rollback(&mut self.states) {
-            Some(r) => r,
-            None => {
-                return Err(RuntimeError::WorkerLost {
-                    worker: lost,
-                    step: step_id,
-                })
-            }
+        let Some(restored) = self.restore_checkpoint() else {
+            return Err(lost());
         };
-        self.stats.recovery.rollbacks += 1;
-        self.stats.recovery.replayed_supersteps += replayed;
-        if let Some(net) = &self.config.network {
-            let cost = net.recovery_cost(replayed, bytes);
-            self.stats.recovery.replay_net += cost;
-            if self.config.metrics {
-                self.stats
-                    .metrics
-                    .record_duration("recovery/replay_ns", cost);
-            }
-        }
-        self.emit(EventKind::RecoveryReplay {
-            step: step_id,
-            from_step,
-            replayed,
-            attempt,
-            backoff_us: 0,
-        });
+        self.account_replay(step_id, attempt, Duration::ZERO, restored);
         let report = Arc::make_mut(&mut self.partition)
             .rebalance(dead)
-            .map_err(|_| RuntimeError::WorkerLost {
-                worker: lost,
-                step: step_id,
-            })?;
+            .map_err(|_| lost())?;
         self.stats.recovery.workers_lost += dead.len() as u64;
         for &w in dead {
             if let Some(inj) = &mut self.injector {
@@ -1551,39 +1382,30 @@ impl<V: VertexData> Cluster<V> {
             cause: cause.to_string(),
         });
         let mut total_bytes = 0u64;
-        let mut migrated = Vec::with_capacity(report.moved.len());
         for mv in &report.moved {
             let masters = self.partition.masters(mv.worker);
             let st = &self.states[mv.worker];
+            let vertices = masters.len() as u64;
             let bytes: u64 = masters
                 .iter()
                 .map(|&v| (4 + st.current[v as usize].bytes()) as u64)
                 .sum();
             total_bytes += bytes;
-            self.stats.recovery.vertices_migrated += masters.len() as u64;
+            self.stats.recovery.vertices_migrated += vertices;
             self.stats.recovery.migrated_bytes += bytes;
-            migrated.push(EventKind::StateMigrated {
+            self.emit(EventKind::StateMigrated {
                 epoch: report.epoch,
                 partition: mv.worker,
                 from: mv.from,
                 to: mv.to,
-                vertices: masters.len() as u64,
+                vertices,
                 bytes,
             });
         }
-        for ev in migrated {
-            self.emit(ev);
-        }
         if !report.moved.is_empty() {
-            if let Some(net) = &self.config.network {
-                let cost = net.cost(1 + report.moved.len() as u32, total_bytes);
-                self.stats.recovery.migration_net += cost;
-                if self.config.metrics {
-                    self.stats
-                        .metrics
-                        .record_duration("recovery/migration_ns", cost);
-                }
-            }
+            let rounds = 1 + report.moved.len() as u32;
+            let cost = self.charge("recovery/migration_ns", |net| net.cost(rounds, total_bytes));
+            self.stats.recovery.migration_net += cost;
         }
         // The epoch bump is a control-plane decision: the survivors must
         // majority-commit it before acting under the new hosting.
@@ -1616,15 +1438,9 @@ impl<V: VertexData> Cluster<V> {
             return;
         };
         self.stats.consensus.elections += 1;
-        if let Some(net) = &self.config.network {
-            let cost = net.cost(2, Self::LOG_RECORD_BYTES * el.live_hosts as u64);
-            self.stats.consensus.election_net += cost;
-            if self.config.metrics {
-                self.stats
-                    .metrics
-                    .record_duration("consensus/election_ns", cost);
-            }
-        }
+        let bytes = Self::LOG_RECORD_BYTES * el.live_hosts as u64;
+        let cost = self.charge("consensus/election_ns", |net| net.cost(2, bytes));
+        self.stats.consensus.election_net += cost;
         self.emit(EventKind::LeaderElected {
             term: el.term,
             leader: el.leader,
@@ -1648,15 +1464,9 @@ impl<V: VertexData> Cluster<V> {
         match cons.commit(step, kind.clone(), voters) {
             Ok(commit) => {
                 self.stats.consensus.entries_committed += 1;
-                if let Some(net) = &self.config.network {
-                    let cost = net.cost(2, Self::LOG_RECORD_BYTES * voters as u64);
-                    self.stats.consensus.commit_net += cost;
-                    if self.config.metrics {
-                        self.stats
-                            .metrics
-                            .record_duration("consensus/commit_ns", cost);
-                    }
-                }
+                let bytes = Self::LOG_RECORD_BYTES * voters as u64;
+                let cost = self.charge("consensus/commit_ns", |net| net.cost(2, bytes));
+                self.stats.consensus.commit_net += cost;
                 self.emit(EventKind::LogCommitted {
                     term: commit.term,
                     index: commit.index,
@@ -1666,15 +1476,11 @@ impl<V: VertexData> Cluster<V> {
                     quorum: commit.quorum,
                 });
             }
-            Err(needed) => {
-                if self.failed.is_none() {
-                    self.failed = Some(RuntimeError::QuorumLost {
-                        step,
-                        live: voters,
-                        needed,
-                    });
-                }
-            }
+            Err(needed) => self.fail(RuntimeError::QuorumLost {
+                step,
+                live: voters,
+                needed,
+            }),
         }
     }
 
@@ -1695,41 +1501,49 @@ impl<V: VertexData> Cluster<V> {
         (max, min)
     }
 
-    /// Rolls every worker back to the last checkpoint, replays the redo
-    /// log, and charges the recovery cost (backoff + simulated replay
-    /// traffic). Without a checkpoint (none due yet) the retry simply
-    /// re-runs on the unmodified pre-step state, which the discarded
-    /// staged writes make safe.
+    /// Retries after a transient failure: charges the retry backoff, then
+    /// rolls every worker back and replays. Without a checkpoint (none
+    /// due yet) the retry simply re-runs on the unmodified pre-step state,
+    /// which the discarded staged writes make safe.
     fn rollback(&mut self, step_id: u64, attempt: u64) {
-        for st in &mut self.states {
-            st.discard_staged();
-        }
-        let (from_step, replayed, bytes) = match self.recovery.rollback(&mut self.states) {
-            Some(r) => r,
-            None => (step_id, 0, 0),
-        };
-        self.stats.recovery.rollbacks += 1;
-        self.stats.recovery.replayed_supersteps += replayed;
         let backoff = self
             .injector
             .as_ref()
             .map(|i| i.plan().backoff(attempt as u32))
             .unwrap_or_default();
         self.stats.recovery.retry_backoff += backoff;
-        if self.config.metrics {
-            self.stats
-                .metrics
-                .record_duration("recovery/backoff_ns", backoff);
+        self.record_cost("recovery/backoff_ns", backoff);
+        let restored = self.restore_checkpoint().unwrap_or((step_id, 0, 0));
+        self.account_replay(step_id, attempt, backoff, restored);
+    }
+
+    /// The state half of every recovery, transient or permanent: discards
+    /// what the failed attempt staged, restores every replica from the
+    /// last checkpoint and replays the redo log. Returns `(from_step,
+    /// replayed supersteps, replayed bytes)`, `None` without a checkpoint.
+    fn restore_checkpoint(&mut self) -> Option<(u64, u64, u64)> {
+        for st in &mut self.states {
+            st.discard_staged();
         }
-        if let Some(net) = &self.config.network {
-            let cost = net.recovery_cost(replayed, bytes);
-            self.stats.recovery.replay_net += cost;
-            if self.config.metrics {
-                self.stats
-                    .metrics
-                    .record_duration("recovery/replay_ns", cost);
-            }
-        }
+        self.recovery.rollback(&mut self.states)
+    }
+
+    /// Accounts for one restore: counters, simulated replay traffic and
+    /// the `recovery_replay` event, which also reports the `backoff` the
+    /// caller charged.
+    fn account_replay(
+        &mut self,
+        step_id: u64,
+        attempt: u64,
+        backoff: Duration,
+        (from_step, replayed, bytes): (u64, u64, u64),
+    ) {
+        self.stats.recovery.rollbacks += 1;
+        self.stats.recovery.replayed_supersteps += replayed;
+        let cost = self.charge("recovery/replay_ns", |net| {
+            net.recovery_cost(replayed, bytes)
+        });
+        self.stats.recovery.replay_net += cost;
         self.emit(EventKind::RecoveryReplay {
             step: step_id,
             from_step,
@@ -1821,8 +1635,8 @@ impl<V: VertexData> Cluster<V> {
     /// every worker does. Under [`SyncMode::CriticalOnly`] the payload is
     /// the critical projection; under [`SyncMode::Full`] the whole value.
     /// The round runs in two passes. Pass 1 (*scan*) is read-only: it
-    /// counts wire traffic and builds the cross-host batch map, in parallel
-    /// under the pooled hot path. Pass 2 (*commit*) serially applies each
+    /// counts wire traffic and builds the cross-host batch map, one range
+    /// of workers per pool lane. Pass 2 (*commit*) serially applies each
     /// master's payload to its mirror replicas by reference. The split is
     /// bit-identical to the old interleaved loop: the scan reads only
     /// master slots `states[w].current[v]` for `v` owned by `w`, and the
@@ -1836,18 +1650,9 @@ impl<V: VertexData> Cluster<V> {
         let step_id = self.next_step;
         let t = Instant::now();
         let sync_mode = self.config.sync_mode;
-        let fresh = self.config.hotpath == HotPath::FreshSerial;
         let track_batches = self.transport.is_some();
-        let mut sync_batches = if fresh {
-            RoundBatches::new()
-        } else {
-            self.buffers.take_sync_batches()
-        };
-        let mut host_buf: Vec<u16> = if fresh {
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.buffers.host_buf)
-        };
+        let mut sync_batches = self.buffers.take_sync_batches();
+        let mut host_buf = std::mem::take(&mut self.buffers.host_buf);
         let live_hosts: Vec<usize> = if track_batches {
             self.partition.live_hosts()
         } else {
@@ -1897,20 +1702,13 @@ impl<V: VertexData> Cluster<V> {
                             match scope {
                                 SyncScope::Necessary => {
                                     for &h in host_buf.iter() {
-                                        let batch = batches
-                                            .entry((sender_host, h as usize))
-                                            .or_insert((0, 0));
-                                        batch.0 += 1;
-                                        batch.1 += bytes;
+                                        bump(batches, (sender_host, h as usize), 1, bytes);
                                     }
                                 }
                                 SyncScope::All => {
                                     for &h in live_hosts {
                                         if h != sender_host {
-                                            let batch =
-                                                batches.entry((sender_host, h)).or_insert((0, 0));
-                                            batch.0 += 1;
-                                            batch.1 += bytes;
+                                            bump(batches, (sender_host, h), 1, bytes);
                                         }
                                     }
                                 }
@@ -1920,7 +1718,7 @@ impl<V: VertexData> Cluster<V> {
                 }
                 (messages, bytes_total)
             };
-            if let Some(pool) = Self::hotpath_pool(&mut self.pool, &self.config, m) {
+            if let Some(pool) = Self::lane_pool(&mut self.pool, &self.config, m) {
                 let scan_wall = Instant::now();
                 let partials = parallel_ranges(Some(pool), m, |lo, hi| {
                     let range_timer = Instant::now();
@@ -1935,9 +1733,7 @@ impl<V: VertexData> Cluster<V> {
                     stats.sync_bytes += bytes;
                     scan_max = scan_max.max(elapsed);
                     for (key, (bm, bb)) in batches {
-                        let batch = sync_batches.entry(key).or_insert((0, 0));
-                        batch.0 += bm;
-                        batch.1 += bb;
+                        bump(&mut sync_batches, key, bm, bb);
                     }
                 }
                 scan_overhead = scan_wall.elapsed().saturating_sub(scan_max);
@@ -2005,10 +1801,8 @@ impl<V: VertexData> Cluster<V> {
         }
         stats.communicate += t.elapsed().saturating_sub(scan_overhead);
         stats.delivery += self.deliver_round(step_id, "sync", &sync_batches);
-        if !fresh {
-            self.buffers.host_buf = host_buf;
-            self.buffers.put_sync_batches(sync_batches);
-        }
+        self.buffers.host_buf = host_buf;
+        self.buffers.put_sync_batches(sync_batches);
     }
 
     /// Runs one message round's batches through the reliable-delivery
@@ -2054,9 +1848,7 @@ impl<V: VertexData> Cluster<V> {
             self.emit(kind);
         }
         if let Some(err) = outcome.failure {
-            if self.failed.is_none() {
-                self.failed = Some(err);
-            }
+            self.fail(err);
         }
         timer.elapsed()
     }
@@ -2149,6 +1941,14 @@ impl<V: VertexData> Drop for Cluster<V> {
             }
         }
     }
+}
+
+/// Adds `messages`/`bytes` to the `(sender host, receiver host)` batch of
+/// one message round.
+fn bump(batches: &mut RoundBatches, pair: (usize, usize), messages: u64, bytes: u64) {
+    let batch = batches.entry(pair).or_insert((0, 0));
+    batch.0 += messages;
+    batch.1 += bytes;
 }
 
 /// Clones `states[w].current[vi]` into `states[r].current[vi]` by
@@ -2338,37 +2138,25 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// The hot-path contract: the pooled-parallel route (buffer reuse +
-    /// multi-threaded bucketing/scan) must be bit-identical to the literal
-    /// old fresh-serial route — same values, same message/byte counters.
+    /// The hot-path contract: bucketing and the mirror scan fanned out
+    /// over the pool's lanes must be bit-identical to the same code on one
+    /// lane (`.sequential()`, the serial reference) across supersteps that
+    /// reuse their buffers — same values, same message/byte counters.
     #[test]
     fn pooled_parallel_hotpath_matches_fresh_serial_bitwise() {
-        let g = Arc::new(generators::erdos_renyi(48, 160, 11));
-        let p = Arc::new(PartitionMap::build(&g, 4, &HashPartitioner).unwrap());
-        let run = |hp: HotPath| {
-            let cfg = ClusterConfig::with_workers(4).hotpath(hp);
-            let mut c =
-                Cluster::new(Arc::clone(&g), Arc::clone(&p), cfg, |v| Val { x: v as u64 }).unwrap();
-            let reduce = |t: &Val, acc: &mut Val| acc.x = acc.x.max(t.x);
-            for _ in 0..4 {
-                c.step_reduce(0, SyncScope::Necessary, reduce, |ctx| {
-                    for &v in ctx.masters() {
-                        let val = ctx.get(v).clone();
-                        for &d in ctx.graph().out_neighbors(v) {
-                            ctx.put(d, val.clone(), &reduce);
-                        }
-                    }
-                });
-            }
-            let stats = c.take_stats();
+        let run = |cfg: ClusterConfig| {
+            let (vals, stats, err) = run_program(cfg);
+            assert!(err.is_none());
             let counters: Vec<(u64, u64, u64, u64)> = stats
                 .steps()
                 .iter()
                 .map(|s| (s.upd_messages, s.upd_bytes, s.sync_messages, s.sync_bytes))
                 .collect();
-            (c.collect(|_, val| val.x), counters)
+            (vals, counters)
         };
-        assert_eq!(run(HotPath::PooledParallel), run(HotPath::FreshSerial));
+        let lanes = run(ClusterConfig::with_workers(4));
+        assert!(lanes.1.iter().any(|c| c.0 > 0 && c.2 > 0), "traffic flowed");
+        assert_eq!(lanes, run(ClusterConfig::with_workers(4).sequential()));
     }
 
     #[test]

@@ -53,25 +53,6 @@ pub enum SyncScope {
     All,
 }
 
-/// Which implementation the superstep *hot path* — upd-round bucketing,
-/// mirror fan-out accounting and per-step buffer management — uses.
-///
-/// Both variants are bit-identical in results and in every `upd_*`/`sync_*`
-/// counter (enforced by the catalogue-wide property test in
-/// `tests/hotpath.rs`); they differ only in time and allocation behaviour.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum HotPath {
-    /// Pooled buffers plus parallel bucketing: per-thread bucket sets are
-    /// merged deterministically in worker order, and all per-step scratch
-    /// (buckets, updated lists, host buffers, batch maps) is reused across
-    /// supersteps. The default.
-    #[default]
-    PooledParallel,
-    /// Fresh allocations and single-threaded bucketing — the pre-overhaul
-    /// behaviour, kept as the A/B baseline `perf_hotpath` measures against.
-    FreshSerial,
-}
-
 /// Where the adjacency a cluster iterates lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StorageMode {
@@ -128,8 +109,6 @@ pub struct ClusterConfig {
     /// loss then degrades to [`RuntimeError::WorkerLost`](crate::RuntimeError)
     /// instead of recovering elastically.
     pub checkpoint_disabled: bool,
-    /// Superstep hot-path implementation (see [`HotPath`]).
-    pub hotpath: HotPath,
     /// Record phase/transport/recovery histograms into
     /// [`RunStats::metrics`](crate::stats::RunStats::metrics). Off by
     /// default: recording only aggregates already-measured durations (it
@@ -192,7 +171,6 @@ impl fmt::Debug for ClusterConfig {
             .field("fault_plan", &self.fault_plan)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("checkpoint_disabled", &self.checkpoint_disabled)
-            .field("hotpath", &self.hotpath)
             .field("metrics", &self.metrics)
             .field("storage", &self.storage)
             .field("detector_timeout", &self.detector_timeout)
@@ -227,7 +205,6 @@ impl Default for ClusterConfig {
             fault_plan: None,
             checkpoint_every: 0,
             checkpoint_disabled: false,
-            hotpath: HotPath::default(),
             metrics: false,
             storage: StorageMode::default(),
             detector_timeout: None,
@@ -316,14 +293,6 @@ impl ClusterConfig {
     pub fn checkpoint_off(mut self) -> Self {
         self.checkpoint_disabled = true;
         self.checkpoint_every = 0;
-        self
-    }
-
-    /// Selects the superstep hot-path implementation (builder style).
-    /// [`HotPath::FreshSerial`] restores the fresh-allocation,
-    /// single-threaded bucketing baseline for A/B measurements.
-    pub fn hotpath(mut self, hp: HotPath) -> Self {
-        self.hotpath = hp;
         self
     }
 
@@ -483,14 +452,6 @@ mod tests {
         assert!(c2.checkpoint_disabled);
         assert_eq!(c2.checkpoint_every, 0);
         assert!(!ClusterConfig::default().checkpoint_disabled);
-    }
-
-    #[test]
-    fn hotpath_defaults_to_pooled_parallel() {
-        assert_eq!(ClusterConfig::default().hotpath, HotPath::PooledParallel);
-        let c = ClusterConfig::default().hotpath(HotPath::FreshSerial);
-        assert_eq!(c.hotpath, HotPath::FreshSerial);
-        assert!(format!("{c:?}").contains("FreshSerial"));
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod transport;
 
 pub use checkpoint::Checkpoint;
 pub use cluster::{Cluster, StepOutput};
-pub use config::{ClusterConfig, HotPath, ModePolicy, StorageMode, SyncMode, SyncScope};
+pub use config::{ClusterConfig, ModePolicy, StorageMode, SyncMode, SyncScope};
 pub use consensus::{
     checksum_quorum, ChecksumVerdict, Commit, Consensus, Election, LogEntry, LogEntryKind,
 };

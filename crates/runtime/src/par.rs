@@ -182,7 +182,7 @@ mod tests {
         }
     }
 
-    /// The determinism contract the pooled-parallel bucketing relies on:
+    /// The determinism contract the lane-parallel bucketing relies on:
     /// per-thread bucket sets merged in chunk (= ascending worker) order
     /// reproduce the single-threaded bucket order bit for bit.
     #[test]

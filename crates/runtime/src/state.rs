@@ -193,9 +193,8 @@ impl<V: VertexData> WorkerState<V> {
 }
 
 /// Pooled per-superstep scratch buffers, owned by the cluster and reused
-/// across supersteps under [`HotPath::PooledParallel`]
-/// (crate::config::HotPath): every buffer is cleared — never dropped — at
-/// reuse, so steady-state supersteps allocate nothing on the hot path
+/// across supersteps: every buffer is cleared — never dropped — at reuse,
+/// so steady-state supersteps allocate nothing on the hot path
 /// (DESIGN.md §11).
 ///
 /// Invariant: every buffer is returned to the pool *empty* (the take
@@ -203,8 +202,9 @@ impl<V: VertexData> WorkerState<V> {
 /// exactly the state a fresh allocation would provide.
 #[derive(Debug)]
 pub(crate) struct StepBuffers<V: VertexData> {
-    /// Per-owner routing buckets of the upd round (`step_reduce`).
-    buckets: Vec<Vec<(VertexId, V)>>,
+    /// Per-owner routing buckets of the upd round: filled by
+    /// `route_updates`, drained in place by `step_reduce`'s master fold.
+    pub(crate) buckets: Vec<Vec<(VertexId, V)>>,
     /// Per-thread bucket sets of the parallel bucketing pass; slot `i`
     /// belongs to chunk `i` of `parallel_scratch_chunks`.
     pub(crate) bucket_sets: Vec<Vec<Vec<(VertexId, V)>>>,
@@ -236,7 +236,7 @@ impl<V: VertexData> StepBuffers<V> {
         Self::take_lists(&mut self.buckets, m)
     }
 
-    /// Returns the bucket vector after the reduce round drained it.
+    /// Returns the bucket vector once the routing pass has filled it.
     pub(crate) fn put_buckets(&mut self, buckets: Vec<Vec<(VertexId, V)>>) {
         self.buckets = buckets;
     }

@@ -75,9 +75,8 @@ pub struct StepStats {
     /// Wall time spent materializing and routing message buffers.
     pub serialize: Duration,
     /// Serialization makespan on an ideal one-core-per-worker cluster: the
-    /// slowest bucketing thread's time under the pooled-parallel hot path
-    /// (equal to [`StepStats::serialize`] when bucketing ran on one
-    /// thread). The serialize-phase analogue of
+    /// slowest bucketing lane's time (equal to [`StepStats::serialize`]
+    /// when bucketing ran on one lane). The serialize-phase analogue of
     /// [`StepStats::compute_max`], and what
     /// [`RunStats::simulated_parallel_time`] charges.
     pub serialize_max: Duration,

@@ -1,14 +1,14 @@
-//! Cross-crate tests of the superstep hot-path overhaul: the
-//! pooled-parallel fast path (per-thread bucket sets merged in worker
-//! order, reused step buffers, clone-free mirror sync) must be invisible
-//! to algorithms — every catalogue algorithm produces **bit-identical**
-//! results and identical per-superstep `upd_*`/`sync_*` counters under
-//! both [`HotPath`] variants — and the phase timers introduced alongside
-//! it (`delivery`, the ns-precision fields) must be populated.
+//! Cross-crate tests of the superstep hot path: per-lane bucket sets
+//! merged in worker order, reused step buffers and the clone-free mirror
+//! sync must be invisible to algorithms — results and per-superstep
+//! `upd_*`/`sync_*` counters are **bit-identical** from run to run and to
+//! the serial reference (`ClusterConfig::sequential()`, the same routing
+//! code on one lane) — and the phase timers (`delivery`, the ns-precision
+//! fields) must be populated.
 
 use flash_bench::cli::{dispatch, CliOptions, ALGOS};
 use flash_graph::generators;
-use flash_runtime::{FaultPlan, HotPath, RunStats};
+use flash_runtime::{ClusterConfig, FaultPlan, RunStats};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,12 +16,11 @@ fn graph() -> Arc<flash_graph::Graph> {
     Arc::new(generators::erdos_renyi(48, 160, 11))
 }
 
-fn opts(algo: &str, hotpath: HotPath) -> CliOptions {
+fn opts(algo: &str) -> CliOptions {
     let mut o = CliOptions {
         algo: algo.to_string(),
         workers: 4,
         iters: 3,
-        hotpath,
         ..CliOptions::default()
     };
     // `dispatch` takes the graph explicitly; the dataset field is unused.
@@ -30,7 +29,7 @@ fn opts(algo: &str, hotpath: HotPath) -> CliOptions {
 }
 
 /// Per-superstep message/byte counters, which must not move by a single
-/// unit between the two hot paths.
+/// unit between runs or lane counts.
 fn counter_trace(stats: &RunStats) -> Vec<(u64, u64, u64, u64)> {
     stats
         .steps()
@@ -39,10 +38,11 @@ fn counter_trace(stats: &RunStats) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
-/// The property the whole overhaul hangs on: for every algorithm in the
-/// catalogue, the pooled-parallel hot path and the pre-overhaul
-/// fresh-serial baseline produce the same result summary, the same number
-/// of supersteps and identical per-superstep traffic counters.
+/// The property the hot path hangs on, catalogue-wide: every algorithm is
+/// deterministic against *itself* — two runs give the same result summary,
+/// the same number of supersteps and identical per-superstep traffic
+/// counters. Lanes finish in any order, so this fails if per-lane bucket
+/// sets or batch maps are ever merged in completion order.
 #[test]
 fn catalogue_is_bit_identical_across_hot_paths() {
     let g = graph();
@@ -53,32 +53,33 @@ fn catalogue_is_bit_identical_across_hot_paths() {
         } else {
             &g
         };
-        let (pooled_summary, pooled_stats) = dispatch(&opts(algo, HotPath::PooledParallel), graph)
-            .unwrap_or_else(|e| panic!("{algo} (pooled): {e}"));
-        let (fresh_summary, fresh_stats) = dispatch(&opts(algo, HotPath::FreshSerial), graph)
-            .unwrap_or_else(|e| panic!("{algo} (fresh-serial): {e}"));
-        assert_eq!(pooled_summary, fresh_summary, "{algo}: result diverged");
+        let (summary, stats) =
+            dispatch(&opts(algo), graph).unwrap_or_else(|e| panic!("{algo} (first run): {e}"));
+        let (again, again_stats) =
+            dispatch(&opts(algo), graph).unwrap_or_else(|e| panic!("{algo} (second run): {e}"));
+        assert_eq!(summary, again, "{algo}: result diverged");
         assert_eq!(
-            pooled_stats.num_supersteps(),
-            fresh_stats.num_supersteps(),
+            stats.num_supersteps(),
+            again_stats.num_supersteps(),
             "{algo}: superstep count diverged"
         );
         assert_eq!(
-            counter_trace(&pooled_stats),
-            counter_trace(&fresh_stats),
+            counter_trace(&stats),
+            counter_trace(&again_stats),
             "{algo}: upd/sync counters diverged"
         );
     }
 }
 
-/// The pooled path is also deterministic against *itself*: two runs on the
-/// same graph produce identical summaries and counter traces (the merge of
-/// per-thread bucket sets is in fixed worker order, not completion order).
+/// The same on the all-push schedule, where every superstep buckets: the
+/// merge of per-lane bucket sets is in fixed worker order.
 #[test]
 fn pooled_path_is_self_deterministic() {
     let g = graph();
-    let (s1, t1) = dispatch(&opts("cc", HotPath::PooledParallel), &g).expect("first run");
-    let (s2, t2) = dispatch(&opts("cc", HotPath::PooledParallel), &g).expect("second run");
+    let mut o = opts("cc");
+    o.mode = flash_runtime::ModePolicy::ForceSparse;
+    let (s1, t1) = dispatch(&o, &g).expect("first run");
+    let (s2, t2) = dispatch(&o, &g).expect("second run");
     assert_eq!(s1, s2);
     assert_eq!(counter_trace(&t1), counter_trace(&t2));
 }
@@ -90,7 +91,7 @@ fn pooled_path_is_self_deterministic() {
 #[test]
 fn delivery_phase_is_timed_under_channel_faults() {
     let g = graph();
-    let mut lossy = opts("bfs", HotPath::PooledParallel);
+    let mut lossy = opts("bfs");
     lossy.faults = Some(FaultPlan::parse("loss=0.2,seed=9,retries=8").expect("plan parses"));
     let (_, stats) = dispatch(&lossy, &g).expect("lossy run succeeds");
     assert!(
@@ -113,7 +114,7 @@ fn delivery_phase_is_timed_under_channel_faults() {
 #[test]
 fn step_json_carries_ns_precision_phase_fields() {
     let g = graph();
-    let (_, stats) = dispatch(&opts("bfs", HotPath::PooledParallel), &g).expect("run succeeds");
+    let (_, stats) = dispatch(&opts("bfs"), &g).expect("run succeeds");
     let steps = stats.steps();
     assert!(!steps.is_empty());
     for s in steps {
@@ -141,18 +142,24 @@ fn step_json_carries_ns_precision_phase_fields() {
 
 /// `serialize_max` (the bucketing makespan charged by
 /// `simulated_parallel_time`) can never exceed the measured serialize wall
-/// time, and must be positive whenever serialization happened at all.
+/// time, and must be positive whenever serialization happened at all —
+/// with one lane per worker and on the single serial lane.
 #[test]
 fn serialize_makespan_is_bounded_by_wall_time() {
-    let g = graph();
-    for hotpath in [HotPath::PooledParallel, HotPath::FreshSerial] {
-        let mut o = opts("cc", hotpath);
-        o.mode = flash_runtime::ModePolicy::ForceSparse;
-        let (_, stats) = dispatch(&o, &g).expect("run succeeds");
+    for cfg in [
+        ClusterConfig::with_workers(4),
+        ClusterConfig::with_workers(4).sequential(),
+    ] {
+        let lanes = if cfg.parallel_workers {
+            "one lane per worker"
+        } else {
+            "single lane"
+        };
+        let (_, stats) = run_trails(cfg);
         for s in stats.steps() {
             assert!(
                 s.serialize_max <= s.serialize,
-                "{hotpath:?}: makespan {:?} exceeds wall {:?}",
+                "{lanes}: makespan {:?} exceeds wall {:?}",
                 s.serialize_max,
                 s.serialize
             );
@@ -192,7 +199,7 @@ impl flash_runtime::VertexData for Trail {
 
 /// Three all-sparse supersteps of trail propagation: every vertex pushes
 /// its whole trail over its out-edges; the reduce concatenates, then sorts.
-fn run_trails(cfg: flash_runtime::ClusterConfig) -> (Vec<Vec<u32>>, RunStats) {
+fn run_trails(cfg: ClusterConfig) -> (Vec<Vec<u32>>, RunStats) {
     use flash_core::prelude::*;
     let g = graph();
     let cfg = cfg.mode(flash_runtime::ModePolicy::ForceSparse);
@@ -221,18 +228,18 @@ fn run_trails(cfg: flash_runtime::ClusterConfig) -> (Vec<Vec<u32>>, RunStats) {
 
 #[test]
 fn heap_owning_values_reduce_identically_on_every_push_path() {
-    use flash_runtime::ClusterConfig;
     let (expected, _) = run_trails(ClusterConfig::with_workers(1));
     assert!(expected.iter().any(|t| t.len() > 100), "trails grew");
     for workers in [1usize, 2, 4] {
         let (_, base) = run_trails(ClusterConfig::with_workers(workers));
         for threads in [1usize, 4] {
-            for hotpath in [HotPath::PooledParallel, HotPath::FreshSerial] {
-                let cfg = ClusterConfig::with_workers(workers)
-                    .threads(threads)
-                    .hotpath(hotpath);
+            for serial in [false, true] {
+                let mut cfg = ClusterConfig::with_workers(workers).threads(threads);
+                if serial {
+                    cfg = cfg.sequential();
+                }
                 let (trails, stats) = run_trails(cfg);
-                let case = format!("workers={workers} threads={threads} {hotpath:?}");
+                let case = format!("workers={workers} threads={threads} serial={serial}");
                 assert_eq!(trails, expected, "{case}: answer diverged");
                 assert_eq!(
                     counter_trace(&stats),
@@ -249,7 +256,6 @@ fn heap_owning_values_reduce_identically_on_every_push_path() {
 /// and that trail would come out longer.
 #[test]
 fn faults_on_a_sparse_superstep_leave_nothing_staged() {
-    use flash_runtime::ClusterConfig;
     let (expected, clean) = run_trails(ClusterConfig::with_workers(3));
     for plan in ["crash@1:w1", "corrupt@2:w0"] {
         let faulted = ClusterConfig::with_workers(3)

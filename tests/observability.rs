@@ -218,9 +218,25 @@ fn jsonl_trace_round_trips_through_the_parser() {
     // The first line is the schema header analyzers validate against.
     let head = flash_obs::json::parse(lines[0]).expect("header parses");
     assert_eq!(head.get("event").and_then(Json::as_str), Some("run_meta"));
+    // Schema 2: `run_meta` is exactly these fields (1 also carried the
+    // hot-path label); a shape change must bump the version.
+    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(2));
+    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 2);
+    let Json::Obj(fields) = &head else {
+        panic!("header is not an object: {head:?}");
+    };
+    let names: Vec<&str> = fields.keys().map(String::as_str).collect();
     assert_eq!(
-        head.get("schema").and_then(Json::as_u64),
-        Some(flash_obs::TRACE_SCHEMA_VERSION)
+        names,
+        [
+            "event",
+            "fault_plan",
+            "hosts",
+            "schema",
+            "seed",
+            "seq",
+            "workers"
+        ]
     );
     let mut bytes = 0u64;
     let mut last_seq = None;

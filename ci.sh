@@ -19,6 +19,9 @@ echo "==> cargo clippy (obs crate, deny float-precision casts in metrics)"
 cargo clippy -p flash-obs --all-targets -- \
     -D warnings -D clippy::cast_precision_loss
 
+echo "==> cargo doc (-D warnings: doc comments and intra-doc links, incl. those passed through the events! table)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -4,13 +4,13 @@
 //! Each per-algorithm record in the snapshot carries two promises
 //! (see [`crate::jsonio::run_record`]): `supersteps` and `total_bytes`
 //! are **deterministic**, so any change is a behavioral regression and
-//! fails the gate exactly. Nothing timed is compared — timings live in
-//! the snapshot's `workloads` object (copied from `benchmark/run.sh`) and
-//! are judged by the pairing rule in `benchmark/README.md`, not here.
+//! fails the gate exactly. Nothing timed is compared — timings are
+//! measured by `benchmark/` and judged by the pairing rule in
+//! `benchmark/README.md`, not here.
 //!
-//! Non-algorithm sections of the snapshot (`workloads`) are ignored. The
-//! `bench_flash --baseline <path>` CLI wraps [`compare`] and exits
-//! nonzero on any mismatch.
+//! Top-level keys of the snapshot that are not algorithm records are
+//! ignored. The `bench_flash --baseline <path>` CLI wraps [`compare`] and
+//! exits nonzero on any mismatch.
 
 use flash_obs::Json;
 

@@ -1,9 +1,7 @@
 //! Writes the aggregate snapshot `BENCH_flash.json`: every CLI algorithm
 //! run on the OR stand-in (4 workers, adaptive mode), reported as
 //! `algorithm → {total_bytes, supersteps}` — the two counters that must
-//! never move by accident. The snapshot's `workloads` object (end-to-end
-//! numbers copied from a `benchmark/run.sh` pass; sizes, not claims) is
-//! not measured here: write mode carries it over from the existing file.
+//! never move by accident, and all the gate compares.
 //!
 //! `FLASH_SCALE=small` uses the reduced dataset; `FLASH_BENCH_DIR` moves
 //! the snapshot. A per-algorithm detail file also lands in
@@ -37,15 +35,11 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<String>, St
     Ok(baseline)
 }
 
-fn read_snapshot(path: &std::path::Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    flash_obs::json::parse(&text).map_err(|e| format!("cannot parse {path:?}: {e}"))
-}
-
 /// Runs the gate: parses the committed baseline, compares, prints the
 /// verdict table. Returns `Err` on regression.
 fn run_gate(path: &str, snapshot: &Json) -> Result<(), String> {
-    let base = read_snapshot(path.as_ref())?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    let base = flash_obs::json::parse(&text).map_err(|e| format!("cannot parse {path:?}: {e}"))?;
     let result = baseline::compare(&base, snapshot);
     println!("\nbaseline gate vs {path}:");
     for line in &result.lines {
@@ -136,25 +130,12 @@ fn main() {
         None if failed > 0 => Err(format!(
             "{failed} algorithm(s) failed; snapshot not written"
         )),
-        None => write_snapshot(snapshot),
+        None => jsonio::write_bench_snapshot(&snapshot)
+            .map(|path| println!("wrote {}", path.display()))
+            .map_err(|e| format!("could not write snapshot: {e}")),
     };
     if let Err(e) = outcome {
         eprintln!("bench_flash: {e}");
         std::process::exit(1);
     }
-}
-
-/// Write mode: re-pins the counters, keeping the `workloads` object of the
-/// snapshot being replaced.
-fn write_snapshot(mut snapshot: Json) -> Result<(), String> {
-    let path = jsonio::bench_snapshot_path();
-    if path.exists() {
-        if let Some(workloads) = read_snapshot(&path)?.get("workloads") {
-            snapshot = snapshot.set("workloads", workloads.clone());
-        }
-    }
-    let path = jsonio::write_bench_snapshot(&snapshot)
-        .map_err(|e| format!("could not write snapshot: {e}"))?;
-    println!("wrote {}", path.display());
-    Ok(())
 }

@@ -28,22 +28,14 @@ pub fn write_results(name: &str, value: &Json) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Where the top-level snapshot `BENCH_flash.json` lives: the working
-/// directory, or `$FLASH_BENCH_DIR` when set.
-pub fn bench_snapshot_path() -> PathBuf {
-    std::env::var_os("FLASH_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-        .join("BENCH_flash.json")
-}
-
-/// Writes the top-level snapshot to [`bench_snapshot_path`] and returns
-/// the path.
+/// Writes the top-level snapshot `BENCH_flash.json` (directory
+/// overridable via `FLASH_BENCH_DIR`) and returns the path.
 pub fn write_bench_snapshot(value: &Json) -> io::Result<PathBuf> {
-    let path = bench_snapshot_path();
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
+    let dir = std::env::var_os("FLASH_BENCH_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("."));
+    fs::create_dir_all(&dir)?;
+    let path = dir.join("BENCH_flash.json");
     fs::write(&path, format!("{}\n", value.to_pretty_string()))?;
     Ok(path)
 }

@@ -7,7 +7,7 @@
 //! same superstep count as the clean run — plus the suite's own evidence
 //! that the mechanism under test actually fired, and one or two probes
 //! that push the mechanism past what it can absorb and demand a clean
-//! typed error instead of a panic. [`Sweep`] is that shared skeleton
+//! typed error instead of a panic. `Sweep` is that shared skeleton
 //! (graph pair, base options, clean baseline, identity check, clean-error
 //! probe, failure list, table, `results/<suite>.json`); each suite below
 //! is its scenario table and what it counts.

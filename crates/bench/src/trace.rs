@@ -21,7 +21,7 @@
 //! The `flash_trace` binary is a thin CLI over this module.
 
 use flash_obs::json::{self, Json};
-use flash_obs::Histogram;
+use flash_obs::{Event, EventKind, Histogram};
 use std::collections::BTreeMap;
 
 /// Default number of slowest supersteps listed by the report.
@@ -137,24 +137,12 @@ pub struct Trace {
     pub simulated_parallel_ns: Option<u64>,
 }
 
-fn need_u64(obj: &Json, field: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(field)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing numeric field {field:?}"))
-}
-
-fn str_or(obj: &Json, field: &str, default: &str) -> String {
-    obj.get(field)
-        .and_then(Json::as_str)
-        .unwrap_or(default)
-        .to_string()
-}
-
 /// Parses a JSONL trace and validates its `run_meta` header.
 ///
 /// Refuses traces whose first event is not `run_meta` (pre-header traces
-/// from older runtimes) and traces whose schema version differs from this
-/// build's [`flash_obs::TRACE_SCHEMA_VERSION`].
+/// from older runtimes), traces whose schema version differs from this
+/// build's [`flash_obs::TRACE_SCHEMA_VERSION`], and any line that does not
+/// decode as an event of that schema ([`Event::from_json`]).
 pub fn parse_trace(text: &str) -> Result<Trace, String> {
     let mut meta: Option<TraceMeta> = None;
     let mut steps = Vec::new();
@@ -163,28 +151,32 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
     let mut simulated_parallel_ns = None;
 
     for (idx, line) in text.lines().enumerate() {
-        let line_no = idx + 1;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let obj = json::parse(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let tag = obj
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {line_no}: not a trace event (no \"event\" tag)"))?
-            .to_string();
+        let event = json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(|obj| Event::from_json(&obj))
+            .map_err(|e| format!("line {}: {e}", idx + 1))?;
         events += 1;
 
         if meta.is_none() {
-            if tag != "run_meta" {
+            let EventKind::RunMeta {
+                schema,
+                seed,
+                workers,
+                hosts,
+                fault_plan,
+            } = event.kind
+            else {
                 return Err(format!(
-                    "trace has no run_meta header: first event is {tag:?} \
+                    "trace has no run_meta header: first event is {:?} \
                      (trace predates schema v{} — re-record it with a current build)",
+                    event.kind.tag(),
                     flash_obs::TRACE_SCHEMA_VERSION
                 ));
-            }
-            let schema = need_u64(&obj, "schema", line_no)?;
+            };
             if schema != flash_obs::TRACE_SCHEMA_VERSION {
                 return Err(format!(
                     "unsupported trace schema v{schema} (this build reads v{})",
@@ -193,46 +185,58 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
             }
             meta = Some(TraceMeta {
                 schema,
-                seed: need_u64(&obj, "seed", line_no)?,
-                workers: need_u64(&obj, "workers", line_no)?,
-                hosts: need_u64(&obj, "hosts", line_no)?,
-                fault_plan: str_or(&obj, "fault_plan", "?"),
+                seed,
+                workers: workers as u64,
+                hosts: hosts as u64,
+                fault_plan,
             });
             continue;
         }
 
-        match tag.as_str() {
-            "worker_phase" => {
-                let step = need_u64(&obj, "step", line_no)?;
-                pending_workers
-                    .entry(step)
-                    .or_default()
-                    .push(WorkerCompute {
-                        worker: need_u64(&obj, "worker", line_no)?,
-                        compute_ns: need_u64(&obj, "compute_ns", line_no)?,
-                    });
-            }
-            "step_end" => {
-                let step = need_u64(&obj, "step", line_no)?;
-                steps.push(StepRecord {
-                    step,
-                    kind: str_or(&obj, "kind", "?"),
-                    active: need_u64(&obj, "active", line_no)?,
-                    compute_max_ns: need_u64(&obj, "compute_max_ns", line_no)?,
-                    barrier_skew_ns: need_u64(&obj, "barrier_skew_ns", line_no)?,
-                    serialize_ns: need_u64(&obj, "serialize_ns", line_no)?,
-                    serialize_max_ns: need_u64(&obj, "serialize_max_ns", line_no)?,
-                    communicate_ns: need_u64(&obj, "communicate_ns", line_no)?,
-                    delivery_ns: need_u64(&obj, "delivery_ns", line_no)?,
-                    simulated_net_ns: need_u64(&obj, "simulated_net_ns", line_no)?,
-                    // A retried step leaves the failed attempts' phases in
-                    // the map; only the attempt that reached step_end counts.
-                    workers: pending_workers.remove(&step).unwrap_or_default(),
-                });
-            }
-            "run_end" => {
-                simulated_parallel_ns = obj.get("simulated_parallel_ns").and_then(Json::as_u64);
-            }
+        match event.kind {
+            EventKind::WorkerPhase {
+                step,
+                worker,
+                compute_ns,
+                ..
+            } => pending_workers
+                .entry(step)
+                .or_default()
+                .push(WorkerCompute {
+                    worker: worker as u64,
+                    compute_ns,
+                }),
+            EventKind::StepEnd {
+                step,
+                kind,
+                active,
+                compute_max_ns,
+                barrier_skew_ns,
+                serialize_ns,
+                serialize_max_ns,
+                communicate_ns,
+                delivery_ns,
+                simulated_net_ns,
+                ..
+            } => steps.push(StepRecord {
+                step,
+                kind,
+                active: active as u64,
+                compute_max_ns,
+                barrier_skew_ns,
+                serialize_ns,
+                serialize_max_ns,
+                communicate_ns,
+                delivery_ns,
+                simulated_net_ns,
+                // A retried step leaves the failed attempts' phases in
+                // the map; only the attempt that reached step_end counts.
+                workers: pending_workers.remove(&step).unwrap_or_default(),
+            }),
+            EventKind::RunEnd {
+                simulated_parallel_ns: ns,
+                ..
+            } => simulated_parallel_ns = Some(ns),
             _ => {}
         }
     }
@@ -588,6 +592,13 @@ mod tests {
         assert!(parse_trace("").is_err());
         assert!(parse_trace("not json\n").is_err());
         assert!(parse_trace("{\"x\":1}\n").is_err());
+        // A known event that lost a field mid-trace is refused by line.
+        let text = sample_trace().replace("\"compute_ns\":30000,", "");
+        let err = parse_trace(&text).unwrap_err();
+        assert!(
+            err.starts_with("line 5: worker_phase: missing field"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! When the patch grows past a caller-chosen threshold,
 //! [`DeltaOverlay::materialize`] folds it into a fresh CSR via
-//! [`GraphBuilder`](crate::GraphBuilder) — the compaction step of the
+//! [`GraphBuilder`] — the compaction step of the
 //! serve loop.
 
 use crate::{Graph, GraphBuilder, GraphError, VertexId};

@@ -3,8 +3,12 @@
 //! Every event carries a monotonically increasing sequence number (assigned
 //! by the emitting runtime) and renders to a single JSON object via
 //! [`Event::to_json`], so a [`JsonLinesSink`](crate::sink::JsonLinesSink)
-//! trace is one event per line. Field names are stable — they are the
-//! machine-readable contract documented in DESIGN.md.
+//! trace is one event per line; [`Event::from_json`] reads it back. Field
+//! names are stable — they are the machine-readable contract of DESIGN.md §7.
+//!
+//! The vocabulary is declared once, in the `events!` table below: each
+//! kind's tag, fields and text line. [`EventKind`], [`SCHEMA`], the JSON
+//! writer and reader and the text form are all generated from it.
 
 use crate::json::Json;
 
@@ -17,17 +21,121 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The payload of an [`Event`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum EventKind {
+/// How one field type is read back from JSON ([`Json`]'s `From` impls write
+/// it): the only per-type code behind the `events!` table.
+trait Field: Sized {
+    fn from_json(value: &Json) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_u64()
+    }
+}
+
+impl Field for usize {
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_u64().and_then(|n| usize::try_from(n).ok())
+    }
+}
+
+impl Field for bool {
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_bool()
+    }
+}
+
+impl Field for String {
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_str().map(str::to_string)
+    }
+}
+
+impl Field for Vec<String> {
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_array()?.iter().map(String::from_json).collect()
+    }
+}
+
+/// Reads field `name` of the event tagged `tag` out of its JSON object.
+fn read<T: Field>(obj: &Json, tag: &str, name: &str) -> Result<T, String> {
+    let missing = || format!("{tag}: missing field {name:?}");
+    let value = obj.get(name).ok_or_else(missing)?;
+    T::from_json(value).ok_or_else(|| format!("{tag}: field {name:?} has the wrong type: {value}"))
+}
+
+/// Declares the trace vocabulary, one entry per kind:
+/// `Variant = "tag" { field: Type, … } => "text line", extra format args…;`
+/// The text line names fields as inline `{captures}`; a line that is not a
+/// plain format of its fields passes the derived piece positionally.
+macro_rules! events {
+    ($(
+        $(#[$variant_doc:meta])*
+        $variant:ident = $tag:literal {
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )*
+        } => $text:literal $(, $arg:expr)*;
+    )*) => {
+        /// The payload of an [`Event`].
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum EventKind {
+            $( $(#[$variant_doc])* $variant { $( $(#[$field_doc])* $field: $ty, )* }, )*
+        }
+
+        /// Every event kind as `(tag, field names)`, in declaration order.
+        /// Each JSON line carries `"event"` (the tag) and `"seq"` besides
+        /// these fields. DESIGN.md §7 is checked against this table.
+        pub const SCHEMA: &[(&str, &[&str])] = &[
+            $( ($tag, &[ $( stringify!($field) ),* ]), )*
+        ];
+
+        impl EventKind {
+            /// Stable string tag identifying the variant (the `"event"` field).
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( Self::$variant { .. } => $tag, )*
+                }
+            }
+
+            /// Flattens the variant's fields into `obj`.
+            fn write_fields(&self, obj: Json) -> Json {
+                match self {
+                    $( Self::$variant { $( $field ),* } => obj
+                        $( .set(stringify!($field), $field.clone()) )*, )*
+                }
+            }
+
+            /// Reads the variant tagged `tag` back out of `obj`.
+            fn read_fields(tag: &str, obj: &Json) -> Result<Self, String> {
+                match tag {
+                    $( $tag => Ok(Self::$variant {
+                        $( $field: read(obj, tag, stringify!($field))?, )*
+                    }), )*
+                    _ => Err(format!("unknown event tag {tag:?}")),
+                }
+            }
+
+            /// The variant's text line, without the sequence prefix.
+            #[allow(unused_variables)] // a line need not mention every field
+            fn text(&self) -> String {
+                match self {
+                    $( Self::$variant { $( $field ),* } => format!($text $(, $arg)*), )*
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// Trace header: always the first line of a JSONL trace, identifying
     /// the schema version and the run's configuration so analyzers can
     /// validate a trace before interpreting it.
-    RunMeta {
+    RunMeta = "run_meta" {
         /// Trace schema version
         /// ([`TRACE_SCHEMA_VERSION`](crate::TRACE_SCHEMA_VERSION)).
         schema: u64,
-        /// Fault-plan PRNG seed (0 when no plan is configured).
+        /// Fault-plan PRNG seed (0 when no plan is configured). A JSON
+        /// number, so exact only below 2^53 — unlike a checksum, a seed is
+        /// chosen by the user, whose `--faults` text is its exact record.
         seed: u64,
         /// Logical worker (partition) count.
         workers: usize,
@@ -36,9 +144,9 @@ pub enum EventKind {
         hosts: usize,
         /// Compact fault-plan description (`"none"` when faults are off).
         fault_plan: String,
-    },
+    } => "trace schema v{schema}: {workers} workers on {hosts} hosts, faults={fault_plan}, seed={seed}";
     /// A cluster came up: emitted once from `Cluster::new`.
-    RunStart {
+    RunStart = "run_start" {
         /// Simulated worker count.
         workers: usize,
         /// Number of vertices in the loaded graph.
@@ -49,9 +157,9 @@ pub enum EventKind {
         net_latency_us: u64,
         /// Network bandwidth in bytes per second.
         net_bandwidth_bps: u64,
-    },
+    } => "run start: {workers} workers, |V|={vertices}, |E|={edges}";
     /// A superstep began.
-    StepStart {
+    StepStart = "step_start" {
         /// Superstep index (0-based, monotonic across the run).
         step: u64,
         /// Kernel kind label: `"vmap"`, `"dense"`, `"sparse"`, or
@@ -59,9 +167,9 @@ pub enum EventKind {
         kind: String,
         /// Frontier size entering the step.
         active: usize,
-    },
+    } => "step {step} start ({kind}), frontier={active}";
     /// Per-worker compute phase within a superstep.
-    WorkerPhase {
+    WorkerPhase = "worker_phase" {
         /// Superstep index this phase belongs to.
         step: u64,
         /// Worker id (0-based).
@@ -75,9 +183,9 @@ pub enum EventKind {
         staged_puts: u64,
         /// Master-directed writes staged by this worker.
         staged_writes: u64,
-    },
+    } => "step {step} worker {worker}: compute={compute_us}us puts={staged_puts} writes={staged_writes}";
     /// A superstep completed (emitted after mirror sync).
-    StepEnd {
+    StepEnd = "step_end" {
         /// Superstep index.
         step: u64,
         /// Kernel kind label.
@@ -132,9 +240,9 @@ pub enum EventKind {
         delivery_ns: u64,
         /// Simulated network time, in nanoseconds.
         simulated_net_ns: u64,
-    },
+    } => "step {step} end ({kind}): upd={upd_bytes}B sync={sync_bytes}B compute_max={compute_max_us}us skew={barrier_skew_us}us";
     /// The sync planner decided which properties to ship for one step.
-    SyncPlan {
+    SyncPlan = "sync_plan" {
         /// Superstep index.
         step: u64,
         /// Sync mode label: `"full"` or `"critical"`.
@@ -144,9 +252,9 @@ pub enum EventKind {
         /// Critical properties selected for synchronization (empty =
         /// undeclared, i.e. the whole value ships).
         properties: Vec<String>,
-    },
+    } => "step {step} sync plan: mode={mode} scope={scope} properties=[{}]", properties.join(",");
     /// The adaptive `EDGEMAP` chose a kernel.
-    ModeDecision {
+    ModeDecision = "mode_decision" {
         /// Superstep index the decision applies to (the step about to run).
         step: u64,
         /// Frontier size `|U|`.
@@ -161,18 +269,18 @@ pub enum EventKind {
         /// Dispatch policy in force: `"adaptive"`, `"force-dense"`, or
         /// `"force-sparse"`.
         policy: String,
-    },
+    } => "step {step} edge_map chose {chosen} ({policy}): |U|={frontier}, |U|+outE={frontier_edges} vs {threshold_edges}";
     /// A consistent checkpoint was captured at a superstep boundary.
-    CheckpointTaken {
+    CheckpointTaken = "checkpoint_taken" {
         /// The superstep the snapshot precedes.
         step: u64,
         /// Serialized checkpoint size in bytes (masters only).
         bytes: u64,
         /// The configured checkpoint interval, in supersteps.
         interval: u64,
-    },
+    } => "checkpoint before step {step}: {bytes}B (every {interval} steps)";
     /// A scripted fault fired (and was detected at the barrier).
-    FaultInjected {
+    FaultInjected = "fault_injected" {
         /// Superstep the fault fired at.
         step: u64,
         /// Worker the fault targeted.
@@ -181,10 +289,10 @@ pub enum EventKind {
         kind: String,
         /// Which compute attempt of the superstep it hit (0-based).
         attempt: u64,
-    },
+    } => "step {step} fault: {kind} on worker {worker} (attempt {attempt})";
     /// Recovery rolled workers back to a checkpoint and replayed the redo
     /// log before retrying a failed superstep.
-    RecoveryReplay {
+    RecoveryReplay = "recovery_replay" {
         /// The superstep being retried.
         step: u64,
         /// The checkpointed superstep rolled back to.
@@ -195,11 +303,11 @@ pub enum EventKind {
         attempt: u64,
         /// Simulated capped-exponential backoff charged, in microseconds.
         backoff_us: u64,
-    },
+    } => "step {step} recovery: rollback to {from_step}, replay {replayed} steps, retry {attempt} after {backoff_us}us";
     /// The failure detector declared a worker permanently dead (its `die`
     /// fault exhausted the retry budget, or its barrier delay reached the
     /// detector deadline).
-    WorkerDeclaredDead {
+    WorkerDeclaredDead = "worker_declared_dead" {
         /// The superstep at which the worker was declared dead.
         step: u64,
         /// The dead worker (physical host id).
@@ -209,10 +317,10 @@ pub enum EventKind {
         reason: String,
         /// The membership epoch the cluster moves to.
         epoch: u64,
-    },
+    } => "step {step} worker {worker} declared dead ({reason}), entering epoch {epoch}";
     /// The cluster entered a new membership epoch (after a death or a
     /// rejoin) and rebuilt its partition-to-host routing.
-    MembershipEpoch {
+    MembershipEpoch = "membership_epoch" {
         /// The new epoch number (the initial membership is epoch 0).
         epoch: u64,
         /// The superstep at which the epoch began.
@@ -223,10 +331,10 @@ pub enum EventKind {
         moved_partitions: usize,
         /// What triggered the change: `"die"`, `"deadline"` or `"rejoin"`.
         cause: String,
-    },
+    } => "step {step} membership epoch {epoch} ({cause}): {live_hosts} live hosts, {moved_partitions} partitions moved";
     /// One logical partition's master state was migrated to a new host as
     /// part of a membership epoch change.
-    StateMigrated {
+    StateMigrated = "state_migrated" {
         /// The membership epoch this migration belongs to.
         epoch: u64,
         /// The logical partition (worker id) that moved.
@@ -239,11 +347,11 @@ pub enum EventKind {
         vertices: u64,
         /// Serialized bytes transferred.
         bytes: u64,
-    },
+    } => "epoch {epoch} migrated partition {partition}: host {from} -> {to}, {vertices} vertices, {bytes}B";
     /// The lossy channel discarded one transmission attempt of a cross-host
     /// batch (scripted `drop@`, probabilistic `loss=`, or a detected
     /// checksum corruption that forced a nack).
-    BatchDropped {
+    BatchDropped = "batch_dropped" {
         /// Superstep the batch belongs to.
         step: u64,
         /// Message round within the superstep: `"upd"` (mirror→master) or
@@ -260,10 +368,10 @@ pub enum EventKind {
         /// Why: `"drop"` (scripted), `"loss"` (probabilistic), or
         /// `"corrupt"` (wire checksum mismatch, nacked by the receiver).
         cause: String,
-    },
+    } => "step {step} {round} batch {sender}->{receiver} #{seq_no} dropped ({cause}, attempt {attempt})";
     /// The sender's ack deadline expired for a batch and it was put back
     /// on the wire.
-    BatchRetransmitted {
+    BatchRetransmitted = "batch_retransmitted" {
         /// Superstep the batch belongs to.
         step: u64,
         /// Message round within the superstep: `"upd"` or `"sync"`.
@@ -279,11 +387,11 @@ pub enum EventKind {
         attempt: u64,
         /// Payload bytes re-shipped.
         bytes: u64,
-    },
+    } => "step {step} {round} batch {sender}->{receiver} #{seq_no} retransmitted (attempt {attempt}, {bytes}B)";
     /// The receive-side dedup window discarded a batch copy it had already
     /// admitted (a duplicate delivery or a late reordered original racing
     /// its own retransmission).
-    BatchDeduped {
+    BatchDeduped = "batch_deduped" {
         /// Superstep the batch belongs to.
         step: u64,
         /// Message round within the superstep: `"upd"` or `"sync"`.
@@ -294,10 +402,10 @@ pub enum EventKind {
         receiver: usize,
         /// Per-(sender, receiver) wire sequence number of the batch.
         seq_no: u64,
-    },
+    } => "step {step} {round} batch {sender}->{receiver} #{seq_no} duplicate discarded";
     /// The replicated control plane elected a leader host (the initial
     /// election, or a re-election after the previous leader crashed).
-    LeaderElected {
+    LeaderElected = "leader_elected" {
         /// The consensus term the leader now serves.
         term: u64,
         /// The elected leader host.
@@ -308,10 +416,10 @@ pub enum EventKind {
         votes: usize,
         /// Hosts live in the electorate.
         live_hosts: usize,
-    },
+    } => "step {step} term {term}: host {leader} elected leader ({votes}/{live_hosts} votes)";
     /// A control-plane decision was committed to the replicated log by a
     /// majority of live hosts, and only then applied.
-    LogCommitted {
+    LogCommitted = "log_committed" {
         /// The consensus term the entry was appended under.
         term: u64,
         /// The entry's log index (1-based, strictly sequential).
@@ -325,11 +433,11 @@ pub enum EventKind {
         acks: usize,
         /// Acknowledgements a majority required.
         quorum: usize,
-    },
+    } => "step {step} log[{index}] committed ({kind}, term {term}, {acks} acks, quorum {quorum})";
     /// The checksum quorum caught a worker returning a sync payload whose
     /// checksum disagrees with the honest majority; the accusation is
     /// escalated to a death declaration through the consensus log.
-    WorkerAccused {
+    WorkerAccused = "worker_accused" {
         /// The superstep at which the lie was detected.
         step: u64,
         /// The accused worker.
@@ -338,15 +446,16 @@ pub enum EventKind {
         accusers: usize,
         /// Replicas a majority required.
         quorum: usize,
-        /// The checksum the honest majority recomputed.
-        expected: u64,
-        /// The checksum the accused worker reported.
-        observed: u64,
-    },
+        /// The checksum the honest majority recomputed, as 16 hex digits
+        /// after `0x`: a JSON number cannot carry 64 bits through `f64`.
+        expected: String,
+        /// The checksum the accused worker reported, in the same form.
+        observed: String,
+    } => "step {step} worker {worker} accused of lying by {accusers} replicas (quorum {quorum}): checksum {observed} != {expected}";
     /// The durable checkpoint store committed a generation to disk
     /// (tmp + fsync + atomic rename + directory fsync) — only after this
     /// does the `CheckpointCommit` consensus entry replicate.
-    CheckpointDurable {
+    CheckpointDurable = "checkpoint_durable" {
         /// The generation number committed.
         generation: u64,
         /// The superstep the generation's checkpoint frame precedes.
@@ -356,12 +465,12 @@ pub enum EventKind {
         frames: u64,
         /// Bytes written and fsynced for this commit.
         bytes: u64,
-    },
+    } => "step {step} durable gen {generation} committed: {frames} frame(s), {bytes}B fsynced";
     /// The scrub pass at open repaired the store: it condemned a
     /// generation whose header or checkpoint frame is damaged and skipped
     /// it, or cut a torn / bit-rotted delta tail back to the longest
     /// valid frame prefix.
-    CheckpointScrubbed {
+    CheckpointScrubbed = "checkpoint_scrubbed" {
         /// The damaged generation number.
         generation: u64,
         /// What the scrub found: e.g. `"frame checksum mismatch"`,
@@ -372,19 +481,19 @@ pub enum EventKind {
         /// generation was loaded — or it was condemned with nothing older
         /// left, and the store degraded to `DurabilityLost`.
         fallback: bool,
-    },
+    } => "scrub: gen {generation} damaged ({reason}); {}", if *fallback { "falling back to previous generation" } else { "no fallback" };
     /// A durable write or fsync failed (injected `ioerr@` fault or a real
     /// I/O error): nothing was committed, and the step is a gap in the
     /// log that a resume re-executes.
-    DurableIoError {
+    DurableIoError = "durable_io_error" {
         /// The superstep whose durable write failed.
         step: u64,
         /// The failed operation: `"checkpoint"` or `"delta"`.
         op: String,
-    },
+    } => "step {step} durable {op} write failed (injected ioerr); commit skipped";
     /// A serving session opened over a shared immutable snapshot
     /// (emitted by `flash_runtime::Session::new`).
-    SessionStart {
+    SessionStart = "session_start" {
         /// The session id (unique within one serving process).
         session: u64,
         /// Vertices in the shared snapshot.
@@ -393,19 +502,19 @@ pub enum EventKind {
         edges: usize,
         /// Logical workers each query cluster simulates.
         workers: usize,
-    },
+    } => "session {session} start: |V|={vertices}, |E|={edges}, {workers} workers";
     /// A serving session closed after its last query.
-    SessionEnd {
+    SessionEnd = "session_end" {
         /// The session id.
         session: u64,
         /// Queries the session answered.
         queries: u64,
         /// Total query latency across the session, in microseconds.
         total_latency_us: u64,
-    },
+    } => "session {session} end: {queries} queries, {total_latency_us}us total latency";
     /// A streaming edge-update batch was applied to the delta overlay
     /// (and any maintained results incrementally repaired).
-    UpdateApplied {
+    UpdateApplied = "update_applied" {
         /// The session id the batch was applied under.
         session: u64,
         /// Batch sequence number (0-based within the session).
@@ -420,9 +529,9 @@ pub enum EventKind {
         /// Which maintained results were repaired, e.g. `"cc"`,
         /// `"cc+pagerank"`, or `"none"`.
         repaired: String,
-    },
+    } => "session {session} update batch {batch}: +{inserted} -{removed} edges, {touched} vertices touched, repaired={repaired}";
     /// A run finished (emitted by `Cluster::take_stats`).
-    RunEnd {
+    RunEnd = "run_end" {
         /// Supersteps executed.
         supersteps: usize,
         /// Total bytes communicated.
@@ -433,662 +542,75 @@ pub enum EventKind {
         simulated_parallel_us: u64,
         /// Simulated parallel time, in nanoseconds.
         simulated_parallel_ns: u64,
-    },
-}
-
-impl EventKind {
-    /// Stable string tag identifying the variant (the `"event"` field).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::RunMeta { .. } => "run_meta",
-            EventKind::RunStart { .. } => "run_start",
-            EventKind::StepStart { .. } => "step_start",
-            EventKind::WorkerPhase { .. } => "worker_phase",
-            EventKind::StepEnd { .. } => "step_end",
-            EventKind::SyncPlan { .. } => "sync_plan",
-            EventKind::ModeDecision { .. } => "mode_decision",
-            EventKind::CheckpointTaken { .. } => "checkpoint_taken",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::RecoveryReplay { .. } => "recovery_replay",
-            EventKind::WorkerDeclaredDead { .. } => "worker_declared_dead",
-            EventKind::MembershipEpoch { .. } => "membership_epoch",
-            EventKind::StateMigrated { .. } => "state_migrated",
-            EventKind::BatchDropped { .. } => "batch_dropped",
-            EventKind::BatchRetransmitted { .. } => "batch_retransmitted",
-            EventKind::BatchDeduped { .. } => "batch_deduped",
-            EventKind::LeaderElected { .. } => "leader_elected",
-            EventKind::LogCommitted { .. } => "log_committed",
-            EventKind::WorkerAccused { .. } => "worker_accused",
-            EventKind::CheckpointDurable { .. } => "checkpoint_durable",
-            EventKind::CheckpointScrubbed { .. } => "checkpoint_scrubbed",
-            EventKind::DurableIoError { .. } => "durable_io_error",
-            EventKind::SessionStart { .. } => "session_start",
-            EventKind::SessionEnd { .. } => "session_end",
-            EventKind::UpdateApplied { .. } => "update_applied",
-            EventKind::RunEnd { .. } => "run_end",
-        }
-    }
+    } => "run end: {supersteps} supersteps, {total_bytes}B, {total_messages} msgs, T_sim={simulated_parallel_us}us";
 }
 
 impl Event {
     /// Renders the event as a JSON object with an `"event"` tag, the
     /// sequence number, and the variant's fields flattened alongside.
     pub fn to_json(&self) -> Json {
-        let base = Json::object()
-            .set("event", self.kind.tag())
-            .set("seq", self.seq);
-        match &self.kind {
-            EventKind::RunMeta {
-                schema,
-                seed,
-                workers,
-                hosts,
-                fault_plan,
-            } => base
-                .set("schema", *schema)
-                .set("seed", *seed)
-                .set("workers", *workers)
-                .set("hosts", *hosts)
-                .set("fault_plan", fault_plan.as_str()),
-            EventKind::RunStart {
-                workers,
-                vertices,
-                edges,
-                net_latency_us,
-                net_bandwidth_bps,
-            } => base
-                .set("workers", *workers)
-                .set("vertices", *vertices)
-                .set("edges", *edges)
-                .set("net_latency_us", *net_latency_us)
-                .set("net_bandwidth_bps", *net_bandwidth_bps),
-            EventKind::StepStart { step, kind, active } => base
-                .set("step", *step)
-                .set("kind", kind.as_str())
-                .set("active", *active),
-            EventKind::WorkerPhase {
-                step,
-                worker,
-                compute_us,
-                compute_ns,
-                staged_puts,
-                staged_writes,
-            } => base
-                .set("step", *step)
-                .set("worker", *worker)
-                .set("compute_us", *compute_us)
-                .set("compute_ns", *compute_ns)
-                .set("staged_puts", *staged_puts)
-                .set("staged_writes", *staged_writes),
-            EventKind::StepEnd {
-                step,
-                kind,
-                active,
-                upd_messages,
-                upd_bytes,
-                sync_messages,
-                sync_bytes,
-                compute_us,
-                compute_max_us,
-                compute_min_us,
-                barrier_skew_us,
-                serialize_us,
-                serialize_max_us,
-                communicate_us,
-                delivery_us,
-                simulated_net_us,
-                compute_ns,
-                compute_max_ns,
-                compute_min_ns,
-                barrier_skew_ns,
-                serialize_ns,
-                serialize_max_ns,
-                communicate_ns,
-                delivery_ns,
-                simulated_net_ns,
-            } => base
-                .set("step", *step)
-                .set("kind", kind.as_str())
-                .set("active", *active)
-                .set("upd_messages", *upd_messages)
-                .set("upd_bytes", *upd_bytes)
-                .set("sync_messages", *sync_messages)
-                .set("sync_bytes", *sync_bytes)
-                .set("compute_us", *compute_us)
-                .set("compute_max_us", *compute_max_us)
-                .set("compute_min_us", *compute_min_us)
-                .set("barrier_skew_us", *barrier_skew_us)
-                .set("serialize_us", *serialize_us)
-                .set("serialize_max_us", *serialize_max_us)
-                .set("communicate_us", *communicate_us)
-                .set("delivery_us", *delivery_us)
-                .set("simulated_net_us", *simulated_net_us)
-                .set("compute_ns", *compute_ns)
-                .set("compute_max_ns", *compute_max_ns)
-                .set("compute_min_ns", *compute_min_ns)
-                .set("barrier_skew_ns", *barrier_skew_ns)
-                .set("serialize_ns", *serialize_ns)
-                .set("serialize_max_ns", *serialize_max_ns)
-                .set("communicate_ns", *communicate_ns)
-                .set("delivery_ns", *delivery_ns)
-                .set("simulated_net_ns", *simulated_net_ns),
-            EventKind::SyncPlan {
-                step,
-                mode,
-                scope,
-                properties,
-            } => base
-                .set("step", *step)
-                .set("mode", mode.as_str())
-                .set("scope", scope.as_str())
-                .set(
-                    "properties",
-                    Json::Arr(properties.iter().map(|p| Json::from(p.as_str())).collect()),
-                ),
-            EventKind::ModeDecision {
-                step,
-                frontier,
-                frontier_edges,
-                threshold_edges,
-                chosen,
-                policy,
-            } => base
-                .set("step", *step)
-                .set("frontier", *frontier)
-                .set("frontier_edges", *frontier_edges)
-                .set("threshold_edges", *threshold_edges)
-                .set("chosen", chosen.as_str())
-                .set("policy", policy.as_str()),
-            EventKind::CheckpointTaken {
-                step,
-                bytes,
-                interval,
-            } => base
-                .set("step", *step)
-                .set("bytes", *bytes)
-                .set("interval", *interval),
-            EventKind::FaultInjected {
-                step,
-                worker,
-                kind,
-                attempt,
-            } => base
-                .set("step", *step)
-                .set("worker", *worker)
-                .set("kind", kind.as_str())
-                .set("attempt", *attempt),
-            EventKind::RecoveryReplay {
-                step,
-                from_step,
-                replayed,
-                attempt,
-                backoff_us,
-            } => base
-                .set("step", *step)
-                .set("from_step", *from_step)
-                .set("replayed", *replayed)
-                .set("attempt", *attempt)
-                .set("backoff_us", *backoff_us),
-            EventKind::WorkerDeclaredDead {
-                step,
-                worker,
-                reason,
-                epoch,
-            } => base
-                .set("step", *step)
-                .set("worker", *worker)
-                .set("reason", reason.as_str())
-                .set("epoch", *epoch),
-            EventKind::MembershipEpoch {
-                epoch,
-                step,
-                live_hosts,
-                moved_partitions,
-                cause,
-            } => base
-                .set("epoch", *epoch)
-                .set("step", *step)
-                .set("live_hosts", *live_hosts)
-                .set("moved_partitions", *moved_partitions)
-                .set("cause", cause.as_str()),
-            EventKind::StateMigrated {
-                epoch,
-                partition,
-                from,
-                to,
-                vertices,
-                bytes,
-            } => base
-                .set("epoch", *epoch)
-                .set("partition", *partition)
-                .set("from", *from)
-                .set("to", *to)
-                .set("vertices", *vertices)
-                .set("bytes", *bytes),
-            EventKind::BatchDropped {
-                step,
-                round,
-                sender,
-                receiver,
-                seq_no,
-                attempt,
-                cause,
-            } => base
-                .set("step", *step)
-                .set("round", round.as_str())
-                .set("sender", *sender)
-                .set("receiver", *receiver)
-                .set("seq_no", *seq_no)
-                .set("attempt", *attempt)
-                .set("cause", cause.as_str()),
-            EventKind::BatchRetransmitted {
-                step,
-                round,
-                sender,
-                receiver,
-                seq_no,
-                attempt,
-                bytes,
-            } => base
-                .set("step", *step)
-                .set("round", round.as_str())
-                .set("sender", *sender)
-                .set("receiver", *receiver)
-                .set("seq_no", *seq_no)
-                .set("attempt", *attempt)
-                .set("bytes", *bytes),
-            EventKind::BatchDeduped {
-                step,
-                round,
-                sender,
-                receiver,
-                seq_no,
-            } => base
-                .set("step", *step)
-                .set("round", round.as_str())
-                .set("sender", *sender)
-                .set("receiver", *receiver)
-                .set("seq_no", *seq_no),
-            EventKind::LeaderElected {
-                term,
-                leader,
-                step,
-                votes,
-                live_hosts,
-            } => base
-                .set("term", *term)
-                .set("leader", *leader)
-                .set("step", *step)
-                .set("votes", *votes)
-                .set("live_hosts", *live_hosts),
-            EventKind::LogCommitted {
-                term,
-                index,
-                step,
-                kind,
-                acks,
-                quorum,
-            } => base
-                .set("term", *term)
-                .set("index", *index)
-                .set("step", *step)
-                .set("kind", kind.as_str())
-                .set("acks", *acks)
-                .set("quorum", *quorum),
-            EventKind::WorkerAccused {
-                step,
-                worker,
-                accusers,
-                quorum,
-                expected,
-                observed,
-            } => base
-                .set("step", *step)
-                .set("worker", *worker)
-                .set("accusers", *accusers)
-                .set("quorum", *quorum)
-                .set("expected", *expected)
-                .set("observed", *observed),
-            EventKind::CheckpointDurable {
-                generation,
-                step,
-                frames,
-                bytes,
-            } => base
-                .set("generation", *generation)
-                .set("step", *step)
-                .set("frames", *frames)
-                .set("bytes", *bytes),
-            EventKind::CheckpointScrubbed {
-                generation,
-                reason,
-                fallback,
-            } => base
-                .set("generation", *generation)
-                .set("reason", reason.as_str())
-                .set("fallback", *fallback),
-            EventKind::DurableIoError { step, op } => {
-                base.set("step", *step).set("op", op.as_str())
-            }
-            EventKind::SessionStart {
-                session,
-                vertices,
-                edges,
-                workers,
-            } => base
-                .set("session", *session)
-                .set("vertices", *vertices)
-                .set("edges", *edges)
-                .set("workers", *workers),
-            EventKind::SessionEnd {
-                session,
-                queries,
-                total_latency_us,
-            } => base
-                .set("session", *session)
-                .set("queries", *queries)
-                .set("total_latency_us", *total_latency_us),
-            EventKind::UpdateApplied {
-                session,
-                batch,
-                inserted,
-                removed,
-                touched,
-                repaired,
-            } => base
-                .set("session", *session)
-                .set("batch", *batch)
-                .set("inserted", *inserted)
-                .set("removed", *removed)
-                .set("touched", *touched)
-                .set("repaired", repaired.as_str()),
-            EventKind::RunEnd {
-                supersteps,
-                total_bytes,
-                total_messages,
-                simulated_parallel_us,
-                simulated_parallel_ns,
-            } => base
-                .set("supersteps", *supersteps)
-                .set("total_bytes", *total_bytes)
-                .set("total_messages", *total_messages)
-                .set("simulated_parallel_us", *simulated_parallel_us)
-                .set("simulated_parallel_ns", *simulated_parallel_ns),
-        }
+        let base = Json::object().set("event", self.kind.tag());
+        self.kind.write_fields(base.set("seq", self.seq))
+    }
+
+    /// Decodes what [`Event::to_json`] wrote. Refuses an object with no or
+    /// an unknown `"event"` tag, and one that lacks a field of its kind or
+    /// carries it with the wrong type.
+    pub fn from_json(obj: &Json) -> Result<Event, String> {
+        let tag = obj.get("event").and_then(Json::as_str);
+        let tag = tag.ok_or("not a trace event (no \"event\" tag)")?;
+        Ok(Event {
+            seq: read(obj, tag, "seq")?,
+            kind: EventKind::read_fields(tag, obj)?,
+        })
     }
 
     /// One-line human-readable rendering used by
     /// [`TextSink`](crate::sink::TextSink).
     pub fn to_text(&self) -> String {
-        match &self.kind {
-            EventKind::RunMeta {
-                schema,
-                seed,
-                workers,
-                hosts,
-                fault_plan,
-            } => format!(
-                "[{:>4}] trace schema v{schema}: {workers} workers on {hosts} hosts, faults={fault_plan}, seed={seed}",
-                self.seq
-            ),
-            EventKind::RunStart {
-                workers,
-                vertices,
-                edges,
-                ..
-            } => format!(
-                "[{:>4}] run start: {workers} workers, |V|={vertices}, |E|={edges}",
-                self.seq
-            ),
-            EventKind::StepStart { step, kind, active } => {
-                format!("[{:>4}] step {step} start ({kind}), frontier={active}", self.seq)
-            }
-            EventKind::WorkerPhase {
-                step,
-                worker,
-                compute_us,
-                staged_puts,
-                staged_writes,
-                ..
-            } => format!(
-                "[{:>4}] step {step} worker {worker}: compute={compute_us}us puts={staged_puts} writes={staged_writes}",
-                self.seq
-            ),
-            EventKind::StepEnd {
-                step,
-                kind,
-                upd_bytes,
-                sync_bytes,
-                compute_max_us,
-                barrier_skew_us,
-                ..
-            } => format!(
-                "[{:>4}] step {step} end ({kind}): upd={upd_bytes}B sync={sync_bytes}B compute_max={compute_max_us}us skew={barrier_skew_us}us",
-                self.seq
-            ),
-            EventKind::SyncPlan {
-                step,
-                mode,
-                scope,
-                properties,
-            } => format!(
-                "[{:>4}] step {step} sync plan: mode={mode} scope={scope} properties=[{}]",
-                self.seq,
-                properties.join(",")
-            ),
-            EventKind::ModeDecision {
-                step,
-                frontier,
-                frontier_edges,
-                threshold_edges,
-                chosen,
-                policy,
-            } => format!(
-                "[{:>4}] step {step} edge_map chose {chosen} ({policy}): |U|={frontier}, |U|+outE={frontier_edges} vs {threshold_edges}",
-                self.seq
-            ),
-            EventKind::CheckpointTaken {
-                step,
-                bytes,
-                interval,
-            } => format!(
-                "[{:>4}] checkpoint before step {step}: {bytes}B (every {interval} steps)",
-                self.seq
-            ),
-            EventKind::FaultInjected {
-                step,
-                worker,
-                kind,
-                attempt,
-            } => format!(
-                "[{:>4}] step {step} fault: {kind} on worker {worker} (attempt {attempt})",
-                self.seq
-            ),
-            EventKind::RecoveryReplay {
-                step,
-                from_step,
-                replayed,
-                attempt,
-                backoff_us,
-            } => format!(
-                "[{:>4}] step {step} recovery: rollback to {from_step}, replay {replayed} steps, retry {attempt} after {backoff_us}us",
-                self.seq
-            ),
-            EventKind::WorkerDeclaredDead {
-                step,
-                worker,
-                reason,
-                epoch,
-            } => format!(
-                "[{:>4}] step {step} worker {worker} declared dead ({reason}), entering epoch {epoch}",
-                self.seq
-            ),
-            EventKind::MembershipEpoch {
-                epoch,
-                step,
-                live_hosts,
-                moved_partitions,
-                cause,
-            } => format!(
-                "[{:>4}] step {step} membership epoch {epoch} ({cause}): {live_hosts} live hosts, {moved_partitions} partitions moved",
-                self.seq
-            ),
-            EventKind::StateMigrated {
-                epoch,
-                partition,
-                from,
-                to,
-                vertices,
-                bytes,
-            } => format!(
-                "[{:>4}] epoch {epoch} migrated partition {partition}: host {from} -> {to}, {vertices} vertices, {bytes}B",
-                self.seq
-            ),
-            EventKind::BatchDropped {
-                step,
-                round,
-                sender,
-                receiver,
-                seq_no,
-                attempt,
-                cause,
-            } => format!(
-                "[{:>4}] step {step} {round} batch {sender}->{receiver} #{seq_no} dropped ({cause}, attempt {attempt})",
-                self.seq
-            ),
-            EventKind::BatchRetransmitted {
-                step,
-                round,
-                sender,
-                receiver,
-                seq_no,
-                attempt,
-                bytes,
-            } => format!(
-                "[{:>4}] step {step} {round} batch {sender}->{receiver} #{seq_no} retransmitted (attempt {attempt}, {bytes}B)",
-                self.seq
-            ),
-            EventKind::BatchDeduped {
-                step,
-                round,
-                sender,
-                receiver,
-                seq_no,
-            } => format!(
-                "[{:>4}] step {step} {round} batch {sender}->{receiver} #{seq_no} duplicate discarded",
-                self.seq
-            ),
-            EventKind::LeaderElected {
-                term,
-                leader,
-                step,
-                votes,
-                live_hosts,
-            } => format!(
-                "[{:>4}] step {step} term {term}: host {leader} elected leader ({votes}/{live_hosts} votes)",
-                self.seq
-            ),
-            EventKind::LogCommitted {
-                term,
-                index,
-                step,
-                kind,
-                acks,
-                quorum,
-            } => format!(
-                "[{:>4}] step {step} log[{index}] committed ({kind}, term {term}, {acks} acks, quorum {quorum})",
-                self.seq
-            ),
-            EventKind::WorkerAccused {
-                step,
-                worker,
-                accusers,
-                quorum,
-                expected,
-                observed,
-            } => format!(
-                "[{:>4}] step {step} worker {worker} accused of lying by {accusers} replicas (quorum {quorum}): checksum {observed:#x} != {expected:#x}",
-                self.seq
-            ),
-            EventKind::CheckpointDurable {
-                generation,
-                step,
-                frames,
-                bytes,
-            } => format!(
-                "[{:>4}] step {step} durable gen {generation} committed: {frames} frame(s), {bytes}B fsynced",
-                self.seq
-            ),
-            EventKind::CheckpointScrubbed {
-                generation,
-                reason,
-                fallback,
-            } => format!(
-                "[{:>4}] scrub: gen {generation} damaged ({reason}); {}",
-                self.seq,
-                if *fallback {
-                    "falling back to previous generation"
-                } else {
-                    "no fallback"
-                }
-            ),
-            EventKind::DurableIoError { step, op } => format!(
-                "[{:>4}] step {step} durable {op} write failed (injected ioerr); commit skipped",
-                self.seq
-            ),
-            EventKind::SessionStart {
-                session,
-                vertices,
-                edges,
-                workers,
-            } => format!(
-                "[{:>4}] session {session} start: |V|={vertices}, |E|={edges}, {workers} workers",
-                self.seq
-            ),
-            EventKind::SessionEnd {
-                session,
-                queries,
-                total_latency_us,
-            } => format!(
-                "[{:>4}] session {session} end: {queries} queries, {total_latency_us}us total latency",
-                self.seq
-            ),
-            EventKind::UpdateApplied {
-                session,
-                batch,
-                inserted,
-                removed,
-                touched,
-                repaired,
-            } => format!(
-                "[{:>4}] session {session} update batch {batch}: +{inserted} -{removed} edges, {touched} vertices touched, repaired={repaired}",
-                self.seq
-            ),
-            EventKind::RunEnd {
-                supersteps,
-                total_bytes,
-                total_messages,
-                simulated_parallel_us,
-                ..
-            } => format!(
-                "[{:>4}] run end: {supersteps} supersteps, {total_bytes}B, {total_messages} msgs, T_sim={simulated_parallel_us}us",
-                self.seq
-            ),
-        }
+        format!("[{:>4}] {}", self.seq, self.kind.text())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::json::parse;
 
-    fn sample_step_end() -> Event {
-        Event {
-            seq: 7,
-            kind: EventKind::StepEnd {
+    /// One meaningful instance of every kind, in declaration order; `seq`
+    /// counts up from 3, so `step_end` is event 7.
+    fn samples() -> Vec<Event> {
+        let kinds = vec![
+            EventKind::RunMeta {
+                schema: crate::TRACE_SCHEMA_VERSION,
+                seed: 42,
+                workers: 4,
+                hosts: 2,
+                fault_plan: "loss=0.01".into(),
+            },
+            EventKind::RunStart {
+                workers: 4,
+                vertices: 1000,
+                edges: 5000,
+                net_latency_us: 50,
+                net_bandwidth_bps: 1_000_000_000,
+            },
+            EventKind::StepStart {
                 step: 3,
-                kind: "sparse".to_string(),
+                kind: "sparse".into(),
+                active: 42,
+            },
+            EventKind::WorkerPhase {
+                step: 3,
+                worker: 1,
+                compute_us: 500,
+                compute_ns: 500_200,
+                staged_puts: 7,
+                staged_writes: 3,
+            },
+            EventKind::StepEnd {
+                step: 3,
+                kind: "sparse".into(),
                 active: 42,
                 upd_messages: 10,
                 upd_bytes: 160,
@@ -1113,657 +635,316 @@ mod tests {
                 delivery_ns: 4_900,
                 simulated_net_ns: 1_234_000,
             },
-        }
+            EventKind::SyncPlan {
+                step: 3,
+                mode: "critical".into(),
+                scope: "necessary".into(),
+                properties: vec!["dis".into(), "parent".into()],
+            },
+            EventKind::ModeDecision {
+                step: 3,
+                frontier: 42,
+                frontier_edges: 300,
+                threshold_edges: 250,
+                chosen: "dense".into(),
+                policy: "adaptive".into(),
+            },
+            EventKind::CheckpointTaken {
+                step: 4,
+                bytes: 320,
+                interval: 4,
+            },
+            EventKind::FaultInjected {
+                step: 5,
+                worker: 1,
+                kind: "crash".into(),
+                attempt: 0,
+            },
+            EventKind::RecoveryReplay {
+                step: 5,
+                from_step: 4,
+                replayed: 1,
+                attempt: 0,
+                backoff_us: 1000,
+            },
+            EventKind::WorkerDeclaredDead {
+                step: 5,
+                worker: 1,
+                reason: "die".into(),
+                epoch: 1,
+            },
+            EventKind::MembershipEpoch {
+                epoch: 1,
+                step: 5,
+                live_hosts: 3,
+                moved_partitions: 1,
+                cause: "die".into(),
+            },
+            EventKind::StateMigrated {
+                epoch: 1,
+                partition: 1,
+                from: 1,
+                to: 2,
+                vertices: 30,
+                bytes: 240,
+            },
+            EventKind::BatchDropped {
+                step: 3,
+                round: "upd".into(),
+                sender: 1,
+                receiver: 2,
+                seq_no: 9,
+                attempt: 0,
+                cause: "loss".into(),
+            },
+            EventKind::BatchRetransmitted {
+                step: 3,
+                round: "upd".into(),
+                sender: 1,
+                receiver: 2,
+                seq_no: 9,
+                attempt: 1,
+                bytes: 128,
+            },
+            EventKind::BatchDeduped {
+                step: 3,
+                round: "sync".into(),
+                sender: 1,
+                receiver: 2,
+                seq_no: 9,
+            },
+            EventKind::LeaderElected {
+                term: 2,
+                leader: 1,
+                step: 5,
+                votes: 3,
+                live_hosts: 3,
+            },
+            EventKind::LogCommitted {
+                term: 2,
+                index: 4,
+                step: 5,
+                kind: "checkpoint_commit".into(),
+                acks: 3,
+                quorum: 2,
+            },
+            // Two full-width FNV checksums one bit apart: as JSON numbers
+            // both would collapse to the same f64.
+            EventKind::WorkerAccused {
+                step: 5,
+                worker: 2,
+                accusers: 3,
+                quorum: 2,
+                expected: "0xcbf29ce484222325".into(),
+                observed: "0xcbf29ce484222324".into(),
+            },
+            EventKind::CheckpointDurable {
+                generation: 3,
+                step: 8,
+                frames: 5,
+                bytes: 4096,
+            },
+            EventKind::CheckpointScrubbed {
+                generation: 3,
+                reason: "frame checksum mismatch".into(),
+                fallback: true,
+            },
+            EventKind::DurableIoError {
+                step: 4,
+                op: "checkpoint".into(),
+            },
+            EventKind::SessionStart {
+                session: 3,
+                vertices: 1000,
+                edges: 5000,
+                workers: 4,
+            },
+            EventKind::SessionEnd {
+                session: 3,
+                queries: 250,
+                total_latency_us: 98765,
+            },
+            EventKind::UpdateApplied {
+                session: 3,
+                batch: 0,
+                inserted: 12,
+                removed: 4,
+                touched: 20,
+                repaired: "cc+pagerank".into(),
+            },
+            EventKind::RunEnd {
+                supersteps: 12,
+                total_bytes: 2880,
+                total_messages: 180,
+                simulated_parallel_us: 129,
+                simulated_parallel_ns: 129_000,
+            },
+        ];
+        let events = kinds.into_iter().zip(3..);
+        events.map(|(kind, seq)| Event { seq, kind }).collect()
+    }
+
+    /// The JSONL line of each `samples()` event, as the parent commit's
+    /// hand-written `to_json` printed it — except `worker_accused`, whose
+    /// checksums were numbers there and lost their low bits.
+    const GOLDEN: [&str; 26] = [
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":3,"seed":42,"seq":3,"workers":4}"#,
+        r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"seq":4,"vertices":1000,"workers":4}"#,
+        r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
+        r#"{"compute_ns":500200,"compute_us":500,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
+        r#"{"active":42,"barrier_skew_ns":100000,"barrier_skew_us":100,"communicate_ns":30100,"communicate_us":30,"compute_max_ns":500200,"compute_max_us":500,"compute_min_ns":400200,"compute_min_us":400,"compute_ns":900400,"compute_us":900,"delivery_ns":4900,"delivery_us":5,"event":"step_end","kind":"sparse","seq":7,"serialize_max_ns":15400,"serialize_max_us":15,"serialize_ns":19600,"serialize_us":20,"simulated_net_ns":1234000,"simulated_net_us":1234,"step":3,"sync_bytes":80,"sync_messages":5,"upd_bytes":160,"upd_messages":10}"#,
+        r#"{"event":"sync_plan","mode":"critical","properties":["dis","parent"],"scope":"necessary","seq":8,"step":3}"#,
+        r#"{"chosen":"dense","event":"mode_decision","frontier":42,"frontier_edges":300,"policy":"adaptive","seq":9,"step":3,"threshold_edges":250}"#,
+        r#"{"bytes":320,"event":"checkpoint_taken","interval":4,"seq":10,"step":4}"#,
+        r#"{"attempt":0,"event":"fault_injected","kind":"crash","seq":11,"step":5,"worker":1}"#,
+        r#"{"attempt":0,"backoff_us":1000,"event":"recovery_replay","from_step":4,"replayed":1,"seq":12,"step":5}"#,
+        r#"{"epoch":1,"event":"worker_declared_dead","reason":"die","seq":13,"step":5,"worker":1}"#,
+        r#"{"cause":"die","epoch":1,"event":"membership_epoch","live_hosts":3,"moved_partitions":1,"seq":14,"step":5}"#,
+        r#"{"bytes":240,"epoch":1,"event":"state_migrated","from":1,"partition":1,"seq":15,"to":2,"vertices":30}"#,
+        r#"{"attempt":0,"cause":"loss","event":"batch_dropped","receiver":2,"round":"upd","sender":1,"seq":16,"seq_no":9,"step":3}"#,
+        r#"{"attempt":1,"bytes":128,"event":"batch_retransmitted","receiver":2,"round":"upd","sender":1,"seq":17,"seq_no":9,"step":3}"#,
+        r#"{"event":"batch_deduped","receiver":2,"round":"sync","sender":1,"seq":18,"seq_no":9,"step":3}"#,
+        r#"{"event":"leader_elected","leader":1,"live_hosts":3,"seq":19,"step":5,"term":2,"votes":3}"#,
+        r#"{"acks":3,"event":"log_committed","index":4,"kind":"checkpoint_commit","quorum":2,"seq":20,"step":5,"term":2}"#,
+        r#"{"accusers":3,"event":"worker_accused","expected":"0xcbf29ce484222325","observed":"0xcbf29ce484222324","quorum":2,"seq":21,"step":5,"worker":2}"#,
+        r#"{"bytes":4096,"event":"checkpoint_durable","frames":5,"generation":3,"seq":22,"step":8}"#,
+        r#"{"event":"checkpoint_scrubbed","fallback":true,"generation":3,"reason":"frame checksum mismatch","seq":23}"#,
+        r#"{"event":"durable_io_error","op":"checkpoint","seq":24,"step":4}"#,
+        r#"{"edges":5000,"event":"session_start","seq":25,"session":3,"vertices":1000,"workers":4}"#,
+        r#"{"event":"session_end","queries":250,"seq":26,"session":3,"total_latency_us":98765}"#,
+        r#"{"batch":0,"event":"update_applied","inserted":12,"removed":4,"repaired":"cc+pagerank","seq":27,"session":3,"touched":20}"#,
+        r#"{"event":"run_end","seq":28,"simulated_parallel_ns":129000,"simulated_parallel_us":129,"supersteps":12,"total_bytes":2880,"total_messages":180}"#,
+    ];
+
+    /// The `samples()` event tagged `tag`, checked to survive the trip through
+    /// its JSONL line (pinned by `GOLDEN`) and to say `text` in its text line.
+    fn checked(tag: &str, text: &str) -> Event {
+        let e = samples().into_iter().find(|e| e.kind.tag() == tag);
+        let e = e.expect("a sample per tag");
+        let parsed = parse(&e.to_json().to_string()).expect("writer output parses");
+        assert_eq!(parsed, e.to_json());
+        assert_eq!(Event::from_json(&parsed), Ok(e.clone()));
+        assert!(e.to_text().contains(text), "{}", e.to_text());
+        e
     }
 
     #[test]
     fn step_end_renders_all_fields() {
-        let j = sample_step_end().to_json();
+        let j = checked("step_end", "").to_json();
         assert_eq!(j.get("event").and_then(Json::as_str), Some("step_end"));
-        assert_eq!(j.get("seq").and_then(Json::as_u64), Some(7));
-        assert_eq!(j.get("step").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("upd_bytes").and_then(Json::as_u64), Some(160));
-        assert_eq!(j.get("barrier_skew_us").and_then(Json::as_u64), Some(100));
         assert_eq!(j.get("kind").and_then(Json::as_str), Some("sparse"));
-        assert_eq!(j.get("serialize_max_us").and_then(Json::as_u64), Some(15));
-        assert_eq!(j.get("delivery_us").and_then(Json::as_u64), Some(5));
-        assert_eq!(j.get("delivery_ns").and_then(Json::as_u64), Some(4_900));
-        assert_eq!(j.get("compute_ns").and_then(Json::as_u64), Some(900_400));
-        assert_eq!(
-            j.get("simulated_net_ns").and_then(Json::as_u64),
-            Some(1_234_000)
-        );
+        for (field, value) in [
+            ("seq", 7),
+            ("step", 3),
+            ("upd_bytes", 160),
+            ("barrier_skew_us", 100),
+            ("serialize_max_us", 15),
+            ("delivery_us", 5),
+            ("delivery_ns", 4_900),
+            ("compute_ns", 900_400),
+            ("simulated_net_ns", 1_234_000),
+        ] {
+            assert_eq!(j.get(field).and_then(Json::as_u64), Some(value), "{field}");
+        }
     }
 
     #[test]
     fn json_round_trips_through_parser() {
-        let j = sample_step_end().to_json();
-        let back = json::parse(&j.to_string()).unwrap();
-        assert_eq!(back, j);
+        for (tag, _) in SCHEMA {
+            checked(tag, "");
+        }
     }
 
     #[test]
     fn tags_are_distinct() {
-        let tags = [
-            EventKind::RunMeta {
-                schema: 1,
-                seed: 0,
-                workers: 1,
-                hosts: 1,
-                fault_plan: String::new(),
-            }
-            .tag(),
-            EventKind::RunStart {
-                workers: 1,
-                vertices: 1,
-                edges: 1,
-                net_latency_us: 0,
-                net_bandwidth_bps: 0,
-            }
-            .tag(),
-            EventKind::StepStart {
-                step: 0,
-                kind: String::new(),
-                active: 0,
-            }
-            .tag(),
-            EventKind::WorkerPhase {
-                step: 0,
-                worker: 0,
-                compute_us: 0,
-                compute_ns: 0,
-                staged_puts: 0,
-                staged_writes: 0,
-            }
-            .tag(),
-            sample_step_end().kind.tag(),
-            EventKind::SyncPlan {
-                step: 0,
-                mode: String::new(),
-                scope: String::new(),
-                properties: vec![],
-            }
-            .tag(),
-            EventKind::ModeDecision {
-                step: 0,
-                frontier: 0,
-                frontier_edges: 0,
-                threshold_edges: 0,
-                chosen: String::new(),
-                policy: String::new(),
-            }
-            .tag(),
-            EventKind::CheckpointTaken {
-                step: 0,
-                bytes: 0,
-                interval: 0,
-            }
-            .tag(),
-            EventKind::FaultInjected {
-                step: 0,
-                worker: 0,
-                kind: String::new(),
-                attempt: 0,
-            }
-            .tag(),
-            EventKind::RecoveryReplay {
-                step: 0,
-                from_step: 0,
-                replayed: 0,
-                attempt: 0,
-                backoff_us: 0,
-            }
-            .tag(),
-            EventKind::WorkerDeclaredDead {
-                step: 0,
-                worker: 0,
-                reason: String::new(),
-                epoch: 0,
-            }
-            .tag(),
-            EventKind::MembershipEpoch {
-                epoch: 0,
-                step: 0,
-                live_hosts: 0,
-                moved_partitions: 0,
-                cause: String::new(),
-            }
-            .tag(),
-            EventKind::StateMigrated {
-                epoch: 0,
-                partition: 0,
-                from: 0,
-                to: 0,
-                vertices: 0,
-                bytes: 0,
-            }
-            .tag(),
-            EventKind::BatchDropped {
-                step: 0,
-                round: String::new(),
-                sender: 0,
-                receiver: 0,
-                seq_no: 0,
-                attempt: 0,
-                cause: String::new(),
-            }
-            .tag(),
-            EventKind::BatchRetransmitted {
-                step: 0,
-                round: String::new(),
-                sender: 0,
-                receiver: 0,
-                seq_no: 0,
-                attempt: 0,
-                bytes: 0,
-            }
-            .tag(),
-            EventKind::BatchDeduped {
-                step: 0,
-                round: String::new(),
-                sender: 0,
-                receiver: 0,
-                seq_no: 0,
-            }
-            .tag(),
-            EventKind::LeaderElected {
-                term: 0,
-                leader: 0,
-                step: 0,
-                votes: 0,
-                live_hosts: 0,
-            }
-            .tag(),
-            EventKind::LogCommitted {
-                term: 0,
-                index: 0,
-                step: 0,
-                kind: String::new(),
-                acks: 0,
-                quorum: 0,
-            }
-            .tag(),
-            EventKind::WorkerAccused {
-                step: 0,
-                worker: 0,
-                accusers: 0,
-                quorum: 0,
-                expected: 0,
-                observed: 0,
-            }
-            .tag(),
-            EventKind::CheckpointDurable {
-                generation: 0,
-                step: 0,
-                frames: 0,
-                bytes: 0,
-            }
-            .tag(),
-            EventKind::CheckpointScrubbed {
-                generation: 0,
-                reason: String::new(),
-                fallback: false,
-            }
-            .tag(),
-            EventKind::DurableIoError {
-                step: 0,
-                op: String::new(),
-            }
-            .tag(),
-            EventKind::SessionStart {
-                session: 0,
-                vertices: 0,
-                edges: 0,
-                workers: 0,
-            }
-            .tag(),
-            EventKind::SessionEnd {
-                session: 0,
-                queries: 0,
-                total_latency_us: 0,
-            }
-            .tag(),
-            EventKind::UpdateApplied {
-                session: 0,
-                batch: 0,
-                inserted: 0,
-                removed: 0,
-                touched: 0,
-                repaired: String::new(),
-            }
-            .tag(),
-            EventKind::RunEnd {
-                supersteps: 0,
-                total_bytes: 0,
-                total_messages: 0,
-                simulated_parallel_us: 0,
-                simulated_parallel_ns: 0,
-            }
-            .tag(),
-        ];
+        let tags: Vec<&str> = samples().iter().map(|e| e.kind.tag()).collect();
+        let declared: Vec<&str> = SCHEMA.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, declared, "one sample per kind, in declaration order");
         let unique: std::collections::BTreeSet<_> = tags.iter().collect();
         assert_eq!(unique.len(), tags.len());
     }
 
     #[test]
-    fn durable_events_render_and_round_trip() {
-        let events = [
-            Event {
-                seq: 0,
-                kind: EventKind::CheckpointDurable {
-                    generation: 3,
-                    step: 8,
-                    frames: 5,
-                    bytes: 4096,
-                },
-            },
-            Event {
-                seq: 1,
-                kind: EventKind::CheckpointScrubbed {
-                    generation: 3,
-                    reason: "frame checksum mismatch".into(),
-                    fallback: true,
-                },
-            },
-            Event {
-                seq: 2,
-                kind: EventKind::DurableIoError {
-                    step: 4,
-                    op: "checkpoint".into(),
-                },
-            },
-        ];
-        let j = events[0].to_json();
-        assert_eq!(
-            j.get("event").and_then(Json::as_str),
-            Some("checkpoint_durable")
-        );
-        assert_eq!(j.get("generation").and_then(Json::as_u64), Some(3));
-        assert_eq!(j.get("frames").and_then(Json::as_u64), Some(5));
-        assert_eq!(j.get("bytes").and_then(Json::as_u64), Some(4096));
-        let j = events[1].to_json();
-        assert_eq!(
-            j.get("event").and_then(Json::as_str),
-            Some("checkpoint_scrubbed")
-        );
-        assert_eq!(
-            j.get("reason").and_then(Json::as_str),
-            Some("frame checksum mismatch")
-        );
-        assert_eq!(j.get("fallback").and_then(Json::as_bool), Some(true));
-        let j = events[2].to_json();
-        assert_eq!(
-            j.get("event").and_then(Json::as_str),
-            Some("durable_io_error")
-        );
-        assert_eq!(j.get("op").and_then(Json::as_str), Some("checkpoint"));
-        for e in &events {
-            let parsed = json::parse(&e.to_json().to_string()).expect("round-trip");
-            assert_eq!(parsed.get("seq").and_then(Json::as_u64), Some(e.seq));
-            assert!(!e.to_text().is_empty());
+    fn golden_lines_are_stable() {
+        for (e, golden) in samples().iter().zip(GOLDEN) {
+            assert_eq!(e.to_json().to_string(), golden);
         }
-        assert!(events[0].to_text().contains("gen 3"));
-        assert!(events[1].to_text().contains("falling back"));
-        assert!(events[2].to_text().contains("ioerr"));
+    }
+
+    #[test]
+    fn from_json_refuses_unknown_tag_missing_field_and_wrong_type() {
+        let refused = |line: &str| Event::from_json(&parse(line).unwrap()).unwrap_err();
+        let line =
+            |tag: &str, step: &str| format!(r#"{{"event":"{tag}","seq":1,{step}"op":"delta"}}"#);
+        assert!(refused(r#"{"seq":1}"#).contains("no \"event\" tag"));
+        let err = refused(&line("durable_io_eror", "\"step\":4,"));
+        assert!(err.contains("unknown event tag"), "{err}");
+        let err = refused(&line("durable_io_error", ""));
+        assert!(err.contains("missing field \"step\""), "{err}");
+        for step in ["\"4\"", "-4", "4.5", "null"] {
+            let err = refused(&line("durable_io_error", &format!("\"step\":{step},")));
+            assert!(err.contains("field \"step\" has the wrong type"), "{err}");
+        }
+    }
+
+    #[test]
+    fn durable_events_render_and_round_trip() {
+        checked("checkpoint_durable", "gen 3");
+        checked("checkpoint_scrubbed", "falling back");
+        checked("durable_io_error", "ioerr");
     }
 
     #[test]
     fn consensus_events_render_and_round_trip() {
-        let events = [
-            Event {
-                seq: 0,
-                kind: EventKind::LeaderElected {
-                    term: 2,
-                    leader: 1,
-                    step: 5,
-                    votes: 3,
-                    live_hosts: 3,
-                },
-            },
-            Event {
-                seq: 1,
-                kind: EventKind::LogCommitted {
-                    term: 2,
-                    index: 4,
-                    step: 5,
-                    kind: "checkpoint_commit".to_string(),
-                    acks: 3,
-                    quorum: 2,
-                },
-            },
-            Event {
-                seq: 2,
-                kind: EventKind::WorkerAccused {
-                    step: 5,
-                    worker: 2,
-                    accusers: 3,
-                    quorum: 2,
-                    expected: 0xABCD,
-                    observed: 0x1234,
-                },
-            },
-        ];
-        let j0 = events[0].to_json();
-        assert_eq!(
-            j0.get("event").and_then(Json::as_str),
-            Some("leader_elected")
-        );
-        assert_eq!(j0.get("term").and_then(Json::as_u64), Some(2));
-        assert_eq!(j0.get("leader").and_then(Json::as_u64), Some(1));
-        assert_eq!(j0.get("votes").and_then(Json::as_u64), Some(3));
-        let j1 = events[1].to_json();
-        assert_eq!(
-            j1.get("event").and_then(Json::as_str),
-            Some("log_committed")
-        );
-        assert_eq!(j1.get("index").and_then(Json::as_u64), Some(4));
-        assert_eq!(
-            j1.get("kind").and_then(Json::as_str),
-            Some("checkpoint_commit")
-        );
-        assert_eq!(j1.get("quorum").and_then(Json::as_u64), Some(2));
-        let j2 = events[2].to_json();
-        assert_eq!(
-            j2.get("event").and_then(Json::as_str),
-            Some("worker_accused")
-        );
-        assert_eq!(j2.get("worker").and_then(Json::as_u64), Some(2));
-        assert_eq!(j2.get("accusers").and_then(Json::as_u64), Some(3));
-        assert_eq!(j2.get("expected").and_then(Json::as_u64), Some(0xABCD));
-        assert_eq!(j2.get("observed").and_then(Json::as_u64), Some(0x1234));
-        for e in &events {
-            let back = json::parse(&e.to_json().to_string()).unwrap();
-            assert_eq!(back, e.to_json());
-            assert!(!e.to_text().is_empty());
-        }
-        assert!(events[0].to_text().contains("elected leader"));
-        assert!(events[0].to_text().contains("3/3 votes"));
-        assert!(events[1].to_text().contains("log[4] committed"));
-        assert!(events[2].to_text().contains("accused of lying"));
+        checked("leader_elected", "elected leader (3/3 votes)");
+        checked("log_committed", "log[4] committed");
+        checked("worker_accused", "accused of lying");
+        checked("worker_accused", "0xcbf29ce484222324 != 0xcbf29ce484222325");
     }
 
     #[test]
     fn session_events_render_and_round_trip() {
-        let events = [
-            Event {
-                seq: 0,
-                kind: EventKind::SessionStart {
-                    session: 3,
-                    vertices: 1000,
-                    edges: 5000,
-                    workers: 4,
-                },
-            },
-            Event {
-                seq: 1,
-                kind: EventKind::UpdateApplied {
-                    session: 3,
-                    batch: 0,
-                    inserted: 12,
-                    removed: 4,
-                    touched: 20,
-                    repaired: "cc+pagerank".to_string(),
-                },
-            },
-            Event {
-                seq: 2,
-                kind: EventKind::SessionEnd {
-                    session: 3,
-                    queries: 250,
-                    total_latency_us: 98765,
-                },
-            },
-        ];
-        let j0 = events[0].to_json();
-        assert_eq!(
-            j0.get("event").and_then(Json::as_str),
-            Some("session_start")
-        );
-        assert_eq!(j0.get("session").and_then(Json::as_u64), Some(3));
-        assert_eq!(j0.get("vertices").and_then(Json::as_u64), Some(1000));
-        let j1 = events[1].to_json();
-        assert_eq!(
-            j1.get("event").and_then(Json::as_str),
-            Some("update_applied")
-        );
-        assert_eq!(j1.get("inserted").and_then(Json::as_u64), Some(12));
-        assert_eq!(j1.get("removed").and_then(Json::as_u64), Some(4));
-        assert_eq!(j1.get("touched").and_then(Json::as_u64), Some(20));
-        assert_eq!(
-            j1.get("repaired").and_then(Json::as_str),
-            Some("cc+pagerank")
-        );
-        let j2 = events[2].to_json();
-        assert_eq!(j2.get("event").and_then(Json::as_str), Some("session_end"));
-        assert_eq!(j2.get("queries").and_then(Json::as_u64), Some(250));
-        assert_eq!(
-            j2.get("total_latency_us").and_then(Json::as_u64),
-            Some(98765)
-        );
-        for e in &events {
-            let back = json::parse(&e.to_json().to_string()).unwrap();
-            assert_eq!(back, e.to_json());
-            assert!(!e.to_text().is_empty());
-        }
-        assert!(events[0].to_text().contains("session 3 start"));
-        assert!(events[1].to_text().contains("+12 -4 edges"));
-        assert!(events[2].to_text().contains("250 queries"));
+        checked("session_start", "session 3 start");
+        checked("update_applied", "+12 -4 edges");
+        checked("session_end", "250 queries");
     }
 
     #[test]
     fn run_meta_renders_and_round_trips() {
-        let e = Event {
-            seq: 0,
-            kind: EventKind::RunMeta {
-                schema: crate::TRACE_SCHEMA_VERSION,
-                seed: 42,
-                workers: 4,
-                hosts: 2,
-                fault_plan: "loss=0.01".to_string(),
-            },
-        };
-        let j = e.to_json();
-        assert_eq!(j.get("event").and_then(Json::as_str), Some("run_meta"));
+        let version = crate::TRACE_SCHEMA_VERSION;
+        let e = checked("run_meta", &format!("schema v{version}"));
         assert_eq!(
-            j.get("schema").and_then(Json::as_u64),
-            Some(crate::TRACE_SCHEMA_VERSION)
+            e.to_json().get("schema").and_then(Json::as_u64),
+            Some(version)
         );
-        assert_eq!(j.get("seed").and_then(Json::as_u64), Some(42));
-        assert_eq!(j.get("workers").and_then(Json::as_u64), Some(4));
-        assert_eq!(j.get("hosts").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            j.get("fault_plan").and_then(Json::as_str),
-            Some("loss=0.01")
-        );
-        let back = json::parse(&j.to_string()).unwrap();
-        assert_eq!(back, j);
-        assert!(e
-            .to_text()
-            .contains(&format!("schema v{}", crate::TRACE_SCHEMA_VERSION)));
     }
 
     #[test]
     fn text_rendering_mentions_key_numbers() {
-        let t = sample_step_end().to_text();
-        assert!(t.contains("step 3"));
-        assert!(t.contains("skew=100us"));
+        checked("step_end", "step 3");
+        checked("step_end", "skew=100us");
+        checked("sync_plan", "properties=[dis,parent]");
+        checked("checkpoint_scrubbed", "mismatch); falling back to previous");
     }
 
     #[test]
     fn recovery_events_render_and_round_trip() {
-        let events = [
-            Event {
-                seq: 0,
-                kind: EventKind::CheckpointTaken {
-                    step: 4,
-                    bytes: 320,
-                    interval: 4,
-                },
-            },
-            Event {
-                seq: 1,
-                kind: EventKind::FaultInjected {
-                    step: 5,
-                    worker: 1,
-                    kind: "crash".to_string(),
-                    attempt: 0,
-                },
-            },
-            Event {
-                seq: 2,
-                kind: EventKind::RecoveryReplay {
-                    step: 5,
-                    from_step: 4,
-                    replayed: 1,
-                    attempt: 0,
-                    backoff_us: 1000,
-                },
-            },
-        ];
-        let j = events[0].to_json();
-        assert_eq!(
-            j.get("event").and_then(Json::as_str),
-            Some("checkpoint_taken")
-        );
-        assert_eq!(j.get("bytes").and_then(Json::as_u64), Some(320));
-        let j1 = events[1].to_json();
-        assert_eq!(j1.get("kind").and_then(Json::as_str), Some("crash"));
-        let j2 = events[2].to_json();
-        assert_eq!(j2.get("from_step").and_then(Json::as_u64), Some(4));
-        assert_eq!(j2.get("backoff_us").and_then(Json::as_u64), Some(1000));
-        for e in &events {
-            let back = json::parse(&e.to_json().to_string()).unwrap();
-            assert_eq!(back, e.to_json());
-            assert!(!e.to_text().is_empty());
-        }
-        assert!(events[2].to_text().contains("rollback to 4"));
+        checked("checkpoint_taken", "before step 4: 320B");
+        checked("fault_injected", "crash on worker 1");
+        checked("recovery_replay", "rollback to 4");
     }
 
     #[test]
     fn delivery_events_render_and_round_trip() {
-        let events = [
-            Event {
-                seq: 0,
-                kind: EventKind::BatchDropped {
-                    step: 3,
-                    round: "upd".to_string(),
-                    sender: 1,
-                    receiver: 2,
-                    seq_no: 9,
-                    attempt: 0,
-                    cause: "loss".to_string(),
-                },
-            },
-            Event {
-                seq: 1,
-                kind: EventKind::BatchRetransmitted {
-                    step: 3,
-                    round: "upd".to_string(),
-                    sender: 1,
-                    receiver: 2,
-                    seq_no: 9,
-                    attempt: 1,
-                    bytes: 128,
-                },
-            },
-            Event {
-                seq: 2,
-                kind: EventKind::BatchDeduped {
-                    step: 3,
-                    round: "sync".to_string(),
-                    sender: 1,
-                    receiver: 2,
-                    seq_no: 9,
-                },
-            },
-        ];
-        let j0 = events[0].to_json();
-        assert_eq!(
-            j0.get("event").and_then(Json::as_str),
-            Some("batch_dropped")
-        );
-        assert_eq!(j0.get("cause").and_then(Json::as_str), Some("loss"));
-        assert_eq!(j0.get("round").and_then(Json::as_str), Some("upd"));
-        assert_eq!(j0.get("seq_no").and_then(Json::as_u64), Some(9));
-        let j1 = events[1].to_json();
-        assert_eq!(
-            j1.get("event").and_then(Json::as_str),
-            Some("batch_retransmitted")
-        );
-        assert_eq!(j1.get("attempt").and_then(Json::as_u64), Some(1));
-        assert_eq!(j1.get("bytes").and_then(Json::as_u64), Some(128));
-        let j2 = events[2].to_json();
-        assert_eq!(
-            j2.get("event").and_then(Json::as_str),
-            Some("batch_deduped")
-        );
-        assert_eq!(j2.get("sender").and_then(Json::as_u64), Some(1));
-        assert_eq!(j2.get("receiver").and_then(Json::as_u64), Some(2));
-        for e in &events {
-            let back = json::parse(&e.to_json().to_string()).unwrap();
-            assert_eq!(back, e.to_json());
-            assert!(!e.to_text().is_empty());
-        }
-        assert!(events[0].to_text().contains("dropped"));
-        assert!(events[1].to_text().contains("retransmitted"));
-        assert!(events[2].to_text().contains("duplicate discarded"));
+        checked("batch_dropped", "dropped");
+        checked("batch_retransmitted", "retransmitted");
+        checked("batch_deduped", "duplicate discarded");
     }
 
     #[test]
     fn membership_events_render_and_round_trip() {
-        let events = [
-            Event {
-                seq: 0,
-                kind: EventKind::WorkerDeclaredDead {
-                    step: 5,
-                    worker: 1,
-                    reason: "die".to_string(),
-                    epoch: 1,
-                },
-            },
-            Event {
-                seq: 1,
-                kind: EventKind::MembershipEpoch {
-                    epoch: 1,
-                    step: 5,
-                    live_hosts: 3,
-                    moved_partitions: 1,
-                    cause: "die".to_string(),
-                },
-            },
-            Event {
-                seq: 2,
-                kind: EventKind::StateMigrated {
-                    epoch: 1,
-                    partition: 1,
-                    from: 1,
-                    to: 2,
-                    vertices: 30,
-                    bytes: 240,
-                },
-            },
-        ];
-        let j0 = events[0].to_json();
-        assert_eq!(
-            j0.get("event").and_then(Json::as_str),
-            Some("worker_declared_dead")
-        );
-        assert_eq!(j0.get("reason").and_then(Json::as_str), Some("die"));
-        assert_eq!(j0.get("epoch").and_then(Json::as_u64), Some(1));
-        let j1 = events[1].to_json();
-        assert_eq!(j1.get("live_hosts").and_then(Json::as_u64), Some(3));
-        assert_eq!(j1.get("cause").and_then(Json::as_str), Some("die"));
-        let j2 = events[2].to_json();
-        assert_eq!(j2.get("from").and_then(Json::as_u64), Some(1));
-        assert_eq!(j2.get("to").and_then(Json::as_u64), Some(2));
-        assert_eq!(j2.get("bytes").and_then(Json::as_u64), Some(240));
-        for e in &events {
-            let back = json::parse(&e.to_json().to_string()).unwrap();
-            assert_eq!(back, e.to_json());
-            assert!(!e.to_text().is_empty());
-        }
-        assert!(events[0].to_text().contains("declared dead"));
-        assert!(events[1].to_text().contains("epoch 1"));
-        assert!(events[2].to_text().contains("host 1 -> 2"));
+        checked("worker_declared_dead", "declared dead");
+        checked("membership_epoch", "epoch 1");
+        checked("state_migrated", "host 1 -> 2");
     }
 }

@@ -5,7 +5,7 @@
 //! canonical fault-tolerance mechanism). The cluster therefore snapshots
 //! every worker's replica at a configurable superstep interval
 //! ([`ClusterConfig::checkpoint_every`](crate::ClusterConfig)); between
-//! checkpoints it appends one [`StepDelta`] per superstep — the redo log
+//! checkpoints it appends one `StepDelta` per superstep — the redo log
 //! of published writes.
 //!
 //! On a detected failure (crash or corrupted sync payload, see

@@ -1198,8 +1198,8 @@ impl<V: VertexData> Cluster<V> {
                 worker: w,
                 accusers: verdict.accusers,
                 quorum: verdict.quorum,
-                expected: verdict.expected,
-                observed,
+                expected: format!("{:#018x}", verdict.expected),
+                observed: format!("{observed:#018x}"),
             });
             accused = true;
             self.declare_dead(step_id, &[w], "accused", attempt)?;
@@ -2143,7 +2143,7 @@ mod tests {
     /// lane (`.sequential()`, the serial reference) across supersteps that
     /// reuse their buffers — same values, same message/byte counters.
     #[test]
-    fn pooled_parallel_hotpath_matches_fresh_serial_bitwise() {
+    fn lanes_match_single_lane_bitwise() {
         let run = |cfg: ClusterConfig| {
             let (vals, stats, err) = run_program(cfg);
             assert!(err.is_none());

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 ///
 /// Clusters built with [`ClusterConfig::buffer_pool`] check a
 /// `StepBuffers<V>` set out at construction and back in at drop; the
-/// checkin [`reset`s](StepBuffers::reset) the buffers and the checkout
+/// checkin `reset`s the buffers and the checkout
 /// asserts they are pristine, so a recycled pool starts each run exactly
 /// as empty as a fresh allocation — while keeping the allocations warm
 /// across back-to-back query runs. Their [`WorkerPool`] travels the same

@@ -121,7 +121,7 @@ impl<V> Drop for Drain<'_, V> {
 /// next-state structures invisible until the barrier:
 ///
 /// * `pending` — reduce-accumulated temporary values from `put` calls
-///   (the mirror-side combining of `EDGEMAPSPARSE`), a [`ReduceAcc`];
+///   (the mirror-side combining of `EDGEMAPSPARSE`), a `ReduceAcc`;
 /// * `direct` — whole-value master writes from `VERTEXMAP`
 ///   and `EDGEMAPDENSE`, which never need a reduce function.
 #[derive(Debug)]

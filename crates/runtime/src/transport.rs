@@ -2,7 +2,7 @@
 //!
 //! The paper's MPI runtime assumes a perfect transport: every message
 //! buffer that is sent arrives intact, exactly once, in order. This module
-//! drops that assumption. A [`FaultPlan`](crate::FaultPlan) may script
+//! drops that assumption. A [`FaultPlan`] may script
 //! channel faults (`drop@`, `dup@`, `reorder@`) or enable a seeded
 //! probabilistic mode (`loss=`, `dupRate=`, `corruptRate=`), and the
 //! [`Transport`] layers a classic ack/retransmit protocol on top so the

@@ -213,7 +213,13 @@ fn recovery_shows_up_in_the_trace_stream() {
 #[test]
 fn recovery_overhead_is_charged_into_simulated_time() {
     let g = graph();
-    let (clean_cfg, faulted_cfg) = config_pair(3);
+    // Both clocks include measured compute time, so the pair's 250 µs
+    // straggler sits inside wall-clock noise and the comparison below
+    // failed about one run in thirteen; this plan's straggler is far above
+    // it (and still below the 100 ms failure-detector deadline).
+    let (clean_cfg, _) = config_pair(3);
+    let plan = FaultPlan::parse("crash@1:w1,corrupt@3:w0,straggle@2:w0:50ms").expect("plan");
+    let faulted_cfg = clean_cfg.clone().faults(plan).checkpoint_every(2);
     let clean = flash_algos::cc::run(&g, clean_cfg).expect("cc").stats;
     let faulted = flash_algos::cc::run(&g, faulted_cfg).expect("cc").stats;
     // Same algorithm, same graph: the faulted run's simulated wall clock

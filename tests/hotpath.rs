@@ -44,7 +44,7 @@ fn counter_trace(stats: &RunStats) -> Vec<(u64, u64, u64, u64)> {
 /// counters. Lanes finish in any order, so this fails if per-lane bucket
 /// sets or batch maps are ever merged in completion order.
 #[test]
-fn catalogue_is_bit_identical_across_hot_paths() {
+fn catalogue_is_self_deterministic() {
     let g = graph();
     let weighted = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
     for &algo in &ALGOS {
@@ -74,7 +74,7 @@ fn catalogue_is_bit_identical_across_hot_paths() {
 /// The same on the all-push schedule, where every superstep buckets: the
 /// merge of per-lane bucket sets is in fixed worker order.
 #[test]
-fn pooled_path_is_self_deterministic() {
+fn force_sparse_is_self_deterministic() {
     let g = graph();
     let mut o = opts("cc");
     o.mode = flash_runtime::ModePolicy::ForceSparse;
@@ -233,13 +233,13 @@ fn heap_owning_values_reduce_identically_on_every_push_path() {
     for workers in [1usize, 2, 4] {
         let (_, base) = run_trails(ClusterConfig::with_workers(workers));
         for threads in [1usize, 4] {
-            for serial in [false, true] {
+            for sequential in [false, true] {
                 let mut cfg = ClusterConfig::with_workers(workers).threads(threads);
-                if serial {
+                if sequential {
                     cfg = cfg.sequential();
                 }
                 let (trails, stats) = run_trails(cfg);
-                let case = format!("workers={workers} threads={threads} serial={serial}");
+                let case = format!("workers={workers} threads={threads} sequential={sequential}");
                 assert_eq!(trails, expected, "{case}: answer diverged");
                 assert_eq!(
                     counter_trace(&stats),

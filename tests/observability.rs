@@ -218,26 +218,20 @@ fn jsonl_trace_round_trips_through_the_parser() {
     // The first line is the schema header analyzers validate against.
     let head = flash_obs::json::parse(lines[0]).expect("header parses");
     assert_eq!(head.get("event").and_then(Json::as_str), Some("run_meta"));
-    // Schema 2: `run_meta` is exactly these fields (1 also carried the
-    // hot-path label); a shape change must bump the version.
-    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(2));
-    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 2);
+    // Schema 3: `run_meta` is exactly the fields `SCHEMA` declares for it
+    // (1 also carried the hot-path label, 2 wrote `worker_accused`
+    // checksums as numbers); a shape change must bump the version.
+    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(3));
+    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 3);
+    let declared = ["schema", "seed", "workers", "hosts", "fault_plan"];
+    assert_eq!(flash_obs::SCHEMA[0], ("run_meta", &declared[..]));
     let Json::Obj(fields) = &head else {
         panic!("header is not an object: {head:?}");
     };
     let names: Vec<&str> = fields.keys().map(String::as_str).collect();
-    assert_eq!(
-        names,
-        [
-            "event",
-            "fault_plan",
-            "hosts",
-            "schema",
-            "seed",
-            "seq",
-            "workers"
-        ]
-    );
+    let mut expected = [&["event", "seq"], &declared[..]].concat();
+    expected.sort_unstable();
+    assert_eq!(names, expected);
     let mut bytes = 0u64;
     let mut last_seq = None;
     for line in &lines {
@@ -255,4 +249,27 @@ fn jsonl_trace_round_trips_through_the_parser() {
     }
     // The parsed file carries the same totals as the in-memory stats.
     assert_eq!(bytes, out.stats.total_bytes());
+}
+
+/// DESIGN.md §7 documents every event kind; the table there is generated
+/// from `flash_obs::SCHEMA`, so a field added to the `events!` declaration
+/// fails this test until the doc is regenerated.
+#[test]
+fn design_doc_event_table_matches_the_schema() {
+    let mut table = String::from("| event | fields |\n|---|---|\n");
+    for (tag, fields) in flash_obs::SCHEMA {
+        let fields: Vec<String> = fields.iter().map(|f| format!("`{f}`")).collect();
+        table.push_str(&format!("| `{tag}` | {} |\n", fields.join(", ")));
+    }
+    let design = include_str!("../DESIGN.md");
+    let (begin, end) = ("<!-- event-schema:begin -->\n", "<!-- event-schema:end -->");
+    let documented = design
+        .split_once(begin)
+        .and_then(|(_, rest)| rest.split_once(end))
+        .map(|(body, _)| body)
+        .expect("DESIGN.md §7 keeps the event-schema markers");
+    assert!(
+        documented == table,
+        "DESIGN.md §7 is stale; paste this between the event-schema markers:\n{table}"
+    );
 }

@@ -46,4 +46,13 @@ FLASH_SCALE=small cargo run --release -q -p flash-bench --bin bench_flash -- --b
 echo "==> benchmark package smoke (own workspace with path deps: all six workloads — oracle, bit-identity across reps, exact counters)"
 bash benchmark/run.sh --seconds 1 | tail -n 1
 
+echo "==> block streaming gate (pr_block at seed 12 must stream exactly the bytes and blocks of benchmark/exact_seed12.txt)"
+streamed='^pr_block/graph\.streamed_(bytes|blocks) '
+want="$(grep -E "$streamed" benchmark/exact_seed12.txt)"
+got="$(bash benchmark/run.sh --workload pr_block --seed 12 --seconds 1 --trace 1 | grep -E "$streamed" | cut -d' ' -f1,2)"
+if [[ -z "$want" || "$got" != "$want" ]]; then
+    printf 'streamed counters moved; got:\n%s\nexpected:\n%s\n' "$got" "$want" >&2
+    exit 1
+fi
+
 echo "==> OK"

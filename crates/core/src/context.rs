@@ -4,12 +4,13 @@ use crate::edgeset::EdgeSet;
 use crate::subset::VertexSubset;
 use crate::EdgeRef;
 use flash_graph::{
-    BlockHandle, BlockTouch, Graph, HashPartitioner, PartitionMap, StreamScope, VertexId, Weight,
+    BlockGrid, BlockHandle, BlockTouch, Graph, HashPartitioner, PartitionMap, StreamScope,
+    VertexId, MAX_GRID_DIM,
 };
 use flash_runtime::par::parallel_chunks;
 use flash_runtime::{
     Cluster, ClusterConfig, ModePolicy, RunStats, RuntimeError, StepKind, StorageMode, SyncScope,
-    VertexData, WorkerCtx,
+    VertexData,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -266,14 +267,14 @@ impl<V: VertexData> FlashContext<V> {
     // EDGEMAP
     // ------------------------------------------------------------------
 
-    /// The block-streaming handle an `EDGEMAP` over `h` should use, if
+    /// The block handle an `EDGEMAP` over `h` charges its reads to, if
     /// any — paired with this cluster's private [`StreamScope`] so the
     /// replayed accounting lands in per-run counters: block storage must
     /// be configured, the edge set must be streamable (a fixed
     /// orientation of `E`), and the graph must be block-backed. Virtual
-    /// edge sets fall back to the in-memory kernels — they reach beyond
-    /// `E`, so no edge block contains them.
-    fn streaming(&self, h: &EdgeSet<V>) -> Option<(Arc<BlockHandle>, Arc<StreamScope>)> {
+    /// edge sets are not charged — they reach beyond `E`, so no edge
+    /// block contains them.
+    fn streaming(&self, h: &EdgeSet<V>) -> Option<Stream> {
         if self.cluster.config().storage == StorageMode::Block && h.is_streamable() {
             let bh = self.cluster.graph().block_handle().cloned()?;
             Some((bh, Arc::clone(self.cluster.stream_scope())))
@@ -371,24 +372,32 @@ impl<V: VertexData> FlashContext<V> {
         let scope = sync_scope(h);
         let kind = StepKind::EdgeMapDense;
         let stream = self.streaming(h);
+        let stream = stream.as_ref();
+        let grid = stream.map(|(bh, _)| bh.grid());
+        // Pulling over `reverse(E)` reads rows of the out-CSR.
+        let dir = if matches!(h, EdgeSet::Reverse) { 0 } else { 1 };
         let out = self.cluster.step_direct(kind, u.len(), scope, |ctx| {
-            if let Some((bh, sc)) = stream.as_ref() {
-                return dense_streamed(ctx, bh, sc, u, h, &f, &m, &c);
-            }
             let g = ctx.graph();
+            let worker = ctx.worker();
             let masters = ctx.masters();
             let cur = ctx.current_slice();
             let members = u.bits();
             let results = parallel_chunks(masters, ctx.threads(), |chunk| {
+                let mut touched = TouchRecorder::new(grid, dir);
+                let mut scratch: Vec<VertexId> = Vec::new();
                 let mut writes: Vec<(VertexId, V)> = Vec::new();
                 let mut outs: Vec<VertexId> = Vec::new();
                 for &d in chunk {
-                    if !c(d, &cur[d as usize]) {
+                    let d_cur = &cur[d as usize];
+                    if !c(d, d_cur) {
                         continue;
                     }
+                    let row = h.sources(g, d, d_cur, &mut scratch);
+                    touched.row(d);
                     let mut d_new: Option<V> = None;
-                    for (s, w) in h.sources(g, d, &cur[d as usize]) {
-                        let d_ref: &V = d_new.as_ref().unwrap_or(&cur[d as usize]);
+                    for (i, &s) in row.ids.iter().enumerate() {
+                        touched.neighbour(s);
+                        let d_ref: &V = d_new.as_ref().unwrap_or(d_cur);
                         if !c(d, d_ref) {
                             break;
                         }
@@ -399,12 +408,12 @@ impl<V: VertexData> FlashContext<V> {
                         let e = EdgeRef {
                             src: s,
                             dst: d,
-                            weight: w,
+                            weight: row.weight(i),
                         };
                         if f(e, s_val, d_ref) {
                             let val = d_new.get_or_insert_with(|| {
                                 outs.push(d);
-                                cur[d as usize].clone()
+                                d_cur.clone()
                             });
                             m(e, s_val, val);
                         }
@@ -413,10 +422,11 @@ impl<V: VertexData> FlashContext<V> {
                         writes.push((d, val));
                     }
                 }
-                (writes, outs)
+                (writes, outs, touched.finish())
             });
             let mut all_outs = Vec::new();
-            for (writes, outs) in results {
+            for (writes, outs, touches) in results {
+                replay(stream, worker, &touches);
                 ctx.write_masters(writes);
                 all_outs.extend(outs);
             }
@@ -452,33 +462,42 @@ impl<V: VertexData> FlashContext<V> {
         let n = self.num_vertices();
         let scope = sync_scope(h);
         let stream = self.streaming(h);
+        let stream = stream.as_ref();
+        let grid = stream.map(|(bh, _)| bh.grid());
+        // Pushing over `reverse(E)` reads rows of the in-CSR.
+        let dir = if matches!(h, EdgeSet::Reverse) { 1 } else { 0 };
         let out = self.cluster.step_reduce(u.len(), scope, &r, |ctx| {
-            if let Some((bh, sc)) = stream.as_ref() {
-                return sparse_streamed(ctx, bh, sc, u, h, &f, &m, &c, &r);
-            }
             let g = ctx.graph();
+            let worker = ctx.worker();
             let threads = ctx.threads();
-            let actives = u.actives_for(ctx.worker(), ctx.partition());
+            let actives = u.actives_for(worker, ctx.partition());
             let (cur, mut puts) = ctx.split();
             // One kernel body, two sinks. A single chunk (the default
             // `threads_per_worker = 1`) stages every update the moment it
             // is computed; several chunks buffer theirs and the buffers
             // are staged in chunk order. Either way one destination's
             // temporaries meet `r` in source order.
+            let touched = || TouchRecorder::new(grid, dir);
             if threads <= 1 {
-                sparse_chunk(g, &actives, cur, h, &f, &m, &c, |d, temp| {
-                    puts.put(d, temp, &r)
-                });
+                let touches =
+                    sparse_chunk(g, &actives, cur, h, &f, &m, &c, touched(), |d, temp| {
+                        puts.put(d, temp, &r)
+                    });
+                replay(stream, worker, &touches);
             } else {
                 let results = parallel_chunks(&actives, threads, |chunk| {
                     let mut updates: Vec<(VertexId, V)> = Vec::new();
-                    sparse_chunk(g, chunk, cur, h, &f, &m, &c, |d, temp| {
-                        updates.push((d, temp))
-                    });
-                    updates
+                    let touches =
+                        sparse_chunk(g, chunk, cur, h, &f, &m, &c, touched(), |d, temp| {
+                            updates.push((d, temp))
+                        });
+                    (updates, touches)
                 });
-                for (d, temp) in results.into_iter().flatten() {
-                    puts.put(d, temp, &r);
+                for (updates, touches) in results {
+                    replay(stream, worker, &touches);
+                    for (d, temp) in updates {
+                        puts.put(d, temp, &r);
+                    }
                 }
             }
         });
@@ -558,147 +577,9 @@ impl<V: VertexData> FlashContext<V> {
     }
 }
 
-/// Per-destination streaming state of the dense (pull) kernel: a cursor
-/// into the sorted source list, advanced one source block at a time.
-struct DenseRow<'g, W> {
-    d: VertexId,
-    /// The destination's block index (one coordinate of every edge block
-    /// this row touches).
-    db: u32,
-    srcs: &'g [VertexId],
-    wts: Option<&'g [Weight]>,
-    cursor: usize,
-    d_new: Option<W>,
-    /// Set when the per-edge condition `c` failed mid-list — the paper's
-    /// early exit; remaining blocks of this row are skipped (and not
-    /// charged).
-    stopped: bool,
-}
-
-/// The streamed `EDGEMAPDENSE` kernel (DESIGN.md §13). Functionally
-/// identical to the in-memory pull kernel — for every destination the
-/// sources are still visited in ascending order, so results are
-/// bit-identical — but the *visit order across destinations* is
-/// block-major: all rows consume source block `sb` before any row moves
-/// to `sb + 1`, the access pattern an out-of-core engine needs so one
-/// streamed edge block serves every resident row. Touched blocks are
-/// recorded per chunk and replayed against the worker's FIFO cache for
-/// deterministic bytes-streamed accounting.
-#[allow(clippy::too_many_arguments)]
-fn dense_streamed<V: VertexData>(
-    ctx: &mut WorkerCtx<'_, V>,
-    bh: &BlockHandle,
-    scope: &StreamScope,
-    u: &VertexSubset,
-    h: &EdgeSet<V>,
-    f: &(impl Fn(EdgeRef, &V, &V) -> bool + Sync),
-    m: &(impl Fn(EdgeRef, &V, &mut V) + Sync),
-    c: &(impl Fn(VertexId, &V) -> bool + Sync),
-) -> Vec<VertexId> {
-    let g = ctx.graph();
-    let grid = bh.grid();
-    let nb = grid.nb();
-    let reverse = matches!(h, EdgeSet::Reverse);
-    let gate = match h {
-        EdgeSet::TargetsIn(set) => Some(set),
-        _ => None,
-    };
-    let worker = ctx.worker();
-    let masters = ctx.masters();
-    let cur = ctx.current_slice();
-    let members = u.bits();
-    let results = parallel_chunks(masters, ctx.threads(), |chunk| {
-        let mut rows: Vec<DenseRow<'_, V>> = chunk
-            .iter()
-            .copied()
-            .filter(|&d| c(d, &cur[d as usize]) && gate.is_none_or(|set| set.contains(d)))
-            .map(|d| {
-                let (srcs, wts) = if reverse {
-                    (g.out_neighbors(d), g.out_weights(d))
-                } else {
-                    (g.in_neighbors(d), g.in_weights(d))
-                };
-                DenseRow {
-                    d,
-                    db: grid.block_of(d) as u32,
-                    srcs,
-                    wts,
-                    cursor: 0,
-                    d_new: None,
-                    stopped: false,
-                }
-            })
-            .collect();
-        let mut touches: Vec<BlockTouch> = Vec::new();
-        for sb in 0..nb {
-            let end = grid.block_end(sb);
-            for row in rows.iter_mut() {
-                let lo = row.cursor;
-                let mut hi = lo;
-                while hi < row.srcs.len() && (row.srcs[hi] as usize) < end {
-                    hi += 1;
-                }
-                row.cursor = hi;
-                if lo == hi || row.stopped {
-                    continue;
-                }
-                // This slice lives in one edge block; pulling reads the
-                // in-CSR copy of block (sb, db), reversed pulls the
-                // out-CSR copy of (db, sb). Consecutive rows of the same
-                // destination block share the touch.
-                let touch: BlockTouch = if reverse {
-                    (0, row.db, sb as u32)
-                } else {
-                    (1, sb as u32, row.db)
-                };
-                if touches.last() != Some(&touch) {
-                    touches.push(touch);
-                }
-                for i in lo..hi {
-                    let d_ref: &V = row.d_new.as_ref().unwrap_or(&cur[row.d as usize]);
-                    if !c(row.d, d_ref) {
-                        row.stopped = true;
-                        break;
-                    }
-                    let s = row.srcs[i];
-                    if !members.contains(s) {
-                        continue;
-                    }
-                    let s_val = &cur[s as usize];
-                    let e = EdgeRef {
-                        src: s,
-                        dst: row.d,
-                        weight: row.wts.map_or(1.0, |w| w[i]),
-                    };
-                    if f(e, s_val, d_ref) {
-                        let val = row.d_new.get_or_insert_with(|| cur[row.d as usize].clone());
-                        m(e, s_val, val);
-                    }
-                }
-            }
-        }
-        let mut writes: Vec<(VertexId, V)> = Vec::new();
-        let mut outs: Vec<VertexId> = Vec::new();
-        for row in rows {
-            if let Some(val) = row.d_new {
-                outs.push(row.d);
-                writes.push((row.d, val));
-            }
-        }
-        (writes, outs, touches)
-    });
-    let mut all_outs = Vec::new();
-    for (writes, outs, touches) in results {
-        bh.replay(scope, worker, &touches);
-        ctx.write_masters(writes);
-        all_outs.extend(outs);
-    }
-    all_outs
-}
-
-/// The in-memory `EDGEMAPSPARSE` kernel body over one chunk of active
-/// sources: every qualifying edge hands `(target, temporary)` to `sink`,
-/// in source order.
+/// The `EDGEMAPSPARSE` kernel body over one chunk of active sources:
+/// every qualifying edge hands `(target, temporary)` to `sink`, in source
+/// order; returns the edge blocks the chunk read.
 #[allow(clippy::too_many_arguments)]
 fn sparse_chunk<V: VertexData>(
     g: &Graph,
@@ -708,11 +589,19 @@ fn sparse_chunk<V: VertexData>(
     f: &impl Fn(EdgeRef, &V, &V) -> bool,
     m: &impl Fn(EdgeRef, &V, &mut V),
     c: &impl Fn(VertexId, &V) -> bool,
+    mut touched: TouchRecorder,
     mut sink: impl FnMut(VertexId, V),
-) {
+) -> Vec<BlockTouch> {
+    let mut scratch: Vec<VertexId> = Vec::new();
     for &s in chunk {
         let s_val = &cur[s as usize];
-        for (d, w) in h.targets(g, s, s_val) {
+        let row = h.targets(g, s, s_val, &mut scratch);
+        touched.row(s);
+        for (i, &d) in row.ids.iter().enumerate() {
+            touched.neighbour(d);
+            if !row.admits(d) {
+                continue;
+            }
             let d_val = &cur[d as usize];
             if !c(d, d_val) {
                 continue;
@@ -720,7 +609,7 @@ fn sparse_chunk<V: VertexData>(
             let e = EdgeRef {
                 src: s,
                 dst: d,
-                weight: w,
+                weight: row.weight(i),
             };
             if f(e, s_val, d_val) {
                 let mut temp = d_val.clone();
@@ -729,156 +618,89 @@ fn sparse_chunk<V: VertexData>(
             }
         }
     }
+    touched.finish()
 }
 
-/// Per-source streaming state of the sparse (push) kernel: a cursor into
-/// the sorted target list, advanced one destination block at a time.
-struct SparseRow<'g> {
-    s: VertexId,
-    /// The source's block index.
-    sb: u32,
-    tgts: &'g [VertexId],
-    wts: Option<&'g [Weight]>,
-    cursor: usize,
+/// The block handle and per-run scope a streamed `EDGEMAP` charges.
+type Stream = (Arc<BlockHandle>, Arc<StreamScope>);
+
+/// Block-touch accounting for one chunk of an `EDGEMAP` kernel (DESIGN.md
+/// §13). A streamed step runs the same loop over the same CSR rows as an
+/// in-memory one; this only *records* which edge blocks those rows live
+/// in: one bit per neighbour block, OR-ed into a mask that is flushed as
+/// [`BlockTouch`]es when the row block changes. Rows arrive in ascending
+/// id order, so a chunk lists every cell it read exactly once. Without a
+/// stream it records nothing.
+struct TouchRecorder {
+    /// log2 of the block width while streaming.
+    block_bits: Option<u32>,
+    /// The CSR copy the rows come from (0 out, 1 in), which decides the
+    /// coordinate of a cell the row block is.
+    dir: u8,
+    row_block: u32,
+    mask: u64,
+    touches: Vec<BlockTouch>,
 }
 
-/// The streamed `EDGEMAPSPARSE` kernel (DESIGN.md §13). Pushes the same
-/// updates as the in-memory kernel — any one destination still receives
-/// its updates in ascending source order, so reduction is bit-identical —
-/// but iterates destination blocks outermost, the GPOP-style binned
-/// scatter that confines the random target accesses of one pass to a
-/// single block's range. Block touches are replayed for deterministic
-/// streaming accounting. Updates are staged as in the in-memory kernel:
-/// directly with one chunk, buffered and committed in chunk order with
-/// several.
-#[allow(clippy::too_many_arguments)]
-fn sparse_streamed<V: VertexData>(
-    ctx: &mut WorkerCtx<'_, V>,
-    bh: &BlockHandle,
-    scope: &StreamScope,
-    u: &VertexSubset,
-    h: &EdgeSet<V>,
-    f: &(impl Fn(EdgeRef, &V, &V) -> bool + Sync),
-    m: &(impl Fn(EdgeRef, &V, &mut V) + Sync),
-    c: &(impl Fn(VertexId, &V) -> bool + Sync),
-    r: &(impl Fn(&V, &mut V) + Sync),
-) {
-    let g = ctx.graph();
-    let worker = ctx.worker();
-    let threads = ctx.threads();
-    let actives = u.actives_for(worker, ctx.partition());
-    let (cur, mut puts) = ctx.split();
-    if threads <= 1 {
-        let touches = sparse_streamed_chunk(g, bh, &actives, cur, h, f, m, c, |d, temp| {
-            puts.put(d, temp, r)
-        });
-        bh.replay(scope, worker, &touches);
-    } else {
-        let results = parallel_chunks(&actives, threads, |chunk| {
-            let mut updates: Vec<(VertexId, V)> = Vec::new();
-            let touches = sparse_streamed_chunk(g, bh, chunk, cur, h, f, m, c, |d, temp| {
-                updates.push((d, temp))
+impl TouchRecorder {
+    fn new(grid: Option<&BlockGrid>, dir: u8) -> Self {
+        debug_assert!(grid.is_none_or(|g| g.nb() <= MAX_GRID_DIM));
+        TouchRecorder {
+            block_bits: grid.map(|g| g.block_bits()),
+            dir,
+            row_block: 0,
+            mask: 0,
+            touches: Vec::new(),
+        }
+    }
+
+    /// The kernel starts the row of `v`.
+    #[inline]
+    fn row(&mut self, v: VertexId) {
+        if let Some(bits) = self.block_bits {
+            let block = v >> bits;
+            if block != self.row_block {
+                self.flush();
+                self.row_block = block;
+            }
+        }
+    }
+
+    /// The kernel reads the row's entry for neighbour `v`: the slice of
+    /// the row inside `v`'s block is charged from here on, whatever the
+    /// kernel's filters then decide about the edge.
+    #[inline]
+    fn neighbour(&mut self, v: VertexId) {
+        if let Some(bits) = self.block_bits {
+            self.mask |= 1 << (v >> bits);
+        }
+    }
+
+    fn flush(&mut self) {
+        let mut mask = std::mem::take(&mut self.mask);
+        while mask != 0 {
+            let other = mask.trailing_zeros();
+            mask &= mask - 1;
+            self.touches.push(if self.dir == 0 {
+                (0, self.row_block, other)
+            } else {
+                (1, other, self.row_block)
             });
-            (updates, touches)
-        });
-        for (updates, touches) in results {
-            bh.replay(scope, worker, &touches);
-            for (d, temp) in updates {
-                puts.put(d, temp, r);
-            }
         }
+    }
+
+    /// The cells this chunk read, row-block-major.
+    fn finish(mut self) -> Vec<BlockTouch> {
+        self.flush();
+        self.touches
     }
 }
 
-/// The streamed push kernel body over one chunk of active sources: hands
-/// every update to `sink` and returns the edge blocks it touched, in
-/// touch order.
-#[allow(clippy::too_many_arguments)]
-fn sparse_streamed_chunk<V: VertexData>(
-    g: &Graph,
-    bh: &BlockHandle,
-    chunk: &[VertexId],
-    cur: &[V],
-    h: &EdgeSet<V>,
-    f: &impl Fn(EdgeRef, &V, &V) -> bool,
-    m: &impl Fn(EdgeRef, &V, &mut V),
-    c: &impl Fn(VertexId, &V) -> bool,
-    mut sink: impl FnMut(VertexId, V),
-) -> Vec<BlockTouch> {
-    let grid = bh.grid();
-    let nb = grid.nb();
-    let reverse = matches!(h, EdgeSet::Reverse);
-    let gate = match h {
-        EdgeSet::TargetsIn(set) => Some(set),
-        _ => None,
-    };
-    let mut rows: Vec<SparseRow<'_>> = chunk
-        .iter()
-        .copied()
-        .map(|s| {
-            let (tgts, wts) = if reverse {
-                (g.in_neighbors(s), g.in_weights(s))
-            } else {
-                (g.out_neighbors(s), g.out_weights(s))
-            };
-            SparseRow {
-                s,
-                sb: grid.block_of(s) as u32,
-                tgts,
-                wts,
-                cursor: 0,
-            }
-        })
-        .collect();
-    let mut touches: Vec<BlockTouch> = Vec::new();
-    for db in 0..nb {
-        let end = grid.block_end(db);
-        for row in rows.iter_mut() {
-            let lo = row.cursor;
-            let mut hi = lo;
-            while hi < row.tgts.len() && (row.tgts[hi] as usize) < end {
-                hi += 1;
-            }
-            row.cursor = hi;
-            if lo == hi {
-                continue;
-            }
-            // Pushing reads the out-CSR copy of block (sb, db);
-            // reversed pushes read the in-CSR copy of (db, sb).
-            let touch: BlockTouch = if reverse {
-                (1, db as u32, row.sb)
-            } else {
-                (0, row.sb, db as u32)
-            };
-            if touches.last() != Some(&touch) {
-                touches.push(touch);
-            }
-            let s_val = &cur[row.s as usize];
-            for i in lo..hi {
-                let d = row.tgts[i];
-                if let Some(set) = gate {
-                    if !set.contains(d) {
-                        continue;
-                    }
-                }
-                let d_val = &cur[d as usize];
-                if !c(d, d_val) {
-                    continue;
-                }
-                let e = EdgeRef {
-                    src: row.s,
-                    dst: d,
-                    weight: row.wts.map_or(1.0, |w| w[i]),
-                };
-                if f(e, s_val, d_val) {
-                    let mut temp = d_val.clone();
-                    m(e, s_val, &mut temp);
-                    sink(d, temp);
-                }
-            }
-        }
+/// Replays one chunk's touches against the worker's block cache.
+fn replay(stream: Option<&Stream>, worker: usize, touches: &[BlockTouch]) {
+    if let Some((bh, scope)) = stream {
+        bh.replay(scope, worker, touches);
     }
-    touches
 }
 
 /// Chooses the mirror-sync scope for an edge set: virtual edges escape the
@@ -889,5 +711,47 @@ fn sync_scope<V>(h: &EdgeSet<V>) -> SyncScope {
         SyncScope::All
     } else {
         SyncScope::Necessary
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flash_graph::GraphBuilder;
+
+    /// The widest grid has exactly as many blocks per axis as the mask has
+    /// bits: a neighbour in the last block sets the top bit and comes out
+    /// as a touch like any other.
+    #[test]
+    fn recorder_covers_the_widest_grid() {
+        let n = MAX_GRID_DIM * 4_096;
+        let last = (n - 1) as VertexId;
+        let g = GraphBuilder::new(n).edges([(0, last)]).build().unwrap();
+        let grid = BlockGrid::build(&g);
+        assert_eq!(grid.nb(), MAX_GRID_DIM);
+
+        let mut out_rows = TouchRecorder::new(Some(&grid), 0);
+        out_rows.row(0);
+        out_rows.neighbour(last);
+        assert_eq!(out_rows.mask, 1 << 63);
+        out_rows.row(1);
+        out_rows.neighbour(4_096);
+        out_rows.row(last);
+        out_rows.neighbour(0);
+        assert_eq!(
+            out_rows.finish(),
+            [(0, 0, 1), (0, 0, 63), (0, 63, 0)],
+            "one touch per cell, flushed when the row block changes"
+        );
+
+        let mut in_rows = TouchRecorder::new(Some(&grid), 1);
+        in_rows.row(last);
+        in_rows.neighbour(0);
+        assert_eq!(in_rows.finish(), [(1, 0, 63)], "in-CSR rows are columns");
+
+        let mut off = TouchRecorder::new(None, 0);
+        off.row(last);
+        off.neighbour(last);
+        assert!(off.finish().is_empty(), "in-memory steps record nothing");
     }
 }

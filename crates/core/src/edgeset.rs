@@ -109,11 +109,11 @@ impl<V> EdgeSet<V> {
         )
     }
 
-    /// `true` if the streamed (out-of-core) kernels can serve this set by
-    /// scanning edge blocks of the on-disk graph: the set must be a subset
-    /// of `E` (or `reverse(E)`) known without evaluating per-vertex
-    /// functions. Virtual sets (two-hop, custom) fall back to the
-    /// in-memory kernels even under block storage.
+    /// `true` if a step over this set reads rows of the on-disk graph's
+    /// edge blocks and nothing else, so block storage can charge it: the
+    /// set must be a subset of `E` (or `reverse(E)`) known without
+    /// evaluating per-vertex functions. Virtual sets (two-hop, custom)
+    /// run uncharged even under block storage.
     pub fn is_streamable(&self) -> bool {
         matches!(
             self,
@@ -133,27 +133,26 @@ impl<V> EdgeSet<V> {
         !matches!(self, EdgeSet::CustomOut(_))
     }
 
-    /// Enumerates `(target, weight)` pairs out of `s` (push orientation).
-    pub fn targets(&self, g: &Graph, s: VertexId, val: &V) -> Vec<(VertexId, Weight)> {
+    /// The row of `H` out of `s` (push orientation). Every neighbour in
+    /// the row that [`Row::admits`] is an edge `s → t` of `H`.
+    pub(crate) fn targets<'a>(
+        &'a self,
+        g: &'a Graph,
+        s: VertexId,
+        val: &V,
+        scratch: &'a mut Vec<VertexId>,
+    ) -> Row<'a> {
         match self {
-            EdgeSet::Forward => g.out_edges(s).collect(),
-            EdgeSet::Reverse => g.in_edges(s).collect(),
-            EdgeSet::TwoHop => {
-                let mut out = Vec::new();
-                for &mid in g.out_neighbors(s) {
-                    for &t in g.out_neighbors(mid) {
-                        if t != s {
-                            out.push((t, 1.0));
-                        }
-                    }
-                }
-                out.sort_unstable_by_key(|&(t, _)| t);
-                out.dedup_by_key(|&mut (t, _)| t);
-                out
-            }
-            EdgeSet::TargetsIn(u) => g.out_edges(s).filter(|&(t, _)| u.contains(t)).collect(),
+            EdgeSet::Forward => Row::stored(g.out_neighbors(s), g.out_weights(s)),
+            EdgeSet::Reverse => Row::stored(g.in_neighbors(s), g.in_weights(s)),
+            EdgeSet::TwoHop => Row::two_hop(s, |v| g.out_neighbors(v), scratch),
+            EdgeSet::TargetsIn(u) => Row {
+                gate: Some(u),
+                ..Row::stored(g.out_neighbors(s), g.out_weights(s))
+            },
             EdgeSet::CustomOut(f) | EdgeSet::CustomBoth(f, _) => {
-                f(s, val).into_iter().map(|t| (t, 1.0)).collect()
+                *scratch = f(s, val);
+                Row::stored(scratch, None)
             }
             EdgeSet::CustomIn(_) => {
                 unreachable!("push kernel must check supports_push() first")
@@ -161,38 +160,86 @@ impl<V> EdgeSet<V> {
         }
     }
 
-    /// Enumerates `(source, weight)` pairs into `d` (pull orientation).
-    pub fn sources(&self, g: &Graph, d: VertexId, val: &V) -> Vec<(VertexId, Weight)> {
+    /// The row of `H` into `d` (pull orientation): every neighbour in it
+    /// is an edge `s → d` of `H`.
+    pub(crate) fn sources<'a>(
+        &'a self,
+        g: &'a Graph,
+        d: VertexId,
+        val: &V,
+        scratch: &'a mut Vec<VertexId>,
+    ) -> Row<'a> {
         match self {
-            EdgeSet::Forward => g.in_edges(d).collect(),
-            EdgeSet::Reverse => g.out_edges(d).collect(),
-            EdgeSet::TwoHop => {
-                let mut out = Vec::new();
-                for &mid in g.in_neighbors(d) {
-                    for &s in g.in_neighbors(mid) {
-                        if s != d {
-                            out.push((s, 1.0));
-                        }
-                    }
-                }
-                out.sort_unstable_by_key(|&(s, _)| s);
-                out.dedup_by_key(|&mut (s, _)| s);
-                out
+            EdgeSet::Forward => Row::stored(g.in_neighbors(d), g.in_weights(d)),
+            EdgeSet::Reverse => Row::stored(g.out_neighbors(d), g.out_weights(d)),
+            EdgeSet::TwoHop => Row::two_hop(d, |v| g.in_neighbors(v), scratch),
+            EdgeSet::TargetsIn(u) if u.contains(d) => {
+                Row::stored(g.in_neighbors(d), g.in_weights(d))
             }
-            EdgeSet::TargetsIn(u) => {
-                if u.contains(d) {
-                    g.in_edges(d).collect()
-                } else {
-                    Vec::new()
-                }
-            }
+            EdgeSet::TargetsIn(_) => Row::stored(&[], None),
             EdgeSet::CustomIn(f) | EdgeSet::CustomBoth(_, f) => {
-                f(d, val).into_iter().map(|s| (s, 1.0)).collect()
+                *scratch = f(d, val);
+                Row::stored(scratch, None)
             }
             EdgeSet::CustomOut(_) => {
                 unreachable!("pull kernel must check supports_pull() first")
             }
         }
+    }
+}
+
+/// One vertex's row of an edge set, as the `EDGEMAP` kernels walk it: the
+/// neighbour ids in the order the kernel must meet them (ascending for
+/// every set stored in or derived from the CSR), borrowed from the graph
+/// for `E`, `reverse(E)` and `join(E, U)`, or from the kernel's one
+/// scratch buffer for the sets that have to be materialised (two-hop,
+/// custom). A kernel leaves a row early with a plain `break`.
+pub(crate) struct Row<'a> {
+    /// The neighbours, in visit order.
+    pub(crate) ids: &'a [VertexId],
+    weights: Option<&'a [Weight]>,
+    /// `join(E, U)` walked from the source side: the stored row holds all
+    /// of the source's out-edges, the gate says which are in `H`. (The
+    /// streamed kernel charges the blocks of the whole row, so the filter
+    /// cannot happen before the kernel sees it.)
+    gate: Option<&'a VertexSubset>,
+}
+
+impl<'a> Row<'a> {
+    fn stored(ids: &'a [VertexId], weights: Option<&'a [Weight]>) -> Self {
+        Row {
+            ids,
+            weights,
+            gate: None,
+        }
+    }
+
+    /// Endpoints of the length-2 paths from `v` along `step`, without `v`
+    /// itself, sorted and deduplicated into `scratch`.
+    fn two_hop<'g>(
+        v: VertexId,
+        step: impl Fn(VertexId) -> &'g [VertexId],
+        scratch: &'a mut Vec<VertexId>,
+    ) -> Self {
+        scratch.clear();
+        for &mid in step(v) {
+            scratch.extend(step(mid).iter().filter(|&&end| end != v));
+        }
+        scratch.sort_unstable();
+        scratch.dedup();
+        Row::stored(scratch, None)
+    }
+
+    /// Weight of the `i`-th edge of the row (1.0 when the set carries none).
+    #[inline]
+    pub(crate) fn weight(&self, i: usize) -> Weight {
+        self.weights.map_or(1.0, |w| w[i])
+    }
+
+    /// `true` if the edge to neighbour `v` belongs to `H`.
+    #[inline]
+    pub(crate) fn admits(&self, v: VertexId) -> bool {
+        self.gate.is_none_or(|u| u.contains(v))
     }
 }
 
@@ -214,54 +261,78 @@ mod tests {
             .unwrap()
     }
 
+    /// The `(neighbour, weight)` edges of `H` a kernel would take from
+    /// the row of `v`: every admitted neighbour, in row order.
+    fn edges(
+        h: &EdgeSet<P>,
+        g: &Graph,
+        v: VertexId,
+        val: &P,
+        push: bool,
+    ) -> Vec<(VertexId, Weight)> {
+        let mut scratch = Vec::new();
+        let row = if push {
+            h.targets(g, v, val, &mut scratch)
+        } else {
+            h.sources(g, v, val, &mut scratch)
+        };
+        (0..row.ids.len())
+            .filter(|&i| row.admits(row.ids[i]))
+            .map(|i| (row.ids[i], row.weight(i)))
+            .collect()
+    }
+
+    fn targets(h: &EdgeSet<P>, g: &Graph, s: VertexId, val: &P) -> Vec<VertexId> {
+        edges(h, g, s, val, true).into_iter().map(|e| e.0).collect()
+    }
+
+    fn sources(h: &EdgeSet<P>, g: &Graph, d: VertexId, val: &P) -> Vec<VertexId> {
+        edges(h, g, d, val, false)
+            .into_iter()
+            .map(|e| e.0)
+            .collect()
+    }
+
     #[test]
     fn forward_and_reverse() {
         let g = diamond();
         let h: EdgeSet<P> = EdgeSet::forward();
-        let t: Vec<_> = h
-            .targets(&g, 0, &P::default())
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(t, vec![1, 2]);
-        let s: Vec<_> = h
-            .sources(&g, 3, &P::default())
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(s, vec![1, 2]);
+        assert_eq!(targets(&h, &g, 0, &P::default()), vec![1, 2]);
+        assert_eq!(sources(&h, &g, 3, &P::default()), vec![1, 2]);
 
         let r: EdgeSet<P> = EdgeSet::reverse();
-        let rt: Vec<_> = r
-            .targets(&g, 3, &P::default())
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(rt, vec![1, 2]);
-        let rs: Vec<_> = r
-            .sources(&g, 1, &P::default())
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(rs, vec![3]);
+        assert_eq!(targets(&r, &g, 3, &P::default()), vec![1, 2]);
+        assert_eq!(sources(&r, &g, 1, &P::default()), vec![3]);
+    }
+
+    #[test]
+    fn stored_rows_borrow_the_csr() {
+        let g = diamond();
+        let h: EdgeSet<P> = EdgeSet::forward();
+        let mut scratch = Vec::new();
+        let row = h.sources(&g, 3, &P::default(), &mut scratch);
+        assert!(std::ptr::eq(row.ids, g.in_neighbors(3)), "no copy");
     }
 
     #[test]
     fn two_hop_dedups_and_skips_self() {
         let g = diamond();
         let h: EdgeSet<P> = EdgeSet::two_hop();
-        let t: Vec<_> = h
-            .targets(&g, 0, &P::default())
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(t, vec![3], "two paths to 3 collapse to one edge");
-        let s: Vec<_> = h
-            .sources(&g, 3, &P::default())
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(s, vec![0]);
+        assert_eq!(
+            targets(&h, &g, 0, &P::default()),
+            vec![3],
+            "two paths to 3 collapse to one edge"
+        );
+        assert_eq!(sources(&h, &g, 3, &P::default()), vec![0]);
+        // A 2-cycle leads back to the start, which is not its own
+        // two-hop neighbour; the scratch buffer is cleared between rows.
+        let cyc = GraphBuilder::new(3)
+            .edges([(0, 1), (1, 0), (1, 2)])
+            .build()
+            .unwrap();
+        let mut scratch = vec![7, 7, 7];
+        let row = h.targets(&cyc, 0, &P::default(), &mut scratch);
+        assert_eq!(row.ids, [2]);
     }
 
     #[test]
@@ -269,14 +340,16 @@ mod tests {
         let g = diamond();
         let u = VertexSubset::from_ids(4, [2]);
         let h: EdgeSet<P> = EdgeSet::targets_in(&u);
-        let t: Vec<_> = h
-            .targets(&g, 0, &P::default())
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(t, vec![2]);
-        assert!(h.sources(&g, 3, &P::default()).is_empty());
-        assert_eq!(h.sources(&g, 2, &P::default()).len(), 1);
+        assert_eq!(targets(&h, &g, 0, &P::default()), vec![2]);
+        // Push sees the whole stored row (the streamed kernel charges its
+        // blocks) and the gate picks the edges of H out of it ...
+        let mut scratch = Vec::new();
+        let row = h.targets(&g, 0, &P::default(), &mut scratch);
+        assert_eq!(row.ids, [1, 2]);
+        assert!(!row.admits(1) && row.admits(2));
+        // ... pull is gated on the row's own vertex.
+        assert!(sources(&h, &g, 3, &P::default()).is_empty());
+        assert_eq!(sources(&h, &g, 2, &P::default()), vec![0]);
     }
 
     #[test]
@@ -284,8 +357,7 @@ mod tests {
         let g = diamond();
         let h: EdgeSet<P> = EdgeSet::custom_out(|_, p: &P| vec![p.parent]);
         let val = P { parent: 2 };
-        let t: Vec<_> = h.targets(&g, 0, &val).into_iter().map(|(t, _)| t).collect();
-        assert_eq!(t, vec![2]);
+        assert_eq!(edges(&h, &g, 0, &val, true), vec![(2, 1.0)]);
         assert!(h.is_virtual());
         assert!(h.supports_push());
         assert!(!h.supports_pull());
@@ -293,6 +365,25 @@ mod tests {
         let hin: EdgeSet<P> = EdgeSet::custom_in(|_, p: &P| vec![p.parent]);
         assert!(!hin.supports_push());
         assert!(hin.supports_pull());
+        assert_eq!(sources(&hin, &g, 0, &val), vec![2]);
+
+        let both: EdgeSet<P> = EdgeSet::custom(|v, _| vec![v + 1], |v, _| vec![v - 1]);
+        assert_eq!(targets(&both, &g, 1, &val), vec![2]);
+        assert_eq!(sources(&both, &g, 1, &val), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "supports_push")]
+    fn pull_only_set_refuses_the_push_side() {
+        let hin: EdgeSet<P> = EdgeSet::custom_in(|_, p: &P| vec![p.parent]);
+        targets(&hin, &diamond(), 0, &P::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "supports_pull")]
+    fn push_only_set_refuses_the_pull_side() {
+        let h: EdgeSet<P> = EdgeSet::custom_out(|_, p: &P| vec![p.parent]);
+        sources(&h, &diamond(), 0, &P::default());
     }
 
     #[test]
@@ -325,7 +416,9 @@ mod tests {
             .build()
             .unwrap();
         let h: EdgeSet<P> = EdgeSet::forward();
-        assert_eq!(h.targets(&g, 0, &P::default()), vec![(1, 2.5)]);
-        assert_eq!(h.sources(&g, 1, &P::default()), vec![(0, 2.5)]);
+        assert_eq!(edges(&h, &g, 0, &P::default(), true), vec![(1, 2.5)]);
+        assert_eq!(edges(&h, &g, 1, &P::default(), false), vec![(0, 2.5)]);
+        let r: EdgeSet<P> = EdgeSet::reverse();
+        assert_eq!(edges(&r, &g, 1, &P::default(), true), vec![(0, 2.5)]);
     }
 }

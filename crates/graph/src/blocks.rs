@@ -184,12 +184,16 @@ pub struct BlockGrid {
     bytes_per_edge: u64,
 }
 
+/// Most blocks a grid has along one axis. The streamed kernels keep the
+/// blocks one row block touches as one bit each of a `u64`.
+pub const MAX_GRID_DIM: usize = 64;
+
 /// Picks the block width for `n` vertices: start at 4096 vertices per
-/// block and widen until at most 64 blocks span the id range (so the
-/// grid never exceeds 64×64 cells).
+/// block and widen until at most [`MAX_GRID_DIM`] blocks span the id
+/// range.
 fn block_bits_for(n: usize) -> u32 {
     let mut bits = 12u32;
-    while bits < usize::BITS - 1 && n.div_ceil(1usize << bits) > 64 {
+    while bits < usize::BITS - 1 && n.div_ceil(1usize << bits) > MAX_GRID_DIM {
         bits += 1;
     }
     bits
@@ -922,8 +926,32 @@ mod tests {
     fn grid_never_exceeds_64_blocks_per_axis() {
         for n in [0usize, 1, 4_096, 4_097, 1 << 20, 100_000_000] {
             let bits = block_bits_for(n);
-            assert!(n.div_ceil(1usize << bits).max(1) <= 64, "n={n}");
+            assert!(n.div_ceil(1usize << bits).max(1) <= MAX_GRID_DIM, "n={n}");
         }
+    }
+
+    /// The widest grid the 4096-vertex block allows is exactly
+    /// `MAX_GRID_DIM` blocks: its last block still fits a `u64` touch mask
+    /// and is charged like any other; one vertex more doubles the width.
+    #[test]
+    fn grid_boundary_at_max_dim() {
+        let n = MAX_GRID_DIM * 4_096;
+        let last = (n - 1) as VertexId;
+        let g = GraphBuilder::new(n).edges([(0, last)]).build().unwrap();
+        let grid = BlockGrid::build(&g);
+        assert_eq!((grid.block_bits(), grid.nb()), (12, MAX_GRID_DIM));
+        assert_eq!(grid.block_of(last), MAX_GRID_DIM - 1);
+        assert_eq!(1u64.checked_shl(grid.block_of(last) as u32), Some(1 << 63));
+        assert_eq!(grid.edge_count(0, MAX_GRID_DIM - 1), 1);
+        let handle = BlockHandle::new(grid, false);
+        let scope = StreamScope::new();
+        handle.replay(&scope, 0, &[(0, 0, (MAX_GRID_DIM - 1) as u32)]);
+        let snap = scope.snapshot();
+        assert_eq!((snap.blocks_streamed, snap.bytes_streamed), (1, 4));
+
+        let wider = GraphBuilder::new(n + 1).build().unwrap();
+        let grid = BlockGrid::build(&wider);
+        assert_eq!((grid.block_bits(), grid.nb()), (13, MAX_GRID_DIM / 2 + 1));
     }
 
     #[test]

@@ -60,6 +60,7 @@ pub mod testutil;
 pub use bitset::BitSet;
 pub use blocks::{
     open_blocks, write_blocks, BlockGrid, BlockHandle, BlockTouch, StreamScope, StreamSnapshot,
+    MAX_GRID_DIM,
 };
 pub use builder::GraphBuilder;
 pub use csr::Csr;

@@ -55,4 +55,13 @@ if [[ -z "$want" || "$got" != "$want" ]]; then
     exit 1
 fi
 
+echo "==> repair gate (serve_mix at seed 12 must take exactly the algos.pr_repair_sweeps of benchmark/exact_seed12.txt and fail no op)"
+gate='^serve_mix/(algos\.pr_repair_sweeps|ops_failed) '
+want="$(grep -E "$gate" benchmark/exact_seed12.txt)"$'\n'"serve_mix/ops_failed 0"
+got="$({ bash benchmark/run.sh --workload serve_mix --seed 12 --seconds 1 --trace 1 || true; } | grep -E "$gate" | cut -d' ' -f1,2)"
+if [[ "$got" != "$want" ]]; then
+    printf 'repair sweeps moved or an op failed; got:\n%s\nexpected:\n%s\n' "$got" "$want" >&2
+    exit 1
+fi
+
 echo "==> OK"

@@ -27,7 +27,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use flash_graph::{DeltaOverlay, VertexId};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Damping factor shared with [`crate::pagerank::DAMPING`].
 const DAMPING: f64 = crate::pagerank::DAMPING;
@@ -64,8 +64,9 @@ impl MaintainedCc {
     }
 
     /// Repairs the labeling after a batch whose changed endpoints are
-    /// `touched`, re-labeling only the affected components. Returns the
-    /// number of vertices scanned by the repair BFS.
+    /// `touched` (ids outside the vertex set are ignored), re-labeling
+    /// only the affected components. Returns the number of vertices
+    /// scanned by the repair BFS.
     ///
     /// Correctness: let `A` be the union of the *old* components of the
     /// touched vertices. Every inserted or deleted edge has both
@@ -78,48 +79,40 @@ impl MaintainedCc {
         if touched.is_empty() {
             return 0;
         }
-        let affected: BTreeSet<VertexId> = touched
-            .iter()
-            .filter_map(|&t| self.labels.get(t as usize).copied())
-            .collect();
-        // Membership scan: every vertex whose old component was touched.
-        let members: Vec<VertexId> = self
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| affected.contains(l))
-            .map(|(v, _)| v as VertexId)
-            .collect();
-        let mut pending: BTreeSet<VertexId> = members.iter().copied().collect();
-        let mut queue = VecDeque::new();
+        // Old labels of the touched components, as marks indexed by label.
+        let mut affected = vec![false; self.labels.len()];
+        for &t in touched {
+            if let Some(&label) = self.labels.get(t as usize) {
+                affected[label as usize] = true;
+            }
+        }
+        // `pending[v]`: `v` is in `A` and not yet reached by a repair BFS.
+        let mut pending: Vec<bool> = self.labels.iter().map(|&l| affected[l as usize]).collect();
+        let mut queue: Vec<VertexId> = Vec::new();
         let mut scanned = 0usize;
-        // Members are sorted ascending, so the first unvisited seed of each
-        // new component is also its minimum id — label it immediately.
-        for &seed in &members {
-            if !pending.contains(&seed) {
+        // Seeds ascend and `A` is closed, so every smaller member of a
+        // seed's new component would have claimed it first: the seed is
+        // the component's minimum id.
+        for seed in 0..self.labels.len() as VertexId {
+            if !std::mem::take(&mut pending[seed as usize]) {
                 continue;
             }
-            pending.remove(&seed);
-            queue.push_back(seed);
-            let mut min_id = seed;
-            let mut component = vec![seed];
-            while let Some(v) = queue.pop_front() {
-                scanned += 1;
-                for d in view.neighbors(v) {
-                    if pending.remove(&d) {
-                        min_id = min_id.min(d);
-                        component.push(d);
-                        queue.push_back(d);
+            queue.clear();
+            queue.push(seed);
+            let mut head = 0;
+            while head < queue.len() {
+                view.for_each_neighbor(queue[head], |d| {
+                    if std::mem::take(&mut pending[d as usize]) {
+                        queue.push(d);
                     }
-                }
+                });
+                head += 1;
             }
-            for v in component {
-                if let Some(slot) = self.labels.get_mut(v as usize) {
-                    if *slot != min_id {
-                        self.repaired += 1;
-                    }
-                    *slot = min_id;
-                }
+            scanned += queue.len();
+            for &v in &queue {
+                let slot = &mut self.labels[v as usize];
+                self.repaired += u64::from(*slot != seed);
+                *slot = seed;
             }
         }
         scanned
@@ -140,12 +133,12 @@ pub fn full_cc(view: &DeltaOverlay) -> Vec<VertexId> {
         labels[root as usize] = root;
         queue.push_back(root);
         while let Some(v) = queue.pop_front() {
-            for d in view.neighbors(v) {
+            view.for_each_neighbor(v, |d| {
                 if labels[d as usize] == VertexId::MAX {
                     labels[d as usize] = root;
                     queue.push_back(d);
                 }
-            }
+            });
         }
     }
     labels
@@ -161,6 +154,8 @@ pub fn full_cc(view: &DeltaOverlay) -> Vec<VertexId> {
 #[derive(Debug, Clone)]
 pub struct MaintainedPageRank {
     ranks: Vec<f64>,
+    /// The sweep's output buffer, kept between repairs.
+    next: Vec<f64>,
     eps: f64,
     /// Sweeps executed across all repairs (diagnostics).
     sweeps: u64,
@@ -170,13 +165,14 @@ impl MaintainedPageRank {
     /// Computes ranks from scratch (uniform cold start) at tolerance
     /// `eps`.
     pub fn new(view: &DeltaOverlay, eps: f64) -> Self {
-        let n = view.num_vertices().max(1);
+        let n = view.num_vertices();
         let mut pr = MaintainedPageRank {
-            ranks: vec![1.0 / n as f64; view.num_vertices()],
+            ranks: vec![1.0 / n.max(1) as f64; n],
+            next: vec![0.0; n],
             eps,
             sweeps: 0,
         };
-        pr.sweeps += iterate_to_tolerance(view, &mut pr.ranks, eps);
+        pr.repair(view);
         pr
     }
 
@@ -191,9 +187,44 @@ impl MaintainedPageRank {
     }
 
     /// Repairs the ranks after the overlay changed, warm-starting from
-    /// the stale vector. Returns the number of sweeps the repair took.
+    /// the stale vector: damped power-iteration sweeps (uniform teleport,
+    /// dangling mass redistributed uniformly) until the L1 step delta is
+    /// at most `eps`. Returns the number of sweeps the repair took.
     pub fn repair(&mut self, view: &DeltaOverlay) -> u64 {
-        let took = iterate_to_tolerance(view, &mut self.ranks, self.eps);
+        let (ranks, next) = (&mut self.ranks, &mut self.next);
+        if ranks.is_empty() {
+            return 0;
+        }
+        let inv_n = 1.0 / ranks.len() as f64;
+        let mut took = 0u64;
+        // Hard cap: contraction factor d guarantees convergence long before
+        // this, but a bound keeps the serve loop total even if eps is 0.
+        const MAX_SWEEPS: u64 = 10_000;
+        while took < MAX_SWEEPS {
+            let mut dangling = 0.0f64;
+            next.fill(0.0);
+            for (v, &rank) in ranks.iter().enumerate() {
+                let v = v as VertexId;
+                let deg = view.degree(v);
+                if deg == 0 {
+                    dangling += rank;
+                } else {
+                    let share = rank / deg as f64;
+                    view.for_each_neighbor(v, |d| next[d as usize] += share);
+                }
+            }
+            let teleport = (1.0 - DAMPING) * inv_n + DAMPING * dangling * inv_n;
+            let mut delta = 0.0f64;
+            for (x, old) in next.iter_mut().zip(ranks.iter()) {
+                *x = DAMPING * *x + teleport;
+                delta += (*x - old).abs();
+            }
+            std::mem::swap(ranks, next);
+            took += 1;
+            if delta <= self.eps {
+                break;
+            }
+        }
         self.sweeps += took;
         took
     }
@@ -215,56 +246,7 @@ impl MaintainedPageRank {
 /// Full from-scratch PageRank over a view at tolerance `eps` — the
 /// reference the serve driver compares repaired ranks against.
 pub fn full_pagerank(view: &DeltaOverlay, eps: f64) -> Vec<f64> {
-    let n = view.num_vertices().max(1);
-    let mut ranks = vec![1.0 / n as f64; view.num_vertices()];
-    iterate_to_tolerance(view, &mut ranks, eps);
-    ranks
-}
-
-/// Runs damped power-iteration sweeps (uniform teleport, dangling mass
-/// redistributed uniformly) until the L1 step delta is at most `eps`.
-/// Returns the number of sweeps.
-fn iterate_to_tolerance(view: &DeltaOverlay, ranks: &mut [f64], eps: f64) -> u64 {
-    let n = ranks.len();
-    if n == 0 {
-        return 0;
-    }
-    let inv_n = 1.0 / n as f64;
-    let mut next = vec![0.0f64; n];
-    let mut sweeps = 0u64;
-    // Hard cap: contraction factor d guarantees convergence long before
-    // this, but a bound keeps the serve loop total even if eps is 0.
-    const MAX_SWEEPS: u64 = 10_000;
-    while sweeps < MAX_SWEEPS {
-        let mut dangling = 0.0f64;
-        for x in next.iter_mut() {
-            *x = 0.0;
-        }
-        for v in 0..n as VertexId {
-            let rank = ranks[v as usize];
-            let deg = view.degree(v);
-            if deg == 0 {
-                dangling += rank;
-            } else {
-                let share = rank / deg as f64;
-                for d in view.neighbors(v) {
-                    next[d as usize] += share;
-                }
-            }
-        }
-        let teleport = (1.0 - DAMPING) * inv_n + DAMPING * dangling * inv_n;
-        let mut delta = 0.0f64;
-        for (x, old) in next.iter_mut().zip(ranks.iter()) {
-            *x = DAMPING * *x + teleport;
-            delta += (*x - old).abs();
-        }
-        ranks.copy_from_slice(&next);
-        sweeps += 1;
-        if delta <= eps {
-            break;
-        }
-    }
-    sweeps
+    MaintainedPageRank::new(view, eps).ranks
 }
 
 #[cfg(test)]
@@ -393,5 +375,81 @@ mod tests {
             warm <= cold_sweeps,
             "warm start took {warm} sweeps vs {cold_sweeps} cold"
         );
+    }
+
+    /// Checks both maintained results against from-scratch references.
+    fn assert_repaired(view: &DeltaOverlay, cc: &MaintainedCc, pr: &MaintainedPageRank, at: &str) {
+        assert_eq!(cc.labels(), full_cc(view).as_slice(), "{at}: labels");
+        let full = full_pagerank(view, 1e-9);
+        let l1: f64 = pr
+            .ranks()
+            .iter()
+            .zip(&full)
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        assert!(l1 <= pr.comparison_bound(), "{at}: L1 divergence {l1:e}");
+        let sum: f64 = pr.ranks().iter().sum();
+        assert!((sum - 1.0).abs() < 1e-6, "{at}: ranks sum to {sum}");
+    }
+
+    /// Deletion-only batches shatter the components down to isolated
+    /// vertices (the dangling set grows every batch), then insertion-only
+    /// batches in another order merge them back.
+    #[test]
+    fn delete_only_then_insert_only_streams_stay_exact() {
+        let base = Arc::new(generators::erdos_renyi(150, 220, 3));
+        let mut view = DeltaOverlay::new(Arc::clone(&base));
+        let mut cc = MaintainedCc::new(&view);
+        let mut pr = MaintainedPageRank::new(&view, 1e-9);
+        let mut rng = Prng::seed_from_u64(31);
+        let mut edges: Vec<(VertexId, VertexId)> = base
+            .edges()
+            .filter(|&(s, d, _)| s < d)
+            .map(|(s, d, _)| (s, d))
+            .collect();
+        let components = |cc: &MaintainedCc| {
+            let l = cc.labels();
+            (0..l.len()).filter(|&v| l[v] == v as VertexId).count()
+        };
+        let before = components(&cc);
+        for (phase, insert) in [("delete", false), ("insert", true)] {
+            for i in (1..edges.len()).rev() {
+                edges.swap(i, rng.gen_range(0..i + 1));
+            }
+            for (b, chunk) in edges.chunks(10).enumerate() {
+                let updates: Vec<EdgeUpdate> = chunk
+                    .iter()
+                    .map(|&(s, d)| match insert {
+                        true => EdgeUpdate::Insert(d, s),
+                        false => EdgeUpdate::Delete(s, d),
+                    })
+                    .collect();
+                let batch = view.apply_batch(&updates);
+                assert_eq!(batch.inserted + batch.removed, chunk.len() as u64);
+                cc.repair(&view, &batch.touched);
+                pr.repair(&view);
+                assert_repaired(&view, &cc, &pr, &format!("{phase} batch {b}"));
+            }
+            if !insert {
+                assert_eq!(view.num_edges(), 0);
+                assert_eq!(components(&cc), 150, "every vertex isolated");
+            }
+        }
+        assert_eq!(view.patch_len(), 0);
+        assert_eq!(components(&cc), before);
+        assert!(before < 150);
+    }
+
+    #[test]
+    fn cc_repair_ignores_out_of_range_touched_ids() {
+        let mut view = overlay(40);
+        let mut cc = MaintainedCc::new(&view);
+        let batch = view.apply_batch(&[EdgeUpdate::Insert(3, 17), EdgeUpdate::Delete(0, 1)]);
+        let mut touched = batch.touched;
+        touched.extend([40, 41, VertexId::MAX]);
+        cc.repair(&view, &touched);
+        assert_eq!(cc.labels(), full_cc(&view).as_slice());
+        // Nothing but out-of-range ids: nothing to repair.
+        assert_eq!(cc.repair(&view, &[40, VertexId::MAX]), 0);
     }
 }

@@ -355,10 +355,11 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServeReport, String> {
             .push(msg);
     };
 
+    let overlay = DeltaOverlay::new(Arc::clone(&graph));
     let plane = Arc::new(Mutex::new(UpdatePlane {
-        overlay: DeltaOverlay::new(Arc::clone(&graph)),
-        cc: MaintainedCc::new(&DeltaOverlay::new(Arc::clone(&graph))),
-        pr: MaintainedPageRank::new(&DeltaOverlay::new(Arc::clone(&graph)), opts.eps),
+        cc: MaintainedCc::new(&overlay),
+        pr: MaintainedPageRank::new(&overlay, opts.eps),
+        overlay,
         inserted: 0,
         removed: 0,
     }));
@@ -419,20 +420,22 @@ pub fn run_serve(opts: &ServeOptions) -> Result<ServeReport, String> {
             scope.spawn(move || {
                 for b in 0..opts.update_batches {
                     let updates = update_batch(&opts, b, n);
-                    let mut p = plane.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut guard = plane.lock().unwrap_or_else(PoisonError::into_inner);
+                    // A plain reborrow: the guard's `DerefMut` would not let
+                    // the repairs borrow `overlay` beside `cc` and `pr`.
+                    let p = &mut *guard;
                     let batch = p.overlay.apply_batch(&updates);
                     if batch.is_empty() {
                         update_session.record_update(b as u64, 0, 0, 0, "none");
                         continue;
                     }
-                    let view = p.overlay.clone();
-                    p.cc.repair(&view, &batch.touched);
-                    let sweeps = p.pr.repair(&view);
+                    p.cc.repair(&p.overlay, &batch.touched);
+                    let sweeps = p.pr.repair(&p.overlay);
                     p.inserted += batch.inserted;
                     p.removed += batch.removed;
                     // Bit-identity of the incremental CC after *every*
                     // batch, not just at the end.
-                    if p.cc.labels() != full_cc(&view).as_slice() {
+                    if p.cc.labels() != full_cc(&p.overlay).as_slice() {
                         fail(
                             &failures,
                             format!("batch {b}: incremental CC diverged from full recompute"),

@@ -3,10 +3,15 @@
 //! The serving layer (DESIGN.md §16) keeps one frozen `Arc<Graph>` shared
 //! by every live session and applies streaming edge insert/delete batches
 //! to a small side structure instead of rebuilding the CSR. The overlay
-//! answers adjacency queries by merging the base CSR with the patch:
+//! answers adjacency queries by merging the base CSR row with the vertex's
+//! patch entry, which exists only while its list differs from the base:
 //!
-//! * `added[v]`   — neighbors inserted since the snapshot (sorted, deduped);
-//! * `removed[v]` — base-CSR neighbors deleted since the snapshot.
+//! * `added`   — neighbors inserted since the snapshot (sorted, deduped);
+//! * `removed` — base-CSR neighbors deleted since the snapshot (sorted).
+//!
+//! A per-vertex `patched` flag guards the entry lookup, so a query on a
+//! vertex outside the patch reads the CSR directly: no map probe, and no
+//! query allocates.
 //!
 //! An edge inserted then deleted (or vice versa) cancels out; inserting an
 //! edge the view already has, or deleting one it does not, is a no-op that
@@ -20,7 +25,7 @@
 //! serve loop.
 
 use crate::{Graph, GraphBuilder, GraphError, VertexId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One streaming edge mutation. Directions are interpreted on the base
@@ -53,19 +58,27 @@ impl AppliedBatch {
     }
 }
 
+/// How one vertex's adjacency list differs from the base CSR row. Both
+/// lists are sorted ascending; `removed ⊆ base row`, `added ∩ base row = ∅`.
+#[derive(Debug, Clone, Default)]
+struct VertexPatch {
+    added: Vec<VertexId>,
+    removed: Vec<VertexId>,
+}
+
 /// A mutable edge-patch view over an immutable base graph.
 ///
-/// Queries cost `O(log patch)` extra over the base CSR; the intent is a
-/// patch that stays small relative to the base and is periodically folded
-/// away by [`materialize`](DeltaOverlay::materialize).
+/// Queries on an unpatched vertex cost what the base CSR costs, on a
+/// patched one `O(log patch)` more per neighbor; the intent is a patch
+/// that stays small relative to the base and is periodically folded away
+/// by [`materialize`](DeltaOverlay::materialize).
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay {
     base: Arc<Graph>,
-    /// Per-vertex inserted neighbors, absent from the current view's base
-    /// contribution. Sorted via `BTreeSet` for deterministic iteration.
-    added: BTreeMap<VertexId, BTreeSet<VertexId>>,
-    /// Per-vertex deleted base-CSR neighbors.
-    removed: BTreeMap<VertexId, BTreeSet<VertexId>>,
+    /// One entry per vertex whose list differs from the base, never empty.
+    patch: BTreeMap<VertexId, VertexPatch>,
+    /// `patched[v]` iff `patch` has an entry for `v`.
+    patched: Vec<bool>,
     /// Net directed-adjacency-entry count of the view, matching the
     /// [`Graph::num_edges`] convention (a symmetric edge counts twice).
     num_edges: usize,
@@ -74,12 +87,11 @@ pub struct DeltaOverlay {
 impl DeltaOverlay {
     /// Wraps `base` with an empty patch: the view starts identical to it.
     pub fn new(base: Arc<Graph>) -> Self {
-        let num_edges = base.num_edges();
         DeltaOverlay {
+            patch: BTreeMap::new(),
+            patched: vec![false; base.num_vertices()],
+            num_edges: base.num_edges(),
             base,
-            added: BTreeMap::new(),
-            removed: BTreeMap::new(),
-            num_edges,
         }
     }
 
@@ -101,42 +113,46 @@ impl DeltaOverlay {
     /// Total patched (inserted + deleted) directed adjacency entries —
     /// the compaction trigger metric.
     pub fn patch_len(&self) -> usize {
-        self.added.values().map(BTreeSet::len).sum::<usize>()
-            + self.removed.values().map(BTreeSet::len).sum::<usize>()
+        self.patch
+            .values()
+            .map(|p| p.added.len() + p.removed.len())
+            .sum()
+    }
+
+    /// The patch entry of `v`, if its list differs from the base.
+    #[inline]
+    fn patch_of(&self, v: VertexId) -> Option<&VertexPatch> {
+        self.patched[v as usize].then(|| &self.patch[&v])
     }
 
     /// `true` if the view currently contains edge `(s, d)`.
     pub fn has_edge(&self, s: VertexId, d: VertexId) -> bool {
-        if self.added.get(&s).is_some_and(|a| a.contains(&d)) {
-            return true;
+        match self.patch_of(s) {
+            Some(p) if p.added.binary_search(&d).is_ok() => true,
+            Some(p) if p.removed.binary_search(&d).is_ok() => false,
+            _ => self.base.has_edge(s, d),
         }
-        if self.removed.get(&s).is_some_and(|r| r.contains(&d)) {
-            return false;
-        }
-        self.base.has_edge(s, d)
     }
 
-    /// Out-neighbors of `v` in the view: the base list minus deletions,
-    /// followed by insertions (sorted among themselves).
-    pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let removed = self.removed.get(&v);
-        let mut out: Vec<VertexId> = self
-            .base
-            .out_neighbors(v)
-            .iter()
-            .copied()
-            .filter(|d| !removed.is_some_and(|r| r.contains(d)))
-            .collect();
-        if let Some(added) = self.added.get(&v) {
-            out.extend(added.iter().copied());
-        }
-        out
+    /// Calls `f` on every out-neighbor of `v` in the view, in the order
+    /// the maintained results' bit-identity rests on: the base CSR row
+    /// (ascending) minus deletions, then insertions (ascending).
+    #[inline]
+    pub fn for_each_neighbor(&self, v: VertexId, f: impl FnMut(VertexId)) {
+        let row = self.base.out_neighbors(v);
+        let Some(p) = self.patch_of(v) else {
+            return row.iter().copied().for_each(f);
+        };
+        let kept = row.iter().filter(|d| p.removed.binary_search(d).is_err());
+        kept.chain(&p.added).copied().for_each(f);
     }
 
-    /// Out-degree of `v` in the view, without materializing the list.
+    /// Out-degree of `v` in the view, without walking the list.
+    #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.base.out_degree(v) + self.added.get(&v).map_or(0, BTreeSet::len)
-            - self.removed.get(&v).map_or(0, BTreeSet::len)
+        let base = self.base.out_degree(v);
+        self.patch_of(v)
+            .map_or(base, |p| base + p.added.len() - p.removed.len())
     }
 
     /// Applies a batch of updates in order, returning what changed.
@@ -153,12 +169,9 @@ impl DeltaOverlay {
             if s as usize >= self.num_vertices() || d as usize >= self.num_vertices() {
                 continue; // out-of-range endpoints: ignore, vertex set is fixed
             }
-            let changed = if insert {
-                self.patch_insert(s, d) && (!symmetric || s == d || self.patch_insert(d, s))
-            } else {
-                self.patch_delete(s, d) && (!symmetric || s == d || self.patch_delete(d, s))
-            };
-            if changed {
+            if self.patch_edge(s, d, insert)
+                && (!symmetric || s == d || self.patch_edge(d, s, insert))
+            {
                 // A symmetric non-loop edge occupies two adjacency entries.
                 let entries = if symmetric && s != d { 2 } else { 1 };
                 if insert {
@@ -177,40 +190,38 @@ impl DeltaOverlay {
         batch
     }
 
-    /// Patches directed edge `(s, d)` in. Returns `false` on a no-op.
-    fn patch_insert(&mut self, s: VertexId, d: VertexId) -> bool {
-        if self.removed.get(&s).is_some_and(|r| r.contains(&d)) {
-            // Reinserting a deleted base edge: cancel the deletion.
-            if let Some(r) = self.removed.get_mut(&s) {
-                r.remove(&d);
-                if r.is_empty() {
-                    self.removed.remove(&s);
-                }
+    /// Patches directed edge `(s, d)` in or out of the view. Returns
+    /// `false` on a no-op.
+    fn patch_edge(&mut self, s: VertexId, d: VertexId, insert: bool) -> bool {
+        // An edge of the base is in the view unless listed in `removed`;
+        // any other edge is in the view only if listed in `added`. So an
+        // insert of a base edge and a delete of a non-base edge both want
+        // `d` *off* their list (cancelling an earlier update), and the
+        // other two cases want it *on*.
+        let in_base = self.base.has_edge(s, d);
+        let p = self.patch.entry(s).or_default();
+        let list = if in_base {
+            &mut p.removed
+        } else {
+            &mut p.added
+        };
+        let changed = match (list.binary_search(&d), insert == in_base) {
+            (Ok(at), true) => {
+                list.remove(at);
+                true
             }
-            return true;
-        }
-        if self.base.has_edge(s, d) {
-            return false; // already present via the base
-        }
-        self.added.entry(s).or_default().insert(d)
-    }
-
-    /// Patches directed edge `(s, d)` out. Returns `false` on a no-op.
-    fn patch_delete(&mut self, s: VertexId, d: VertexId) -> bool {
-        if self.added.get(&s).is_some_and(|a| a.contains(&d)) {
-            // Deleting a patch-inserted edge: cancel the insertion.
-            if let Some(a) = self.added.get_mut(&s) {
-                a.remove(&d);
-                if a.is_empty() {
-                    self.added.remove(&s);
-                }
+            (Err(at), false) => {
+                list.insert(at, d);
+                true
             }
-            return true;
+            _ => false,
+        };
+        let differs = !(p.added.is_empty() && p.removed.is_empty());
+        if !differs {
+            self.patch.remove(&s);
         }
-        if !self.base.has_edge(s, d) {
-            return false; // absent from the view
-        }
-        self.removed.entry(s).or_default().insert(d)
+        self.patched[s as usize] = differs;
+        changed
     }
 
     /// Folds the patch into a fresh CSR, producing a graph identical to
@@ -220,14 +231,14 @@ impl DeltaOverlay {
         let symmetric = self.base.is_symmetric();
         let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.num_edges);
         for s in self.base.vertices() {
-            for d in self.neighbors(s) {
+            self.for_each_neighbor(s, |d| {
                 // On a symmetric base every undirected edge appears in both
                 // adjacency lists; stage each once and let the builder
                 // mirror it back.
                 if !symmetric || s <= d {
                     edges.push((s, d));
                 }
-            }
+            });
         }
         GraphBuilder::new(self.num_vertices())
             .symmetric(symmetric)
@@ -241,6 +252,13 @@ impl DeltaOverlay {
 mod tests {
     use super::*;
     use crate::generators;
+    use std::collections::BTreeSet;
+
+    fn walk(ov: &DeltaOverlay, v: VertexId) -> Vec<VertexId> {
+        let mut out = Vec::new();
+        ov.for_each_neighbor(v, |d| out.push(d));
+        out
+    }
 
     fn sym_base() -> Arc<Graph> {
         // 0-1-2-3 path plus isolated 4, symmetric.
@@ -253,7 +271,7 @@ mod tests {
         let ov = DeltaOverlay::new(Arc::clone(&g));
         assert_eq!(ov.num_edges(), g.num_edges());
         for v in g.vertices() {
-            assert_eq!(ov.neighbors(v), g.out_neighbors(v).to_vec());
+            assert_eq!(walk(&ov, v), g.out_neighbors(v).to_vec());
             assert_eq!(ov.degree(v), g.out_degree(v));
         }
         assert_eq!(ov.patch_len(), 0);
@@ -268,8 +286,8 @@ mod tests {
         assert_eq!(b.touched, vec![0, 1, 2, 3]);
         assert!(ov.has_edge(0, 3) && ov.has_edge(3, 0));
         assert!(!ov.has_edge(1, 2) && !ov.has_edge(2, 1));
-        assert_eq!(ov.neighbors(1), vec![0]);
-        assert_eq!(ov.neighbors(3), vec![2, 0]); // base part first, insert after
+        assert_eq!(walk(&ov, 1), vec![0]);
+        assert_eq!(walk(&ov, 3), vec![2, 0]); // base part first, insert after
         assert_eq!(ov.degree(3), 2);
         assert_eq!(ov.num_edges(), 6); // 6 entries - 2 + 2
     }
@@ -320,7 +338,7 @@ mod tests {
         assert_eq!(m.num_edges(), ov.num_edges());
         assert!(m.is_symmetric());
         for v in m.vertices() {
-            let mut expect = ov.neighbors(v);
+            let mut expect = walk(&ov, v);
             expect.sort_unstable();
             assert_eq!(m.out_neighbors(v).to_vec(), expect, "vertex {v}");
         }
@@ -343,5 +361,91 @@ mod tests {
         assert!(!m.is_symmetric());
         assert_eq!(m.out_neighbors(2), &[0]);
         assert!(m.out_neighbors(0).is_empty());
+    }
+
+    /// Random churn against a `BTreeSet` model of the view's directed
+    /// adjacency entries. Endpoints come from 20 vertices, so duplicate
+    /// inserts, deletes of absent edges, insert-then-delete and
+    /// delete-then-reinsert of base edges all occur many times.
+    #[test]
+    fn walk_degree_membership_and_patched_bit_match_a_set_model() {
+        for symmetric in [true, false] {
+            let n: VertexId = 20;
+            let mut rng = crate::Prng::seed_from_u64(5 + u64::from(symmetric));
+            let mut pick = move || rng.gen_range(0..n);
+            let base = Arc::new(
+                GraphBuilder::new(n as usize)
+                    .symmetric(symmetric)
+                    .dedup(true)
+                    .edges((0..45).map(|_| (pick(), pick())))
+                    .build()
+                    .unwrap(),
+            );
+            let base_set: BTreeSet<(VertexId, VertexId)> =
+                base.edges().map(|(s, d, _)| (s, d)).collect();
+            let mut model = base_set.clone();
+            let mut ov = DeltaOverlay::new(Arc::clone(&base));
+            let check = |ov: &DeltaOverlay, model: &BTreeSet<(VertexId, VertexId)>| {
+                for v in 0..n {
+                    let in_model = |d: &VertexId| model.contains(&(v, *d));
+                    let row = base.out_neighbors(v);
+                    let mut expect: Vec<VertexId> = row.iter().copied().filter(in_model).collect();
+                    expect.extend((0..n).filter(|d| in_model(d) && !row.contains(d)));
+                    assert_eq!(walk(ov, v), expect, "walk of {v}");
+                    assert_eq!(ov.degree(v), expect.len(), "degree of {v}");
+                    for d in 0..n {
+                        assert_eq!(ov.has_edge(v, d), in_model(&d), "has_edge({v}, {d})");
+                    }
+                    let differs = (0..n).any(|d| in_model(&d) != base_set.contains(&(v, d)));
+                    assert_eq!(ov.patched[v as usize], differs, "patched bit of {v}");
+                }
+                assert_eq!(ov.num_edges(), model.len());
+                assert_eq!(
+                    ov.patch_len(),
+                    model.symmetric_difference(&base_set).count()
+                );
+            };
+            for _ in 0..60 {
+                let updates: Vec<EdgeUpdate> = (0..6)
+                    .map(|_| match pick() % 2 {
+                        0 => EdgeUpdate::Insert(pick(), pick()),
+                        _ => EdgeUpdate::Delete(pick(), pick()),
+                    })
+                    .collect();
+                let (mut inserted, mut removed) = (0, 0);
+                for &u in &updates {
+                    let (s, d, changed) = match u {
+                        EdgeUpdate::Insert(s, d) => (s, d, model.insert((s, d))),
+                        EdgeUpdate::Delete(s, d) => (s, d, model.remove(&(s, d))),
+                    };
+                    if symmetric {
+                        match u {
+                            EdgeUpdate::Insert(..) => model.insert((d, s)),
+                            EdgeUpdate::Delete(..) => model.remove(&(d, s)),
+                        };
+                    }
+                    match u {
+                        EdgeUpdate::Insert(..) => inserted += u64::from(changed),
+                        EdgeUpdate::Delete(..) => removed += u64::from(changed),
+                    }
+                }
+                let batch = ov.apply_batch(&updates);
+                assert_eq!((batch.inserted, batch.removed), (inserted, removed));
+                check(&ov, &model);
+            }
+            // Undo everything, as the serve cycle does: nothing stays patched.
+            let undo: Vec<EdgeUpdate> = model
+                .symmetric_difference(&base_set)
+                .map(|&(s, d)| match base_set.contains(&(s, d)) {
+                    true => EdgeUpdate::Insert(s, d),
+                    false => EdgeUpdate::Delete(s, d),
+                })
+                .collect();
+            assert!(!undo.is_empty());
+            ov.apply_batch(&undo);
+            check(&ov, &base_set);
+            assert_eq!(ov.patch_len(), 0);
+            assert!((0..n).all(|v| !ov.patched[v as usize]));
+        }
     }
 }

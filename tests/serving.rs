@@ -15,6 +15,7 @@
 //!    tolerance bound across a long random churn of the delta overlay.
 
 use flash_algos::incremental::{full_cc, full_pagerank, MaintainedCc, MaintainedPageRank};
+use flash_graph::hash::Fnv1a;
 use flash_graph::{generators, DeltaOverlay, EdgeUpdate, Graph, Prng, VertexId};
 use flash_runtime::{ClusterConfig, ServingStats, Session, StorageMode};
 use std::sync::Arc;
@@ -212,4 +213,85 @@ fn incremental_repair_survives_long_random_churn() {
     let fresh = DeltaOverlay::new(Arc::clone(&compacted));
     assert_eq!(full_cc(&fresh), full_cc(&view));
     assert_eq!(fresh.num_edges(), view.num_edges());
+}
+
+/// Seeded churn that actually deletes: every third update removes an edge
+/// of the *base* graph (live the first time it is drawn, absent after),
+/// the rest insert random pairs (new, duplicate, or re-inserting a deleted
+/// base edge).
+fn churn_batch(base: &Graph, rng: &mut Prng, len: usize) -> Vec<EdgeUpdate> {
+    let n = base.num_vertices() as u64;
+    (0..len)
+        .map(|_| {
+            let s = (rng.next_u64() % n) as VertexId;
+            let row = base.out_neighbors(s);
+            if rng.next_u64().is_multiple_of(3) && !row.is_empty() {
+                EdgeUpdate::Delete(s, row[(rng.next_u64() % row.len() as u64) as usize])
+            } else {
+                EdgeUpdate::Insert(s, (rng.next_u64() % n) as VertexId)
+            }
+        })
+        .collect()
+}
+
+/// 40 churn batches of 12 updates; returns FNV-1a over the rank bit
+/// patterns after every batch, the per-batch sweep counts, and FNV-1a over
+/// the labels after every batch.
+fn repair_fingerprint(base: Graph, seed: u64) -> (u64, Vec<u64>, u64) {
+    let base = Arc::new(base);
+    let mut view = DeltaOverlay::new(Arc::clone(&base));
+    let mut cc = MaintainedCc::new(&view);
+    let mut pr = MaintainedPageRank::new(&view, 1e-9);
+    let mut rng = Prng::seed_from_u64(seed);
+    let (mut ranks, mut labels) = (Fnv1a::new(), Fnv1a::new());
+    let mut sweeps = vec![pr.sweeps()];
+    for _ in 0..40 {
+        let batch = view.apply_batch(&churn_batch(&base, &mut rng, 12));
+        cc.repair(&view, &batch.touched);
+        sweeps.push(pr.repair(&view));
+        for r in pr.ranks() {
+            ranks.update(&r.to_bits().to_le_bytes());
+        }
+        for l in cc.labels() {
+            labels.update(&l.to_le_bytes());
+        }
+    }
+    (ranks.finish(), sweeps, labels.finish())
+}
+
+/// Goldens captured on the commit *before* the overlay walk and the CC
+/// repair were rewritten (parent of PR 24): the borrowing walk and the
+/// mark-array repair must reproduce every rank bit, every sweep count and
+/// every label — the same iteration order, not merely "within the bound".
+#[test]
+fn repair_reproduces_parent_goldens_bit_for_bit() {
+    let er = repair_fingerprint(generators::erdos_renyi(300, 700, 9), 2024);
+    assert_eq!(
+        er,
+        (
+            0x7218_5b7a_e9dd_e2d4,
+            vec![
+                60, 42, 51, 43, 46, 47, 44, 39, 38, 40, 38, 38, 40, 37, 37, 37, 36, 37, 37, 37, 36,
+                37, 36, 36, 35, 36, 35, 34, 37, 34, 34, 34, 34, 34, 33, 34, 33, 34, 33, 33, 32
+            ],
+            0xffc7_856e_e38b_bace
+        ),
+        "erdos_renyi(300, 700, 9)"
+    );
+    let rm = repair_fingerprint(
+        generators::rmat(10, 8, generators::RmatParams::default(), 4),
+        2025,
+    );
+    assert_eq!(
+        rm,
+        (
+            0x0467_2d0c_87dd_b58e,
+            vec![
+                37, 34, 83, 55, 55, 53, 88, 51, 88, 56, 56, 39, 79, 83, 79, 83, 39, 87, 67, 58, 49,
+                83, 61, 83, 60, 83, 83, 58, 54, 54, 87, 66, 65, 90, 61, 29, 57, 62, 56, 32, 55
+            ],
+            0x4cb3_3b65_60ec_d4e7
+        ),
+        "rmat(10, 8, default, 4)"
+    );
 }

@@ -78,4 +78,8 @@ exact_gate serve_mix 'algos\.pr_repair_sweeps'
 echo "==> sync gate (pr_rmat: the one-pass mirror sync must count exactly the messages, bytes and events the two-pass one did)"
 exact_gate pr_rmat 'runtime\.(sync|upd)_(messages|bytes)|wire_bytes|obs\.events'
 
+echo "==> checkpoint gate (kcore_ckpt: the checkpoint-only store must not move the schedule, the generations or the sync counts, and appends no delta frame)"
+exact_gate kcore_ckpt 'runtime\.(supersteps|ckpt_generations|ckpt_bytes|sync_messages|sync_bytes)|wire_bytes|obs\.events'
+[[ "$(bash benchmark/run.sh --workload kcore_ckpt --seed 12 --seconds 1 --trace 1 | grep -c '^kcore_ckpt/runtime\.ckpt_delta_frames 0 ')" == 1 ]] || { echo "kcore_ckpt: the durable store wrote delta frames" >&2; exit 1; }
+
 echo "==> OK"

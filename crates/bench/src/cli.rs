@@ -70,9 +70,8 @@ pub struct CliOptions {
     /// `detector=` option; `None` defers to the plan.
     pub detector_timeout: Option<Duration>,
     /// Durable checkpoint store directory (`--durable-dir DIR`): every
-    /// checkpoint plus the per-step delta log is committed to disk through
-    /// a crash-consistent two-phase commit. `None` keeps the store fully
-    /// inert.
+    /// checkpoint is committed to disk through a crash-consistent
+    /// two-phase commit. `None` keeps the store fully inert.
     pub durable_dir: Option<String>,
     /// Resume from the durable store (`--resume`): load the newest valid
     /// generation and continue bit-identically where a killed run left
@@ -279,7 +278,8 @@ pub fn usage() -> String {
          \x20            drop@STEP:wW[:xN], dup@STEP:wW, reorder@STEP:wW,\n\
          \x20            leader@STEP (crash the elected coordinator),\n\
          \x20            lie@STEP:wW (byzantine checksum mismatch),\n\
-         \x20            ioerr@STEP, torn@STEP, bitrot@STEP[:bB] (durable store)\n\
+         \x20            ioerr@STEP (failed checkpoint commit), torn@STEP[:bB],\n\
+         \x20            bitrot@STEP[:bB] (damaged generation; durable store)\n\
          \x20            plus retries=N, backoff=D, cap=D, detector=D, seed=N,\n\
          \x20            loss=P, dupRate=P, corruptRate=P options\n\
          \x20            (e.g. --faults drop@3:w1,loss=0.05,retries=4)\n\

@@ -641,7 +641,8 @@ fn consensus(smoke: bool) -> bool {
 
 /// The durable checkpoint store. Cold-restart sweep: the scripted kill
 /// switch stops the run at every checkpoint boundary in turn and a fresh
-/// `--resume` must finish bit-identically from disk. Disk-fault sweep: a
+/// `--resume` must recompute from the newest generation and finish
+/// bit-identically. Disk-fault sweep: a
 /// failed fsync must be transparent, and a torn or bit-rotted generation
 /// must be caught by the scrub at the next cold start and fallen back
 /// from, still bit-identically.
@@ -667,7 +668,7 @@ fn durable(smoke: bool) -> bool {
         sw.workers,
         SCENARIOS.len()
     );
-    let (mut total_resumes, mut total_replayed, mut total_fallbacks, mut total_ioerrs) =
+    let (mut total_resumes, mut total_restored, mut total_fallbacks, mut total_ioerrs) =
         (0u64, 0u64, 0u64, 0u64);
     for &algo in algos {
         let mut base = sw.opts(algo);
@@ -677,7 +678,7 @@ fn durable(smoke: bool) -> bool {
         };
         let steps = clean.1.num_supersteps();
 
-        let (mut resumes, mut replayed) = (0u64, 0u64);
+        let (mut resumes, mut restored) = (0u64, 0u64);
         for k in (INTERVAL..steps).step_by(INTERVAL) {
             let dir = TempDirGuard::new(&format!("fig-durable-{algo}-{k}"));
             let mut halted = base.clone();
@@ -705,7 +706,7 @@ fn durable(smoke: bool) -> bool {
             resume.resume = true;
             if let Some(run) = sw.faulted(&format!("{algo} (resume@{k})"), &resume, &clean) {
                 resumes += 1;
-                replayed += run.stats.durability.resumed_steps;
+                restored += run.stats.durability.resumed_steps;
             }
         }
 
@@ -745,12 +746,12 @@ fn durable(smoke: bool) -> bool {
             }
         }
         total_resumes += resumes;
-        total_replayed += replayed;
+        total_restored += restored;
         total_fallbacks += fallbacks;
         total_ioerrs += ioerrs;
 
         let mut line = vec!["ok".to_string()];
-        line.extend([steps as u64, resumes, replayed, fallbacks, ioerrs].map(|n| n.to_string()));
+        line.extend([steps as u64, resumes, restored, fallbacks, ioerrs].map(|n| n.to_string()));
         sw.table.push((algo.to_string(), line));
         sw.rows.push(
             Json::object()
@@ -758,16 +759,19 @@ fn durable(smoke: bool) -> bool {
                 .set("summary", clean.0.as_str())
                 .set("supersteps", steps)
                 .set("resumes", resumes)
-                .set("replayed_steps", replayed)
+                .set("restored_steps", restored)
                 .set("fallbacks", fallbacks)
                 .set("io_errors", ioerrs),
         );
     }
     sw.print_table(&[
-        "Algo", "exact", "steps", "resumes", "replayed", "fallback", "ioerr",
+        "Algo", "exact", "steps", "resumes", "restored", "fallback", "ioerr",
     ]);
     sw.require_fired(total_resumes, "no cold restart was ever resumed");
-    sw.require_fired(total_replayed, "no resume ever replayed a delta frame");
+    sw.require_fired(
+        total_restored,
+        "no resume ever restored a checkpoint past step 0",
+    );
     sw.require_fired(
         total_fallbacks,
         "no scrub ever fell back to a previous generation",
@@ -785,7 +789,7 @@ fn durable(smoke: bool) -> bool {
         .collect();
     let totals = Json::object()
         .set("resumes", total_resumes)
-        .set("replayed_steps", total_replayed)
+        .set("restored_steps", total_restored)
         .set("fallbacks", total_fallbacks)
         .set("io_errors", total_ioerrs);
     let doc = Json::object()

@@ -65,9 +65,9 @@ impl<V: VertexData> FlashContext<V> {
     /// Builds a context with the default hash partitioner for a vertex
     /// type the durable checkpoint store can serialize. Behaves exactly
     /// like [`FlashContext::build`] when no `durable_dir` is configured
-    /// (the store stays fully inert); with one, checkpoints and per-step
-    /// deltas are committed to disk, and `config.durable_resume` resumes
-    /// a killed run bit-identically.
+    /// (the store stays fully inert); with one, checkpoints are committed
+    /// to disk, and `config.durable_resume` resumes a killed run
+    /// bit-identically.
     pub fn build_durable(
         graph: Arc<Graph>,
         config: ClusterConfig,

@@ -460,35 +460,31 @@ events! {
         generation: u64,
         /// The superstep the generation's checkpoint frame precedes.
         step: u64,
-        /// Frames in the generation file at commit: the checkpoint
-        /// frame alone — delta frames are appended to it afterwards.
+        /// Frames in the generation file: always 1, the checkpoint frame.
         frames: u64,
         /// Bytes written and fsynced for this commit.
         bytes: u64,
     } => "step {step} durable gen {generation} committed: {frames} frame(s), {bytes}B fsynced";
-    /// The scrub pass at open repaired the store: it condemned a
-    /// generation whose header or checkpoint frame is damaged and skipped
-    /// it, or cut a torn / bit-rotted delta tail back to the longest
-    /// valid frame prefix.
+    /// The scrub pass at open condemned a damaged generation and skipped
+    /// it.
     CheckpointScrubbed = "checkpoint_scrubbed" {
         /// The damaged generation number.
         generation: u64,
         /// What the scrub found: e.g. `"frame checksum mismatch"`,
         /// `"truncated mid-frame"`.
         reason: String,
-        /// `true`: the generation was condemned and the scrub fell back
-        /// to an older one. `false`: only its tail was cut and the
-        /// generation was loaded — or it was condemned with nothing older
-        /// left, and the store degraded to `DurabilityLost`.
+        /// Always `true`: the scrub fell back to an older generation (with
+        /// nothing older left the resume fails with `DurabilityLost`
+        /// before any event is emitted).
         fallback: bool,
     } => "scrub: gen {generation} damaged ({reason}); {}", if *fallback { "falling back to previous generation" } else { "no fallback" };
-    /// A durable write or fsync failed (injected `ioerr@` fault or a real
-    /// I/O error): nothing was committed, and the step is a gap in the
-    /// log that a resume re-executes.
+    /// A generation commit's write or fsync failed (injected `ioerr@`
+    /// fault or a real I/O error): nothing was committed, and the commit
+    /// is retried at the next superstep.
     DurableIoError = "durable_io_error" {
         /// The superstep whose durable write failed.
         step: u64,
-        /// The failed operation: `"checkpoint"` or `"delta"`.
+        /// The failed operation: always `"checkpoint"`.
         op: String,
     } => "step {step} durable {op} write failed (injected ioerr); commit skipped";
     /// A serving session opened over a shared immutable snapshot

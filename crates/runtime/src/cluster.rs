@@ -80,8 +80,8 @@ pub struct Cluster<V: VertexData> {
     /// runs without the store execute byte-identically to before it
     /// existed (DESIGN.md §15).
     durable: Option<DurableSession<V>>,
-    /// Whether an `ioerr@` disk fault fired for the current superstep: the
-    /// durable write(s) of this step fail and their commits are skipped.
+    /// Whether an `ioerr@` disk fault fired for the current superstep: a
+    /// generation commit due at this step fails and is skipped.
     disk_ioerr: bool,
     /// At-rest damage (`torn@`/`bitrot@`) to apply to the newest committed
     /// generation at this superstep's end: `(kind, byte offset, mask)`.
@@ -128,10 +128,10 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Builds a cluster with the durable checkpoint store attached
-    /// (`config.durable_dir` must be set): every checkpoint opens a
-    /// generation file through a crash-consistent two-phase commit and
-    /// every superstep appends (and `fdatasync`s) its delta to it, so a
-    /// killed run can be resumed bit-identically by [`Cluster::resume`].
+    /// (`config.durable_dir` must be set): every checkpoint is committed
+    /// as a generation file through a crash-consistent two-phase commit,
+    /// so a killed run can be resumed bit-identically by
+    /// [`Cluster::resume`].
     /// With `config.durable_resume` set, this *opens* the store instead of
     /// starting it fresh.
     pub fn new_durable(
@@ -171,10 +171,10 @@ impl<V: VertexData> Cluster<V> {
 
     /// Resumes a killed run from the durable checkpoint store in
     /// `config.durable_dir`: the scrub pass loads the newest valid
-    /// generation (falling back past condemned ones, cutting a torn tail
-    /// to its longest valid frame prefix), the loaded checkpoint and delta
-    /// log replay as the driver re-executes, and the run continues
-    /// bit-identically to an uninterrupted one.
+    /// generation (falling back past condemned ones), the driver
+    /// re-executes the schedule, the loaded checkpoint is authoritative
+    /// at its step, and the run continues bit-identically to an
+    /// uninterrupted one.
     pub fn resume(
         graph: Arc<Graph>,
         partition: Arc<PartitionMap>,
@@ -326,25 +326,27 @@ impl<V: VertexData> Cluster<V> {
         let live = cluster.partition.live_hosts();
         cluster.elect_leader(0, &live);
         // Surface what the resume-time scrub pass repaired: each
-        // condemned generation or truncated tail is one event (and one
-        // fallback hop when the scrub moved on to an older generation).
+        // condemned generation is one event and one fallback hop to an
+        // older generation.
         for report in scrubs {
             cluster.stats.durability.scrub_repairs += 1;
-            if report.fallback {
-                cluster.stats.durability.fallbacks += 1;
-            }
+            cluster.stats.durability.fallbacks += 1;
             cluster.emit(EventKind::CheckpointScrubbed {
                 generation: report.generation,
                 reason: report.reason,
-                fallback: report.fallback,
+                fallback: true,
             });
         }
-        // Scripted faults wholly before the resume frontier already fired
-        // in the killed run; spending them keeps a resumed run from
-        // re-firing them *after* the frontier (where `step <= now` would
-        // otherwise match). Within the replayed prefix the loaded frames
-        // are authoritative anyway.
-        if let Some(frontier) = cluster.durable.as_ref().and_then(|d| d.resume_frontier) {
+        // Scripted faults wholly before the loaded checkpoint already
+        // fired in the killed run; spending them keeps a resumed run from
+        // re-firing them *after* it (where `step <= now` would otherwise
+        // match). Up to that step the loaded checkpoint is authoritative
+        // anyway.
+        if let Some(frontier) = cluster
+            .durable
+            .as_ref()
+            .and_then(DurableSession::pending_step)
+        {
             if let Some(inj) = &mut cluster.injector {
                 inj.drain_through(frontier);
             }
@@ -737,7 +739,7 @@ impl<V: VertexData> Cluster<V> {
         stats.communicate = publishing.elapsed();
 
         self.sync_mirrors(&updated, scope, &mut stats);
-        self.record_delta(&mut updated);
+        self.record_delta(&updated);
         self.finish_step(stats);
         StepOutput {
             per_worker,
@@ -840,23 +842,26 @@ impl<V: VertexData> Cluster<V> {
         if self.checkpoint_every == 0 {
             return;
         }
-        let due = match self.recovery.checkpoint_step() {
-            None => true,
-            Some(at) => self.next_step.saturating_sub(at) >= self.checkpoint_every,
+        // A resumed run checkpoints exactly at the loaded generation's
+        // step — a failed commit may have moved it off the interval grid
+        // — and keeps the interval from there, as the killed run did.
+        let loaded = self.durable.as_ref().and_then(DurableSession::pending_step);
+        let due = match (loaded, self.recovery.checkpoint_step()) {
+            (Some(loaded), _) => self.next_step == loaded,
+            (None, None) => true,
+            (None, Some(at)) => self.next_step.saturating_sub(at) >= self.checkpoint_every,
         };
         if !due {
             return;
         }
-        // Durable store first: on a resumed run the loaded checkpoint
-        // frame is authoritative (it overwrites the re-executed state
-        // before the snapshot below captures it), and on a live run the
-        // two-phase commit (rename *and* directory fsync) must land
-        // *before* the consensus CheckpointCommit — the replicated log
-        // never commits a generation whose bytes are not durable. A
-        // failed write skips the whole checkpoint (install, stats,
-        // consensus): the interval logic then retries at the very next
-        // superstep, and until it lands the store keeps appending deltas
-        // to the previous generation.
+        // Durable store first: on a resumed run the loaded checkpoint is
+        // authoritative (it overwrites the re-executed state before the
+        // snapshot below captures it), and on a live run the two-phase
+        // commit (rename *and* directory fsync) must land *before* the
+        // consensus CheckpointCommit — the replicated log never commits a
+        // generation whose bytes are not durable. A failed write skips
+        // the whole checkpoint (install, stats, consensus): the interval
+        // logic then retries at the very next superstep.
         if let Some(d) = self.durable.as_mut() {
             let step = self.next_step;
             let outcome = d.on_checkpoint(
@@ -867,26 +872,22 @@ impl<V: VertexData> Cluster<V> {
             );
             debug_assert!(
                 d.last_apply_matched,
-                "resumed re-execution diverged from the durable log at the step-{step} checkpoint"
+                "resumed re-execution diverged from the durable checkpoint at step {step}"
             );
             match outcome {
                 Ok(DiskWrite::None) => {}
-                Ok(DiskWrite::Committed {
-                    generation,
-                    frames,
-                    bytes,
-                }) => {
+                Ok(DiskWrite::Committed { generation, bytes }) => {
                     self.emit(EventKind::CheckpointDurable {
                         generation,
                         step,
-                        frames,
+                        frames: 1,
                         bytes,
                     });
                 }
-                Ok(DiskWrite::Failed { op }) => {
+                Ok(DiskWrite::Failed) => {
                     self.emit(EventKind::DurableIoError {
                         step,
-                        op: op.to_string(),
+                        op: "checkpoint".to_string(),
                     });
                     return;
                 }
@@ -922,10 +923,11 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Consumes the disk-fault specs armed for the superstep about to run
-    /// (`ioerr@`/`torn@`/`bitrot@`), splitting them into the write-failure
-    /// flag the durable hooks consult and the at-rest damage
-    /// [`Cluster::record_delta`] applies at the step's end. Inert without
-    /// a durable store — the specs would have nothing to hit.
+    /// (`ioerr@`/`torn@`/`bitrot@`), splitting them into the flag that
+    /// fails this step's generation commit, if one is due, and the
+    /// at-rest damage [`Cluster::record_delta`] applies at the step's
+    /// end. Inert without a durable store — the specs would have nothing
+    /// to hit.
     fn poll_disk_faults(&mut self) {
         self.disk_ioerr = false;
         if self.durable.is_none() {
@@ -954,38 +956,12 @@ impl<V: VertexData> Cluster<V> {
 
     /// Appends the superstep's published writes to the redo log (only
     /// while a fault plan is active — fault-free runs pay nothing), after
-    /// feeding them through the durable store's delta hook. On a resumed
-    /// run the loaded delta frame is authoritative: it overwrites both the
-    /// re-executed state and the `updated` lists, so the driver's control
-    /// flow continues exactly as the killed run's did.
-    fn record_delta(&mut self, updated: &mut Vec<Vec<VertexId>>) {
-        if let Some(d) = self.durable.as_mut() {
-            let step = self.next_step;
-            let outcome = d.on_delta(
-                step,
-                &mut self.states,
-                updated,
-                self.disk_ioerr,
-                &mut self.stats.durability,
-            );
-            debug_assert!(
-                d.last_apply_matched,
-                "resumed re-execution diverged from the durable log at step {step}"
-            );
-            match outcome {
-                Ok(DiskWrite::Failed { op }) => {
-                    self.emit(EventKind::DurableIoError {
-                        step,
-                        op: op.to_string(),
-                    });
-                }
-                Ok(_) => {}
-                Err(e) => self.fail(e),
-            }
-        }
+    /// the durable store's per-step work: scripted at-rest damage and the
+    /// kill switch. The store writes nothing between checkpoints.
+    fn record_delta(&mut self, updated: &[Vec<VertexId>]) {
         if let Some(d) = self.durable.as_mut() {
             // At-rest damage lands at the end of the step, after the
-            // writes it is scripted to corrupt, and wedges the store so
+            // commit it is scripted to corrupt, and wedges the store so
             // no later write masks it.
             for (kind, byte, mask) in self.disk_damage.drain(..) {
                 d.damage(kind, byte, mask);
@@ -995,7 +971,7 @@ impl<V: VertexData> Cluster<V> {
             // would lose — the run degrades to a clean `Halted` while
             // compute continues deterministically (the QuorumLost
             // degradation pattern).
-            if let Some(k) = d.halted_at() {
+            if let Some(k) = d.halt_check(self.next_step) {
                 self.fail(RuntimeError::Halted { step: k });
             }
         }

@@ -131,8 +131,9 @@ pub struct ClusterConfig {
     pub durable_dir: Option<std::path::PathBuf>,
     /// Resume from the durable store instead of starting fresh: the
     /// newest valid generation in [`durable_dir`](Self::durable_dir) is
-    /// loaded and replayed, continuing bit-identically where the killed
-    /// run left off. Ignored without a durable directory.
+    /// loaded and the schedule recomputed from it, continuing
+    /// bit-identically where the killed run left off. Ignored without a
+    /// durable directory.
     pub durable_resume: bool,
     /// Scripted cold-restart kill switch: durable persistence freezes at
     /// the first superstep `>= N` and the run degrades to

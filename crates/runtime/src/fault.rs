@@ -44,19 +44,17 @@
 //!                       payload at superstep 5; the replica checksum
 //!                       quorum detects the lie and escalates it to a
 //!                       death declaration through the consensus log
-//! ioerr@4               the durable checkpoint store's write/fsync fails
-//!                       at superstep 4: the commit is skipped (and never
-//!                       fed to the consensus log), leaving a gap in the
-//!                       log that a resume re-executes. Names no worker —
-//!                       it targets the store itself (DESIGN.md §15)
+//! ioerr@4               the durable checkpoint store's generation commit
+//!                       due at superstep 4 fails: it is skipped (and never
+//!                       fed to the consensus log) and retried at the next
+//!                       superstep; at a step with no commit due it hits
+//!                       nothing. Names no worker — it targets the store
+//!                       itself (DESIGN.md §15)
 //! torn@4                the newest committed checkpoint generation is
-//!                       truncated inside frame 0 after superstep 4's
-//!                       commit; the scrub pass at the next cold start
-//!                       condemns it and falls back to the previous
-//!                       generation
-//! torn@4:b2000          the same, cut at byte 2000 — a tear mid-append
-//!                       when that lies in the delta tail, which the scrub
-//!                       truncates to the longest valid frame prefix
+//!                       truncated two thirds in at the end of superstep
+//!                       4; the scrub pass at the next cold start condemns
+//!                       it and falls back to the previous generation
+//! torn@4:b2000          the same, cut at byte 2000 (clamped into the file)
 //! bitrot@4:b17          byte 17 of the newest committed checkpoint
 //!                       generation is flipped (seeded nonzero mask) after
 //!                       superstep 4's commit — at-rest corruption the
@@ -153,17 +151,16 @@ pub enum FaultKind {
     /// escalates to a death declaration committed through the consensus
     /// log — the byzantine fault of DESIGN.md §14.
     Lie,
-    /// The durable checkpoint store's write/fsync fails at the scripted
-    /// superstep: the write is skipped (a generation commit is never fed
-    /// to the consensus log), leaving a gap in the log that a resume
-    /// re-executes. Names no worker — it targets the store itself
-    /// (DESIGN.md §15).
+    /// The durable checkpoint store's generation commit due at the
+    /// scripted superstep fails: it is skipped (and never fed to the
+    /// consensus log) and retried at the next superstep. At a step with no
+    /// commit due it hits nothing. Names no worker — it targets the store
+    /// itself (DESIGN.md §15).
     Ioerr,
-    /// The newest *committed* checkpoint generation is truncated after the
-    /// scripted superstep's commit: inside frame 0 by default (the scrub
-    /// pass condemns the generation and falls back to the previous one),
-    /// or at the scripted byte — a tear mid-append when that lies in the
-    /// delta tail, which the scrub cuts back to the last whole frame.
+    /// The newest *committed* checkpoint generation is truncated at the
+    /// end of the scripted superstep — two thirds in by default, or at
+    /// the scripted byte. Any cut condemns the generation: the scrub pass
+    /// falls back to the previous one.
     Torn,
     /// One byte of the newest committed checkpoint generation is flipped
     /// (seeded nonzero mask) after the scripted superstep's commit —
@@ -232,9 +229,9 @@ pub struct FaultSpec {
     /// kinds.
     pub delay: Duration,
     /// Byte offset the [`FaultKind::Bitrot`] flip or the
-    /// [`FaultKind::Torn`] cut lands on (clamped to the generation's
-    /// length at fire time; `0` on a `torn` means the default cut inside
-    /// frame 0); ignored for other kinds.
+    /// [`FaultKind::Torn`] cut lands on (clamped into the generation file
+    /// at fire time; `0` on a `torn` means the default cut two thirds
+    /// in); ignored for other kinds.
     pub byte: u64,
 }
 
@@ -896,9 +893,9 @@ impl FaultInjector {
     }
 
     /// Consumes every spec scripted strictly before `step` without firing
-    /// it. A resumed run fast-forwarding through supersteps already
-    /// reflected in the durable log uses this so faults that fired before
-    /// the original run died do not re-fire at a later, wrong superstep.
+    /// it. A resumed run re-executing up to its loaded checkpoint uses
+    /// this so faults that fired before that checkpoint in the original
+    /// run do not re-fire at a later, wrong superstep.
     pub(crate) fn drain_through(&mut self, step: u64) {
         for (i, spec) in self.plan.specs.iter().enumerate() {
             if spec.step < step {

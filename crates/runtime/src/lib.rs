@@ -49,11 +49,12 @@
 //!   mid-run and `lie@` faults exercise byzantine checksum-quorum
 //!   detection ([`consensus`], DESIGN.md §14);
 //! * **a durable checkpoint store** — with a durable directory configured,
-//!   every checkpoint plus the per-step delta log is committed to a
-//!   versioned on-disk format (`FCK1`) through a crash-consistent
-//!   two-phase commit, so a cold restart resumes bit-identically; seeded
-//!   `ioerr@`/`torn@`/`bitrot@` disk faults exercise a scrub-and-fallback
-//!   recovery path ([`durable`], DESIGN.md §15).
+//!   every checkpoint is committed to a versioned on-disk format (`FCK1`)
+//!   through a crash-consistent two-phase commit, and a cold restart
+//!   recomputes from the newest one bit-identically; seeded `ioerr@`
+//!   (a failed commit) and `torn@`/`bitrot@` (a cut or flipped
+//!   generation) disk faults exercise a scrub-and-fallback recovery path
+//!   ([`durable`], DESIGN.md §15).
 
 pub mod checkpoint;
 pub mod cluster;

@@ -370,21 +370,25 @@ pub struct DurabilityStats {
     /// Checkpoint generations committed to disk (tmp + fsync + rename +
     /// directory fsync).
     pub generations_written: u64,
-    /// Bytes written and synced: each generation's header and checkpoint
-    /// frame once, plus every appended delta frame once.
+    /// Bytes written and synced: each generation file (header and
+    /// checkpoint frame) once.
     pub bytes_fsynced: u64,
-    /// Delta-log frames appended after their generation's checkpoint.
+    /// Always 0: the store writes checkpoint frames only (DESIGN.md §15).
+    /// Kept because readers of the stats, such as the benchmark's
+    /// per-layer table, still report it.
     pub delta_frames: u64,
-    /// Repairs the scrub pass made at open: generations condemned (and
-    /// skipped) plus torn tails cut back to the last whole frame.
+    /// Generations the scrub pass condemned (and skipped) at open.
     pub scrub_repairs: u64,
     /// Times the scrub pass fell back to an older generation because a
     /// newer one was damaged.
     pub fallbacks: u64,
-    /// Durable writes that failed — an injected `ioerr@` fault or a real
-    /// I/O error. Each is a gap in the log that a resume re-executes.
+    /// Generation commits that failed — an injected `ioerr@` fault or a
+    /// real I/O error. Each is retried at the next superstep; until one
+    /// lands, a resume recomputes from the previous generation.
     pub io_errors: u64,
-    /// Supersteps fast-forwarded from the durable log on a resumed run.
+    /// On a resumed run, the step of the loaded checkpoint: the
+    /// supersteps whose state the disk vouched for. Later supersteps are
+    /// recomputed.
     pub resumed_steps: u64,
 }
 

@@ -1,9 +1,9 @@
 //! Cross-crate tests of the durable checkpoint store: a run killed after
-//! **every** superstep must resume from disk bit-identically, torn and
-//! bit-rotted generations must scrub and fall back to the previous valid
-//! generation, a log torn anywhere in its delta tail must resume from the
-//! longest valid frame prefix, injected I/O errors must stay invisible to
-//! results, and a store with nothing valid left must degrade to a clean
+//! **every** superstep must resume from disk bit-identically, any cut or
+//! flipped byte of a generation must condemn it and fall back to the
+//! previous valid generation, injected I/O errors must stay invisible to
+//! results, the store must write nothing but its checkpoint frames, and a
+//! store with nothing valid left must degrade to a clean
 //! `RuntimeError::DurabilityLost`, never a panic.
 
 use flash_graph::generators;
@@ -25,7 +25,9 @@ fn base_config(workers: usize) -> ClusterConfig {
 /// Runs `run` clean (no durable store), then once per superstep `k`:
 /// halts a durable run at `k` (the scripted kill switch), resumes from
 /// the on-disk store, and requires the resumed result and superstep
-/// count to match the clean run exactly.
+/// count to match the clean run exactly. Reports, summed over the kill
+/// points, the supersteps the disk vouched for (the loaded checkpoint's
+/// step) and those the resume recomputed past it up to the kill.
 fn assert_resumes_after_every_kill<T, F>(name: &str, run: F)
 where
     T: PartialEq + std::fmt::Debug,
@@ -34,12 +36,12 @@ where
     let (clean, clean_stats) = run(base_config(3)).expect("clean run");
     let supersteps = clean_stats.num_supersteps() as u64;
     assert!(supersteps > 1, "{name}: too short to interrupt");
-    let mut resumed_any = false;
+    let (mut kills, mut resumed, mut recomputed) = (0u64, 0u64, 0u64);
     for k in 1..supersteps {
         let dir = TempDirGuard::new(&format!("durable-{name}-{k}"));
         let halted = run(base_config(3).durable_dir(dir.path()).halt_after(k));
-        match halted {
-            Err(RuntimeError::Halted { step }) => assert!(step >= k, "{name}@{k}"),
+        let killed_at = match halted {
+            Err(RuntimeError::Halted { step }) => step,
             Err(e) => panic!("{name}@{k}: unexpected error {e}"),
             // The kill switch only fires at a durable hook; a run that
             // finished first must still have matched the clean result.
@@ -47,20 +49,28 @@ where
                 assert_eq!(clean, out, "{name}@{k}: uninterrupted durable diverged");
                 continue;
             }
-        }
-        let (resumed, stats) = run(base_config(3).durable_dir(dir.path()).resume())
+        };
+        assert!(killed_at >= k, "{name}@{k}");
+        let (out, stats) = run(base_config(3).durable_dir(dir.path()).resume())
             .unwrap_or_else(|e| panic!("{name}@{k}: resume failed: {e}"));
-        assert_eq!(clean, resumed, "{name}@{k}: resumed result diverged");
+        assert_eq!(clean, out, "{name}@{k}: resumed result diverged");
         assert_eq!(
             clean_stats.num_supersteps(),
             stats.num_supersteps(),
             "{name}@{k}: superstep count diverged"
         );
-        if stats.durability.resumed_steps > 0 {
-            resumed_any = true;
-        }
+        let d = &stats.durability;
+        assert!(d.resumed_steps <= killed_at, "{name}@{k}: {d:?}");
+        assert_eq!(d.delta_frames, 0, "{name}@{k}: {d:?}");
+        kills += 1;
+        resumed += d.resumed_steps;
+        recomputed += killed_at - d.resumed_steps;
     }
-    assert!(resumed_any, "{name}: no kill point replayed any delta");
+    println!(
+        "{name}: {kills} kills over {supersteps} supersteps — {resumed} resumed from disk, \
+         {recomputed} recomputed"
+    );
+    assert!(resumed > 0, "{name}: no kill point resumed past step 0");
 }
 
 #[test]
@@ -107,12 +117,41 @@ fn uninterrupted_durable_run_matches_the_plain_run() {
     assert_eq!(clean_stats.num_supersteps(), out.stats.num_supersteps());
     let d = &out.stats.durability;
     assert!(d.generations_written >= 1, "{d:?}");
-    assert!(d.delta_frames >= 1, "{d:?}");
+    assert_eq!(d.delta_frames, 0, "{d:?}");
     assert!(d.bytes_fsynced > 0, "{d:?}");
     assert_eq!(d.fallbacks, 0, "{d:?}");
     assert_eq!(d.io_errors, 0, "{d:?}");
     // The plain twin never paid any durability cost.
     assert_eq!(clean_stats.durability, Default::default());
+}
+
+#[test]
+fn durable_store_writes_checkpoint_frames_only() {
+    // A cc label is one u32: frame 0 holds 3 workers x 120 replicas x 4 B.
+    let g = graph();
+    let dir = TempDirGuard::new("durable-counts");
+    let out = flash_algos::cc::run(&g, base_config(3).durable_dir(dir.path())).expect("durable cc");
+    let d = &out.stats.durability;
+    assert_eq!(d.delta_frames, 0, "{d:?}");
+    let generation_len = (HEADER + FRAME_HEAD + 3 * 120 * 4 + 8) as u64;
+    let gens = generations(dir.path());
+    assert_eq!(gens.len(), 2, "two generations retained: {gens:?}");
+    for (gen, path) in &gens {
+        let bytes = std::fs::read(path).expect("generation");
+        let payload = u64::from_le_bytes(bytes[HEADER + 12..HEADER + 20].try_into().expect("8 B"));
+        assert_eq!(bytes.len() as u64, generation_len, "gen {gen}");
+        assert_eq!(
+            bytes.len(),
+            HEADER + FRAME_HEAD + payload as usize + 8,
+            "gen {gen}"
+        );
+    }
+    // Every generation written was one such file, fsynced once.
+    assert_eq!(
+        d.bytes_fsynced,
+        d.generations_written * generation_len,
+        "{d:?}"
+    );
 }
 
 #[test]
@@ -181,9 +220,7 @@ fn bitrot_scrubs_and_falls_back_to_previous_generation() {
 #[test]
 fn io_errors_skip_the_commit_but_never_touch_results() {
     let g = graph();
-    let clean = flash_algos::bfs::run(&g, base_config(3), 0)
-        .expect("clean")
-        .result;
+    let clean = flash_algos::bfs::run(&g, base_config(3), 0).expect("clean");
     let dir = TempDirGuard::new("durable-ioerr");
     let sink = Arc::new(CollectSink::new());
     let cfg = base_config(3)
@@ -191,7 +228,7 @@ fn io_errors_skip_the_commit_but_never_touch_results() {
         .faults(FaultPlan::parse("ioerr@2").expect("plan"))
         .sink(Arc::clone(&sink) as Arc<dyn Sink>);
     let out = flash_algos::bfs::run(&g, cfg, 0).expect("ioerr is transparent");
-    assert_eq!(clean, out.result);
+    assert_eq!(clean.result, out.result);
     assert!(
         out.stats.durability.io_errors >= 1,
         "{:?}",
@@ -201,10 +238,32 @@ fn io_errors_skip_the_commit_but_never_touch_results() {
         .events()
         .iter()
         .any(|e| matches!(e.kind, EventKind::DurableIoError { .. })));
-    // The store self-healed: a cold resume still works.
-    let resumed = flash_algos::bfs::run(&g, base_config(3).durable_dir(dir.path()).resume(), 0)
-        .expect("resume after ioerr");
-    assert_eq!(clean, resumed.result);
+    // The failed commit due at step 2 landed at step 3, which moved every
+    // later generation off the even grid a fault-free resume checkpoints
+    // on: the resume must still reach the loaded one and persist again.
+    let gens: Vec<u64> = generations(dir.path()).iter().map(|g| g.0).collect();
+    assert_eq!(gens, [1, 2], "gens 1 and 2 retained");
+    let newest = std::fs::read(dir.path().join("gen-2.fck")).expect("gen 2");
+    let newest_step = u64::from_le_bytes(newest[16..24].try_into().expect("8 B"));
+    assert_eq!(newest_step % 2, 1, "gen 2 lies off the even grid");
+    let sink = Arc::new(CollectSink::new());
+    let cfg = base_config(3)
+        .durable_dir(dir.path())
+        .resume()
+        .sink(Arc::clone(&sink) as Arc<dyn Sink>);
+    let resumed = flash_algos::bfs::run(&g, cfg, 0).expect("resume after ioerr");
+    assert_eq!(clean.result, resumed.result);
+    assert_eq!(clean.stats.num_supersteps(), resumed.stats.num_supersteps());
+    let d = &resumed.stats.durability;
+    assert_eq!(
+        d.resumed_steps, newest_step,
+        "loaded checkpoint reached: {d:?}"
+    );
+    assert!(d.generations_written >= 1, "progress persisted: {d:?}");
+    assert!(sink
+        .events()
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::CheckpointDurable { .. })));
 }
 
 #[test]
@@ -226,19 +285,10 @@ fn nothing_valid_on_disk_degrades_to_durability_lost() {
     }
 }
 
-/// End offsets of a v2 generation file's frames: `[0]` closes the header
-/// plus frame 0, each later entry one delta frame.
-fn frame_ends(bytes: &[u8]) -> Vec<usize> {
-    let mut ends = Vec::new();
-    let mut pos = 48;
-    while pos + 20 <= bytes.len() {
-        let len = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().expect("8 bytes"));
-        pos += 20 + len as usize + 8;
-        ends.push(pos);
-    }
-    assert_eq!(ends.last(), Some(&bytes.len()), "file ends on a frame");
-    ends
-}
+/// Bytes of a generation file's header, and of its one frame before the
+/// payload (kind, step, payload length); a checksum closes the frame.
+const HEADER: usize = 48;
+const FRAME_HEAD: usize = 20;
 
 /// `(generation, path)` of every generation file in `dir`, oldest first.
 fn generations(dir: &std::path::Path) -> Vec<(u64, std::path::PathBuf)> {
@@ -290,9 +340,9 @@ fn resume_bfs(
 }
 
 #[test]
-fn newest_generation_cut_anywhere_resumes_from_the_longest_valid_prefix() {
+fn newest_generation_cut_or_flipped_anywhere_falls_back_bit_identically() {
     // A 6x8 grid: bfs from a corner runs 14 supersteps, so at cadence 4
-    // the killed run leaves gen 1 (steps 4..7) and gen 2 (steps 8..11).
+    // the killed run leaves gen 1 (step 4) and gen 2 (step 8).
     let g = Arc::new(generators::grid2d(6, 8));
     let cfg = || base_config(3).checkpoint_every(4);
     let clean = flash_algos::bfs::run(&g, cfg(), 0).expect("clean");
@@ -306,95 +356,46 @@ fn newest_generation_cut_anywhere_resumes_from_the_longest_valid_prefix() {
     assert_eq!(gens.len(), 2, "an older generation to fall back to");
     let (newest, newest_path) = gens[1].clone();
     let bytes = std::fs::read(&newest_path).expect("newest generation");
-    let ends = frame_ends(&bytes);
-    assert!(ends.len() >= 4, "frame 0 plus a delta tail: {ends:?}");
 
-    // Every frame boundary (and the header's) -1/+0/+1, plus seeded cuts.
-    let mut cuts: Vec<usize> = std::iter::once(48)
-        .chain(ends.iter().copied())
-        .flat_map(|b| [b - 1, b, b + 1])
-        .filter(|c| *c < bytes.len())
-        .collect();
-    let mut rng = flash_graph::Prng::seed_from_u64(16);
-    cuts.extend((0..64).map(|_| rng.gen_range(0..bytes.len())));
-
-    for cut in cuts {
+    // Every cut length, and every byte flipped by a mask that walks the
+    // bit positions.
+    let damaged = (0..bytes.len())
+        .map(|cut| (format!("cut@{cut}"), bytes[..cut].to_vec()))
+        .chain((0..bytes.len()).map(|at| {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            (format!("flip@{at}"), flipped)
+        }));
+    for (what, damaged) in damaged {
         let dir = TempDirGuard::new("durable-cut");
         for (_, path) in &gens {
             let name = path.file_name().expect("file name");
             std::fs::copy(path, dir.path().join(name)).expect("copy generation");
         }
         let target = dir.path().join(newest_path.file_name().expect("file name"));
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&target)
-            .expect("open for cut");
-        f.set_len(cut as u64).expect("cut");
-        drop(f);
+        std::fs::write(&target, &damaged).expect("damage");
 
         let (result, stats, scrubs) = resume_bfs(&g, cfg(), dir.path())
-            .unwrap_or_else(|e| panic!("cut@{cut}: resume failed: {e}"));
-        assert_eq!(clean.result, result, "cut@{cut}: resumed result diverged");
+            .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+        assert_eq!(clean.result, result, "{what}: resumed result diverged");
         assert_eq!(
             clean.stats.num_supersteps(),
             stats.num_supersteps(),
-            "cut@{cut}"
+            "{what}"
         );
+        assert_eq!(scrubs.len(), 1, "{what}: {scrubs:?}");
+        assert_eq!((scrubs[0].0, scrubs[0].2), (newest, true), "{what}");
         let d = &stats.durability;
-        if cut < ends[0] {
-            // Header or frame 0 damaged: condemned, fall back.
-            assert_eq!(scrubs.len(), 1, "cut@{cut}: {scrubs:?}");
-            assert_eq!((scrubs[0].0, scrubs[0].2), (newest, true), "cut@{cut}");
-            assert_eq!(d.fallbacks, 1, "cut@{cut}: {d:?}");
-        } else {
-            // Delta tail: the whole frames before the cut survive.
-            let whole = ends.iter().filter(|end| **end <= cut).count();
-            assert_eq!(d.resumed_steps, whole as u64 - 1, "cut@{cut}: {d:?}");
-            assert_eq!(d.fallbacks, 0, "cut@{cut}: {d:?}");
-            if ends.contains(&cut) {
-                assert!(scrubs.is_empty(), "cut@{cut} is a clean log: {scrubs:?}");
-            } else {
-                assert_eq!(scrubs.len(), 1, "cut@{cut}: {scrubs:?}");
-                assert_eq!((scrubs[0].0, scrubs[0].2), (newest, false), "cut@{cut}");
-                let on_disk = std::fs::metadata(&target).expect("target").len();
-                assert!(on_disk >= ends[whole - 1] as u64, "cut@{cut}");
-            }
-        }
-        // The resumed run appended behind whatever the scrub kept: every
-        // file must now end on a frame, and a second cold start finds
-        // nothing left to repair.
-        for (_, path) in generations(dir.path()) {
-            frame_ends(&std::fs::read(path).expect("generation"));
-        }
+        assert_eq!((d.scrub_repairs, d.fallbacks), (1, 1), "{what}: {d:?}");
+        assert_eq!(d.resumed_steps, 4, "{what}: resumed from gen 1: {d:?}");
+        assert!(d.generations_written >= 1, "{what}: {d:?}");
+
+        // The resumed run committed over the condemned file: a second
+        // cold start finds nothing left to repair.
         let (again, stats, scrubs) = resume_bfs(&g, cfg(), dir.path())
-            .unwrap_or_else(|e| panic!("cut@{cut}: second resume failed: {e}"));
-        assert_eq!(clean.result, again, "cut@{cut}: second resume diverged");
-        assert!(scrubs.is_empty(), "cut@{cut}: {scrubs:?}");
-        assert_eq!(stats.durability.scrub_repairs, 0, "cut@{cut}");
+            .unwrap_or_else(|e| panic!("{what}: second resume failed: {e}"));
+        assert_eq!(clean.result, again, "{what}: second resume diverged");
+        assert!(scrubs.is_empty(), "{what}: {scrubs:?}");
+        assert_eq!(stats.durability.scrub_repairs, 0, "{what}");
     }
-}
-
-#[test]
-fn scripted_tear_mid_append_keeps_the_generation() {
-    // `torn@3:b2000` lands in gen 1's delta tail (frame 0 ends at byte
-    // 1516): the scrub cuts the tail and resumes from gen 1 itself.
-    let g = graph();
-    let clean = flash_algos::bfs::run(&g, base_config(3), 0)
-        .expect("clean")
-        .result;
-    let dir = TempDirGuard::new("durable-tear");
-    let faults = FaultPlan::parse("torn@3:b2000").expect("plan parses");
-    let torn = flash_algos::bfs::run(&g, base_config(3).durable_dir(dir.path()).faults(faults), 0)
-        .expect("damage lands on disk, not in the compute");
-    assert_eq!(clean, torn.result);
-    let (newest, path) = generations(dir.path()).pop().expect("a generation");
-    assert_eq!(std::fs::metadata(path).expect("newest").len(), 2000);
-
-    let (result, stats, scrubs) = resume_bfs(&g, base_config(3), dir.path()).expect("resume");
-    assert_eq!(clean, result);
-    assert_eq!(scrubs.len(), 1, "{scrubs:?}");
-    assert_eq!((scrubs[0].0, scrubs[0].2), (newest, false), "{scrubs:?}");
-    let d = &stats.durability;
-    assert_eq!((d.scrub_repairs, d.fallbacks), (1, 0), "{d:?}");
-    assert!(d.resumed_steps >= 1, "{d:?}");
 }

@@ -69,14 +69,14 @@ exact_gate() {
     fi
 }
 
-echo "==> block streaming gate (pr_block: the EDGEMAP kernels only record block touches, so a kernel change must not move the streamed bytes and blocks)"
-exact_gate pr_block 'graph\.streamed_(bytes|blocks)'
+echo "==> block streaming gate (pr_block: the EDGEMAP kernels only record block touches, so a kernel change must not move the streamed bytes and blocks, the schedule or the traffic)"
+exact_gate pr_block 'graph\.streamed_(bytes|blocks)|runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.active_sum|wire_bytes|obs\.events'
 
 echo "==> repair gate (serve_mix: the maintained PageRank sums in overlay walk order, so a changed walk or repair arithmetic moves the sweep count)"
 exact_gate serve_mix 'algos\.pr_repair_sweeps'
 
-echo "==> sync gate (pr_rmat: the one-pass mirror sync must count exactly the messages, bytes and events the two-pass one did)"
-exact_gate pr_rmat 'runtime\.(sync|upd)_(messages|bytes)|wire_bytes|obs\.events'
+echo "==> sync gate (pr_rmat: the one-pass mirror sync and the per-source PageRank share must count exactly the supersteps, frontiers, messages, bytes and events the parent did)"
+exact_gate pr_rmat 'runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.active_sum|wire_bytes|obs\.events'
 
 echo "==> checkpoint gate (kcore_ckpt: the checkpoint-only store must not move the schedule, the generations or the sync counts, and appends no delta frame)"
 exact_gate kcore_ckpt 'runtime\.(supersteps|ckpt_generations|ckpt_bytes|sync_messages|sync_bytes)|wire_bytes|obs\.events'

@@ -1,9 +1,15 @@
 //! PageRank with uniform teleport and dangling redistribution.
 //!
-//! The canonical ISVP workload. Each iteration pulls
-//! `Σ_in rank(s)/deg(s)` in a dense `EDGEMAP` over all vertices, then a
-//! `VERTEXMAP` applies damping; dangling mass is gathered with a global
-//! fold — a textbook use of FLASH's mixed local/global control flow.
+//! The canonical ISVP workload. Every vertex carries its `share`, the mass
+//! it hands each out-neighbour (`rank / out_degree`, computed once when the
+//! rank is). Each iteration folds the dangling vertices' shares globally,
+//! resets `rank` to serve as the accumulator, pulls `Σ_in share(s)` in a
+//! dense `EDGEMAP` over all vertices, and applies damping in a `VERTEXMAP`
+//! that also refreshes `share` — a textbook use of FLASH's mixed
+//! local/global control flow. The pull makes one random read per arc, the
+//! source's `share`, and divides nothing; the division happens once per
+//! source, with the operands a per-arc `rank / deg` would use, so the ranks
+//! are bit-identical to dividing per arc.
 
 use crate::common::AlgoOutput;
 use flash_core::prelude::*;
@@ -15,25 +21,39 @@ use std::sync::Arc;
 /// Per-vertex PageRank state.
 #[derive(Clone)]
 pub struct PrVertex {
-    /// Current rank.
+    /// Current rank; between an iteration's reset and apply maps, the
+    /// accumulator its pull sums into.
     pub rank: f64,
-    /// Incoming contribution accumulator (rebuilt every iteration).
-    pub acc: f64,
+    /// What the vertex sends each out-neighbour: `rank / out_degree`, or
+    /// `rank` itself when it has no out-edge (the dangling fold's term).
+    pub share: f64,
 }
 flash_runtime::full_sync!(PrVertex);
-flash_runtime::durable_value!(PrVertex { rank, acc });
+flash_runtime::durable_value!(PrVertex { rank, share });
 
 /// Damping factor used throughout (the paper-standard 0.85).
 pub const DAMPING: f64 = 0.85;
 
-/// Table II plan: `rank` is read by neighbors (dense source) → critical;
-/// `acc` is only read/written on targets and in vertex maps → local.
+/// Table II plan: `share` is read by neighbours (dense source) → critical;
+/// `rank` is only written on targets and read/written in vertex maps →
+/// local.
 pub fn plan() -> ProgramPlan {
     ProgramPlan::new()
-        .access(OpKind::EdgeMapDense, Role::Source, Access::Get, "rank")
-        .access(OpKind::EdgeMapDense, Role::Target, Access::Put, "acc")
-        .access(OpKind::VertexMap, Role::Local, Access::Get, "acc")
+        .access(OpKind::EdgeMapDense, Role::Source, Access::Get, "share")
+        .access(OpKind::EdgeMapDense, Role::Target, Access::Put, "rank")
+        .access(OpKind::VertexMap, Role::Local, Access::Get, "rank")
         .access(OpKind::VertexMap, Role::Local, Access::Put, "rank")
+        .access(OpKind::VertexMap, Role::Local, Access::Put, "share")
+}
+
+/// The share a vertex of out-degree `deg` sends per out-edge.
+#[inline]
+fn share_of(rank: f64, deg: usize) -> f64 {
+    if deg == 0 {
+        rank
+    } else {
+        rank / deg as f64
+    }
 }
 
 /// Runs `iters` synchronous PageRank sweeps; returns per-vertex ranks
@@ -44,45 +64,43 @@ pub fn run(
     iters: usize,
 ) -> Result<AlgoOutput<Vec<f64>>, RuntimeError> {
     let n = graph.num_vertices().max(1) as f64;
-    let g = Arc::clone(graph);
     let mut ctx: FlashContext<PrVertex> =
-        FlashContext::build_durable(Arc::clone(graph), config, move |_| PrVertex {
+        FlashContext::build_durable(Arc::clone(graph), config, |v| PrVertex {
             rank: 1.0 / n,
-            acc: 0.0,
+            share: share_of(1.0 / n, graph.out_degree(v)),
         })?;
 
     // FLASH-ALGORITHM-BEGIN: pagerank
     let all = ctx.all();
     for _ in 0..iters {
-        let dangling = {
-            let g = Arc::clone(&g);
-            ctx.fold(
-                &all,
-                0.0f64,
-                move |acc, v, val| {
-                    if g.out_degree(v) == 0 {
-                        acc + val.rank
-                    } else {
-                        acc
-                    }
-                },
-                |a, b| a + b,
-            )
-        };
-        ctx.vertex_map(&all, |_, _| true, |_, val| val.acc = 0.0);
-        let g2 = Arc::clone(&g);
+        let dangling = ctx.fold(
+            &all,
+            0.0f64,
+            |acc, v, val| {
+                if graph.out_degree(v) == 0 {
+                    acc + val.share
+                } else {
+                    acc
+                }
+            },
+            |a, b| a + b,
+        );
+        ctx.vertex_map(&all, |_, _| true, |_, val| val.rank = 0.0);
         ctx.edge_map_dense(
             &all,
             &EdgeSet::forward(),
             |_, _, _| true,
-            move |e, s, d| d.acc += s.rank / g2.out_degree(e.src) as f64,
+            |_, s, d| d.rank += s.share,
             |_, _| true,
         );
         let base = (1.0 - DAMPING) / n + DAMPING * dangling / n;
         ctx.vertex_map(
             &all,
             |_, _| true,
-            move |_, val| val.rank = base + DAMPING * val.acc,
+            |v, val| {
+                val.rank = base + DAMPING * val.rank;
+                val.share = share_of(val.rank, graph.out_degree(v));
+            },
         );
     }
     // FLASH-ALGORITHM-END: pagerank
@@ -144,10 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_keeps_acc_local() {
+    fn plan_ships_share_and_keeps_rank_local() {
         let p = plan();
         p.validate().unwrap();
-        assert!(p.is_critical("rank"));
-        assert!(!p.is_critical("acc"));
+        assert!(p.is_critical("share"));
+        assert!(!p.is_critical("rank"));
     }
 }

@@ -13,24 +13,34 @@
 //!   10⁶ → 10⁷⁺ arcs, reporting bytes streamed, block cache hits, and
 //!   the peak resident vertex-state footprint per run.
 //!
+//! A third, in-memory table measures the pull kernel per arc: PageRank on
+//! one sequential worker over `rmat(12..=18)`, its `EDGEMAPDENSE` compute
+//! time in ns per arc, and the compute of all its steps next to the wall
+//! of the serial `reference::pagerank` loop, which does the same work
+//! (the ratio compares these two). A flat ns/arc across the rungs is
+//! per-arc instruction cost; one that rises with n is cache misses.
+//! Nothing in it is gated.
+//!
 //! ```text
 //! fig_scale [--smoke] [--workers N]
 //! ```
 //!
 //! `--smoke` (the CI entry point) runs the catalogue identity sweep on a
-//! multi-block web graph plus the three scaling algorithms on a ~10⁶-arc
-//! R-MAT graph. The full run climbs to ≥10⁷-edge graphs; setting
+//! multi-block web graph, the three scaling algorithms on a ~10⁶-arc
+//! R-MAT graph, and the pull ladder up to `rmat(14)`. The full run climbs to ≥10⁷-edge graphs; setting
 //! `FLASH_SCALE_XL=1` adds a ~10⁸-arc rung. Writes `results/scale.json`
 //! (override dir with `FLASH_RESULTS_DIR`).
 
+use flash_algos::{pagerank, reference};
 use flash_bench::cli::{dispatch, prepare_storage, CliOptions, ALGOS};
 use flash_bench::jsonio;
 use flash_bench::report::render_table;
 use flash_graph::generators::{rmat, web_graph, with_random_weights, RmatParams};
 use flash_graph::Graph;
 use flash_obs::Json;
-use flash_runtime::StorageMode;
+use flash_runtime::{ClusterConfig, StepKind, StorageMode};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The algorithms of the scaling ladder (the paper's three canonical
 /// traversal / propagation / iteration representatives).
@@ -152,6 +162,34 @@ fn scale_rung(label: &str, workers: usize, blk_graph: &Arc<Graph>) -> RungOutput
         );
     }
     (rows, json_rows, broken)
+}
+
+/// PageRank iterations per run of the pull ladder (the benchmark's count).
+const PULL_ITERS: usize = 10;
+
+/// One rung of the pull ladder, in ns per arc: `(pull, compute,
+/// reference)` for PageRank on `g`, each the best of three runs taken
+/// alternately. FLASH runs one sequential worker in memory; `pull` is its
+/// `EDGEMAPDENSE` compute alone, `compute` that of every step (the
+/// dangling fold, both vertex maps and the pull), which is the work the
+/// reference's wall covers: its dangling scan, per-iteration `next` vector
+/// and push scatter.
+fn pull_rung(g: &Arc<Graph>) -> Result<(f64, f64, f64), String> {
+    let arcs = (g.num_edges() * PULL_ITERS) as f64;
+    let ns_per_arc = |d: Duration| d.as_secs_f64() * 1e9 / arcs;
+    let (mut pull, mut compute, mut serial) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let cfg = ClusterConfig::with_workers(1).sequential();
+        let out = pagerank::run(g, cfg, PULL_ITERS).map_err(|e| e.to_string())?;
+        let steps = out.stats.steps();
+        let dense = steps.iter().filter(|s| s.kind == StepKind::EdgeMapDense);
+        pull = pull.min(ns_per_arc(dense.map(|s| s.compute).sum()));
+        compute = compute.min(ns_per_arc(steps.iter().map(|s| s.compute).sum()));
+        let t = Instant::now();
+        std::hint::black_box(reference::pagerank(g, PULL_ITERS));
+        serial = serial.min(ns_per_arc(t.elapsed()));
+    }
+    Ok((pull, compute, serial))
 }
 
 /// Converts a generated graph to block storage once, so the rung's three
@@ -282,12 +320,61 @@ fn main() {
         )
     );
 
+    // ---- Pull ladder ----------------------------------------------------
+    let top = if smoke { 14 } else { 18 };
+    let (mut pull_rows, mut pull_json) = (Vec::new(), Vec::new());
+    for scale in 12..=top {
+        let label = format!("rmat{scale}");
+        let g = Arc::new(rmat(scale, 8, RmatParams::default(), 7));
+        match pull_rung(&g) {
+            Ok((pull, compute, serial)) => {
+                pull_rows.push((
+                    label.clone(),
+                    vec![
+                        g.num_edges().to_string(),
+                        format!("{pull:.2}"),
+                        format!("{compute:.2}"),
+                        format!("{serial:.2}"),
+                        format!("{:.2}", compute / serial),
+                    ],
+                ));
+                pull_json.push(
+                    Json::object()
+                        .set("dataset", label.as_str())
+                        .set("arcs", g.num_edges())
+                        .set("iters", PULL_ITERS)
+                        .set("pull_ns_per_arc", pull)
+                        .set("compute_ns_per_arc", compute)
+                        .set("reference_ns_per_arc", serial)
+                        .set("ratio", compute / serial),
+                );
+            }
+            Err(e) => broken.push(format!("{label} pull: {e}")),
+        }
+    }
+    println!(
+        "\nPageRank per arc (1 worker, sequential, {PULL_ITERS} iterations, best of 3; \
+         ratio = compute / reference)\n{}",
+        render_table(
+            &[
+                "Graph",
+                "arcs",
+                "pull ns/arc",
+                "compute ns/arc",
+                "reference ns/arc",
+                "ratio"
+            ],
+            &pull_rows
+        )
+    );
+
     let doc = Json::object()
         .set("report", "fig_scale")
         .set("smoke", smoke)
         .set("workers", workers as u64)
         .set("identity", Json::Arr(identity_rows))
-        .set("scaling", Json::Arr(scale_rows));
+        .set("scaling", Json::Arr(scale_rows))
+        .set("pull_per_arc", Json::Arr(pull_json));
     match jsonio::write_results("scale", &doc) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write scale json: {e}"),

@@ -95,12 +95,11 @@ fn main() {
     };
     if !opts.json {
         println!(
-            "graph: {} vertices, {} arcs | algo: {} | workers: {} x {} thread(s)",
+            "graph: {} vertices, {} arcs | algo: {} | workers: {}",
             graph.num_vertices(),
             graph.num_edges(),
             opts.algo,
-            opts.workers,
-            opts.threads
+            opts.workers
         );
     }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! flash --algo bfs --dataset OR --workers 4 [--root 0]
 //! flash --algo cc  --input graph.txt --symmetric
-//! flash --algo tc  --dataset TW --mode pull --threads 4
+//! flash --algo tc  --dataset TW --mode pull
 //! ```
 //!
 //! Kept dependency-free (hand-rolled parsing) per the workspace's crate
@@ -33,8 +33,6 @@ pub struct CliOptions {
     pub symmetric: bool,
     /// Worker count.
     pub workers: usize,
-    /// Threads per worker.
-    pub threads: usize,
     /// Kernel policy.
     pub mode: ModePolicy,
     /// Root vertex for rooted algorithms.
@@ -92,7 +90,6 @@ impl Default for CliOptions {
             input: None,
             symmetric: false,
             workers: 4,
-            threads: 1,
             mode: ModePolicy::Adaptive,
             root: 0,
             iters: 10,
@@ -157,11 +154,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                 opts.workers = value_of(&arg, &mut it)?
                     .parse()
                     .map_err(|_| "--workers needs an integer".to_string())?;
-            }
-            "--threads" | "-t" => {
-                opts.threads = value_of(&arg, &mut it)?
-                    .parse()
-                    .map_err(|_| "--threads needs an integer".to_string())?;
             }
             "--mode" | "-m" => {
                 opts.mode = match value_of(&arg, &mut it)?.as_str() {
@@ -267,7 +259,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
 pub fn usage() -> String {
     format!(
         "usage: flash --algo <name> (--dataset <OR|TW|US|EU|UK|SK> | --input <edges.txt>)\n\
-         \x20      [--workers N] [--threads N] [--mode auto|push|pull] [--root V]\n\
+         \x20      [--workers N] [--mode auto|push|pull] [--root V]\n\
          \x20      [--iters N] [--k N] [--symmetric] [--simulate-network]\n\
          \x20      [--json] [--metrics] [--trace <file|-|text>]\n\
          \x20      [--faults <plan>] [--checkpoint-every N|off]\n\
@@ -316,7 +308,6 @@ pub fn load_graph(opts: &CliOptions) -> Result<Arc<Graph>, String> {
 pub fn cluster_config(opts: &CliOptions) -> ClusterConfig {
     let mut cfg = ClusterConfig::with_workers(opts.workers)
         .mode(opts.mode)
-        .threads(opts.threads)
         .storage(opts.storage);
     if opts.simulate_network {
         cfg = cfg.network(NetworkModel::ten_gbe());
@@ -575,13 +566,12 @@ mod tests {
     #[test]
     fn parses_a_full_command() {
         let o = parse_args(args(
-            "--algo bfs --dataset or --workers 8 --threads 2 --mode pull --root 7",
+            "--algo bfs --dataset or --workers 8 --mode pull --root 7",
         ))
         .unwrap();
         assert_eq!(o.algo, "bfs");
         assert_eq!(o.dataset, Some(Dataset::Orkut));
         assert_eq!(o.workers, 8);
-        assert_eq!(o.threads, 2);
         assert_eq!(o.mode, ModePolicy::ForceDense);
         assert_eq!(o.root, 7);
     }
@@ -595,6 +585,7 @@ mod tests {
         assert!(parse_args(args("--algo bfs --dataset OR --workers 0")).is_err());
         assert!(parse_args(args("--algo bfs --dataset OR --workers x")).is_err());
         assert!(parse_args(args("--algo bfs --dataset OR --bogus")).is_err());
+        assert!(parse_args(args("--algo bfs --dataset OR --threads 2")).is_err());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The FLASH execution context: `VERTEXMAP`, `EDGEMAP` and friends.
 
-use crate::edgeset::EdgeSet;
+use crate::edgeset::{EdgeSet, Row};
 use crate::subset::VertexSubset;
 use crate::EdgeRef;
 use flash_graph::{
     BitSet, BlockGrid, BlockHandle, BlockTouch, Graph, HashPartitioner, PartitionMap, StreamScope,
     VertexId, MAX_GRID_DIM,
 };
-use flash_runtime::par::parallel_chunks;
 use flash_runtime::{
     Cluster, ClusterConfig, ModePolicy, RunStats, RuntimeError, StepKind, StorageMode, SyncScope,
     VertexData,
@@ -196,9 +195,7 @@ impl<V: VertexData> FlashContext<V> {
     ///
     /// `m` mutates the master's value in place: `f` and `m` see only their
     /// own vertex, so no staged copy is needed for BSP, and FLASHWARE
-    /// synchronizes mirrors at the implicit barrier. The map runs on the
-    /// worker's own lane — a few ns per vertex, less than a split across
-    /// `threads_per_worker` would cost.
+    /// synchronizes mirrors at the implicit barrier.
     pub fn vertex_map(
         &mut self,
         u: &VertexSubset,
@@ -228,14 +225,11 @@ impl<V: VertexData> FlashContext<V> {
                 .step_direct(StepKind::VertexMap, u.len(), SyncScope::Necessary, |ctx| {
                     let actives = u.actives_for(ctx.worker(), ctx.partition());
                     let cur = ctx.current_slice();
-                    let results = parallel_chunks(&actives, ctx.threads(), |chunk| {
-                        chunk
-                            .iter()
-                            .copied()
-                            .filter(|&v| f(v, &cur[v as usize]))
-                            .collect::<Vec<_>>()
-                    });
-                    results.into_iter().flatten().collect::<Vec<_>>()
+                    actives
+                        .iter()
+                        .copied()
+                        .filter(|&v| f(v, &cur[v as usize]))
+                        .collect::<Vec<_>>()
                 });
         let subset = VertexSubset::from_lists(n, &out.per_worker);
         self.cluster.recycle_updated(out.updated);
@@ -358,52 +352,22 @@ impl<V: VertexData> FlashContext<V> {
             let g = ctx.graph();
             let worker = ctx.worker();
             let masters = ctx.masters();
-            let threads = ctx.threads();
             let members = u.bits();
+            // Each new value goes straight into the worker's `direct` buffer.
             let (cur, mut sink) = ctx.split_writes();
-            // One kernel body, two sinks, as in `edge_map_sparse`: a single
-            // chunk stages each new value straight into the worker's
-            // `direct` buffer; several chunks buffer theirs and stage the
-            // buffers in chunk (= master) order.
-            let touched = || TouchRecorder::new(grid, dir);
-            if threads <= 1 {
-                let touches = dense_chunk(
-                    g,
-                    masters,
-                    cur,
-                    members,
-                    h,
-                    &f,
-                    &m,
-                    &c,
-                    touched(),
-                    |d, val| sink.write(d, val),
-                );
-                replay(stream, worker, &touches);
-            } else {
-                let results = parallel_chunks(masters, threads, |chunk| {
-                    let mut writes: Vec<(VertexId, V)> = Vec::new();
-                    let touches = dense_chunk(
-                        g,
-                        chunk,
-                        cur,
-                        members,
-                        h,
-                        &f,
-                        &m,
-                        &c,
-                        touched(),
-                        |d, val| writes.push((d, val)),
-                    );
-                    (writes, touches)
-                });
-                for (writes, touches) in results {
-                    replay(stream, worker, &touches);
-                    for (d, val) in writes {
-                        sink.write(d, val);
-                    }
-                }
-            }
+            let touches = dense_kernel(
+                g,
+                masters,
+                cur,
+                members,
+                h,
+                &f,
+                &m,
+                &c,
+                TouchRecorder::new(grid, dir),
+                |d, val| sink.write(d, val),
+            );
+            replay(stream, worker, &touches);
         });
         self.written(out.updated)
     }
@@ -439,37 +403,22 @@ impl<V: VertexData> FlashContext<V> {
         let out = self.cluster.step_reduce(u.len(), scope, &r, |ctx| {
             let g = ctx.graph();
             let worker = ctx.worker();
-            let threads = ctx.threads();
             let actives = u.actives_for(worker, ctx.partition());
+            // Every update is staged the moment it is computed, so one
+            // destination's temporaries meet `r` in source order.
             let (cur, mut puts) = ctx.split();
-            // One kernel body, two sinks. A single chunk (the default
-            // `threads_per_worker = 1`) stages every update the moment it
-            // is computed; several chunks buffer theirs and the buffers
-            // are staged in chunk order. Either way one destination's
-            // temporaries meet `r` in source order.
-            let touched = || TouchRecorder::new(grid, dir);
-            if threads <= 1 {
-                let touches =
-                    sparse_chunk(g, &actives, cur, h, &f, &m, &c, touched(), |d, temp| {
-                        puts.put(d, temp, &r)
-                    });
-                replay(stream, worker, &touches);
-            } else {
-                let results = parallel_chunks(&actives, threads, |chunk| {
-                    let mut updates: Vec<(VertexId, V)> = Vec::new();
-                    let touches =
-                        sparse_chunk(g, chunk, cur, h, &f, &m, &c, touched(), |d, temp| {
-                            updates.push((d, temp))
-                        });
-                    (updates, touches)
-                });
-                for (updates, touches) in results {
-                    replay(stream, worker, &touches);
-                    for (d, temp) in updates {
-                        puts.put(d, temp, &r);
-                    }
-                }
-            }
+            let touches = sparse_kernel(
+                g,
+                &actives,
+                cur,
+                h,
+                &f,
+                &m,
+                &c,
+                TouchRecorder::new(grid, dir),
+                |d, temp| puts.put(d, temp, &r),
+            );
+            replay(stream, worker, &touches);
         });
         self.written(out.updated)
     }
@@ -556,15 +505,14 @@ impl<V: VertexData> FlashContext<V> {
     }
 }
 
-/// The `EDGEMAPDENSE` kernel body over one chunk of masters: every
-/// destination some qualifying in-edge updated hands `(destination, new
-/// value)` to `sink`, in chunk order; returns the edge blocks the chunk
-/// read. The new value is one clone of the current value on the first
-/// qualifying edge, which `m` then updates in place for every later one.
+/// The `EDGEMAPDENSE` kernel over a worker's masters: every destination
+/// some qualifying in-edge updated hands `(destination, new value)` to
+/// `sink`, in master order; returns the edge blocks it read. A full
+/// frontier skips the membership probe per arc.
 #[allow(clippy::too_many_arguments)]
-fn dense_chunk<V: VertexData>(
+fn dense_kernel<V: VertexData>(
     g: &Graph,
-    chunk: &[VertexId],
+    masters: &[VertexId],
     cur: &[V],
     members: &BitSet,
     h: &EdgeSet<V>,
@@ -574,48 +522,89 @@ fn dense_chunk<V: VertexData>(
     mut touched: TouchRecorder,
     mut sink: impl FnMut(VertexId, V),
 ) -> Vec<BlockTouch> {
+    let members = (members.len() < members.capacity()).then_some(members);
     let mut scratch: Vec<VertexId> = Vec::new();
-    for &d in chunk {
+    for &d in masters {
         let d_cur = &cur[d as usize];
         if !c(d, d_cur) {
             continue;
         }
         let row = h.sources(g, d, d_cur, &mut scratch);
         touched.row(d);
-        let mut d_new: Option<V> = None;
-        for (i, &s) in row.ids.iter().enumerate() {
-            touched.neighbour(s);
-            let d_ref: &V = d_new.as_ref().unwrap_or(d_cur);
-            if !c(d, d_ref) {
-                break;
-            }
-            if !members.contains(s) {
-                continue;
-            }
-            let s_val = &cur[s as usize];
-            let e = EdgeRef {
-                src: s,
-                dst: d,
-                weight: row.weight(i),
-            };
-            if f(e, s_val, d_ref) {
-                m(e, s_val, d_new.get_or_insert_with(|| d_cur.clone()));
-            }
-        }
-        if let Some(val) = d_new {
+        if let Some(val) = pull_row(d, &row, cur, members, f, m, c, &mut touched) {
             sink(d, val);
         }
     }
     touched.finish()
 }
 
-/// The `EDGEMAPSPARSE` kernel body over one chunk of active sources:
-/// every qualifying edge hands `(target, temporary)` to `sink`, in source
-/// order; returns the edge blocks the chunk read.
+/// One row of [`dense_kernel`]: the new value of `d`, if some in-edge of
+/// `row` from a source in `members` (all sources when `None`) qualified.
+///
+/// The row is walked in two phases. Phase 1 tests `c` and `f` against the
+/// current value until the first qualifying edge, where it clones that
+/// value once and applies `m`; a row with no qualifying edge clones
+/// nothing. Phase 2 runs the rest of the row against the owned new value.
+/// `f`, `c` and `m` see the same values in the same order as a loop that
+/// picked its reference per arc, so results are bit-identical to it.
+///
+/// Out of line on purpose: inlined next to the sink's possible
+/// reallocation, the new value lived on the stack, and phase 2 paid a
+/// store and a reload per arc on top of `m`.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn sparse_chunk<V: VertexData>(
+fn pull_row<V: VertexData>(
+    d: VertexId,
+    row: &Row<'_>,
+    cur: &[V],
+    members: Option<&BitSet>,
+    f: &impl Fn(EdgeRef, &V, &V) -> bool,
+    m: &impl Fn(EdgeRef, &V, &mut V),
+    c: &impl Fn(VertexId, &V) -> bool,
+    touched: &mut TouchRecorder,
+) -> Option<V> {
+    let d_cur = &cur[d as usize];
+    let edge = |i: usize, s: VertexId| EdgeRef {
+        src: s,
+        dst: d,
+        weight: row.weight(i),
+    };
+    let member = |s: VertexId| members.is_none_or(|u| u.contains(s));
+    let mut arcs = row.ids.iter().enumerate();
+    let (i, s) = loop {
+        let (i, &s) = arcs.next()?;
+        touched.neighbour(s);
+        if !c(d, d_cur) {
+            return None;
+        }
+        if member(s) && f(edge(i, s), &cur[s as usize], d_cur) {
+            break (i, s);
+        }
+    };
+    let mut val = d_cur.clone();
+    m(edge(i, s), &cur[s as usize], &mut val);
+    for (i, &s) in arcs {
+        touched.neighbour(s);
+        if !c(d, &val) {
+            break;
+        }
+        if member(s) {
+            let (e, s_val) = (edge(i, s), &cur[s as usize]);
+            if f(e, s_val, &val) {
+                m(e, s_val, &mut val);
+            }
+        }
+    }
+    Some(val)
+}
+
+/// The `EDGEMAPSPARSE` kernel over a worker's active sources: every
+/// qualifying edge hands `(target, temporary)` to `sink`, in source order;
+/// returns the edge blocks it read.
+#[allow(clippy::too_many_arguments)]
+fn sparse_kernel<V: VertexData>(
     g: &Graph,
-    chunk: &[VertexId],
+    actives: &[VertexId],
     cur: &[V],
     h: &EdgeSet<V>,
     f: &impl Fn(EdgeRef, &V, &V) -> bool,
@@ -625,7 +614,7 @@ fn sparse_chunk<V: VertexData>(
     mut sink: impl FnMut(VertexId, V),
 ) -> Vec<BlockTouch> {
     let mut scratch: Vec<VertexId> = Vec::new();
-    for &s in chunk {
+    for &s in actives {
         let s_val = &cur[s as usize];
         let row = h.targets(g, s, s_val, &mut scratch);
         touched.row(s);
@@ -656,12 +645,12 @@ fn sparse_chunk<V: VertexData>(
 /// The block handle and per-run scope a streamed `EDGEMAP` charges.
 type Stream = (Arc<BlockHandle>, Arc<StreamScope>);
 
-/// Block-touch accounting for one chunk of an `EDGEMAP` kernel (DESIGN.md
-/// §13). A streamed step runs the same loop over the same CSR rows as an
+/// Block-touch accounting for an `EDGEMAP` kernel (DESIGN.md §13). A
+/// streamed step runs the same loop over the same CSR rows as an
 /// in-memory one; this only *records* which edge blocks those rows live
 /// in: one bit per neighbour block, OR-ed into a mask that is flushed as
 /// [`BlockTouch`]es when the row block changes. Rows arrive in ascending
-/// id order, so a chunk lists every cell it read exactly once. Without a
+/// id order, so a kernel lists every cell it read exactly once. Without a
 /// stream it records nothing.
 struct TouchRecorder {
     /// log2 of the block width while streaming.
@@ -721,14 +710,14 @@ impl TouchRecorder {
         }
     }
 
-    /// The cells this chunk read, row-block-major.
+    /// The cells the kernel read, row-block-major.
     fn finish(mut self) -> Vec<BlockTouch> {
         self.flush();
         self.touches
     }
 }
 
-/// Replays one chunk's touches against the worker's block cache.
+/// Replays a kernel's touches against the worker's block cache.
 fn replay(stream: Option<&Stream>, worker: usize, touches: &[BlockTouch]) {
     if let Some((bh, scope)) = stream {
         bh.replay(scope, worker, touches);

@@ -1606,10 +1606,9 @@ impl<V: VertexData> Cluster<V> {
     ) -> (Vec<Out>, Vec<Duration>) {
         let graph = self.graph.as_ref();
         let partition = self.partition.as_ref();
-        let threads = self.config.threads_per_worker;
         let timed = |w: usize, st: &mut WorkerState<V>| -> (Out, Duration) {
             let t = Instant::now();
-            let mut ctx = WorkerCtx::new(w, graph, partition, st, threads);
+            let mut ctx = WorkerCtx::new(w, graph, partition, st);
             let out = f(&mut ctx);
             (out, t.elapsed())
         };

@@ -73,8 +73,6 @@ pub enum StorageMode {
 pub struct ClusterConfig {
     /// Number of workers (the paper's `m`; one partition each).
     pub workers: usize,
-    /// Threads per worker for intra-worker parallelism (Fig. 4b's "cores").
-    pub threads_per_worker: usize,
     /// Run workers on real OS threads. `false` executes workers
     /// sequentially on the driver thread (deterministic debugging).
     pub parallel_workers: bool,
@@ -161,7 +159,6 @@ impl fmt::Debug for ClusterConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClusterConfig")
             .field("workers", &self.workers)
-            .field("threads_per_worker", &self.threads_per_worker)
             .field("parallel_workers", &self.parallel_workers)
             .field("dense_threshold", &self.dense_threshold)
             .field("mode", &self.mode)
@@ -195,7 +192,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             workers: 4,
-            threads_per_worker: 1,
             parallel_workers: true,
             dense_threshold: 0.05,
             mode: ModePolicy::Adaptive,
@@ -237,12 +233,6 @@ impl ClusterConfig {
     /// Sets the mirror-sync payload policy (builder style).
     pub fn sync_mode(mut self, sync: SyncMode) -> Self {
         self.sync_mode = sync;
-        self
-    }
-
-    /// Sets intra-worker thread count (builder style).
-    pub fn threads(mut self, t: usize) -> Self {
-        self.threads_per_worker = t.max(1);
         self
     }
 
@@ -406,12 +396,10 @@ mod tests {
         let c = ClusterConfig::with_workers(8)
             .mode(ModePolicy::ForceDense)
             .sync_mode(SyncMode::Full)
-            .threads(0)
             .sequential();
         assert_eq!(c.workers, 8);
         assert_eq!(c.mode, ModePolicy::ForceDense);
         assert_eq!(c.sync_mode, SyncMode::Full);
-        assert_eq!(c.threads_per_worker, 1, "threads clamp to >= 1");
         assert!(!c.parallel_workers);
     }
 

@@ -33,7 +33,6 @@ pub struct WorkerCtx<'a, V: VertexData> {
     graph: &'a Graph,
     partition: &'a PartitionMap,
     state: &'a mut WorkerState<V>,
-    threads: usize,
 }
 
 impl<'a, V: VertexData> WorkerCtx<'a, V> {
@@ -42,14 +41,12 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
         graph: &'a Graph,
         partition: &'a PartitionMap,
         state: &'a mut WorkerState<V>,
-        threads: usize,
     ) -> Self {
         WorkerCtx {
             worker,
             graph,
             partition,
             state,
-            threads,
         }
     }
 
@@ -57,13 +54,6 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
     #[inline]
     pub fn worker(&self) -> usize {
         self.worker
-    }
-
-    /// Threads available for intra-worker parallelism
-    /// (see [`crate::par::parallel_chunks`]).
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The shared, immutable graph.
@@ -101,8 +91,7 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
         self.state.current(v)
     }
 
-    /// Snapshot of the whole current-state replica (for kernels that
-    /// parallelize reads across intra-worker threads).
+    /// Snapshot of the whole current-state replica.
     #[inline]
     pub fn current_slice(&self) -> &[V] {
         &self.state.current
@@ -272,7 +261,7 @@ mod tests {
     fn put_reduces_temps() {
         let (g, p) = setup();
         let mut st = WorkerState::new(6, &|_| Acc::default());
-        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st, 1);
+        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st);
         let r = |t: &Acc, acc: &mut Acc| acc.sum += t.sum;
         ctx.put(3, Acc { sum: 5 }, &r);
         ctx.put(3, Acc { sum: 7 }, &r);
@@ -286,7 +275,7 @@ mod tests {
     fn get_reads_current_only() {
         let (g, p) = setup();
         let mut st = WorkerState::new(6, &|v| Acc { sum: v as u64 });
-        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st, 1);
+        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st);
         let r = |t: &Acc, acc: &mut Acc| acc.sum += t.sum;
         ctx.put(2, Acc { sum: 100 }, &r);
         // BSP: the staged put is invisible to get.
@@ -297,7 +286,7 @@ mod tests {
     fn masters_matches_partition() {
         let (g, p) = setup();
         let mut st = WorkerState::new(6, &|_| Acc::default());
-        let ctx = WorkerCtx::new(1, &g, &p, &mut st, 1);
+        let ctx = WorkerCtx::new(1, &g, &p, &mut st);
         assert_eq!(ctx.masters(), p.masters(1));
         assert_eq!(ctx.worker(), 1);
     }
@@ -307,7 +296,7 @@ mod tests {
         let (g, p) = setup();
         let mut st = WorkerState::new(6, &|v| Acc { sum: v as u64 });
         let masters = p.masters(0);
-        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st, 1);
+        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st);
         let odd = |_, a: &Acc| a.sum % 2 == 1;
         ctx.update_masters(masters, odd, |_, a| a.sum += 40);
         let passed: Vec<VertexId> = masters.iter().copied().filter(|v| v % 2 == 1).collect();
@@ -328,7 +317,7 @@ mod tests {
         // Find a vertex not owned by worker 0.
         let foreign = (0..6u32).find(|&v| !p.is_master(0, v)).unwrap();
         let mut st = WorkerState::new(6, &|_| Acc::default());
-        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st, 1);
+        let mut ctx = WorkerCtx::new(0, &g, &p, &mut st);
         ctx.write_master(foreign, Acc::default());
     }
 }

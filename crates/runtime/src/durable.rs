@@ -12,7 +12,7 @@
 //! the checkpoint: Pregel's checkpoint at an interval and recompute
 //! since, which determinism makes bit-identical.
 //!
-//! # On-disk format (`FCK1`, version 2)
+//! # On-disk format (`FCK1`, version 3)
 //!
 //! One file per generation, `gen-N.fck`, exactly a header and one
 //! checkpoint frame:
@@ -63,9 +63,13 @@ use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every generation file.
 pub const MAGIC: [u8; 4] = *b"FCK1";
-/// Current format version. Version 1 (footer-terminated, rewritten whole
-/// on every delta) is rejected: stores are per-run scratch.
-pub const VERSION: u32 = 2;
+/// Current format version. Older versions are rejected, not migrated:
+/// stores are per-run scratch. Version 1 was footer-terminated and
+/// rewritten whole on every delta. Version 2 has today's layout, but the
+/// header does not identify the value layout, so the version also changes
+/// when a catalogue value type does: a version 2 PageRank store holds
+/// `{ rank, acc }`, which version 3 would read as `{ rank, share }`.
+pub const VERSION: u32 = 3;
 /// Fixed header length in bytes.
 const HEADER_LEN: usize = 48;
 /// Bytes of the frame before its payload: kind, step, payload length.
@@ -783,11 +787,16 @@ mod tests {
         let err = parse_store(&long).err().expect("trailing byte condemns");
         assert!(err.contains("1 byte(s) after"), "{err}");
 
-        // A v1 file (or any other version) is rejected, not misread.
-        let mut v1 = bytes;
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let err = parse_store(&v1).err().expect("v1 rejected");
-        assert!(err.contains("unsupported version 1"), "{err}");
+        // An older file (or any other version) is rejected, not misread.
+        for version in [1u32, 2] {
+            let mut old = bytes.clone();
+            old[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = parse_store(&old).err().expect("old version rejected");
+            assert!(
+                err.contains(&format!("unsupported version {version}")),
+                "{err}"
+            );
+        }
     }
 
     fn val_states(workers: usize, vertices: usize) -> Vec<WorkerState<Val>> {

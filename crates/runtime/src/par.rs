@@ -1,49 +1,19 @@
-//! Intra-worker parallelism helper.
+//! The runtime's fan-out helper.
 //!
-//! The paper's workers each drive a pool of threads performing "parallel
-//! vertex-centric processing" (§IV-C, Fig. 4b varies this pool from 1 to 32
-//! cores). Kernels use [`parallel_chunks`] to split their master list into
-//! contiguous chunks processed on separate threads; each chunk returns a
-//! buffered result the kernel then commits through the single-threaded
-//! [`crate::WorkerCtx`] — keeping update application race-free without
-//! atomics, which is exactly the discipline FLASH imposes on distributed
-//! updates (reduce functions instead of compare-and-swap).
-//!
-//! [`parallel_chunks`] runs *inside* a worker's compute lane (and is serial
-//! at the default `threads_per_worker = 1`), so it keeps its own scoped
-//! threads. The helper the runtime itself calls for the upd-round
-//! bucketing, [`parallel_scratch_chunks`], fans out over the cluster's
-//! persistent [`WorkerPool`] instead.
+//! Parallelism has one level: one compute lane per worker, and a worker's
+//! kernels run serially on its lane (the paper's per-node thread pool is
+//! modelled by running several logical workers per host). The one phase
+//! the runtime itself splits across the cluster's persistent
+//! [`WorkerPool`] is the upd-round bucketing, through
+//! [`parallel_scratch_chunks`]; each chunk returns a buffered result the
+//! caller merges in chunk order — race-free without atomics, which is the
+//! discipline FLASH imposes on distributed updates (reduce functions
+//! instead of compare-and-swap).
 
 use crate::pool::WorkerPool;
 
-/// Maps contiguous chunks of `items` on up to `threads` threads, returning
-/// the per-chunk outputs in order. With `threads <= 1` (or one-element
-/// input) it degrades to a plain sequential call, avoiding thread overhead.
-pub fn parallel_chunks<T: Sync, Out: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&[T]) -> Out + Sync,
-) -> Vec<Out> {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return vec![f(items)];
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items.chunks(chunk).map(|c| s.spawn(|| f(c))).collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    })
-}
-
-/// Like [`parallel_chunks`] but over *mutable* chunks, one per lane of
-/// `pool` (serial without one), with one reusable scratch slot per chunk.
+/// Maps contiguous *mutable* chunks of `items`, one per lane of `pool`
+/// (serial without one), with one reusable scratch slot per chunk.
 ///
 /// Each lane receives the starting index of its chunk (`base`), the
 /// mutable chunk itself, and exclusive access to `scratch[i]` for chunk
@@ -82,30 +52,6 @@ fn lanes_of(pool: &Option<&mut WorkerPool>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunks_cover_everything_in_order() {
-        let items: Vec<u32> = (0..101).collect();
-        for threads in [1usize, 2, 3, 8, 200] {
-            let outs = parallel_chunks(&items, threads, |c| c.to_vec());
-            let flat: Vec<u32> = outs.into_iter().flatten().collect();
-            assert_eq!(flat, items, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sums_match_sequential() {
-        let items: Vec<u64> = (0..1000).collect();
-        let outs = parallel_chunks(&items, 4, |c| c.iter().sum::<u64>());
-        assert_eq!(outs.iter().sum::<u64>(), 499_500);
-    }
-
-    #[test]
-    fn empty_input_is_fine() {
-        let items: Vec<u32> = vec![];
-        let outs = parallel_chunks(&items, 4, |c| c.len());
-        assert_eq!(outs, vec![0]);
-    }
 
     /// `None` for one thread, else a pool with that many lanes.
     fn pool(threads: usize) -> Option<WorkerPool> {

@@ -285,6 +285,44 @@ fn nothing_valid_on_disk_degrades_to_durability_lost() {
     }
 }
 
+/// A generation's header does not identify the value layout, so a store
+/// written by an older build must be refused by its version, not misread:
+/// version 2 PageRank generations hold `{ rank, acc }` where this build
+/// decodes `{ rank, share }`. Every generation is condemned and the resume
+/// ends in `DurabilityLost`.
+#[test]
+fn version_2_generations_are_condemned_and_the_resume_degrades_to_durability_lost() {
+    let g = graph();
+    let dir = TempDirGuard::new("durable-v2");
+    let halted =
+        flash_algos::pagerank::run(&g, base_config(3).durable_dir(dir.path()).halt_after(12), 5);
+    assert!(
+        matches!(halted, Err(RuntimeError::Halted { .. })),
+        "{halted:?}"
+    );
+    let gens = generations(dir.path());
+    assert_eq!(gens.len(), 2, "{gens:?}");
+    for (_, path) in &gens {
+        // Rewrite the header as a version 2 build wrote it, checksum and all.
+        let mut bytes = std::fs::read(path).expect("generation");
+        assert_eq!(bytes[4..8], 3u32.to_le_bytes(), "this build writes v3");
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let sum = flash_graph::hash::fnv1a(&bytes[..HEADER - 8]);
+        bytes[HEADER - 8..HEADER].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(path, &bytes).expect("rewrite generation");
+    }
+    let resumed =
+        flash_algos::pagerank::run(&g, base_config(3).durable_dir(dir.path()).resume(), 5);
+    match resumed {
+        Err(RuntimeError::DurabilityLost(msg)) => assert_eq!(
+            msg.matches("(unsupported version 2)").count(),
+            2,
+            "both generations condemned: {msg}"
+        ),
+        other => panic!("expected DurabilityLost, got {:?}", other.map(|o| o.result)),
+    }
+}
+
 /// Bytes of a generation file's header, and of its one frame before the
 /// payload (kind, step, payload length); a checksum closes the frame.
 const HEADER: usize = 48;

@@ -232,21 +232,19 @@ fn heap_owning_values_reduce_identically_on_every_push_path() {
     assert!(expected.iter().any(|t| t.len() > 100), "trails grew");
     for workers in [1usize, 2, 4] {
         let (_, base) = run_trails(ClusterConfig::with_workers(workers));
-        for threads in [1usize, 4] {
-            for sequential in [false, true] {
-                let mut cfg = ClusterConfig::with_workers(workers).threads(threads);
-                if sequential {
-                    cfg = cfg.sequential();
-                }
-                let (trails, stats) = run_trails(cfg);
-                let case = format!("workers={workers} threads={threads} sequential={sequential}");
-                assert_eq!(trails, expected, "{case}: answer diverged");
-                assert_eq!(
-                    counter_trace(&stats),
-                    counter_trace(&base),
-                    "{case}: counters diverged"
-                );
+        for sequential in [false, true] {
+            let mut cfg = ClusterConfig::with_workers(workers);
+            if sequential {
+                cfg = cfg.sequential();
             }
+            let (trails, stats) = run_trails(cfg);
+            let case = format!("workers={workers} sequential={sequential}");
+            assert_eq!(trails, expected, "{case}: answer diverged");
+            assert_eq!(
+                counter_trace(&stats),
+                counter_trace(&base),
+                "{case}: counters diverged"
+            );
         }
     }
 }
@@ -303,7 +301,7 @@ fn golden_run(algo: &str, cfg: ClusterConfig) -> Fingerprint {
 /// place, `EDGEMAPDENSE` staged into the worker's `direct` buffer and the
 /// mirror sync became one pass: every result bit and the exact sync
 /// traffic of PageRank (rmat(14), 10 iterations), SSSP, CC and k-core at
-/// 1, 2 and 4 workers, the same at one and at four threads per worker.
+/// 1, 2 and 4 workers.
 /// The benchmark's 1e-9 rank tolerance would not notice a reordered sum;
 /// this does.
 #[test]
@@ -345,11 +343,8 @@ fn direct_kernels_reproduce_parent_goldens() {
     ];
     for (algo, per_workers) in GOLDENS {
         for (workers, want) in [1usize, 2, 4].into_iter().zip(per_workers) {
-            for threads in [1usize, 4] {
-                let cfg = ClusterConfig::with_workers(workers).threads(threads);
-                let got = golden_run(algo, cfg);
-                assert_eq!(got, want, "{algo} workers={workers} threads={threads}");
-            }
+            let got = golden_run(algo, ClusterConfig::with_workers(workers));
+            assert_eq!(got, want, "{algo} workers={workers}");
         }
     }
 }
@@ -373,5 +368,207 @@ fn faults_on_a_sparse_superstep_leave_nothing_staged() {
         );
         assert_eq!(stats.recovery.faults_injected, 1, "{plan}");
         assert!(stats.recovery.rollbacks >= 1, "{plan}: no rollback");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Parent-captured goldens of the pull kernel and of PageRank
+// ----------------------------------------------------------------------
+
+/// A directed web graph with dangling and zero-in-degree vertices: the
+/// symmetric generator's arcs minus every out-arc of a vertex `v % 7 == 0`
+/// and every in-arc of a vertex `v % 11 == 1`, with weights in `[0.5, 2)`.
+fn directed_web() -> Arc<flash_graph::Graph> {
+    let n = 9_000;
+    let web = generators::web_graph(n, 8, 12, 5);
+    let arcs = web
+        .edges()
+        .filter(|&(s, d, _)| s % 7 != 0 && d % 11 != 1)
+        .map(|(s, d, _)| (s, d));
+    let g = flash_graph::GraphBuilder::new(n)
+        .edges(arcs)
+        .build()
+        .unwrap();
+    Arc::new(generators::with_random_weights(&g, 0.5, 2.0, 13))
+}
+
+/// PageRank (10 iterations) on [`directed_web`] at 1, 2 and 4 workers:
+/// every rank bit and the exact sync traffic, captured on the commit
+/// before the pull read a per-source `share` instead of dividing per arc.
+/// The dangling fold and the in-degree-zero vertices (whose pull finds
+/// nothing) are both on the path.
+#[test]
+fn pagerank_ranks_reproduce_parent_goldens() {
+    let g = directed_web();
+    let n = g.num_vertices() as u32;
+    assert!((0..n).any(|v| g.out_degree(v) == 0), "dangling vertices");
+    assert!(
+        (0..n).any(|v| g.in_degree(v) == 0),
+        "zero-in-degree vertices"
+    );
+    const GOLDENS: [Fingerprint; 3] = [
+        (0x2f49_a74e_22e3_ad3f, 0, 0),
+        (0xd1f9_6865_fcd4_fb7c, 259_410, 5_188_200),
+        (0xfb55_7fad_b81d_d348, 746_900, 14_938_000),
+    ];
+    for (workers, want) in [1usize, 2, 4].into_iter().zip(GOLDENS) {
+        let out = flash_algos::pagerank::run(&g, ClusterConfig::with_workers(workers), 10)
+            .expect("pagerank");
+        let got = fingerprint(&out.result, |x| x.to_bits().to_le_bytes(), &out.stats);
+        assert_eq!(got, want, "pagerank workers={workers}");
+    }
+}
+
+/// Vertex state of the pull cases: an order-sensitive float accumulator
+/// and a visit counter the early-exit conditions read.
+#[derive(Clone)]
+struct Pull {
+    sum: f64,
+    hits: u32,
+}
+flash_runtime::full_sync!(Pull);
+
+/// Serializes `g` to a temporary block file and reopens it through the
+/// block reader (the mapping keeps the data alive once the file is gone).
+fn reopen_as_blocks(g: &flash_graph::Graph) -> Arc<flash_graph::Graph> {
+    let dir = flash_graph::testutil::TempDirGuard::new("hotpath-blocks");
+    let path = dir.path().join("g.fgb");
+    flash_graph::write_blocks(g, &path).expect("write block file");
+    Arc::new(flash_graph::open_blocks(&path).expect("open block file"))
+}
+
+/// `(values FNV-1a, output subset FNV-1a, wire bytes, streamed bytes,
+/// streamed blocks)` of one direct `EDGEMAPDENSE` call.
+type PullFingerprint = (u64, u64, u64, u64, u64);
+
+/// One `EDGEMAPDENSE` call on a fresh 3-worker context over `g`. The
+/// cases aim at the kernel's per-row control flow:
+/// 0. `f` rejects the first sources of every row (those below `d / 2`);
+/// 1. `c` fails right after the first write, over a sub-frontier;
+/// 2. the only qualifying edge of a row is its last;
+/// 3. weighted `reverse(E)` over a sub-frontier, left after four writes.
+fn pull_case(case: usize, g: &Arc<flash_graph::Graph>, cfg: ClusterConfig) -> PullFingerprint {
+    use flash_core::prelude::*;
+    let n = g.num_vertices() as u32;
+    let mut ctx = FlashContext::build(Arc::clone(g), cfg, |v| Pull {
+        sum: 1.0 + f64::from(v) * 0.25,
+        hits: 0,
+    })
+    .expect("context builds");
+    let pull = |e: EdgeRef, s: &Pull, d: &mut Pull| {
+        d.sum += s.sum * f64::from(e.weight);
+        d.hits += 1;
+    };
+    let all = ctx.all();
+    let thirds = ctx.subset((0..n).filter(|v| v % 3 != 0));
+    let evens = ctx.subset((0..n).step_by(2));
+    let last: Arc<Vec<u32>> = Arc::new(
+        (0..n)
+            .map(|d| g.in_neighbors(d).last().copied().unwrap_or(u32::MAX))
+            .collect(),
+    );
+    let out = match case {
+        0 => ctx.edge_map_dense(
+            &all,
+            &EdgeSet::forward(),
+            |e, _, _| e.src >= e.dst / 2,
+            pull,
+            |_, _| true,
+        ),
+        1 => ctx.edge_map_dense(
+            &thirds,
+            &EdgeSet::forward(),
+            |_, _, _| true,
+            pull,
+            |_, d| d.hits == 0,
+        ),
+        2 => ctx.edge_map_dense(
+            &all,
+            &EdgeSet::forward(),
+            move |e, _, _| e.src == last[e.dst as usize],
+            pull,
+            |_, _| true,
+        ),
+        3 => ctx.edge_map_dense(
+            &evens,
+            &EdgeSet::reverse(),
+            |e, _, _| e.weight > 0.75,
+            pull,
+            |_, d| d.hits < 4,
+        ),
+        other => unreachable!("{other}"),
+    };
+    assert!(ctx.fault_error().is_none(), "{:?}", ctx.fault_error());
+    let mut values = flash_graph::hash::Fnv1a::new();
+    for (sum, hits) in ctx.collect(|_, p| (p.sum.to_bits(), p.hits)) {
+        values.update(&sum.to_le_bytes());
+        values.update(&hits.to_le_bytes());
+    }
+    let mut subset = flash_graph::hash::Fnv1a::new();
+    for v in out.to_vec() {
+        subset.update(&v.to_le_bytes());
+    }
+    let stats = ctx.take_stats();
+    (
+        values.finish(),
+        subset.finish(),
+        stats.total_bytes(),
+        stats.bytes_streamed(),
+        stats.blocks_streamed(),
+    )
+}
+
+/// The four pull cases, captured on the commit before `EDGEMAPDENSE`
+/// walked each row in two phases: in memory, and through the block engine,
+/// which must give the same values, subset and wire bytes and stream
+/// exactly the captured blocks.
+#[test]
+fn pull_kernel_reproduces_parent_goldens() {
+    let g = directed_web();
+    let blk = reopen_as_blocks(&g);
+    assert!(blk.block_handle().unwrap().grid().nb() > 1, "multi-block");
+    const GOLDENS: [PullFingerprint; 4] = [
+        (
+            0xd06a_fe02_a065_31f6,
+            0x75b7_3c82_cd35_bb15,
+            314_520,
+            1_999_752,
+            27,
+        ),
+        (
+            0x45ff_9a4a_1482_267f,
+            0xdd33_1e49_c01d_3864,
+            314_080,
+            1_989_912,
+            25,
+        ),
+        (
+            0xc442_43e3_d0e6_4946,
+            0x75b7_3c82_cd35_bb15,
+            314_520,
+            1_999_752,
+            27,
+        ),
+        (
+            0xb795_e058_3e84_9e81,
+            0xb3cc_d552_ac4c_cd87,
+            295_200,
+            1_999_752,
+            27,
+        ),
+    ];
+    for (case, want) in GOLDENS.into_iter().enumerate() {
+        let mem = pull_case(case, &g, ClusterConfig::with_workers(3));
+        let block = pull_case(
+            case,
+            &blk,
+            ClusterConfig::with_workers(3).storage(flash_runtime::StorageMode::Block),
+        );
+        assert_eq!(
+            mem,
+            (want.0, want.1, want.2, 0, 0),
+            "case {case}, in memory"
+        );
+        assert_eq!(block, want, "case {case}, block storage");
     }
 }

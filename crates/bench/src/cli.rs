@@ -13,12 +13,9 @@ use crate::harness::Scale;
 use flash_graph::io::{read_edge_list, ReadOptions};
 use flash_graph::{Dataset, Graph};
 use flash_obs::Json;
-use flash_runtime::{
-    parse_duration, ClusterConfig, FaultPlan, ModePolicy, NetworkModel, StorageMode,
-};
+use flash_runtime::{ClusterConfig, FaultPlan, ModePolicy, NetworkModel, StorageMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,10 +60,6 @@ pub struct CliOptions {
     /// the out-of-core block engine (the graph is converted to a block
     /// file and `EDGEMAP`s stream edge blocks; results are bit-identical).
     pub storage: StorageMode,
-    /// Barrier-deadline failure-detector timeout (`--detector-timeout D`,
-    /// with a `ns`/`us`/`ms`/`s` suffix). Overrides the fault plan's
-    /// `detector=` option; `None` defers to the plan.
-    pub detector_timeout: Option<Duration>,
     /// Durable checkpoint store directory (`--durable-dir DIR`): every
     /// checkpoint is committed to disk through a crash-consistent
     /// two-phase commit. `None` keeps the store fully inert.
@@ -102,7 +95,6 @@ impl Default for CliOptions {
             checkpoint_off: false,
             metrics: false,
             storage: StorageMode::default(),
-            detector_timeout: None,
             durable_dir: None,
             resume: false,
             halt_after: None,
@@ -205,14 +197,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                     opts.checkpoint_off = false;
                 }
             }
-            "--detector-timeout" => {
-                // `parse_duration` rejects bare numbers with a suffix hint,
-                // the same no-ambiguous-units rule `--checkpoint-every`
-                // applies to `0`.
-                let v = value_of(&arg, &mut it)?;
-                opts.detector_timeout =
-                    Some(parse_duration(&v).map_err(|e| format!("--detector-timeout: {e}"))?);
-            }
             "--storage" => {
                 opts.storage = match value_of(&arg, &mut it)?.as_str() {
                     "mem" | "memory" | "in-memory" => StorageMode::InMemory,
@@ -263,8 +247,8 @@ pub fn usage() -> String {
          \x20      [--iters N] [--k N] [--symmetric] [--simulate-network]\n\
          \x20      [--json] [--metrics] [--trace <file|-|text>]\n\
          \x20      [--faults <plan>] [--checkpoint-every N|off]\n\
-         \x20      [--detector-timeout D] [--storage mem|block]\n\
-         \x20      [--durable-dir DIR] [--resume] [--halt-after N]\n\
+         \x20      [--storage mem|block] [--durable-dir DIR] [--resume]\n\
+         \x20      [--halt-after N]\n\
          fault plans: comma-separated crash@STEP:wW[:xN], corrupt@STEP:wW[:xN],\n\
          \x20            straggle@STEP:wW:DELAY, die@STEP:wW, rejoin@STEP:wW,\n\
          \x20            drop@STEP:wW[:xN], dup@STEP:wW, reorder@STEP:wW,\n\
@@ -320,9 +304,6 @@ pub fn cluster_config(opts: &CliOptions) -> ClusterConfig {
     }
     if opts.checkpoint_off {
         cfg = cfg.checkpoint_off();
-    }
-    if let Some(d) = opts.detector_timeout {
-        cfg = cfg.detector_timeout(d);
     }
     if let Some(dir) = &opts.durable_dir {
         cfg = cfg.durable_dir(dir.clone());
@@ -757,7 +738,6 @@ mod tests {
         assert!(u.contains("--metrics"));
         assert!(u.contains("leader@STEP"));
         assert!(u.contains("lie@STEP:wW"));
-        assert!(u.contains("--detector-timeout"));
     }
 
     #[test]
@@ -771,20 +751,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_detector_timeout_and_wires_it_into_the_config() {
-        let o = parse_args(args("--algo bfs --dataset or --detector-timeout 50ms")).unwrap();
-        assert_eq!(o.detector_timeout, Some(Duration::from_millis(50)));
-        assert_eq!(
-            cluster_config(&o).detector_timeout,
-            Some(Duration::from_millis(50))
-        );
-        let d = parse_args(args("--algo bfs --dataset or")).unwrap();
-        assert_eq!(d.detector_timeout, None, "defers to the plan by default");
-        assert_eq!(cluster_config(&d).detector_timeout, None);
-        // Bare numbers are ambiguous, exactly like `--checkpoint-every 0`.
-        let e = parse_args(args("--algo bfs --dataset or --detector-timeout 100"))
-            .expect_err("unitless timeout");
-        assert!(e.contains("ns"), "error names the accepted suffixes: {e}");
+    fn detector_deadline_reaches_the_config_through_the_fault_plan() {
+        let o = parse_args(args(
+            "--algo bfs --dataset or --faults straggle@1:w1:5ms,detector=50ms",
+        ))
+        .unwrap();
+        let plan = cluster_config(&o).fault_plan.expect("plan wired");
+        assert_eq!(plan.detector_timeout, std::time::Duration::from_millis(50));
+        // The plan's option is the one knob; there is no per-run flag.
+        let e = parse_args(args("--algo bfs --dataset or --detector-timeout 50ms"))
+            .expect_err("no such flag");
+        assert!(e.contains("unknown argument"), "{e}");
     }
 
     #[test]

@@ -536,11 +536,11 @@ mod tests {
             header.as_str(),
             r#"{"event":"run_start","seq":1,"workers":2,"vertices":10,"edges":20,"net_latency_us":0,"net_bandwidth_bps":0}"#,
             r#"{"event":"step_start","seq":2,"step":0,"kind":"sparse","active":5}"#,
-            r#"{"event":"worker_phase","seq":3,"step":0,"worker":0,"compute_us":10,"compute_ns":10000,"staged_puts":1,"staged_writes":1}"#,
-            r#"{"event":"worker_phase","seq":4,"step":0,"worker":1,"compute_us":30,"compute_ns":30000,"staged_puts":1,"staged_writes":1}"#,
-            r#"{"event":"step_end","seq":5,"step":0,"kind":"sparse","active":5,"upd_messages":2,"upd_bytes":32,"sync_messages":2,"sync_bytes":32,"compute_us":40,"compute_max_us":30,"compute_min_us":10,"barrier_skew_us":20,"serialize_us":2,"serialize_max_us":1,"communicate_us":3,"delivery_us":0,"simulated_net_us":0,"compute_ns":40000,"compute_max_ns":30000,"compute_min_ns":10000,"barrier_skew_ns":20000,"serialize_ns":2000,"serialize_max_ns":1000,"communicate_ns":3000,"delivery_ns":0,"simulated_net_ns":0}"#,
-            r#"{"event":"step_end","seq":6,"step":1,"kind":"dense","active":9,"upd_messages":0,"upd_bytes":0,"sync_messages":0,"sync_bytes":0,"compute_us":5,"compute_max_us":5,"compute_min_us":5,"barrier_skew_us":0,"serialize_us":0,"serialize_max_us":0,"communicate_us":90,"delivery_us":0,"simulated_net_us":0,"compute_ns":5000,"compute_max_ns":5000,"compute_min_ns":5000,"barrier_skew_ns":100,"serialize_ns":0,"serialize_max_ns":0,"communicate_ns":90000,"delivery_ns":0,"simulated_net_ns":0}"#,
-            r#"{"event":"run_end","seq":7,"supersteps":2,"total_bytes":64,"total_messages":4,"simulated_parallel_us":129,"simulated_parallel_ns":129000}"#,
+            r#"{"event":"worker_phase","seq":3,"step":0,"worker":0,"compute_ns":10000,"staged_puts":1,"staged_writes":1}"#,
+            r#"{"event":"worker_phase","seq":4,"step":0,"worker":1,"compute_ns":30000,"staged_puts":1,"staged_writes":1}"#,
+            r#"{"event":"step_end","seq":5,"step":0,"kind":"sparse","active":5,"upd_messages":2,"upd_bytes":32,"sync_messages":2,"sync_bytes":32,"compute_ns":40000,"compute_max_ns":30000,"compute_min_ns":10000,"barrier_skew_ns":20000,"serialize_ns":2000,"serialize_max_ns":1000,"communicate_ns":3000,"delivery_ns":0,"simulated_net_ns":0}"#,
+            r#"{"event":"step_end","seq":6,"step":1,"kind":"dense","active":9,"upd_messages":0,"upd_bytes":0,"sync_messages":0,"sync_bytes":0,"compute_ns":5000,"compute_max_ns":5000,"compute_min_ns":5000,"barrier_skew_ns":100,"serialize_ns":0,"serialize_max_ns":0,"communicate_ns":90000,"delivery_ns":0,"simulated_net_ns":0}"#,
+            r#"{"event":"run_end","seq":7,"supersteps":2,"total_bytes":64,"total_messages":4,"simulated_parallel_ns":129000}"#,
         ];
         lines.join("\n")
     }

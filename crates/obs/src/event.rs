@@ -51,12 +51,6 @@ impl Field for String {
     }
 }
 
-impl Field for Vec<String> {
-    fn from_json(value: &Json) -> Option<Self> {
-        value.as_array()?.iter().map(String::from_json).collect()
-    }
-}
-
 /// Reads field `name` of the event tagged `tag` out of its JSON object.
 fn read<T: Field>(obj: &Json, tag: &str, name: &str) -> Result<T, String> {
     let missing = || format!("{tag}: missing field {name:?}");
@@ -174,16 +168,13 @@ events! {
         step: u64,
         /// Worker id (0-based).
         worker: usize,
-        /// Wall-clock compute time for this worker, in microseconds
-        /// (rounded half-up; see `compute_ns` for the exact value).
-        compute_us: u64,
         /// Wall-clock compute time for this worker, in nanoseconds.
         compute_ns: u64,
         /// Mirror-directed `put` operations staged by this worker.
         staged_puts: u64,
         /// Master-directed writes staged by this worker.
         staged_writes: u64,
-    } => "step {step} worker {worker}: compute={compute_us}us puts={staged_puts} writes={staged_writes}";
+    } => "step {step} worker {worker}: compute={compute_ns}ns puts={staged_puts} writes={staged_writes}";
     /// A superstep completed (emitted after mirror sync).
     StepEnd = "step_end" {
         /// Superstep index.
@@ -200,39 +191,18 @@ events! {
         sync_messages: u64,
         /// Sync-phase bytes.
         sync_bytes: u64,
-        /// Total compute time across workers, in microseconds. All `*_us`
-        /// timer fields of this event are rounded half-up; the paired
-        /// `*_ns` fields carry the exact nanosecond values, so
-        /// microbench-scale phases never flatten to zero.
-        compute_us: u64,
-        /// Slowest worker's compute time, in microseconds.
-        compute_max_us: u64,
-        /// Fastest worker's compute time, in microseconds.
-        compute_min_us: u64,
-        /// Barrier skew (`compute_max - compute_min`), in microseconds.
-        barrier_skew_us: u64,
-        /// Serialization time (wall), in microseconds.
-        serialize_us: u64,
-        /// Serialization makespan (slowest bucketing thread), in
-        /// microseconds.
-        serialize_max_us: u64,
-        /// Communication time, in microseconds.
-        communicate_us: u64,
-        /// Reliable-delivery protocol time, in microseconds.
-        delivery_us: u64,
-        /// Simulated network time, in microseconds.
-        simulated_net_us: u64,
         /// Total compute time across workers, in nanoseconds.
         compute_ns: u64,
         /// Slowest worker's compute time, in nanoseconds.
         compute_max_ns: u64,
         /// Fastest worker's compute time, in nanoseconds.
         compute_min_ns: u64,
-        /// Barrier skew, in nanoseconds.
+        /// Barrier skew (`compute_max - compute_min`), in nanoseconds.
         barrier_skew_ns: u64,
         /// Serialization time (wall), in nanoseconds.
         serialize_ns: u64,
-        /// Serialization makespan, in nanoseconds.
+        /// Serialization makespan (slowest bucketing lane), in
+        /// nanoseconds.
         serialize_max_ns: u64,
         /// Communication time, in nanoseconds.
         communicate_ns: u64,
@@ -240,8 +210,8 @@ events! {
         delivery_ns: u64,
         /// Simulated network time, in nanoseconds.
         simulated_net_ns: u64,
-    } => "step {step} end ({kind}): upd={upd_bytes}B sync={sync_bytes}B compute_max={compute_max_us}us skew={barrier_skew_us}us";
-    /// The sync planner decided which properties to ship for one step.
+    } => "step {step} end ({kind}): upd={upd_bytes}B sync={sync_bytes}B compute_max={compute_max_ns}ns skew={barrier_skew_ns}ns";
+    /// The sync planner decided what to ship, and to whom, for one step.
     SyncPlan = "sync_plan" {
         /// Superstep index.
         step: u64,
@@ -249,10 +219,7 @@ events! {
         mode: String,
         /// Mirror scope label: `"necessary"` or `"all"`.
         scope: String,
-        /// Critical properties selected for synchronization (empty =
-        /// undeclared, i.e. the whole value ships).
-        properties: Vec<String>,
-    } => "step {step} sync plan: mode={mode} scope={scope} properties=[{}]", properties.join(",");
+    } => "step {step} sync plan: mode={mode} scope={scope}";
     /// The adaptive `EDGEMAP` chose a kernel.
     ModeDecision = "mode_decision" {
         /// Superstep index the decision applies to (the step about to run).
@@ -534,11 +501,9 @@ events! {
         total_bytes: u64,
         /// Total messages sent.
         total_messages: u64,
-        /// Simulated parallel time, in microseconds (rounded half-up).
-        simulated_parallel_us: u64,
         /// Simulated parallel time, in nanoseconds.
         simulated_parallel_ns: u64,
-    } => "run end: {supersteps} supersteps, {total_bytes}B, {total_messages} msgs, T_sim={simulated_parallel_us}us";
+    } => "run end: {supersteps} supersteps, {total_bytes}B, {total_messages} msgs, T_sim={simulated_parallel_ns}ns";
 }
 
 impl Event {
@@ -599,7 +564,6 @@ mod tests {
             EventKind::WorkerPhase {
                 step: 3,
                 worker: 1,
-                compute_us: 500,
                 compute_ns: 500_200,
                 staged_puts: 7,
                 staged_writes: 3,
@@ -612,15 +576,6 @@ mod tests {
                 upd_bytes: 160,
                 sync_messages: 5,
                 sync_bytes: 80,
-                compute_us: 900,
-                compute_max_us: 500,
-                compute_min_us: 400,
-                barrier_skew_us: 100,
-                serialize_us: 20,
-                serialize_max_us: 15,
-                communicate_us: 30,
-                delivery_us: 5,
-                simulated_net_us: 1234,
                 compute_ns: 900_400,
                 compute_max_ns: 500_200,
                 compute_min_ns: 400_200,
@@ -635,7 +590,6 @@ mod tests {
                 step: 3,
                 mode: "critical".into(),
                 scope: "necessary".into(),
-                properties: vec!["dis".into(), "parent".into()],
             },
             EventKind::ModeDecision {
                 step: 3,
@@ -772,7 +726,6 @@ mod tests {
                 supersteps: 12,
                 total_bytes: 2880,
                 total_messages: 180,
-                simulated_parallel_us: 129,
                 simulated_parallel_ns: 129_000,
             },
         ];
@@ -780,16 +733,18 @@ mod tests {
         events.map(|(kind, seq)| Event { seq, kind }).collect()
     }
 
-    /// The JSONL line of each `samples()` event, as the parent commit's
-    /// hand-written `to_json` printed it — except `worker_accused`, whose
-    /// checksums were numbers there and lost their low bits.
+    /// The JSONL line of each `samples()` event, as the hand-written
+    /// `to_json` the `events!` table replaced printed it — except
+    /// `worker_accused`, whose checksums were numbers there and lost their
+    /// low bits, and the `*_us` twins of `*_ns` fields and the `sync_plan`
+    /// properties, which schema 4 dropped.
     const GOLDEN: [&str; 26] = [
-        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":3,"seed":42,"seq":3,"workers":4}"#,
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":4,"seed":42,"seq":3,"workers":4}"#,
         r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"seq":4,"vertices":1000,"workers":4}"#,
         r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
-        r#"{"compute_ns":500200,"compute_us":500,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
-        r#"{"active":42,"barrier_skew_ns":100000,"barrier_skew_us":100,"communicate_ns":30100,"communicate_us":30,"compute_max_ns":500200,"compute_max_us":500,"compute_min_ns":400200,"compute_min_us":400,"compute_ns":900400,"compute_us":900,"delivery_ns":4900,"delivery_us":5,"event":"step_end","kind":"sparse","seq":7,"serialize_max_ns":15400,"serialize_max_us":15,"serialize_ns":19600,"serialize_us":20,"simulated_net_ns":1234000,"simulated_net_us":1234,"step":3,"sync_bytes":80,"sync_messages":5,"upd_bytes":160,"upd_messages":10}"#,
-        r#"{"event":"sync_plan","mode":"critical","properties":["dis","parent"],"scope":"necessary","seq":8,"step":3}"#,
+        r#"{"compute_ns":500200,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
+        r#"{"active":42,"barrier_skew_ns":100000,"communicate_ns":30100,"compute_max_ns":500200,"compute_min_ns":400200,"compute_ns":900400,"delivery_ns":4900,"event":"step_end","kind":"sparse","seq":7,"serialize_max_ns":15400,"serialize_ns":19600,"simulated_net_ns":1234000,"step":3,"sync_bytes":80,"sync_messages":5,"upd_bytes":160,"upd_messages":10}"#,
+        r#"{"event":"sync_plan","mode":"critical","scope":"necessary","seq":8,"step":3}"#,
         r#"{"chosen":"dense","event":"mode_decision","frontier":42,"frontier_edges":300,"policy":"adaptive","seq":9,"step":3,"threshold_edges":250}"#,
         r#"{"bytes":320,"event":"checkpoint_taken","interval":4,"seq":10,"step":4}"#,
         r#"{"attempt":0,"event":"fault_injected","kind":"crash","seq":11,"step":5,"worker":1}"#,
@@ -809,7 +764,7 @@ mod tests {
         r#"{"edges":5000,"event":"session_start","seq":25,"session":3,"vertices":1000,"workers":4}"#,
         r#"{"event":"session_end","queries":250,"seq":26,"session":3,"total_latency_us":98765}"#,
         r#"{"batch":0,"event":"update_applied","inserted":12,"removed":4,"repaired":"cc+pagerank","seq":27,"session":3,"touched":20}"#,
-        r#"{"event":"run_end","seq":28,"simulated_parallel_ns":129000,"simulated_parallel_us":129,"supersteps":12,"total_bytes":2880,"total_messages":180}"#,
+        r#"{"event":"run_end","seq":28,"simulated_parallel_ns":129000,"supersteps":12,"total_bytes":2880,"total_messages":180}"#,
     ];
 
     /// The `samples()` event tagged `tag`, checked to survive the trip through
@@ -833,9 +788,8 @@ mod tests {
             ("seq", 7),
             ("step", 3),
             ("upd_bytes", 160),
-            ("barrier_skew_us", 100),
-            ("serialize_max_us", 15),
-            ("delivery_us", 5),
+            ("barrier_skew_ns", 100_000),
+            ("serialize_max_ns", 15_400),
             ("delivery_ns", 4_900),
             ("compute_ns", 900_400),
             ("simulated_net_ns", 1_234_000),
@@ -918,8 +872,8 @@ mod tests {
     #[test]
     fn text_rendering_mentions_key_numbers() {
         checked("step_end", "step 3");
-        checked("step_end", "skew=100us");
-        checked("sync_plan", "properties=[dis,parent]");
+        checked("step_end", "skew=100000ns");
+        checked("sync_plan", "mode=critical scope=necessary");
         checked("checkpoint_scrubbed", "mismatch); falling back to previous");
     }
 

@@ -47,16 +47,10 @@ pub struct Checkpoint<V: VertexData> {
 impl<V: VertexData> Checkpoint<V> {
     /// Snapshots all workers. `step` is the id of the next superstep.
     pub(crate) fn capture(step: u64, states: &[WorkerState<V>], partition: &PartitionMap) -> Self {
-        let snapshots: Vec<Vec<V>> = states.iter().map(WorkerState::snapshot).collect();
-        let mut bytes = 0u64;
-        for (v, owner) in (0..partition.num_vertices()).map(|v| (v, partition.owner(v as VertexId)))
-        {
-            bytes += (4 + snapshots[owner][v].bytes()) as u64;
-        }
         Checkpoint {
             step,
-            bytes,
-            states: snapshots,
+            bytes: master_bytes(states, partition),
+            states: states.iter().map(WorkerState::snapshot).collect(),
         }
     }
 
@@ -68,6 +62,17 @@ impl<V: VertexData> Checkpoint<V> {
             st.restore(snap);
         }
     }
+}
+
+/// Serialized size of a checkpoint of `states`: master slots only, since
+/// mirrors are reconstructible from masters and need not be persisted.
+pub(crate) fn master_bytes<V: VertexData>(
+    states: &[WorkerState<V>],
+    partition: &PartitionMap,
+) -> u64 {
+    (0..partition.num_vertices() as VertexId)
+        .map(|v| (4 + states[partition.owner(v)].current(v).bytes()) as u64)
+        .sum()
 }
 
 /// The published effect of one superstep: the post-step value of every
@@ -126,8 +131,8 @@ impl<V: VertexData> StepDelta<V> {
 }
 
 /// The cluster's recovery state: the last checkpoint plus the redo log of
-/// every superstep published since. Only maintained while a fault plan is
-/// active — fault-free runs pay nothing.
+/// every superstep published since. Only a fault plan's layer keeps one —
+/// fault-free runs pay nothing.
 #[derive(Debug, Default)]
 pub(crate) struct RecoveryLog<V: VertexData> {
     checkpoint: Option<Checkpoint<V>>,
@@ -160,11 +165,16 @@ impl<V: VertexData> RecoveryLog<V> {
         }
     }
 
-    /// Rolls all workers back to the last checkpoint and replays the redo
-    /// log. Returns `(from_step, replayed_supersteps, bytes_moved)`, or
-    /// `None` when no checkpoint exists yet (the caller then retries on
-    /// unmodified state — safe because staged writes were discarded).
+    /// The state half of every recovery: discards what a failed attempt
+    /// staged, rolls all workers back to the last checkpoint and replays
+    /// the redo log. Returns `(from_step, replayed_supersteps,
+    /// bytes_moved)`, or `None` when no checkpoint exists yet (the caller
+    /// then retries on unmodified state — safe because staged writes were
+    /// discarded).
     pub(crate) fn rollback(&self, states: &mut [WorkerState<V>]) -> Option<(u64, u64, u64)> {
+        for st in states.iter_mut() {
+            st.discard_staged();
+        }
         let cp = self.checkpoint.as_ref()?;
         cp.restore(states);
         let mut bytes = cp.bytes;

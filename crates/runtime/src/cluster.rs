@@ -1,22 +1,23 @@
 //! The simulated cluster: superstep orchestration, message exchange and
-//! mirror synchronization.
+//! mirror synchronization. What a fault plan adds — injection, recovery,
+//! the control plane, reliable delivery, the redo log — lives in the
+//! `recovery` child module.
 
-use crate::checkpoint::{Checkpoint, RecoveryLog, StepDelta};
+mod recovery;
+
+use crate::checkpoint::Checkpoint;
 use crate::config::{ClusterConfig, StorageMode, SyncMode, SyncScope, DEFAULT_CHECKPOINT_INTERVAL};
-use crate::consensus::{checksum_quorum, Consensus, LogEntryKind};
 use crate::ctx::WorkerCtx;
-use crate::durable::{DiskWrite, DurableSession, DurableValue, ScrubReport};
+use crate::durable::{DurableSession, DurableValue, ScrubReport};
 use crate::error::RuntimeError;
-use crate::fault::{payload_checksum, FaultInjector, FaultKind, FaultSpec};
-use crate::netmodel::NetworkModel;
-use crate::par::parallel_scratch_chunks;
 use crate::pool::WorkerPool;
-use crate::state::{StepBuffers, WorkerState};
-use crate::stats::{ns_u64, us_half_up, RunStats, StepKind, StepStats, StorageInfo};
-use crate::transport::{RoundBatches, ScriptedChannelFault, Transport};
+use crate::state::{Buckets, StepBuffers, WorkerState};
+use crate::stats::{ns_u64, RunStats, StepKind, StepStats, StorageInfo};
+use crate::transport::RoundBatches;
 use crate::VertexData;
-use flash_graph::{Graph, PartitionMap, RebalanceReport, StreamScope, StreamSnapshot, VertexId};
+use flash_graph::{Graph, PartitionMap, StreamScope, StreamSnapshot, VertexId};
 use flash_obs::{Event, EventKind};
+use recovery::Faults;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,37 +56,21 @@ pub struct Cluster<V: VertexData> {
     next_step: u64,
     /// Monotonic sequence number for trace events.
     next_seq: u64,
-    /// Scripted fault injector, present only when the config carries a
-    /// [`FaultPlan`](crate::fault::FaultPlan).
-    injector: Option<FaultInjector>,
-    /// Reliable-delivery transport, present only when the fault plan has
-    /// channel faults (scripted or probabilistic).
-    transport: Option<Transport>,
-    /// Replicated control plane, present whenever a fault plan is attached
-    /// (same condition as `injector`): control-plane decisions — epoch
-    /// bumps, checkpoint commits, death declarations — replicate through
-    /// its majority-committed log under an elected leader. Fault-free runs
-    /// skip the layer entirely.
-    consensus: Option<Consensus>,
-    /// Last checkpoint plus the redo log of supersteps published since.
-    recovery: RecoveryLog<V>,
+    /// The fault layer — injector, control plane, transport and redo log
+    /// — present exactly when the config carries a
+    /// [`FaultPlan`](crate::fault::FaultPlan). Fault-free runs skip it
+    /// entirely.
+    faults: Option<Faults<V>>,
     /// Effective checkpoint interval in supersteps (0 = disabled).
     checkpoint_every: u64,
+    /// The step the last checkpoint preceded, for the interval schedule.
+    last_checkpoint: Option<u64>,
     /// Terminal recovery failure: set once the retry budget of some
     /// superstep is exhausted, surfaced via [`Cluster::fault_error`].
     failed: Option<RuntimeError>,
     /// Durable checkpoint store session, present only when the cluster was
-    /// built through [`Cluster::new_durable`] / [`Cluster::resume`] with a
-    /// `durable_dir` configured. `None` keeps every durable hook inert —
-    /// runs without the store execute byte-identically to before it
-    /// existed (DESIGN.md §15).
+    /// built through [`Cluster::new_durable`] / [`Cluster::resume`].
     durable: Option<DurableSession<V>>,
-    /// Whether an `ioerr@` disk fault fired for the current superstep: a
-    /// generation commit due at this step fails and is skipped.
-    disk_ioerr: bool,
-    /// At-rest damage (`torn@`/`bitrot@`) to apply to the newest committed
-    /// generation at this superstep's end: `(kind, byte offset, mask)`.
-    disk_damage: Vec<(FaultKind, u64, u8)>,
     /// Pooled per-superstep scratch buffers, reused clear-don't-drop across
     /// supersteps (DESIGN.md §11).
     buffers: StepBuffers<V>,
@@ -226,17 +211,10 @@ impl<V: VertexData> Cluster<V> {
         let states = (0..config.workers)
             .map(|_| WorkerState::new(n, &init))
             .collect();
-        let workers = config.workers;
-        let transport = config
+        let faults = config
             .fault_plan
             .as_ref()
-            .filter(|p| p.has_channel_faults())
-            .map(|p| Transport::new(p, workers));
-        let injector = config
-            .fault_plan
-            .clone()
-            .map(|p| FaultInjector::new(p, workers));
-        let consensus = injector.as_ref().map(|_| Consensus::new());
+            .map(|p| Faults::new(p, config.workers));
         // Rollback needs a checkpoint to roll back to, so a fault plan
         // forces periodic checkpointing on even if the config left the
         // interval at 0 (the `faults` builder normally sets it already) —
@@ -245,7 +223,7 @@ impl<V: VertexData> Cluster<V> {
         // so it forces the interval on the same way.)
         let checkpoint_every = if config.checkpoint_disabled {
             0
-        } else if config.checkpoint_every == 0 && (injector.is_some() || durable.is_some()) {
+        } else if config.checkpoint_every == 0 && (faults.is_some() || durable.is_some()) {
             DEFAULT_CHECKPOINT_INTERVAL as u64
         } else {
             config.checkpoint_every as u64
@@ -265,15 +243,11 @@ impl<V: VertexData> Cluster<V> {
             stats: RunStats::default(),
             next_step: 0,
             next_seq: 0,
-            injector,
-            transport,
-            consensus,
-            recovery: RecoveryLog::new(),
+            faults,
             checkpoint_every,
+            last_checkpoint: None,
             failed: None,
             durable,
-            disk_ioerr: false,
-            disk_damage: Vec::new(),
             buffers,
             pool: None,
             // A fresh scope per cluster: counters start at zero and the
@@ -320,11 +294,7 @@ impl<V: VertexData> Cluster<V> {
             net_latency_us,
             net_bandwidth_bps,
         });
-        // A cluster under a fault plan seats its coordinator before the
-        // first superstep, so every later decision has a leader to commit
-        // it — and `leader@0` has someone to crash.
-        let live = cluster.partition.live_hosts();
-        cluster.elect_leader(0, &live);
+        cluster.start_faults();
         // Surface what the resume-time scrub pass repaired: each
         // condemned generation is one event and one fallback hop to an
         // older generation.
@@ -336,20 +306,6 @@ impl<V: VertexData> Cluster<V> {
                 reason: report.reason,
                 fallback: true,
             });
-        }
-        // Scripted faults wholly before the loaded checkpoint already
-        // fired in the killed run; spending them keeps a resumed run from
-        // re-firing them *after* it (where `step <= now` would otherwise
-        // match). Up to that step the loaded checkpoint is authoritative
-        // anyway.
-        if let Some(frontier) = cluster
-            .durable
-            .as_ref()
-            .and_then(DurableSession::pending_step)
-        {
-            if let Some(inj) = &mut cluster.injector {
-                inj.drain_through(frontier);
-            }
         }
         Ok(cluster)
     }
@@ -431,7 +387,6 @@ impl<V: VertexData> Cluster<V> {
             supersteps: stats.num_supersteps(),
             total_bytes: stats.total_bytes(),
             total_messages: stats.total_messages(),
-            simulated_parallel_us: us_half_up(simulated),
             simulated_parallel_ns: ns_u64(simulated),
         });
         self.stats.storage = self.storage_info();
@@ -492,45 +447,6 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Emits the `fault_injected` event of one scripted fault firing.
-    fn emit_fault(&mut self, step: u64, worker: usize, kind: FaultKind, attempt: u64) {
-        self.emit(EventKind::FaultInjected {
-            step,
-            worker,
-            kind: kind.label().to_string(),
-            attempt,
-        });
-    }
-
-    /// Records the run's terminal error; only the first one sticks (see
-    /// [`Cluster::fault_error`]).
-    fn fail(&mut self, e: RuntimeError) {
-        self.failed.get_or_insert(e);
-    }
-
-    /// Prices a recovery or control-plane transfer on the simulated
-    /// network — zero without one — and records it under `metric`.
-    fn charge(
-        &mut self,
-        metric: &'static str,
-        price: impl FnOnce(NetworkModel) -> Duration,
-    ) -> Duration {
-        let Some(net) = self.config.network else {
-            return Duration::ZERO;
-        };
-        let cost = price(net);
-        self.record_cost(metric, cost);
-        cost
-    }
-
-    /// Adds one recovery/control-plane duration to the `metric` histogram
-    /// when metrics are on.
-    fn record_cost(&mut self, metric: &'static str, cost: Duration) {
-        if self.config.metrics {
-            self.stats.metrics.record_duration(metric, cost);
-        }
-    }
-
     /// The authoritative (master) value of vertex `v`.
     pub fn value(&self, v: VertexId) -> &V {
         self.states[self.partition.owner(v)].current(v)
@@ -550,11 +466,8 @@ impl<V: VertexData> Cluster<V> {
     /// results; callers account for its traffic via
     /// [`Cluster::record_global`].
     pub fn set_value_global(&mut self, v: VertexId, val: V) {
-        if self.injector.is_some() {
-            // Driver-side writes must be in the redo log too, or a later
-            // rollback would replay past them and lose their effect.
-            self.recovery
-                .record(StepDelta::global(v, &val, self.states.len()));
+        if let Some(faults) = &mut self.faults {
+            faults.log_global(v, &val, self.states.len());
         }
         // Clone into all replicas but the last, which takes ownership.
         if let Some((last, rest)) = self.states.split_last_mut() {
@@ -707,7 +620,6 @@ impl<V: VertexData> Cluster<V> {
         publish: impl FnOnce(&mut Self, u64, &mut StepStats, &mut [Vec<VertexId>]) -> Instant,
     ) -> StepOutput<Out> {
         self.maybe_rejoin();
-        self.poll_disk_faults();
         self.maybe_checkpoint();
         let step_id = self.next_step;
         self.emit(EventKind::StepStart {
@@ -747,68 +659,65 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Serialization of a reduce superstep: each lane drains a contiguous
-    /// chunk of workers' `pending` accumulators into its own (pooled)
-    /// bucket set, and the sets are merged in chunk — i.e.
-    /// ascending-worker — order into `buffers.buckets`, one per owner,
-    /// where the master fold drains them. Returns the upd round's
-    /// cross-host batches.
+    /// Serialization of a reduce superstep: each worker, on its own lane,
+    /// drains its `pending` accumulator into its own (pooled) bucket set,
+    /// and the sets are merged in ascending worker order into
+    /// `buffers.buckets`, one per owner, where the master fold drains them.
+    /// Returns the upd round's cross-host batches.
     ///
-    /// That merged order does not depend on how many lanes ran: each
-    /// accumulator is drained exactly once by exactly one lane, so its
-    /// internal drain order is fixed, and concatenating per-chunk buckets
-    /// in chunk order is the front-to-back worker order a single lane
-    /// (`.sequential()`, the serial reference in `tests/hotpath.rs`)
-    /// produces. Message/byte counters and cross-host batch maps are
-    /// commutative sums, merged in the same order for good measure
-    /// (DESIGN.md §11).
+    /// That merged order does not depend on whether the lanes ran in
+    /// parallel: each accumulator is drained exactly once, so its internal
+    /// drain order is fixed, and concatenating the per-worker buckets in
+    /// worker order is the front-to-back order of one serial walk
+    /// (`.sequential()`, the serial reference in `tests/hotpath.rs`).
+    /// Message/byte counters and cross-host batch maps are commutative
+    /// sums, merged in the same order for good measure (DESIGN.md §11).
     fn route_updates(&mut self, stats: &mut StepStats) -> RoundBatches {
         let t1 = Instant::now();
         let m = self.states.len();
         let mut buckets = self.buffers.take_buckets(m);
         let mut upd_batches = self.buffers.take_upd_batches();
         let mut bucket_sets = std::mem::take(&mut self.buffers.bucket_sets);
-        let track_batches = self.transport.is_some();
-        let partition = Arc::clone(&self.partition);
-        let pool = Self::lane_pool(&mut self.pool, &self.config, m);
-        let serial = pool.is_none();
-        let partials = parallel_scratch_chunks(
-            pool,
-            &mut self.states,
-            &mut bucket_sets,
-            Vec::new,
-            |base, chunk, set: &mut Vec<Vec<(VertexId, V)>>| {
-                if set.len() != m {
-                    set.resize_with(m, Vec::new);
-                }
-                let t = Instant::now();
-                let mut messages = 0u64;
-                let mut bytes_total = 0u64;
-                let mut batches = RoundBatches::new();
-                for (i, st) in chunk.iter_mut().enumerate() {
-                    let sender_host = partition.host_of_worker(base + i);
-                    for (v, temp) in st.pending.drain() {
-                        let owner = partition.owner(v);
-                        // Traffic crosses the wire only between distinct
-                        // physical hosts: after an elastic rebalance several
-                        // logical workers may share a host, and their
-                        // exchanges become local moves.
-                        let owner_host = partition.host_of_worker(owner);
-                        if owner_host != sender_host {
-                            let bytes = (4 + temp.bytes()) as u64;
-                            messages += 1;
-                            bytes_total += bytes;
-                            if track_batches {
-                                bump(&mut batches, (sender_host, owner_host), 1, bytes);
-                            }
-                        }
-                        set[owner].push((v, temp));
+        bucket_sets.resize_with(m, Vec::new);
+        let track_batches = self.faults.as_ref().is_some_and(Faults::tracks_batches);
+        let partition = &*self.partition;
+        let route = |w: usize, (st, set): (&mut WorkerState<V>, &mut Buckets<V>)| {
+            if set.len() != m {
+                set.resize_with(m, Vec::new);
+            }
+            let t = Instant::now();
+            let mut messages = 0u64;
+            let mut bytes_total = 0u64;
+            let mut batches = RoundBatches::new();
+            let sender_host = partition.host_of_worker(w);
+            for (v, temp) in st.pending.drain() {
+                let owner = partition.owner(v);
+                // Traffic crosses the wire only between distinct physical
+                // hosts: after an elastic rebalance several logical workers
+                // may share a host, and their exchanges become local moves.
+                let owner_host = partition.host_of_worker(owner);
+                if owner_host != sender_host {
+                    let bytes = (4 + temp.bytes()) as u64;
+                    messages += 1;
+                    bytes_total += bytes;
+                    if track_batches {
+                        bump(&mut batches, (sender_host, owner_host), 1, bytes);
                     }
                 }
-                (messages, bytes_total, batches, t.elapsed())
-            },
-        );
-        let used_sets = partials.len();
+                set[owner].push((v, temp));
+            }
+            (messages, bytes_total, batches, t.elapsed())
+        };
+        let workers = self.states.iter_mut().zip(bucket_sets.iter_mut());
+        let pool = Self::lane_pool(&mut self.pool, &self.config, m);
+        let serial = pool.is_none();
+        let partials: Vec<_> = match pool {
+            Some(pool) => pool.run(workers, route),
+            None => workers
+                .enumerate()
+                .map(|(w, item)| route(w, item))
+                .collect(),
+        };
         for (messages, bytes, batches, elapsed) in partials {
             stats.upd_messages += messages;
             stats.upd_bytes += bytes;
@@ -819,7 +728,7 @@ impl<V: VertexData> Cluster<V> {
             // analogue of `compute_max` for the compute phase.
             stats.serialize_max = stats.serialize_max.max(elapsed);
         }
-        for set in bucket_sets.iter_mut().take(used_sets) {
+        for set in &mut bucket_sets {
             for (owner, local) in set.iter_mut().enumerate() {
                 buckets[owner].append(local);
             }
@@ -832,656 +741,6 @@ impl<V: VertexData> Cluster<V> {
         }
         self.buffers.put_buckets(buckets);
         upd_batches
-    }
-
-    /// Takes a periodic checkpoint when one is due: at the first superstep
-    /// after checkpointing is enabled, then every `checkpoint_every`
-    /// supersteps. Called at step entry, where nothing is staged — the BSP
-    /// barrier is exactly where consistent snapshots are cheap.
-    fn maybe_checkpoint(&mut self) {
-        if self.checkpoint_every == 0 {
-            return;
-        }
-        // A resumed run checkpoints exactly at the loaded generation's
-        // step — a failed commit may have moved it off the interval grid
-        // — and keeps the interval from there, as the killed run did.
-        let loaded = self.durable.as_ref().and_then(DurableSession::pending_step);
-        let due = match (loaded, self.recovery.checkpoint_step()) {
-            (Some(loaded), _) => self.next_step == loaded,
-            (None, None) => true,
-            (None, Some(at)) => self.next_step.saturating_sub(at) >= self.checkpoint_every,
-        };
-        if !due {
-            return;
-        }
-        // Durable store first: on a resumed run the loaded checkpoint is
-        // authoritative (it overwrites the re-executed state before the
-        // snapshot below captures it), and on a live run the two-phase
-        // commit (rename *and* directory fsync) must land *before* the
-        // consensus CheckpointCommit — the replicated log never commits a
-        // generation whose bytes are not durable. A failed write skips
-        // the whole checkpoint (install, stats, consensus): the interval
-        // logic then retries at the very next superstep.
-        if let Some(d) = self.durable.as_mut() {
-            let step = self.next_step;
-            let outcome = d.on_checkpoint(
-                step,
-                &mut self.states,
-                self.disk_ioerr,
-                &mut self.stats.durability,
-            );
-            debug_assert!(
-                d.last_apply_matched,
-                "resumed re-execution diverged from the durable checkpoint at step {step}"
-            );
-            match outcome {
-                Ok(DiskWrite::None) => {}
-                Ok(DiskWrite::Committed { generation, bytes }) => {
-                    self.emit(EventKind::CheckpointDurable {
-                        generation,
-                        step,
-                        frames: 1,
-                        bytes,
-                    });
-                }
-                Ok(DiskWrite::Failed) => {
-                    self.emit(EventKind::DurableIoError {
-                        step,
-                        op: "checkpoint".to_string(),
-                    });
-                    return;
-                }
-                Err(e) => {
-                    self.fail(e);
-                    return;
-                }
-            }
-        }
-        let cp = Checkpoint::capture(self.next_step, &self.states, &self.partition);
-        self.stats.recovery.checkpoints += 1;
-        self.stats.recovery.checkpoint_bytes += cp.bytes;
-        // Persisting a checkpoint costs one round of shipping the master
-        // state off-worker.
-        let cost = self.charge("recovery/checkpoint_ns", |net| net.cost(1, cp.bytes));
-        self.stats.recovery.checkpoint_time += cost;
-        self.emit(EventKind::CheckpointTaken {
-            step: self.next_step,
-            bytes: cp.bytes,
-            interval: self.checkpoint_every,
-        });
-        // The snapshot becomes the durable recovery point only once a
-        // majority of the live hosts commits it to the replicated log —
-        // otherwise a survivor could roll back to a checkpoint the rest of
-        // the cluster never heard about.
-        let voters = self.partition.num_live_hosts();
-        self.commit_decision(
-            self.next_step,
-            LogEntryKind::CheckpointCommit { bytes: cp.bytes },
-            voters,
-        );
-        self.recovery.install(cp);
-    }
-
-    /// Consumes the disk-fault specs armed for the superstep about to run
-    /// (`ioerr@`/`torn@`/`bitrot@`), splitting them into the flag that
-    /// fails this step's generation commit, if one is due, and the
-    /// at-rest damage [`Cluster::record_delta`] applies at the step's
-    /// end. Inert without a durable store — the specs would have nothing
-    /// to hit.
-    fn poll_disk_faults(&mut self) {
-        self.disk_ioerr = false;
-        if self.durable.is_none() {
-            return;
-        }
-        let step = self.next_step;
-        let specs = match &mut self.injector {
-            Some(inj) => inj.disk_faults(step),
-            None => Vec::new(),
-        };
-        for spec in specs {
-            self.emit_fault(step, spec.worker, spec.kind, 0);
-            if spec.kind == FaultKind::Ioerr {
-                self.disk_ioerr = true;
-            } else {
-                // The mask is a seeded nonzero byte, so a bitrot flip is
-                // guaranteed to actually change the file.
-                let mask = match &mut self.injector {
-                    Some(inj) => (inj.corruption_nonce() % 255 + 1) as u8,
-                    None => 1,
-                };
-                self.disk_damage.push((spec.kind, spec.byte, mask));
-            }
-        }
-    }
-
-    /// Appends the superstep's published writes to the redo log (only
-    /// while a fault plan is active — fault-free runs pay nothing), after
-    /// the durable store's per-step work: scripted at-rest damage and the
-    /// kill switch. The store writes nothing between checkpoints.
-    fn record_delta(&mut self, updated: &[Vec<VertexId>]) {
-        if let Some(d) = self.durable.as_mut() {
-            // At-rest damage lands at the end of the step, after the
-            // commit it is scripted to corrupt, and wedges the store so
-            // no later write masks it.
-            for (kind, byte, mask) in self.disk_damage.drain(..) {
-                d.damage(kind, byte, mask);
-            }
-            // The scripted kill switch: persistence froze at this step, so
-            // the in-memory run from here on is doomed work a real kill
-            // would lose — the run degrades to a clean `Halted` while
-            // compute continues deterministically (the QuorumLost
-            // degradation pattern).
-            if let Some(k) = d.halt_check(self.next_step) {
-                self.fail(RuntimeError::Halted { step: k });
-            }
-        }
-        if self.injector.is_some() {
-            self.recovery
-                .record(StepDelta::capture(&self.states, updated));
-        }
-    }
-
-    /// Runs the compute phase under the fault injector: detected failures
-    /// (crashes, corrupted sync payloads) roll all workers back to the
-    /// last checkpoint, replay the redo log, charge backoff, and retry;
-    /// permanent losses re-home the lost partitions and retry with a fresh
-    /// budget. A fault nothing can recover from — `max_retries` failed
-    /// retries, a loss without a checkpoint or a quorum — degrades the run
-    /// gracefully: the first such error is kept for
-    /// [`Cluster::fault_error`], the injector is disabled, and the final
-    /// attempt's output stands (keeping the simulation deterministic).
-    fn compute_with_recovery<Out: Send>(
-        &mut self,
-        step_id: u64,
-        f: &(impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync),
-    ) -> (Vec<Out>, Vec<Duration>) {
-        if self.injector.is_none() {
-            return self.run_compute(f);
-        }
-        let mut attempt: u64 = 0;
-        loop {
-            let (outs, mut durations) = self.run_compute(f);
-            match self.judge_attempt(step_id, attempt, &mut durations) {
-                Ok(None) => return (outs, durations),
-                Ok(Some(retry)) => attempt = retry,
-                Err(e) => {
-                    self.fail(e);
-                    if let Some(inj) = &mut self.injector {
-                        inj.active = false;
-                    }
-                    return (outs, durations);
-                }
-            }
-        }
-    }
-
-    /// Fires the faults scripted for this attempt of `step_id`, in barrier
-    /// order: stragglers (and the deadline detector), a coordinator crash,
-    /// byzantine lies, then crashes and corruption. The first stage that
-    /// loses a host for good ends the attempt — the stages after it fire
-    /// on the re-run.
-    ///
-    /// `Ok(None)`: nothing failed and the attempt's output stands.
-    /// `Ok(Some(n))`: re-run the superstep as attempt `n` — `attempt + 1`
-    /// after a rollback, `0` (a fresh retry budget) once lost hosts'
-    /// partitions were re-homed onto the survivors.
-    fn judge_attempt(
-        &mut self,
-        step_id: u64,
-        attempt: u64,
-        durations: &mut [Duration],
-    ) -> Result<Option<u64>, RuntimeError> {
-        if self.miss_deadlines(step_id, attempt, durations)?
-            || self.crash_leader(step_id, attempt)?
-            || self.expose_liars(step_id, attempt)?
-        {
-            return Ok(Some(0));
-        }
-        let detected = self.detect_failures(step_id);
-        if detected.is_empty() {
-            return Ok(None);
-        }
-        for spec in &detected {
-            self.stats.recovery.faults_injected += 1;
-            self.emit_fault(step_id, spec.worker, spec.kind, attempt);
-        }
-        let budget = self
-            .injector
-            .as_ref()
-            .map_or(0, |i| u64::from(i.plan().max_retries));
-        if attempt < budget {
-            // Without a checkpoint a retry re-runs on the replicas as they
-            // are: safe for staged writes, which are discarded, but masters
-            // updated in place have no pre-step value left to restore.
-            let wrote_in_place = self.states.iter().any(|st| !st.written.is_empty());
-            if wrote_in_place && self.recovery.checkpoint_step().is_none() {
-                return Err(RuntimeError::WorkerLost {
-                    worker: detected[0].worker,
-                    step: step_id,
-                });
-            }
-            self.rollback(step_id, attempt);
-            return Ok(Some(attempt + 1));
-        }
-        // Failure detector, retry half: a `die` fault re-fires on every
-        // attempt, so an exhausted budget on one distinguishes a permanent
-        // loss from a transient fault that merely kept recurring. The dead
-        // worker's partition re-homes onto the survivors and the superstep
-        // retries with a fresh budget.
-        let mut dead: Vec<usize> = detected
-            .iter()
-            .filter(|s| s.kind == FaultKind::Die)
-            .map(|s| s.worker)
-            .collect();
-        dead.sort_unstable();
-        dead.dedup();
-        if dead.is_empty() {
-            return Err(RuntimeError::RecoveryExhausted {
-                step: step_id,
-                attempts: (attempt + 1) as u32,
-            });
-        }
-        self.declare_dead(step_id, &dead, "die", attempt)?;
-        Ok(Some(0))
-    }
-
-    /// Stragglers: charges each scripted delay into the worker's compute
-    /// time (it shows up as barrier skew; no recovery needed) — unless the
-    /// delay reaches the failure detector's deadline, in which case the
-    /// worker missed the barrier for good and is declared dead right away
-    /// (`Ok(true)`). A config-level override (`--detector-timeout`) wins
-    /// over the plan's `detector=` option.
-    fn miss_deadlines(
-        &mut self,
-        step_id: u64,
-        attempt: u64,
-        durations: &mut [Duration],
-    ) -> Result<bool, RuntimeError> {
-        let Some(inj) = &mut self.injector else {
-            return Ok(false);
-        };
-        let stragglers = inj.stragglers(step_id);
-        let detector = self
-            .config
-            .detector_timeout
-            .unwrap_or(inj.plan().detector_timeout);
-        for s in &stragglers {
-            if let Some(d) = durations.get_mut(s.worker) {
-                *d += s.delay;
-            }
-            self.stats.recovery.stragglers += 1;
-            self.stats.recovery.straggler_delay += s.delay;
-            self.emit_fault(step_id, s.worker, s.kind, attempt);
-        }
-        let mut dead: Vec<usize> = stragglers
-            .iter()
-            .filter(|s| s.delay >= detector)
-            .map(|s| s.worker)
-            .collect();
-        dead.sort_unstable();
-        dead.dedup();
-        if dead.is_empty() {
-            return Ok(false);
-        }
-        self.declare_dead(step_id, &dead, "deadline", attempt)?;
-        Ok(true)
-    }
-
-    /// Coordinator crash: a `leader@` fault kills whichever host currently
-    /// leads the control plane. The survivors elect a new leader, the
-    /// death declaration commits under the new term, and the superstep
-    /// retries from the checkpoint like any other permanent loss — so
-    /// results stay bit-identical. `Ok(true)` when a leader went down.
-    fn crash_leader(&mut self, step_id: u64, attempt: u64) -> Result<bool, RuntimeError> {
-        let fires = self
-            .injector
-            .as_mut()
-            .map_or(0, |inj| inj.leader_crashes(step_id));
-        let mut crashed = false;
-        for _ in 0..fires {
-            let Some(leader) = self.consensus.as_ref().and_then(|c| c.leader()) else {
-                break;
-            };
-            crashed = true;
-            self.stats.consensus.leader_crashes += 1;
-            self.stats.recovery.faults_injected += 1;
-            self.emit_fault(step_id, leader, FaultKind::Leader, attempt);
-            if let Some(cons) = &mut self.consensus {
-                cons.vacate();
-            }
-            self.declare_dead(step_id, &[leader], "leader", attempt)?;
-        }
-        Ok(crashed)
-    }
-
-    /// Byzantine workers: a `lie@` fault makes a worker report a
-    /// checksum-mismatched sync payload. Every live host recomputes the
-    /// payload checksum independently; a strict majority agreeing on the
-    /// true value pins the lie on the worker, and the accusation escalates
-    /// to a committed death declaration (`Ok(true)`). Without enough
-    /// honest replicas to form that majority the run degrades to
-    /// [`RuntimeError::QuorumLost`].
-    fn expose_liars(&mut self, step_id: u64, attempt: u64) -> Result<bool, RuntimeError> {
-        let liars = match &mut self.injector {
-            Some(inj) => inj.liars(step_id),
-            None => Vec::new(),
-        };
-        let mut accused = false;
-        for w in liars {
-            let expected = self.staged_checksum(w);
-            let nonce = self
-                .injector
-                .as_mut()
-                .map_or(1, |inj| inj.corruption_nonce());
-            let observed = expected ^ nonce;
-            let liar_host = self.partition.host_of_worker(w);
-            let votes: Vec<(usize, u64)> = self
-                .partition
-                .live_hosts()
-                .into_iter()
-                .map(|h| (h, if h == liar_host { observed } else { expected }))
-                .collect();
-            self.stats.recovery.faults_injected += 1;
-            self.emit_fault(step_id, w, FaultKind::Lie, attempt);
-            let verdict = checksum_quorum(&votes).map_err(|needed| RuntimeError::QuorumLost {
-                step: step_id,
-                live: votes.len(),
-                needed,
-            })?;
-            self.stats.consensus.accusations += 1;
-            self.emit(EventKind::WorkerAccused {
-                step: step_id,
-                worker: w,
-                accusers: verdict.accusers,
-                quorum: verdict.quorum,
-                expected: format!("{:#018x}", verdict.expected),
-                observed: format!("{observed:#018x}"),
-            });
-            accused = true;
-            self.declare_dead(step_id, &[w], "accused", attempt)?;
-        }
-        Ok(accused)
-    }
-
-    /// Checksum of the sync payload worker `w` has staged, framed as
-    /// `(vertex, byte-length)` records — what it would put on the wire. An
-    /// in-place write is framed with the value it left in `current`,
-    /// exactly as the staged `direct` entry it replaces would be.
-    fn staged_checksum(&self, w: usize) -> u64 {
-        let st = &self.states[w];
-        let in_place = st.written.iter().map(|&v| (v, st.current(v).bytes()));
-        payload_checksum(
-            st.pending
-                .iter()
-                .map(|(v, val)| (v, val.bytes()))
-                .chain(st.direct.iter().map(|(v, val)| (*v, val.bytes())))
-                .chain(in_place),
-        )
-    }
-
-    /// Decides which scripted failures actually fire this attempt. Crashes
-    /// are detected at the barrier (missed heartbeat). Corruption is
-    /// detected honestly: the worker's staged sync payload is framed as
-    /// `(vertex, byte-length)` records, checksummed, and the transmitted
-    /// checksum — which the fault XORs with a nonzero PRNG nonce — is
-    /// compared against the recomputed one.
-    fn detect_failures(&mut self, step_id: u64) -> Vec<FaultSpec> {
-        let failures = match &mut self.injector {
-            Some(inj) => inj.failures(step_id),
-            None => Vec::new(),
-        };
-        let mut detected = Vec::new();
-        for spec in failures {
-            match spec.kind {
-                FaultKind::Crash | FaultKind::Die => detected.push(spec),
-                FaultKind::CorruptSync => {
-                    let computed = self.staged_checksum(spec.worker);
-                    let nonce = match &mut self.injector {
-                        Some(inj) => inj.corruption_nonce(),
-                        None => 0,
-                    };
-                    let transmitted = computed ^ nonce;
-                    if transmitted != computed {
-                        detected.push(spec);
-                    }
-                }
-                // Stragglers, rejoins, channel faults, the consensus
-                // faults and the disk faults never surface here:
-                // `failures()` filters them out (channel faults are
-                // handled below the barrier by the transport; leader
-                // crashes and lies have their own quorum paths in
-                // `compute_with_recovery`; disk faults hit the durable
-                // store through `poll_disk_faults`).
-                FaultKind::Straggler
-                | FaultKind::Rejoin
-                | FaultKind::Drop
-                | FaultKind::Duplicate
-                | FaultKind::Reorder
-                | FaultKind::Leader
-                | FaultKind::Lie
-                | FaultKind::Ioerr
-                | FaultKind::Torn
-                | FaultKind::Bitrot => {}
-            }
-        }
-        detected
-    }
-
-    /// Replays any scripted `rejoin@` events due at the next superstep: the
-    /// returning host reclaims its home partition (whose master state flows
-    /// back over the simulated network) and its remaining fault specs
-    /// re-arm. Adopted partitions stay where the rebalance put them.
-    fn maybe_rejoin(&mut self) {
-        let step_id = self.next_step;
-        let rejoins = match &mut self.injector {
-            Some(inj) => inj.rejoins(step_id),
-            None => Vec::new(),
-        };
-        for spec in rejoins {
-            let report = match Arc::make_mut(&mut self.partition).rejoin(spec.worker) {
-                Ok(r) => r,
-                // The worker was never actually declared dead (its `die`
-                // never got to fire, or recovery already failed); the
-                // rejoin has nothing to restore.
-                Err(_) => continue,
-            };
-            if let Some(inj) = &mut self.injector {
-                inj.mark_alive(spec.worker);
-            }
-            self.stats.recovery.workers_rejoined += 1;
-            self.apply_migration(step_id, &report, "rejoin");
-        }
-    }
-
-    /// Declares `dead` workers permanently lost at `step_id`: rolls every
-    /// replica back to the last checkpoint (replaying the redo log to the
-    /// current step), re-homes the dead hosts' partitions onto the
-    /// survivors, and charges the migration traffic. Errors with
-    /// [`RuntimeError::WorkerLost`] when no checkpoint exists to recover the
-    /// lost masters from — survivors only hold stale mirrors, so without a
-    /// checkpoint the authoritative state is simply gone.
-    fn declare_dead(
-        &mut self,
-        step_id: u64,
-        dead: &[usize],
-        reason: &str,
-        attempt: u64,
-    ) -> Result<(), RuntimeError> {
-        // This path is reached from fault handling, so it must degrade to
-        // typed errors rather than panic — even on the "impossible" shapes
-        // (an empty dead-set, a checkpoint that vanished between the check
-        // and the rollback).
-        let lost = || RuntimeError::WorkerLost {
-            worker: dead.first().copied().unwrap_or(0),
-            step: step_id,
-        };
-        if self.recovery.checkpoint_step().is_none() {
-            return Err(lost());
-        }
-        // Control plane first: the death is a replicated decision, voted
-        // on by the survivors only (the dying hosts cannot acknowledge
-        // their own funeral). If the current leader is among the dying —
-        // or the leadership is already vacant — the survivors elect a new
-        // leader before the declaration commits under its term.
-        if self.consensus.is_some() {
-            let survivors: Vec<usize> = self
-                .partition
-                .live_hosts()
-                .into_iter()
-                .filter(|h| !dead.contains(h))
-                .collect();
-            let leader_gone = match self.consensus.as_ref().and_then(|c| c.leader()) {
-                None => true,
-                Some(l) => dead.contains(&l) || !self.partition.is_host_live(l),
-            };
-            if leader_gone && !survivors.is_empty() {
-                self.elect_leader(step_id, &survivors);
-            }
-            self.commit_decision(
-                step_id,
-                LogEntryKind::DeathDeclaration {
-                    hosts: dead.to_vec(),
-                    reason: reason.to_string(),
-                },
-                survivors.len(),
-            );
-        }
-        let Some(restored) = self.restore_checkpoint() else {
-            return Err(lost());
-        };
-        self.account_replay(step_id, attempt, Duration::ZERO, restored);
-        let report = Arc::make_mut(&mut self.partition)
-            .rebalance(dead)
-            .map_err(|_| lost())?;
-        self.stats.recovery.workers_lost += dead.len() as u64;
-        for &w in dead {
-            if let Some(inj) = &mut self.injector {
-                inj.mark_dead(w);
-            }
-            self.emit(EventKind::WorkerDeclaredDead {
-                step: step_id,
-                worker: w,
-                reason: reason.to_string(),
-                epoch: report.epoch,
-            });
-        }
-        self.apply_migration(step_id, &report, reason);
-        Ok(())
-    }
-
-    /// Applies one membership change: bumps the epoch counters, emits the
-    /// `membership_epoch` and per-partition `state_migrated` events, and
-    /// charges the bulk state transfer to the simulated network.
-    fn apply_migration(&mut self, step_id: u64, report: &RebalanceReport, cause: &str) {
-        self.stats.recovery.membership_epochs += 1;
-        self.emit(EventKind::MembershipEpoch {
-            epoch: report.epoch,
-            step: step_id,
-            live_hosts: self.partition.num_live_hosts(),
-            moved_partitions: report.moved.len(),
-            cause: cause.to_string(),
-        });
-        let mut total_bytes = 0u64;
-        for mv in &report.moved {
-            let masters = self.partition.masters(mv.worker);
-            let st = &self.states[mv.worker];
-            let vertices = masters.len() as u64;
-            let bytes: u64 = masters
-                .iter()
-                .map(|&v| (4 + st.current[v as usize].bytes()) as u64)
-                .sum();
-            total_bytes += bytes;
-            self.stats.recovery.vertices_migrated += vertices;
-            self.stats.recovery.migrated_bytes += bytes;
-            self.emit(EventKind::StateMigrated {
-                epoch: report.epoch,
-                partition: mv.worker,
-                from: mv.from,
-                to: mv.to,
-                vertices,
-                bytes,
-            });
-        }
-        if !report.moved.is_empty() {
-            let rounds = 1 + report.moved.len() as u32;
-            let cost = self.charge("recovery/migration_ns", |net| net.cost(rounds, total_bytes));
-            self.stats.recovery.migration_net += cost;
-        }
-        // The epoch bump is a control-plane decision: the survivors must
-        // majority-commit it before acting under the new hosting.
-        let voters = self.partition.num_live_hosts();
-        self.commit_decision(
-            step_id,
-            LogEntryKind::EpochBump {
-                epoch: report.epoch,
-                cause: cause.to_string(),
-            },
-            voters,
-        );
-    }
-
-    /// Wire bytes one replicated log record occupies per receiving
-    /// replica: `(term, index, step)` plus a small tagged payload.
-    const LOG_RECORD_BYTES: u64 = 64;
-
-    /// Runs one election among `live` hosts through the control plane (a
-    /// no-op without one): bumps the term, seats the smallest live host,
-    /// charges the two-round vote traffic (RequestVote + grants) to the
-    /// simulated network, and emits the `leader_elected` event.
-    fn elect_leader(&mut self, step: u64, live: &[usize]) {
-        let Some(cons) = &mut self.consensus else {
-            return;
-        };
-        let Some(el) = cons.elect(live) else {
-            // No live host to elect — the run is already degrading through
-            // the membership error path; nothing to record here.
-            return;
-        };
-        self.stats.consensus.elections += 1;
-        let bytes = Self::LOG_RECORD_BYTES * el.live_hosts as u64;
-        let cost = self.charge("consensus/election_ns", |net| net.cost(2, bytes));
-        self.stats.consensus.election_net += cost;
-        self.emit(EventKind::LeaderElected {
-            term: el.term,
-            leader: el.leader,
-            step,
-            votes: el.votes,
-            live_hosts: el.live_hosts,
-        });
-    }
-
-    /// Appends one decision to the replicated log and commits it with
-    /// `voters` acknowledging replicas (a no-op without a control plane):
-    /// charges the append + ack rounds to the simulated network and emits
-    /// the `log_committed` event. A voter set that cannot form a majority
-    /// degrades the run to [`RuntimeError::QuorumLost`] — set once, like
-    /// every other terminal fault.
-    fn commit_decision(&mut self, step: u64, kind: LogEntryKind, voters: usize) {
-        let Some(cons) = &mut self.consensus else {
-            return;
-        };
-        self.stats.consensus.entries_appended += 1;
-        match cons.commit(step, kind.clone(), voters) {
-            Ok(commit) => {
-                self.stats.consensus.entries_committed += 1;
-                let bytes = Self::LOG_RECORD_BYTES * voters as u64;
-                let cost = self.charge("consensus/commit_ns", |net| net.cost(2, bytes));
-                self.stats.consensus.commit_net += cost;
-                self.emit(EventKind::LogCommitted {
-                    term: commit.term,
-                    index: commit.index,
-                    step,
-                    kind: kind.label().to_string(),
-                    acks: commit.acks,
-                    quorum: commit.quorum,
-                });
-            }
-            Err(needed) => self.fail(RuntimeError::QuorumLost {
-                step,
-                live: voters,
-                needed,
-            }),
-        }
     }
 
     /// Aggregates per-logical-worker compute durations into per-*host*
@@ -1501,58 +760,6 @@ impl<V: VertexData> Cluster<V> {
         (max, min)
     }
 
-    /// Retries after a transient failure: charges the retry backoff, then
-    /// rolls every worker back and replays. Without a checkpoint (none
-    /// due yet) the retry simply re-runs on the unmodified pre-step state,
-    /// which the discarded staged writes make safe.
-    fn rollback(&mut self, step_id: u64, attempt: u64) {
-        let backoff = self
-            .injector
-            .as_ref()
-            .map(|i| i.plan().backoff(attempt as u32))
-            .unwrap_or_default();
-        self.stats.recovery.retry_backoff += backoff;
-        self.record_cost("recovery/backoff_ns", backoff);
-        let restored = self.restore_checkpoint().unwrap_or((step_id, 0, 0));
-        self.account_replay(step_id, attempt, backoff, restored);
-    }
-
-    /// The state half of every recovery, transient or permanent: discards
-    /// what the failed attempt staged, restores every replica from the
-    /// last checkpoint and replays the redo log. Returns `(from_step,
-    /// replayed supersteps, replayed bytes)`, `None` without a checkpoint.
-    fn restore_checkpoint(&mut self) -> Option<(u64, u64, u64)> {
-        for st in &mut self.states {
-            st.discard_staged();
-        }
-        self.recovery.rollback(&mut self.states)
-    }
-
-    /// Accounts for one restore: counters, simulated replay traffic and
-    /// the `recovery_replay` event, which also reports the `backoff` the
-    /// caller charged.
-    fn account_replay(
-        &mut self,
-        step_id: u64,
-        attempt: u64,
-        backoff: Duration,
-        (from_step, replayed, bytes): (u64, u64, u64),
-    ) {
-        self.stats.recovery.rollbacks += 1;
-        self.stats.recovery.replayed_supersteps += replayed;
-        let cost = self.charge("recovery/replay_ns", |net| {
-            net.recovery_cost(replayed, bytes)
-        });
-        self.stats.recovery.replay_net += cost;
-        self.emit(EventKind::RecoveryReplay {
-            step: step_id,
-            from_step,
-            replayed,
-            attempt,
-            backoff_us: backoff.as_micros() as u64,
-        });
-    }
-
     /// Per-worker phase accounting at the barrier: takes (and resets) each
     /// worker's staged-op counters and emits one `worker_phase` event.
     fn emit_worker_phases(&mut self, step: u64, durations: &[Duration]) {
@@ -1565,7 +772,6 @@ impl<V: VertexData> Cluster<V> {
                 self.emit(EventKind::WorkerPhase {
                     step,
                     worker: w,
-                    compute_us: us_half_up(*dur),
                     compute_ns: ns_u64(*dur),
                     staged_puts,
                     staged_writes,
@@ -1574,8 +780,8 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Emits the sync-plan decision for one superstep: payload policy,
-    /// mirror scope, and the declared critical properties.
+    /// Emits the sync-plan decision for one superstep: payload policy and
+    /// mirror scope.
     fn emit_sync_plan(&mut self, step: u64, scope: SyncScope) {
         if self.config.sink.is_none() {
             return;
@@ -1588,12 +794,10 @@ impl<V: VertexData> Cluster<V> {
             SyncScope::Necessary => "necessary",
             SyncScope::All => "all",
         };
-        let properties = self.config.sync_properties.clone();
         self.emit(EventKind::SyncPlan {
             step,
             mode: mode.to_string(),
             scope: scope_label.to_string(),
-            properties,
         });
     }
 
@@ -1649,7 +853,7 @@ impl<V: VertexData> Cluster<V> {
         }
         let t = Instant::now();
         let mode = self.config.sync_mode;
-        let track_batches = self.transport.is_some();
+        let track_batches = self.faults.as_ref().is_some_and(Faults::tracks_batches);
         let mut batches = self.buffers.take_sync_batches();
         let hosts = &mut self.buffers.host_buf;
         let partition = &*self.partition;
@@ -1722,54 +926,6 @@ impl<V: VertexData> Cluster<V> {
         self.buffers.put_sync_batches(batches);
     }
 
-    /// Runs one message round's batches through the reliable-delivery
-    /// transport (a no-op when the plan has no channel faults). The
-    /// injector's channel faults due at this step fire here, resolved to
-    /// sending hosts; protocol events are re-emitted in order, and an
-    /// exhausted retransmit budget degrades the run exactly like
-    /// [`RuntimeError::RecoveryExhausted`] — `failed` is set once, and the
-    /// transport disables itself so the rest of the run stays
-    /// deterministic.
-    ///
-    /// Returns the wall time the protocol spent, which callers charge to
-    /// the step's `delivery` phase — previously this ran *after* the
-    /// serialize timer had stopped and was attributed to no phase at all.
-    fn deliver_round(&mut self, step_id: u64, round: &str, batches: &RoundBatches) -> Duration {
-        let Some(transport) = &mut self.transport else {
-            return Duration::ZERO;
-        };
-        let timer = Instant::now();
-        let scripted: Vec<ScriptedChannelFault> = match &mut self.injector {
-            Some(inj) => {
-                let partition = &self.partition;
-                inj.channel_faults(step_id, |w| {
-                    let h = partition.host_of_worker(w);
-                    batches.keys().any(|&(sender, _)| sender == h)
-                })
-                .into_iter()
-                .map(|spec| (spec.kind, partition.host_of_worker(spec.worker), spec.times))
-                .collect()
-            }
-            None => Vec::new(),
-        };
-        let outcome = transport.deliver(
-            step_id,
-            round,
-            batches,
-            &scripted,
-            self.config.network.as_ref(),
-            &mut self.stats.delivery,
-            self.config.metrics.then_some(&mut self.stats.metrics),
-        );
-        for kind in outcome.events {
-            self.emit(kind);
-        }
-        if let Some(err) = outcome.failure {
-            self.fail(err);
-        }
-        timer.elapsed()
-    }
-
     /// Charges the simulated network, records the superstep, emits its
     /// `step_end` event and advances the step counter.
     fn finish_step(&mut self, mut stats: StepStats) {
@@ -1823,15 +979,6 @@ impl<V: VertexData> Cluster<V> {
                 upd_bytes: stats.upd_bytes,
                 sync_messages: stats.sync_messages,
                 sync_bytes: stats.sync_bytes,
-                compute_us: us_half_up(stats.compute),
-                compute_max_us: us_half_up(stats.compute_max),
-                compute_min_us: us_half_up(stats.compute_min),
-                barrier_skew_us: us_half_up(skew),
-                serialize_us: us_half_up(stats.serialize),
-                serialize_max_us: us_half_up(stats.serialize_max),
-                communicate_us: us_half_up(stats.communicate),
-                delivery_us: us_half_up(stats.delivery),
-                simulated_net_us: us_half_up(stats.simulated_net),
                 compute_ns: ns_u64(stats.compute),
                 compute_max_ns: ns_u64(stats.compute_max),
                 compute_min_ns: ns_u64(stats.compute_min),
@@ -2267,6 +1414,14 @@ mod tests {
     /// increment) whose result depends on every intermediate state — the
     /// fixture for recovery determinism tests.
     fn run_program(cfg: ClusterConfig) -> (Vec<u64>, RunStats, Option<RuntimeError>) {
+        let mut c = program(cfg);
+        let vals = c.collect(|_, val| val.x);
+        let err = c.fault_error();
+        (vals, c.take_stats(), err)
+    }
+
+    /// The cluster after [`run_program`]'s 12 supersteps.
+    fn program(cfg: ClusterConfig) -> Cluster<Val> {
         let g = Arc::new(generators::erdos_renyi(48, 160, 11));
         let p = Arc::new(PartitionMap::build(&g, cfg.workers, &HashPartitioner).unwrap());
         let mut c = Cluster::new(g, p, cfg, |v| Val { x: v as u64 }).unwrap();
@@ -2288,9 +1443,7 @@ mod tests {
                 }
             });
         }
-        let vals = c.collect(|_, val| val.x);
-        let err = c.fault_error();
-        (vals, c.take_stats(), err)
+        c
     }
 
     fn faulted_config(plan: &str) -> ClusterConfig {
@@ -2603,20 +1756,42 @@ mod tests {
     }
 
     #[test]
-    fn config_detector_timeout_overrides_plan_option() {
+    fn plan_detector_option_decides_the_deadline() {
         let clean = run_program(ClusterConfig::with_workers(3).sequential());
-        // The plan's detector is generous, but the config tightens it to
-        // 50ms, so a 200ms straggler is declared dead at the barrier.
-        let cfg = faulted_config("straggle@1:w2:200ms,detector=10s")
-            .detector_timeout(Duration::from_millis(50));
-        let (vals, stats, err) = run_program(cfg);
+        // A 50ms deadline declares a 200ms straggler dead at the barrier.
+        let (vals, stats, err) = run_program(faulted_config("straggle@1:w2:200ms,detector=50ms"));
         assert!(err.is_none());
         assert_eq!(clean.0, vals);
         assert_eq!(stats.recovery.workers_lost, 1);
-        // Without the override the plan's 10s detector tolerates it.
+        // A 10s deadline tolerates it.
         let (_, stats2, err2) = run_program(faulted_config("straggle@1:w2:200ms,detector=10s"));
         assert!(err2.is_none());
         assert_eq!(stats2.recovery.workers_lost, 0);
+    }
+
+    /// Without a fault plan nothing can roll back, so a checkpoint interval
+    /// only counts and traces: the cluster holds no fault layer and no
+    /// in-memory snapshot, and reports what capturing one per checkpoint
+    /// reported — 6 checkpoints over 12 supersteps at interval 2, each of
+    /// 48 masters framed as a 4-byte id plus an 8-byte value.
+    #[test]
+    fn fault_free_checkpoints_are_counted_not_kept() {
+        use flash_obs::CollectSink;
+        let sink = Arc::new(CollectSink::new());
+        let cfg = ClusterConfig::with_workers(3)
+            .sequential()
+            .checkpoint_every(2)
+            .sink(Arc::clone(&sink) as Arc<dyn flash_obs::Sink>);
+        let mut c = program(cfg);
+        assert!(c.faults.is_none());
+        let rec = c.take_stats().recovery;
+        assert_eq!((rec.checkpoints, rec.checkpoint_bytes), (6, 6 * 48 * 12));
+        let taken = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::CheckpointTaken { bytes: 576, .. }))
+            .count();
+        assert_eq!(taken, 6);
     }
 
     #[test]

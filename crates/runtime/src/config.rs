@@ -2,13 +2,11 @@
 
 use crate::fault::FaultPlan;
 use crate::netmodel::NetworkModel;
-use crate::plan::ProgramPlan;
 use crate::session::BufferPool;
 use flash_graph::PartitionMap;
 use flash_obs::Sink;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Checkpoint interval (in supersteps) used when a fault plan is present
 /// but no explicit interval was configured: rollback needs a checkpoint to
@@ -91,10 +89,6 @@ pub struct ClusterConfig {
     /// cluster; `None` disables tracing (the emission sites reduce to one
     /// `Option` check).
     pub sink: Option<Arc<dyn Sink>>,
-    /// Critical-property names the sync phase ships, as declared by the
-    /// algorithm's [`ProgramPlan`]. Informational: surfaced in `sync_plan`
-    /// trace events; empty means the plan was not declared.
-    pub sync_properties: Vec<String>,
     /// Scripted fault-injection plan (see [`crate::fault`]); `None` runs
     /// fault-free.
     pub fault_plan: Option<FaultPlan>,
@@ -116,11 +110,6 @@ pub struct ClusterConfig {
     /// Adjacency storage engine (see [`StorageMode`]). `Block` is opt-in
     /// and requires a block-backed graph.
     pub storage: StorageMode,
-    /// Failure-detector deadline override: a straggler whose simulated
-    /// barrier delay reaches this is declared permanently dead. `None`
-    /// falls back to the fault plan's `detector=` option (default
-    /// [`crate::fault::DEFAULT_DETECTOR_TIMEOUT`]); `Some` wins over both.
-    pub detector_timeout: Option<Duration>,
     /// Directory for the durable checkpoint store ([`crate::durable`]);
     /// `None` keeps the store fully inert (the default — no durable code
     /// runs at all). Requires constructing the cluster through the
@@ -165,13 +154,11 @@ impl fmt::Debug for ClusterConfig {
             .field("sync_mode", &self.sync_mode)
             .field("network", &self.network)
             .field("sink", &self.sink.as_ref().map(|_| "<dyn Sink>"))
-            .field("sync_properties", &self.sync_properties)
             .field("fault_plan", &self.fault_plan)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("checkpoint_disabled", &self.checkpoint_disabled)
             .field("metrics", &self.metrics)
             .field("storage", &self.storage)
-            .field("detector_timeout", &self.detector_timeout)
             .field("durable_dir", &self.durable_dir)
             .field("durable_resume", &self.durable_resume)
             .field("durable_halt_after", &self.durable_halt_after)
@@ -198,13 +185,11 @@ impl Default for ClusterConfig {
             sync_mode: SyncMode::CriticalOnly,
             network: None,
             sink: None,
-            sync_properties: Vec::new(),
             fault_plan: None,
             checkpoint_every: 0,
             checkpoint_disabled: false,
             metrics: false,
             storage: StorageMode::default(),
-            detector_timeout: None,
             durable_dir: None,
             durable_resume: false,
             durable_halt_after: None,
@@ -307,14 +292,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Overrides the failure-detector deadline (builder style): a
-    /// straggler whose simulated barrier delay reaches `d` is declared
-    /// permanently dead. Wins over the fault plan's `detector=` option.
-    pub fn detector_timeout(mut self, d: Duration) -> Self {
-        self.detector_timeout = Some(d);
-        self
-    }
-
     /// Points the durable checkpoint store at `dir` (builder style).
     /// Checkpointing is forced on (at [`DEFAULT_CHECKPOINT_INTERVAL`])
     /// unless an interval was already configured, because the store
@@ -362,17 +339,6 @@ impl ClusterConfig {
     /// Tags this cluster with a serving-session id (builder style).
     pub fn session_id(mut self, id: u64) -> Self {
         self.session_id = Some(id);
-        self
-    }
-
-    /// Declares the algorithm's [`ProgramPlan`] (builder style): its
-    /// critical properties become the payload of `sync_plan` trace events.
-    pub fn plan(mut self, plan: &ProgramPlan) -> Self {
-        self.sync_properties = plan
-            .critical_properties()
-            .into_iter()
-            .map(String::from)
-            .collect();
         self
     }
 }
@@ -453,14 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn detector_timeout_defaults_to_none_and_overrides() {
-        assert!(ClusterConfig::default().detector_timeout.is_none());
-        let c = ClusterConfig::default().detector_timeout(Duration::from_millis(25));
-        assert_eq!(c.detector_timeout, Some(Duration::from_millis(25)));
-        assert!(format!("{c:?}").contains("detector_timeout"));
-    }
-
-    #[test]
     fn durable_builders_wire_the_store() {
         let c = ClusterConfig::default();
         assert!(c.durable_dir.is_none());
@@ -492,15 +450,5 @@ mod tests {
             dbg.contains("durable_dir") && dbg.contains("halt_after"),
             "{dbg}"
         );
-    }
-
-    #[test]
-    fn plan_builder_extracts_critical_properties() {
-        use crate::plan::{Access, OpKind, ProgramPlan, Role};
-        let plan = ProgramPlan::new()
-            .access(OpKind::EdgeMapSparse, Role::Target, Access::Put, "dis")
-            .access(OpKind::VertexMap, Role::Local, Access::Put, "scratch");
-        let c = ClusterConfig::default().plan(&plan);
-        assert_eq!(c.sync_properties, vec!["dis".to_string()]);
     }
 }

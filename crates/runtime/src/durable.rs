@@ -634,8 +634,13 @@ impl<V: VertexData> DurableSession<V> {
     /// newest *committed* generation file and wedges the store so later
     /// writes do not mask it — modeling the process dying right after
     /// the damage landed. Any damage condemns the generation. `mask`
-    /// must be nonzero so a bitrot flip is guaranteed detectable.
+    /// must be nonzero so a bitrot flip is guaranteed detectable. A halted
+    /// store is a killed process: damage scripted after the kill never
+    /// reaches the disk.
     pub(crate) fn damage(&mut self, kind: FaultKind, byte: u64, mask: u8) {
+        if self.halted.is_some() {
+            return;
+        }
         self.wedged = true;
         let Some(path) = self.generation.map(|g| self.gen_path(g)) else {
             return;

@@ -65,7 +65,6 @@ pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod netmodel;
-pub mod par;
 pub mod plan;
 pub mod pool;
 pub mod session;
@@ -91,8 +90,8 @@ pub use netmodel::NetworkModel;
 pub use pool::WorkerPool;
 pub use session::{BufferPool, ServingStats, Session};
 pub use stats::{
-    ns_u64, us_half_up, ConsensusStats, DeliveryStats, DurabilityStats, RecoveryStats, RunStats,
-    StepKind, StepStats, StorageInfo,
+    ns_u64, ConsensusStats, DeliveryStats, DurabilityStats, RecoveryStats, RunStats, StepKind,
+    StepStats, StorageInfo,
 };
 pub use transport::{batch_checksum, DedupWindow, Transport};
 

@@ -211,6 +211,9 @@ impl<V: VertexData> WorkerState<V> {
     }
 }
 
+/// Per-owner routing buckets of `(vertex, temporary)` pairs.
+pub(crate) type Buckets<V> = Vec<Vec<(VertexId, V)>>;
+
 /// Pooled per-superstep scratch buffers, owned by the cluster and reused
 /// across supersteps: every buffer is cleared — never dropped — at reuse,
 /// so steady-state supersteps allocate nothing on the hot path
@@ -223,10 +226,10 @@ impl<V: VertexData> WorkerState<V> {
 pub(crate) struct StepBuffers<V: VertexData> {
     /// Per-owner routing buckets of the upd round: filled by
     /// `route_updates`, drained in place by `step_reduce`'s master fold.
-    pub(crate) buckets: Vec<Vec<(VertexId, V)>>,
-    /// Per-thread bucket sets of the parallel bucketing pass; slot `i`
-    /// belongs to chunk `i` of `parallel_scratch_chunks`.
-    pub(crate) bucket_sets: Vec<Vec<Vec<(VertexId, V)>>>,
+    pub(crate) buckets: Buckets<V>,
+    /// Per-worker bucket sets of the lane-parallel bucketing pass; slot
+    /// `w` belongs to worker `w`.
+    pub(crate) bucket_sets: Vec<Buckets<V>>,
     /// Per-owner updated-master lists handed out through `StepOutput` and
     /// returned by `Cluster::recycle_updated`.
     updated: Vec<Vec<VertexId>>,
@@ -252,12 +255,12 @@ impl<V: VertexData> StepBuffers<V> {
     }
 
     /// Takes the pooled bucket vector, cleared and sized to `m` owners.
-    pub(crate) fn take_buckets(&mut self, m: usize) -> Vec<Vec<(VertexId, V)>> {
+    pub(crate) fn take_buckets(&mut self, m: usize) -> Buckets<V> {
         Self::take_lists(&mut self.buckets, m)
     }
 
     /// Returns the bucket vector once the routing pass has filled it.
-    pub(crate) fn put_buckets(&mut self, buckets: Vec<Vec<(VertexId, V)>>) {
+    pub(crate) fn put_buckets(&mut self, buckets: Buckets<V>) {
         self.buckets = buckets;
     }
 

@@ -8,14 +8,6 @@
 use flash_obs::{Json, MetricsRegistry};
 use std::time::Duration;
 
-/// Renders a duration in microseconds, rounded half-up — so a 600 ns phase
-/// reports `1` rather than truncating to `0`. All `*_us` fields in stats
-/// JSON and trace events use this; exact values live in the paired `*_ns`
-/// fields.
-pub fn us_half_up(d: Duration) -> u64 {
-    ((d.as_nanos() + 500) / 1000) as u64
-}
-
 /// Renders a duration in nanoseconds (saturating at `u64::MAX`, ~584
 /// years — unreachable for measured phases).
 pub fn ns_u64(d: Duration) -> u64 {
@@ -142,9 +134,8 @@ impl StepStats {
         self.compute_max.saturating_sub(self.compute_min)
     }
 
-    /// Machine-readable rendering of this superstep. Every phase carries a
-    /// µs field (rounded half-up) and an exact ns field, so
-    /// microbench-scale steps never flatten to zero.
+    /// Machine-readable rendering of this superstep. Every phase is an
+    /// exact ns field, so microbench-scale steps never flatten to zero.
     pub fn to_json(&self) -> Json {
         let mut j = Json::object()
             .set("kind", self.kind.label())
@@ -153,15 +144,6 @@ impl StepStats {
             .set("upd_bytes", self.upd_bytes)
             .set("sync_messages", self.sync_messages)
             .set("sync_bytes", self.sync_bytes)
-            .set("compute_us", us_half_up(self.compute))
-            .set("compute_max_us", us_half_up(self.compute_max))
-            .set("compute_min_us", us_half_up(self.compute_min))
-            .set("barrier_skew_us", us_half_up(self.barrier_skew()))
-            .set("serialize_us", us_half_up(self.serialize))
-            .set("serialize_max_us", us_half_up(self.serialize_max))
-            .set("communicate_us", us_half_up(self.communicate))
-            .set("delivery_us", us_half_up(self.delivery))
-            .set("simulated_net_us", us_half_up(self.simulated_net))
             .set("compute_ns", ns_u64(self.compute))
             .set("compute_max_ns", ns_u64(self.compute_max))
             .set("compute_min_ns", ns_u64(self.compute_min))
@@ -630,32 +612,13 @@ impl RunStats {
     }
 
     /// Aggregate totals as JSON, without the per-step array — the payload
-    /// of `results/*.json` summaries. Durations come in µs (rounded
-    /// half-up) with exact ns companions.
+    /// of `results/*.json` summaries. Durations come in exact ns.
     pub fn summary_json(&self) -> Json {
         let (vmap, dense, sparse, global) = self.kind_counts();
         Json::object()
             .set("supersteps", self.num_supersteps())
             .set("total_bytes", self.total_bytes())
             .set("total_messages", self.total_messages())
-            .set("compute_us", us_half_up(self.compute_time()))
-            .set(
-                "parallel_compute_us",
-                us_half_up(self.parallel_compute_time()),
-            )
-            .set("serialize_us", us_half_up(self.serialize_time()))
-            .set(
-                "parallel_serialize_us",
-                us_half_up(self.parallel_serialize_time()),
-            )
-            .set("communicate_us", us_half_up(self.communicate_time()))
-            .set("delivery_us", us_half_up(self.delivery_time()))
-            .set("simulated_net_us", us_half_up(self.simulated_net_time()))
-            .set(
-                "simulated_parallel_us",
-                us_half_up(self.simulated_parallel_time()),
-            )
-            .set("barrier_skew_us", us_half_up(self.barrier_skew_time()))
             .set("compute_ns", ns_u64(self.compute_time()))
             .set("parallel_compute_ns", ns_u64(self.parallel_compute_time()))
             .set("serialize_ns", ns_u64(self.serialize_time()))
@@ -999,25 +962,17 @@ mod tests {
     }
 
     #[test]
-    fn us_rounds_half_up_and_ns_is_exact() {
-        assert_eq!(us_half_up(Duration::from_nanos(499)), 0);
-        assert_eq!(us_half_up(Duration::from_nanos(500)), 1);
-        assert_eq!(us_half_up(Duration::from_nanos(600)), 1);
-        assert_eq!(us_half_up(Duration::from_nanos(1499)), 1);
-        assert_eq!(us_half_up(Duration::from_nanos(1500)), 2);
+    fn ns_fields_are_exact() {
         assert_eq!(ns_u64(Duration::from_nanos(600)), 600);
-
-        // Sub-µs phases are visible in step JSON via the ns fields and the
-        // rounded µs fields — the truncation bug that zeroed
-        // microbench-scale steps.
+        // Sub-µs phases are visible in step JSON — the truncation bug that
+        // zeroed microbench-scale steps.
         let mut s = StepStats::new(StepKind::EdgeMapSparse, 1);
         s.serialize = Duration::from_nanos(700);
         s.delivery = Duration::from_nanos(900);
         let j = s.to_json();
-        assert_eq!(j.get("serialize_us").and_then(Json::as_u64), Some(1));
         assert_eq!(j.get("serialize_ns").and_then(Json::as_u64), Some(700));
-        assert_eq!(j.get("delivery_us").and_then(Json::as_u64), Some(1));
         assert_eq!(j.get("delivery_ns").and_then(Json::as_u64), Some(900));
+        assert!(j.get("delivery_us").is_none(), "one rendering per duration");
     }
 
     #[test]
@@ -1039,11 +994,7 @@ mod tests {
             Duration::from_micros(100 + 20 + 10 + 7)
         );
         let j = r.summary_json();
-        assert_eq!(
-            j.get("parallel_serialize_us").and_then(Json::as_u64),
-            Some(20)
-        );
-        assert_eq!(j.get("delivery_us").and_then(Json::as_u64), Some(7));
+        assert_eq!(j.get("delivery_ns").and_then(Json::as_u64), Some(7_000));
         assert_eq!(
             j.get("parallel_serialize_ns").and_then(Json::as_u64),
             Some(20_000)

@@ -2,9 +2,10 @@
 //! **every** superstep must resume from disk bit-identically, any cut or
 //! flipped byte of a generation must condemn it and fall back to the
 //! previous valid generation, injected I/O errors must stay invisible to
-//! results, the store must write nothing but its checkpoint frames, and a
+//! results, the store must write nothing but its checkpoint frames, a
 //! store with nothing valid left must degrade to a clean
-//! `RuntimeError::DurabilityLost`, never a panic.
+//! `RuntimeError::DurabilityLost`, never a panic — and all of it must hold
+//! with worker, control-plane and channel faults firing in the same run.
 
 use flash_graph::generators;
 use flash_graph::testutil::TempDirGuard;
@@ -22,13 +23,14 @@ fn base_config(workers: usize) -> ClusterConfig {
         .checkpoint_every(2)
 }
 
-/// Runs `run` clean (no durable store), then once per superstep `k`:
-/// halts a durable run at `k` (the scripted kill switch), resumes from
-/// the on-disk store, and requires the resumed result and superstep
+/// Runs `run` clean (no durable store, no faults), then once per
+/// superstep `k`: halts a durable run under the fault plan `faults` (if
+/// any) at `k` (the scripted kill switch), resumes from the on-disk store
+/// under the same plan, and requires the resumed result and superstep
 /// count to match the clean run exactly. Reports, summed over the kill
 /// points, the supersteps the disk vouched for (the loaded checkpoint's
 /// step) and those the resume recomputed past it up to the kill.
-fn assert_resumes_after_every_kill<T, F>(name: &str, run: F)
+fn assert_resumes_after_every_kill<T, F>(name: &str, faults: Option<&str>, run: F)
 where
     T: PartialEq + std::fmt::Debug,
     F: Fn(ClusterConfig) -> Result<(T, flash_runtime::RunStats), RuntimeError>,
@@ -36,10 +38,14 @@ where
     let (clean, clean_stats) = run(base_config(3)).expect("clean run");
     let supersteps = clean_stats.num_supersteps() as u64;
     assert!(supersteps > 1, "{name}: too short to interrupt");
+    let faulted = || match faults {
+        Some(plan) => base_config(3).faults(FaultPlan::parse(plan).expect("plan parses")),
+        None => base_config(3),
+    };
     let (mut kills, mut resumed, mut recomputed) = (0u64, 0u64, 0u64);
     for k in 1..supersteps {
         let dir = TempDirGuard::new(&format!("durable-{name}-{k}"));
-        let halted = run(base_config(3).durable_dir(dir.path()).halt_after(k));
+        let halted = run(faulted().durable_dir(dir.path()).halt_after(k));
         let killed_at = match halted {
             Err(RuntimeError::Halted { step }) => step,
             Err(e) => panic!("{name}@{k}: unexpected error {e}"),
@@ -51,7 +57,7 @@ where
             }
         };
         assert!(killed_at >= k, "{name}@{k}");
-        let (out, stats) = run(base_config(3).durable_dir(dir.path()).resume())
+        let (out, stats) = run(faulted().durable_dir(dir.path()).resume())
             .unwrap_or_else(|e| panic!("{name}@{k}: resume failed: {e}"));
         assert_eq!(clean, out, "{name}@{k}: resumed result diverged");
         assert_eq!(
@@ -76,7 +82,7 @@ where
 #[test]
 fn bfs_resumes_bit_identically_after_kill_at_every_superstep() {
     let g = graph();
-    assert_resumes_after_every_kill("bfs", |cfg| {
+    assert_resumes_after_every_kill("bfs", None, |cfg| {
         flash_algos::bfs::run(&g, cfg, 0).map(|o| (o.result, o.stats))
     });
 }
@@ -85,7 +91,7 @@ fn bfs_resumes_bit_identically_after_kill_at_every_superstep() {
 fn pagerank_resumes_bit_identically_after_kill_at_every_superstep() {
     // Float state: compare the raw f64 bits, not approximate values.
     let g = graph();
-    assert_resumes_after_every_kill("pagerank", |cfg| {
+    assert_resumes_after_every_kill("pagerank", None, |cfg| {
         flash_algos::pagerank::run(&g, cfg, 5).map(|o| {
             let bits: Vec<u64> = o.result.iter().map(|x| x.to_bits()).collect();
             (bits, o.stats)
@@ -96,8 +102,25 @@ fn pagerank_resumes_bit_identically_after_kill_at_every_superstep() {
 #[test]
 fn sssp_resumes_bit_identically_on_a_weighted_graph() {
     let g = Arc::new(generators::with_random_weights(&graph(), 0.1, 2.0, 4));
-    assert_resumes_after_every_kill("sssp", |cfg| {
+    assert_resumes_after_every_kill("sssp", None, |cfg| {
         flash_algos::sssp::run(&g, cfg, 0).map(|o| {
+            let bits: Vec<u64> = o.result.iter().map(|x| x.to_bits()).collect();
+            (bits, o.stats)
+        })
+    });
+}
+
+/// Every fault family at once: a transient crash, a permanent death and
+/// its rejoin, a coordinator crash, a dropped batch and a torn
+/// generation. The torn generation at step 5 condemns the newest one, so
+/// later kills resume from an older generation; damage scripted after a
+/// kill never reaches the disk, since a halted store is a dead process.
+#[test]
+fn pagerank_resumes_bit_identically_under_composed_faults() {
+    let g = graph();
+    let plan = "crash@1:w1,die@2:w2,rejoin@6:w2,leader@3,drop@4:w1,torn@5";
+    assert_resumes_after_every_kill("pagerank-faulted", Some(plan), |cfg| {
+        flash_algos::pagerank::run(&g, cfg, 5).map(|o| {
             let bits: Vec<u64> = o.result.iter().map(|x| x.to_bits()).collect();
             (bits, o.stats)
         })

@@ -91,18 +91,16 @@ fn event_byte_and_message_counts_equal_runstats_totals() {
             upd_bytes,
             sync_messages,
             sync_bytes,
-            compute_max_us,
-            compute_min_us,
-            barrier_skew_us,
+            compute_max_ns,
+            compute_min_ns,
+            barrier_skew_ns,
             ..
         } = &e.kind
         {
             bytes += upd_bytes + sync_bytes;
             messages += upd_messages + sync_messages;
             step_ends += 1;
-            // Each field truncates to whole µs independently, so the
-            // pre-truncation skew may differ from max−min by one tick.
-            assert!(barrier_skew_us.abs_diff(compute_max_us - compute_min_us) <= 1);
+            assert_eq!(*barrier_skew_ns, compute_max_ns - compute_min_ns);
         }
     }
     // Exactly one step_end per superstep; summed counts equal the totals.
@@ -218,11 +216,12 @@ fn jsonl_trace_round_trips_through_the_parser() {
     // The first line is the schema header analyzers validate against.
     let head = flash_obs::json::parse(lines[0]).expect("header parses");
     assert_eq!(head.get("event").and_then(Json::as_str), Some("run_meta"));
-    // Schema 3: `run_meta` is exactly the fields `SCHEMA` declares for it
+    // Schema 4: `run_meta` is exactly the fields `SCHEMA` declares for it
     // (1 also carried the hot-path label, 2 wrote `worker_accused`
-    // checksums as numbers); a shape change must bump the version.
-    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(3));
-    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 3);
+    // checksums as numbers, 3 carried `*_us` twins of the `*_ns` timers
+    // and `sync_plan` properties); a shape change must bump the version.
+    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(4));
+    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 4);
     let declared = ["schema", "seed", "workers", "hosts", "fault_plan"];
     assert_eq!(flash_obs::SCHEMA[0], ("run_meta", &declared[..]));
     let Json::Obj(fields) = &head else {

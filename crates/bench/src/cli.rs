@@ -52,9 +52,8 @@ pub struct CliOptions {
     /// Explicitly disable checkpointing (`--checkpoint-every off`), even
     /// when a fault plan would normally force it on.
     pub checkpoint_off: bool,
-    /// Record phase/transport/recovery percentile histograms into the
-    /// stats JSON (`--metrics`). Never changes results — only aggregates
-    /// durations the runtime already measures.
+    /// Render per-phase percentile histograms, folded from the run's
+    /// supersteps, in the stats JSON (`--metrics`). Never changes results.
     pub metrics: bool,
     /// Storage engine (`--storage mem|block`): the in-memory default, or
     /// the out-of-core block engine (the graph is converted to a block

@@ -19,21 +19,18 @@
 //! | `fig4cd_scaling_nodes` | Figure 4c/d (inter-node scaling) |
 //! | `fig5_breakdown`       | §V-E (time breakdown) |
 //! | `summary_verdicts`     | §V-B headline claims |
-//!
 //! | `bench_flash`          | aggregate `BENCH_flash.json` snapshot, plus the exact `--baseline` regression gate ([`baseline`]) |
 //! | `fig_robust`           | the five fault-family bit-identity suites ([`robust`]) |
 //! | `flash_trace`          | critical-path analyzer over `--trace` JSONL files, with Chrome trace export ([`trace`]) |
 //!
-//! Micro-benchmarks live in `benches/` and run on the offline
-//! [`microbench`] harness. Every binary writes a machine-readable JSON
-//! artifact via [`jsonio`] alongside its text table.
+//! Every binary writes a machine-readable JSON artifact via [`jsonio`]
+//! alongside its text table.
 
 pub mod baseline;
 pub mod cli;
 pub mod harness;
 pub mod jsonio;
 pub mod lloc;
-pub mod microbench;
 pub mod report;
 pub mod robust;
 pub mod serve;

@@ -22,6 +22,7 @@
 //! the binaries turn a non-empty failure list into a non-zero exit.
 
 use flash_algos::incremental::{full_cc, full_pagerank, MaintainedCc, MaintainedPageRank};
+use flash_graph::hash::Fnv1a;
 use flash_graph::{generators, DeltaOverlay, EdgeUpdate, Prng, VertexId};
 use flash_obs::Json;
 use flash_runtime::{BufferPool, ClusterConfig, ServingStats, Session};
@@ -121,39 +122,22 @@ impl Query {
 /// PageRank sweeps per query: fixed, so answers are deterministic.
 const PR_QUERY_ITERS: usize = 5;
 
-/// FNV-1a over a little-endian byte stream — the result checksum used
-/// for bit-identity comparison.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-}
-
-/// Checksums a `u32` result vector (BFS distances, CC labels).
+/// Checksums a `u32` result vector (BFS distances, CC labels): FNV-1a
+/// over the little-endian bytes, for bit-identity comparison.
 fn checksum_u32(values: &[u32]) -> u64 {
-    let mut h = Fnv::new();
-    for v in values {
-        h.write(&v.to_le_bytes());
-    }
-    h.0
+    let mut h = Fnv1a::new();
+    values.iter().for_each(|v| h.update(&v.to_le_bytes()));
+    h.finish()
 }
 
 /// Checksums an `f64` result vector through the exact bit patterns, so
 /// equality really is bit-identity.
 fn checksum_f64(values: &[f64]) -> u64 {
-    let mut h = Fnv::new();
-    for v in values {
-        h.write(&v.to_bits().to_le_bytes());
-    }
-    h.0
+    let mut h = Fnv1a::new();
+    values
+        .iter()
+        .for_each(|v| h.update(&v.to_bits().to_le_bytes()));
+    h.finish()
 }
 
 /// Answers one query on a session's snapshot, returning the checksum.

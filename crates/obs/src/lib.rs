@@ -1,7 +1,7 @@
 //! # flash-obs
 //!
 //! Dependency-free structured tracing and machine-readable metrics for the
-//! FLASH framework. Three pieces:
+//! FLASH framework. Four pieces:
 //!
 //! * [`json`] — a hand-rolled JSON value type with a compact/pretty writer
 //!   and a parser (the workspace builds offline, so there is no
@@ -11,9 +11,9 @@
 //!   message/byte counts, sync-plan and adaptive-kernel decisions;
 //! * [`sink`] — the [`Sink`] trait plus [`NullSink`], [`CollectSink`],
 //!   [`JsonLinesSink`], and [`TextSink`];
-//! * [`metrics`] — deterministic [`Counter`]/[`Gauge`]/[`Histogram`]
-//!   primitives and the [`MetricsRegistry`] the runtime snapshots into the
-//!   stats JSON (log2-bucketed ns histograms with p50/p90/p99/max).
+//! * [`metrics`] — the deterministic log2-bucketed [`Histogram`] with
+//!   p50/p90/p99/max that serving latency and the stats JSON's `metrics`
+//!   block render.
 //!
 //! The runtime (`flash-runtime`) owns the emission sites; this crate only
 //! defines the vocabulary, so it stays a leaf with zero dependencies.
@@ -27,7 +27,7 @@ pub mod sink;
 
 pub use event::{Event, EventKind, SCHEMA};
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::Histogram;
 pub use sink::{CollectSink, JsonLinesSink, NullSink, Sink, TextSink};
 
 /// Version of the JSONL trace schema. Bumped whenever an event's JSON

@@ -1,12 +1,9 @@
-//! Deterministic metrics primitives: counters, gauges and log2-bucketed
-//! histograms with percentile queries.
+//! A deterministic log2-bucketed histogram with percentile queries.
 //!
-//! Everything here is plain data — no atomics, no clocks, no allocation
-//! beyond the owning maps — because the runtime is single-coordinator and
-//! all recording happens between supersteps on the coordinator thread.
-//! Determinism is the contract: the same run produces the same registry,
-//! bit for bit, and [`Histogram::merge`] is commutative and associative so
-//! per-worker histograms can be folded in any order.
+//! It is plain data — no atomics, no clocks, no allocation. Determinism is
+//! the contract: the same samples produce the same histogram, bit for bit,
+//! and [`Histogram::merge`] is commutative and associative so per-session
+//! or per-shard histograms can be folded in any order.
 //!
 //! ## Bucketing math
 //!
@@ -20,7 +17,6 @@
 //! the true rank statistic lies in the same power-of-two bucket, so the
 //! relative error is bounded by the bucket width — strictly less than 2×.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::json::Json;
@@ -28,52 +24,6 @@ use crate::json::Json;
 /// Number of histogram buckets: one for zero plus one per possible bit
 /// length of a `u64` sample.
 pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// A monotonically increasing event count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds `n` to the counter, saturating at `u64::MAX`.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-/// A point-in-time level (last write wins).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge {
-    value: i64,
-}
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge to `v`.
-    pub fn set(&mut self, v: i64) {
-        self.value = v;
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.value
-    }
-}
 
 /// A deterministic log2-bucketed histogram of `u64` samples (nanoseconds,
 /// bytes, counts — any non-negative magnitude).
@@ -215,139 +165,9 @@ impl Histogram {
     }
 }
 
-/// A named collection of [`Counter`]s, [`Gauge`]s and [`Histogram`]s.
-///
-/// Backed by `BTreeMap`s so iteration — and therefore the rendered JSON —
-/// is deterministic regardless of registration order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Adds `n` to the named counter, creating it at zero first.
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        self.counters.entry(name.to_string()).or_default().add(n);
-    }
-
-    /// Sets the named gauge, creating it first.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.entry(name.to_string()).or_default().set(v);
-    }
-
-    /// Records a sample into the named histogram, creating it first.
-    pub fn record(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
-    }
-
-    /// Records a [`Duration`] in nanoseconds into the named histogram.
-    pub fn record_duration(&mut self, name: &str, d: Duration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record_duration(d);
-    }
-
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::get)
-    }
-
-    /// Current value of a gauge, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).map(Gauge::get)
-    }
-
-    /// The named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Names of all histograms, in deterministic (sorted) order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Drops every metric.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-
-    /// Folds `other` into `self`: counters add, gauges take `other`'s
-    /// value (last write wins), histograms merge bucket-wise.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, c) in &other.counters {
-            self.counters.entry(k.clone()).or_default().add(c.get());
-        }
-        for (k, g) in &other.gauges {
-            self.gauges.entry(k.clone()).or_default().set(g.get());
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
-    /// Renders the registry as the `metrics` stats block:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {name:
-    /// {count,sum,min,max,p50,p90,p99}}}`.
-    pub fn to_json(&self) -> Json {
-        let mut counters = Json::object();
-        for (k, c) in &self.counters {
-            counters = counters.set(k, c.get());
-        }
-        let mut gauges = Json::object();
-        for (k, g) in &self.gauges {
-            gauges = gauges.set(k, g.get());
-        }
-        let mut hists = Json::object();
-        for (k, h) in &self.histograms {
-            hists = hists.set(k, h.to_json());
-        }
-        Json::object()
-            .set("counters", counters)
-            .set("gauges", gauges)
-            .set("histograms", hists)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_adds_and_saturates() {
-        let mut c = Counter::new();
-        c.add(3);
-        c.add(4);
-        assert_eq!(c.get(), 7);
-        c.add(u64::MAX);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn gauge_last_write_wins() {
-        let mut g = Gauge::new();
-        g.set(9);
-        g.set(-2);
-        assert_eq!(g.get(), -2);
-    }
 
     #[test]
     fn bucket_index_is_bit_length() {
@@ -479,68 +299,5 @@ mod tests {
         let mut h = Histogram::new();
         h.record_duration(Duration::from_micros(3));
         assert_eq!(h.min(), Some(3000));
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("transport/dedup_hits", 2);
-        m.counter_add("transport/dedup_hits", 1);
-        m.gauge_set("membership/live_workers", 4);
-        m.record("step/delivery_ns", 1500);
-        m.record("step/delivery_ns", 900);
-        assert_eq!(m.counter("transport/dedup_hits"), 3);
-        assert_eq!(m.gauge("membership/live_workers"), Some(4));
-        assert_eq!(m.histogram("step/delivery_ns").unwrap().count(), 2);
-        assert_eq!(m.counter("never"), 0);
-        assert!(m.histogram("never").is_none());
-        let j = m.to_json();
-        assert_eq!(
-            j.get("counters")
-                .and_then(|c| c.get("transport/dedup_hits"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            j.get("histograms")
-                .and_then(|h| h.get("step/delivery_ns"))
-                .and_then(|h| h.get("count"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
-        m.clear();
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn registry_merge_folds_all_kinds() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        a.record("h", 10);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", 2);
-        b.gauge_set("g", 7);
-        b.record("h", 20);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge("g"), Some(7));
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), Some(20));
-    }
-
-    #[test]
-    fn registry_json_is_deterministic() {
-        let mut a = MetricsRegistry::new();
-        a.record("z", 1);
-        a.record("a", 2);
-        a.counter_add("k2", 1);
-        a.counter_add("k1", 1);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("k1", 1);
-        b.counter_add("k2", 1);
-        b.record("a", 2);
-        b.record("z", 1);
-        assert_eq!(a.to_json().to_string(), b.to_json().to_string());
     }
 }

@@ -378,10 +378,13 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Takes and resets the recorded statistics, emitting a `run_end`
-    /// trace event summarizing them.
+    /// trace event summarizing them. With
+    /// [`ClusterConfig::metrics`](crate::ClusterConfig::metrics) set, the
+    /// taken stats render their `metrics` block.
     pub fn take_stats(&mut self) -> RunStats {
         self.stats.storage = self.storage_info();
-        let stats = std::mem::take(&mut self.stats);
+        let mut stats = std::mem::take(&mut self.stats);
+        stats.metrics = self.config.metrics;
         let simulated = stats.simulated_parallel_time();
         self.emit(EventKind::RunEnd {
             supersteps: stats.num_supersteps(),
@@ -915,13 +918,7 @@ impl<V: VertexData> Cluster<V> {
         }
         stats.sync_messages += messages;
         stats.sync_bytes += bytes_total;
-        let elapsed = t.elapsed();
-        if self.config.metrics {
-            self.stats
-                .metrics
-                .record_duration("step/commit_ns", elapsed);
-        }
-        stats.communicate += elapsed;
+        stats.communicate += t.elapsed();
         stats.delivery += self.deliver_round(self.next_step, "sync", &batches);
         self.buffers.put_sync_batches(batches);
     }
@@ -942,30 +939,10 @@ impl<V: VertexData> Cluster<V> {
                 .saturating_sub(self.stream_mark.blocks_streamed);
             stats.block_cache_hits = snap.cache_hits.saturating_sub(self.stream_mark.cache_hits);
             self.stream_mark = snap;
-            if self.config.metrics && stats.streamed_blocks > 0 {
-                let m = &mut self.stats.metrics;
-                m.counter_add("storage/bytes_streamed", stats.streamed_bytes);
-                m.counter_add("storage/blocks_streamed", stats.streamed_blocks);
-                m.counter_add("storage/cache_hits", stats.block_cache_hits);
-                m.record("step/streamed_bytes", stats.streamed_bytes);
-            }
         }
         if let Some(net) = &self.config.network {
             let rounds = u32::from(stats.upd_bytes > 0) + u32::from(stats.sync_bytes > 0);
             stats.simulated_net = net.cost(rounds, stats.total_bytes());
-        }
-        if self.config.metrics {
-            let m = &mut self.stats.metrics;
-            m.record_duration("step/compute_max_ns", stats.compute_max);
-            m.record_duration("step/barrier_skew_ns", stats.barrier_skew());
-            m.record_duration("step/serialize_ns", stats.serialize);
-            m.record_duration("step/bucketing_ns", stats.serialize_max);
-            m.record_duration("step/delivery_ns", stats.delivery);
-            m.record_duration("step/simulated_net_ns", stats.simulated_net);
-            m.gauge_set(
-                "cluster/live_hosts",
-                i64::try_from(self.partition.num_live_hosts()).unwrap_or(i64::MAX),
-            );
         }
         let step_id = self.next_step;
         self.next_step += 1;

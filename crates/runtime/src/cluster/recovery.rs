@@ -106,26 +106,9 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Prices a recovery or control-plane transfer on the simulated
-    /// network — zero without one — and records it under `metric`.
-    fn charge(
-        &mut self,
-        metric: &'static str,
-        price: impl FnOnce(NetworkModel) -> Duration,
-    ) -> Duration {
-        let Some(net) = self.config.network else {
-            return Duration::ZERO;
-        };
-        let cost = price(net);
-        self.record_cost(metric, cost);
-        cost
-    }
-
-    /// Adds one recovery/control-plane duration to the `metric` histogram
-    /// when metrics are on.
-    fn record_cost(&mut self, metric: &'static str, cost: Duration) {
-        if self.config.metrics {
-            self.stats.metrics.record_duration(metric, cost);
-        }
+    /// network — zero without one.
+    fn charge(&self, price: impl FnOnce(NetworkModel) -> Duration) -> Duration {
+        self.config.network.map_or(Duration::ZERO, price)
     }
 
     /// The checkpoint stage, at step entry where nothing is staged. A
@@ -159,7 +142,7 @@ impl<V: VertexData> Cluster<V> {
         self.stats.recovery.checkpoints += 1;
         self.stats.recovery.checkpoint_bytes += bytes;
         // One round of shipping the master state off-worker.
-        let cost = self.charge("recovery/checkpoint_ns", |net| net.cost(1, bytes));
+        let cost = self.charge(|net| net.cost(1, bytes));
         self.stats.recovery.checkpoint_time += cost;
         self.emit(EventKind::CheckpointTaken {
             step,
@@ -623,7 +606,7 @@ impl<V: VertexData> Cluster<V> {
         }
         if !report.moved.is_empty() {
             let rounds = 1 + report.moved.len() as u32;
-            let cost = self.charge("recovery/migration_ns", |net| net.cost(rounds, total_bytes));
+            let cost = self.charge(|net| net.cost(rounds, total_bytes));
             self.stats.recovery.migration_net += cost;
         }
         // The epoch bump is a control-plane decision: the survivors must
@@ -646,7 +629,7 @@ impl<V: VertexData> Cluster<V> {
         };
         self.stats.consensus.elections += 1;
         let bytes = LOG_RECORD_BYTES * el.live_hosts as u64;
-        let cost = self.charge("consensus/election_ns", |net| net.cost(2, bytes));
+        let cost = self.charge(|net| net.cost(2, bytes));
         self.stats.consensus.election_net += cost;
         self.emit(EventKind::LeaderElected {
             term: el.term,
@@ -672,7 +655,7 @@ impl<V: VertexData> Cluster<V> {
             Ok(commit) => {
                 self.stats.consensus.entries_committed += 1;
                 let bytes = LOG_RECORD_BYTES * voters as u64;
-                let cost = self.charge("consensus/commit_ns", |net| net.cost(2, bytes));
+                let cost = self.charge(|net| net.cost(2, bytes));
                 self.stats.consensus.commit_net += cost;
                 self.emit(EventKind::LogCommitted {
                     term: commit.term,
@@ -697,7 +680,6 @@ impl<V: VertexData> Cluster<V> {
     fn rollback(&mut self, faults: &Faults<V>, step_id: u64, attempt: u64) {
         let backoff = faults.injector.plan().backoff(attempt as u32);
         self.stats.recovery.retry_backoff += backoff;
-        self.record_cost("recovery/backoff_ns", backoff);
         let restored = faults
             .log
             .rollback(&mut self.states)
@@ -717,9 +699,7 @@ impl<V: VertexData> Cluster<V> {
     ) {
         self.stats.recovery.rollbacks += 1;
         self.stats.recovery.replayed_supersteps += replayed;
-        let cost = self.charge("recovery/replay_ns", |net| {
-            net.recovery_cost(replayed, bytes)
-        });
+        let cost = self.charge(|net| net.recovery_cost(replayed, bytes));
         self.stats.recovery.replay_net += cost;
         self.emit(EventKind::RecoveryReplay {
             step: step_id,
@@ -766,7 +746,6 @@ impl<V: VertexData> Cluster<V> {
             &scripted,
             self.config.network.as_ref(),
             &mut self.stats.delivery,
-            self.config.metrics.then_some(&mut self.stats.metrics),
         );
         for kind in outcome.events {
             self.emit(kind);

@@ -101,11 +101,10 @@ pub struct ClusterConfig {
     /// loss then degrades to [`RuntimeError::WorkerLost`](crate::RuntimeError)
     /// instead of recovering elastically.
     pub checkpoint_disabled: bool,
-    /// Record phase/transport/recovery histograms into
-    /// [`RunStats::metrics`](crate::stats::RunStats::metrics). Off by
-    /// default: recording only aggregates already-measured durations (it
-    /// never adds timers or changes results), but the stats JSON stays
-    /// lean unless asked for.
+    /// Render the `metrics` block — per-phase histograms folded from the
+    /// run's supersteps — in the stats JSON (see
+    /// [`RunStats::metrics`](crate::stats::RunStats::metrics)). Off by
+    /// default, so the stats JSON stays lean unless asked for.
     pub metrics: bool,
     /// Adjacency storage engine (see [`StorageMode`]). `Block` is opt-in
     /// and requires a block-backed graph.
@@ -273,11 +272,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables metrics recording (builder style): superstep phase,
-    /// transport and recovery histograms accumulate into
-    /// `RunStats::metrics` and render in the stats JSON with
-    /// p50/p90/p99/max. Guaranteed not to change results: the catalogue
-    /// bit-identity test runs every algorithm with metrics on and off.
+    /// Enables the `metrics` block (builder style): one p50/p90/p99/max
+    /// histogram per superstep phase in the stats JSON. Nothing extra is
+    /// timed, so results cannot change; the catalogue bit-identity test
+    /// runs every algorithm with metrics on and off.
     pub fn metrics(mut self) -> Self {
         self.metrics = true;
         self

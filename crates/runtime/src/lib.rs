@@ -85,7 +85,6 @@ pub use fault::{
     format_duration, parse_duration, FaultKind, FaultPlan, FaultSpec, DEFAULT_DETECTOR_TIMEOUT,
     MAX_PLAUSIBLE_STEP,
 };
-pub use flash_obs::MetricsRegistry;
 pub use netmodel::NetworkModel;
 pub use pool::WorkerPool;
 pub use session::{BufferPool, ServingStats, Session};

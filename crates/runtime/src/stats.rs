@@ -2,10 +2,11 @@
 //!
 //! The §V-E time breakdown divides execution into computation,
 //! communication and serialization; every superstep records those buckets
-//! plus exact message/byte counts, which also back the micro-benchmarks
-//! (mode switching, sync-policy ablations) and Fig. 4(a)'s frontier sizes.
+//! plus exact message/byte counts, which also back Fig. 4(a)'s frontier
+//! sizes. [`RunStats`] is the only in-process record of a run: its totals
+//! and its `metrics` histograms are folds over the same [`StepStats`].
 
-use flash_obs::{Json, MetricsRegistry};
+use flash_obs::{Histogram, Json};
 use std::time::Duration;
 
 /// Renders a duration in nanoseconds (saturating at `u64::MAX`, ~584
@@ -72,17 +73,13 @@ pub struct StepStats {
     /// [`StepStats::compute_max`], and what
     /// [`RunStats::simulated_parallel_time`] charges.
     pub serialize_max: Duration,
-    /// Time spent applying remote updates and mirror syncs. When the
-    /// mirror-sync fan-out scan runs on multiple threads, the scan portion
-    /// is charged at its parallel *makespan* (slowest range) rather than
-    /// its wall time, so single-core thread-spawn overhead — which an
-    /// ideal one-core-per-worker cluster would not pay — does not inflate
-    /// the phase.
+    /// Wall time of folding staged updates into masters and of the serial
+    /// mirror-sync pass that copies and counts each written master's
+    /// payload.
     pub communicate: Duration,
     /// Wall time of the reliable-delivery protocol (ack/retransmit rounds
     /// run by [`crate::transport::Transport`]); zero without channel
-    /// faults. Previously this landed in no phase at all, under-reporting
-    /// lossy supersteps.
+    /// faults.
     pub delivery: Duration,
     /// Simulated network time (see [`crate::netmodel::NetworkModel`]).
     pub simulated_net: Duration,
@@ -135,7 +132,7 @@ impl StepStats {
     }
 
     /// Machine-readable rendering of this superstep. Every phase is an
-    /// exact ns field, so microbench-scale steps never flatten to zero.
+    /// exact ns field, so sub-µs steps never flatten to zero.
     pub fn to_json(&self) -> Json {
         let mut j = Json::object()
             .set("kind", self.kind.label())
@@ -217,29 +214,26 @@ impl RecoveryStats {
         self.checkpoint_time + self.retry_backoff + self.replay_net + self.migration_net
     }
 
-    /// Machine-readable rendering (durations in µs).
+    /// Machine-readable rendering (durations in exact ns).
     pub fn to_json(&self) -> Json {
         Json::object()
             .set("checkpoints", self.checkpoints)
             .set("checkpoint_bytes", self.checkpoint_bytes)
-            .set("checkpoint_us", self.checkpoint_time.as_micros() as u64)
+            .set("checkpoint_ns", ns_u64(self.checkpoint_time))
             .set("faults_injected", self.faults_injected)
             .set("stragglers", self.stragglers)
-            .set(
-                "straggler_delay_us",
-                self.straggler_delay.as_micros() as u64,
-            )
+            .set("straggler_delay_ns", ns_u64(self.straggler_delay))
             .set("rollbacks", self.rollbacks)
             .set("replayed_supersteps", self.replayed_supersteps)
-            .set("retry_backoff_us", self.retry_backoff.as_micros() as u64)
-            .set("replay_net_us", self.replay_net.as_micros() as u64)
+            .set("retry_backoff_ns", ns_u64(self.retry_backoff))
+            .set("replay_net_ns", ns_u64(self.replay_net))
             .set("membership_epochs", self.membership_epochs)
             .set("workers_lost", self.workers_lost)
             .set("workers_rejoined", self.workers_rejoined)
             .set("vertices_migrated", self.vertices_migrated)
             .set("migrated_bytes", self.migrated_bytes)
-            .set("migration_net_us", self.migration_net.as_micros() as u64)
-            .set("overhead_us", self.overhead().as_micros() as u64)
+            .set("migration_net_ns", ns_u64(self.migration_net))
+            .set("overhead_ns", ns_u64(self.overhead()))
     }
 }
 
@@ -281,7 +275,7 @@ impl DeliveryStats {
         self.retransmit_net
     }
 
-    /// Machine-readable rendering (durations in µs).
+    /// Machine-readable rendering (durations in exact ns).
     pub fn to_json(&self) -> Json {
         Json::object()
             .set("batches_sent", self.batches_sent)
@@ -292,8 +286,8 @@ impl DeliveryStats {
             .set("retransmitted_bytes", self.retransmitted_bytes)
             .set("dedup_hits", self.dedup_hits)
             .set("checksum_failures", self.checksum_failures)
-            .set("retransmit_net_us", self.retransmit_net.as_micros() as u64)
-            .set("overhead_us", self.overhead().as_micros() as u64)
+            .set("retransmit_net_ns", ns_u64(self.retransmit_net))
+            .set("overhead_ns", ns_u64(self.overhead()))
     }
 }
 
@@ -330,7 +324,7 @@ impl ConsensusStats {
         self.election_net + self.commit_net
     }
 
-    /// Machine-readable rendering (durations in µs).
+    /// Machine-readable rendering (durations in exact ns).
     pub fn to_json(&self) -> Json {
         Json::object()
             .set("elections", self.elections)
@@ -338,9 +332,9 @@ impl ConsensusStats {
             .set("entries_appended", self.entries_appended)
             .set("entries_committed", self.entries_committed)
             .set("accusations", self.accusations)
-            .set("election_net_us", self.election_net.as_micros() as u64)
-            .set("commit_net_us", self.commit_net.as_micros() as u64)
-            .set("overhead_us", self.overhead().as_micros() as u64)
+            .set("election_net_ns", ns_u64(self.election_net))
+            .set("commit_net_ns", ns_u64(self.commit_net))
+            .set("overhead_ns", ns_u64(self.overhead()))
     }
 }
 
@@ -434,6 +428,28 @@ impl StorageInfo {
     }
 }
 
+/// One [`StepStats`] duration, as the `metrics` block samples it.
+type Phase = fn(&StepStats) -> Duration;
+
+/// The `metrics` block's histograms, one per [`StepStats`] duration.
+const PHASES: [(&str, Phase); 8] = [
+    ("step/compute_ns", |s| s.compute),
+    ("step/compute_max_ns", |s| s.compute_max),
+    ("step/barrier_skew_ns", StepStats::barrier_skew),
+    ("step/serialize_ns", |s| s.serialize),
+    ("step/serialize_max_ns", |s| s.serialize_max),
+    ("step/communicate_ns", |s| s.communicate),
+    ("step/delivery_ns", |s| s.delivery),
+    ("step/simulated_net_ns", |s| s.simulated_net),
+];
+
+/// The rendered [`Histogram`] of `samples`.
+fn histogram(samples: impl Iterator<Item = u64>) -> Json {
+    let mut h = Histogram::new();
+    samples.for_each(|v| h.record(v));
+    h.to_json()
+}
+
 /// Accumulated statistics of a run (a sequence of supersteps).
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
@@ -450,12 +466,11 @@ pub struct RunStats {
     /// Durable-checkpoint-store activity of the run (zeros when no
     /// durable directory was configured — the store is fully inert).
     pub durability: DurabilityStats,
-    /// Percentile histograms and counters of superstep phases, transport
-    /// activity and recovery work. Empty unless the cluster was configured
-    /// with [`ClusterConfig::metrics`](crate::ClusterConfig::metrics);
-    /// recording never changes results (only already-measured durations
-    /// are aggregated).
-    pub metrics: MetricsRegistry,
+    /// Whether the JSON renderings carry the `metrics` block: per-phase
+    /// histograms folded from [`RunStats::steps`]. Set from
+    /// [`ClusterConfig::metrics`](crate::ClusterConfig::metrics) when the
+    /// cluster hands its stats out.
+    pub metrics: bool,
     /// Storage-engine facts (mode, resident state, block counts).
     pub storage: StorageInfo,
 }
@@ -476,16 +491,10 @@ impl RunStats {
         self.steps.len()
     }
 
-    /// Clears all records, including recovery/delivery counters and
-    /// metrics.
+    /// Clears all records, including recovery/delivery counters and the
+    /// `metrics` flag.
     pub fn clear(&mut self) {
-        self.steps.clear();
-        self.recovery = RecoveryStats::default();
-        self.delivery = DeliveryStats::default();
-        self.consensus = ConsensusStats::default();
-        self.durability = DurabilityStats::default();
-        self.metrics.clear();
-        self.storage = StorageInfo::default();
+        *self = RunStats::default();
     }
 
     /// Total block bytes streamed from out-of-core storage over the run.
@@ -611,11 +620,30 @@ impl RunStats {
             .unwrap_or_default()
     }
 
+    /// The `metrics` block: `{"histograms": {name: {count, sum, min, max,
+    /// p50, p90, p99}}}` with one histogram per [`StepStats`] duration and
+    /// one sample per superstep, plus `step/streamed_bytes` on a run that
+    /// streamed blocks. A fold over [`RunStats::steps`], so it always
+    /// agrees with the per-step records.
+    fn metrics_json(&self) -> Json {
+        let mut histograms = Json::object();
+        for (name, phase) in PHASES {
+            let samples = self.steps.iter().map(|s| ns_u64(phase(s)));
+            histograms = histograms.set(name, histogram(samples));
+        }
+        if self.bytes_streamed() > 0 {
+            let samples = self.steps.iter().map(|s| s.streamed_bytes);
+            histograms = histograms.set("step/streamed_bytes", histogram(samples));
+        }
+        Json::object().set("histograms", histograms)
+    }
+
     /// Aggregate totals as JSON, without the per-step array — the payload
-    /// of `results/*.json` summaries. Durations come in exact ns.
+    /// of `results/*.json` summaries. Durations come in exact ns; the
+    /// `metrics` block appears only when [`RunStats::metrics`] is set.
     pub fn summary_json(&self) -> Json {
         let (vmap, dense, sparse, global) = self.kind_counts();
-        Json::object()
+        let summary = Json::object()
             .set("supersteps", self.num_supersteps())
             .set("total_bytes", self.total_bytes())
             .set("total_messages", self.total_messages())
@@ -646,7 +674,6 @@ impl RunStats {
             .set("delivery", self.delivery.to_json())
             .set("consensus", self.consensus.to_json())
             .set("durability", self.durability.to_json())
-            .set("metrics", self.metrics.to_json())
             .set(
                 "storage",
                 self.storage
@@ -654,7 +681,12 @@ impl RunStats {
                     .set("bytes_streamed", self.bytes_streamed())
                     .set("blocks_streamed", self.blocks_streamed())
                     .set("cache_hits", self.block_cache_hits()),
-            )
+            );
+        if self.metrics {
+            summary.set("metrics", self.metrics_json())
+        } else {
+            summary
+        }
     }
 
     /// Full machine-readable rendering: the summary plus every superstep.
@@ -888,7 +920,10 @@ mod tests {
         );
         assert_eq!(d.get("dedup_hits").and_then(Json::as_u64), Some(2));
         assert_eq!(d.get("checksum_failures").and_then(Json::as_u64), Some(1));
-        assert_eq!(d.get("retransmit_net_us").and_then(Json::as_u64), Some(60));
+        assert_eq!(
+            d.get("retransmit_net_ns").and_then(Json::as_u64),
+            Some(60_000)
+        );
         r.clear();
         assert_eq!(
             r.delivery,
@@ -923,9 +958,12 @@ mod tests {
         assert_eq!(c.get("entries_appended").and_then(Json::as_u64), Some(5));
         assert_eq!(c.get("entries_committed").and_then(Json::as_u64), Some(5));
         assert_eq!(c.get("accusations").and_then(Json::as_u64), Some(1));
-        assert_eq!(c.get("election_net_us").and_then(Json::as_u64), Some(30));
-        assert_eq!(c.get("commit_net_us").and_then(Json::as_u64), Some(20));
-        assert_eq!(c.get("overhead_us").and_then(Json::as_u64), Some(50));
+        assert_eq!(
+            c.get("election_net_ns").and_then(Json::as_u64),
+            Some(30_000)
+        );
+        assert_eq!(c.get("commit_net_ns").and_then(Json::as_u64), Some(20_000));
+        assert_eq!(c.get("overhead_ns").and_then(Json::as_u64), Some(50_000));
         r.clear();
         assert_eq!(
             r.consensus,
@@ -964,8 +1002,7 @@ mod tests {
     #[test]
     fn ns_fields_are_exact() {
         assert_eq!(ns_u64(Duration::from_nanos(600)), 600);
-        // Sub-µs phases are visible in step JSON — the truncation bug that
-        // zeroed microbench-scale steps.
+        // Sub-µs phases are visible in step JSON; floored to µs they read 0.
         let mut s = StepStats::new(StepKind::EdgeMapSparse, 1);
         s.serialize = Duration::from_nanos(700);
         s.delivery = Duration::from_nanos(900);
@@ -1002,28 +1039,64 @@ mod tests {
     }
 
     #[test]
+    fn sub_microsecond_charges_render_exactly_and_add_up() {
+        // A 900 ns charge in each overhead block: floored to µs it read 0,
+        // and the blocks no longer summed to simulated_parallel_ns.
+        let mut r = RunStats::default();
+        let charge = Duration::from_nanos(900);
+        r.recovery.checkpoint_time = charge;
+        r.delivery.retransmit_net = charge;
+        r.consensus.commit_net = charge;
+        let j = r.summary_json();
+        let ns =
+            |block: &str, key: &str| j.get(block).and_then(|b| b.get(key)).and_then(Json::as_u64);
+        assert_eq!(ns("recovery", "checkpoint_ns"), Some(900));
+        assert_eq!(ns("delivery", "retransmit_net_ns"), Some(900));
+        assert_eq!(ns("consensus", "commit_net_ns"), Some(900));
+        let overheads: u64 = ["recovery", "delivery", "consensus"]
+            .iter()
+            .filter_map(|b| ns(b, "overhead_ns"))
+            .sum();
+        assert_eq!(
+            j.get("simulated_parallel_ns").and_then(Json::as_u64),
+            Some(overheads)
+        );
+        assert_eq!(overheads, 2_700);
+    }
+
+    #[test]
     fn metrics_block_renders_and_clears() {
         let mut r = RunStats::default();
-        r.metrics.record("step/compute_max_ns", 1000);
-        r.metrics.record("step/compute_max_ns", 3000);
-        r.metrics.counter_add("transport/dedup_hits", 2);
+        for (compute_max, streamed) in [(1000, 0), (3000, 4096)] {
+            let mut s = StepStats::new(StepKind::EdgeMapDense, 1);
+            s.compute_max = Duration::from_nanos(compute_max);
+            s.streamed_bytes = streamed;
+            r.push(s);
+        }
+        assert!(r.summary_json().get("metrics").is_none(), "off by default");
+        r.metrics = true;
         let j = r.summary_json();
-        let m = j.get("metrics").expect("summary carries metrics");
-        let h = m
-            .get("histograms")
-            .and_then(|h| h.get("step/compute_max_ns"))
-            .expect("histogram rendered");
-        assert_eq!(h.get("count").and_then(Json::as_u64), Some(2));
+        let hists = j
+            .get("metrics")
+            .and_then(|m| m.get("histograms"))
+            .expect("summary carries metrics");
+        let Json::Obj(map) = hists else {
+            panic!("histograms must be an object")
+        };
+        assert_eq!(map.len(), 9, "eight phases plus step/streamed_bytes");
+        for (name, h) in map {
+            assert_eq!(h.get("count").and_then(Json::as_u64), Some(2), "{name}");
+        }
+        let h = &map["step/compute_max_ns"];
         assert_eq!(h.get("max").and_then(Json::as_u64), Some(3000));
+        assert_eq!(h.get("sum").and_then(Json::as_u64), Some(4000));
         assert!(h.get("p50").is_some() && h.get("p90").is_some() && h.get("p99").is_some());
         assert_eq!(
-            m.get("counters")
-                .and_then(|c| c.get("transport/dedup_hits"))
-                .and_then(Json::as_u64),
-            Some(2)
+            map["step/streamed_bytes"].get("max").and_then(Json::as_u64),
+            Some(4096)
         );
         r.clear();
-        assert!(r.metrics.is_empty(), "clear resets metrics");
+        assert!(!r.metrics, "clear resets the metrics flag");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::netmodel::NetworkModel;
 use crate::stats::DeliveryStats;
 use flash_graph::hash::Fnv1a;
 use flash_graph::Prng;
-use flash_obs::{EventKind, MetricsRegistry};
+use flash_obs::EventKind;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
@@ -185,20 +185,12 @@ impl Transport {
     /// superstep `step`. `round` is `"upd"` (mirror→master) or `"sync"`
     /// (master→mirror); `scripted` carries the channel faults fired by the
     /// injector this round, resolved to sending hosts. Counters accumulate
-    /// into `stats`; retransmission time is charged through `net`. When
-    /// `metrics` is provided, per-retransmit latencies (the simulated
-    /// ack-deadline + re-ship charge) land in the
-    /// `transport/retransmit_latency_ns` histogram and dedup-window
-    /// discards in the `transport/dedup_hits` counter.
+    /// into `stats`; retransmission time is charged through `net`.
     ///
     /// Every batch either lands exactly once in the receive window or —
     /// after `1 + max_retries` lost transmissions — produces a
     /// [`RuntimeError::DeliveryExhausted`] in the outcome, disabling the
     /// transport for the rest of the run.
-    // One parameter per independent output channel (stats, metrics) —
-    // bundling them would just move the argument list into a struct the
-    // single caller builds inline.
-    #[allow(clippy::too_many_arguments)]
     pub fn deliver(
         &mut self,
         step: u64,
@@ -207,7 +199,6 @@ impl Transport {
         scripted: &[ScriptedChannelFault],
         net: Option<&NetworkModel>,
         stats: &mut DeliveryStats,
-        mut metrics: Option<&mut MetricsRegistry>,
     ) -> RoundOutcome {
         let mut out = RoundOutcome::default();
         if !self.active || batches.is_empty() {
@@ -245,9 +236,6 @@ impl Transport {
                         delivered = true;
                     } else {
                         stats.dedup_hits += 1;
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.counter_add("transport/dedup_hits", 1);
-                        }
                         out.events.push(EventKind::BatchDeduped {
                             step,
                             round: round.to_string(),
@@ -299,9 +287,6 @@ impl Transport {
                             delivered = true;
                         } else {
                             stats.dedup_hits += 1;
-                            if let Some(m) = metrics.as_deref_mut() {
-                                m.counter_add("transport/dedup_hits", 1);
-                            }
                             out.events.push(EventKind::BatchDeduped {
                                 step,
                                 round: round.to_string(),
@@ -329,11 +314,7 @@ impl Transport {
                 stats.retransmits += 1;
                 stats.retransmitted_bytes += bytes;
                 if let Some(net) = net {
-                    let cost = net.retransmit_cost(bytes);
-                    stats.retransmit_net += cost;
-                    if let Some(m) = metrics.as_deref_mut() {
-                        m.record_duration("transport/retransmit_latency_ns", cost);
-                    }
+                    stats.retransmit_net += net.retransmit_cost(bytes);
                 }
                 out.events.push(EventKind::BatchRetransmitted {
                     step,
@@ -401,7 +382,6 @@ mod tests {
             &[],
             Some(&NetworkModel::ten_gbe()),
             &mut stats,
-            None,
         );
         assert!(out.failure.is_none());
         assert!(out.events.is_empty());
@@ -418,7 +398,7 @@ mod tests {
         let b = batches(&[((0, 1), (10, 80))]);
         let scripted = [(FaultKind::Drop, 0, 1)];
         let net = NetworkModel::ten_gbe();
-        let out = t.deliver(1, "upd", &b, &scripted, Some(&net), &mut stats, None);
+        let out = t.deliver(1, "upd", &b, &scripted, Some(&net), &mut stats);
         assert!(out.failure.is_none());
         assert_eq!(stats.batches_dropped, 1);
         assert_eq!(stats.retransmits, 1);
@@ -441,7 +421,6 @@ mod tests {
             &scripted,
             Some(&NetworkModel::ten_gbe()),
             &mut stats,
-            None,
         );
         assert!(out.failure.is_none());
         assert_eq!(stats.batches_duplicated, 1);
@@ -464,7 +443,6 @@ mod tests {
             &scripted,
             Some(&NetworkModel::ten_gbe()),
             &mut stats,
-            None,
         );
         assert!(out.failure.is_none());
         assert_eq!(stats.batches_reordered, 1);
@@ -488,7 +466,6 @@ mod tests {
             &scripted,
             Some(&NetworkModel::ten_gbe()),
             &mut stats,
-            None,
         );
         assert_eq!(
             out.failure,
@@ -511,7 +488,6 @@ mod tests {
             &[],
             Some(&NetworkModel::ten_gbe()),
             &mut stats,
-            None,
         );
         assert!(out.failure.is_none() && out.events.is_empty());
         assert_eq!(stats, before);
@@ -532,7 +508,6 @@ mod tests {
                     &[],
                     Some(&NetworkModel::ten_gbe()),
                     &mut stats,
-                    None,
                 );
                 assert!(out.failure.is_none(), "retries=8 outlasts loss=0.5");
             }
@@ -560,7 +535,6 @@ mod tests {
                 &[],
                 Some(&NetworkModel::ten_gbe()),
                 &mut stats,
-                None,
             );
             assert!(out.failure.is_none());
         }
@@ -586,7 +560,6 @@ mod tests {
                 &[],
                 Some(&NetworkModel::ten_gbe()),
                 &mut stats,
-                None,
             );
             assert!(out.failure.is_none());
         }
@@ -608,7 +581,6 @@ mod tests {
                 &[],
                 Some(&NetworkModel::ten_gbe()),
                 &mut stats,
-                None,
             );
         }
         assert_eq!(t.next_seq[1], 3, "pair (0,1) advanced once per round");

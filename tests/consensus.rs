@@ -223,9 +223,9 @@ fn consensus_counters_appear_in_the_stats_json() {
         "entries_appended",
         "entries_committed",
         "accusations",
-        "election_net_us",
-        "commit_net_us",
-        "overhead_us",
+        "election_net_ns",
+        "commit_net_ns",
+        "overhead_ns",
     ] {
         assert!(
             c.get(key).and_then(Json::as_u64).is_some(),

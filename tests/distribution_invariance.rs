@@ -112,6 +112,50 @@ fn critical_only_ships_fewer_bytes() {
 }
 
 #[test]
+fn necessary_mirror_scope_ships_fewer_sync_bytes() {
+    // The same min-propagation over the real edges (necessary mirrors
+    // only) and over an identical copy declared virtual, which forces
+    // all-mirror sync (§IV-C "communicate with necessary mirrors only").
+    #[derive(Clone, Default)]
+    struct Min {
+        x: u64,
+    }
+    flash_runtime::full_sync!(Min);
+
+    let g = graph();
+    let run = |h: flash_core::EdgeSet<Min>| {
+        let cfg = ClusterConfig::with_workers(4).sequential();
+        let mut ctx =
+            flash_core::FlashContext::build(Arc::clone(&g), cfg, |v| Min { x: v as u64 }).unwrap();
+        let mut u = ctx.all();
+        while !u.is_empty() {
+            u = ctx.edge_map_sparse(
+                &u,
+                &h,
+                |_, s, d| s.x < d.x,
+                |_, s, d| d.x = d.x.min(s.x),
+                |_, _| true,
+                |t, d| d.x = d.x.min(t.x),
+            );
+        }
+        let sync_bytes: u64 = ctx.stats().steps().iter().map(|s| s.sync_bytes).sum();
+        (ctx.collect(|_, val| val.x), sync_bytes)
+    };
+    let (ge, gi) = (Arc::clone(&g), Arc::clone(&g));
+    let virtual_copy = flash_core::EdgeSet::custom(
+        move |v, _| ge.out_neighbors(v).to_vec(),
+        move |v, _| gi.in_neighbors(v).to_vec(),
+    );
+    let (necessary, necessary_bytes) = run(flash_core::EdgeSet::forward());
+    let (all, all_bytes) = run(virtual_copy);
+    assert_eq!(necessary, all, "the mirror scope must not change values");
+    assert!(
+        necessary_bytes < all_bytes,
+        "necessary-mirror scope must ship fewer sync bytes: {necessary_bytes} vs {all_bytes}"
+    );
+}
+
+#[test]
 fn partitioner_invariance() {
     let g = road();
     let chunked = Arc::new(PartitionMap::build(&g, 4, &ChunkPartitioner).unwrap());

@@ -222,7 +222,7 @@ fn membership_counters_appear_in_the_stats_json() {
         "workers_rejoined",
         "vertices_migrated",
         "migrated_bytes",
-        "migration_net_us",
+        "migration_net_ns",
     ] {
         let v = j
             .get(key)

@@ -196,8 +196,8 @@ fn delivery_counters_appear_in_the_stats_json() {
         "retransmitted_bytes",
         "dedup_hits",
         "checksum_failures",
-        "retransmit_net_us",
-        "overhead_us",
+        "retransmit_net_ns",
+        "overhead_ns",
     ] {
         assert!(
             d.get(key).and_then(Json::as_u64).is_some(),

@@ -1,10 +1,11 @@
-//! Cross-crate tests of the metrics layer: the registry's statistical
-//! guarantees at integration scale, and the non-negotiable invariant that
-//! `--metrics` never changes what an algorithm computes — only what gets
-//! reported about it.
+//! Cross-crate tests of the metrics layer: the histogram's statistical
+//! guarantees at integration scale, the `metrics` block folded from a
+//! run's supersteps, and the non-negotiable invariant that `--metrics`
+//! never changes what an algorithm computes — only what gets reported
+//! about it.
 
 use flash_bench::cli::{dispatch, parse_args, CliOptions, ALGOS};
-use flash_obs::{Histogram, Json, MetricsRegistry};
+use flash_obs::{Histogram, Json};
 use std::sync::Arc;
 
 /// Splitmix64: a deterministic value stream for property checks.
@@ -18,44 +19,29 @@ fn splitmix(seed: &mut u64) -> u64 {
 
 #[test]
 fn sharded_registries_merge_to_the_same_percentiles_in_any_order() {
-    // Simulate per-worker registries filled with disjoint slices of one
-    // value stream, then merge them in two different orders: the combined
-    // histograms must be identical, and identical to recording the whole
-    // stream into one registry.
+    // Fill per-shard histograms with disjoint slices of one value stream,
+    // then merge them in two different orders: the combined histograms
+    // must be identical, and identical to recording the whole stream into
+    // one histogram.
     let mut seed = 0xF1A5_u64;
     let values: Vec<u64> = (0..4000)
         .map(|_| splitmix(&mut seed) % 10_000_000)
         .collect();
+    let record = |vals: &[u64]| {
+        let mut h = Histogram::new();
+        vals.iter().for_each(|&v| h.record(v));
+        h
+    };
+    let shards: Vec<Histogram> = values.chunks(500).map(record).collect();
 
-    let shards: Vec<MetricsRegistry> = values
-        .chunks(500)
-        .map(|chunk| {
-            let mut r = MetricsRegistry::new();
-            for &v in chunk {
-                r.record("step/compute_max_ns", v);
-                r.counter_add("transport/dedup_hits", 1);
-            }
-            r
-        })
-        .collect();
-
-    let mut forward = MetricsRegistry::new();
-    for s in &shards {
-        forward.merge(s);
-    }
-    let mut reverse = MetricsRegistry::new();
-    for s in shards.iter().rev() {
-        reverse.merge(s);
-    }
-    let mut whole = MetricsRegistry::new();
-    for &v in &values {
-        whole.record("step/compute_max_ns", v);
-    }
+    let mut forward = Histogram::new();
+    shards.iter().for_each(|s| forward.merge(s));
+    let mut reverse = Histogram::new();
+    shards.iter().rev().for_each(|s| reverse.merge(s));
 
     assert_eq!(forward.to_json().to_string(), reverse.to_json().to_string());
-    let h = |r: &MetricsRegistry| r.histogram("step/compute_max_ns").cloned().unwrap();
-    assert_eq!(h(&forward), h(&whole));
-    assert_eq!(forward.counter("transport/dedup_hits"), 4000);
+    assert_eq!(forward, record(&values));
+    assert_eq!(forward.count(), 4000);
 }
 
 #[test]
@@ -188,22 +174,24 @@ fn stats_json_carries_percentiles_for_every_recorded_histogram() {
     let Json::Obj(map) = histograms else {
         panic!("histograms must be an object")
     };
-    // The superstep phases the runtime promises to measure.
-    for name in [
-        "step/compute_max_ns",
-        "step/barrier_skew_ns",
-        "step/serialize_ns",
-        "step/bucketing_ns",
-        "step/delivery_ns",
-        "step/simulated_net_ns",
-        "step/commit_ns",
-    ] {
-        assert!(map.contains_key(name), "missing histogram {name}");
-    }
-    // The mirror sync is one pass, timed as a whole by `step/commit_ns`.
-    assert!(!map.contains_key("step/mirror_scan_ns"));
+    // One histogram per StepStats duration, and nothing else on an
+    // in-memory run.
+    let names: Vec<&str> = map.keys().map(String::as_str).collect();
+    assert_eq!(
+        names,
+        [
+            "step/barrier_skew_ns",
+            "step/communicate_ns",
+            "step/compute_max_ns",
+            "step/compute_ns",
+            "step/delivery_ns",
+            "step/serialize_max_ns",
+            "step/serialize_ns",
+            "step/simulated_net_ns",
+        ]
+    );
     // Every histogram carries the full percentile summary, internally
-    // consistent.
+    // consistent, and agrees with the per-step records it is folded from.
     for (name, h) in map {
         for field in ["count", "sum", "min", "max", "p50", "p90", "p99"] {
             assert!(
@@ -220,8 +208,17 @@ fn stats_json_carries_percentiles_for_every_recorded_histogram() {
             "{name}: one sample per superstep"
         );
     }
+    let sum = |name: &str| map[name].get("sum").and_then(Json::as_u64);
+    assert_eq!(
+        sum("step/compute_max_ns"),
+        doc.get("parallel_compute_ns").and_then(Json::as_u64)
+    );
+    assert_eq!(
+        sum("step/simulated_net_ns"),
+        doc.get("simulated_net_ns").and_then(Json::as_u64)
+    );
 
-    // Metrics off (the default) keeps the block empty.
+    // Metrics off (the default) renders no block at all.
     let o_off: CliOptions = parse_args(
         ["--algo", "bfs", "--dataset", "OR", "--workers", "4"]
             .iter()
@@ -229,5 +226,5 @@ fn stats_json_carries_percentiles_for_every_recorded_histogram() {
     )
     .unwrap();
     let (_, stats_off) = dispatch(&o_off, &g).expect("bfs");
-    assert!(stats_off.metrics.is_empty());
+    assert!(stats_off.summary_json().get("metrics").is_none());
 }

@@ -418,7 +418,7 @@ fn transport_retransmits_never_exceed_the_budget() {
                     }
                 }
             }
-            let out = t.deliver(step, "sync", &batches, &[], None, &mut stats, None);
+            let out = t.deliver(step, "sync", &batches, &[], None, &mut stats);
             // Each batch gets at most `retries` retransmissions before the
             // sender gives up, so the totals are bounded by the budget.
             assert!(

@@ -22,24 +22,18 @@ use std::sync::Arc;
 
 /// FNV-1a checksum over little-endian `u32`s.
 fn sum_u32(values: &[u32]) -> u64 {
-    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |mut h, v| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    })
+    let mut h = Fnv1a::new();
+    values.iter().for_each(|v| h.update(&v.to_le_bytes()));
+    h.finish()
 }
 
 /// FNV-1a checksum over exact `f64` bit patterns.
 fn sum_f64(values: &[f64]) -> u64 {
-    values.iter().fold(0xcbf2_9ce4_8422_2325u64, |mut h, v| {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    })
+    let mut h = Fnv1a::new();
+    values
+        .iter()
+        .for_each(|v| h.update(&v.to_bits().to_le_bytes()));
+    h.finish()
 }
 
 /// The per-session query list: every kind, roots spread over the graph.

@@ -80,6 +80,9 @@ exact_gate pr_rmat 'runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.acti
 
 echo "==> checkpoint gate (kcore_ckpt: the checkpoint-only store must not move the schedule, the generations or the sync counts, and appends no delta frame)"
 exact_gate kcore_ckpt 'runtime\.(supersteps|ckpt_generations|ckpt_bytes|sync_messages|sync_bytes)|wire_bytes|obs\.events'
-[[ "$(bash benchmark/run.sh --workload kcore_ckpt --seed 12 --seconds 1 --trace 1 | grep -c '^kcore_ckpt/runtime\.ckpt_delta_frames 0 ')" == 1 ]] || { echo "kcore_ckpt: the durable store wrote delta frames" >&2; exit 1; }
+# A generation is one 56 B header: 26 of them fsync exactly 1456 B.
+ckpt="$(bash benchmark/run.sh --workload kcore_ckpt --seed 12 --seconds 1 --trace 1)"
+[[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_delta_frames 0 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store wrote delta frames" >&2; exit 1; }
+[[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_bytes_fsynced 1456 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store did not fsync exactly 26 x 56 B generations" >&2; exit 1; }
 
 echo "==> OK"

@@ -63,9 +63,9 @@ pub struct CliOptions {
     /// checkpoint is committed to disk through a crash-consistent
     /// two-phase commit. `None` keeps the store fully inert.
     pub durable_dir: Option<String>,
-    /// Resume from the durable store (`--resume`): load the newest valid
-    /// generation and continue bit-identically where a killed run left
-    /// off. Requires `--durable-dir`.
+    /// Resume from the durable store (`--resume`): re-execute the killed
+    /// run bit-identically and verify it against the newest valid
+    /// generation's digest. Requires `--durable-dir`.
     pub resume: bool,
     /// Scripted cold-restart kill switch (`--halt-after N`): durable
     /// persistence freezes at superstep `N` and the run reports a clean

@@ -641,8 +641,8 @@ fn consensus(smoke: bool) -> bool {
 
 /// The durable checkpoint store. Cold-restart sweep: the scripted kill
 /// switch stops the run at every checkpoint boundary in turn and a fresh
-/// `--resume` must recompute from the newest generation and finish
-/// bit-identically. Disk-fault sweep: a
+/// `--resume` must re-execute, pass the newest generation's digest check
+/// and finish bit-identically. Disk-fault sweep: a
 /// failed fsync must be transparent, and a torn or bit-rotted generation
 /// must be caught by the scrub at the next cold start and fallen back
 /// from, still bit-identically.
@@ -668,7 +668,7 @@ fn durable(smoke: bool) -> bool {
         sw.workers,
         SCENARIOS.len()
     );
-    let (mut total_resumes, mut total_restored, mut total_fallbacks, mut total_ioerrs) =
+    let (mut total_resumes, mut total_verified, mut total_fallbacks, mut total_ioerrs) =
         (0u64, 0u64, 0u64, 0u64);
     for &algo in algos {
         let mut base = sw.opts(algo);
@@ -678,7 +678,7 @@ fn durable(smoke: bool) -> bool {
         };
         let steps = clean.1.num_supersteps();
 
-        let (mut resumes, mut restored) = (0u64, 0u64);
+        let (mut resumes, mut verified) = (0u64, 0u64);
         for k in (INTERVAL..steps).step_by(INTERVAL) {
             let dir = TempDirGuard::new(&format!("fig-durable-{algo}-{k}"));
             let mut halted = base.clone();
@@ -706,7 +706,7 @@ fn durable(smoke: bool) -> bool {
             resume.resume = true;
             if let Some(run) = sw.faulted(&format!("{algo} (resume@{k})"), &resume, &clean) {
                 resumes += 1;
-                restored += run.stats.durability.resumed_steps;
+                verified += run.stats.durability.resumed_steps;
             }
         }
 
@@ -746,12 +746,12 @@ fn durable(smoke: bool) -> bool {
             }
         }
         total_resumes += resumes;
-        total_restored += restored;
+        total_verified += verified;
         total_fallbacks += fallbacks;
         total_ioerrs += ioerrs;
 
         let mut line = vec!["ok".to_string()];
-        line.extend([steps as u64, resumes, restored, fallbacks, ioerrs].map(|n| n.to_string()));
+        line.extend([steps as u64, resumes, verified, fallbacks, ioerrs].map(|n| n.to_string()));
         sw.table.push((algo.to_string(), line));
         sw.rows.push(
             Json::object()
@@ -759,18 +759,18 @@ fn durable(smoke: bool) -> bool {
                 .set("summary", clean.0.as_str())
                 .set("supersteps", steps)
                 .set("resumes", resumes)
-                .set("restored_steps", restored)
+                .set("verified_steps", verified)
                 .set("fallbacks", fallbacks)
                 .set("io_errors", ioerrs),
         );
     }
     sw.print_table(&[
-        "Algo", "exact", "steps", "resumes", "restored", "fallback", "ioerr",
+        "Algo", "exact", "steps", "resumes", "verified", "fallback", "ioerr",
     ]);
     sw.require_fired(total_resumes, "no cold restart was ever resumed");
     sw.require_fired(
-        total_restored,
-        "no resume ever restored a checkpoint past step 0",
+        total_verified,
+        "no resume was ever verified against a generation past step 0",
     );
     sw.require_fired(
         total_fallbacks,
@@ -789,7 +789,7 @@ fn durable(smoke: bool) -> bool {
         .collect();
     let totals = Json::object()
         .set("resumes", total_resumes)
-        .set("restored_steps", total_restored)
+        .set("verified_steps", total_verified)
         .set("fallbacks", total_fallbacks)
         .set("io_errors", total_ioerrs);
     let doc = Json::object()
@@ -799,7 +799,7 @@ fn durable(smoke: bool) -> bool {
     sw.finish(
         "durable",
         doc,
-        "all runs resumed bit-identically from cold restart and survived torn/bit-rotted \
-         generations via scrub fallback",
+        "all cold restarts re-executed bit-identically, were verified against the disk's \
+         digest, and survived torn/bit-rotted generations via scrub fallback",
     )
 }

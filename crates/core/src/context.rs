@@ -62,11 +62,11 @@ impl<V: VertexData> FlashContext<V> {
     }
 
     /// Builds a context with the default hash partitioner for a vertex
-    /// type the durable checkpoint store can serialize. Behaves exactly
-    /// like [`FlashContext::build`] when no `durable_dir` is configured
-    /// (the store stays fully inert); with one, checkpoints are committed
-    /// to disk, and `config.durable_resume` resumes a killed run
-    /// bit-identically.
+    /// type the durable checkpoint store can digest. Behaves exactly like
+    /// [`FlashContext::build`] when no `durable_dir` is configured (the
+    /// store stays fully inert); with one, every checkpoint commits a
+    /// digest of the state to disk, and `config.durable_resume`
+    /// re-executes a killed run and verifies it against the newest one.
     pub fn build_durable(
         graph: Arc<Graph>,
         config: ClusterConfig,

@@ -425,35 +425,28 @@ events! {
     CheckpointDurable = "checkpoint_durable" {
         /// The generation number committed.
         generation: u64,
-        /// The superstep the generation's checkpoint frame precedes.
+        /// The superstep the generation's checkpoint precedes.
         step: u64,
-        /// Frames in the generation file: always 1, the checkpoint frame.
-        frames: u64,
         /// Bytes written and fsynced for this commit.
         bytes: u64,
-    } => "step {step} durable gen {generation} committed: {frames} frame(s), {bytes}B fsynced";
-    /// The scrub pass at open condemned a damaged generation and skipped
-    /// it.
+    } => "step {step} durable gen {generation} committed: {bytes}B fsynced";
+    /// The scrub pass at open condemned a damaged generation and fell
+    /// back to an older one (with nothing older left the resume fails
+    /// with `DurabilityLost` before any event is emitted).
     CheckpointScrubbed = "checkpoint_scrubbed" {
         /// The damaged generation number.
         generation: u64,
-        /// What the scrub found: e.g. `"frame checksum mismatch"`,
-        /// `"truncated mid-frame"`.
+        /// What the scrub found: e.g. `"header checksum mismatch"`,
+        /// `"truncated header"`.
         reason: String,
-        /// Always `true`: the scrub fell back to an older generation (with
-        /// nothing older left the resume fails with `DurabilityLost`
-        /// before any event is emitted).
-        fallback: bool,
-    } => "scrub: gen {generation} damaged ({reason}); {}", if *fallback { "falling back to previous generation" } else { "no fallback" };
+    } => "scrub: gen {generation} damaged ({reason}); falling back to previous generation";
     /// A generation commit's write or fsync failed (injected `ioerr@`
     /// fault or a real I/O error): nothing was committed, and the commit
     /// is retried at the next superstep.
     DurableIoError = "durable_io_error" {
         /// The superstep whose durable write failed.
         step: u64,
-        /// The failed operation: always `"checkpoint"`.
-        op: String,
-    } => "step {step} durable {op} write failed (injected ioerr); commit skipped";
+    } => "step {step} durable checkpoint write failed (injected ioerr); commit skipped";
     /// A serving session opened over a shared immutable snapshot
     /// (emitted by `flash_runtime::Session::new`).
     SessionStart = "session_start" {
@@ -691,18 +684,13 @@ mod tests {
             EventKind::CheckpointDurable {
                 generation: 3,
                 step: 8,
-                frames: 5,
                 bytes: 4096,
             },
             EventKind::CheckpointScrubbed {
                 generation: 3,
-                reason: "frame checksum mismatch".into(),
-                fallback: true,
+                reason: "header checksum mismatch".into(),
             },
-            EventKind::DurableIoError {
-                step: 4,
-                op: "checkpoint".into(),
-            },
+            EventKind::DurableIoError { step: 4 },
             EventKind::SessionStart {
                 session: 3,
                 vertices: 1000,
@@ -739,7 +727,7 @@ mod tests {
     /// low bits, and the `*_us` twins of `*_ns` fields and the `sync_plan`
     /// properties, which schema 4 dropped.
     const GOLDEN: [&str; 26] = [
-        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":4,"seed":42,"seq":3,"workers":4}"#,
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":5,"seed":42,"seq":3,"workers":4}"#,
         r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"seq":4,"vertices":1000,"workers":4}"#,
         r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
         r#"{"compute_ns":500200,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
@@ -758,9 +746,9 @@ mod tests {
         r#"{"event":"leader_elected","leader":1,"live_hosts":3,"seq":19,"step":5,"term":2,"votes":3}"#,
         r#"{"acks":3,"event":"log_committed","index":4,"kind":"checkpoint_commit","quorum":2,"seq":20,"step":5,"term":2}"#,
         r#"{"accusers":3,"event":"worker_accused","expected":"0xcbf29ce484222325","observed":"0xcbf29ce484222324","quorum":2,"seq":21,"step":5,"worker":2}"#,
-        r#"{"bytes":4096,"event":"checkpoint_durable","frames":5,"generation":3,"seq":22,"step":8}"#,
-        r#"{"event":"checkpoint_scrubbed","fallback":true,"generation":3,"reason":"frame checksum mismatch","seq":23}"#,
-        r#"{"event":"durable_io_error","op":"checkpoint","seq":24,"step":4}"#,
+        r#"{"bytes":4096,"event":"checkpoint_durable","generation":3,"seq":22,"step":8}"#,
+        r#"{"event":"checkpoint_scrubbed","generation":3,"reason":"header checksum mismatch","seq":23}"#,
+        r#"{"event":"durable_io_error","seq":24,"step":4}"#,
         r#"{"edges":5000,"event":"session_start","seq":25,"session":3,"vertices":1000,"workers":4}"#,
         r#"{"event":"session_end","queries":250,"seq":26,"session":3,"total_latency_us":98765}"#,
         r#"{"batch":0,"event":"update_applied","inserted":12,"removed":4,"repaired":"cc+pagerank","seq":27,"session":3,"touched":20}"#,

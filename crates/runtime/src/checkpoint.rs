@@ -38,8 +38,9 @@ pub struct Checkpoint<V: VertexData> {
     /// The superstep the snapshot precedes (the next step to run when it
     /// was taken).
     pub step: u64,
-    /// Serialized size charged for the snapshot: master slots only, since
-    /// mirrors are reconstructible from masters and need not be persisted.
+    /// The modelled cost of shipping the snapshot off-worker: each master
+    /// slot with its 4 B vertex id. The snapshot itself holds every
+    /// replica.
     pub bytes: u64,
     states: Vec<Vec<V>>,
 }
@@ -64,8 +65,9 @@ impl<V: VertexData> Checkpoint<V> {
     }
 }
 
-/// Serialized size of a checkpoint of `states`: master slots only, since
-/// mirrors are reconstructible from masters and need not be persisted.
+/// The modelled cost in bytes of shipping a checkpoint of `states`: each
+/// master slot with its 4 B vertex id. Only the masters are priced, not
+/// what [`Checkpoint::capture`] snapshots — every replica.
 pub(crate) fn master_bytes<V: VertexData>(
     states: &[WorkerState<V>],
     partition: &PartitionMap,

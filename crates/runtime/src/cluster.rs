@@ -113,11 +113,11 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Builds a cluster with the durable checkpoint store attached
-    /// (`config.durable_dir` must be set): every checkpoint is committed
-    /// as a generation file through a crash-consistent two-phase commit,
-    /// so a killed run can be resumed bit-identically by
-    /// [`Cluster::resume`].
-    /// With `config.durable_resume` set, this *opens* the store instead of
+    /// (`config.durable_dir` must be set): every checkpoint commits a
+    /// generation file — its step and a digest of the state — through a
+    /// crash-consistent two-phase commit, so a killed run's re-execution
+    /// can be verified by [`Cluster::resume`]. With
+    /// `config.durable_resume` set, this *opens* the store instead of
     /// starting it fresh.
     pub fn new_durable(
         graph: Arc<Graph>,
@@ -144,10 +144,10 @@ impl<V: VertexData> Cluster<V> {
         let vertices = graph.num_vertices();
         let halt = config.durable_halt_after;
         let (session, scrubs) = if config.durable_resume {
-            DurableSession::open(&dir, workers, vertices, halt, V::encode, V::decode)?
+            DurableSession::open(&dir, workers, vertices, halt, V::encode)?
         } else {
             (
-                DurableSession::create(&dir, workers, vertices, halt, V::encode, V::decode)?,
+                DurableSession::create(&dir, workers, vertices, halt, V::encode)?,
                 Vec::new(),
             )
         };
@@ -155,10 +155,11 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Resumes a killed run from the durable checkpoint store in
-    /// `config.durable_dir`: the scrub pass loads the newest valid
+    /// `config.durable_dir`: the scrub pass takes the newest valid
     /// generation (falling back past condemned ones), the driver
-    /// re-executes the schedule, the loaded checkpoint is authoritative
-    /// at its step, and the run continues bit-identically to an
+    /// re-executes the schedule from step 0, and at the generation's step
+    /// the re-executed state must match its digest — else the run ends in
+    /// [`RuntimeError::DurabilityLost`]. The run is bit-identical to an
     /// uninterrupted one.
     pub fn resume(
         graph: Arc<Graph>,
@@ -299,12 +300,10 @@ impl<V: VertexData> Cluster<V> {
         // condemned generation is one event and one fallback hop to an
         // older generation.
         for report in scrubs {
-            cluster.stats.durability.scrub_repairs += 1;
             cluster.stats.durability.fallbacks += 1;
             cluster.emit(EventKind::CheckpointScrubbed {
                 generation: report.generation,
                 reason: report.reason,
-                fallback: true,
             });
         }
         Ok(cluster)

@@ -76,8 +76,9 @@ impl<V: VertexData> Cluster<V> {
 
     /// Seats the first coordinator before the first superstep (so
     /// `leader@0` has someone to crash), and on a resumed run spends the
-    /// faults scripted before the loaded checkpoint: they fired in the
-    /// killed run, and up to that step the checkpoint is authoritative.
+    /// faults scripted before the loaded generation: they fired in the
+    /// killed run, whose state up to that step the generation's digest
+    /// verifies.
     pub(super) fn start_faults(&mut self) {
         let frontier = self.durable.as_ref().and_then(DurableSession::pending_step);
         self.with_faults(|c, faults| {
@@ -178,14 +179,10 @@ impl<V: VertexData> Cluster<V> {
             return true;
         };
         let outcome = if due {
-            d.on_checkpoint(step, &mut self.states, ioerr, &mut self.stats.durability)
+            d.on_checkpoint(step, &self.states, ioerr, &mut self.stats.durability)
         } else {
             Ok(DiskWrite::None)
         };
-        debug_assert!(
-            d.last_apply_matched,
-            "resumed re-execution diverged from the durable checkpoint at step {step}"
-        );
         for (kind, byte, mask) in damage {
             d.damage(kind, byte, mask);
         }
@@ -195,16 +192,12 @@ impl<V: VertexData> Cluster<V> {
                 self.emit(EventKind::CheckpointDurable {
                     generation,
                     step,
-                    frames: 1,
                     bytes,
                 });
                 true
             }
             Ok(DiskWrite::Failed) => {
-                self.emit(EventKind::DurableIoError {
-                    step,
-                    op: "checkpoint".to_string(),
-                });
+                self.emit(EventKind::DurableIoError { step });
                 false
             }
             Err(e) => {

@@ -116,9 +116,11 @@ pub struct ClusterConfig {
     /// [`crate::durable::DurableValue`].
     pub durable_dir: Option<std::path::PathBuf>,
     /// Resume from the durable store instead of starting fresh: the
-    /// newest valid generation in [`durable_dir`](Self::durable_dir) is
-    /// loaded and the schedule recomputed from it, continuing
-    /// bit-identically where the killed run left off. Ignored without a
+    /// schedule re-executes from step 0, and at the step of the newest
+    /// valid generation in [`durable_dir`](Self::durable_dir) the
+    /// re-executed state is verified against that generation's digest
+    /// (a mismatch is [`RuntimeError::DurabilityLost`](crate::RuntimeError)).
+    /// From there the run commits like the killed one. Ignored without a
     /// durable directory.
     pub durable_resume: bool,
     /// Scripted cold-restart kill switch: durable persistence freezes at

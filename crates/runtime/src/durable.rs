@@ -2,33 +2,30 @@
 //!
 //! The in-memory recovery layer ([`crate::checkpoint`]) survives faults
 //! *within one process lifetime*: a whole-process kill loses every
-//! superstep of work. This module extends the `.fgb` on-disk discipline
-//! to *mutable* state: every checkpoint (full per-replica vertex state)
-//! is committed to disk as a **generation**, and nothing is written
-//! between checkpoints. A cold restart re-executes the schedule from
-//! step 0 writing nothing, takes the newest valid generation as
-//! authoritative when it reaches that generation's step, and from there
-//! runs — and commits — like the killed run, recomputing everything after
-//! the checkpoint: Pregel's checkpoint at an interval and recompute
-//! since, which determinism makes bit-identical.
+//! superstep of work. A FLASH run is deterministic BSP, so a cold restart
+//! re-executes the schedule from step 0 — Pregel's checkpoint and
+//! recompute. The disk therefore keeps no copy of the state, only a
+//! commitment to it: every checkpoint commits a **generation** holding
+//! its step and a digest of the full per-replica vertex state. A restart
+//! writes nothing until it reaches the newest valid generation's step,
+//! checks its re-executed state against that digest — a mismatch is
+//! [`RuntimeError::DurabilityLost`] — and from there runs, and commits,
+//! like the killed run.
 //!
-//! # On-disk format (`FCK1`, version 3)
+//! # On-disk format (`FCK1`, version 4)
 //!
-//! One file per generation, `gen-N.fck`, exactly a header and one
-//! checkpoint frame:
+//! One file per generation, `gen-N.fck`, exactly one 56-byte header:
 //!
 //! ```text
-//! header (48 B): magic "FCK1", version u32, generation u64,
-//!                checkpoint step u64, workers u64, vertices u64,
-//!                FNV-1a checksum of the preceding 40 bytes
-//! frame:         kind u32 (0 = checkpoint), step u64,
-//!                payload_len u64, payload,
-//!                FNV-1a checksum u64 of kind..payload
+//! magic "FCK1", version u32, generation u64, checkpoint step u64,
+//! workers u64, vertices u64, digest u64,
+//! FNV-1a checksum u64 of the preceding 48 bytes
 //! ```
 //!
-//! The payload is every replica's full state — replicas may diverge in
-//! non-critical fields under `CriticalOnly` sync, so masters alone are
-//! not enough to rebuild the cluster. All integers are little-endian.
+//! `digest` is FNV-1a over every replica's state in worker order, each
+//! slot through [`DurableValue::encode`]. Every replica, not just the
+//! masters: replicas may diverge in non-critical fields under
+//! `CriticalOnly` sync. All integers are little-endian.
 //!
 //! # Commit protocol
 //!
@@ -43,10 +40,10 @@
 //! # Scrub and fallback
 //!
 //! Opening a store for resume deletes stale `.tmp` files and validates
-//! generations newest-first. A generation is exactly its header and
-//! frame 0, so any damage — a flipped byte, a cut, a trailing byte —
-//! condemns it (a `checkpoint_scrubbed` trace event) and the scrub falls
-//! back to the next older one; when none remains the run degrades to
+//! generations newest-first. A generation is exactly its header, so any
+//! damage — a flipped byte, a cut, a trailing byte — condemns it (a
+//! `checkpoint_scrubbed` trace event) and the scrub falls back to the
+//! next older one; when none remains the run degrades to
 //! [`RuntimeError::DurabilityLost`].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -56,7 +53,7 @@ use crate::fault::FaultKind;
 use crate::state::WorkerState;
 use crate::stats::DurabilityStats;
 use crate::VertexData;
-use flash_graph::hash::fnv1a;
+use flash_graph::hash::{fnv1a, Fnv1a};
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -64,58 +61,18 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every generation file.
 pub const MAGIC: [u8; 4] = *b"FCK1";
 /// Current format version. Older versions are rejected, not migrated:
-/// stores are per-run scratch. Version 1 was footer-terminated and
-/// rewritten whole on every delta. Version 2 has today's layout, but the
-/// header does not identify the value layout, so the version also changes
-/// when a catalogue value type does: a version 2 PageRank store holds
-/// `{ rank, acc }`, which version 3 would read as `{ rank, share }`.
-pub const VERSION: u32 = 3;
-/// Fixed header length in bytes.
-const HEADER_LEN: usize = 48;
-/// Bytes of the frame before its payload: kind, step, payload length.
-const FRAME_HEAD: usize = 20;
-/// Frame kind: a full per-replica checkpoint, the only kind written.
-const FRAME_CHECKPOINT: u32 = 0;
-
-/// Cursor over a frame payload handed to [`DurableValue::decode`].
-/// Returns `None` past the end, so a short or corrupted payload degrades
-/// to a decode failure instead of a panic.
-pub struct FrameReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    /// Wraps a payload slice.
-    pub fn new(buf: &'a [u8]) -> Self {
-        FrameReader { buf, pos: 0 }
-    }
-
-    /// The next `n` bytes, or `None` when fewer remain.
-    pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
+/// stores are per-run scratch. Versions 1–3 stored the state itself;
+/// version 4 stores its digest.
+pub const VERSION: u32 = 4;
+/// Length of a generation file, which is exactly its header.
+const HEADER_LEN: usize = 56;
 
 /// A field type the [`durable_value!`](crate::durable_value) macro knows
-/// how to serialize: fixed-width little-endian for scalars, length-
-/// prefixed for vectors.
-pub trait DurableField: Sized {
+/// how to encode: fixed-width little-endian for scalars, length-prefixed
+/// for vectors.
+pub trait DurableField {
     /// Appends the encoded field.
     fn put(&self, out: &mut Vec<u8>);
-    /// Decodes one field, `None` on truncation or an invalid encoding.
-    fn take(r: &mut FrameReader<'_>) -> Option<Self>;
 }
 
 macro_rules! durable_scalar {
@@ -123,10 +80,6 @@ macro_rules! durable_scalar {
         impl DurableField for $t {
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
-            }
-            fn take(r: &mut FrameReader<'_>) -> Option<Self> {
-                let b = r.bytes(std::mem::size_of::<$t>())?;
-                Some(<$t>::from_le_bytes(b.try_into().ok()?))
             }
         }
     )*};
@@ -137,21 +90,11 @@ impl DurableField for bool {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
-    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
-        match r.bytes(1)? {
-            [0] => Some(false),
-            [1] => Some(true),
-            _ => None,
-        }
-    }
 }
 
 impl DurableField for usize {
     fn put(&self, out: &mut Vec<u8>) {
         (*self as u64).put(out);
-    }
-    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
-        usize::try_from(u64::take(r)?).ok()
     }
 }
 
@@ -162,31 +105,17 @@ impl<T: DurableField> DurableField for Vec<T> {
             item.put(out);
         }
     }
-    fn take(r: &mut FrameReader<'_>) -> Option<Self> {
-        let len = usize::try_from(u64::take(r)?).ok()?;
-        // A corrupted length must not trigger a huge allocation: the
-        // payload can hold at most `remaining` one-byte items.
-        if len > r.remaining() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::take(r)?);
-        }
-        Some(out)
-    }
 }
 
-/// A vertex type the durable store can serialize. Implement with the
+/// A vertex type the durable store can digest. Implement with the
 /// [`durable_value!`](crate::durable_value) macro (listing every field),
-/// or by hand for exotic layouts. The contract is a lossless round-trip:
-/// `decode(encode(v)) == v` bit-for-bit, so a resumed run continues
-/// bit-identically to an uninterrupted one.
+/// or by hand for exotic layouts. The contract is an unambiguous
+/// encoding of the full state: two values that differ in any bit must
+/// encode differently, so a resumed run whose state diverged cannot
+/// pass the digest check.
 pub trait DurableValue: VertexData {
     /// Appends the vertex's full state.
     fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes one vertex, `None` on truncation or an invalid encoding.
-    fn decode(r: &mut FrameReader<'_>) -> Option<Self>;
 }
 
 /// Implements [`DurableValue`] for a struct by listing *all* of its
@@ -203,117 +132,82 @@ macro_rules! durable_value {
     ($t:ty { $($f:ident),* $(,)? }) => {
         impl $crate::durable::DurableValue for $t {
             fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                let Self { $($f: _),* } = self;
                 let _ = &out;
                 $($crate::durable::DurableField::put(&self.$f, out);)*
-            }
-            fn decode(
-                r: &mut $crate::durable::FrameReader<'_>,
-            ) -> ::core::option::Option<Self> {
-                let _ = &r;
-                ::core::option::Option::Some(Self {
-                    $($f: $crate::durable::DurableField::take(r)?,)*
-                })
             }
         }
     };
 }
 
-/// Encodes a whole generation file: the header, then the one checkpoint
-/// frame whose payload `fill` writes, checksummed in place (no payload
-/// copy).
-fn encode_generation(
+/// A generation: the whole file's content.
+#[derive(Debug, PartialEq, Eq)]
+struct Generation {
     generation: u64,
     step: u64,
     workers: u64,
     vertices: u64,
-    fill: impl FnOnce(&mut Vec<u8>),
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    for word in [generation, step, workers, vertices] {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    let sum = fnv1a(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out.extend_from_slice(&FRAME_CHECKPOINT.to_le_bytes());
-    out.extend_from_slice(&step.to_le_bytes());
-    out.extend_from_slice(&[0; 8]);
-    fill(&mut out);
-    let payload_len = (out.len() - HEADER_LEN - FRAME_HEAD) as u64;
-    out[HEADER_LEN + 12..HEADER_LEN + FRAME_HEAD].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = fnv1a(&out[HEADER_LEN..]);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    digest: u64,
 }
 
-/// A verified generation file: its header fields and checkpoint payload.
-struct ParsedStore {
-    generation: u64,
-    step: u64,
-    workers: u64,
-    vertices: u64,
-    payload: Vec<u8>,
-}
+impl Generation {
+    /// The file bytes: the header fields, then their checksum.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN);
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        let words = [
+            self.generation,
+            self.step,
+            self.workers,
+            self.vertices,
+            self.digest,
+        ];
+        for word in words {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
 
-fn read_u32(buf: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?))
-}
-
-fn read_u64(buf: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
-}
-
-/// Parses a generation file, which must be exactly a header and one
-/// checkpoint frame, both verified. The error string is the scrub reason
-/// condemning the generation.
-fn parse_store(buf: &[u8]) -> Result<ParsedStore, String> {
-    const TORN: &str = "truncated mid-frame";
-    if buf.len() < HEADER_LEN {
-        return Err("truncated header".into());
+    /// Parses a generation file, which must be exactly one verified
+    /// header. The error string is the scrub reason condemning it.
+    fn parse(buf: &[u8]) -> Result<Self, String> {
+        let Some(head) = buf.get(..HEADER_LEN) else {
+            return Err("truncated header".into());
+        };
+        if head[0..4] != MAGIC {
+            return Err("bad magic".into());
+        }
+        let mut version = [0; 4];
+        version.copy_from_slice(&head[4..8]);
+        let version = u32::from_le_bytes(version);
+        if version != VERSION {
+            return Err(format!("unsupported version {version}"));
+        }
+        let word = |i: usize| {
+            let mut w = [0; 8];
+            w.copy_from_slice(&head[8 + 8 * i..16 + 8 * i]);
+            u64::from_le_bytes(w)
+        };
+        if word(5) != fnv1a(&head[..HEADER_LEN - 8]) {
+            return Err("header checksum mismatch".into());
+        }
+        if buf.len() > HEADER_LEN {
+            return Err(format!(
+                "{} byte(s) after the header",
+                buf.len() - HEADER_LEN
+            ));
+        }
+        Ok(Generation {
+            generation: word(0),
+            step: word(1),
+            workers: word(2),
+            vertices: word(3),
+            digest: word(4),
+        })
     }
-    if buf[0..4] != MAGIC {
-        return Err("bad magic".into());
-    }
-    let version = read_u32(buf, 4).ok_or("truncated header")?;
-    if version != VERSION {
-        return Err(format!("unsupported version {version}"));
-    }
-    let hsum = read_u64(buf, HEADER_LEN - 8).ok_or("truncated header")?;
-    if hsum != fnv1a(&buf[..HEADER_LEN - 8]) {
-        return Err("header checksum mismatch".into());
-    }
-    let word = |i: usize| read_u64(buf, 8 + 8 * i).ok_or("truncated header");
-    let (generation, step, workers, vertices) = (word(0)?, word(1)?, word(2)?, word(3)?);
-    let kind = read_u32(buf, HEADER_LEN).ok_or(TORN)?;
-    let frame_step = read_u64(buf, HEADER_LEN + 4).ok_or(TORN)?;
-    let payload_len = read_u64(buf, HEADER_LEN + 12).ok_or(TORN)?;
-    // A corrupted length must neither overflow nor pass for a short file.
-    let end = usize::try_from(payload_len)
-        .ok()
-        .and_then(|len| (HEADER_LEN + FRAME_HEAD).checked_add(len))
-        .filter(|end| *end <= buf.len())
-        .ok_or(TORN)?;
-    let sum = read_u64(buf, end).ok_or(TORN)?;
-    if sum != fnv1a(&buf[HEADER_LEN..end]) {
-        return Err("frame checksum mismatch".into());
-    }
-    if kind != FRAME_CHECKPOINT || frame_step != step {
-        return Err("frame 0 is not the header's checkpoint".into());
-    }
-    if end + 8 != buf.len() {
-        return Err(format!(
-            "{} byte(s) after the checkpoint frame",
-            buf.len() - end - 8
-        ));
-    }
-    Ok(ParsedStore {
-        generation,
-        step,
-        workers,
-        vertices,
-        payload: buf[HEADER_LEN + FRAME_HEAD..end].to_vec(),
-    })
 }
 
 /// A generation the scrub pass condemned at open, falling back to an
@@ -327,6 +221,7 @@ pub(crate) struct ScrubReport {
 }
 
 /// Outcome of a checkpoint commit attempt, for the cluster's bookkeeping.
+#[derive(Debug)]
 pub(crate) enum DiskWrite {
     /// Nothing written: the store is resuming, frozen or halted.
     None,
@@ -340,40 +235,35 @@ pub(crate) enum DiskWrite {
     },
     /// The write or an fsync failed — an injected `ioerr@` fault or a
     /// real I/O error. Nothing was committed: the commit is retried at
-    /// the next superstep, and until one lands a resume recomputes from
-    /// the previous generation.
+    /// the next superstep, and until one lands a resume is verified
+    /// against the previous generation.
     Failed,
 }
 
 /// The cluster's handle on a durable store: the newest generation, the
-/// checkpoint a resumed run has yet to reach, and the fault wiring. A
-/// live session holds no file handle and no payload. Fully inert when
-/// absent — a run without `--durable-dir` never constructs one.
+/// digest a resumed run has yet to reach, and the fault wiring. A live
+/// session holds no file handle. Fully inert when absent — a run without
+/// `--durable-dir` never constructs one.
 pub(crate) struct DurableSession<V> {
     dir: PathBuf,
     encode: fn(&V, &mut Vec<u8>),
-    decode: fn(&mut FrameReader<'_>) -> Option<V>,
     workers: usize,
     vertices: usize,
     /// The newest generation committed or loaded, `None` before the first.
     generation: Option<u64>,
-    /// The checkpoint loaded at open, `(step, payload)`, until the
-    /// resumed run reaches its step; while it is pending nothing is
-    /// written.
-    pending: Option<(u64, Vec<u8>)>,
-    /// Set after `torn@`/`bitrot@` damage is applied: all further writes
-    /// are skipped so the at-rest damage survives to the next cold
-    /// start. Models the process dying right after the damage landed.
+    /// The generation loaded at open, `(step, digest)`, until the resumed
+    /// run reaches its step; while it is pending nothing is written.
+    pending: Option<(u64, u64)>,
+    /// Set after `torn@`/`bitrot@` damage is applied, or a failed digest
+    /// check: all further writes are skipped so what is on disk survives
+    /// to the next cold start. Models the process dying right after the
+    /// damage landed; a run that failed its check commits nothing.
     wedged: bool,
     /// The scripted cold-restart kill switch: persistence freezes at the
     /// first superstep `>= halt_after` and the run degrades to
     /// [`RuntimeError::Halted`].
     halt_after: Option<u64>,
     halted: Option<u64>,
-    /// Whether the loaded checkpoint matched the re-executed in-memory
-    /// state byte-for-byte (always expected; surfaced for a debug
-    /// assertion in the cluster).
-    pub(crate) last_apply_matched: bool,
 }
 
 impl<V> std::fmt::Debug for DurableSession<V> {
@@ -383,7 +273,7 @@ impl<V> std::fmt::Debug for DurableSession<V> {
         f.debug_struct("DurableSession")
             .field("dir", &self.dir)
             .field("generation", &self.generation)
-            .field("pending", &self.pending_step())
+            .field("pending", &self.pending)
             .field("wedged", &self.wedged)
             .field("halt_after", &self.halt_after)
             .field("halted", &self.halted)
@@ -392,10 +282,10 @@ impl<V> std::fmt::Debug for DurableSession<V> {
 }
 
 impl<V> DurableSession<V> {
-    /// The step of the checkpoint loaded at open, until the resumed run
+    /// The step of the generation loaded at open, until the resumed run
     /// reaches it.
     pub(crate) fn pending_step(&self) -> Option<u64> {
-        self.pending.as_ref().map(|(step, _)| *step)
+        self.pending.map(|(step, _)| step)
     }
 }
 
@@ -406,12 +296,10 @@ impl<V: VertexData> DurableSession<V> {
         vertices: usize,
         halt_after: Option<u64>,
         encode: fn(&V, &mut Vec<u8>),
-        decode: fn(&mut FrameReader<'_>) -> Option<V>,
     ) -> Self {
         DurableSession {
             dir: dir.to_path_buf(),
             encode,
-            decode,
             workers,
             vertices,
             generation: None,
@@ -419,7 +307,6 @@ impl<V: VertexData> DurableSession<V> {
             wedged: false,
             halt_after,
             halted: None,
-            last_apply_matched: true,
         }
     }
 
@@ -431,7 +318,6 @@ impl<V: VertexData> DurableSession<V> {
         vertices: usize,
         halt_after: Option<u64>,
         encode: fn(&V, &mut Vec<u8>),
-        decode: fn(&mut FrameReader<'_>) -> Option<V>,
     ) -> Result<Self, RuntimeError> {
         fs::create_dir_all(dir)
             .map_err(|e| RuntimeError::Storage(format!("durable dir {dir:?}: {e}")))?;
@@ -439,22 +325,19 @@ impl<V: VertexData> DurableSession<V> {
             let _ = fs::remove_file(path);
         }
         remove_tmp_files(dir);
-        Ok(Self::new(
-            dir, workers, vertices, halt_after, encode, decode,
-        ))
+        Ok(Self::new(dir, workers, vertices, halt_after, encode))
     }
 
     /// Opens an existing store for resume: scrubs the directory and
-    /// loads the newest generation that verifies as the pending
-    /// checkpoint. Every condemned generation is reported; no valid
-    /// generation degrades to [`RuntimeError::DurabilityLost`].
+    /// takes the newest generation that verifies as the pending digest.
+    /// Every condemned generation is reported; no valid generation
+    /// degrades to [`RuntimeError::DurabilityLost`].
     pub(crate) fn open(
         dir: &Path,
         workers: usize,
         vertices: usize,
         halt_after: Option<u64>,
         encode: fn(&V, &mut Vec<u8>),
-        decode: fn(&mut FrameReader<'_>) -> Option<V>,
     ) -> Result<(Self, Vec<ScrubReport>), RuntimeError> {
         remove_tmp_files(dir);
         let mut gens = list_generations(dir);
@@ -468,7 +351,7 @@ impl<V: VertexData> DurableSession<V> {
         for (gen, path) in &gens {
             let loaded = fs::read(path)
                 .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|buf| parse_store(&buf))
+                .and_then(|buf| Generation::parse(&buf))
                 .and_then(|parsed| {
                     if parsed.generation != *gen {
                         return Err(format!(
@@ -487,9 +370,9 @@ impl<V: VertexData> DurableSession<V> {
                 });
             match loaded {
                 Ok(parsed) => {
-                    let mut session = Self::new(dir, workers, vertices, halt_after, encode, decode);
+                    let mut session = Self::new(dir, workers, vertices, halt_after, encode);
                     session.generation = Some(*gen);
-                    session.pending = Some((parsed.step, parsed.payload));
+                    session.pending = Some((parsed.step, parsed.digest));
                     return Ok((session, reports));
                 }
                 Err(reason) => reports.push(ScrubReport {
@@ -523,37 +406,29 @@ impl<V: VertexData> DurableSession<V> {
         self.dir.join(format!("gen-{generation}.fck"))
     }
 
-    fn encode_checkpoint(&self, states: &[WorkerState<V>], out: &mut Vec<u8>) {
-        for st in states {
-            for v in &st.current {
-                (self.encode)(v, out);
-            }
+    /// FNV-1a over every replica's encoded state, in worker order.
+    fn digest(&self, states: &[WorkerState<V>]) -> u64 {
+        let mut hash = Fnv1a::new();
+        let mut buf = Vec::new();
+        for v in states.iter().flat_map(|st| &st.current) {
+            buf.clear();
+            (self.encode)(v, &mut buf);
+            hash.update(&buf);
         }
-    }
-
-    fn apply_checkpoint(&self, payload: &[u8], states: &mut [WorkerState<V>]) -> Option<()> {
-        let mut r = FrameReader::new(payload);
-        for st in states.iter_mut() {
-            for v in st.current.iter_mut() {
-                *v = (self.decode)(&mut r)?;
-            }
-        }
-        if r.remaining() != 0 {
-            return None;
-        }
-        Some(())
+        hash.finish()
     }
 
     /// Writes generation `generation` through the two-phase commit and
     /// returns its length in bytes.
     fn persist(&self, generation: u64, step: u64, states: &[WorkerState<V>]) -> io::Result<u64> {
-        let bytes = encode_generation(
+        let bytes = Generation {
             generation,
             step,
-            self.workers as u64,
-            self.vertices as u64,
-            |out| self.encode_checkpoint(states, out),
-        );
+            workers: self.workers as u64,
+            vertices: self.vertices as u64,
+            digest: self.digest(states),
+        }
+        .encode();
         let tmp = self.dir.join(format!("gen-{generation}.tmp"));
         {
             let mut f = File::create(&tmp)?;
@@ -569,34 +444,31 @@ impl<V: VertexData> DurableSession<V> {
     /// The checkpoint hook, called by `maybe_checkpoint` *before* the
     /// stats/trace/consensus bookkeeping, at the superstep the snapshot
     /// precedes. A resumed run writes nothing until it reaches the loaded
-    /// checkpoint's step; there the checkpoint is checked against the
-    /// re-executed state and applied over it if they differ (disk is
-    /// authoritative), and from there the run commits like a live one —
-    /// starting with a new generation at that very step, as the killed
-    /// run did, which also replaces a condemned newer file. Only a
-    /// [`DiskWrite::Committed`] outcome may feed the consensus
+    /// generation's step; there its re-executed state must match the
+    /// generation's digest, else the run ends in
+    /// [`RuntimeError::DurabilityLost`]. From there the run commits like a
+    /// live one — starting with a new generation at that very step, as
+    /// the killed run did, which also replaces a condemned newer file.
+    /// Only a [`DiskWrite::Committed`] outcome may feed the consensus
     /// `CheckpointCommit` entry.
     pub(crate) fn on_checkpoint(
         &mut self,
         step: u64,
-        states: &mut [WorkerState<V>],
+        states: &[WorkerState<V>],
         ioerr: bool,
         stats: &mut DurabilityStats,
     ) -> Result<DiskWrite, RuntimeError> {
         self.halt_check(step);
         match self.pending.take() {
-            Some((at, payload)) if at == step => {
-                let mut reexecuted = Vec::with_capacity(payload.len());
-                self.encode_checkpoint(states, &mut reexecuted);
-                self.last_apply_matched = reexecuted == payload;
-                if !self.last_apply_matched {
-                    self.apply_checkpoint(&payload, states).ok_or_else(|| {
-                        RuntimeError::DurabilityLost(format!(
-                            "generation {} checkpoint frame failed to decode \
-                             (vertex codec mismatch?)",
-                            self.generation.unwrap_or_default()
-                        ))
-                    })?;
+            Some((at, digest)) if at == step => {
+                let reexecuted = self.digest(states);
+                if reexecuted != digest {
+                    self.wedged = true;
+                    return Err(RuntimeError::DurabilityLost(format!(
+                        "generation {} committed digest {digest:#018x} at step {step}, \
+                         but the re-executed state digests to {reexecuted:#018x}",
+                        self.generation.unwrap_or_default()
+                    )));
                 }
                 stats.resumed_steps = step;
             }
@@ -720,7 +592,7 @@ mod tests {
     crate::durable_value!(Unit {});
 
     #[test]
-    fn durable_value_round_trips() {
+    fn durable_value_encodes_every_field_in_order() {
         let v = Val {
             a: 7,
             b: -9,
@@ -730,73 +602,64 @@ mod tests {
         };
         let mut buf = Vec::new();
         v.encode(&mut buf);
-        let mut r = FrameReader::new(&buf);
-        assert_eq!(Val::decode(&mut r), Some(v));
-        assert_eq!(r.remaining(), 0);
-
-        // Truncation degrades to None, never a panic.
-        let mut r = FrameReader::new(&buf[..buf.len() - 1]);
-        assert_eq!(Val::decode(&mut r), None);
+        let mut want = Vec::new();
+        want.extend_from_slice(&7u32.to_le_bytes());
+        want.extend_from_slice(&(-9i64).to_le_bytes());
+        want.extend_from_slice(&2.5f64.to_le_bytes());
+        want.push(1);
+        want.extend_from_slice(&3u64.to_le_bytes());
+        for x in [1u32, 2, 3] {
+            want.extend_from_slice(&x.to_le_bytes());
+        }
+        assert_eq!(buf, want);
 
         // A unit struct costs zero bytes.
         let mut buf = Vec::new();
         Unit.encode(&mut buf);
         assert!(buf.is_empty());
-        let mut r = FrameReader::new(&buf);
-        assert_eq!(Unit::decode(&mut r), Some(Unit));
     }
 
-    #[test]
-    fn bool_and_vec_decoding_reject_garbage() {
-        let mut r = FrameReader::new(&[2]);
-        assert_eq!(bool::take(&mut r), None, "2 is not a bool");
-        // A corrupted huge vector length must not allocate.
-        let mut buf = Vec::new();
-        (u64::MAX).put(&mut buf);
-        let mut r = FrameReader::new(&buf);
-        assert_eq!(Vec::<u32>::take(&mut r), None);
-    }
-
-    /// The only frame prefix that parses is the whole file: a generation
-    /// is exactly its header and frame 0, so every flipped byte (three
+    /// A generation is exactly its header, so every flipped byte (three
     /// masks), every cut and any trailing byte condemns it.
     #[test]
     fn damaged_store_parses_to_an_exact_frame_prefix_or_an_error() {
-        let payload: Vec<u8> = (0..40).collect();
-        let bytes = encode_generation(3, 4, 2, 16, |o| o.extend_from_slice(&payload));
-        assert_eq!(bytes.len(), HEADER_LEN + FRAME_HEAD + payload.len() + 8);
-        let parsed = parse_store(&bytes).expect("round-trip");
-        assert_eq!(
-            (
-                parsed.generation,
-                parsed.step,
-                parsed.workers,
-                parsed.vertices
-            ),
-            (3, 4, 2, 16)
-        );
-        assert_eq!(parsed.payload, payload);
+        let gen = Generation {
+            generation: 3,
+            step: 4,
+            workers: 2,
+            vertices: 16,
+            digest: 0x0123_4567_89ab_cdef,
+        };
+        let bytes = gen.encode();
+        assert_eq!(bytes.len(), HEADER_LEN);
+        assert_eq!(Generation::parse(&bytes), Ok(gen));
 
         for at in 0..bytes.len() {
             for mask in [0x01, 0x40, 0xff] {
                 let mut bad = bytes.clone();
                 bad[at] ^= mask;
-                assert!(parse_store(&bad).is_err(), "flip {mask:#x} at byte {at}");
+                assert!(
+                    Generation::parse(&bad).is_err(),
+                    "flip {mask:#x} at byte {at}"
+                );
             }
         }
         for len in 0..bytes.len() {
-            assert!(parse_store(&bytes[..len]).is_err(), "cut to {len} bytes");
+            assert!(
+                Generation::parse(&bytes[..len]).is_err(),
+                "cut to {len} bytes"
+            );
         }
         let mut long = bytes.clone();
         long.push(0);
-        let err = parse_store(&long).err().expect("trailing byte condemns");
+        let err = Generation::parse(&long).expect_err("trailing byte condemns");
         assert!(err.contains("1 byte(s) after"), "{err}");
 
         // An older file (or any other version) is rejected, not misread.
-        for version in [1u32, 2] {
+        for version in 1u32..=3 {
             let mut old = bytes.clone();
             old[4..8].copy_from_slice(&version.to_le_bytes());
-            let err = parse_store(&old).err().expect("old version rejected");
+            let err = Generation::parse(&old).expect_err("old version rejected");
             assert!(
                 err.contains(&format!("unsupported version {version}")),
                 "{err}"
@@ -816,13 +679,11 @@ mod tests {
         let mut stats = DurabilityStats::default();
         let mut states = val_states(2, 4);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
+            DurableSession::create(dir.path(), 2, 4, None, Val::encode).unwrap();
         // Three checkpoints: gen 0, 1, 2 — retention keeps the last two.
         for step in [0u64, 4, 8] {
             states[0].current[0].a = step as u32;
-            let out = s
-                .on_checkpoint(step, &mut states, false, &mut stats)
-                .unwrap();
+            let out = s.on_checkpoint(step, &states, false, &mut stats).unwrap();
             assert!(matches!(out, DiskWrite::Committed { .. }));
         }
         assert_eq!(stats.generations_written, 3);
@@ -833,42 +694,47 @@ mod tests {
             .collect();
         gens.sort_unstable();
         assert_eq!(gens, vec![1, 2], "gen 0 removed by retention");
-        // Each file is exactly header + frame 0, fsynced once.
+        // Each file is exactly the header, fsynced once.
         let on_disk = |g: u64| fs::metadata(s.gen_path(g)).unwrap().len();
-        let mut one = Vec::new();
-        Val::default().encode(&mut one);
-        let frame0 = HEADER_LEN + FRAME_HEAD + 8 * one.len() + 8;
-        assert_eq!(on_disk(2), frame0 as u64);
-        assert_eq!(stats.bytes_fsynced, 3 * on_disk(2));
+        assert_eq!(on_disk(2), HEADER_LEN as u64);
+        assert_eq!(stats.bytes_fsynced, 3 * HEADER_LEN as u64);
 
-        // The newest generation re-opens as the pending checkpoint. The
-        // resumed run writes nothing before reaching its step, then
-        // applies it over a diverged state and commits from there on.
-        let (mut s2, reports) =
-            DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
+        // The newest generation re-opens as the pending digest. A resumed
+        // run writes nothing before reaching its step, and there a
+        // diverged state is refused, not committed.
+        let open = || DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode).unwrap();
+        let (mut s2, reports) = open();
         assert!(reports.is_empty());
         assert_eq!(s2.generation, Some(2));
         assert_eq!(s2.pending_step(), Some(8));
         let mut resumed = DurabilityStats::default();
-        let mut states = val_states(2, 4);
+        let mut diverged = val_states(2, 4);
         for step in [0u64, 4] {
-            let out = s2.on_checkpoint(step, &mut states, false, &mut resumed);
+            let out = s2.on_checkpoint(step, &diverged, false, &mut resumed);
             assert!(matches!(out, Ok(DiskWrite::None)));
         }
-        let out = s2
-            .on_checkpoint(8, &mut states, false, &mut resumed)
-            .unwrap();
+        let err = s2
+            .on_checkpoint(8, &diverged, false, &mut resumed)
+            .expect_err("diverged state refused");
+        assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
+        assert!(err.to_string().contains("generation 2"), "{err}");
+        assert_eq!(resumed, DurabilityStats::default(), "nothing verified");
+        assert!(!s2.gen_path(3).exists(), "nothing written");
+
+        // The state the killed run had at step 8 passes and the run
+        // commits from there on, the same digest again.
+        let (mut s3, _) = open();
+        diverged[0].current[0].a = 8;
+        let out = s3.on_checkpoint(8, &diverged, false, &mut resumed).unwrap();
         assert!(matches!(out, DiskWrite::Committed { generation: 3, .. }));
-        assert!(!s2.last_apply_matched, "re-execution diverged");
-        assert_eq!(states[0].current[0].a, 8, "disk state applied");
-        assert_eq!(s2.pending_step(), None);
+        assert_eq!(s3.pending_step(), None);
         assert_eq!(resumed.resumed_steps, 8);
-        let parsed = |g| parse_store(&fs::read(s2.gen_path(g)).unwrap()).unwrap();
+        let parsed = |g| Generation::parse(&fs::read(s3.gen_path(g)).unwrap()).unwrap();
         let (loaded, committed) = (parsed(2), parsed(3));
-        assert_eq!(committed.step, loaded.step);
         assert_eq!(
-            committed.payload, loaded.payload,
-            "the checked state, again"
+            (committed.step, committed.digest),
+            (loaded.step, loaded.digest),
+            "the verified state, again"
         );
     }
 
@@ -876,14 +742,14 @@ mod tests {
     fn ioerr_skips_the_commit_and_the_next_one_lands() {
         let dir = TempDirGuard::new("durable-ioerr");
         let mut stats = DurabilityStats::default();
-        let mut states = val_states(1, 2);
+        let states = val_states(1, 2);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 1, 2, None, Val::encode, Val::decode).unwrap();
-        let out = s.on_checkpoint(0, &mut states, true, &mut stats).unwrap();
+            DurableSession::create(dir.path(), 1, 2, None, Val::encode).unwrap();
+        let out = s.on_checkpoint(0, &states, true, &mut stats).unwrap();
         assert!(matches!(out, DiskWrite::Failed));
         assert_eq!(stats.io_errors, 1);
         assert!(list_generations(dir.path()).is_empty(), "nothing committed");
-        let out = s.on_checkpoint(1, &mut states, false, &mut stats).unwrap();
+        let out = s.on_checkpoint(1, &states, false, &mut stats).unwrap();
         assert!(matches!(out, DiskWrite::Committed { generation: 0, .. }));
         assert_eq!(list_generations(dir.path()).len(), 1);
     }
@@ -892,20 +758,20 @@ mod tests {
     fn failed_generation_commit_is_not_reported_and_the_log_carries_on() {
         let dir = TempDirGuard::new("durable-commit-fail");
         let mut stats = DurabilityStats::default();
-        let mut states = val_states(1, 2);
+        let states = val_states(1, 2);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 1, 2, None, Val::encode, Val::decode).unwrap();
-        s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
+            DurableSession::create(dir.path(), 1, 2, None, Val::encode).unwrap();
+        s.on_checkpoint(0, &states, false, &mut stats).unwrap();
         // A real failure after the tmp file is written: the rename target
         // is occupied by a directory.
         fs::create_dir(s.gen_path(1)).unwrap();
-        let out = s.on_checkpoint(2, &mut states, false, &mut stats).unwrap();
+        let out = s.on_checkpoint(2, &states, false, &mut stats).unwrap();
         assert!(matches!(out, DiskWrite::Failed));
         assert_eq!(stats.io_errors, 1);
         assert_eq!(stats.generations_written, 1);
         assert_eq!(s.generation, Some(0), "still on the committed generation");
         fs::remove_dir(s.gen_path(1)).unwrap();
-        let out = s.on_checkpoint(3, &mut states, false, &mut stats).unwrap();
+        let out = s.on_checkpoint(3, &states, false, &mut stats).unwrap();
         assert!(matches!(out, DiskWrite::Committed { generation: 1, .. }));
     }
 
@@ -921,21 +787,20 @@ mod tests {
         ] {
             let dir = TempDirGuard::new("durable-damage");
             let mut stats = DurabilityStats::default();
-            let mut states = val_states(2, 4);
+            let states = val_states(2, 4);
             let mut s: DurableSession<Val> =
-                DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
-            s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
-            s.on_checkpoint(4, &mut states, false, &mut stats).unwrap();
+                DurableSession::create(dir.path(), 2, 4, None, Val::encode).unwrap();
+            s.on_checkpoint(0, &states, false, &mut stats).unwrap();
+            s.on_checkpoint(4, &states, false, &mut stats).unwrap();
             // Damage the newest committed generation (gen 1) and verify
             // the wedge freezes later writes.
             s.damage(kind, byte, 0x20);
-            let out = s.on_checkpoint(8, &mut states, false, &mut stats).unwrap();
+            let out = s.on_checkpoint(8, &states, false, &mut stats).unwrap();
             assert!(matches!(out, DiskWrite::None), "wedged store is frozen");
             assert_eq!(stats.generations_written, 2);
 
             let (s2, reports) =
-                DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode, Val::decode)
-                    .unwrap();
+                DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode).unwrap();
             assert_eq!(
                 s2.generation,
                 Some(0),
@@ -949,14 +814,12 @@ mod tests {
     #[test]
     fn open_with_nothing_valid_degrades_to_durability_lost() {
         let dir = TempDirGuard::new("durable-lost");
-        let err = DurableSession::<Val>::open(dir.path(), 1, 2, None, Val::encode, Val::decode)
-            .unwrap_err();
+        let err = DurableSession::<Val>::open(dir.path(), 1, 2, None, Val::encode).unwrap_err();
         assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
 
         // A lone damaged generation is scrubbed and then nothing remains.
         fs::write(dir.path().join("gen-0.fck"), b"FCK1garbage").unwrap();
-        let err = DurableSession::<Val>::open(dir.path(), 1, 2, None, Val::encode, Val::decode)
-            .unwrap_err();
+        let err = DurableSession::<Val>::open(dir.path(), 1, 2, None, Val::encode).unwrap_err();
         assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
     }
 
@@ -964,29 +827,29 @@ mod tests {
     fn geometry_mismatch_is_scrubbed_not_loaded() {
         let dir = TempDirGuard::new("durable-geometry");
         let mut stats = DurabilityStats::default();
-        let mut states = val_states(2, 4);
+        let states = val_states(2, 4);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 2, 4, None, Val::encode, Val::decode).unwrap();
-        s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
+            DurableSession::create(dir.path(), 2, 4, None, Val::encode).unwrap();
+        s.on_checkpoint(0, &states, false, &mut stats).unwrap();
         // Re-open with a different cluster geometry: the generation is
         // valid bytes but unusable, so it must be scrubbed.
-        let err = DurableSession::<Val>::open(dir.path(), 3, 4, None, Val::encode, Val::decode)
-            .unwrap_err();
-        assert!(err.to_string().contains("no valid generation"), "{err}");
+        let err = DurableSession::<Val>::open(dir.path(), 3, 4, None, Val::encode).unwrap_err();
+        assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
+        assert!(err.to_string().contains("geometry mismatch"), "{err}");
     }
 
     #[test]
     fn halt_after_freezes_persistence() {
         let dir = TempDirGuard::new("durable-halt");
         let mut stats = DurabilityStats::default();
-        let mut states = val_states(1, 2);
+        let states = val_states(1, 2);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 1, 2, Some(3), Val::encode, Val::decode).unwrap();
-        s.on_checkpoint(0, &mut states, false, &mut stats).unwrap();
+            DurableSession::create(dir.path(), 1, 2, Some(3), Val::encode).unwrap();
+        s.on_checkpoint(0, &states, false, &mut stats).unwrap();
         assert_eq!(s.halt_check(2), None);
         assert_eq!(s.halt_check(3), Some(3));
         assert_eq!(s.halt_check(4), Some(3), "the first halted step sticks");
-        s.on_checkpoint(4, &mut states, false, &mut stats).unwrap();
+        s.on_checkpoint(4, &states, false, &mut stats).unwrap();
         assert_eq!(stats.generations_written, 1, "nothing persists after");
     }
 }

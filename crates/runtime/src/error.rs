@@ -81,10 +81,11 @@ pub enum RuntimeError {
         /// Hosts a majority would have required.
         needed: usize,
     },
-    /// The durable checkpoint store holds no valid generation: the scrub
-    /// pass found every on-disk generation damaged (or the directory
-    /// empty on a `--resume`), so a cold restart has nothing to recover
-    /// from — the durability-layer mirror of
+    /// A cold restart could not be verified against the durable
+    /// checkpoint store: the scrub pass found every on-disk generation
+    /// damaged (or the directory empty on a `--resume`), or the
+    /// re-executed state did not match the loaded generation's digest —
+    /// the durability-layer mirror of
     /// [`RuntimeError::RecoveryExhausted`].
     DurabilityLost(String),
     /// The run was halted by the scripted cold-restart kill switch
@@ -144,7 +145,7 @@ impl fmt::Display for RuntimeError {
             ),
             RuntimeError::DurabilityLost(msg) => write!(
                 f,
-                "durable checkpoint store has no valid generation to recover from: {msg}"
+                "durable checkpoint store cannot verify the restart: {msg}"
             ),
             RuntimeError::Halted { step } => write!(
                 f,
@@ -206,7 +207,7 @@ mod tests {
             "{msg}"
         );
         let d = RuntimeError::DurabilityLost("all 2 generations damaged".into());
-        assert!(d.to_string().contains("no valid generation"), "{d}");
+        assert!(d.to_string().contains("cannot verify the restart"), "{d}");
         assert!(d.to_string().contains("all 2 generations damaged"), "{d}");
         let h = RuntimeError::Halted { step: 9 };
         assert!(h.to_string().contains('9'), "{h}");

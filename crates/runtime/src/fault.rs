@@ -58,7 +58,7 @@
 //! bitrot@4:b17          byte 17 of the newest committed checkpoint
 //!                       generation is flipped (seeded nonzero mask) after
 //!                       superstep 4's commit — at-rest corruption the
-//!                       scrub pass must detect via frame checksums
+//!                       scrub pass must detect via the header checksum
 //! loss=0.05             seeded probabilistic mode: every cross-host batch
 //!                       transmission is dropped with probability 0.05
 //! dupRate=0.01          every delivered batch is duplicated with
@@ -164,7 +164,7 @@ pub enum FaultKind {
     Torn,
     /// One byte of the newest committed checkpoint generation is flipped
     /// (seeded nonzero mask) after the scripted superstep's commit —
-    /// at-rest corruption detected by the scrub pass via frame checksums.
+    /// at-rest corruption detected by the scrub pass via the header checksum.
     Bitrot,
 }
 

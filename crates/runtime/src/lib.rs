@@ -49,9 +49,10 @@
 //!   mid-run and `lie@` faults exercise byzantine checksum-quorum
 //!   detection ([`consensus`], DESIGN.md §14);
 //! * **a durable checkpoint store** — with a durable directory configured,
-//!   every checkpoint is committed to a versioned on-disk format (`FCK1`)
-//!   through a crash-consistent two-phase commit, and a cold restart
-//!   recomputes from the newest one bit-identically; seeded `ioerr@`
+//!   every checkpoint commits its step and a digest of the state to a
+//!   versioned on-disk format (`FCK1`) through a crash-consistent
+//!   two-phase commit, and a cold restart re-executes bit-identically
+//!   and is verified against the newest valid digest; seeded `ioerr@`
 //!   (a failed commit) and `torn@`/`bitrot@` (a cut or flipped
 //!   generation) disk faults exercise a scrub-and-fallback recovery path
 //!   ([`durable`], DESIGN.md §15).
@@ -79,7 +80,7 @@ pub use consensus::{
     checksum_quorum, ChecksumVerdict, Commit, Consensus, Election, LogEntry, LogEntryKind,
 };
 pub use ctx::{PutSink, WorkerCtx, WriteSink};
-pub use durable::{DurableField, DurableValue, FrameReader};
+pub use durable::{DurableField, DurableValue};
 pub use error::RuntimeError;
 pub use fault::{
     format_duration, parse_duration, FaultKind, FaultPlan, FaultSpec, DEFAULT_DETECTOR_TIMEOUT,

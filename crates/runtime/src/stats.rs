@@ -346,25 +346,22 @@ pub struct DurabilityStats {
     /// Checkpoint generations committed to disk (tmp + fsync + rename +
     /// directory fsync).
     pub generations_written: u64,
-    /// Bytes written and synced: each generation file (header and
-    /// checkpoint frame) once.
+    /// Bytes written and synced: each generation file once.
     pub bytes_fsynced: u64,
-    /// Always 0: the store writes checkpoint frames only (DESIGN.md §15).
-    /// Kept because readers of the stats, such as the benchmark's
+    /// Always 0: the store writes whole generations only (DESIGN.md
+    /// §15). Kept because readers of the stats, such as the benchmark's
     /// per-layer table, still report it.
     pub delta_frames: u64,
-    /// Generations the scrub pass condemned (and skipped) at open.
-    pub scrub_repairs: u64,
-    /// Times the scrub pass fell back to an older generation because a
-    /// newer one was damaged.
+    /// Generations the scrub pass condemned at open, each a fallback to
+    /// an older one.
     pub fallbacks: u64,
     /// Generation commits that failed — an injected `ioerr@` fault or a
     /// real I/O error. Each is retried at the next superstep; until one
-    /// lands, a resume recomputes from the previous generation.
+    /// lands, a resume is verified against the previous generation.
     pub io_errors: u64,
-    /// On a resumed run, the step of the loaded checkpoint: the
-    /// supersteps whose state the disk vouched for. Later supersteps are
-    /// recomputed.
+    /// On a resumed run, the step whose re-executed state the loaded
+    /// generation's digest confirmed. A resume re-executes every
+    /// superstep; this counts none of them as skipped.
     pub resumed_steps: u64,
 }
 
@@ -375,7 +372,6 @@ impl DurabilityStats {
             .set("generations_written", self.generations_written)
             .set("bytes_fsynced", self.bytes_fsynced)
             .set("delta_frames", self.delta_frames)
-            .set("scrub_repairs", self.scrub_repairs)
             .set("fallbacks", self.fallbacks)
             .set("io_errors", self.io_errors)
             .set("resumed_steps", self.resumed_steps)
@@ -978,7 +974,6 @@ mod tests {
         r.durability.generations_written = 3;
         r.durability.bytes_fsynced = 4096;
         r.durability.delta_frames = 11;
-        r.durability.scrub_repairs = 1;
         r.durability.fallbacks = 1;
         r.durability.io_errors = 2;
         r.durability.resumed_steps = 7;
@@ -987,7 +982,6 @@ mod tests {
         assert_eq!(d.get("generations_written").and_then(Json::as_u64), Some(3));
         assert_eq!(d.get("bytes_fsynced").and_then(Json::as_u64), Some(4096));
         assert_eq!(d.get("delta_frames").and_then(Json::as_u64), Some(11));
-        assert_eq!(d.get("scrub_repairs").and_then(Json::as_u64), Some(1));
         assert_eq!(d.get("fallbacks").and_then(Json::as_u64), Some(1));
         assert_eq!(d.get("io_errors").and_then(Json::as_u64), Some(2));
         assert_eq!(d.get("resumed_steps").and_then(Json::as_u64), Some(7));

@@ -1,11 +1,13 @@
 //! Cross-crate tests of the durable checkpoint store: a run killed after
-//! **every** superstep must resume from disk bit-identically, any cut or
-//! flipped byte of a generation must condemn it and fall back to the
-//! previous valid generation, injected I/O errors must stay invisible to
-//! results, the store must write nothing but its checkpoint frames, a
-//! store with nothing valid left must degrade to a clean
-//! `RuntimeError::DurabilityLost`, never a panic — and all of it must hold
-//! with worker, control-plane and channel faults firing in the same run.
+//! **every** superstep must re-execute bit-identically and pass the disk's
+//! digest check, any cut or flipped byte of a generation must condemn it
+//! and fall back to the previous valid generation, injected I/O errors
+//! must stay invisible to results, the store must write nothing but its
+//! generation headers, a store with nothing valid left — or a digest the
+//! re-execution does not match — must degrade to a clean
+//! `RuntimeError::DurabilityLost`, never a panic or a different answer —
+//! and all of it must hold with worker, control-plane and channel faults
+//! firing in the same run.
 
 use flash_graph::generators;
 use flash_graph::testutil::TempDirGuard;
@@ -28,8 +30,8 @@ fn base_config(workers: usize) -> ClusterConfig {
 /// any) at `k` (the scripted kill switch), resumes from the on-disk store
 /// under the same plan, and requires the resumed result and superstep
 /// count to match the clean run exactly. Reports, summed over the kill
-/// points, the supersteps the disk vouched for (the loaded checkpoint's
-/// step) and those the resume recomputed past it up to the kill.
+/// points, the step whose state the disk's digest confirmed and the
+/// supersteps past it up to the kill that no generation covered.
 fn assert_resumes_after_every_kill<T, F>(name: &str, faults: Option<&str>, run: F)
 where
     T: PartialEq + std::fmt::Debug,
@@ -42,7 +44,7 @@ where
         Some(plan) => base_config(3).faults(FaultPlan::parse(plan).expect("plan parses")),
         None => base_config(3),
     };
-    let (mut kills, mut resumed, mut recomputed) = (0u64, 0u64, 0u64);
+    let (mut kills, mut verified, mut uncovered) = (0u64, 0u64, 0u64);
     for k in 1..supersteps {
         let dir = TempDirGuard::new(&format!("durable-{name}-{k}"));
         let halted = run(faulted().durable_dir(dir.path()).halt_after(k));
@@ -69,14 +71,14 @@ where
         assert!(d.resumed_steps <= killed_at, "{name}@{k}: {d:?}");
         assert_eq!(d.delta_frames, 0, "{name}@{k}: {d:?}");
         kills += 1;
-        resumed += d.resumed_steps;
-        recomputed += killed_at - d.resumed_steps;
+        verified += d.resumed_steps;
+        uncovered += killed_at - d.resumed_steps;
     }
     println!(
-        "{name}: {kills} kills over {supersteps} supersteps — {resumed} resumed from disk, \
-         {recomputed} recomputed"
+        "{name}: {kills} kills over {supersteps} supersteps — {verified} verified against \
+         disk, {uncovered} past the newest generation"
     );
-    assert!(resumed > 0, "{name}: no kill point resumed past step 0");
+    assert!(verified > 0, "{name}: no kill point verified past step 0");
 }
 
 #[test]
@@ -150,29 +152,22 @@ fn uninterrupted_durable_run_matches_the_plain_run() {
 
 #[test]
 fn durable_store_writes_checkpoint_frames_only() {
-    // A cc label is one u32: frame 0 holds 3 workers x 120 replicas x 4 B.
+    // A generation is its 56 B header, whatever the state it digests.
     let g = graph();
     let dir = TempDirGuard::new("durable-counts");
     let out = flash_algos::cc::run(&g, base_config(3).durable_dir(dir.path())).expect("durable cc");
     let d = &out.stats.durability;
     assert_eq!(d.delta_frames, 0, "{d:?}");
-    let generation_len = (HEADER + FRAME_HEAD + 3 * 120 * 4 + 8) as u64;
     let gens = generations(dir.path());
     assert_eq!(gens.len(), 2, "two generations retained: {gens:?}");
     for (gen, path) in &gens {
         let bytes = std::fs::read(path).expect("generation");
-        let payload = u64::from_le_bytes(bytes[HEADER + 12..HEADER + 20].try_into().expect("8 B"));
-        assert_eq!(bytes.len() as u64, generation_len, "gen {gen}");
-        assert_eq!(
-            bytes.len(),
-            HEADER + FRAME_HEAD + payload as usize + 8,
-            "gen {gen}"
-        );
+        assert_eq!(bytes.len(), HEADER, "gen {gen}");
     }
     // Every generation written was one such file, fsynced once.
     assert_eq!(
         d.bytes_fsynced,
-        d.generations_written * generation_len,
+        d.generations_written * HEADER as u64,
         "{d:?}"
     );
 }
@@ -221,13 +216,8 @@ fn assert_scrub_falls_back(plan: &str) {
         resume_bfs(&g, base_config(3), dir.path()).expect("resume after scrub");
     assert_eq!(clean, resumed, "{plan}: resumed result diverged");
     let d = &stats.durability;
-    assert!(d.scrub_repairs >= 1, "{plan}: {d:?}");
     assert!(d.fallbacks >= 1, "{plan}: {d:?}");
-    assert!(!scrubbed.is_empty(), "{plan}: no scrub event");
-    assert!(
-        scrubbed.iter().all(|(_, _, fallback)| *fallback),
-        "{plan}: {scrubbed:?}"
-    );
+    assert_eq!(d.fallbacks, scrubbed.len() as u64, "{plan}: {scrubbed:?}");
 }
 
 #[test]
@@ -308,48 +298,105 @@ fn nothing_valid_on_disk_degrades_to_durability_lost() {
     }
 }
 
-/// A generation's header does not identify the value layout, so a store
-/// written by an older build must be refused by its version, not misread:
-/// version 2 PageRank generations hold `{ rank, acc }` where this build
-/// decodes `{ rank, share }`. Every generation is condemned and the resume
-/// ends in `DurabilityLost`.
-#[test]
-fn version_2_generations_are_condemned_and_the_resume_degrades_to_durability_lost() {
-    let g = graph();
-    let dir = TempDirGuard::new("durable-v2");
-    let halted =
-        flash_algos::pagerank::run(&g, base_config(3).durable_dir(dir.path()).halt_after(12), 5);
+/// Halts pagerank at step 12 with two generations on disk and returns
+/// their paths.
+fn halted_pagerank(g: &Arc<flash_graph::Graph>, dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let halted = flash_algos::pagerank::run(g, base_config(3).durable_dir(dir).halt_after(12), 5);
     assert!(
         matches!(halted, Err(RuntimeError::Halted { .. })),
         "{halted:?}"
     );
-    let gens = generations(dir.path());
+    let gens = generations(dir);
     assert_eq!(gens.len(), 2, "{gens:?}");
-    for (_, path) in &gens {
-        // Rewrite the header as a version 2 build wrote it, checksum and all.
-        let mut bytes = std::fs::read(path).expect("generation");
-        assert_eq!(bytes[4..8], 3u32.to_le_bytes(), "this build writes v3");
-        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let sum = flash_graph::hash::fnv1a(&bytes[..HEADER - 8]);
-        bytes[HEADER - 8..HEADER].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(path, &bytes).expect("rewrite generation");
-    }
-    let resumed =
-        flash_algos::pagerank::run(&g, base_config(3).durable_dir(dir.path()).resume(), 5);
-    match resumed {
-        Err(RuntimeError::DurabilityLost(msg)) => assert_eq!(
-            msg.matches("(unsupported version 2)").count(),
-            2,
-            "both generations condemned: {msg}"
-        ),
-        other => panic!("expected DurabilityLost, got {:?}", other.map(|o| o.result)),
+    gens.into_iter().map(|(_, path)| path).collect()
+}
+
+/// Rewrites the header word at byte `at` of the generation file at `path`
+/// and recomputes the header checksum, so the scrub accepts the file.
+fn rewrite_header(path: &std::path::Path, at: usize, word: &[u8]) {
+    let mut bytes = std::fs::read(path).expect("generation");
+    bytes[at..at + word.len()].copy_from_slice(word);
+    let sum = flash_graph::hash::fnv1a(&bytes[..HEADER - 8]);
+    bytes[HEADER - 8..HEADER].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(path, &bytes).expect("rewrite generation");
+}
+
+/// Stores are per-run scratch and never migrated: a generation written by
+/// an older build, well checksummed, is refused by its version. Every
+/// generation is condemned and the resume ends in `DurabilityLost`.
+#[test]
+fn older_versions_are_condemned_and_the_resume_degrades_to_durability_lost() {
+    let g = graph();
+    let dir = TempDirGuard::new("durable-old-version");
+    let paths = halted_pagerank(&g, dir.path());
+    for version in 1u32..=3 {
+        for path in &paths {
+            let bytes = std::fs::read(path).expect("generation");
+            assert_ne!(bytes[4..8], version.to_le_bytes());
+            rewrite_header(path, 4, &version.to_le_bytes());
+        }
+        let resumed =
+            flash_algos::pagerank::run(&g, base_config(3).durable_dir(dir.path()).resume(), 5);
+        match resumed {
+            Err(RuntimeError::DurabilityLost(msg)) => assert_eq!(
+                msg.matches(&format!("(unsupported version {version})"))
+                    .count(),
+                2,
+                "both generations condemned: {msg}"
+            ),
+            other => panic!("expected DurabilityLost, got {:?}", other.map(|o| o.result)),
+        }
     }
 }
 
-/// Bytes of a generation file's header, and of its one frame before the
-/// payload (kind, step, payload length); a checksum closes the frame.
-const HEADER: usize = 48;
-const FRAME_HEAD: usize = 20;
+/// A well-checksummed generation whose digest the re-execution does not
+/// reproduce is not silently trusted: the resume re-executes to the
+/// generation's step, compares, and ends in `DurabilityLost` naming the
+/// generation and the step — never in a different answer. The failed
+/// run commits nothing, so a second resume fails the same way.
+#[test]
+fn tampered_digest_ends_the_resume_in_durability_lost() {
+    let g = graph();
+    let dir = TempDirGuard::new("durable-tampered");
+    let paths = halted_pagerank(&g, dir.path());
+    let newest = &paths[1];
+    let bytes = std::fs::read(newest).expect("generation");
+    let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8 B"));
+    let step = u64::from_le_bytes(bytes[16..24].try_into().expect("8 B"));
+    let digest = u64::from_le_bytes(bytes[40..48].try_into().expect("8 B"));
+    rewrite_header(newest, 40, &(digest ^ 1).to_le_bytes());
+    let tampered = generations(dir.path());
+
+    for attempt in 0..2 {
+        let sink = Arc::new(CollectSink::new());
+        let cfg = base_config(3)
+            .durable_dir(dir.path())
+            .resume()
+            .sink(Arc::clone(&sink) as Arc<dyn Sink>);
+        let resumed = flash_algos::pagerank::run(&g, cfg, 5);
+        assert!(
+            !sink
+                .events()
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::CheckpointScrubbed { .. })),
+            "attempt {attempt}: the scrub accepts the tampered file"
+        );
+        match resumed {
+            Err(RuntimeError::DurabilityLost(msg)) => {
+                assert!(msg.contains(&format!("generation {generation}")), "{msg}");
+                assert!(msg.contains(&format!("step {step}")), "{msg}");
+            }
+            other => panic!(
+                "attempt {attempt}: expected DurabilityLost, got {:?}",
+                other.map(|o| o.result)
+            ),
+        }
+        assert_eq!(generations(dir.path()), tampered, "attempt {attempt}");
+    }
+}
+
+/// Bytes of a generation file, which is exactly its header.
+const HEADER: usize = 56;
 
 /// `(generation, path)` of every generation file in `dir`, oldest first.
 fn generations(dir: &std::path::Path) -> Vec<(u64, std::path::PathBuf)> {
@@ -370,10 +417,10 @@ fn generations(dir: &std::path::Path) -> Vec<(u64, std::path::PathBuf)> {
     gens
 }
 
-type Scrubs = Vec<(u64, String, bool)>;
+type Scrubs = Vec<(u64, String)>;
 
 /// Cold-resumes bfs from `dir` and returns the result, the stats and
-/// every `CheckpointScrubbed` event as `(generation, reason, fallback)`.
+/// every `CheckpointScrubbed` event as `(generation, reason)`.
 fn resume_bfs(
     g: &Arc<flash_graph::Graph>,
     cfg: ClusterConfig,
@@ -389,11 +436,9 @@ fn resume_bfs(
         .events()
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::CheckpointScrubbed {
-                generation,
-                reason,
-                fallback,
-            } => Some((*generation, reason.clone(), *fallback)),
+            EventKind::CheckpointScrubbed { generation, reason } => {
+                Some((*generation, reason.clone()))
+            }
             _ => None,
         })
         .collect();
@@ -445,10 +490,10 @@ fn newest_generation_cut_or_flipped_anywhere_falls_back_bit_identically() {
             "{what}"
         );
         assert_eq!(scrubs.len(), 1, "{what}: {scrubs:?}");
-        assert_eq!((scrubs[0].0, scrubs[0].2), (newest, true), "{what}");
+        assert_eq!(scrubs[0].0, newest, "{what}");
         let d = &stats.durability;
-        assert_eq!((d.scrub_repairs, d.fallbacks), (1, 1), "{what}: {d:?}");
-        assert_eq!(d.resumed_steps, 4, "{what}: resumed from gen 1: {d:?}");
+        assert_eq!(d.fallbacks, 1, "{what}: {d:?}");
+        assert_eq!(d.resumed_steps, 4, "{what}: verified against gen 1: {d:?}");
         assert!(d.generations_written >= 1, "{what}: {d:?}");
 
         // The resumed run committed over the condemned file: a second
@@ -457,6 +502,6 @@ fn newest_generation_cut_or_flipped_anywhere_falls_back_bit_identically() {
             .unwrap_or_else(|e| panic!("{what}: second resume failed: {e}"));
         assert_eq!(clean.result, again, "{what}: second resume diverged");
         assert!(scrubs.is_empty(), "{what}: {scrubs:?}");
-        assert_eq!(stats.durability.scrub_repairs, 0, "{what}");
+        assert_eq!(stats.durability.fallbacks, 0, "{what}");
     }
 }

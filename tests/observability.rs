@@ -216,12 +216,14 @@ fn jsonl_trace_round_trips_through_the_parser() {
     // The first line is the schema header analyzers validate against.
     let head = flash_obs::json::parse(lines[0]).expect("header parses");
     assert_eq!(head.get("event").and_then(Json::as_str), Some("run_meta"));
-    // Schema 4: `run_meta` is exactly the fields `SCHEMA` declares for it
+    // Schema 5: `run_meta` is exactly the fields `SCHEMA` declares for it
     // (1 also carried the hot-path label, 2 wrote `worker_accused`
     // checksums as numbers, 3 carried `*_us` twins of the `*_ns` timers
-    // and `sync_plan` properties); a shape change must bump the version.
-    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(4));
-    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 4);
+    // and `sync_plan` properties, 4 carried the always-constant durable
+    // fields `frames`, `fallback` and `op`); a shape change must bump the
+    // version.
+    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(5));
+    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 5);
     let declared = ["schema", "seed", "workers", "hosts", "fault_plan"];
     assert_eq!(flash_obs::SCHEMA[0], ("run_meta", &declared[..]));
     let Json::Obj(fields) = &head else {

@@ -85,4 +85,8 @@ ckpt="$(bash benchmark/run.sh --workload kcore_ckpt --seed 12 --seconds 1 --trac
 [[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_delta_frames 0 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store wrote delta frames" >&2; exit 1; }
 [[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_bytes_fsynced 1456 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store did not fsync exactly 26 x 56 B generations" >&2; exit 1; }
 
+echo "==> locality gate (bfs_road: the default map cuts the row-major road grid into id ranges, so the run ships 32 160 B where hashing shipped 23 300 824 B)"
+road="$(bash benchmark/run.sh --workload bfs_road --seed 12 --seconds 1)"
+[[ "$(grep -c '^bfs_road/wire_bytes 32160 ' <<<"$road")" == 1 ]] || { echo "bfs_road: the road grid no longer ships exactly 32160 B; did the default map go back to hashing?" >&2; exit 1; }
+
 echo "==> OK"

@@ -1,7 +1,7 @@
 //! The GAS execution engine.
 
-use crate::{owner_of, BaselineError, BaselineOutput, EngineStats};
-use flash_graph::{BitSet, Graph, VertexId, Weight};
+use crate::{BaselineError, BaselineOutput, EngineStats};
+use flash_graph::{BitSet, Graph, PartitionMap, VertexId, Weight};
 use std::sync::Arc;
 
 /// A Gather-Apply-Scatter vertex program (PowerGraph-style).
@@ -109,6 +109,7 @@ pub fn run_with<P: GasProgram>(
 ) -> Result<BaselineOutput<Vec<P::Value>>, BaselineError> {
     let n = graph.num_vertices();
     let m = config.workers.max(1);
+    let partition = PartitionMap::for_graph(graph, m).map_err(BaselineError::Partition)?;
     let mut values: Vec<P::Value> = match initial_values {
         Some(v) => {
             assert_eq!(v.len(), n, "initial values must cover every vertex");
@@ -118,15 +119,6 @@ pub fn run_with<P: GasProgram>(
     };
     let mut active = initial_active.unwrap_or_else(|| BitSet::full(n));
     let mut stats = EngineStats::default();
-
-    // Per-worker owned vertex lists.
-    let owned: Vec<Vec<VertexId>> = {
-        let mut o = vec![Vec::new(); m];
-        for v in 0..n as VertexId {
-            o[owner_of(v, m)].push(v);
-        }
-        o
-    };
 
     while !active.is_empty() {
         if stats.supersteps >= config.max_rounds {
@@ -155,7 +147,7 @@ pub fn run_with<P: GasProgram>(
                 }
                 let mut acc: Option<P::Accum> = None;
                 for (s, wt) in graph_ref.in_edges(v) {
-                    if owner_of(s, m) != w {
+                    if partition.owner(s) != w {
                         cross += 1;
                     }
                     if let Some(a) = program.gather(
@@ -181,19 +173,15 @@ pub fn run_with<P: GasProgram>(
             (writes, changed, cross)
         };
 
-        let timed_work = |w: usize, mine: &[VertexId]| {
+        let timed_work = |w: usize| {
             let t = std::time::Instant::now();
-            let out = work(w, mine);
+            let out = work(w, partition.masters(w));
             (out, t.elapsed())
         };
         let timed: Vec<(WorkerOut<P>, std::time::Duration)> = if config.parallel && m > 1 {
             std::thread::scope(|s| {
                 let timed_work = &timed_work;
-                let handles: Vec<_> = owned
-                    .iter()
-                    .enumerate()
-                    .map(|(w, mine)| s.spawn(move || timed_work(w, mine)))
-                    .collect();
+                let handles: Vec<_> = (0..m).map(|w| s.spawn(move || timed_work(w))).collect();
                 handles
                     .into_iter()
                     .map(|h| match h.join() {
@@ -203,11 +191,7 @@ pub fn run_with<P: GasProgram>(
                     .collect()
             })
         } else {
-            owned
-                .iter()
-                .enumerate()
-                .map(|(w, mine)| timed_work(w, mine))
-                .collect()
+            (0..m).map(timed_work).collect()
         };
         let compute_max = timed.iter().map(|(_, d)| *d).max().unwrap_or_default();
         let outputs: Vec<WorkerOut<P>> = timed.into_iter().map(|(o, _)| o).collect();
@@ -228,7 +212,7 @@ pub fn run_with<P: GasProgram>(
                 if program.scatter_activates() {
                     for &t in graph.out_neighbors(v) {
                         next_active.insert(t);
-                        if owner_of(t, m) != w {
+                        if partition.owner(t) != w {
                             stats.messages += 1;
                             stats.bytes += 4;
                         }

@@ -17,6 +17,10 @@
 //!   `vertexSubset` + push/pull `edgeMap` in a single address space
 //!   (one "node" — the paper runs Ligra on a single machine).
 //!
+//! The Pregel-like and GAS-like engines place vertices with FLASH's own
+//! default owner map ([`flash_graph::PartitionMap::for_graph`]), so the
+//! comparisons are not confounded by placement.
+//!
 //! Each engine ships its own algorithm implementations (`*::algos`); where
 //! a model cannot express an algorithm the paper marks ∅, the function is
 //! *absent here too* — that asymmetry **is** the expressiveness result of
@@ -25,8 +29,6 @@
 pub mod gas;
 pub mod ligra;
 pub mod pregel;
-
-use flash_graph::VertexId;
 
 /// Execution record shared by all baseline engines.
 #[derive(Debug, Clone, Default)]
@@ -70,6 +72,8 @@ pub enum BaselineError {
         /// Why it cannot be expressed.
         reason: &'static str,
     },
+    /// The graph could not be partitioned over the configured workers.
+    Partition(flash_graph::GraphError),
 }
 
 impl std::fmt::Display for BaselineError {
@@ -81,33 +85,16 @@ impl std::fmt::Display for BaselineError {
             BaselineError::Unsupported { model, reason } => {
                 write!(f, "{model} cannot express this algorithm: {reason}")
             }
+            BaselineError::Partition(e) => write!(f, "cannot partition the graph: {e}"),
         }
     }
 }
 
 impl std::error::Error for BaselineError {}
 
-/// Hash partitioning of vertices over workers shared by the distributed
-/// baseline engines (same function as FLASH's default partitioner, so
-/// comparisons are not confounded by placement).
-#[inline]
-pub(crate) fn owner_of(v: VertexId, workers: usize) -> usize {
-    let mixed = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-    (mixed % workers as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn owner_is_stable_and_in_range() {
-        for v in 0..1000u32 {
-            let w = owner_of(v, 7);
-            assert!(w < 7);
-            assert_eq!(w, owner_of(v, 7));
-        }
-    }
 
     #[test]
     fn errors_display() {

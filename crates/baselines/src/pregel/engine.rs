@@ -1,7 +1,7 @@
 //! The Pregel execution engine.
 
-use crate::{owner_of, BaselineError, BaselineOutput, EngineStats};
-use flash_graph::{Graph, VertexId};
+use crate::{BaselineError, BaselineOutput, EngineStats};
+use flash_graph::{Graph, PartitionMap, VertexId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -161,6 +161,7 @@ pub fn run_with_values<P: PregelProgram>(
 ) -> Result<BaselineOutput<Vec<P::Value>>, BaselineError> {
     let n = graph.num_vertices();
     let m = config.workers.max(1);
+    let partition = PartitionMap::for_graph(graph, m).map_err(BaselineError::Partition)?;
 
     // Build shards.
     let mut local = vec![0u32; n];
@@ -173,7 +174,7 @@ pub fn run_with_values<P: PregelProgram>(
         })
         .collect();
     for v in 0..n as VertexId {
-        let w = owner_of(v, m);
+        let w = partition.owner(v);
         local[v as usize] = shards[w].owned.len() as u32;
         shards[w].owned.push(v);
         shards[w].values.push(init(v, graph));
@@ -221,7 +222,7 @@ pub fn run_with_values<P: PregelProgram>(
                 program.compute(&mut ctx, v, graph, &mut shard.values[i], &msgs);
                 shard.halted[i] = ctx.halted;
                 for (to, msg) in ctx.out {
-                    let dest = owner_of(to, m);
+                    let dest = partition.owner(to);
                     use std::collections::hash_map::Entry;
                     match combined[dest].entry(to) {
                         Entry::Vacant(e) => {

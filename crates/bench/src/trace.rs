@@ -534,7 +534,7 @@ mod tests {
         );
         let lines = [
             header.as_str(),
-            r#"{"event":"run_start","seq":1,"workers":2,"vertices":10,"edges":20,"net_latency_us":0,"net_bandwidth_bps":0}"#,
+            r#"{"event":"run_start","seq":1,"workers":2,"vertices":10,"edges":20,"net_latency_us":0,"net_bandwidth_bps":0,"partition":"hash"}"#,
             r#"{"event":"step_start","seq":2,"step":0,"kind":"sparse","active":5}"#,
             r#"{"event":"worker_phase","seq":3,"step":0,"worker":0,"compute_ns":10000,"staged_puts":1,"staged_writes":1}"#,
             r#"{"event":"worker_phase","seq":4,"step":0,"worker":1,"compute_ns":30000,"staged_puts":1,"staged_writes":1}"#,

@@ -4,8 +4,8 @@ use crate::edgeset::{EdgeSet, Row};
 use crate::subset::VertexSubset;
 use crate::EdgeRef;
 use flash_graph::{
-    BitSet, BlockGrid, BlockHandle, BlockTouch, Graph, HashPartitioner, PartitionMap, StreamScope,
-    VertexId, MAX_GRID_DIM,
+    BitSet, BlockGrid, BlockHandle, BlockTouch, Graph, PartitionMap, StreamScope, VertexId,
+    MAX_GRID_DIM,
 };
 use flash_runtime::{
     Cluster, ClusterConfig, ModePolicy, RunStats, RuntimeError, StepKind, StorageMode, SyncScope,
@@ -37,9 +37,10 @@ pub struct FlashContext<V: VertexData> {
 }
 
 impl<V: VertexData> FlashContext<V> {
-    /// Builds a context with the default hash partitioner — or over
-    /// `config.shared_partition` when one is attached (serving sessions
-    /// share one partition map across every query cluster).
+    /// Builds a context over the default partition map
+    /// ([`PartitionMap::for_graph`]) — or over `config.shared_partition`
+    /// when one is attached (serving sessions share one partition map
+    /// across every query cluster).
     pub fn build(
         graph: Arc<Graph>,
         config: ClusterConfig,
@@ -61,7 +62,7 @@ impl<V: VertexData> FlashContext<V> {
         })
     }
 
-    /// Builds a context with the default hash partitioner for a vertex
+    /// Builds a context over the default partition map for a vertex
     /// type the durable checkpoint store can digest. Behaves exactly like
     /// [`FlashContext::build`] when no `durable_dir` is configured (the
     /// store stays fully inert); with one, every checkpoint commits a
@@ -80,7 +81,8 @@ impl<V: VertexData> FlashContext<V> {
     }
 
     /// The partition a default-built context runs over: the config's
-    /// shared map when attached, else a fresh hash partitioning.
+    /// shared map when attached, else a fresh
+    /// [`PartitionMap::for_graph`] map.
     fn partition_for(
         graph: &Arc<Graph>,
         config: &ClusterConfig,
@@ -88,7 +90,7 @@ impl<V: VertexData> FlashContext<V> {
         match &config.shared_partition {
             Some(p) => Ok(Arc::clone(p)),
             None => Ok(Arc::new(
-                PartitionMap::build(graph, config.workers, &HashPartitioner)
+                PartitionMap::for_graph(graph, config.workers)
                     .map_err(|_| RuntimeError::NoWorkers)?,
             )),
         }

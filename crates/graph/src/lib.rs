@@ -69,9 +69,7 @@ pub use dsu::DisjointSets;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use overlay::{AppliedBatch, DeltaOverlay, EdgeUpdate};
-pub use partition::{
-    ChunkPartitioner, HashPartitioner, PartitionMap, PartitionMove, Partitioner, RebalanceReport,
-};
+pub use partition::{HashPartitioner, PartitionMap, PartitionMove, Partitioner, RebalanceReport};
 pub use rng::Prng;
 
 /// The vertex identifier type used throughout FLASH.
@@ -95,8 +93,7 @@ pub mod prelude {
     pub use crate::generators;
     pub use crate::graph::Graph;
     pub use crate::partition::{
-        ChunkPartitioner, HashPartitioner, PartitionMap, PartitionMove, Partitioner,
-        RebalanceReport,
+        HashPartitioner, PartitionMap, PartitionMove, Partitioner, RebalanceReport,
     };
     pub use crate::{VertexId, Weight, NIL};
 }

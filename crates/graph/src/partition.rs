@@ -6,6 +6,8 @@
 //! through local edges hold *mirrors*. [`PartitionMap`] captures the
 //! ownership function plus the mirror placement needed for the
 //! "communicate with only necessary mirrors" optimization (§IV-C).
+//! [`PartitionMap::for_graph`] is the default map: contiguous arc-balanced
+//! id ranges when the ids carry locality, hashing otherwise.
 //!
 //! # Elastic membership
 //!
@@ -36,9 +38,10 @@ pub trait Partitioner {
 
 /// Hash partitioning: `owner(v) = mix(v) % m`.
 ///
-/// This is the default scheme; a multiplicative mix keeps consecutive ids
-/// (which generators tend to make topologically close) from landing on the
-/// same worker, exercising the communication paths realistically.
+/// A multiplicative mix spreads consecutive ids over every worker, so it
+/// balances any id order but keeps none of its locality.
+/// [`PartitionMap::for_graph`] falls back to it whenever contiguous id
+/// ranges would not cut markedly fewer arcs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HashPartitioner;
 
@@ -55,27 +58,14 @@ impl Partitioner for HashPartitioner {
     }
 }
 
-/// Chunked (range) partitioning: worker `i` owns a contiguous id range.
-///
-/// Keeps topological locality when ids correlate with structure (road grids),
-/// minimizing mirrors — the contrast case for partitioning ablations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChunkPartitioner;
+/// Gemini's α (Zhu et al., OSDI 2016): a range is balanced on
+/// `VERTEX_WEIGHT · |V_w| + in-arcs`, so a vertex weighs as much as eight
+/// of the arcs the dense pull reads.
+const VERTEX_WEIGHT: usize = 8;
 
-impl Partitioner for ChunkPartitioner {
-    #[inline]
-    fn owner(&self, v: VertexId, n: usize, m: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        let chunk = n.div_ceil(m);
-        ((v as usize) / chunk).min(m - 1)
-    }
-
-    fn name(&self) -> &'static str {
-        "chunk"
-    }
-}
+/// At most this many rows, at a fixed stride, estimate the arcs the range
+/// map would cut.
+const SAMPLE_ROWS: usize = 4096;
 
 /// The materialized result of partitioning a graph for `m` workers.
 ///
@@ -124,27 +114,119 @@ pub struct RebalanceReport {
     pub moved: Vec<PartitionMove>,
 }
 
+/// A cluster has between 1 and `u16::MAX` workers: owners are `u16`.
+fn check_workers(m: usize) -> Result<(), GraphError> {
+    if m == 0 || m > u16::MAX as usize {
+        return Err(GraphError::NoWorkers);
+    }
+    Ok(())
+}
+
 impl PartitionMap {
+    /// The default owner map for `graph` on `m` workers, a pure function
+    /// of the two. It is `m` contiguous id ranges, each balancing
+    /// `8 · |V_w| + in-arcs` (Gemini's α = 8), when a sample of the rows
+    /// shows they cut at most half the arcs hashing is expected to cut,
+    /// `(m − 1)/m` of them, and exactly the [`HashPartitioner`] map
+    /// otherwise. Ids with locality (a row-major road grid) take ranges;
+    /// ids without it (R-MAT, a relabelled graph) keep hashing's balance.
+    pub fn for_graph(graph: &Graph, m: usize) -> Result<PartitionMap, GraphError> {
+        check_workers(m)?;
+        if m > 1 {
+            let bounds = Self::range_bounds(graph, m);
+            if Self::ranges_cut_less(graph, &bounds) {
+                let mut owner = vec![0u16; graph.num_vertices()];
+                for (w, range) in bounds.windows(2).enumerate() {
+                    owner[range[0] as usize..range[1] as usize].fill(w as u16);
+                }
+                return Self::from_owner(graph, m, owner, "range");
+            }
+        }
+        Self::build(graph, m, &HashPartitioner)
+    }
+
     /// Partitions `graph` across `m` workers using `scheme`.
     pub fn build(
         graph: &Graph,
         m: usize,
         scheme: &dyn Partitioner,
     ) -> Result<PartitionMap, GraphError> {
-        if m == 0 {
-            return Err(GraphError::NoWorkers);
-        }
-        if m > u16::MAX as usize {
-            return Err(GraphError::NoWorkers);
-        }
+        check_workers(m)?;
         let n = graph.num_vertices();
-        let mut owner = vec![0u16; n];
+        let owner = (0..n as VertexId)
+            .map(|v| {
+                let w = scheme.owner(v, n, m);
+                debug_assert!(w < m, "partitioner returned worker {w} >= {m}");
+                w as u16
+            })
+            .collect();
+        Self::from_owner(graph, m, owner, scheme.name())
+    }
+
+    /// `m + 1` ascending ids: worker `w` owns `bounds[w]..bounds[w + 1]`.
+    /// Each inner bound is the id whose prefix weight
+    /// `VERTEX_WEIGHT · v + in_offsets[v]` lies nearest `k/m` of the total,
+    /// found by binary search on the in-CSR offsets — O(m log n), touching
+    /// no row — so each range is within one vertex's weight of the mean.
+    fn range_bounds(graph: &Graph, m: usize) -> Vec<VertexId> {
+        let n = graph.num_vertices();
+        let offsets = graph.in_csr().offsets();
+        let prefix = |v: usize| VERTEX_WEIGHT * v + offsets[v];
+        let total = prefix(n);
+        let mut bounds = Vec::with_capacity(m + 1);
+        bounds.push(0);
+        for k in 1..m {
+            // Scaled by m to stay in integers: the first v with
+            // m · prefix(v) ≥ k · total, or its predecessor if nearer.
+            let target = k * total;
+            let (mut lo, mut hi) = (0, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if m * prefix(mid) < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            if lo > 0 && target - m * prefix(lo - 1) < m * prefix(lo) - target {
+                lo -= 1;
+            }
+            bounds.push(lo as VertexId);
+        }
+        bounds.push(n as VertexId);
+        bounds
+    }
+
+    /// `true` if the sampled arcs that `bounds` cut are at most half of
+    /// the `(m − 1)/m` share hashing is expected to cut. The sample is the
+    /// out-rows at stride `ceil(n / SAMPLE_ROWS)`: the rows the mirror
+    /// pass walks anyway, so a block-backed graph maps no extra page.
+    fn ranges_cut_less(graph: &Graph, bounds: &[VertexId]) -> bool {
+        let m = bounds.len() - 1;
+        let n = graph.num_vertices();
+        let (mut sampled, mut cut) = (0usize, 0usize);
+        for s in (0..n as VertexId).step_by(n.div_ceil(SAMPLE_ROWS).max(1)) {
+            let w = bounds.partition_point(|&b| b <= s) - 1;
+            let range = bounds[w]..bounds[w + 1];
+            let targets = graph.out_neighbors(s);
+            sampled += targets.len();
+            cut += targets.iter().filter(|&d| !range.contains(d)).count();
+        }
+        sampled > 0 && 2 * m * cut <= (m - 1) * sampled
+    }
+
+    /// The map with owner array `owner`: the master lists and the mirror
+    /// table follow from it.
+    fn from_owner(
+        graph: &Graph,
+        m: usize,
+        owner: Vec<u16>,
+        scheme: &'static str,
+    ) -> Result<PartitionMap, GraphError> {
+        let n = owner.len();
         let mut masters: Vec<Vec<VertexId>> = vec![Vec::new(); m];
-        for v in 0..n as VertexId {
-            let w = scheme.owner(v, n, m);
-            debug_assert!(w < m, "partitioner returned worker {w} >= {m}");
-            owner[v as usize] = w as u16;
-            masters[w].push(v);
+        for (v, &w) in owner.iter().enumerate() {
+            masters[w as usize].push(v as VertexId);
         }
 
         // A worker holds a necessary mirror of v if it has an edge touching v
@@ -166,7 +248,7 @@ impl PartitionMap {
             masters,
             mirror_off,
             mirror_ids,
-            scheme: scheme.name(),
+            scheme,
             epoch: 0,
             host: (0..m as u16).collect(),
             dead: vec![false; m],
@@ -284,7 +366,8 @@ impl PartitionMap {
         1.0 + self.total_mirrors() as f64 / self.owner.len() as f64
     }
 
-    /// The partitioning scheme name.
+    /// The partitioning scheme name: `"hash"` or `"range"` for a
+    /// [`for_graph`](Self::for_graph) map.
     pub fn scheme(&self) -> &'static str {
         self.scheme
     }
@@ -478,12 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn chunk_partitioner_is_contiguous() {
+    fn default_map_cuts_a_path_into_contiguous_ranges() {
         let g = path(10);
-        let p = PartitionMap::build(&g, 3, &ChunkPartitioner).unwrap();
-        assert_eq!(p.masters(0), &[0, 1, 2, 3]);
-        assert_eq!(p.masters(1), &[4, 5, 6, 7]);
-        assert_eq!(p.masters(2), &[8, 9]);
+        let p = PartitionMap::for_graph(&g, 3).unwrap();
+        assert_eq!(p.scheme(), "range");
+        assert_eq!(p.masters(0), &[0, 1, 2]);
+        assert_eq!(p.masters(1), &[3, 4, 5, 6]);
+        assert_eq!(p.masters(2), &[7, 8, 9]);
     }
 
     #[test]
@@ -497,7 +581,7 @@ mod tests {
     #[test]
     fn necessary_mirrors_cover_cut_edges() {
         let g = path(10);
-        let p = PartitionMap::build(&g, 2, &ChunkPartitioner).unwrap();
+        let p = PartitionMap::for_graph(&g, 2).unwrap();
         // Cut edges: (4,5) and (5,4). Worker 1 must mirror 4, worker 0 must mirror 5.
         assert_eq!(p.necessary_mirrors(4), &[1]);
         assert_eq!(p.necessary_mirrors(5), &[0]);
@@ -674,8 +758,15 @@ mod tests {
         for g in [&empty, &edgeless, &directed, &rmat] {
             // 64 is the widest cluster a mask covers; 65 takes the sorted
             // pair path.
-            for m in [1usize, 2, 3, 64, 65] {
-                let p = PartitionMap::build(g, m, &HashPartitioner).unwrap();
+            for (m, default) in [1usize, 2, 3, 64, 65]
+                .into_iter()
+                .flat_map(|m| [(m, false), (m, true)])
+            {
+                let p = if default {
+                    PartitionMap::for_graph(g, m).unwrap()
+                } else {
+                    PartitionMap::build(g, m, &HashPartitioner).unwrap()
+                };
                 let expected = brute_force_mirrors(g, &p);
                 let mut buf = Vec::new();
                 for v in 0..g.num_vertices() as VertexId {
@@ -728,6 +819,133 @@ mod tests {
             for &w in p.necessary_mirrors(v) {
                 assert_ne!(w as usize, p.owner(v));
                 assert!((w as usize) < 80);
+            }
+        }
+    }
+
+    /// A copy of `g` with vertex `v` renamed `perm[v]`, for a shuffled `perm`.
+    fn relabelled(g: &Graph, seed: u64) -> Graph {
+        let n = g.num_vertices();
+        let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
+        let mut rng = crate::Prng::seed_from_u64(seed);
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..i + 1));
+        }
+        GraphBuilder::new(n)
+            .edges(
+                g.edges()
+                    .map(|(s, d, _)| (perm[s as usize], perm[d as usize])),
+            )
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn local_ids_choose_ranges() {
+        let cases = [
+            ("road_network", crate::generators::road_network(1000, 16, 3)),
+            ("grid2d", crate::generators::grid2d(1000, 8)),
+            ("path", path(1000)),
+        ];
+        for (name, g) in &cases {
+            for m in [2usize, 4] {
+                let p = PartitionMap::for_graph(g, m).unwrap();
+                assert_eq!(p.scheme(), "range", "{name} m={m}");
+                assert!(
+                    p.replication_factor() <= 1.01,
+                    "{name} m={m}: replication {}",
+                    p.replication_factor()
+                );
+                let hashed = PartitionMap::build(g, m, &HashPartitioner).unwrap();
+                assert!(hashed.replication_factor() > 1.5, "{name} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn ids_without_locality_keep_the_hash_map() {
+        let rmat = crate::generators::rmat(12, 8, Default::default(), 5);
+        let shuffled = relabelled(&rmat, 9);
+        for (name, g) in [("rmat", &rmat), ("relabelled rmat", &shuffled)] {
+            for m in [2usize, 3, 4, 8] {
+                let p = PartitionMap::for_graph(g, m).unwrap();
+                let hashed = PartitionMap::build(g, m, &HashPartitioner).unwrap();
+                assert_eq!(p.scheme(), "hash", "{name} m={m}");
+                assert_eq!(p.owner, hashed.owner, "{name} m={m}");
+                assert_eq!(p.mirror_ids, hashed.mirror_ids, "{name} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn default_map_edge_cases() {
+        assert!(matches!(
+            PartitionMap::for_graph(&path(4), 0),
+            Err(GraphError::NoWorkers)
+        ));
+        // One worker owns everything, whatever the ids.
+        let p = PartitionMap::for_graph(&path(10), 1).unwrap();
+        assert_eq!(p.masters(0).len(), 10);
+        assert_eq!(p.total_mirrors(), 0);
+        // Fewer vertices than workers: some ranges are empty.
+        let small = path(3);
+        let p = PartitionMap::for_graph(&small, 5).unwrap();
+        let owned: usize = (0..5).map(|w| p.masters(w).len()).sum();
+        assert_eq!(owned, 3);
+        assert_eq!(
+            brute_force_mirrors(&small, &p),
+            (0..3)
+                .map(|v| p.necessary_mirrors(v).to_vec())
+                .collect::<Vec<_>>()
+        );
+        // No arcs to sample: nothing says ranges cut less, so hash.
+        let edgeless = GraphBuilder::new(10).build().unwrap();
+        let p = PartitionMap::for_graph(&edgeless, 3).unwrap();
+        assert_eq!(p.scheme(), "hash");
+        assert_eq!(
+            p.owner,
+            PartitionMap::build(&edgeless, 3, &HashPartitioner)
+                .unwrap()
+                .owner
+        );
+        // Over 64 workers the mirror table is built by sorting.
+        let long = path(3000);
+        let p = PartitionMap::for_graph(&long, 80).unwrap();
+        assert_eq!(p.scheme(), "range");
+        let expected = brute_force_mirrors(&long, &p);
+        for v in 0..3000u32 {
+            assert_eq!(p.necessary_mirrors(v), expected[v as usize].as_slice());
+        }
+        assert_eq!(p.total_mirrors(), 2 * 79);
+    }
+
+    #[test]
+    fn ranges_balance_vertices_and_in_arcs() {
+        let graphs = [
+            crate::generators::road_network(100, 100, 1),
+            crate::generators::rmat(12, 8, Default::default(), 2),
+            crate::generators::web_graph(5000, 8, 12, 3),
+            path(7),
+        ];
+        for g in &graphs {
+            let weight = |v: VertexId| (VERTEX_WEIGHT + g.in_degree(v)) as u64;
+            let total: u64 = g.vertices().map(weight).sum();
+            let heaviest = g.vertices().map(weight).max().unwrap();
+            for m in [2usize, 3, 4, 7, 80] {
+                let bounds = PartitionMap::range_bounds(g, m);
+                assert_eq!(bounds.len(), m + 1);
+                assert_eq!(bounds[m] as usize, g.num_vertices());
+                for range in bounds.windows(2) {
+                    let w: u64 = (range[0]..range[1]).map(weight).sum();
+                    // |w − total/m| ≤ the heaviest vertex, in integers.
+                    let m = m as u64;
+                    assert!(
+                        (m * w).abs_diff(total) <= m * heaviest,
+                        "n={} m={m}: range {range:?} weighs {w}, mean {}",
+                        g.num_vertices(),
+                        total / m
+                    );
+                }
             }
         }
     }

@@ -151,7 +151,10 @@ events! {
         net_latency_us: u64,
         /// Network bandwidth in bytes per second.
         net_bandwidth_bps: u64,
-    } => "run start: {workers} workers, |V|={vertices}, |E|={edges}";
+        /// The owner map's scheme: `"hash"` or `"range"` (contiguous id
+        /// ranges), as `PartitionMap::scheme` names it.
+        partition: String,
+    } => "run start: {workers} workers, |V|={vertices}, |E|={edges}, {partition} partition";
     /// A superstep began.
     StepStart = "step_start" {
         /// Superstep index (0-based, monotonic across the run).
@@ -548,6 +551,7 @@ mod tests {
                 edges: 5000,
                 net_latency_us: 50,
                 net_bandwidth_bps: 1_000_000_000,
+                partition: "range".into(),
             },
             EventKind::StepStart {
                 step: 3,
@@ -727,8 +731,8 @@ mod tests {
     /// low bits, and the `*_us` twins of `*_ns` fields and the `sync_plan`
     /// properties, which schema 4 dropped.
     const GOLDEN: [&str; 26] = [
-        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":5,"seed":42,"seq":3,"workers":4}"#,
-        r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"seq":4,"vertices":1000,"workers":4}"#,
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":6,"seed":42,"seq":3,"workers":4}"#,
+        r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"partition":"range","seq":4,"vertices":1000,"workers":4}"#,
         r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
         r#"{"compute_ns":500200,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
         r#"{"active":42,"barrier_skew_ns":100000,"communicate_ns":30100,"compute_max_ns":500200,"compute_min_ns":400200,"compute_ns":900400,"delivery_ns":4900,"event":"step_end","kind":"sparse","seq":7,"serialize_max_ns":15400,"serialize_ns":19600,"simulated_net_ns":1234000,"step":3,"sync_bytes":80,"sync_messages":5,"upd_bytes":160,"upd_messages":10}"#,

@@ -294,6 +294,7 @@ impl<V: VertexData> Cluster<V> {
             edges: cluster.graph.num_edges(),
             net_latency_us,
             net_bandwidth_bps,
+            partition: cluster.partition.scheme().to_string(),
         });
         cluster.start_faults();
         // Surface what the resume-time scrub pass repaired: each

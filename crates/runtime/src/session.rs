@@ -23,7 +23,7 @@ use crate::error::RuntimeError;
 use crate::pool::WorkerPool;
 use crate::state::StepBuffers;
 use crate::VertexData;
-use flash_graph::{Graph, HashPartitioner, PartitionMap};
+use flash_graph::{Graph, PartitionMap};
 use flash_obs::{Event, EventKind, Histogram, Json};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -167,13 +167,14 @@ pub struct Session {
 
 impl Session {
     /// Opens a session over `graph`, building the shared partition once
-    /// from the template's worker count, and emits `session_start` to
-    /// the template's sink.
+    /// ([`PartitionMap::for_graph`] on the template's worker count, unless
+    /// the template attaches one), and emits `session_start` to the
+    /// template's sink.
     pub fn new(id: u64, graph: Arc<Graph>, template: ClusterConfig) -> Result<Self, RuntimeError> {
         let partition = match &template.shared_partition {
             Some(p) => Arc::clone(p),
             None => Arc::new(
-                PartitionMap::build(&graph, template.workers, &HashPartitioner)
+                PartitionMap::for_graph(&graph, template.workers)
                     .map_err(|_| RuntimeError::NoWorkers)?,
             ),
         };

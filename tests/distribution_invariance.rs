@@ -3,7 +3,7 @@
 //! run on real threads, or which mirror-sync payload policy is active. These are the core soundness
 //! guarantees of the FLASHWARE middleware (§IV).
 
-use flash_graph::{generators, ChunkPartitioner, Graph, PartitionMap};
+use flash_graph::{generators, Graph, GraphBuilder, HashPartitioner, PartitionMap};
 use flash_runtime::{ClusterConfig, ModePolicy, SyncMode};
 use std::sync::Arc;
 
@@ -158,15 +158,18 @@ fn necessary_mirror_scope_ships_fewer_sync_bytes() {
 #[test]
 fn partitioner_invariance() {
     let g = road();
-    let chunked = Arc::new(PartitionMap::build(&g, 4, &ChunkPartitioner).unwrap());
+    let default = PartitionMap::for_graph(&g, 4).unwrap();
+    assert_eq!(default.scheme(), "range", "the road grid's ids are local");
+    let hashed = Arc::new(PartitionMap::build(&g, 4, &HashPartitioner).unwrap());
     let mut cfg = ClusterConfig::with_workers(4);
     cfg.parallel_workers = false;
 
-    let hash_cc = flash_algos::cc::run(&g, cfg.clone()).unwrap().result;
-    // Re-run through an explicitly chunk-partitioned context.
+    // The default map: contiguous ranges.
+    let range_cc = flash_algos::cc::run(&g, cfg.clone()).unwrap().result;
+    // Re-run through an explicitly hash-partitioned context.
     let mut ctx = flash_core::FlashContext::<flash_algos::cc::CcVertex>::with_partition(
         Arc::clone(&g),
-        chunked,
+        hashed,
         cfg,
         |v| flash_algos::cc::CcVertex { cc: v },
     )
@@ -182,8 +185,75 @@ fn partitioner_invariance() {
             |t, d| d.cc = d.cc.min(t.cc),
         );
     }
-    let chunk_cc = ctx.collect(|_, val| val.cc);
-    assert_eq!(hash_cc, chunk_cc);
+    let hash_cc = ctx.collect(|_, val| val.cc);
+    assert_eq!(range_cc, hash_cc);
+}
+
+/// A directed web graph with dangling and zero-in-degree vertices. Its
+/// communities are contiguous id blocks, so the default map takes ranges.
+fn directed_web() -> Arc<Graph> {
+    let arcs = generators::web_graph(3_000, 8, 6, 5)
+        .edges()
+        .filter(|&(s, d, _)| s % 7 != 0 && d % 11 != 1)
+        .map(|(s, d, _)| (s, d))
+        .collect::<Vec<_>>();
+    Arc::new(GraphBuilder::new(3_000).edges(arcs).build().unwrap())
+}
+
+/// The default map takes ranges on the road and web graphs; against an
+/// explicit hash map, every integer and min-based answer is bit-identical,
+/// and PageRank and BC stay within 1e-9 (relative) of the serial reference.
+#[test]
+fn default_map_answers_match_the_hash_map() {
+    let close = |got: &[f64], want: &[f64], what: &str| {
+        for (v, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-9 * b.abs().max(1.0),
+                "{what}: vertex {v}"
+            );
+        }
+    };
+    for (name, g) in [("road", road()), ("web", directed_web())] {
+        let weighted = Arc::new(generators::with_random_weights(&g, 0.5, 2.0, 3));
+        let pagerank = flash_algos::reference::pagerank(&g, 10);
+        // The root's own score is no dependency; only the others compare.
+        let (_, mut bc) = flash_algos::reference::brandes_single_source(&g, 1);
+        bc[1] = 0.0;
+        for workers in [1usize, 2, 4] {
+            if workers > 1 {
+                let map = PartitionMap::for_graph(&g, workers).unwrap();
+                assert_eq!(map.scheme(), "range", "{name} workers={workers}");
+            }
+            let default = || ClusterConfig::with_workers(workers).sequential();
+            let hashed = |g: &Graph| {
+                let map = PartitionMap::build(g, workers, &HashPartitioner).unwrap();
+                default().shared_partition(Arc::new(map))
+            };
+            let what = |algo: &str| format!("{name} {algo} workers={workers}");
+            let bfs = |cfg| flash_algos::bfs::run(&g, cfg, 1).unwrap().result;
+            assert_eq!(bfs(default()), bfs(hashed(&g)), "{}", what("bfs"));
+            let cc = |cfg| flash_algos::cc::run(&g, cfg).unwrap().result;
+            assert_eq!(cc(default()), cc(hashed(&g)), "{}", what("cc"));
+            let scc = |cfg| flash_algos::scc::run(&g, cfg).unwrap().result;
+            assert_eq!(scc(default()), scc(hashed(&g)), "{}", what("scc"));
+            let sssp = |cfg| {
+                let out = flash_algos::sssp::run(&weighted, cfg, 1).unwrap().result;
+                out.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(sssp(default()), sssp(hashed(&weighted)), "{}", what("sssp"));
+            if g.is_symmetric() {
+                let kcore = |cfg| flash_algos::kcore::run(&g, cfg).unwrap().result;
+                assert_eq!(kcore(default()), kcore(hashed(&g)), "{}", what("kcore"));
+            }
+            let ranks = flash_algos::pagerank::run(&g, default(), 10)
+                .unwrap()
+                .result;
+            close(&ranks, &pagerank, &what("pagerank"));
+            let mut scores = flash_algos::bc::run(&g, default(), 1).unwrap().result;
+            scores[1] = 0.0;
+            close(&scores, &bc, &what("bc"));
+        }
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! fields) must be populated.
 
 use flash_bench::cli::{dispatch, CliOptions, ALGOS};
-use flash_graph::generators;
+use flash_graph::{generators, HashPartitioner, PartitionMap};
 use flash_runtime::{ClusterConfig, FaultPlan, RunStats};
 use std::sync::Arc;
 use std::time::Duration;
@@ -390,6 +390,15 @@ fn directed_web() -> Arc<flash_graph::Graph> {
     Arc::new(generators::with_random_weights(&g, 0.5, 2.0, 13))
 }
 
+/// `workers` workers over an explicit [`HashPartitioner`] map. The
+/// [`directed_web`] goldens were captured under it; the default map cuts
+/// `web_graph`'s contiguous communities into ranges instead, and PageRank
+/// folds each in-neighbour's share in an order set by its owner.
+fn hashed(g: &flash_graph::Graph, workers: usize) -> ClusterConfig {
+    let map = PartitionMap::build(g, workers, &HashPartitioner).expect("partition");
+    ClusterConfig::with_workers(workers).shared_partition(Arc::new(map))
+}
+
 /// PageRank (10 iterations) on [`directed_web`] at 1, 2 and 4 workers:
 /// every rank bit and the exact sync traffic, captured on the commit
 /// before the pull read a per-source `share` instead of dividing per arc.
@@ -410,10 +419,31 @@ fn pagerank_ranks_reproduce_parent_goldens() {
         (0xfb55_7fad_b81d_d348, 746_900, 14_938_000),
     ];
     for (workers, want) in [1usize, 2, 4].into_iter().zip(GOLDENS) {
-        let out = flash_algos::pagerank::run(&g, ClusterConfig::with_workers(workers), 10)
-            .expect("pagerank");
+        let out = flash_algos::pagerank::run(&g, hashed(&g, workers), 10).expect("pagerank");
         let got = fingerprint(&out.result, |x| x.to_bits().to_le_bytes(), &out.stats);
         assert_eq!(got, want, "pagerank workers={workers}");
+    }
+}
+
+/// Over the default map, which takes ranges on [`directed_web`], the ranks
+/// are no longer the hash map's bits but stay within 1e-9 of the serial
+/// reference.
+#[test]
+fn default_map_pagerank_matches_the_reference() {
+    let g = directed_web();
+    let want = flash_algos::reference::pagerank(&g, 10);
+    for workers in [2usize, 4] {
+        let map = PartitionMap::for_graph(&g, workers).expect("partition");
+        assert_eq!(map.scheme(), "range", "workers={workers}");
+        let out = flash_algos::pagerank::run(&g, ClusterConfig::with_workers(workers), 10)
+            .expect("pagerank");
+        let err = out
+            .result
+            .iter()
+            .zip(&want)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(err <= 1e-9, "workers={workers}: L-inf error {err}");
     }
 }
 
@@ -556,11 +586,11 @@ fn pull_kernel_reproduces_parent_goldens() {
         ),
     ];
     for (case, want) in GOLDENS.into_iter().enumerate() {
-        let mem = pull_case(case, &g, ClusterConfig::with_workers(3));
+        let mem = pull_case(case, &g, hashed(&g, 3));
         let block = pull_case(
             case,
             &blk,
-            ClusterConfig::with_workers(3).storage(flash_runtime::StorageMode::Block),
+            hashed(&blk, 3).storage(flash_runtime::StorageMode::Block),
         );
         assert_eq!(
             mem,

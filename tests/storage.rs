@@ -36,6 +36,15 @@ fn blk_config(workers: usize) -> ClusterConfig {
     mem_config(workers).storage(StorageMode::Block)
 }
 
+/// `cfg` over an explicit [`HashPartitioner`] map of `g`. The streamed
+/// counters below were captured under it; the default map cuts
+/// `web_graph`'s contiguous communities into ranges instead, which changes
+/// the cells each worker streams.
+fn hashed(g: &Graph, cfg: ClusterConfig) -> ClusterConfig {
+    let map = PartitionMap::build(g, cfg.workers, &HashPartitioner).expect("partition");
+    cfg.shared_partition(Arc::new(map))
+}
+
 /// `(bytes_streamed, blocks_streamed, block_cache_hits)` of a run.
 fn streamed(stats: &RunStats) -> (u64, u64, u64) {
     (
@@ -58,8 +67,10 @@ fn block_engine_matches_in_memory_on_multi_block_graph() {
         "reopened graph is block-backed"
     );
 
-    let mem = flash_algos::bfs::run(&g, mem_config(4), 0).unwrap();
-    let stream = flash_algos::bfs::run(&blk, blk_config(4), 0).unwrap();
+    let mem_cfg = || hashed(&g, mem_config(4));
+    let blk_cfg = || hashed(&g, blk_config(4));
+    let mem = flash_algos::bfs::run(&g, mem_cfg(), 0).unwrap();
+    let stream = flash_algos::bfs::run(&blk, blk_cfg(), 0).unwrap();
     assert_eq!(mem.result, stream.result, "bfs distances");
     assert_eq!(
         mem.stats.num_supersteps(),
@@ -85,8 +96,8 @@ fn block_engine_matches_in_memory_on_multi_block_graph() {
         "in-memory run must not stream"
     );
 
-    let mem = flash_algos::cc::run(&g, mem_config(4)).unwrap();
-    let stream = flash_algos::cc::run(&blk, blk_config(4)).unwrap();
+    let mem = flash_algos::cc::run(&g, mem_cfg()).unwrap();
+    let stream = flash_algos::cc::run(&blk, blk_cfg()).unwrap();
     assert_eq!(mem.result, stream.result, "cc labels");
     assert_eq!(
         mem.stats.total_bytes(),
@@ -95,8 +106,8 @@ fn block_engine_matches_in_memory_on_multi_block_graph() {
     );
     assert_eq!(streamed(&stream.stats), (8_979_888, 400, 60), "cc streamed");
 
-    let mem = flash_algos::pagerank::run(&g, mem_config(4), 5).unwrap();
-    let stream = flash_algos::pagerank::run(&blk, blk_config(4), 5).unwrap();
+    let mem = flash_algos::pagerank::run(&g, mem_cfg(), 5).unwrap();
+    let stream = flash_algos::pagerank::run(&blk, blk_cfg(), 5).unwrap();
     assert_eq!(streamed(&stream.stats), (6_998_912, 420, 80), "pr streamed");
     // Bit-identity, not approximate equality: the streamed kernels visit
     // each vertex's edges in the same order as the in-memory kernels, so
@@ -170,8 +181,8 @@ fn forced_sparse_block_engine_matches_in_memory() {
     let base = generators::web_graph(9_000, 8, 12, 11);
     let g = Arc::new(generators::with_random_weights(&base, 0.5, 2.0, 13));
     let blk = reopen_as_blocks(&g, "sparse");
-    let mem_cfg = || mem_config(3).mode(ModePolicy::ForceSparse);
-    let blk_cfg = || blk_config(3).mode(ModePolicy::ForceSparse);
+    let mem_cfg = || hashed(&g, mem_config(3)).mode(ModePolicy::ForceSparse);
+    let blk_cfg = || hashed(&g, blk_config(3)).mode(ModePolicy::ForceSparse);
 
     let mem = flash_algos::bfs::run(&g, mem_cfg(), 0).unwrap();
     let stream = flash_algos::bfs::run(&blk, blk_cfg(), 0).unwrap();
@@ -219,7 +230,7 @@ fn full_frontier_dense_step_streams_each_workers_nonempty_cells_once() {
     let blk = reopen_as_blocks(&g, "oracle");
     let grid = blk.block_handle().expect("block-backed").grid();
     assert!(grid.nb() > 1, "multi-block");
-    let partition = PartitionMap::build(&g, workers, &HashPartitioner).unwrap();
+    let partition = PartitionMap::for_graph(&g, workers).unwrap();
     let cells: BTreeSet<(usize, usize, usize)> = g
         .edges()
         .map(|(s, d, _)| (partition.owner(d), grid.block_of(s), grid.block_of(d)))
@@ -233,7 +244,7 @@ fn full_frontier_dense_step_streams_each_workers_nonempty_cells_once() {
         "workers share cells, so the model is not just the grid"
     );
 
-    // One PageRank iteration is one such step (hash partition, the default).
+    // One PageRank iteration is one such step, over the default map.
     let out = flash_algos::pagerank::run(&blk, blk_config(workers), 1).unwrap();
     assert_eq!(out.stats.kind_counts().1, 1, "one dense step");
     assert_eq!(streamed(&out.stats), (bytes, cells.len() as u64, 0));

@@ -40,6 +40,17 @@ cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
 echo "==> serving smoke (concurrent sessions + incremental repair must be exact)"
 cargo run --release -q -p flash-bench --bin fig_serve -- --smoke
 
+echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean answer)"
+flash=target/release/flash
+cli_dir="$(mktemp -d)"
+cli() { FLASH_SCALE=small "$flash" --algo bfs --dataset OR --workers 3 "$@"; }
+clean="$(cli | grep '^result:')"
+[[ "$(cli --faults crash@1:w1 --checkpoint-every 2 | grep '^result:')" == "$clean" ]] || { echo "flash: the faulted run's answer differs from the clean run's" >&2; exit 1; }
+halt="$(cli --durable-dir "$cli_dir/store" --halt-after 2 2>&1)" && status=0 || status=$?
+[[ "$status" == 1 ]] && grep -q 'halted' <<<"$halt" || { echo "flash: --halt-after 2 must exit 1 with \"halted\", got $status: $halt" >&2; exit 1; }
+[[ "$(cli --durable-dir "$cli_dir/store" --resume | grep '^result:')" == "$clean" ]] || { echo "flash: the resumed run's answer differs from the clean run's" >&2; exit 1; }
+rm -rf "$cli_dir"
+
 echo "==> regression gate (supersteps/total_bytes of all 19 algorithms must equal the committed BENCH_flash.json)"
 FLASH_SCALE=small cargo run --release -q -p flash-bench --bin bench_flash -- --baseline BENCH_flash.json
 

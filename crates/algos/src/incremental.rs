@@ -1,8 +1,8 @@
 //! Incrementally maintained query results for the serving layer.
 //!
-//! `flash serve` (DESIGN.md §16) keeps long-lived result structures
-//! alongside the [`DeltaOverlay`] and repairs them after each streaming
-//! update batch instead of recomputing from scratch:
+//! The serving workload (`fig_serve`, DESIGN.md §16) keeps long-lived
+//! result structures alongside the [`DeltaOverlay`] and repairs them after
+//! each streaming update batch instead of recomputing from scratch:
 //!
 //! * [`MaintainedCc`] — connected-component labels (minimum vertex id per
 //!   component). Repair re-labels only the components touched by the

@@ -47,16 +47,15 @@ use std::time::{Duration, Instant};
 const SCALE_ALGOS: [&str; 3] = ["bfs", "cc", "pagerank"];
 
 fn base_opts(algo: &str, workers: usize) -> CliOptions {
-    let mut o = CliOptions {
+    CliOptions {
         algo: algo.to_string(),
-        workers,
+        config: ClusterConfig::with_workers(workers),
         iters: 3,
+        // `dispatch` takes the graph explicitly; the dataset field is
+        // only used for loading, which this binary bypasses.
+        dataset: Some(flash_graph::Dataset::Orkut),
         ..CliOptions::default()
-    };
-    // `dispatch` takes the graph explicitly; the dataset field is only
-    // used for loading, which this binary bypasses.
-    o.dataset = Some(flash_graph::Dataset::Orkut);
-    o
+    }
 }
 
 /// Runs one algorithm on one graph under both engines and checks the
@@ -70,7 +69,7 @@ fn identity_probe(
 ) -> Result<Json, String> {
     let mem_opts = base_opts(algo, workers);
     let mut blk_opts = mem_opts.clone();
-    blk_opts.storage = StorageMode::Block;
+    blk_opts.config.storage = StorageMode::Block;
     let (mem_summary, mem_stats) =
         dispatch(&mem_opts, mem_graph).map_err(|e| format!("{algo} (mem): {e}"))?;
     let (blk_summary, blk_stats) =
@@ -118,7 +117,7 @@ fn scale_rung(label: &str, workers: usize, blk_graph: &Arc<Graph>) -> RungOutput
     let (mut rows, mut json_rows, mut broken) = (Vec::new(), Vec::new(), Vec::new());
     for algo in SCALE_ALGOS {
         let mut opts = base_opts(algo, workers);
-        opts.storage = StorageMode::Block;
+        opts.config.storage = StorageMode::Block;
         opts.iters = 5;
         let (summary, stats) = match dispatch(&opts, blk_graph) {
             Ok(r) => r,
@@ -196,7 +195,7 @@ fn pull_rung(g: &Arc<Graph>) -> Result<(f64, f64, f64), String> {
 /// algorithm runs share the mapping instead of re-serializing it.
 fn to_blocks(g: &Arc<Graph>, workers: usize) -> Result<Arc<Graph>, String> {
     let mut opts = base_opts("bfs", workers);
-    opts.storage = StorageMode::Block;
+    opts.config.storage = StorageMode::Block;
     prepare_storage(&opts, g)
 }
 

@@ -1,6 +1,6 @@
 //! `fig_serve` — the snapshot-isolated serving experiment.
 //!
-//! Drives the `flash serve` workload (DESIGN.md §16): `N` concurrent
+//! Drives the serving workload (DESIGN.md §16): `N` concurrent
 //! sessions answer a seeded BFS/SSSP/PageRank/CC query mix over one
 //! frozen snapshot while a mutator streams edge insert/delete batches
 //! into a delta overlay, incrementally repairing maintained CC

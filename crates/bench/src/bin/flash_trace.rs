@@ -20,6 +20,7 @@
 use flash_bench::cli::{dispatch, CliOptions};
 use flash_bench::trace::{analyze, chrome_trace, parse_trace, render_report, report_json};
 use flash_obs::json::{self, Json};
+use flash_runtime::{ClusterConfig, NetworkModel};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -67,8 +68,8 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Options, String> {
     Ok(o)
 }
 
-/// Records a real trace by running BFS (4 workers, simulated network,
-/// checkpointing on) on a small generated graph, returning the JSONL text.
+/// Records a real trace by running BFS (4 workers, simulated network) on
+/// a small generated graph, returning the JSONL text.
 fn record_smoke_trace() -> Result<String, String> {
     let dir = std::env::temp_dir().join(format!("flash-trace-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
@@ -76,8 +77,7 @@ fn record_smoke_trace() -> Result<String, String> {
     let g = Arc::new(flash_graph::generators::erdos_renyi(200, 900, 11));
     let opts = CliOptions {
         algo: "bfs".to_string(),
-        workers: 4,
-        simulate_network: true,
+        config: ClusterConfig::with_workers(4).network(NetworkModel::ten_gbe()),
         trace: Some(path.display().to_string()),
         ..CliOptions::default()
     };

@@ -17,8 +17,12 @@ use flash_runtime::{ClusterConfig, FaultPlan, ModePolicy, NetworkModel, StorageM
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Parsed command-line options.
-#[derive(Debug, Clone, PartialEq)]
+/// Parsed command-line options: what to run, on what input, and how to
+/// report it. Every run setting the flags name (`--workers`, `--mode`,
+/// `--storage`, `--simulate-network`, `--metrics`, `--faults`,
+/// `--checkpoint-every`, `--durable-dir`, `--resume`, `--halt-after`) is
+/// parsed straight into [`CliOptions::config`].
+#[derive(Debug, Clone)]
 pub struct CliOptions {
     /// Algorithm name (lowercase, e.g. "bfs").
     pub algo: String,
@@ -28,50 +32,21 @@ pub struct CliOptions {
     pub input: Option<String>,
     /// Symmetrize a file input.
     pub symmetric: bool,
-    /// Worker count.
-    pub workers: usize,
-    /// Kernel policy.
-    pub mode: ModePolicy,
     /// Root vertex for rooted algorithms.
     pub root: u32,
     /// Iterations for iterative algorithms (LPA, PageRank).
     pub iters: usize,
     /// Clique size for CL.
     pub k: usize,
-    /// Attach the simulated 10 GbE model.
-    pub simulate_network: bool,
     /// Print the run summary as JSON (stats + result digest) on stdout.
     pub json: bool,
     /// Stream superstep trace events: `-` for stderr JSON lines, `text`
     /// for human-readable stderr lines, else a file path for JSON lines.
     pub trace: Option<String>,
-    /// Deterministic fault plan (`--faults crash@3:w1,corrupt@5:w0`).
-    pub faults: Option<FaultPlan>,
-    /// Checkpoint interval in supersteps (`0` = default when faults are on).
-    pub checkpoint_every: usize,
-    /// Explicitly disable checkpointing (`--checkpoint-every off`), even
-    /// when a fault plan would normally force it on.
-    pub checkpoint_off: bool,
-    /// Render per-phase percentile histograms, folded from the run's
-    /// supersteps, in the stats JSON (`--metrics`). Never changes results.
-    pub metrics: bool,
-    /// Storage engine (`--storage mem|block`): the in-memory default, or
-    /// the out-of-core block engine (the graph is converted to a block
-    /// file and `EDGEMAP`s stream edge blocks; results are bit-identical).
-    pub storage: StorageMode,
-    /// Durable checkpoint store directory (`--durable-dir DIR`): every
-    /// checkpoint is committed to disk through a crash-consistent
-    /// two-phase commit. `None` keeps the store fully inert.
-    pub durable_dir: Option<String>,
-    /// Resume from the durable store (`--resume`): re-execute the killed
-    /// run bit-identically and verify it against the newest valid
-    /// generation's digest. Requires `--durable-dir`.
-    pub resume: bool,
-    /// Scripted cold-restart kill switch (`--halt-after N`): durable
-    /// persistence freezes at superstep `N` and the run reports a clean
-    /// `Halted` error, simulating a whole-process kill. Requires
-    /// `--durable-dir`.
-    pub halt_after: Option<u64>,
+    /// The run's cluster configuration. The `--trace` sink is the one
+    /// setting [`dispatch`] adds to it, because opening the sink creates
+    /// the file.
+    pub config: ClusterConfig,
 }
 
 impl Default for CliOptions {
@@ -81,22 +56,12 @@ impl Default for CliOptions {
             dataset: None,
             input: None,
             symmetric: false,
-            workers: 4,
-            mode: ModePolicy::Adaptive,
             root: 0,
             iters: 10,
             k: 4,
-            simulate_network: false,
             json: false,
             trace: None,
-            faults: None,
-            checkpoint_every: 0,
-            checkpoint_off: false,
-            metrics: false,
-            storage: StorageMode::default(),
-            durable_dir: None,
-            resume: false,
-            halt_after: None,
+            config: ClusterConfig::with_workers(4),
         }
     }
 }
@@ -142,12 +107,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
             "--input" | "-i" => opts.input = Some(value_of(&arg, &mut it)?),
             "--symmetric" => opts.symmetric = true,
             "--workers" | "-w" => {
-                opts.workers = value_of(&arg, &mut it)?
+                opts.config.workers = value_of(&arg, &mut it)?
                     .parse()
                     .map_err(|_| "--workers needs an integer".to_string())?;
             }
             "--mode" | "-m" => {
-                opts.mode = match value_of(&arg, &mut it)?.as_str() {
+                opts.config.mode = match value_of(&arg, &mut it)?.as_str() {
                     "auto" | "adaptive" => ModePolicy::Adaptive,
                     "push" | "sparse" => ModePolicy::ForceSparse,
                     "pull" | "dense" => ModePolicy::ForceDense,
@@ -169,44 +134,39 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                     .parse()
                     .map_err(|_| "--k needs an integer".to_string())?;
             }
-            "--simulate-network" => opts.simulate_network = true,
+            "--simulate-network" => opts.config.network = Some(NetworkModel::ten_gbe()),
             "--json" => opts.json = true,
-            "--metrics" => opts.metrics = true,
+            "--metrics" => opts.config.metrics = true,
             "--trace" => opts.trace = Some(value_of(&arg, &mut it)?),
             "--faults" => {
                 let v = value_of(&arg, &mut it)?;
-                opts.faults = Some(FaultPlan::parse(&v).map_err(|e| format!("--faults: {e}"))?);
+                let plan = FaultPlan::parse(&v).map_err(|e| format!("--faults: {e}"))?;
+                opts.config.fault_plan = Some(plan);
             }
             "--checkpoint-every" => {
                 let v = value_of(&arg, &mut it)?;
-                if v == "off" {
-                    opts.checkpoint_off = true;
-                    opts.checkpoint_every = 0;
-                } else {
-                    let n: usize = v.parse().map_err(|_| {
-                        "--checkpoint-every needs an interval in supersteps, or `off`".to_string()
-                    })?;
-                    if n == 0 {
-                        return Err("--checkpoint-every 0 is ambiguous (fault plans force \
-                             checkpointing back on); say `--checkpoint-every off` to \
-                             disable checkpointing explicitly"
-                            .to_string());
+                let n = match v.parse() {
+                    _ if v == "off" => 0,
+                    Ok(n) if n > 0 => n,
+                    _ => {
+                        return Err("--checkpoint-every needs an interval of at least one \
+                                    superstep, or `off` to disable checkpointing"
+                            .to_string())
                     }
-                    opts.checkpoint_every = n;
-                    opts.checkpoint_off = false;
-                }
+                };
+                opts.config.checkpoint_every = Some(n);
             }
             "--storage" => {
-                opts.storage = match value_of(&arg, &mut it)?.as_str() {
+                opts.config.storage = match value_of(&arg, &mut it)?.as_str() {
                     "mem" | "memory" | "in-memory" => StorageMode::InMemory,
                     "block" | "blocks" => StorageMode::Block,
                     other => return Err(format!("unknown storage mode {other:?}")),
                 };
             }
-            "--durable-dir" => opts.durable_dir = Some(value_of(&arg, &mut it)?),
-            "--resume" => opts.resume = true,
+            "--durable-dir" => opts.config.durable_dir = Some(value_of(&arg, &mut it)?.into()),
+            "--resume" => opts.config.durable_resume = true,
             "--halt-after" => {
-                opts.halt_after = Some(
+                opts.config.durable_halt_after = Some(
                     value_of(&arg, &mut it)?
                         .parse()
                         .map_err(|_| "--halt-after needs a superstep number".to_string())?,
@@ -229,10 +189,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
     if opts.dataset.is_none() && opts.input.is_none() {
         return Err("one of --dataset or --input is required".to_string());
     }
-    if opts.workers == 0 {
+    let cfg = &opts.config;
+    if cfg.workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
-    if opts.durable_dir.is_none() && (opts.resume || opts.halt_after.is_some()) {
+    if cfg.durable_dir.is_none() && (cfg.durable_resume || cfg.durable_halt_after.is_some()) {
         return Err("--resume and --halt-after require --durable-dir".to_string());
     }
     Ok(opts)
@@ -258,10 +219,6 @@ pub fn usage() -> String {
          \x20            plus retries=N, backoff=D, cap=D, detector=D, seed=N,\n\
          \x20            loss=P, dupRate=P, corruptRate=P options\n\
          \x20            (e.g. --faults drop@3:w1,loss=0.05,retries=4)\n\
-         subcommands: serve — snapshot-isolated serving workload\n\
-         \x20            (flash serve [--smoke] [--sessions N] [--queries N]\n\
-         \x20             [--batches N] [--batch-size N] [--workers N]\n\
-         \x20             [--scale N] [--seed N])\n\
          algorithms: {}",
         ALGOS.join(", ")
     )
@@ -284,44 +241,6 @@ pub fn load_graph(opts: &CliOptions) -> Result<Arc<Graph>, String> {
     )
     .map_err(|e| format!("cannot parse {path:?}: {e}"))?;
     Ok(Arc::new(g))
-}
-
-/// Builds the cluster configuration an options set describes (including
-/// the `--trace` sink, when one was requested).
-pub fn cluster_config(opts: &CliOptions) -> ClusterConfig {
-    let mut cfg = ClusterConfig::with_workers(opts.workers)
-        .mode(opts.mode)
-        .storage(opts.storage);
-    if opts.simulate_network {
-        cfg = cfg.network(NetworkModel::ten_gbe());
-    }
-    if opts.checkpoint_every > 0 {
-        cfg = cfg.checkpoint_every(opts.checkpoint_every);
-    }
-    if let Some(plan) = &opts.faults {
-        cfg = cfg.faults(plan.clone());
-    }
-    if opts.checkpoint_off {
-        cfg = cfg.checkpoint_off();
-    }
-    if let Some(dir) = &opts.durable_dir {
-        cfg = cfg.durable_dir(dir.clone());
-        if opts.resume {
-            cfg = cfg.resume();
-        }
-        if let Some(n) = opts.halt_after {
-            cfg = cfg.halt_after(n);
-        }
-    }
-    if opts.metrics {
-        cfg = cfg.metrics();
-    }
-    match trace_sink(opts) {
-        Ok(Some(sink)) => cfg = cfg.sink(sink),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: {e}"),
-    }
-    cfg
 }
 
 /// Builds the sink `--trace` describes: `-` streams JSON lines to stderr,
@@ -355,8 +274,8 @@ pub fn run_json(opts: &CliOptions, summary: &str, stats: &flash_runtime::RunStat
                 (None, None) => Json::Null,
             },
         )
-        .set("workers", opts.workers)
-        .set("mode", format!("{:?}", opts.mode))
+        .set("workers", opts.config.workers)
+        .set("mode", format!("{:?}", opts.config.mode))
         .set("summary", summary)
         .set("stats", stats.to_json())
 }
@@ -372,7 +291,7 @@ static NEXT_BLOCK_FILE: AtomicU64 = AtomicU64::new(0);
 /// walking the heap CSR. The in-memory default passes the graph through
 /// untouched, as does a graph that is already block-backed.
 pub fn prepare_storage(opts: &CliOptions, g: &Arc<Graph>) -> Result<Arc<Graph>, String> {
-    if opts.storage != StorageMode::Block || g.block_handle().is_some() {
+    if opts.config.storage != StorageMode::Block || g.block_handle().is_some() {
         return Ok(Arc::clone(g));
     }
     let path = std::env::temp_dir().join(format!(
@@ -396,7 +315,12 @@ pub fn dispatch(
     g: &Arc<Graph>,
 ) -> Result<(String, flash_runtime::RunStats), String> {
     let g = &prepare_storage(opts, g)?;
-    let cfg = cluster_config(opts);
+    let mut cfg = opts.config.clone();
+    match trace_sink(opts) {
+        Ok(Some(sink)) => cfg = cfg.sink(sink),
+        Ok(None) => {}
+        Err(e) => eprintln!("warning: {e}"),
+    }
     let fail = |e: flash_runtime::RuntimeError| e.to_string();
     Ok(match opts.algo.as_str() {
         "bfs" => {
@@ -551,8 +475,8 @@ mod tests {
         .unwrap();
         assert_eq!(o.algo, "bfs");
         assert_eq!(o.dataset, Some(Dataset::Orkut));
-        assert_eq!(o.workers, 8);
-        assert_eq!(o.mode, ModePolicy::ForceDense);
+        assert_eq!(o.config.workers, 8);
+        assert_eq!(o.config.mode, ModePolicy::ForceDense);
         assert_eq!(o.root, 7);
     }
 
@@ -622,13 +546,10 @@ mod tests {
             "--algo bfs --dataset or --faults crash@3:w1,retries=5 --checkpoint-every 2",
         ))
         .unwrap();
-        let plan = o.faults.clone().expect("plan parsed");
+        let plan = o.config.fault_plan.clone().expect("plan parsed");
         assert_eq!(plan.max_retries, 5);
         assert_eq!(plan.specs.len(), 1);
-        assert_eq!(o.checkpoint_every, 2);
-        let cfg = cluster_config(&o);
-        assert_eq!(cfg.checkpoint_every, 2);
-        assert!(cfg.fault_plan.is_some());
+        assert_eq!(o.config.checkpoint_every, Some(2));
         assert!(parse_args(args("--algo bfs --dataset or --faults garbage")).is_err());
         assert!(parse_args(args("--algo bfs --dataset or --checkpoint-every x")).is_err());
     }
@@ -643,10 +564,25 @@ mod tests {
             "--algo bfs --dataset or --faults die@1:w1 --checkpoint-every off",
         ))
         .unwrap();
-        assert!(o.checkpoint_off);
-        assert_eq!(o.checkpoint_every, 0);
-        let cfg = cluster_config(&o);
-        assert!(cfg.checkpoint_disabled, "off survives the faults force-on");
+        assert_eq!(o.config.checkpoint_every, Some(0), "off survives --faults");
+    }
+
+    #[test]
+    fn parses_durable_flags_into_the_config() {
+        let o = parse_args(args(
+            "--algo bfs --dataset or --resume --durable-dir d --halt-after 3",
+        ))
+        .unwrap();
+        let cfg = &o.config;
+        assert_eq!(cfg.durable_dir.as_deref(), Some(std::path::Path::new("d")));
+        assert!(cfg.durable_resume);
+        assert_eq!(cfg.durable_halt_after, Some(3));
+        assert_eq!(cfg.checkpoint_every, None, "the cluster picks the interval");
+        for lone in ["--resume", "--halt-after 3"] {
+            let e = parse_args(args(&format!("--algo bfs --dataset or {lone}")))
+                .expect_err("needs a durable dir");
+            assert!(e.contains("--durable-dir"), "{e}");
+        }
     }
 
     #[test]
@@ -655,7 +591,7 @@ mod tests {
             "--algo bfs --dataset or --faults die@1:w1,rejoin@4:w1,detector=50ms",
         ))
         .unwrap();
-        let plan = o.faults.expect("plan parsed");
+        let plan = o.config.fault_plan.expect("plan parsed");
         assert_eq!(plan.specs.len(), 2);
         assert_eq!(plan.detector_timeout, std::time::Duration::from_millis(50));
     }
@@ -742,7 +678,7 @@ mod tests {
     #[test]
     fn parses_consensus_fault_specs() {
         let o = parse_args(args("--algo bfs --dataset or --faults leader@2,lie@4:w1")).unwrap();
-        let plan = o.faults.expect("plan parsed");
+        let plan = o.config.fault_plan.expect("plan parsed");
         assert_eq!(plan.specs.len(), 2);
         assert!(plan.has_consensus_faults());
         assert!(parse_args(args("--algo bfs --dataset or --faults leader@2:w1")).is_err());
@@ -755,7 +691,7 @@ mod tests {
             "--algo bfs --dataset or --faults straggle@1:w1:5ms,detector=50ms",
         ))
         .unwrap();
-        let plan = cluster_config(&o).fault_plan.expect("plan wired");
+        let plan = o.config.fault_plan.expect("plan wired");
         assert_eq!(plan.detector_timeout, std::time::Duration::from_millis(50));
         // The plan's option is the one knob; there is no per-run flag.
         let e = parse_args(args("--algo bfs --dataset or --detector-timeout 50ms"))
@@ -766,10 +702,13 @@ mod tests {
     #[test]
     fn parses_storage_flag_and_wires_it_into_the_config() {
         let o = parse_args(args("--algo bfs --dataset or --storage block")).unwrap();
-        assert_eq!(o.storage, StorageMode::Block);
-        assert_eq!(cluster_config(&o).storage, StorageMode::Block);
+        assert_eq!(o.config.storage, StorageMode::Block);
         let d = parse_args(args("--algo bfs --dataset or")).unwrap();
-        assert_eq!(d.storage, StorageMode::InMemory, "in-memory is the default");
+        assert_eq!(
+            d.config.storage,
+            StorageMode::InMemory,
+            "in-memory is the default"
+        );
         assert!(parse_args(args("--algo bfs --dataset or --storage tape")).is_err());
         assert!(usage().contains("--storage"));
     }
@@ -783,7 +722,7 @@ mod tests {
             blk.iters = 3;
             let mut mem = mem;
             mem.iters = 3;
-            blk.storage = StorageMode::Block;
+            blk.config.storage = StorageMode::Block;
             let (s_mem, st_mem) = dispatch(&mem, &g).unwrap();
             let (s_blk, st_blk) = dispatch(&blk, &g).unwrap();
             assert_eq!(s_mem, s_blk, "{algo}: summaries diverge");
@@ -802,10 +741,8 @@ mod tests {
     #[test]
     fn parses_metrics_flag_and_wires_it_into_the_config() {
         let o = parse_args(args("--algo bfs --dataset or --metrics")).unwrap();
-        assert!(o.metrics);
-        assert!(cluster_config(&o).metrics);
+        assert!(o.config.metrics);
         let off = parse_args(args("--algo bfs --dataset or")).unwrap();
-        assert!(!off.metrics, "metrics are opt-in");
-        assert!(!cluster_config(&off).metrics);
+        assert!(!off.config.metrics, "metrics are opt-in");
     }
 }

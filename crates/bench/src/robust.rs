@@ -26,7 +26,7 @@ use crate::report::render_table;
 use flash_graph::testutil::TempDirGuard;
 use flash_graph::Graph;
 use flash_obs::Json;
-use flash_runtime::{FaultPlan, RunStats};
+use flash_runtime::{ClusterConfig, FaultPlan, RunStats};
 use std::sync::Arc;
 
 /// The suites `fig_robust --suite` accepts, in the order `all` runs them.
@@ -117,7 +117,7 @@ impl Sweep {
     fn opts(&self, algo: &str) -> CliOptions {
         CliOptions {
             algo: algo.to_string(),
-            workers: self.workers,
+            config: ClusterConfig::with_workers(self.workers),
             iters: 3,
             // `dispatch` takes the graph explicitly; the dataset field is
             // only used for loading, which the suites bypass.
@@ -128,10 +128,9 @@ impl Sweep {
 
     /// The base options with the scripted fault plan `text` attached.
     fn under(&self, algo: &str, text: &str) -> CliOptions {
-        CliOptions {
-            faults: Some(plan(text)),
-            ..self.opts(algo)
-        }
+        let mut opts = self.opts(algo);
+        opts.config = opts.config.faults(plan(text));
+        opts
     }
 
     /// Runs `opts`; an error is a failure of the run called `what`.
@@ -284,7 +283,7 @@ fn chaos(smoke: bool) -> bool {
             continue;
         };
         let mut opts = sw.under(algo, PLAN);
-        opts.checkpoint_every = CHECKPOINT_EVERY;
+        opts.config.checkpoint_every = Some(CHECKPOINT_EVERY);
         let Some(run) = sw.faulted(&format!("{algo} (faulted)"), &opts, &clean) else {
             continue;
         };
@@ -306,7 +305,7 @@ fn chaos(smoke: bool) -> bool {
     // A crash that outlives the retry budget must come back as a clean
     // error, never a panic.
     let mut doomed = sw.under("bfs", "crash@1:w0:x99,retries=2");
-    doomed.checkpoint_every = CHECKPOINT_EVERY;
+    doomed.config.checkpoint_every = Some(CHECKPOINT_EVERY);
     let exhaustion = sw.expect_error(
         "exhaustion probe",
         &doomed,
@@ -353,7 +352,7 @@ fn elastic(smoke: bool) -> bool {
             };
             let what = format!("{algo} ({label})");
             let mut opts = sw.under(algo, plan_text);
-            opts.checkpoint_every = CHECKPOINT_EVERY;
+            opts.config.checkpoint_every = Some(CHECKPOINT_EVERY);
             let Some(run) = sw.faulted(&what, &opts, &clean) else {
                 continue;
             };
@@ -380,7 +379,7 @@ fn elastic(smoke: bool) -> bool {
     // on 2 hosts; the run must still finish bit-identically.
     let mut double_probe = Json::object().set("ok", false);
     let mut opts = sw.under("cc", "die@1:w1,die@3:w3,retries=1");
-    opts.checkpoint_every = CHECKPOINT_EVERY;
+    opts.config.checkpoint_every = Some(CHECKPOINT_EVERY);
     let runs = (sw.clean("cc"), sw.run("double-death probe", &opts));
     if let (Some(clean), Some((summary, stats))) = runs {
         let rec = &stats.recovery;
@@ -404,7 +403,7 @@ fn elastic(smoke: bool) -> bool {
     // Degrade probe: a permanent loss with checkpointing disabled has no
     // state to recover from and must surface as a clean error.
     let mut degrade = sw.under("bfs", "die@1:w1,retries=1");
-    degrade.checkpoint_off = true;
+    degrade.config = degrade.config.checkpoint_off();
     let degrade_probe = sw.expect_error(
         "degrade probe",
         &degrade,
@@ -614,7 +613,7 @@ fn consensus(smoke: bool) -> bool {
     }
 
     let mut probe = sw.under("bfs", "lie@1:w1,retries=1");
-    probe.workers = 2;
+    probe.config.workers = 2;
     let quorum_probe = sw.expect_error(
         "quorum-loss probe",
         &probe,
@@ -672,7 +671,7 @@ fn durable(smoke: bool) -> bool {
         (0u64, 0u64, 0u64, 0u64);
     for &algo in algos {
         let mut base = sw.opts(algo);
-        base.checkpoint_every = INTERVAL;
+        base.config.checkpoint_every = Some(INTERVAL);
         let Some(clean) = sw.run(&format!("{algo} (clean)"), &base) else {
             continue;
         };
@@ -682,8 +681,8 @@ fn durable(smoke: bool) -> bool {
         for k in (INTERVAL..steps).step_by(INTERVAL) {
             let dir = TempDirGuard::new(&format!("fig-durable-{algo}-{k}"));
             let mut halted = base.clone();
-            halted.durable_dir = Some(dir.path().display().to_string());
-            halted.halt_after = Some(k as u64);
+            halted.config.durable_dir = Some(dir.path().to_path_buf());
+            halted.config.durable_halt_after = Some(k as u64);
             match dispatch(&halted, &sw.graph(algo)) {
                 Err(e) if e.contains("halted") => {}
                 Err(e) => {
@@ -702,8 +701,8 @@ fn durable(smoke: bool) -> bool {
                 }
             }
             let mut resume = base.clone();
-            resume.durable_dir = halted.durable_dir;
-            resume.resume = true;
+            resume.config.durable_dir = halted.config.durable_dir;
+            resume.config.durable_resume = true;
             if let Some(run) = sw.faulted(&format!("{algo} (resume@{k})"), &resume, &clean) {
                 resumes += 1;
                 verified += run.stats.durability.resumed_steps;
@@ -714,11 +713,11 @@ fn durable(smoke: bool) -> bool {
         for (label, plan_text, damages) in SCENARIOS {
             let dir = TempDirGuard::new(&format!("fig-durable-{algo}-{label}"));
             let mut faulted = base.clone();
-            faulted.checkpoint_every = 1;
-            faulted.durable_dir = Some(dir.path().display().to_string());
+            faulted.config.checkpoint_every = Some(1);
+            faulted.config.durable_dir = Some(dir.path().to_path_buf());
             let mut resume = faulted.clone();
-            resume.resume = true;
-            faulted.faults = Some(plan(plan_text));
+            resume.config.durable_resume = true;
+            faulted.config.fault_plan = Some(plan(plan_text));
             let what = format!("{algo} ({label})");
             let Some((summary, stats)) = sw.run(&what, &faulted) else {
                 continue;

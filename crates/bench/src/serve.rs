@@ -1,4 +1,4 @@
-//! The `flash serve` workload driver (DESIGN.md §16).
+//! The serving workload driver behind `fig_serve` (DESIGN.md §16).
 //!
 //! Serving splits the system into two planes sharing one machine:
 //!

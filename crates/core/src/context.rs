@@ -4,12 +4,11 @@ use crate::edgeset::{EdgeSet, Row};
 use crate::subset::VertexSubset;
 use crate::EdgeRef;
 use flash_graph::{
-    BitSet, BlockGrid, BlockHandle, BlockTouch, Graph, PartitionMap, StreamScope, VertexId,
-    MAX_GRID_DIM,
+    BitSet, BlockGrid, BlockHandle, BlockTouch, Graph, StreamScope, VertexId, MAX_GRID_DIM,
 };
 use flash_runtime::{
     Cluster, ClusterConfig, ModePolicy, RunStats, RuntimeError, StepKind, StorageMode, SyncScope,
-    VertexData,
+    VertexData, DENSE_THRESHOLD,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,25 +37,17 @@ pub struct FlashContext<V: VertexData> {
 
 impl<V: VertexData> FlashContext<V> {
     /// Builds a context over the default partition map
-    /// ([`PartitionMap::for_graph`]) — or over `config.shared_partition`
-    /// when one is attached (serving sessions share one partition map
-    /// across every query cluster).
+    /// ([`PartitionMap::for_graph`](flash_graph::PartitionMap::for_graph))
+    /// — or over `config.shared_partition` when one is attached, which is
+    /// how serving sessions share one map across every query cluster and
+    /// how a caller runs over an explicit map (see
+    /// [`ClusterConfig::partition_for`]).
     pub fn build(
         graph: Arc<Graph>,
         config: ClusterConfig,
         init: impl Fn(VertexId) -> V,
     ) -> Result<Self, RuntimeError> {
-        let partition = Self::partition_for(&graph, &config)?;
-        Self::with_partition(graph, partition, config, init)
-    }
-
-    /// Builds a context over an explicit partitioning.
-    pub fn with_partition(
-        graph: Arc<Graph>,
-        partition: Arc<PartitionMap>,
-        config: ClusterConfig,
-        init: impl Fn(VertexId) -> V,
-    ) -> Result<Self, RuntimeError> {
+        let partition = config.partition_for(&graph)?;
         Ok(FlashContext {
             cluster: Cluster::new(graph, partition, config, init)?,
         })
@@ -76,36 +67,7 @@ impl<V: VertexData> FlashContext<V> {
     where
         V: flash_runtime::DurableValue,
     {
-        let partition = Self::partition_for(&graph, &config)?;
-        Self::with_partition_durable(graph, partition, config, init)
-    }
-
-    /// The partition a default-built context runs over: the config's
-    /// shared map when attached, else a fresh
-    /// [`PartitionMap::for_graph`] map.
-    fn partition_for(
-        graph: &Arc<Graph>,
-        config: &ClusterConfig,
-    ) -> Result<Arc<PartitionMap>, RuntimeError> {
-        match &config.shared_partition {
-            Some(p) => Ok(Arc::clone(p)),
-            None => Ok(Arc::new(
-                PartitionMap::for_graph(graph, config.workers)
-                    .map_err(|_| RuntimeError::NoWorkers)?,
-            )),
-        }
-    }
-
-    /// [`FlashContext::build_durable`] over an explicit partitioning.
-    pub fn with_partition_durable(
-        graph: Arc<Graph>,
-        partition: Arc<PartitionMap>,
-        config: ClusterConfig,
-        init: impl Fn(VertexId) -> V,
-    ) -> Result<Self, RuntimeError>
-    where
-        V: flash_runtime::DurableValue,
-    {
+        let partition = config.partition_for(&graph)?;
         let cluster = if config.durable_dir.is_some() {
             Cluster::new_durable(graph, partition, config, init)?
         } else {
@@ -175,11 +137,6 @@ impl<V: VertexData> FlashContext<V> {
     /// `Err` instead of silently returning values from a failed cluster.
     pub fn fault_error(&self) -> Option<flash_runtime::RuntimeError> {
         self.cluster.fault_error()
-    }
-
-    /// Mutable access to the cluster configuration (mode policy etc.).
-    pub fn config_mut(&mut self) -> &mut ClusterConfig {
-        self.cluster.config_mut()
     }
 
     /// Raw cluster access for advanced operators (vertex-centric layer,
@@ -295,13 +252,12 @@ impl<V: VertexData> FlashContext<V> {
                     true
                 } else {
                     frontier_edges.unwrap() as f64
-                        > self.cluster.config().dense_threshold * self.graph().num_edges() as f64
+                        > DENSE_THRESHOLD * self.graph().num_edges() as f64
                 }
             }
         };
         if tracing {
-            let threshold_edges =
-                (self.cluster.config().dense_threshold * self.graph().num_edges() as f64) as usize;
+            let threshold_edges = (DENSE_THRESHOLD * self.graph().num_edges() as f64) as usize;
             let policy_label = match policy {
                 ModePolicy::Adaptive => "adaptive",
                 ModePolicy::ForceDense => "force-dense",

@@ -23,8 +23,9 @@ pub enum GraphError {
         /// Number of weights supplied.
         weights: usize,
     },
-    /// A partitioning with zero workers was requested.
-    NoWorkers,
+    /// A partitioning outside 1 to `u16::MAX` workers was requested
+    /// (owners are `u16`); carries the requested count.
+    WorkerCount(usize),
     /// A partitioning needs more necessary mirrors than the mirror table's
     /// `u32` offsets can address.
     TooManyMirrors,
@@ -59,7 +60,11 @@ impl fmt::Display for GraphError {
             GraphError::WeightMismatch { edges, weights } => {
                 write!(f, "{weights} weights supplied for {edges} edges")
             }
-            GraphError::NoWorkers => write!(f, "a partition requires at least one worker"),
+            GraphError::WorkerCount(m) => write!(
+                f,
+                "a partition needs 1 to {} workers (owners are u16), not {m}",
+                u16::MAX
+            ),
             GraphError::TooManyMirrors => {
                 write!(f, "the partition's mirror table exceeds its u32 offsets")
             }
@@ -88,7 +93,8 @@ mod tests {
         let e = GraphError::VertexOutOfRange { id: 9, n: 5 };
         assert!(e.to_string().contains("9"));
         assert!(e.to_string().contains("5"));
-        assert!(GraphError::NoWorkers.to_string().contains("worker"));
+        let w = GraphError::WorkerCount(70_000).to_string();
+        assert!(w.contains("65535") && w.contains("70000"), "{w}");
         assert!(GraphError::Unweighted.to_string().contains("weight"));
         let m = GraphError::Membership("host 3 is already dead".into());
         assert!(m.to_string().contains("membership"));

@@ -117,7 +117,7 @@ pub struct RebalanceReport {
 /// A cluster has between 1 and `u16::MAX` workers: owners are `u16`.
 fn check_workers(m: usize) -> Result<(), GraphError> {
     if m == 0 || m > u16::MAX as usize {
-        return Err(GraphError::NoWorkers);
+        return Err(GraphError::WorkerCount(m));
     }
     Ok(())
 }
@@ -539,7 +539,7 @@ mod tests {
         let g = path(4);
         assert!(matches!(
             PartitionMap::build(&g, 0, &HashPartitioner),
-            Err(GraphError::NoWorkers)
+            Err(GraphError::WorkerCount(0))
         ));
     }
 
@@ -881,7 +881,7 @@ mod tests {
     fn default_map_edge_cases() {
         assert!(matches!(
             PartitionMap::for_graph(&path(4), 0),
-            Err(GraphError::NoWorkers)
+            Err(GraphError::WorkerCount(0))
         ));
         // One worker owns everything, whatever the ids.
         let p = PartitionMap::for_graph(&path(10), 1).unwrap();

@@ -232,7 +232,7 @@ events! {
         /// `|U| + Σ out_degree(U)` — the Ligra-style density measure.
         frontier_edges: usize,
         /// Threshold the measure is compared against
-        /// (`dense_threshold · |E|`).
+        /// (`DENSE_THRESHOLD · |E|`, Ligra's 1/20).
         threshold_edges: usize,
         /// Chosen kernel: `"dense"` or `"sparse"`.
         chosen: String,

@@ -644,7 +644,7 @@ impl<V: VertexData> Cluster<V> {
         voters: usize,
     ) {
         self.stats.consensus.entries_appended += 1;
-        match consensus.commit(step, kind.clone(), voters) {
+        match consensus.commit(voters) {
             Ok(commit) => {
                 self.stats.consensus.entries_committed += 1;
                 let bytes = LOG_RECORD_BYTES * voters as u64;

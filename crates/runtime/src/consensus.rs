@@ -1,23 +1,23 @@
 //! The replicated control plane: a Raft-style elected coordinator and a
-//! durable, majority-committed decision log (DESIGN.md §14).
+//! majority-committed sequence of decisions (DESIGN.md §14).
 //!
-//! Before this module, the cluster's control-plane decisions — membership
-//! epoch bumps, checkpoint commits, death declarations — were *ambient*:
-//! applied by whatever code path reached them first, with no notion of who
-//! decided or what a survivor would know after a coordinator loss. This
-//! module reifies them as entries in a replicated log driven by an elected
-//! leader:
+//! The cluster's control-plane decisions — membership epoch bumps,
+//! checkpoint commits, death declarations — are each committed by an
+//! elected leader with a majority of acknowledgements before they are
+//! applied:
 //!
 //! * **Elections** (Raft §5.2, simplified for a simulated full-information
 //!   cluster): each election bumps the term and seats exactly one candidate
 //!   — the smallest live host — with a vote from every live host. Election
 //!   safety (at most one leader per term) therefore holds *by
 //!   construction*: a term admits one candidate and is never reused.
-//! * **The log** (Raft §5.3): entries carry `(term, index, step, kind)`.
-//!   Indices are 1-based and strictly sequential; terms along the log are
-//!   non-decreasing (the Log Matching property). An entry is *committed*
-//!   once a majority of the voting hosts acknowledge it; only committed
-//!   entries are applied.
+//! * **The commit index** (Raft §5.3): each decision commits at the next
+//!   1-based index, under the current term, once a majority of the voting
+//!   hosts acknowledge it; only committed decisions are applied. Every
+//!   replica applies the same decisions in the same order by construction,
+//!   so nothing replays the log: the state machine keeps the term, the
+//!   leader and the commit index, and each decision is reported as one
+//!   `log_committed` trace event instead of being stored.
 //! * **Byzantine accusation**: a worker that returns a checksum-mismatched
 //!   sync payload is caught by [`checksum_quorum`] — every live replica
 //!   recomputes the payload checksum independently, and a strict majority
@@ -39,7 +39,7 @@
 // abort. Everything must degrade to typed errors.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-/// A control-plane decision, replicated through the log before it is
+/// A control-plane decision, committed by a majority before it is
 /// applied. The serialized form (see [`LogEntryKind::label`]) is what the
 /// `log_committed` trace event reports.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,19 +81,6 @@ impl LogEntryKind {
             LogEntryKind::DeathDeclaration { .. } => "death_declaration",
         }
     }
-}
-
-/// One replicated log entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogEntry {
-    /// The leader term under which the entry was appended.
-    pub term: u64,
-    /// 1-based, strictly sequential position in the log.
-    pub index: u64,
-    /// The superstep at which the decision was taken.
-    pub step: u64,
-    /// The decision itself.
-    pub kind: LogEntryKind,
 }
 
 /// The outcome of one election.
@@ -141,13 +128,12 @@ pub struct ChecksumVerdict {
 pub struct Consensus {
     term: u64,
     leader: Option<usize>,
-    log: Vec<LogEntry>,
     committed: u64,
 }
 
 impl Consensus {
-    /// A fresh control plane: term 0, no leader, empty log. The cluster
-    /// runs the first election before its first superstep.
+    /// A fresh control plane: term 0, no leader, nothing committed. The
+    /// cluster runs the first election before its first superstep.
     pub fn new() -> Self {
         Consensus::default()
     }
@@ -160,11 +146,6 @@ impl Consensus {
     /// The current leader host, if one has been elected and not lost.
     pub fn leader(&self) -> Option<usize> {
         self.leader
-    }
-
-    /// The full replicated log, committed prefix first.
-    pub fn log(&self) -> &[LogEntry] {
-        &self.log
     }
 
     /// Index of the last committed entry (0 = nothing committed).
@@ -198,72 +179,23 @@ impl Consensus {
         self.leader = None;
     }
 
-    /// Appends a decision under the current term and commits it with
-    /// `voters` acknowledging replicas. Every live voter acks in this
-    /// synchronous model, so the entry commits iff the voter set can form
-    /// a majority at all — `Err(needed)` reports the quorum that zero
-    /// voters could not meet.
-    pub fn commit(
-        &mut self,
-        step: u64,
-        kind: LogEntryKind,
-        voters: usize,
-    ) -> Result<Commit, usize> {
+    /// Commits the next decision under the current term with `voters`
+    /// acknowledging replicas. Every live voter acks in this synchronous
+    /// model, so the decision commits iff the voter set can form a
+    /// majority at all — `Err(needed)` reports the quorum that zero voters
+    /// could not meet, and leaves the commit index where it was.
+    pub fn commit(&mut self, voters: usize) -> Result<Commit, usize> {
         let quorum = voters / 2 + 1;
         if voters == 0 {
             return Err(quorum);
         }
-        let index = self.log.len() as u64 + 1;
-        self.log.push(LogEntry {
-            term: self.term,
-            index,
-            step,
-            kind,
-        });
-        self.committed = index;
+        self.committed += 1;
         Ok(Commit {
             term: self.term,
-            index,
+            index: self.committed,
             acks: voters,
             quorum,
         })
-    }
-
-    /// Checks the Log Matching property over the whole log: indices are
-    /// 1-based and strictly sequential, terms are non-decreasing, and the
-    /// commit index never exceeds the log length. Debug/test helper;
-    /// returns the first violation as text.
-    pub fn check_log_matching(&self) -> Result<(), String> {
-        for (i, entry) in self.log.iter().enumerate() {
-            let want = i as u64 + 1;
-            if entry.index != want {
-                return Err(format!(
-                    "log index {} at position {i} (expected {want})",
-                    entry.index
-                ));
-            }
-            if i > 0 && entry.term < self.log[i - 1].term {
-                return Err(format!(
-                    "term regressed from {} to {} at index {want}",
-                    self.log[i - 1].term,
-                    entry.term
-                ));
-            }
-            if entry.term > self.term {
-                return Err(format!(
-                    "entry at index {want} carries future term {} (current {})",
-                    entry.term, self.term
-                ));
-            }
-        }
-        if self.committed > self.log.len() as u64 {
-            return Err(format!(
-                "commit index {} exceeds log length {}",
-                self.committed,
-                self.log.len()
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -324,47 +256,27 @@ mod tests {
     fn commit_appends_sequentially_and_reports_quorum() {
         let mut c = Consensus::new();
         c.elect(&[0, 1, 2]).unwrap();
-        let a = c
-            .commit(0, LogEntryKind::CheckpointCommit { bytes: 128 }, 3)
-            .unwrap();
+        let a = c.commit(3).unwrap();
         assert_eq!((a.index, a.term, a.acks, a.quorum), (1, 1, 3, 2));
-        let b = c
-            .commit(
-                4,
-                LogEntryKind::DeathDeclaration {
-                    hosts: vec![2],
-                    reason: "die".into(),
-                },
-                2,
-            )
-            .unwrap();
+        let b = c.commit(2).unwrap();
         assert_eq!((b.index, b.acks, b.quorum), (2, 2, 2));
-        let e = c
-            .commit(
-                4,
-                LogEntryKind::EpochBump {
-                    epoch: 1,
-                    cause: "die".into(),
-                },
-                2,
-            )
-            .unwrap();
-        assert_eq!(e.index, 3);
+        c.elect(&[0, 1]).unwrap();
+        let e = c.commit(2).unwrap();
+        assert_eq!((e.index, e.term), (3, 2), "the index runs on across terms");
         assert_eq!(c.committed(), 3);
-        assert_eq!(c.log().len(), 3);
-        assert_eq!(c.log()[1].kind.label(), "death_declaration");
-        c.check_log_matching().unwrap();
+        let kind = LogEntryKind::DeathDeclaration {
+            hosts: vec![2],
+            reason: "die".into(),
+        };
+        assert_eq!(kind.label(), "death_declaration");
     }
 
     #[test]
     fn commit_with_zero_voters_reports_needed_quorum() {
         let mut c = Consensus::new();
         c.elect(&[0]).unwrap();
-        assert_eq!(
-            c.commit(1, LogEntryKind::CheckpointCommit { bytes: 1 }, 0),
-            Err(1)
-        );
-        assert_eq!(c.log().len(), 0, "a failed commit appends nothing");
+        assert_eq!(c.commit(0), Err(1));
+        assert_eq!(c.committed(), 0, "a failed commit commits nothing");
     }
 
     /// Property: across arbitrary interleavings of elections (over random
@@ -396,58 +308,8 @@ mod tests {
                 );
                 leaders_by_term.push((el.term, el.leader));
                 if prng.next_u64().is_multiple_of(2) {
-                    let _ = c.commit(
-                        el.term,
-                        LogEntryKind::CheckpointCommit { bytes: 64 },
-                        live.len(),
-                    );
+                    let _ = c.commit(live.len());
                 }
-            }
-        }
-    }
-
-    /// Property: the log built by arbitrary elect/commit sequences always
-    /// satisfies Log Matching (sequential indices, non-decreasing terms,
-    /// commit index in bounds).
-    #[test]
-    fn property_log_matching_under_random_histories() {
-        let mut prng = Prng::seed_from_u64(0x106);
-        for case in 0..200u64 {
-            let mut c = Consensus::new();
-            c.elect(&[0, 1, 2, 3]).unwrap();
-            for step in 0..32u64 {
-                match prng.next_u64() % 4 {
-                    0 => {
-                        let survivors = 1 + (prng.next_u64() % 4) as usize;
-                        let live: Vec<usize> = (0..survivors).collect();
-                        c.elect(&live).unwrap();
-                    }
-                    1 => {
-                        let _ = c.commit(step, LogEntryKind::CheckpointCommit { bytes: 32 }, 3);
-                    }
-                    2 => {
-                        let _ = c.commit(
-                            step,
-                            LogEntryKind::EpochBump {
-                                epoch: step,
-                                cause: "die".into(),
-                            },
-                            2,
-                        );
-                    }
-                    _ => {
-                        let _ = c.commit(
-                            step,
-                            LogEntryKind::DeathDeclaration {
-                                hosts: vec![(prng.next_u64() % 4) as usize],
-                                reason: "deadline".into(),
-                            },
-                            1 + (prng.next_u64() % 3) as usize,
-                        );
-                    }
-                }
-                c.check_log_matching()
-                    .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
             }
         }
     }

@@ -21,6 +21,10 @@ pub enum RuntimeError {
         /// Vertices in the partition map.
         partition: usize,
     },
+    /// The default partition map could not be built for this graph and
+    /// worker count; carries the cause (e.g. more workers than `u16`
+    /// owners address).
+    Partition(flash_graph::GraphError),
     /// An algorithm exceeded its superstep budget without converging.
     NotConverged {
         /// The budget that was exhausted.
@@ -110,6 +114,7 @@ impl fmt::Display for RuntimeError {
                 f,
                 "graph has {graph} vertices but partition map covers {partition}"
             ),
+            RuntimeError::Partition(e) => write!(f, "partition rejected: {e}"),
             RuntimeError::NotConverged { supersteps } => {
                 write!(
                     f,

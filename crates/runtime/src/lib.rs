@@ -75,10 +75,8 @@ pub mod transport;
 
 pub use checkpoint::Checkpoint;
 pub use cluster::{Cluster, StepOutput};
-pub use config::{ClusterConfig, ModePolicy, StorageMode, SyncMode, SyncScope};
-pub use consensus::{
-    checksum_quorum, ChecksumVerdict, Commit, Consensus, Election, LogEntry, LogEntryKind,
-};
+pub use config::{ClusterConfig, ModePolicy, StorageMode, SyncMode, SyncScope, DENSE_THRESHOLD};
+pub use consensus::{checksum_quorum, ChecksumVerdict, Commit, Consensus, Election, LogEntryKind};
 pub use ctx::{PutSink, WorkerCtx, WriteSink};
 pub use durable::{DurableField, DurableValue};
 pub use error::RuntimeError;

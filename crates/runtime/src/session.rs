@@ -9,10 +9,15 @@
 //! [`Histogram`]. Nothing a query mutates is reachable from another
 //! query, so concurrent results are bit-identical to solo runs.
 //!
-//! The serving driver (`fig_serve` / `flash serve`) opens one session
-//! per worker thread, replays a seeded query/update mix, and folds every
-//! session's counters into a [`ServingStats`] — the `serving` block of
-//! the stats JSON.
+//! A query cluster is an ordinary cluster built from [`Session::config`]:
+//! the template plus the shared map and pool, so it takes its partition
+//! the way every run does (`ClusterConfig::partition_for`). The session
+//! id stamps only the session's own `session_*` / `update_applied`
+//! events.
+//!
+//! The serving driver (`fig_serve`) opens one session per worker thread,
+//! replays a seeded query/update mix, and folds every session's counters
+//! into a [`ServingStats`] — the `serving` block of the stats JSON.
 
 // Serving-layer code must not abort a serving process: no unwraps,
 // expects or panics outside the test module.
@@ -167,17 +172,11 @@ pub struct Session {
 
 impl Session {
     /// Opens a session over `graph`, building the shared partition once
-    /// ([`PartitionMap::for_graph`] on the template's worker count, unless
-    /// the template attaches one), and emits `session_start` to the
-    /// template's sink.
+    /// ([`ClusterConfig::partition_for`]: the template's map if it
+    /// attaches one, else [`PartitionMap::for_graph`] on its worker
+    /// count), and emits `session_start` to the template's sink.
     pub fn new(id: u64, graph: Arc<Graph>, template: ClusterConfig) -> Result<Self, RuntimeError> {
-        let partition = match &template.shared_partition {
-            Some(p) => Arc::clone(p),
-            None => Arc::new(
-                PartitionMap::for_graph(&graph, template.workers)
-                    .map_err(|_| RuntimeError::NoWorkers)?,
-            ),
-        };
+        let partition = template.partition_for(&graph)?;
         let pool = template
             .buffer_pool
             .clone()
@@ -225,13 +224,12 @@ impl Session {
     }
 
     /// A per-query cluster config: the template plus the shared
-    /// partition, the session's buffer pool, and the session id.
+    /// partition and the session's buffer pool.
     pub fn config(&self) -> ClusterConfig {
-        let mut cfg = self.template.clone();
-        cfg.shared_partition = Some(Arc::clone(&self.partition));
-        cfg.buffer_pool = Some(Arc::clone(&self.pool));
-        cfg.session_id = Some(self.id);
-        cfg
+        self.template
+            .clone()
+            .shared_partition(Arc::clone(&self.partition))
+            .buffer_pool(Arc::clone(&self.pool))
     }
 
     /// Records one answered query and its latency in microseconds.
@@ -404,7 +402,7 @@ mod tests {
         let template = ClusterConfig::with_workers(2).sink(sink.clone());
         let s = Session::new(9, Arc::clone(&g), template).unwrap();
         let cfg = s.config();
-        assert_eq!(cfg.session_id, Some(9));
+        assert_eq!(s.id(), 9);
         let shared = cfg.shared_partition.as_ref().unwrap();
         assert!(Arc::ptr_eq(shared, s.partition()), "one map, shared");
         assert!(cfg.buffer_pool.is_some());

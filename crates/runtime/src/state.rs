@@ -366,6 +366,11 @@ mod tests {
         assert!(st.is_clean());
     }
 
+    #[test]
+    fn worker_states_sit_on_their_own_cache_lines() {
+        assert_eq!(std::mem::align_of::<WorkerState<D>>(), 128);
+    }
+
     /// A heap-owning value: `reduce` appends, so a temporary that is
     /// dropped, duplicated or merged out of call order shows in the result.
     type Log = Vec<u32>;

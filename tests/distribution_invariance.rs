@@ -166,26 +166,10 @@ fn partitioner_invariance() {
 
     // The default map: contiguous ranges.
     let range_cc = flash_algos::cc::run(&g, cfg.clone()).unwrap().result;
-    // Re-run through an explicitly hash-partitioned context.
-    let mut ctx = flash_core::FlashContext::<flash_algos::cc::CcVertex>::with_partition(
-        Arc::clone(&g),
-        hashed,
-        cfg,
-        |v| flash_algos::cc::CcVertex { cc: v },
-    )
-    .unwrap();
-    let mut u = ctx.all();
-    while !u.is_empty() {
-        u = ctx.edge_map(
-            &u,
-            &flash_core::EdgeSet::forward(),
-            |_, s, d| s.cc < d.cc,
-            |_, s, d| d.cc = d.cc.min(s.cc),
-            |_, _| true,
-            |t, d| d.cc = d.cc.min(t.cc),
-        );
-    }
-    let hash_cc = ctx.collect(|_, val| val.cc);
+    // Re-run over an explicit hash map.
+    let hash_cc = flash_algos::cc::run(&g, cfg.shared_partition(hashed))
+        .unwrap()
+        .result;
     assert_eq!(range_cc, hash_cc);
 }
 

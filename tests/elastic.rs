@@ -23,7 +23,7 @@ fn weighted(g: &Arc<flash_graph::Graph>) -> Arc<flash_graph::Graph> {
 fn opts(algo: &str) -> CliOptions {
     let mut o = CliOptions {
         algo: algo.to_string(),
-        workers: 4,
+        config: ClusterConfig::with_workers(4),
         iters: 3,
         ..CliOptions::default()
     };
@@ -62,8 +62,8 @@ fn sweep(rejoin: bool) {
         let (clean_summary, clean_stats) =
             dispatch(&clean, input).unwrap_or_else(|e| panic!("{algo} (clean): {e}"));
         let mut faulted = clean.clone();
-        faulted.faults = Some(elastic_plan(algo, rejoin));
-        faulted.checkpoint_every = 2;
+        faulted.config.fault_plan = Some(elastic_plan(algo, rejoin));
+        faulted.config.checkpoint_every = Some(2);
         let (summary, stats) =
             dispatch(&faulted, input).unwrap_or_else(|e| panic!("{algo} (elastic): {e}"));
         assert_eq!(clean_summary, summary, "{algo}: result diverged");

@@ -19,7 +19,7 @@ fn graph() -> Arc<flash_graph::Graph> {
 fn opts(algo: &str) -> CliOptions {
     let mut o = CliOptions {
         algo: algo.to_string(),
-        workers: 4,
+        config: ClusterConfig::with_workers(4),
         iters: 3,
         ..CliOptions::default()
     };
@@ -77,7 +77,7 @@ fn catalogue_is_self_deterministic() {
 fn force_sparse_is_self_deterministic() {
     let g = graph();
     let mut o = opts("cc");
-    o.mode = flash_runtime::ModePolicy::ForceSparse;
+    o.config.mode = flash_runtime::ModePolicy::ForceSparse;
     let (s1, t1) = dispatch(&o, &g).expect("first run");
     let (s2, t2) = dispatch(&o, &g).expect("second run");
     assert_eq!(s1, s2);
@@ -92,7 +92,8 @@ fn force_sparse_is_self_deterministic() {
 fn delivery_phase_is_timed_under_channel_faults() {
     let g = graph();
     let mut lossy = opts("bfs");
-    lossy.faults = Some(FaultPlan::parse("loss=0.2,seed=9,retries=8").expect("plan parses"));
+    lossy.config.fault_plan =
+        Some(FaultPlan::parse("loss=0.2,seed=9,retries=8").expect("plan parses"));
     let (_, stats) = dispatch(&lossy, &g).expect("lossy run succeeds");
     assert!(
         stats.delivery_time() > Duration::ZERO,

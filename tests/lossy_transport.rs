@@ -120,7 +120,7 @@ fn every_algorithm_survives_the_combined_channel_plan_bit_identically() {
         };
         let mut clean = CliOptions {
             algo: algo.to_string(),
-            workers: 4,
+            config: ClusterConfig::with_workers(4),
             iters: 3,
             ..CliOptions::default()
         };
@@ -128,7 +128,7 @@ fn every_algorithm_survives_the_combined_channel_plan_bit_identically() {
         let (clean_summary, clean_stats) =
             dispatch(&clean, input).unwrap_or_else(|e| panic!("{algo} (clean): {e}"));
         let mut lossy = clean.clone();
-        lossy.faults = Some(FaultPlan::parse(plan).expect("plan parses"));
+        lossy.config.fault_plan = Some(FaultPlan::parse(plan).expect("plan parses"));
         let (summary, stats) =
             dispatch(&lossy, input).unwrap_or_else(|e| panic!("{algo} (lossy): {e}"));
         assert_eq!(clean_summary, summary, "{algo}: result diverged");

@@ -108,7 +108,7 @@ fn run_catalogue(metrics: bool) -> Vec<(String, String, Json)> {
             )
             .unwrap();
             o.iters = 3;
-            o.metrics = metrics;
+            o.config.metrics = metrics;
             let graph = if *algo == "msf" || *algo == "sssp" {
                 &weighted
             } else {
@@ -164,8 +164,8 @@ fn stats_json_carries_percentiles_for_every_recorded_histogram() {
             .map(|s| s.to_string()),
     )
     .unwrap();
-    o.metrics = true;
-    o.simulate_network = true;
+    o.config.metrics = true;
+    o.config.network = Some(flash_runtime::NetworkModel::ten_gbe());
     let (_, stats) = dispatch(&o, &g).expect("bfs");
 
     let doc = stats.summary_json();

@@ -4,7 +4,7 @@
 //!
 //! 1. **Snapshot isolation** — N concurrent sessions over one frozen
 //!    snapshot produce answers bit-identical to solo baselines, for a
-//!    sweep of algorithms and roots (the query plane of `flash serve`).
+//!    sweep of algorithms and roots (the query plane of `fig_serve`).
 //! 2. **Per-run storage isolation** — two block-backed runs executing
 //!    simultaneously each report exactly the streaming byte/block counts
 //!    a solo run reports (the regression fixed by moving streaming
@@ -120,8 +120,7 @@ fn simultaneous_block_runs_report_solo_streaming_counts() {
     let graph = Arc::new(generators::erdos_renyi(96, 400, 21));
     let opts = |algo: &str| flash_bench::cli::CliOptions {
         algo: algo.to_string(),
-        workers: 2,
-        storage: StorageMode::Block,
+        config: ClusterConfig::with_workers(2).storage(StorageMode::Block),
         ..flash_bench::cli::CliOptions::default()
     };
     // Solo reference: each run alone reports its own streaming volume.

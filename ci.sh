@@ -86,8 +86,11 @@ exact_gate pr_block 'graph\.streamed_(bytes|blocks)|runtime\.(supersteps|(sync|u
 echo "==> repair gate (serve_mix: the maintained PageRank sums in overlay walk order, so a changed walk or repair arithmetic moves the sweep count)"
 exact_gate serve_mix 'algos\.pr_repair_sweeps'
 
-echo "==> sync gate (pr_rmat: the one-pass mirror sync and the per-source PageRank share must count exactly the supersteps, frontiers, messages, bytes and events the parent did)"
+echo "==> sync gate (pr_rmat: the receiver-side mirror sync of the post-compute round and the per-source PageRank share must count exactly the supersteps, frontiers, messages, bytes and events the parent did)"
 exact_gate pr_rmat 'runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.active_sum|wire_bytes|obs\.events'
+
+echo "==> fold gate (cc_push: big-frontier reduce steps, routed, folded and synced lane by lane in the post-compute round, must count exactly the supersteps, frontiers, messages, bytes and events the parent did)"
+exact_gate cc_push 'runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.active_sum|wire_bytes|obs\.events'
 
 echo "==> checkpoint gate (kcore_ckpt: the checkpoint-only store must not move the schedule, the generations or the sync counts, and appends no delta frame)"
 exact_gate kcore_ckpt 'runtime\.(supersteps|ckpt_generations|ckpt_bytes|sync_messages|sync_bytes)|wire_bytes|obs\.events'
@@ -96,8 +99,12 @@ ckpt="$(bash benchmark/run.sh --workload kcore_ckpt --seed 12 --seconds 1 --trac
 [[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_delta_frames 0 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store wrote delta frames" >&2; exit 1; }
 [[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_bytes_fsynced 1456 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store did not fsync exactly 26 x 56 B generations" >&2; exit 1; }
 
-echo "==> locality gate (bfs_road: the default map cuts the row-major road grid into id ranges, so the run ships 32 160 B where hashing shipped 23 300 824 B)"
+echo "==> locality gate (bfs_road: the default map cuts the row-major road grid into id ranges, so the run ships 32 160 B where hashing shipped 23 300 824 B, in 777 upd and 3 243 sync messages)"
 road="$(bash benchmark/run.sh --workload bfs_road --seed 12 --seconds 1)"
 [[ "$(grep -c '^bfs_road/wire_bytes 32160 ' <<<"$road")" == 1 ]] || { echo "bfs_road: the road grid no longer ships exactly 32160 B; did the default map go back to hashing?" >&2; exit 1; }
+road="$(bash benchmark/run.sh --workload bfs_road --seed 12 --seconds 1 --trace 1)"
+for line in 'runtime\.upd_messages 777' 'runtime\.sync_messages 3243' 'obs\.events 4771'; do
+    [[ "$(grep -c "^bfs_road/$line " <<<"$road")" == 1 ]] || { echo "bfs_road: the traced run does not report $line" >&2; exit 1; }
+done
 
 echo "==> OK"

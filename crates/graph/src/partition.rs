@@ -67,6 +67,11 @@ const VERTEX_WEIGHT: usize = 8;
 /// map would cut.
 const SAMPLE_ROWS: usize = 4096;
 
+/// The mirror table's rows are gathered on one thread per this many
+/// vertices, up to one per worker: below it a thread costs more than the
+/// rows it gathers.
+const MIN_CHUNK_ROWS: usize = 16_384;
+
 /// The materialized result of partitioning a graph for `m` workers.
 ///
 /// Holds, per worker: the list of owned (master) vertices, and per vertex:
@@ -236,7 +241,7 @@ impl PartitionMap {
         let (mirror_off, mirror_ids) = if m == 1 {
             Some((vec![0; n + 1], Vec::new()))
         } else if m <= 64 {
-            Self::mirrors_by_mask(graph, &owner)
+            Self::mirrors_by_mask(graph, &owner, m)
         } else {
             Self::mirrors_by_sort(graph, &owner)
         }
@@ -255,32 +260,58 @@ impl PartitionMap {
         })
     }
 
-    /// The mirror table for `m <= 64`: one worker bit mask per vertex.
-    /// Uncut edges need no test — they only ever set the owner's own bit,
-    /// which is cleared when the masks are flattened. `None` if the table
-    /// outgrows its `u32` offsets.
-    fn mirrors_by_mask(graph: &Graph, owner: &[u16]) -> Option<(Vec<u32>, Vec<u16>)> {
+    /// The mirror table for `m <= 64`, gathered: a vertex's mirrors are the
+    /// owners of its out-neighbours (they pull it) and of its
+    /// in-neighbours (they push to it) — one row walk on a symmetric graph,
+    /// where the two rows coincide — minus its own owner. Up to `m`
+    /// contiguous, arc-balanced id chunks each fill their part of one
+    /// worker bit mask per vertex on their own thread; the masks are then
+    /// flattened in id order, so the table does not depend on the
+    /// chunking. Every buffer is allocated by the calling thread. `None`
+    /// if the table outgrows its `u32` offsets.
+    fn mirrors_by_mask(graph: &Graph, owner: &[u16], m: usize) -> Option<(Vec<u32>, Vec<u16>)> {
         let n = owner.len();
-        let mut touched = vec![0u64; n];
-        for s in 0..n {
-            let source_bit = 1u64 << owner[s];
-            let mut target_workers = 0u64;
-            for &d in graph.out_neighbors(s as VertexId) {
-                touched[d as usize] |= source_bit;
-                target_workers |= 1u64 << owner[d as usize];
+        let owners_of = |row: &[VertexId]| {
+            row.iter()
+                .fold(0u64, |mask, &u| mask | 1u64 << owner[u as usize])
+        };
+        let gather = |first: usize, masks: &mut [u64]| {
+            for (v, mask) in (first as VertexId..).zip(masks) {
+                *mask = owners_of(graph.out_neighbors(v));
+                if !graph.is_symmetric() {
+                    *mask |= owners_of(graph.in_neighbors(v));
+                }
+                *mask &= !(1u64 << owner[v as usize]);
             }
-            touched[s] |= target_workers;
-        }
+        };
+        let mut masks = vec![0u64; n];
+        let bounds = Self::range_bounds(graph, m.min(n.div_ceil(MIN_CHUNK_ROWS)).max(1));
+        std::thread::scope(|scope| {
+            let mut rest = &mut masks[..];
+            let mut chunks = Vec::with_capacity(bounds.len() - 1);
+            for range in bounds.windows(2) {
+                let (chunk, tail) = rest.split_at_mut((range[1] - range[0]) as usize);
+                chunks.push((range[0] as usize, chunk));
+                rest = tail;
+            }
+            let mut chunks = chunks.into_iter();
+            let own = chunks.next();
+            for (first, chunk) in chunks {
+                scope.spawn(move || gather(first, chunk));
+            }
+            if let Some((first, chunk)) = own {
+                gather(first, chunk);
+            }
+        });
         let mut off = Vec::with_capacity(n + 1);
         let mut total = 0u32;
         off.push(total);
-        for (mask, &w) in touched.iter_mut().zip(owner) {
-            *mask &= !(1u64 << w);
+        for mask in &masks {
             total = total.checked_add(mask.count_ones())?;
             off.push(total);
         }
         let mut ids = Vec::with_capacity(total as usize);
-        for mut mask in touched {
+        for mut mask in masks {
             while mask != 0 {
                 ids.push(mask.trailing_zeros() as u16);
                 mask &= mask - 1;
@@ -776,6 +807,63 @@ mod tests {
                 }
                 let total: usize = expected.iter().map(Vec::len).sum();
                 assert_eq!(p.total_mirrors(), total, "m={m}");
+            }
+        }
+    }
+
+    /// Graphs big enough that the gather runs on several threads: a
+    /// directed R-MAT, whose in-rows add mirrors its out-rows miss, and a
+    /// symmetric road grid, at 2 workers and at 64, the widest mask. The
+    /// R-MAT's `.fgb` block-backed twin must build the very same table.
+    #[test]
+    fn chunked_mirror_table_equals_brute_force_in_memory_and_block_backed() {
+        // R-MAT arcs, one direction kept for half of the vertex pairs.
+        let arcs = crate::generators::rmat(16, 4, Default::default(), 5);
+        let rmat = GraphBuilder::new(arcs.num_vertices())
+            .edges(
+                arcs.edges()
+                    .filter(|&(s, d, _)| (s ^ d) & 1 == 0 || s < d)
+                    .map(|(s, d, _)| (s, d)),
+            )
+            .build()
+            .unwrap();
+        assert!(!rmat.is_symmetric());
+        let road = crate::generators::road_network(200, 200, 7);
+        assert!(road.is_symmetric());
+        assert!(
+            rmat.num_vertices() >= 4 * MIN_CHUNK_ROWS,
+            "four chunks at 64 workers"
+        );
+        let dir = crate::testutil::TempDirGuard::new("mirror-table");
+        let path = dir.path().join("rmat.fgb");
+        crate::blocks::write_blocks(&rmat, &path).unwrap();
+        let blocked = crate::blocks::open_blocks(&path).unwrap();
+        assert!(blocked.block_handle().is_some());
+        for m in [2usize, 64] {
+            for g in [&rmat, &road] {
+                let p = PartitionMap::for_graph(g, m).unwrap();
+                let expected = brute_force_mirrors(g, &p);
+                for v in 0..g.num_vertices() as VertexId {
+                    assert_eq!(
+                        p.necessary_mirrors(v),
+                        expected[v as usize].as_slice(),
+                        "m={m} v={v}"
+                    );
+                }
+            }
+            for twin in [
+                PartitionMap::for_graph(&rmat, m).unwrap(),
+                PartitionMap::build(&rmat, m, &HashPartitioner).unwrap(),
+            ] {
+                let p = if twin.scheme() == "hash" {
+                    PartitionMap::build(&blocked, m, &HashPartitioner).unwrap()
+                } else {
+                    PartitionMap::for_graph(&blocked, m).unwrap()
+                };
+                assert_eq!(p.scheme(), twin.scheme(), "m={m}");
+                assert_eq!(p.owner, twin.owner, "m={m}");
+                assert_eq!(p.mirror_off, twin.mirror_off, "m={m}");
+                assert_eq!(p.mirror_ids, twin.mirror_ids, "m={m}");
             }
         }
     }

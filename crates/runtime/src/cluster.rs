@@ -1,7 +1,8 @@
-//! The simulated cluster: superstep orchestration, message exchange and
-//! mirror synchronization. What a fault plan adds — injection, recovery,
-//! the control plane, reliable delivery, the redo log — lives in the
-//! `recovery` child module.
+//! The simulated cluster: superstep orchestration, and the post-compute
+//! round in which each worker's lane routes its updates, folds its
+//! masters and applies the mirror payloads it receives (DESIGN.md §11).
+//! What a fault plan adds — injection, recovery, the control plane,
+//! reliable delivery, the redo log — lives in the `recovery` child module.
 
 mod recovery;
 
@@ -10,7 +11,7 @@ use crate::config::{ClusterConfig, StorageMode, SyncMode, SyncScope};
 use crate::ctx::WorkerCtx;
 use crate::durable::{DurableSession, DurableValue, ScrubReport};
 use crate::error::RuntimeError;
-use crate::pool::WorkerPool;
+use crate::pool::{run_phases_inline, WorkerPool};
 use crate::state::{Buckets, StepBuffers, WorkerState};
 use crate::stats::{ns_u64, RunStats, StepKind, StepStats, StorageInfo};
 use crate::transport::RoundBatches;
@@ -18,7 +19,8 @@ use crate::VertexData;
 use flash_graph::{Graph, PartitionMap, StreamScope, StreamSnapshot, VertexId};
 use flash_obs::{Event, EventKind};
 use recovery::Faults;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// The result of one superstep.
@@ -509,25 +511,7 @@ impl<V: VertexData> Cluster<V> {
         scope: SyncScope,
         f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
     ) -> StepOutput<Out> {
-        self.superstep(kind, active, scope, f, |this, _, _, updated| {
-            debug_assert!(
-                this.states.iter().all(|s| s.pending.is_empty()),
-                "direct superstep must not stage reduce-updates; use step_reduce"
-            );
-            // Direct writes are master-local: no cross-worker traffic.
-            // In-place writes are already in `current`: only their ids move
-            // to the owner's `updated` list; staged values move in behind.
-            let publishing = Instant::now();
-            for (st, upd) in this.states.iter_mut().zip(updated) {
-                upd.append(&mut st.written);
-                upd.reserve(st.direct.len());
-                for (v, val) in st.direct.drain(..) {
-                    st.current[v as usize] = val;
-                    upd.push(v);
-                }
-            }
-            publishing
-        })
+        self.superstep(kind, active, scope, None::<&fn(&V, &mut V)>, f)
     }
 
     /// Runs a *reduce* superstep: compute on every worker, combine staged
@@ -542,52 +526,21 @@ impl<V: VertexData> Cluster<V> {
         reduce: impl Fn(&V, &mut V) + Sync,
         f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
     ) -> StepOutput<Out> {
-        let kind = StepKind::EdgeMapSparse;
-        self.superstep(kind, active, scope, f, |this, step_id, stats, updated| {
-            debug_assert!(
-                this.states
-                    .iter()
-                    .all(|s| s.direct.is_empty() && s.written.is_empty()),
-                "reduce superstep must not stage direct writes; use step_direct"
-            );
-            // Serialization: route mirror-side accumulated temporaries to
-            // the owners of their target vertices.
-            let upd_batches = this.route_updates(stats);
-            stats.delivery += this.deliver_round(step_id, "upd", &upd_batches);
-            this.buffers.put_upd_batches(upd_batches);
-
-            // Communication round 1: masters merge incoming temporaries
-            // into their current value (d_new = R(t, d) per Algorithm 6).
-            let merging = Instant::now();
-            let masters = this.states.iter_mut().zip(updated);
-            for ((st, upd), bucket) in masters.zip(&mut this.buffers.buckets) {
-                upd.reserve(bucket.len());
-                for (v, temp) in bucket.drain(..) {
-                    reduce(&temp, &mut st.current[v as usize]);
-                    upd.push(v);
-                }
-            }
-            merging
-        })
+        self.superstep(StepKind::EdgeMapSparse, active, scope, Some(&reduce), f)
     }
 
     /// The one superstep pipeline behind [`Cluster::step_direct`] and
     /// [`Cluster::step_reduce`] — FLASHWARE's three phases: compute, the
-    /// mirror→master round (`publish`), the master→mirror round.
-    ///
-    /// `publish` folds what the compute phase staged into the masters and
-    /// pushes every written master onto its owner's `updated` list (any
-    /// order, duplicates allowed). It returns the instant that folding
-    /// began: everything from there to the sorted lists is the step's
-    /// `communicate` time, what `publish` did before it (routing,
-    /// delivery) is charged by `publish` itself.
-    fn superstep<Out: Send>(
+    /// mirror→master round, the master→mirror round. The two rounds are
+    /// one post-compute pool round ([`Cluster::post_compute`]); `reduce`
+    /// is `None` for a direct step.
+    fn superstep<Out: Send, R: Fn(&V, &mut V) + Sync>(
         &mut self,
         kind: StepKind,
         active: usize,
         scope: SyncScope,
+        reduce: Option<&R>,
         f: impl Fn(&mut WorkerCtx<'_, V>) -> Out + Sync,
-        publish: impl FnOnce(&mut Self, u64, &mut StepStats, &mut [Vec<VertexId>]) -> Instant,
     ) -> StepOutput<Out> {
         self.maybe_rejoin();
         self.maybe_checkpoint();
@@ -608,19 +561,7 @@ impl<V: VertexData> Cluster<V> {
         stats.compute_min = host_min;
         self.emit_worker_phases(step_id, &durations);
 
-        let mut updated = self.buffers.take_updated(self.states.len());
-        let publishing = publish(self, step_id, &mut stats, &mut updated);
-        for list in &mut updated {
-            // Direct-step kernels write in master order, so their lists
-            // arrive sorted and duplicate-free; only the others pay a sort.
-            if !list.windows(2).all(|p| p[0] < p[1]) {
-                list.sort_unstable();
-                list.dedup();
-            }
-        }
-        stats.communicate = publishing.elapsed();
-
-        self.sync_mirrors(&updated, scope, &mut stats);
+        let updated = self.post_compute(step_id, scope, reduce, &mut stats);
         self.record_delta(&updated);
         self.finish_step(stats);
         StepOutput {
@@ -629,88 +570,124 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Serialization of a reduce superstep: each worker, on its own lane,
-    /// drains its `pending` accumulator into its own (pooled) bucket set,
-    /// and the sets are merged in ascending worker order into
-    /// `buffers.buckets`, one per owner, where the master fold drains them.
-    /// Returns the upd round's cross-host batches.
-    ///
-    /// That merged order does not depend on whether the lanes ran in
-    /// parallel: each accumulator is drained exactly once, so its internal
-    /// drain order is fixed, and concatenating the per-worker buckets in
-    /// worker order is the front-to-back order of one serial walk
-    /// (`.sequential()`, the serial reference in `tests/hotpath.rs`).
-    /// Message/byte counters and cross-host batch maps are commutative
-    /// sums, merged in the same order for good measure (DESIGN.md §11).
-    fn route_updates(&mut self, stats: &mut StepStats) -> RoundBatches {
-        let t1 = Instant::now();
+    /// Everything after compute, as one round of three phases per lane
+    /// ([`PostRound`]): route or publish, fold and sort, sync. Lane `w`
+    /// works on worker `w`'s data, on its own pool lane when the step
+    /// staged at least [`CALLER_LANE_BELOW`] updates and on the caller
+    /// otherwise. Per-lane counters and cross-host batch maps are merged
+    /// in ascending lane order, then the upd (reduce steps) and sync
+    /// rounds go through [`Cluster::deliver_round`]. Returns the sorted,
+    /// deduplicated updated masters per owner.
+    fn post_compute<R: Fn(&V, &mut V) + Sync>(
+        &mut self,
+        step_id: u64,
+        scope: SyncScope,
+        reduce: Option<&R>,
+        stats: &mut StepStats,
+    ) -> Vec<Vec<VertexId>> {
+        debug_assert!(
+            self.states.iter().all(|s| match reduce {
+                Some(_) => s.direct.is_empty() && s.written.is_empty(),
+                None => s.pending.is_empty(),
+            }),
+            "a direct superstep stages no reduce-updates and a reduce superstep \
+             no direct writes; use step_reduce or step_direct"
+        );
+        let t = Instant::now();
         let m = self.states.len();
-        let mut buckets = self.buffers.take_buckets(m);
-        let mut upd_batches = self.buffers.take_upd_batches();
-        let mut bucket_sets = std::mem::take(&mut self.buffers.bucket_sets);
-        bucket_sets.resize_with(m, Vec::new);
-        let track_batches = self.faults.as_ref().is_some_and(Faults::tracks_batches);
-        let partition = &*self.partition;
-        let route = |w: usize, (st, set): (&mut WorkerState<V>, &mut Buckets<V>)| {
-            if set.len() != m {
-                set.resize_with(m, Vec::new);
-            }
-            let t = Instant::now();
-            let mut messages = 0u64;
-            let mut bytes_total = 0u64;
-            let mut batches = RoundBatches::new();
-            let sender_host = partition.host_of_worker(w);
-            for (v, temp) in st.pending.drain() {
-                let owner = partition.owner(v);
-                // Traffic crosses the wire only between distinct physical
-                // hosts: after an elastic rebalance several logical workers
-                // may share a host, and their exchanges become local moves.
-                let owner_host = partition.host_of_worker(owner);
-                if owner_host != sender_host {
-                    let bytes = (4 + temp.bytes()) as u64;
-                    messages += 1;
-                    bytes_total += bytes;
-                    if track_batches {
-                        bump(&mut batches, (sender_host, owner_host), 1, bytes);
-                    }
-                }
-                set[owner].push((v, temp));
-            }
-            (messages, bytes_total, batches, t.elapsed())
+        let staged: usize = self
+            .states
+            .iter()
+            .map(|s| s.pending.len() + s.written.len() + s.direct.len())
+            .sum();
+        let buffers = &mut self.buffers;
+        buffers.size_round(m);
+        let mut upd_batches = buffers.take_upd_batches();
+        let mut sync_batches = buffers.take_sync_batches();
+        let mut updated = buffers.take_updated(m);
+        for ((list, cell), st) in updated
+            .iter_mut()
+            .zip(&mut buffers.shared_updated)
+            .zip(&self.states)
+        {
+            // A direct step's list grows here, on the caller: a lane
+            // thread's allocation would land in its own malloc arena,
+            // whose freed memory the caller's arena cannot reuse.
+            list.reserve(st.written.len() + st.direct.len());
+            std::mem::swap(list, cell.get_mut().unwrap_or_else(PoisonError::into_inner));
+        }
+        let n = self.partition.num_vertices();
+        assert!(
+            self.states.iter().all(|s| s.current.len() == n),
+            "every replica holds one slot per vertex"
+        );
+        let round = PostRound {
+            partition: &self.partition,
+            n,
+            mode: self.config.sync_mode,
+            scope,
+            reduce,
+            track_batches: self.faults.as_ref().is_some_and(Faults::tracks_batches),
+            mail: &buffers.mail,
+            updated: &buffers.shared_updated,
+            replicas: &buffers.replicas,
         };
-        let workers = self.states.iter_mut().zip(bucket_sets.iter_mut());
-        let pool = Self::lane_pool(&mut self.pool, &self.config, m);
-        let serial = pool.is_none();
-        let partials: Vec<_> = match pool {
-            Some(pool) => pool.run(workers, route),
-            None => workers
-                .enumerate()
-                .map(|(w, item)| route(w, item))
-                .collect(),
+        let mut lanes: Vec<Lane<'_, V>> = self
+            .states
+            .iter_mut()
+            .zip(&mut buffers.bucket_sets)
+            .zip(&mut buffers.lane_batches)
+            .map(|((state, set), batches)| Lane {
+                state,
+                set,
+                batches,
+                upd: (0, 0),
+                sync: (0, 0),
+                routed: Duration::ZERO,
+                folding: None,
+            })
+            .collect();
+        let phase = |p: usize, w: usize, lane: &mut Lane<'_, V>| match p {
+            0 => round.route_or_publish(w, lane),
+            1 => round.fold_and_sort(w, lane),
+            _ => round.sync(w, lane),
         };
-        for (messages, bytes, batches, elapsed) in partials {
-            stats.upd_messages += messages;
-            stats.upd_bytes += bytes;
-            for (key, (bm, bb)) in batches {
-                bump(&mut upd_batches, key, bm, bb);
-            }
-            // Simulated makespan of the phase: the slowest lane, the
+        let inline = staged < CALLER_LANE_BELOW;
+        match Self::lane_pool(&mut self.pool, &self.config, m) {
+            Some(pool) => pool.run_phased(&mut lanes, 3, inline, phase),
+            None => run_phases_inline(&mut lanes, 3, phase),
+        }
+
+        let folding = lanes.first().and_then(|l| l.folding).unwrap_or(t);
+        for lane in &mut lanes {
+            stats.upd_messages += lane.upd.0;
+            stats.upd_bytes += lane.upd.1;
+            stats.sync_messages += lane.sync.0;
+            stats.sync_bytes += lane.sync.1;
+            // Simulated makespan of routing: the slowest lane, the
             // analogue of `compute_max` for the compute phase.
-            stats.serialize_max = stats.serialize_max.max(elapsed);
+            stats.serialize_max = stats.serialize_max.max(lane.routed);
+            let [upd, sync] = &mut *lane.batches;
+            merge_batches(&mut upd_batches, upd);
+            merge_batches(&mut sync_batches, sync);
         }
-        for set in &mut bucket_sets {
-            for (owner, local) in set.iter_mut().enumerate() {
-                buckets[owner].append(local);
-            }
+        drop(lanes);
+        for (list, cell) in updated.iter_mut().zip(&mut self.buffers.shared_updated) {
+            std::mem::swap(list, cell.get_mut().unwrap_or_else(PoisonError::into_inner));
         }
-        self.buffers.bucket_sets = bucket_sets;
-        stats.serialize = t1.elapsed();
-        if serial {
-            // One lane did everything: the makespan is the total.
-            stats.serialize_max = stats.serialize;
+        if reduce.is_some() {
+            stats.serialize = folding.saturating_duration_since(t);
         }
-        self.buffers.put_buckets(buckets);
-        upd_batches
+        stats.communicate = t.elapsed().saturating_sub(stats.serialize);
+        if reduce.is_some() {
+            stats.delivery += self.deliver_round(step_id, "upd", &upd_batches);
+        }
+        if m > 1 {
+            stats.delivery += self.deliver_round(step_id, "sync", &sync_batches);
+        }
+        self.buffers.put_upd_batches(upd_batches);
+        self.buffers.put_sync_batches(sync_batches);
+        updated
     }
 
     /// Aggregates per-logical-worker compute durations into per-*host*
@@ -718,13 +695,14 @@ impl<V: VertexData> Cluster<V> {
     /// host, so their durations add, and the barrier waits for the slowest
     /// live host. Fault-free (identity host map) this reduces to the plain
     /// max/min over workers.
-    fn host_makespan(&self, durations: &[Duration]) -> (Duration, Duration) {
-        let m = durations.len();
-        let mut per_host = vec![Duration::ZERO; m];
+    fn host_makespan(&mut self, durations: &[Duration]) -> (Duration, Duration) {
+        let per_host = &mut self.buffers.host_time;
+        per_host.clear();
+        per_host.resize(durations.len(), Duration::ZERO);
         for (w, d) in durations.iter().enumerate() {
             per_host[self.partition.host_of_worker(w)] += *d;
         }
-        let live = (0..m).filter(|&h| self.partition.is_host_live(h));
+        let live = (0..per_host.len()).filter(|&h| self.partition.is_host_live(h));
         let max = live.clone().map(|h| per_host[h]).max().unwrap_or_default();
         let min = live.map(|h| per_host[h]).min().unwrap_or_default();
         (max, min)
@@ -801,95 +779,6 @@ impl<V: VertexData> Cluster<V> {
         (outs, durations)
     }
 
-    /// Communication round 2: masters broadcast their new state to mirrors.
-    ///
-    /// Under [`SyncScope::Necessary`] only workers with an incident edge
-    /// receive the update; under [`SyncScope::All`] (virtual-edge steps)
-    /// every worker does. Under [`SyncMode::CriticalOnly`] the payload is
-    /// the critical projection; under [`SyncMode::Full`] the whole value.
-    ///
-    /// One serial pass over `updated × recipients` applies each payload to
-    /// its mirror replicas and, on the same visit, counts the wire traffic:
-    /// one message per distinct recipient *host*, because after an elastic
-    /// rebalance several logical partitions can share a host and one
-    /// shipped payload serves all of them (it is still applied to every
-    /// logical replica, so co-hosted mirrors stay coherent). The pass reads
-    /// only master slots and writes only mirror slots (`r != owner`), so
-    /// the order of its visits is unobservable.
-    fn sync_mirrors(&mut self, updated: &[Vec<VertexId>], scope: SyncScope, stats: &mut StepStats) {
-        let m = self.states.len();
-        if m <= 1 {
-            return;
-        }
-        let t = Instant::now();
-        let mode = self.config.sync_mode;
-        let track_batches = self.faults.as_ref().is_some_and(Faults::tracks_batches);
-        let mut batches = self.buffers.take_sync_batches();
-        let hosts = &mut self.buffers.host_buf;
-        let partition = &*self.partition;
-        let live = match scope {
-            SyncScope::Necessary => Vec::new(),
-            SyncScope::All => partition.live_hosts(),
-        };
-        let states = &mut self.states[..];
-        let (mut messages, mut bytes_total) = (0u64, 0u64);
-        for (w, upd) in updated.iter().enumerate() {
-            let sender = partition.host_of_worker(w);
-            if scope == SyncScope::All {
-                // Every live host but the sender's receives every payload.
-                hosts.clear();
-                hosts.extend(live.iter().filter(|&&h| h != sender).map(|&h| h as u16));
-            }
-            for &v in upd {
-                let vi = v as usize;
-                let (bytes, shipped) = match scope {
-                    SyncScope::Necessary => {
-                        // One payload per distinct recipient host: a mirror
-                        // on the sender's host, or on an earlier mirror's,
-                        // rides on a payload already shipped. Counted on the
-                        // walk that applies the payload, without collecting
-                        // the hosts unless batches are tracked — a separate
-                        // `necessary_mirror_hosts` walk cost pr_rmat ~14 %.
-                        let mirrors = partition.necessary_mirrors(v);
-                        let host = |r: u16| partition.host_of_worker(usize::from(r));
-                        let mut shipped = 0;
-                        hosts.clear();
-                        let walk = mirrors.iter().enumerate().map(|(i, &r)| {
-                            let h = host(r);
-                            if h != sender && mirrors[..i].iter().all(|&q| host(q) != h) {
-                                shipped += 1;
-                                if track_batches {
-                                    hosts.push(h as u16);
-                                }
-                            }
-                            usize::from(r)
-                        });
-                        (push_to_mirrors(states, w, vi, mode, walk), shipped)
-                    }
-                    SyncScope::All => {
-                        let others = (0..m).filter(|&r| r != w);
-                        (
-                            push_to_mirrors(states, w, vi, mode, others),
-                            hosts.len() as u64,
-                        )
-                    }
-                };
-                messages += shipped;
-                bytes_total += shipped * bytes;
-                if track_batches {
-                    for &h in hosts.iter() {
-                        bump(&mut batches, (sender, usize::from(h)), 1, bytes);
-                    }
-                }
-            }
-        }
-        stats.sync_messages += messages;
-        stats.sync_bytes += bytes_total;
-        stats.communicate += t.elapsed();
-        stats.delivery += self.deliver_round(self.next_step, "sync", &batches);
-        self.buffers.put_sync_batches(batches);
-    }
-
     /// Charges the simulated network, records the superstep, emits its
     /// `step_end` event and advances the step counter.
     fn finish_step(&mut self, mut stats: StepStats) {
@@ -951,6 +840,226 @@ impl<V: VertexData> Drop for Cluster<V> {
     }
 }
 
+/// Below this many staged updates (pending temporaries, or written and
+/// staged masters) the caller runs every lane's post-compute phases itself.
+/// A pool round costs ≈13 µs on a 2-vCPU box (`WorkerPool::run` with empty
+/// tasks) and the post-compute work ≈24 ns per staged update on one lane,
+/// so a smaller step would pay more for the hand-off than it saves.
+const CALLER_LANE_BELOW: usize = 540;
+
+/// What lane `w` of the post-compute round owns: worker `w`'s state, its
+/// sender-side bucket set and batch maps, and the counters it reports.
+struct Lane<'a, V: VertexData> {
+    state: &'a mut WorkerState<V>,
+    set: &'a mut Buckets<V>,
+    /// Upd- and sync-round cross-host batches, when the transport tracks
+    /// them.
+    batches: &'a mut [RoundBatches; 2],
+    /// Upd messages and bytes this lane sent.
+    upd: (u64, u64),
+    /// Sync messages and bytes this lane received.
+    sync: (u64, u64),
+    /// Time spent routing in phase 0 (reduce steps).
+    routed: Duration,
+    /// When phase 1 began: on lane 0, the end of routing on every lane.
+    folding: Option<Instant>,
+}
+
+/// The post-compute round of one superstep: what its lanes share. Phase
+/// 0 routes a reduce step's `pending` into per-owner buckets (or
+/// publishes a direct step's writes); phase 1 folds every sender's bucket
+/// into the lane's own masters and sorts its `updated` list; phase 2
+/// applies every payload whose recipient is the lane. Each phase reads
+/// only what the phases before it finished, which the pool's barriers (or
+/// the caller's phase-by-phase order) guarantee.
+struct PostRound<'a, V: VertexData, R> {
+    partition: &'a PartitionMap,
+    /// Slots per replica.
+    n: usize,
+    mode: SyncMode,
+    scope: SyncScope,
+    /// The reduce of a reduce step; `None` for a direct step.
+    reduce: Option<&'a R>,
+    track_batches: bool,
+    /// Cell `w * m + o`: sender `w`'s bucket for owner `o`.
+    mail: &'a [Mutex<Vec<(VertexId, V)>>],
+    /// Each owner's updated masters: written in phases 0–1 by the owner's
+    /// lane, read by every lane in phase 2.
+    updated: &'a [RwLock<Vec<VertexId>>],
+    /// Each replica's slot array, published at the end of phase 1.
+    replicas: &'a [AtomicPtr<V>],
+}
+
+impl<V: VertexData, R: Fn(&V, &mut V) + Sync> PostRound<'_, V, R> {
+    /// Phase 0 on lane `w`. A reduce step drains `pending` into one bucket
+    /// per owner, counting the messages that cross hosts, and hands each
+    /// bucket to its owner's cell. A direct step moves its in-place ids
+    /// and staged values to its own `updated` list: master-local.
+    fn route_or_publish(&self, w: usize, lane: &mut Lane<'_, V>) {
+        let st = &mut *lane.state;
+        if self.reduce.is_none() {
+            let mut upd = write(&self.updated[w]);
+            upd.append(&mut st.written);
+            upd.reserve(st.direct.len());
+            for (v, val) in st.direct.drain(..) {
+                st.current[v as usize] = val;
+                upd.push(v);
+            }
+            return;
+        }
+        let t = Instant::now();
+        let m = self.updated.len();
+        let partition = self.partition;
+        let sender_host = partition.host_of_worker(w);
+        for (v, temp) in st.pending.drain() {
+            let owner = partition.owner(v);
+            // Traffic crosses the wire only between distinct physical
+            // hosts: after an elastic rebalance several logical workers
+            // may share a host, and their exchanges become local moves.
+            let owner_host = partition.host_of_worker(owner);
+            if owner_host != sender_host {
+                let bytes = (4 + temp.bytes()) as u64;
+                lane.upd.0 += 1;
+                lane.upd.1 += bytes;
+                if self.track_batches {
+                    bump(&mut lane.batches[0], (sender_host, owner_host), 1, bytes);
+                }
+            }
+            lane.set[owner].push((v, temp));
+        }
+        for (o, bucket) in lane.set.iter_mut().enumerate() {
+            std::mem::swap(&mut *lock(&self.mail[w * m + o]), bucket);
+        }
+        lane.routed = t.elapsed();
+    }
+
+    /// Phase 1 on lane `o`: folds every sender's bucket into `o`'s masters
+    /// in ascending sender order — the order of one serial walk over the
+    /// senders — then sorts and deduplicates `o`'s `updated` list and
+    /// publishes `o`'s replica for phase 2.
+    fn fold_and_sort(&self, o: usize, lane: &mut Lane<'_, V>) {
+        lane.folding = Some(Instant::now());
+        let st = &mut *lane.state;
+        let mut upd = write(&self.updated[o]);
+        if let Some(reduce) = self.reduce {
+            let m = self.updated.len();
+            for cell in self.mail.iter().skip(o).step_by(m) {
+                let mut bucket = lock(cell);
+                upd.reserve(bucket.len());
+                for (v, temp) in bucket.drain(..) {
+                    reduce(&temp, &mut st.current[v as usize]);
+                    upd.push(v);
+                }
+            }
+        }
+        // Direct-step kernels write in master order, so their lists
+        // arrive sorted and duplicate-free; only the others pay a sort.
+        if !upd.windows(2).all(|p| p[0] < p[1]) {
+            upd.sort_unstable();
+            upd.dedup();
+        }
+        // The last use of the replica through a reference this round:
+        // phase 2 reaches the slots only through this pointer.
+        self.replicas[o].store(st.current.as_mut_ptr(), Ordering::Release);
+    }
+
+    /// Phase 2 on lane `r`: applies to `r`'s mirror slots every payload
+    /// whose recipient is `r` — under [`SyncScope::Necessary`] the vertices
+    /// listing `r` as a necessary mirror, under [`SyncScope::All`] every
+    /// updated vertex of another worker — with the critical projection
+    /// under [`SyncMode::CriticalOnly`] or the whole value under
+    /// [`SyncMode::Full`].
+    ///
+    /// Counted on the receiving side: one message per distinct recipient
+    /// *host*, charged to the first recipient on that host (in mirror-list
+    /// order, or ascending worker order under `All`) unless it is the
+    /// sender's host. After an elastic rebalance several partitions can
+    /// share a host and one shipped payload serves all of them; it is
+    /// still applied to every logical replica, so co-hosted mirrors stay
+    /// coherent.
+    fn sync(&self, r: usize, lane: &mut Lane<'_, V>) {
+        let m = self.updated.len();
+        let host = |q: usize| self.partition.host_of_worker(q);
+        let own_host = host(r);
+        // Acquire pairs with each lane's Release store in phase 1; the
+        // barrier between the phases orders them as well.
+        let mirror = self.replicas[r].load(Ordering::Acquire);
+        for w in (0..m).filter(|&w| w != r) {
+            let sender = host(w);
+            let master = self.replicas[w].load(Ordering::Acquire);
+            // Under `All` the first worker other than the sender on this
+            // lane's host receives for the host: every live host hosts
+            // its own partition, so these are exactly the live hosts.
+            let first_on_host = own_host != sender && (0..r).all(|q| q == w || host(q) != own_host);
+            for &v in read(&self.updated[w]).iter() {
+                let ships = match self.scope {
+                    SyncScope::All => first_on_host,
+                    SyncScope::Necessary => {
+                        let mirrors = self.partition.necessary_mirrors(v);
+                        let Some(i) = mirrors.iter().position(|&q| usize::from(q) == r) else {
+                            continue;
+                        };
+                        own_host != sender
+                            && mirrors[..i]
+                                .iter()
+                                .all(|&q| host(usize::from(q)) != own_host)
+                    }
+                };
+                let vi = v as usize;
+                assert!(vi < self.n, "vertex {v} is out of range");
+                // SAFETY: `master` and `mirror` are the slot arrays of
+                // replicas `w != r`, published by their lanes at the end of
+                // phase 1 from `as_mut_ptr` after their last write through
+                // a reference. Every replica holds `n` slots (asserted
+                // before the round) and is not resized during it, and
+                // `vi < n` is asserted above. The second barrier (or the
+                // caller's phase order) puts every phase-0/1 write before
+                // this phase, in which lanes touch slots only through these
+                // pointers. Slot `vi` of `master` is a master slot (`v` is
+                // in `w`'s updated list) and nothing writes master slots in
+                // phase 2. Slot `vi` of `mirror` is written by lane `r`
+                // alone, and no lane reads it: `r` does not master `v`.
+                // `V: Send + Sync`, so lanes may share and write values.
+                let (src, dst) = unsafe { (&*master.add(vi), &mut *mirror.add(vi)) };
+                let bytes = match self.mode {
+                    SyncMode::Full => {
+                        dst.clone_from(src);
+                        (4 + src.bytes()) as u64
+                    }
+                    SyncMode::CriticalOnly => {
+                        let payload = src.critical();
+                        let bytes = (4 + V::critical_bytes(&payload)) as u64;
+                        dst.apply_critical(payload);
+                        bytes
+                    }
+                };
+                if ships {
+                    lane.sync.0 += 1;
+                    lane.sync.1 += bytes;
+                    if self.track_batches {
+                        bump(&mut lane.batches[1], (sender, own_host), 1, bytes);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// The round's cells hold `Vec`s, which every update leaves valid at every
+// step, so a lane that panicked holding one leaves valid data behind.
+
+fn lock<T>(cell: &Mutex<T>) -> MutexGuard<'_, T> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(cell: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    cell.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(cell: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    cell.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Adds `messages`/`bytes` to the `(sender host, receiver host)` batch of
 /// one message round.
 fn bump(batches: &mut RoundBatches, pair: (usize, usize), messages: u64, bytes: u64) {
@@ -959,68 +1068,10 @@ fn bump(batches: &mut RoundBatches, pair: (usize, usize), messages: u64, bytes: 
     batch.1 += bytes;
 }
 
-/// Applies the master value `states[w].current[vi]` to every replica in
-/// `recipients` and returns its wire size under `mode`: `Full` clones the
-/// master slot into each mirror by reference, `CriticalOnly` materialises
-/// one projection and moves it into the last recipient.
-fn push_to_mirrors<V: VertexData>(
-    states: &mut [WorkerState<V>],
-    w: usize,
-    vi: usize,
-    mode: SyncMode,
-    recipients: impl Iterator<Item = usize>,
-) -> u64 {
-    match mode {
-        SyncMode::Full => {
-            for r in recipients {
-                clone_full_to(states, w, r, vi);
-            }
-            (4 + states[w].current[vi].bytes()) as u64
-        }
-        SyncMode::CriticalOnly => {
-            let payload = states[w].current[vi].critical();
-            let bytes = (4 + V::critical_bytes(&payload)) as u64;
-            apply_critical_last_move(states, vi, payload, recipients);
-            bytes
-        }
-    }
-}
-
-/// Clones `states[w].current[vi]` into `states[r].current[vi]` by
-/// reference: `clone_from` reuses the destination's heap allocations, and
-/// no owned payload is materialized. `w != r` is a caller invariant
-/// (mirror lists never contain the owner).
-fn clone_full_to<V: VertexData>(states: &mut [WorkerState<V>], w: usize, r: usize, vi: usize) {
-    debug_assert_ne!(w, r);
-    let (src, dst) = if w < r {
-        let (head, tail) = states.split_at_mut(r);
-        (&head[w], &mut tail[0])
-    } else {
-        let (head, tail) = states.split_at_mut(w);
-        (&tail[0], &mut head[r])
-    };
-    dst.current[vi].clone_from(&src.current[vi]);
-}
-
-/// Applies one critical payload to every recipient replica, cloning for
-/// all but the last recipient and *moving* the payload into the last —
-/// saving one clone per synchronized vertex. Structured so the move is
-/// provable to the compiler: the sync path runs at every barrier,
-/// including mid-recovery, and must stay panic-free.
-fn apply_critical_last_move<V: VertexData>(
-    states: &mut [WorkerState<V>],
-    vi: usize,
-    payload: V::Critical,
-    recipients: impl Iterator<Item = usize>,
-) {
-    let mut recipients = recipients.peekable();
-    while let Some(r) = recipients.next() {
-        if recipients.peek().is_some() {
-            states[r].current[vi].apply_critical(payload.clone());
-        } else {
-            states[r].current[vi].apply_critical(payload);
-            return;
-        }
+/// Moves one lane's batches into a round's map, leaving the lane's empty.
+fn merge_batches(into: &mut RoundBatches, from: &mut RoundBatches) {
+    for (pair, (messages, bytes)) in std::mem::take(from) {
+        bump(into, pair, messages, bytes);
     }
 }
 
@@ -1030,6 +1081,7 @@ mod tests {
     use crate::config::ModePolicy;
     use crate::config::DEFAULT_CHECKPOINT_INTERVAL;
     use flash_graph::{generators, HashPartitioner};
+    use std::collections::BTreeSet;
 
     #[derive(Clone, Default, Debug, PartialEq)]
     struct Val {
@@ -1175,25 +1227,185 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// The hot-path contract: bucketing fanned out over the pool's lanes
-    /// must be bit-identical to the same code on one lane (`.sequential()`,
-    /// the serial reference) across supersteps that reuse their buffers —
-    /// same values, same message/byte counters.
+    /// The hot-path contract: the post-compute round fanned out over the
+    /// pool's lanes must be bit-identical to the same phases run lane by
+    /// lane on the caller (`.sequential()`, the serial reference) across
+    /// supersteps that reuse their buffers — same values, same
+    /// message/byte counters — on both sides of the caller-lane rule.
     #[test]
     fn lanes_match_single_lane_bitwise() {
-        let run = |cfg: ClusterConfig| {
-            let (vals, stats, err) = run_program(cfg);
-            assert!(err.is_none());
-            let counters: Vec<(u64, u64, u64, u64)> = stats
+        let run = |cfg: ClusterConfig, g: &Arc<Graph>| {
+            let mut c = program_over(cfg, Arc::clone(g));
+            assert!(c.fault_error().is_none());
+            let vals = c.collect(|_, val| val.x);
+            let counters: Vec<(u64, u64, u64, u64)> = c
+                .take_stats()
                 .steps()
                 .iter()
                 .map(|s| (s.upd_messages, s.upd_bytes, s.sync_messages, s.sync_bytes))
                 .collect();
             (vals, counters)
         };
-        let lanes = run(ClusterConfig::with_workers(4));
-        assert!(lanes.1.iter().any(|c| c.0 > 0 && c.2 > 0), "traffic flowed");
-        assert_eq!(lanes, run(ClusterConfig::with_workers(4).sequential()));
+        let small = Arc::new(generators::erdos_renyi(48, 160, 11));
+        let large = Arc::new(generators::erdos_renyi(1500, 6000, 11));
+        // Below the rule every step stages at most n per worker; above it,
+        // every direct step writes all n masters.
+        assert!(4 * small.num_vertices() < CALLER_LANE_BELOW);
+        assert!(large.num_vertices() >= CALLER_LANE_BELOW);
+        for g in [&small, &large] {
+            let lanes = run(ClusterConfig::with_workers(4), g);
+            assert!(lanes.1.iter().any(|c| c.0 > 0 && c.2 > 0), "traffic flowed");
+            assert_eq!(lanes, run(ClusterConfig::with_workers(4).sequential(), g));
+        }
+    }
+
+    /// The obvious count of one step's traffic, from its output: upd
+    /// messages per distinct `(sender, destination)` put crossing hosts,
+    /// sync messages per updated vertex and distinct recipient host other
+    /// than the sender's — the hosts of its necessary mirrors, or every
+    /// live host under `All`. Each message of `Val` is 4 + 8 bytes.
+    fn brute_force_traffic(
+        p: &PartitionMap,
+        puts: &BTreeSet<(usize, VertexId)>,
+        updated: &[Vec<VertexId>],
+        scope: SyncScope,
+    ) -> (RoundBatches, RoundBatches) {
+        let host = |w: usize| p.host_of_worker(w);
+        let mut upd = RoundBatches::new();
+        for &(w, d) in puts {
+            if host(w) != p.host_of(d) {
+                bump(&mut upd, (host(w), p.host_of(d)), 1, 12);
+            }
+        }
+        let mut sync = RoundBatches::new();
+        for (w, list) in updated.iter().enumerate() {
+            let sender = host(w);
+            for &v in list {
+                let hosts: BTreeSet<usize> = match scope {
+                    SyncScope::Necessary => p
+                        .necessary_mirrors(v)
+                        .iter()
+                        .map(|&r| host(usize::from(r)))
+                        .collect(),
+                    SyncScope::All => p.live_hosts().into_iter().collect(),
+                };
+                for h in hosts.into_iter().filter(|&h| h != sender) {
+                    bump(&mut sync, (sender, h), 1, 12);
+                }
+            }
+        }
+        (upd, sync)
+    }
+
+    /// Sync traffic is counted by the receiving lanes and upd traffic by
+    /// the sending ones. Both, and the cross-host batch maps the lossy
+    /// transport is handed, must equal [`brute_force_traffic`], and every
+    /// recipient replica must hold the master's value — under both scopes
+    /// and payload modes, with identity hosting and after a rebalance
+    /// co-hosts two partitions, on both sides of the caller-lane rule,
+    /// pooled and sequential.
+    #[test]
+    fn round_traffic_matches_a_brute_force_count() {
+        let g = Arc::new(generators::erdos_renyi(1200, 4000, 5));
+        let reduce = |t: &Val, acc: &mut Val| acc.x = acc.x.max(t.x);
+        let total = |b: &RoundBatches| {
+            b.values()
+                .fold((0, 0), |(m, y), &(bm, by)| (m + bm, y + by))
+        };
+        // The last step's counters and batch maps (still in the pool), and
+        // its recipients' replicas.
+        let check = |c: &Cluster<Val>,
+                     puts: &BTreeSet<(usize, VertexId)>,
+                     updated: &[Vec<VertexId>],
+                     scope: SyncScope,
+                     case: &str| {
+            let p = c.partition();
+            let (upd, sync) = brute_force_traffic(p, puts, updated, scope);
+            let s = c.stats().steps().last().unwrap();
+            assert_eq!(
+                (s.upd_messages, s.upd_bytes),
+                total(&upd),
+                "{case} {scope:?}"
+            );
+            assert_eq!(
+                (s.sync_messages, s.sync_bytes),
+                total(&sync),
+                "{case} {scope:?}"
+            );
+            assert_eq!(c.buffers.upd_batches, upd, "{case} {scope:?}");
+            assert_eq!(c.buffers.sync_batches, sync, "{case} {scope:?}");
+            for (w, list) in updated.iter().enumerate() {
+                for &v in list {
+                    let recipients: Vec<usize> = match scope {
+                        SyncScope::Necessary => p
+                            .necessary_mirrors(v)
+                            .iter()
+                            .map(|&r| usize::from(r))
+                            .collect(),
+                        SyncScope::All => (0..4).collect(),
+                    };
+                    for r in recipients {
+                        assert_eq!(
+                            c.states[r].current(v),
+                            c.states[w].current(v),
+                            "{case} v={v}"
+                        );
+                    }
+                }
+            }
+        };
+        for rebalanced in [false, true] {
+            let mut p = PartitionMap::build(&g, 4, &HashPartitioner).unwrap();
+            if rebalanced {
+                p.rebalance(&[1]).unwrap();
+            }
+            let p = Arc::new(p);
+            for (parallel, mode) in [
+                (true, SyncMode::CriticalOnly),
+                (true, SyncMode::Full),
+                (false, SyncMode::CriticalOnly),
+            ] {
+                let plan = crate::fault::FaultPlan::parse("loss=0.05,seed=3,retries=64").unwrap();
+                let mut cfg = ClusterConfig::with_workers(4).sync_mode(mode).faults(plan);
+                cfg.parallel_workers = parallel;
+                let init = |v| Val { x: v as u64 };
+                let mut c = Cluster::new(Arc::clone(&g), Arc::clone(&p), cfg, init).unwrap();
+                let case = format!("rebalanced={rebalanced} parallel={parallel} {mode:?}");
+                for scope in [SyncScope::Necessary, SyncScope::All] {
+                    // Every vertex active stages well above the rule; one
+                    // in 97 stages well below it.
+                    for stride in [1, 97] {
+                        let active = |v: VertexId| v.is_multiple_of(stride);
+                        let puts: BTreeSet<(usize, VertexId)> = (0..4)
+                            .flat_map(|w| p.masters(w).iter().map(move |&v| (w, v)))
+                            .filter(|&(_, v)| active(v))
+                            .flat_map(|(w, v)| g.out_neighbors(v).iter().map(move |&d| (w, d)))
+                            .collect();
+                        assert_eq!(puts.len() >= CALLER_LANE_BELOW, stride == 1, "{case}");
+                        let out = c.step_reduce(0, scope, reduce, |ctx| {
+                            for &v in ctx.masters().iter().filter(|&&v| active(v)) {
+                                let val = Val {
+                                    x: ctx.get(v).x + 1,
+                                };
+                                for &d in ctx.graph().out_neighbors(v) {
+                                    ctx.put(d, val.clone(), &reduce);
+                                }
+                            }
+                        });
+                        check(&c, &puts, &out.updated, scope, &case);
+                        let out = c.step_direct(StepKind::VertexMap, 0, scope, |ctx| {
+                            for &v in ctx.masters().iter().filter(|&&v| active(v)) {
+                                let val = Val {
+                                    x: ctx.get(v).x * 3 + 1,
+                                };
+                                ctx.write_master(v, val);
+                            }
+                        });
+                        check(&c, &BTreeSet::new(), &out.updated, scope, &case);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1369,7 +1581,11 @@ mod tests {
     /// The cluster after [`run_program`]'s 12 supersteps (with the
     /// durable store attached when the config names a directory).
     fn program(cfg: ClusterConfig) -> Cluster<Val> {
-        let g = Arc::new(generators::erdos_renyi(48, 160, 11));
+        program_over(cfg, Arc::new(generators::erdos_renyi(48, 160, 11)))
+    }
+
+    /// [`program`] over `g`.
+    fn program_over(cfg: ClusterConfig, g: Arc<Graph>) -> Cluster<Val> {
         let p = Arc::new(PartitionMap::build(&g, cfg.workers, &HashPartitioner).unwrap());
         let init = |v| Val { x: v as u64 };
         let mut c = if cfg.durable_dir.is_some() {

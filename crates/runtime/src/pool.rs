@@ -1,17 +1,26 @@
 //! The persistent worker pool behind the pooled-parallel hot path
 //! (DESIGN.md §11).
 //!
-//! A superstep has two parallel phases — compute and bucketing — each a
-//! few tens of microseconds on a small frontier, so spawning and joining
-//! threads per phase (`std::thread::scope`) costs more than the work. A
-//! [`WorkerPool`] spawns its threads once; a phase is then one epoch bump
-//! on a mutex/condvar pair. Helpers *park* between epochs: a
-//! cluster idles between supersteps, queries and sessions for far longer
-//! than a phase lasts, and spinning lanes would bill that idle time as CPU.
+//! A superstep has two parallel rounds — compute, then one post-compute
+//! round that routes, folds and syncs — each a few tens of microseconds
+//! on a small frontier, so spawning and joining threads per round
+//! (`std::thread::scope`) costs more than the work. A [`WorkerPool`]
+//! spawns its threads once; a round is then one epoch bump on a
+//! mutex/condvar pair. Helpers *park* between epochs: a cluster idles
+//! between supersteps, queries and sessions for far longer than a round
+//! lasts, and spinning lanes would bill that idle time as CPU.
+//!
+//! [`WorkerPool::run_phased`] splits one round into phases separated by
+//! barriers, with task `i` on lane `i` in every phase. A barrier needs every
+//! task on its own lane, so with fewer lanes than tasks — or when the caller
+//! asks for it because the work is below one hand-off's worth — the phases
+//! run on the caller instead, task by task, in the same order
+//! (`run_phases_inline`).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// One round's work: `job(i)` runs task `i`.
@@ -127,6 +136,61 @@ impl WorkerPool {
             .collect()
     }
 
+    /// Runs `phases` phases over `items`: `f(p, i, &mut items[i])` for every
+    /// task `i` in phase `p`, and every task of phase `p` finishes before any
+    /// task of phase `p + 1` starts. Each task keeps its lane, so what a
+    /// phase leaves in its item is there for the next one.
+    ///
+    /// With at least one lane per task, task `i` runs on lane `i` and a
+    /// barrier separates the phases. With fewer lanes — a barrier would wait
+    /// on a task queued behind it on its own lane — or with `inline` set, the
+    /// caller runs every phase itself (`run_phases_inline`). Either way the
+    /// tasks of one phase see the same data, so the result does not depend
+    /// on which path ran.
+    ///
+    /// # Panics
+    /// A panicking task does not strand the others at a barrier: its lane
+    /// still arrives at every barrier, every lane skips the phases after the
+    /// one that failed, and the lowest task's panic is resumed here once the
+    /// round has drained.
+    pub fn run_phased<T: Send>(
+        &mut self,
+        items: &mut [T],
+        phases: usize,
+        inline: bool,
+        f: impl Fn(usize, usize, &mut T) + Sync,
+    ) {
+        let tasks = items.len();
+        if inline || tasks <= 1 || tasks > self.lanes() {
+            run_phases_inline(items, phases, f);
+            return;
+        }
+        let barrier = Barrier::new(tasks);
+        let failed = AtomicBool::new(false);
+        let panic: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
+        self.run(items.iter_mut(), |i, item| {
+            for p in 0..phases {
+                if p > 0 {
+                    barrier.wait();
+                }
+                // The barrier orders a failure before every later phase.
+                if failed.load(Ordering::Relaxed) {
+                    continue;
+                }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(p, i, &mut *item))) {
+                    failed.store(true, Ordering::Relaxed);
+                    let mut first = panic.lock().unwrap_or_else(PoisonError::into_inner);
+                    if first.as_ref().is_none_or(|&(j, _)| i < j) {
+                        *first = Some((i, payload));
+                    }
+                }
+            }
+        });
+        if let Some((_, payload)) = panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            resume_unwind(payload);
+        }
+    }
+
     /// Runs `job(i)` for `i` in `0..tasks` across the lanes and returns when
     /// all have finished.
     fn dispatch(&mut self, tasks: usize, job: &Job<'_>) {
@@ -193,6 +257,21 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("lanes", &self.lanes())
             .finish()
+    }
+}
+
+/// [`WorkerPool::run_phased`] on the calling thread: phase by phase, each
+/// phase's tasks in item order. The path for a cluster without a pool, and
+/// for a round whose work is below one hand-off's worth.
+pub(crate) fn run_phases_inline<T>(
+    items: &mut [T],
+    phases: usize,
+    f: impl Fn(usize, usize, &mut T),
+) {
+    for p in 0..phases {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(p, i, item);
+        }
     }
 }
 
@@ -287,6 +366,105 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(lane_threads(&mut pool), first);
         }
+    }
+
+    /// A phased round on `pool`: every task logs `(phase, task)` and
+    /// records the phase it finished, and from phase 1 on checks that
+    /// *every* task finished the phase before — which a missing barrier
+    /// would let it miss.
+    fn phased_log(pool: &mut WorkerPool, tasks: usize, inline: bool) -> Vec<(usize, usize)> {
+        let finished: Vec<Mutex<usize>> = (0..tasks).map(|_| Mutex::new(0)).collect();
+        let log = Mutex::new(Vec::new());
+        let mut early = vec![0usize; tasks];
+        pool.run_phased(&mut early, 3, inline, |p, i, early| {
+            *early += finished.iter().filter(|f| *f.lock().unwrap() < p).count();
+            *finished[i].lock().unwrap() = p + 1;
+            log.lock().unwrap().push((p, i));
+        });
+        assert!(
+            early.iter().all(|&e| e == 0),
+            "a phase started early: {early:?}"
+        );
+        log.into_inner().unwrap()
+    }
+
+    #[test]
+    fn phased_rounds_order_phases_on_every_path() {
+        for (lanes, tasks) in [
+            (1usize, 1usize),
+            (1, 3),
+            (2, 2),
+            (4, 4),
+            (4, 3),
+            (2, 5),
+            (3, 8),
+        ] {
+            let mut pool = WorkerPool::new(lanes);
+            for inline in [false, true] {
+                let log = phased_log(&mut pool, tasks, inline);
+                assert_eq!(log.len(), 3 * tasks, "lanes={lanes} tasks={tasks}");
+                // Phases never interleave.
+                assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "{log:?}");
+                if inline || tasks > lanes || lanes == 1 {
+                    // The caller ran it: phase by phase, tasks in order.
+                    let serial: Vec<_> = (0..3)
+                        .flat_map(|p| (0..tasks).map(move |i| (p, i)))
+                        .collect();
+                    assert_eq!(log, serial, "lanes={lanes} tasks={tasks} inline={inline}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn phased_rounds_keep_each_task_on_its_lane() {
+        let mut pool = WorkerPool::new(3);
+        let mut threads = vec![Vec::new(); 3];
+        pool.run_phased(&mut threads, 4, false, |_, _, ids| {
+            ids.push(std::thread::current().id());
+        });
+        assert_eq!(
+            threads[0][0],
+            std::thread::current().id(),
+            "task 0 is the caller"
+        );
+        for ids in &threads {
+            assert!(ids.iter().all(|&t| t == ids[0]), "a task changed lanes");
+        }
+        assert_eq!(
+            threads.iter().map(|t| t[0]).collect::<HashSet<_>>().len(),
+            3
+        );
+    }
+
+    #[test]
+    fn a_panicking_phase_releases_the_barrier_and_surfaces_on_the_caller() {
+        let mut pool = WorkerPool::new(3);
+        let before = lane_threads(&mut pool);
+        for (bad_task, bad_phase) in [(0usize, 0usize), (2, 0), (1, 1), (2, 2)] {
+            let ran = Mutex::new(Vec::new());
+            let mut items = [0u8; 3];
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_phased(&mut items, 3, false, |p, i, _| {
+                    if (i, p) == (bad_task, bad_phase) {
+                        panic!("task {i} failed in phase {p}");
+                    }
+                    ran.lock().unwrap().push(p);
+                });
+            }));
+            let payload = caught.expect_err("the phase panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some(format!("task {bad_task} failed in phase {bad_phase}").as_str())
+            );
+            // No task started a phase after the one that failed.
+            assert!(ran.into_inner().unwrap().iter().all(|&p| p <= bad_phase));
+        }
+        assert_eq!(
+            lane_threads(&mut pool),
+            before,
+            "same threads, still usable"
+        );
     }
 
     #[test]

@@ -367,9 +367,8 @@ mod tests {
         assert_eq!(pool.checkouts(), 1);
         assert_eq!(pool.reuses(), 0, "first checkout is a fresh allocation");
         // Dirty the buffers the way a run would, then check them back in.
-        let mut buckets = buf.take_buckets(4);
-        buckets[2].push((7, D { v: 7 }));
-        buf.put_buckets(buckets);
+        buf.size_round(4);
+        buf.bucket_sets[2][1].push((7, D { v: 7 }));
         pool.checkin(buf);
         let buf: StepBuffers<D> = pool.checkout();
         assert_eq!(pool.reuses(), 1, "second checkout reuses the pooled set");

@@ -3,6 +3,9 @@
 use crate::transport::RoundBatches;
 use crate::VertexData;
 use flash_graph::VertexId;
+use std::sync::atomic::AtomicPtr;
+use std::sync::{Mutex, PoisonError, RwLock};
+use std::time::Duration;
 
 /// The mirror-side combiner of `put(id, v, R)` (§IV-A, Algorithm 6): one
 /// reduce-accumulated temporary per vertex a worker has staged this
@@ -54,7 +57,6 @@ impl<V> ReduceAcc<V> {
     }
 
     /// Number of vertices with a staged temporary.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.touched.len()
     }
@@ -224,44 +226,59 @@ pub(crate) type Buckets<V> = Vec<Vec<(VertexId, V)>>;
 /// exactly the state a fresh allocation would provide.
 #[derive(Debug)]
 pub(crate) struct StepBuffers<V: VertexData> {
-    /// Per-owner routing buckets of the upd round: filled by
-    /// `route_updates`, drained in place by `step_reduce`'s master fold.
-    pub(crate) buckets: Buckets<V>,
-    /// Per-worker bucket sets of the lane-parallel bucketing pass; slot
-    /// `w` belongs to worker `w`.
+    /// Per-sender bucket sets of the upd round: lane `w` routes its
+    /// `pending` into `bucket_sets[w][owner]`.
     pub(crate) bucket_sets: Vec<Buckets<V>>,
+    /// The post-compute round's hand-over cells, `m × m`: cell
+    /// `w * m + o` carries sender `w`'s bucket for owner `o` from the
+    /// routing phase to `o`'s fold. Each cell is touched by one lane per
+    /// phase, so its lock is never contended.
+    pub(crate) mail: Vec<Mutex<Vec<(VertexId, V)>>>,
     /// Per-owner updated-master lists handed out through `StepOutput` and
     /// returned by `Cluster::recycle_updated`.
     updated: Vec<Vec<VertexId>>,
-    /// The distinct recipient hosts of the payload the mirror sync is
-    /// shipping.
-    pub(crate) host_buf: Vec<u16>,
+    /// The updated lists during the post-compute round: written by their
+    /// owner's lane, read by every lane in the sync phase.
+    pub(crate) shared_updated: Vec<RwLock<Vec<VertexId>>>,
+    /// Each replica's slot array, published by its lane for the sync
+    /// phase of the post-compute round. Only read inside that round.
+    pub(crate) replicas: Vec<AtomicPtr<V>>,
+    /// Per-lane cross-host batch maps of the upd and sync rounds, merged in
+    /// lane order into `upd_batches` and `sync_batches`.
+    pub(crate) lane_batches: Vec<[RoundBatches; 2]>,
+    /// Per-host compute time of the superstep being closed.
+    pub(crate) host_time: Vec<Duration>,
     /// Cross-host batch map of the upd round.
-    upd_batches: RoundBatches,
+    pub(crate) upd_batches: RoundBatches,
     /// Cross-host batch map of the sync round.
-    sync_batches: RoundBatches,
+    pub(crate) sync_batches: RoundBatches,
 }
 
 impl<V: VertexData> StepBuffers<V> {
     pub(crate) fn new() -> Self {
         StepBuffers {
-            buckets: Vec::new(),
             bucket_sets: Vec::new(),
+            mail: Vec::new(),
             updated: Vec::new(),
-            host_buf: Vec::new(),
+            shared_updated: Vec::new(),
+            replicas: Vec::new(),
+            lane_batches: Vec::new(),
+            host_time: Vec::new(),
             upd_batches: RoundBatches::new(),
             sync_batches: RoundBatches::new(),
         }
     }
 
-    /// Takes the pooled bucket vector, cleared and sized to `m` owners.
-    pub(crate) fn take_buckets(&mut self, m: usize) -> Buckets<V> {
-        Self::take_lists(&mut self.buckets, m)
-    }
-
-    /// Returns the bucket vector once the routing pass has filled it.
-    pub(crate) fn put_buckets(&mut self, buckets: Buckets<V>) {
-        self.buckets = buckets;
+    /// Sizes the post-compute round's per-lane slots to `m` workers.
+    pub(crate) fn size_round(&mut self, m: usize) {
+        self.bucket_sets.resize_with(m, Vec::new);
+        for set in &mut self.bucket_sets {
+            set.resize_with(m, Vec::new);
+        }
+        self.mail.resize_with(m * m, Default::default);
+        self.shared_updated.resize_with(m, Default::default);
+        self.replicas.resize_with(m, Default::default);
+        self.lane_batches.resize_with(m, Default::default);
     }
 
     /// Takes the pooled updated-master lists, cleared and sized to `m`.
@@ -316,18 +333,27 @@ impl<V: VertexData> StepBuffers<V> {
     /// from a pristine pool even if the previous run left residue (e.g.
     /// an error path that skipped a `recycle_updated`).
     pub(crate) fn reset(&mut self) {
-        for l in self.buckets.iter_mut() {
-            l.clear();
-        }
         for set in self.bucket_sets.iter_mut() {
             for l in set.iter_mut() {
                 l.clear();
             }
         }
+        for cell in self.mail.iter_mut() {
+            cell.get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
+        }
         for l in self.updated.iter_mut() {
             l.clear();
         }
-        self.host_buf.clear();
+        for cell in self.shared_updated.iter_mut() {
+            cell.get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear();
+        }
+        for batches in self.lane_batches.iter_mut().flatten() {
+            batches.clear();
+        }
         self.upd_batches.clear();
         self.sync_batches.clear();
     }
@@ -335,13 +361,26 @@ impl<V: VertexData> StepBuffers<V> {
     /// `true` when every pooled buffer is empty — the invariant each run
     /// must observe on its first superstep, asserted at pool checkin.
     pub(crate) fn is_pristine(&self) -> bool {
-        self.buckets.iter().all(Vec::is_empty)
-            && self
-                .bucket_sets
-                .iter()
-                .all(|set| set.iter().all(Vec::is_empty))
+        let empty = |cell: &Mutex<Vec<(VertexId, V)>>| {
+            cell.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_empty()
+        };
+        self.bucket_sets
+            .iter()
+            .all(|set| set.iter().all(Vec::is_empty))
+            && self.mail.iter().all(empty)
             && self.updated.iter().all(Vec::is_empty)
-            && self.host_buf.is_empty()
+            && self.shared_updated.iter().all(|cell| {
+                cell.read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .is_empty()
+            })
+            && self
+                .lane_batches
+                .iter()
+                .flatten()
+                .all(RoundBatches::is_empty)
             && self.upd_batches.is_empty()
             && self.sync_batches.is_empty()
     }
@@ -436,14 +475,15 @@ mod tests {
     #[test]
     fn step_buffers_hand_out_cleared_reused_allocations() {
         let mut b: StepBuffers<D> = StepBuffers::new();
-        let mut buckets = b.take_buckets(3);
-        assert_eq!(buckets.len(), 3);
-        buckets[1].push((7, D { v: 1 }));
-        let caps: Vec<usize> = buckets.iter().map(Vec::capacity).collect();
-        b.put_buckets(buckets);
-        let again = b.take_buckets(3);
-        assert!(again.iter().all(Vec::is_empty), "cleared on take");
-        assert!(again[1].capacity() >= caps[1], "allocation reused");
+        b.size_round(3);
+        assert_eq!((b.bucket_sets.len(), b.mail.len()), (3, 9));
+        assert!(b.bucket_sets.iter().all(|set| set.len() == 3));
+        assert_eq!((b.shared_updated.len(), b.replicas.len()), (3, 3));
+        b.bucket_sets[1][2].push((7, D { v: 1 }));
+        let cap = b.bucket_sets[1][2].capacity();
+        b.bucket_sets[1][2].clear();
+        b.size_round(3);
+        assert!(b.bucket_sets[1][2].capacity() >= cap, "allocation reused");
 
         let mut upd = b.take_updated(2);
         upd[0].push(5);
@@ -461,22 +501,24 @@ mod tests {
     fn reset_restores_pristine_state_without_dropping_capacity() {
         let mut b: StepBuffers<D> = StepBuffers::new();
         assert!(b.is_pristine(), "fresh pool is pristine");
-        let mut buckets = b.take_buckets(3);
-        buckets[0].push((1, D { v: 9 }));
-        b.put_buckets(buckets);
+        b.size_round(2);
+        assert!(b.is_pristine(), "sized slots start empty");
+        b.mail[1].lock().unwrap().push((1, D { v: 9 }));
+        b.shared_updated[0].write().unwrap().push(3);
+        b.lane_batches[1][1].insert((1, 0), (1, 8));
         let mut upd = b.take_updated(2);
         upd[1].push(4);
         b.recycle_updated(upd);
-        b.host_buf.extend_from_slice(&[1, 2, 3]);
-        b.bucket_sets.push(vec![vec![(0, D { v: 1 })]]);
+        b.bucket_sets[0][1].push((0, D { v: 1 }));
         let mut batches = b.take_upd_batches();
         batches.insert((0, 1), (2, 64));
         b.put_upd_batches(batches);
         assert!(!b.is_pristine(), "residue is visible");
         b.reset();
         assert!(b.is_pristine(), "reset clears every buffer");
-        // Capacity survived the reset: the next take reuses allocations.
-        assert!(b.take_buckets(3)[0].capacity() > 0);
+        // Capacity survived the reset: the next round reuses allocations.
+        assert!(b.mail[1].lock().unwrap().capacity() > 0);
+        assert!(b.bucket_sets[0][1].capacity() > 0);
     }
 
     #[test]

@@ -68,14 +68,14 @@ pub struct StepStats {
     /// Wall time spent materializing and routing message buffers.
     pub serialize: Duration,
     /// Serialization makespan on an ideal one-core-per-worker cluster: the
-    /// slowest bucketing lane's time (equal to [`StepStats::serialize`]
-    /// when bucketing ran on one lane). The serialize-phase analogue of
+    /// slowest lane's bucketing time, whether the lanes ran on the pool or
+    /// one after another on the caller. The serialize-phase analogue of
     /// [`StepStats::compute_max`], and what
     /// [`RunStats::simulated_parallel_time`] charges.
     pub serialize_max: Duration,
-    /// Wall time of folding staged updates into masters and of the serial
-    /// mirror-sync pass that copies and counts each written master's
-    /// payload.
+    /// Wall time of folding staged updates into masters and of the mirror
+    /// sync that applies and counts each written master's payload — the
+    /// post-compute round after bucketing.
     pub communicate: Duration,
     /// Wall time of the reliable-delivery protocol (ack/retransmit rounds
     /// run by [`crate::transport::Transport`]); zero without channel

@@ -1,10 +1,11 @@
-//! Cross-crate tests of the superstep hot path: per-lane bucket sets
-//! merged in worker order, reused step buffers and the clone-free mirror
-//! sync must be invisible to algorithms — results and per-superstep
-//! `upd_*`/`sync_*` counters are **bit-identical** from run to run and to
-//! the serial reference (`ClusterConfig::sequential()`, the same routing
-//! code on one lane) — and the phase timers (`delivery`, the ns-precision
-//! fields) must be populated.
+//! Cross-crate tests of the superstep hot path: the post-compute round
+//! (routing, the fold in sender order, the receiver-side mirror sync),
+//! reused step buffers and the clone-free sync must be invisible to
+//! algorithms — results and per-superstep `upd_*`/`sync_*` counters are
+//! **bit-identical** from run to run and to the serial reference
+//! (`ClusterConfig::sequential()`, the same phases run lane by lane on the
+//! caller) — and the phase timers (`delivery`, the ns-precision fields)
+//! must be populated.
 
 use flash_bench::cli::{dispatch, CliOptions, ALGOS};
 use flash_graph::{generators, HashPartitioner, PartitionMap};
@@ -68,6 +69,40 @@ fn catalogue_is_self_deterministic() {
             counter_trace(&again_stats),
             "{algo}: upd/sync counters diverged"
         );
+    }
+}
+
+/// Catalogue-wide, on a graph big enough that full-frontier steps stage
+/// more updates than the caller-lane rule keeps on the caller (540), so
+/// the post-compute round runs on the pool's lanes: every algorithm's
+/// answer, superstep count and per-superstep traffic equal the serial
+/// reference's at 2 and 4 workers.
+#[test]
+fn catalogue_on_the_pool_matches_the_serial_reference() {
+    let g = Arc::new(generators::erdos_renyi(1500, 6000, 11));
+    let weighted = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
+    for workers in [2usize, 4] {
+        for &algo in &ALGOS {
+            let graph = if algo == "msf" || algo == "sssp" {
+                &weighted
+            } else {
+                &g
+            };
+            let mut o = opts(algo);
+            o.config = ClusterConfig::with_workers(workers);
+            let (pooled, pooled_stats) =
+                dispatch(&o, graph).unwrap_or_else(|e| panic!("{algo} (pooled): {e}"));
+            o.config = ClusterConfig::with_workers(workers).sequential();
+            let (serial, serial_stats) =
+                dispatch(&o, graph).unwrap_or_else(|e| panic!("{algo} (serial): {e}"));
+            let case = format!("{algo} workers={workers}");
+            assert_eq!(pooled, serial, "{case}: result diverged");
+            assert_eq!(
+                counter_trace(&pooled_stats),
+                counter_trace(&serial_stats),
+                "{case}: upd/sync counters or superstep count diverged"
+            );
+        }
     }
 }
 

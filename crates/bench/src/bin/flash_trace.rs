@@ -14,8 +14,10 @@
 //! `--json` prints the report as JSON instead of text.
 //!
 //! `--smoke` is the self-test used by CI: it records a real trace by
-//! running BFS on a small generated graph in-process, analyzes it, and
-//! validates the Chrome export round-trips through the JSON parser.
+//! running BFS on a small generated graph in-process, analyzes it,
+//! validates the Chrome export round-trips through the JSON parser, and
+//! checks that the steps' critical paths sum to `run_end`'s simulated
+//! parallel time.
 
 use flash_bench::cli::{dispatch, CliOptions};
 use flash_bench::trace::{analyze, chrome_trace, parse_trace, render_report, report_json};
@@ -123,6 +125,14 @@ fn run(o: &Options) -> Result<(), String> {
             .map_or(0, <[Json]>::len);
         if n == 0 || trace.steps.is_empty() {
             return Err("smoke trace produced no supersteps".to_string());
+        }
+        // The run is fault-free, so run_end's clock is exactly the sum of
+        // the steps' critical paths: no recovery overhead is added to it.
+        if trace.simulated_parallel_ns != Some(report.total_path_ns) {
+            return Err(format!(
+                "smoke trace: the critical paths sum to {} ns but run_end reports {:?}",
+                report.total_path_ns, trace.simulated_parallel_ns
+            ));
         }
         println!(
             "\nsmoke ok: {} supersteps, {} Chrome events",

@@ -22,6 +22,7 @@
 
 use flash_obs::json::{self, Json};
 use flash_obs::{Event, EventKind, Histogram};
+use flash_runtime::{ns_u64, StepStats};
 use std::collections::BTreeMap;
 
 /// Default number of slowest supersteps listed by the report.
@@ -52,44 +53,24 @@ pub struct WorkerCompute {
     pub compute_ns: u64,
 }
 
-/// The phase breakdown of one completed superstep, reassembled from its
-/// `worker_phase` and `step_end` events.
+/// One completed superstep, reassembled from its `worker_phase` and
+/// `step_end` events.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StepRecord {
     /// Superstep index.
     pub step: u64,
-    /// Kernel kind label (`vmap`/`dense`/`sparse`/`global`).
-    pub kind: String,
-    /// Frontier size.
-    pub active: u64,
-    /// Slowest worker's compute time, ns.
-    pub compute_max_ns: u64,
-    /// Barrier skew (max − min compute), ns.
-    pub barrier_skew_ns: u64,
-    /// Serialization wall time, ns.
-    pub serialize_ns: u64,
-    /// Serialization makespan (slowest bucketing thread), ns.
-    pub serialize_max_ns: u64,
-    /// Mirror-sync (communicate) time, ns.
-    pub communicate_ns: u64,
-    /// Reliable-delivery protocol time, ns.
-    pub delivery_ns: u64,
-    /// Simulated network time, ns.
-    pub simulated_net_ns: u64,
+    /// The superstep's counters, decoded from `step_end`.
+    pub stats: StepStats,
     /// Per-worker compute phases (possibly empty if the trace elided
     /// `worker_phase` events).
     pub workers: Vec<WorkerCompute>,
 }
 
 impl StepRecord {
-    /// The superstep's charge to the simulated parallel clock: slowest
-    /// compute, then the serial coordinator phases.
+    /// The superstep's charge to the simulated parallel clock
+    /// ([`StepStats::critical_path`]), ns.
     pub fn path_ns(&self) -> u64 {
-        self.compute_max_ns
-            .saturating_add(self.serialize_max_ns)
-            .saturating_add(self.delivery_ns)
-            .saturating_add(self.simulated_net_ns)
-            .saturating_add(self.communicate_ns)
+        ns_u64(self.stats.critical_path())
     }
 
     /// The worker the barrier waited on: highest `compute_ns`, lowest id
@@ -107,17 +88,11 @@ impl StepRecord {
     /// `(label, nanoseconds)`. Ties break toward the earlier phase in
     /// superstep order (compute first).
     pub fn dominant_phase(&self) -> (&'static str, u64) {
-        let phases = [
-            ("compute", self.compute_max_ns),
-            ("bucketing", self.serialize_max_ns),
-            ("delivery", self.delivery_ns),
-            ("network", self.simulated_net_ns),
-            ("mirror-sync", self.communicate_ns),
-        ];
-        let mut best = phases[0];
-        for p in phases {
-            if p.1 > best.1 {
-                best = p;
+        let mut best = ("compute", 0);
+        for (label, _, phase) in StepStats::CRITICAL_PATH {
+            let ns = ns_u64(phase(&self.stats));
+            if ns > best.1 {
+                best = (label, ns);
             }
         }
         best
@@ -206,31 +181,14 @@ pub fn parse_trace(text: &str) -> Result<Trace, String> {
                     worker: worker as u64,
                     compute_ns,
                 }),
-            EventKind::StepEnd {
+            EventKind::StepEnd { step, stats } => steps.push(StepRecord {
                 step,
-                kind,
-                active,
-                compute_max_ns,
-                barrier_skew_ns,
-                serialize_ns,
-                serialize_max_ns,
-                communicate_ns,
-                delivery_ns,
-                simulated_net_ns,
-                ..
-            } => steps.push(StepRecord {
-                step,
-                kind,
-                active: active as u64,
-                compute_max_ns,
-                barrier_skew_ns,
-                serialize_ns,
-                serialize_max_ns,
-                communicate_ns,
-                delivery_ns,
-                simulated_net_ns,
-                // A retried step leaves the failed attempts' phases in
-                // the map; only the attempt that reached step_end counts.
+                stats: StepStats::from_json(&stats)
+                    .map_err(|e| format!("line {}: step_end: {e}", idx + 1))?,
+                // Cluster::superstep emits a step's worker_phase events
+                // once, after compute_with_recovery returns, so they are
+                // the phases of the attempt that reached step_end; a
+                // driver-side global step has none.
                 workers: pending_workers.remove(&step).unwrap_or_default(),
             }),
             EventKind::RunEnd {
@@ -268,7 +226,7 @@ pub fn analyze(trace: &Trace, top_k: usize) -> Report {
     let mut skew = Histogram::new();
     let mut total_path_ns = 0u64;
     for s in &trace.steps {
-        skew.record(s.barrier_skew_ns);
+        skew.record(ns_u64(s.stats.barrier_skew()));
         total_path_ns = total_path_ns.saturating_add(s.path_ns());
     }
     let mut slowest: Vec<usize> = (0..trace.steps.len()).collect();
@@ -322,8 +280,8 @@ pub fn render_report(trace: &Trace, report: &Report) -> String {
         out.push_str(&format!(
             "  {:>4}  {:<8} {:>8}  {:<20}  {:<12} {:>7}  {}\n",
             s.step,
-            s.kind,
-            s.active,
+            s.stats.kind.label(),
+            s.stats.active,
             worker,
             phase,
             fmt_ns(phase_ns),
@@ -342,7 +300,7 @@ pub fn render_report(trace: &Trace, report: &Report) -> String {
             "  #{:<2} step {:>4} ({:<6}) path {} — dominated by {}\n",
             rank + 1,
             s.step,
-            s.kind,
+            s.stats.kind.label(),
             fmt_ns(s.path_ns()),
             phase
         ));
@@ -383,12 +341,12 @@ pub fn report_json(trace: &Trace, report: &Report) -> Json {
             let (phase, phase_ns) = s.dominant_phase();
             let mut j = Json::object()
                 .set("step", s.step)
-                .set("kind", s.kind.as_str())
-                .set("active", s.active)
+                .set("kind", s.stats.kind.label())
+                .set("active", s.stats.active)
                 .set("path_ns", s.path_ns())
                 .set("dominant_phase", phase)
                 .set("dominant_ns", phase_ns)
-                .set("barrier_skew_ns", s.barrier_skew_ns);
+                .set("barrier_skew_ns", ns_u64(s.stats.barrier_skew()));
             if let Some(w) = s.makespan_worker() {
                 j = j
                     .set("makespan_worker", w.worker)
@@ -469,7 +427,8 @@ pub fn chrome_trace(trace: &Trace) -> Json {
 
     let mut clock = 0u64;
     for s in &trace.steps {
-        let label = format!("step {} ({})", s.step, s.kind);
+        let label = format!("step {} ({})", s.step, s.stats.kind.label());
+        let compute_max_ns = ns_u64(s.stats.compute_max);
         if s.workers.is_empty() {
             // No per-worker events in this trace: show the makespan as a
             // single span on the first worker track.
@@ -478,7 +437,7 @@ pub fn chrome_trace(trace: &Trace) -> Json {
                 "compute",
                 1,
                 clock,
-                s.compute_max_ns,
+                compute_max_ns,
             ));
         } else {
             for w in &s.workers {
@@ -491,13 +450,9 @@ pub fn chrome_trace(trace: &Trace) -> Json {
                 ));
             }
         }
-        clock += s.compute_max_ns;
-        for (phase, cat, dur) in [
-            ("bucketing", "serialize", s.serialize_max_ns),
-            ("delivery", "transport", s.delivery_ns),
-            ("network", "network", s.simulated_net_ns),
-            ("mirror-sync", "sync", s.communicate_ns),
-        ] {
+        clock += compute_max_ns;
+        for (phase, cat, duration) in &StepStats::CRITICAL_PATH[1..] {
+            let dur = ns_u64(duration(&s.stats));
             if dur > 0 {
                 events.push(complete_event(
                     &format!("{label} {phase}"),
@@ -538,8 +493,8 @@ mod tests {
             r#"{"event":"step_start","seq":2,"step":0,"kind":"sparse","active":5}"#,
             r#"{"event":"worker_phase","seq":3,"step":0,"worker":0,"compute_ns":10000,"staged_puts":1,"staged_writes":1}"#,
             r#"{"event":"worker_phase","seq":4,"step":0,"worker":1,"compute_ns":30000,"staged_puts":1,"staged_writes":1}"#,
-            r#"{"event":"step_end","seq":5,"step":0,"kind":"sparse","active":5,"upd_messages":2,"upd_bytes":32,"sync_messages":2,"sync_bytes":32,"compute_ns":40000,"compute_max_ns":30000,"compute_min_ns":10000,"barrier_skew_ns":20000,"serialize_ns":2000,"serialize_max_ns":1000,"communicate_ns":3000,"delivery_ns":0,"simulated_net_ns":0}"#,
-            r#"{"event":"step_end","seq":6,"step":1,"kind":"dense","active":9,"upd_messages":0,"upd_bytes":0,"sync_messages":0,"sync_bytes":0,"compute_ns":5000,"compute_max_ns":5000,"compute_min_ns":5000,"barrier_skew_ns":100,"serialize_ns":0,"serialize_max_ns":0,"communicate_ns":90000,"delivery_ns":0,"simulated_net_ns":0}"#,
+            r#"{"event":"step_end","seq":5,"step":0,"stats":{"kind":"sparse","active":5,"upd_messages":2,"upd_bytes":32,"sync_messages":2,"sync_bytes":32,"staged":4,"compute_ns":40000,"compute_max_ns":30000,"compute_min_ns":10000,"barrier_skew_ns":20000,"serialize_ns":2000,"serialize_max_ns":1000,"communicate_ns":3000,"delivery_ns":0,"simulated_net_ns":0}}"#,
+            r#"{"event":"step_end","seq":6,"step":1,"stats":{"kind":"dense","active":9,"upd_messages":0,"upd_bytes":0,"sync_messages":0,"sync_bytes":0,"staged":9,"compute_ns":5000,"compute_max_ns":5000,"compute_min_ns":4900,"barrier_skew_ns":100,"serialize_ns":0,"serialize_max_ns":0,"communicate_ns":90000,"delivery_ns":0,"simulated_net_ns":0}}"#,
             r#"{"event":"run_end","seq":7,"supersteps":2,"total_bytes":64,"total_messages":4,"simulated_parallel_ns":129000}"#,
         ];
         lines.join("\n")
@@ -598,6 +553,13 @@ mod tests {
         assert!(
             err.starts_with("line 5: worker_phase: missing field"),
             "{err}"
+        );
+        // So is a step_end whose counters lost a key.
+        let text = sample_trace().replace("\"compute_max_ns\":5000,", "");
+        let err = parse_trace(&text).unwrap_err();
+        assert_eq!(
+            err,
+            "line 7: step_end: stats: missing field \"compute_max_ns\""
         );
     }
 

@@ -11,6 +11,7 @@
 //! writer and reader and the text form are all generated from it.
 
 use crate::json::Json;
+use std::time::Duration;
 
 /// A single trace event.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,8 +23,10 @@ pub struct Event {
 }
 
 /// How one field type is read back from JSON ([`Json`]'s `From` impls write
-/// it): the only per-type code behind the `events!` table.
-trait Field: Sized {
+/// it): the only per-type code behind the `events!` table, and behind the
+/// runtime's `step_counters!` table of superstep counters.
+pub trait Field: Sized {
+    /// The value `value` holds, or `None` when it has the wrong type.
     fn from_json(value: &Json) -> Option<Self>;
 }
 
@@ -51,8 +54,32 @@ impl Field for String {
     }
 }
 
-/// Reads field `name` of the event tagged `tag` out of its JSON object.
-fn read<T: Field>(obj: &Json, tag: &str, name: &str) -> Result<T, String> {
+/// Exact nanoseconds.
+impl Field for Duration {
+    fn from_json(value: &Json) -> Option<Self> {
+        value.as_u64().map(Duration::from_nanos)
+    }
+}
+
+/// A nested object, carried as is.
+impl Field for Json {
+    fn from_json(value: &Json) -> Option<Self> {
+        matches!(value, Json::Obj(_)).then(|| value.clone())
+    }
+}
+
+/// `obj[key]` as a text line shows it: a string bare, anything else as
+/// JSON.
+fn shown(obj: &Json, key: &str) -> String {
+    let value = obj.get(key).unwrap_or(&Json::Null);
+    value
+        .as_str()
+        .map_or_else(|| value.to_string(), str::to_string)
+}
+
+/// Reads field `name` of the object tagged `tag` (an event's tag, or the
+/// key a nested object sits under) out of `obj`.
+pub fn read<T: Field>(obj: &Json, tag: &str, name: &str) -> Result<T, String> {
     let missing = || format!("{tag}: missing field {name:?}");
     let value = obj.get(name).ok_or_else(missing)?;
     T::from_json(value).ok_or_else(|| format!("{tag}: field {name:?} has the wrong type: {value}"))
@@ -182,38 +209,10 @@ events! {
     StepEnd = "step_end" {
         /// Superstep index.
         step: u64,
-        /// Kernel kind label.
-        kind: String,
-        /// Frontier size.
-        active: usize,
-        /// Update-phase messages.
-        upd_messages: u64,
-        /// Update-phase bytes.
-        upd_bytes: u64,
-        /// Sync-phase messages.
-        sync_messages: u64,
-        /// Sync-phase bytes.
-        sync_bytes: u64,
-        /// Total compute time across workers, in nanoseconds.
-        compute_ns: u64,
-        /// Slowest worker's compute time, in nanoseconds.
-        compute_max_ns: u64,
-        /// Fastest worker's compute time, in nanoseconds.
-        compute_min_ns: u64,
-        /// Barrier skew (`compute_max - compute_min`), in nanoseconds.
-        barrier_skew_ns: u64,
-        /// Serialization time (wall), in nanoseconds.
-        serialize_ns: u64,
-        /// Serialization makespan (slowest bucketing lane), in
-        /// nanoseconds.
-        serialize_max_ns: u64,
-        /// Communication time, in nanoseconds.
-        communicate_ns: u64,
-        /// Reliable-delivery protocol time, in nanoseconds.
-        delivery_ns: u64,
-        /// Simulated network time, in nanoseconds.
-        simulated_net_ns: u64,
-    } => "step {step} end ({kind}): upd={upd_bytes}B sync={sync_bytes}B compute_max={compute_max_ns}ns skew={barrier_skew_ns}ns";
+        /// The superstep's counters as `flash_runtime::StepStats::to_json`
+        /// renders them, read back by `StepStats::from_json`.
+        stats: Json,
+    } => "step {step} end ({}): upd={}B sync={}B", shown(stats, "kind"), shown(stats, "upd_bytes"), shown(stats, "sync_bytes");
     /// The sync planner decided what to ship, and to whom, for one step.
     SyncPlan = "sync_plan" {
         /// Superstep index.
@@ -567,21 +566,10 @@ mod tests {
             },
             EventKind::StepEnd {
                 step: 3,
-                kind: "sparse".into(),
-                active: 42,
-                upd_messages: 10,
-                upd_bytes: 160,
-                sync_messages: 5,
-                sync_bytes: 80,
-                compute_ns: 900_400,
-                compute_max_ns: 500_200,
-                compute_min_ns: 400_200,
-                barrier_skew_ns: 100_000,
-                serialize_ns: 19_600,
-                serialize_max_ns: 15_400,
-                communicate_ns: 30_100,
-                delivery_ns: 4_900,
-                simulated_net_ns: 1_234_000,
+                stats: Json::object()
+                    .set("kind", "sparse")
+                    .set("upd_bytes", 160u64)
+                    .set("sync_bytes", 80u64),
             },
             EventKind::SyncPlan {
                 step: 3,
@@ -728,14 +716,15 @@ mod tests {
     /// The JSONL line of each `samples()` event, as the hand-written
     /// `to_json` the `events!` table replaced printed it — except
     /// `worker_accused`, whose checksums were numbers there and lost their
-    /// low bits, and the `*_us` twins of `*_ns` fields and the `sync_plan`
-    /// properties, which schema 4 dropped.
+    /// low bits, the `*_us` twins of `*_ns` fields and the `sync_plan`
+    /// properties, which schema 4 dropped, and `step_end`, whose counters
+    /// schema 7 nested in `stats`.
     const GOLDEN: [&str; 26] = [
-        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":6,"seed":42,"seq":3,"workers":4}"#,
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":7,"seed":42,"seq":3,"workers":4}"#,
         r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"partition":"range","seq":4,"vertices":1000,"workers":4}"#,
         r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
         r#"{"compute_ns":500200,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
-        r#"{"active":42,"barrier_skew_ns":100000,"communicate_ns":30100,"compute_max_ns":500200,"compute_min_ns":400200,"compute_ns":900400,"delivery_ns":4900,"event":"step_end","kind":"sparse","seq":7,"serialize_max_ns":15400,"serialize_ns":19600,"simulated_net_ns":1234000,"step":3,"sync_bytes":80,"sync_messages":5,"upd_bytes":160,"upd_messages":10}"#,
+        r#"{"event":"step_end","seq":7,"stats":{"kind":"sparse","sync_bytes":80,"upd_bytes":160},"step":3}"#,
         r#"{"event":"sync_plan","mode":"critical","scope":"necessary","seq":8,"step":3}"#,
         r#"{"chosen":"dense","event":"mode_decision","frontier":42,"frontier_edges":300,"policy":"adaptive","seq":9,"step":3,"threshold_edges":250}"#,
         r#"{"bytes":320,"event":"checkpoint_taken","interval":4,"seq":10,"step":4}"#,
@@ -773,21 +762,23 @@ mod tests {
 
     #[test]
     fn step_end_renders_all_fields() {
-        let j = checked("step_end", "").to_json();
+        let e = checked("step_end", "");
+        let j = e.to_json();
         assert_eq!(j.get("event").and_then(Json::as_str), Some("step_end"));
-        assert_eq!(j.get("kind").and_then(Json::as_str), Some("sparse"));
-        for (field, value) in [
-            ("seq", 7),
-            ("step", 3),
-            ("upd_bytes", 160),
-            ("barrier_skew_ns", 100_000),
-            ("serialize_max_ns", 15_400),
-            ("delivery_ns", 4_900),
-            ("compute_ns", 900_400),
-            ("simulated_net_ns", 1_234_000),
-        ] {
-            assert_eq!(j.get(field).and_then(Json::as_u64), Some(value), "{field}");
-        }
+        assert_eq!(j.get("seq").and_then(Json::as_u64), Some(7));
+        assert_eq!(j.get("step").and_then(Json::as_u64), Some(3));
+        let EventKind::StepEnd { stats, .. } = &e.kind else {
+            panic!("not a step_end: {e:?}")
+        };
+        assert_eq!(
+            j.get("stats"),
+            Some(stats),
+            "the counters pass through as is"
+        );
+        // The counters are an object; a flat value is refused.
+        let flat = r#"{"event":"step_end","seq":7,"stats":160,"step":3}"#;
+        let err = Event::from_json(&parse(flat).unwrap()).unwrap_err();
+        assert!(err.contains("field \"stats\" has the wrong type"), "{err}");
     }
 
     #[test]
@@ -863,8 +854,7 @@ mod tests {
 
     #[test]
     fn text_rendering_mentions_key_numbers() {
-        checked("step_end", "step 3");
-        checked("step_end", "skew=100000ns");
+        checked("step_end", "step 3 end (sparse): upd=160B sync=80B");
         checked("sync_plan", "mode=critical scope=necessary");
         checked("checkpoint_scrubbed", "mismatch); falling back to previous");
     }

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::Duration;
 
 /// A JSON value.
 ///
@@ -251,6 +252,12 @@ impl From<i64> for Json {
     #[allow(clippy::cast_precision_loss)]
     fn from(n: i64) -> Json {
         Json::Num(n as f64)
+    }
+}
+impl From<Duration> for Json {
+    /// Exact nanoseconds, saturating at `u64::MAX` (~584 years).
+    fn from(d: Duration) -> Json {
+        Json::from(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
     }
 }
 impl From<&str> for Json {

@@ -25,7 +25,7 @@ pub mod json;
 pub mod metrics;
 pub mod sink;
 
-pub use event::{Event, EventKind, SCHEMA};
+pub use event::{Event, EventKind, Field, SCHEMA};
 pub use json::Json;
 pub use metrics::Histogram;
 pub use sink::{CollectSink, JsonLinesSink, NullSink, Sink, TextSink};
@@ -33,4 +33,4 @@ pub use sink::{CollectSink, JsonLinesSink, NullSink, Sink, TextSink};
 /// Version of the JSONL trace schema. Bumped whenever an event's JSON
 /// shape changes incompatibly; the `run_meta` header event carries it so
 /// analyzers (`flash_trace`) can refuse traces they do not understand.
-pub const TRACE_SCHEMA_VERSION: u64 = 6;
+pub const TRACE_SCHEMA_VERSION: u64 = 7;

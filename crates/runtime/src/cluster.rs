@@ -600,6 +600,7 @@ impl<V: VertexData> Cluster<V> {
             .iter()
             .map(|s| s.pending.len() + s.written.len() + s.direct.len())
             .sum();
+        stats.staged = staged;
         let buffers = &mut self.buffers;
         buffers.size_round(m);
         let mut upd_batches = buffers.take_upd_batches();
@@ -803,24 +804,9 @@ impl<V: VertexData> Cluster<V> {
         let step_id = self.next_step;
         self.next_step += 1;
         if self.config.sink.is_some() {
-            let skew = stats.barrier_skew();
             self.emit(EventKind::StepEnd {
                 step: step_id,
-                kind: stats.kind.label().to_string(),
-                active: stats.active,
-                upd_messages: stats.upd_messages,
-                upd_bytes: stats.upd_bytes,
-                sync_messages: stats.sync_messages,
-                sync_bytes: stats.sync_bytes,
-                compute_ns: ns_u64(stats.compute),
-                compute_max_ns: ns_u64(stats.compute_max),
-                compute_min_ns: ns_u64(stats.compute_min),
-                barrier_skew_ns: ns_u64(skew),
-                serialize_ns: ns_u64(stats.serialize),
-                serialize_max_ns: ns_u64(stats.serialize_max),
-                communicate_ns: ns_u64(stats.communicate),
-                delivery_ns: ns_u64(stats.delivery),
-                simulated_net_ns: ns_u64(stats.simulated_net),
+                stats: stats.to_json(),
             });
         }
         self.stats.push(stats);
@@ -1496,19 +1482,16 @@ mod tests {
         assert_eq!(ends, vec![0, 1]);
         assert_eq!(stats.num_supersteps(), 2);
 
-        // step_end byte counts agree exactly with RunStats.
-        let (bytes, msgs) = events.iter().fold((0u64, 0u64), |(b, m), e| match &e.kind {
-            EventKind::StepEnd {
-                upd_bytes,
-                sync_bytes,
-                upd_messages,
-                sync_messages,
-                ..
-            } => (b + upd_bytes + sync_bytes, m + upd_messages + sync_messages),
-            _ => (b, m),
-        });
-        assert_eq!(bytes, stats.total_bytes());
-        assert_eq!(msgs, stats.total_messages());
+        // The i-th step_end carries the i-th recorded superstep's counters.
+        let step_ends: Vec<flash_obs::Json> = events
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::StepEnd { stats, .. } => Some(stats.clone()),
+                _ => None,
+            })
+            .collect();
+        let recorded: Vec<_> = stats.steps().iter().map(StepStats::to_json).collect();
+        assert_eq!(step_ends, recorded);
 
         // Each superstep has one worker_phase per worker, and staged-op
         // counts reflect the kernels: step 0 wrote masters, step 1 put.

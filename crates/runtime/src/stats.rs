@@ -5,8 +5,15 @@
 //! plus exact message/byte counts, which also back Fig. 4(a)'s frontier
 //! sizes. [`RunStats`] is the only in-process record of a run: its totals
 //! and its `metrics` histograms are folds over the same [`StepStats`].
+//!
+//! Every counter is declared once, in a `step_counters!` table below: its
+//! field, type, JSON key and doc. The structs, their zero, `to_json`,
+//! [`StepStats::from_json`] and the `metrics` histograms are generated from
+//! it.
 
-use flash_obs::{Histogram, Json};
+use flash_obs::event::read;
+use flash_obs::{Field, Histogram, Json};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Renders a duration in nanoseconds (saturating at `u64::MAX`, ~584
@@ -16,9 +23,11 @@ pub fn ns_u64(d: Duration) -> u64 {
 }
 
 /// Which kernel a superstep ran.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StepKind {
-    /// `VERTEXMAP` (local compute + mirror sync).
+    /// `VERTEXMAP` (local compute + mirror sync); the kind of a zeroed
+    /// [`StepStats`].
+    #[default]
     VertexMap,
     /// `EDGEMAPDENSE` (pull).
     EdgeMapDense,
@@ -40,78 +49,188 @@ impl StepKind {
     }
 }
 
-/// Statistics of one superstep.
-#[derive(Clone, Debug)]
-pub struct StepStats {
-    /// Kernel kind.
-    pub kind: StepKind,
-    /// Size of the input active set (frontier), when the kernel has one.
-    pub active: usize,
-    /// Mirror→master messages (sparse phase 2) crossing workers.
-    pub upd_messages: u64,
-    /// Bytes of mirror→master messages crossing workers.
-    pub upd_bytes: u64,
-    /// Master→mirror synchronization messages crossing workers.
-    pub sync_messages: u64,
-    /// Bytes of master→mirror synchronization crossing workers.
-    pub sync_bytes: u64,
-    /// Wall time of the compute phase (on a single-core host, the *sum*
-    /// of all workers' compute time, since threads timeshare).
-    pub compute: Duration,
-    /// Maximum per-worker compute time — what the phase would cost on a
-    /// cluster with one core per worker (the BSP parallel makespan).
-    pub compute_max: Duration,
-    /// Minimum per-worker compute time. The gap to [`StepStats::compute_max`]
-    /// is the *barrier skew*: how long the fastest worker idles at the BSP
-    /// barrier waiting for the slowest (§V-E load-balance discussion).
-    pub compute_min: Duration,
-    /// Wall time spent materializing and routing message buffers.
-    pub serialize: Duration,
-    /// Serialization makespan on an ideal one-core-per-worker cluster: the
-    /// slowest lane's bucketing time, whether the lanes ran on the pool or
-    /// one after another on the caller. The serialize-phase analogue of
-    /// [`StepStats::compute_max`], and what
-    /// [`RunStats::simulated_parallel_time`] charges.
-    pub serialize_max: Duration,
-    /// Wall time of folding staged updates into masters and of the mirror
-    /// sync that applies and counts each written master's payload — the
-    /// post-compute round after bucketing.
-    pub communicate: Duration,
-    /// Wall time of the reliable-delivery protocol (ack/retransmit rounds
-    /// run by [`crate::transport::Transport`]); zero without channel
-    /// faults.
-    pub delivery: Duration,
-    /// Simulated network time (see [`crate::netmodel::NetworkModel`]).
-    pub simulated_net: Duration,
-    /// Block bytes streamed from out-of-core storage this superstep
-    /// (zero outside [`StorageMode::Block`](crate::StorageMode) runs).
-    pub streamed_bytes: u64,
-    /// Edge blocks streamed from out-of-core storage this superstep.
-    pub streamed_blocks: u64,
-    /// Block touches served from a worker's dense-block cache.
-    pub block_cache_hits: u64,
+/// The kind's report label.
+impl From<StepKind> for Json {
+    fn from(kind: StepKind) -> Json {
+        kind.label().into()
+    }
 }
 
+impl Field for StepKind {
+    fn from_json(value: &Json) -> Option<Self> {
+        use StepKind::*;
+        let label = value.as_str()?;
+        [VertexMap, EdgeMapDense, EdgeMapSparse, Global]
+            .into_iter()
+            .find(|k| k.label() == label)
+    }
+}
+
+/// Declares counter structs, one line per field:
+/// `field: Type => "json key",` under its doc comment, with `histogram`
+/// after the key for a duration the `metrics` block samples. The fields of
+/// a struct's `optional` group render only when one of them is nonzero; a
+/// `derived` key renders a method's value. Each struct gets its `pub`
+/// fields, `to_json` and `visit`, which the `metrics` block folds. A struct
+/// whose entry ends in `decode as "tag";` also gets `from_json`, which reads
+/// `to_json`'s keys back (an absent `optional` key as zero, a `derived` one
+/// not at all) and names `tag` in its errors.
+macro_rules! step_counters {
+    (@sample $value:expr,) => {
+        None
+    };
+    (@sample $value:expr, histogram) => {
+        Some(ns_u64($value))
+    };
+    (@decode [] $($rest:tt)*) => {};
+    (@decode [$tag:literal] $name:ident [$($field:ident $key:literal)*] [$($ofield:ident $okey:literal)*]) => {
+        impl $name {
+            /// Reads back what `to_json` wrote. Refuses a missing key or
+            /// a value of the wrong type.
+            pub fn from_json(obj: &Json) -> Result<Self, String> {
+                Ok($name {
+                    $( $field: read(obj, $tag, $key)?, )*
+                    $( $ofield: match obj.get($okey) {
+                        Some(_) => read(obj, $tag, $okey)?,
+                        None => 0,
+                    }, )*
+                })
+            }
+        }
+    };
+    ($(
+        $(#[$attr:meta])*
+        pub struct $name:ident {
+            $( $(#[$doc:meta])* $field:ident: $ty:ty => $key:literal $($hist:ident)?, )*
+        }
+        $( optional {
+            $( $(#[$odoc:meta])* $ofield:ident: u64 => $okey:literal, )*
+        } )?
+        $( derived { $( $dkey:literal => $method:ident $($dhist:ident)?, )* } )?
+        $( decode as $tag:literal; )?
+    )*) => {$(
+        $(#[$attr])*
+        pub struct $name {
+            $( $(#[$doc])* pub $field: $ty, )*
+            $($( $(#[$odoc])* pub $ofield: u64, )*)?
+        }
+
+        impl $name {
+            /// Calls `f` with the key and value of every counter
+            /// `to_json` renders, in table order, and its `metrics`
+            /// sample if it has a histogram.
+            fn visit(&self, f: &mut dyn FnMut(&'static str, Json, Option<u64>)) {
+                $( f($key, self.$field.into(), step_counters!(@sample self.$field, $($hist)?)); )*
+                $( if (0 $(| self.$ofield)*) != 0 {
+                    $( f($okey, self.$ofield.into(), None); )*
+                } )?
+                $($( f($dkey, self.$method().into(), step_counters!(@sample self.$method(), $($dhist)?)); )*)?
+            }
+
+            /// Machine-readable rendering, one key per counter (durations
+            /// in exact ns).
+            pub fn to_json(&self) -> Json {
+                let mut obj = BTreeMap::new();
+                self.visit(&mut |key, value, _| {
+                    obj.insert(key.to_string(), value);
+                });
+                Json::Obj(obj)
+            }
+        }
+
+        step_counters!(@decode [$($tag)?] $name [$($field $key)*] [$($($ofield $okey)*)?]);
+    )*};
+}
+
+step_counters! {
+    /// Statistics of one superstep.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct StepStats {
+        /// Kernel kind.
+        kind: StepKind => "kind",
+        /// Size of the input active set (frontier), when the kernel has one.
+        active: usize => "active",
+        /// Mirror→master messages (sparse phase 2) crossing workers.
+        upd_messages: u64 => "upd_messages",
+        /// Bytes of mirror→master messages crossing workers.
+        upd_bytes: u64 => "upd_bytes",
+        /// Master→mirror synchronization messages crossing workers.
+        sync_messages: u64 => "sync_messages",
+        /// Bytes of master→mirror synchronization crossing workers.
+        sync_bytes: u64 => "sync_bytes",
+        /// Updates compute staged, summed over workers: pending
+        /// temporaries on a reduce step, written and directly staged
+        /// masters on a direct one.
+        staged: usize => "staged",
+        /// Wall time of the compute phase (on a single-core host, the *sum*
+        /// of all workers' compute time, since threads timeshare).
+        compute: Duration => "compute_ns" histogram,
+        /// Maximum per-worker compute time — what the phase would cost on a
+        /// cluster with one core per worker (the BSP parallel makespan).
+        compute_max: Duration => "compute_max_ns" histogram,
+        /// Minimum per-worker compute time. The gap to [`StepStats::compute_max`]
+        /// is the *barrier skew*: how long the fastest worker idles at the BSP
+        /// barrier waiting for the slowest (§V-E load-balance discussion).
+        compute_min: Duration => "compute_min_ns",
+        /// Wall time spent materializing and routing message buffers.
+        serialize: Duration => "serialize_ns" histogram,
+        /// Serialization makespan on an ideal one-core-per-worker cluster: the
+        /// slowest lane's bucketing time, whether the lanes ran on the pool or
+        /// one after another on the caller. The serialize-phase analogue of
+        /// [`StepStats::compute_max`], and what
+        /// [`StepStats::critical_path`] charges.
+        serialize_max: Duration => "serialize_max_ns" histogram,
+        /// Wall time of folding staged updates into masters and of the mirror
+        /// sync that applies and counts each written master's payload — the
+        /// post-compute round after bucketing.
+        communicate: Duration => "communicate_ns" histogram,
+        /// Wall time of the reliable-delivery protocol (ack/retransmit rounds
+        /// run by [`crate::transport::Transport`]); zero without channel
+        /// faults.
+        delivery: Duration => "delivery_ns" histogram,
+        /// Simulated network time (see [`crate::netmodel::NetworkModel`]).
+        simulated_net: Duration => "simulated_net_ns" histogram,
+    }
+    // Streaming counters appear only on block-storage supersteps, so
+    // in-memory stats JSON carries no streaming keys.
+    optional {
+        /// Block bytes streamed from out-of-core storage this superstep
+        /// (zero outside [`StorageMode::Block`](crate::StorageMode) runs).
+        streamed_bytes: u64 => "streamed_bytes",
+        /// Edge blocks streamed from out-of-core storage this superstep.
+        streamed_blocks: u64 => "streamed_blocks",
+        /// Block touches served from a worker's dense-block cache.
+        block_cache_hits: u64 => "block_cache_hits",
+    }
+    derived {
+        "barrier_skew_ns" => barrier_skew histogram,
+    }
+    // A `step_end` event nests a step's counters under `stats`.
+    decode as "stats";
+}
+
+/// One phase of a superstep's critical path: its report label, its Chrome
+/// trace category, and its duration.
+pub type PathPhase = (&'static str, &'static str, fn(&StepStats) -> Duration);
+
 impl StepStats {
+    /// The phases the simulated parallel clock charges a superstep, in the
+    /// order it charges them: the slowest worker's compute, the slowest
+    /// lane's bucketing, then the serial delivery, network and mirror-sync
+    /// phases.
+    pub const CRITICAL_PATH: [PathPhase; 5] = [
+        ("compute", "compute", |s| s.compute_max),
+        ("bucketing", "serialize", |s| s.serialize_max),
+        ("delivery", "transport", |s| s.delivery),
+        ("network", "network", |s| s.simulated_net),
+        ("mirror-sync", "sync", |s| s.communicate),
+    ];
+
     pub(crate) fn new(kind: StepKind, active: usize) -> Self {
         StepStats {
             kind,
             active,
-            upd_messages: 0,
-            upd_bytes: 0,
-            sync_messages: 0,
-            sync_bytes: 0,
-            compute: Duration::ZERO,
-            compute_max: Duration::ZERO,
-            compute_min: Duration::ZERO,
-            serialize: Duration::ZERO,
-            serialize_max: Duration::ZERO,
-            communicate: Duration::ZERO,
-            delivery: Duration::ZERO,
-            simulated_net: Duration::ZERO,
-            streamed_bytes: 0,
-            streamed_blocks: 0,
-            block_cache_hits: 0,
+            ..StepStats::default()
         }
     }
 
@@ -131,77 +250,151 @@ impl StepStats {
         self.compute_max.saturating_sub(self.compute_min)
     }
 
-    /// Machine-readable rendering of this superstep. Every phase is an
-    /// exact ns field, so sub-µs steps never flatten to zero.
-    pub fn to_json(&self) -> Json {
-        let mut j = Json::object()
-            .set("kind", self.kind.label())
-            .set("active", self.active)
-            .set("upd_messages", self.upd_messages)
-            .set("upd_bytes", self.upd_bytes)
-            .set("sync_messages", self.sync_messages)
-            .set("sync_bytes", self.sync_bytes)
-            .set("compute_ns", ns_u64(self.compute))
-            .set("compute_max_ns", ns_u64(self.compute_max))
-            .set("compute_min_ns", ns_u64(self.compute_min))
-            .set("barrier_skew_ns", ns_u64(self.barrier_skew()))
-            .set("serialize_ns", ns_u64(self.serialize))
-            .set("serialize_max_ns", ns_u64(self.serialize_max))
-            .set("communicate_ns", ns_u64(self.communicate))
-            .set("delivery_ns", ns_u64(self.delivery))
-            .set("simulated_net_ns", ns_u64(self.simulated_net));
-        // Streaming counters appear only on block-storage supersteps, so
-        // in-memory stats JSON stays byte-for-byte what it always was.
-        if self.streamed_bytes + self.streamed_blocks + self.block_cache_hits > 0 {
-            j = j
-                .set("streamed_bytes", self.streamed_bytes)
-                .set("streamed_blocks", self.streamed_blocks)
-                .set("block_cache_hits", self.block_cache_hits);
-        }
-        j
+    /// This superstep's charge to the simulated parallel clock: the sum of
+    /// [`StepStats::CRITICAL_PATH`].
+    pub fn critical_path(&self) -> Duration {
+        Self::CRITICAL_PATH
+            .iter()
+            .map(|(_, _, phase)| phase(self))
+            .sum()
     }
 }
 
-/// Fault-tolerance counters of a run: checkpoint, fault-injection and
-/// rollback/replay activity (all zero on fault-free runs). See
-/// [`crate::fault`] and [`crate::checkpoint`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Checkpoints taken at superstep boundaries.
-    pub checkpoints: u64,
-    /// Serialized bytes of all checkpoints (masters only).
-    pub checkpoint_bytes: u64,
-    /// Simulated time spent persisting checkpoints.
-    pub checkpoint_time: Duration,
-    /// Crash/corrupted-sync faults injected (each detected at a barrier).
-    pub faults_injected: u64,
-    /// Straggler delays injected.
-    pub stragglers: u64,
-    /// Total compute delay charged to stragglers.
-    pub straggler_delay: Duration,
-    /// Rollbacks performed (one per recovery retry).
-    pub rollbacks: u64,
-    /// Supersteps replayed from the redo log across all rollbacks.
-    pub replayed_supersteps: u64,
-    /// Accumulated capped exponential retry backoff (simulated, not slept).
-    pub retry_backoff: Duration,
-    /// Simulated network time of checkpoint restores and delta replays.
-    pub replay_net: Duration,
-    /// Membership epochs entered (one per rebalance or rejoin; zero on a
-    /// run with stable membership).
-    pub membership_epochs: u64,
-    /// Workers declared permanently dead (by an exhausted `die` fault or a
-    /// failure-detector deadline).
-    pub workers_lost: u64,
-    /// Previously dead workers that rejoined the cluster.
-    pub workers_rejoined: u64,
-    /// Master vertices migrated between hosts by membership changes.
-    pub vertices_migrated: u64,
-    /// Serialized bytes of migrated master state.
-    pub migrated_bytes: u64,
-    /// Simulated network time of state migration (transfer bytes plus one
-    /// routing-rebuild round per moved partition).
-    pub migration_net: Duration,
+step_counters! {
+    /// Fault-tolerance counters of a run: checkpoint, fault-injection and
+    /// rollback/replay activity (all zero on fault-free runs). See
+    /// [`crate::fault`] and [`crate::checkpoint`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct RecoveryStats {
+        /// Checkpoints taken at superstep boundaries.
+        checkpoints: u64 => "checkpoints",
+        /// Serialized bytes of all checkpoints (masters only).
+        checkpoint_bytes: u64 => "checkpoint_bytes",
+        /// Simulated time spent persisting checkpoints.
+        checkpoint_time: Duration => "checkpoint_ns",
+        /// Crash/corrupted-sync faults injected (each detected at a barrier).
+        faults_injected: u64 => "faults_injected",
+        /// Straggler delays injected.
+        stragglers: u64 => "stragglers",
+        /// Total compute delay charged to stragglers.
+        straggler_delay: Duration => "straggler_delay_ns",
+        /// Rollbacks performed (one per recovery retry).
+        rollbacks: u64 => "rollbacks",
+        /// Supersteps replayed from the redo log across all rollbacks.
+        replayed_supersteps: u64 => "replayed_supersteps",
+        /// Accumulated capped exponential retry backoff (simulated, not slept).
+        retry_backoff: Duration => "retry_backoff_ns",
+        /// Simulated network time of checkpoint restores and delta replays.
+        replay_net: Duration => "replay_net_ns",
+        /// Membership epochs entered (one per rebalance or rejoin; zero on a
+        /// run with stable membership).
+        membership_epochs: u64 => "membership_epochs",
+        /// Workers declared permanently dead (by an exhausted `die` fault or a
+        /// failure-detector deadline).
+        workers_lost: u64 => "workers_lost",
+        /// Previously dead workers that rejoined the cluster.
+        workers_rejoined: u64 => "workers_rejoined",
+        /// Master vertices migrated between hosts by membership changes.
+        vertices_migrated: u64 => "vertices_migrated",
+        /// Serialized bytes of migrated master state.
+        migrated_bytes: u64 => "migrated_bytes",
+        /// Simulated network time of state migration (transfer bytes plus one
+        /// routing-rebuild round per moved partition).
+        migration_net: Duration => "migration_net_ns",
+    }
+    derived {
+        "overhead_ns" => overhead,
+    }
+
+    /// Reliable-delivery counters of a run: lossy-channel activity and the
+    /// ack/retransmit protocol's work (all zero on runs without channel
+    /// faults). See [`crate::transport`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct DeliveryStats {
+        /// Cross-host batches handed to the transport (one per
+        /// (sender-host, receiver-host) pair per message round).
+        batches_sent: u64 => "batches_sent",
+        /// Transmission attempts lost on the wire (scripted `drop@` or
+        /// probabilistic `loss=`).
+        batches_dropped: u64 => "batches_dropped",
+        /// Batches delivered more than once by the channel (scripted `dup@` or
+        /// probabilistic `dupRate=`).
+        batches_duplicated: u64 => "batches_duplicated",
+        /// Batches delayed past the ack deadline by a scripted `reorder@`,
+        /// arriving a round late alongside their own retransmission.
+        batches_reordered: u64 => "batches_reordered",
+        /// Retransmissions performed after a missed ack.
+        retransmits: u64 => "retransmits",
+        /// Payload bytes re-shipped by retransmissions.
+        retransmitted_bytes: u64 => "retransmitted_bytes",
+        /// Batch copies discarded by the receive-side dedup window.
+        dedup_hits: u64 => "dedup_hits",
+        /// Batch copies rejected for a wire-checksum mismatch (each nacked and
+        /// retransmitted).
+        checksum_failures: u64 => "checksum_failures",
+        /// Simulated network time of all retransmissions (one ack-deadline
+        /// round of latency plus the re-shipped bytes, per retransmit).
+        retransmit_net: Duration => "retransmit_net_ns",
+    }
+    derived {
+        "overhead_ns" => overhead,
+    }
+
+    /// Replicated control-plane counters of a run: elections held, log
+    /// entries committed by majority, and byzantine accusations (all zero on
+    /// runs without a fault plan). See [`crate::consensus`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct ConsensusStats {
+        /// Elections held: the initial election plus every re-election after a
+        /// leader crash.
+        elections: u64 => "elections",
+        /// Leader hosts crashed by `leader@` faults.
+        leader_crashes: u64 => "leader_crashes",
+        /// Entries appended to the replicated decision log.
+        entries_appended: u64 => "entries_appended",
+        /// Entries committed by a majority of live hosts (and only then
+        /// applied).
+        entries_committed: u64 => "entries_committed",
+        /// Workers accused of lying by the checksum quorum and escalated to a
+        /// death declaration.
+        accusations: u64 => "accusations",
+        /// Simulated network time of election rounds (vote request and grant
+        /// per live host).
+        election_net: Duration => "election_net_ns",
+        /// Simulated network time of log replication (append and ack per live
+        /// host, per committed entry).
+        commit_net: Duration => "commit_net_ns",
+    }
+    derived {
+        "overhead_ns" => overhead,
+    }
+
+    /// Durable-checkpoint-store counters of a run: generations committed to
+    /// disk, bytes fsynced, and the scrub pass's damage accounting (all zero
+    /// on runs without a durable directory). See [`crate::durable`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct DurabilityStats {
+        /// Checkpoint generations committed to disk (tmp + fsync + rename +
+        /// directory fsync).
+        generations_written: u64 => "generations_written",
+        /// Bytes written and synced: each generation file once.
+        bytes_fsynced: u64 => "bytes_fsynced",
+        /// Always 0: the store writes whole generations only (DESIGN.md
+        /// §15). Kept because readers of the stats, such as the benchmark's
+        /// per-layer table, still report it.
+        delta_frames: u64 => "delta_frames",
+        /// Generations the scrub pass condemned at open, each a fallback to
+        /// an older one.
+        fallbacks: u64 => "fallbacks",
+        /// Generation commits that failed — an injected `ioerr@` fault or a
+        /// real I/O error. Each is retried at the next superstep; until one
+        /// lands, a resume is verified against the previous generation.
+        io_errors: u64 => "io_errors",
+        /// On a resumed run, the step whose re-executed state the loaded
+        /// generation's digest confirmed. A resume re-executes every
+        /// superstep; this counts none of them as skipped.
+        resumed_steps: u64 => "resumed_steps",
+    }
 }
 
 impl RecoveryStats {
@@ -213,59 +406,6 @@ impl RecoveryStats {
     pub fn overhead(&self) -> Duration {
         self.checkpoint_time + self.retry_backoff + self.replay_net + self.migration_net
     }
-
-    /// Machine-readable rendering (durations in exact ns).
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .set("checkpoints", self.checkpoints)
-            .set("checkpoint_bytes", self.checkpoint_bytes)
-            .set("checkpoint_ns", ns_u64(self.checkpoint_time))
-            .set("faults_injected", self.faults_injected)
-            .set("stragglers", self.stragglers)
-            .set("straggler_delay_ns", ns_u64(self.straggler_delay))
-            .set("rollbacks", self.rollbacks)
-            .set("replayed_supersteps", self.replayed_supersteps)
-            .set("retry_backoff_ns", ns_u64(self.retry_backoff))
-            .set("replay_net_ns", ns_u64(self.replay_net))
-            .set("membership_epochs", self.membership_epochs)
-            .set("workers_lost", self.workers_lost)
-            .set("workers_rejoined", self.workers_rejoined)
-            .set("vertices_migrated", self.vertices_migrated)
-            .set("migrated_bytes", self.migrated_bytes)
-            .set("migration_net_ns", ns_u64(self.migration_net))
-            .set("overhead_ns", ns_u64(self.overhead()))
-    }
-}
-
-/// Reliable-delivery counters of a run: lossy-channel activity and the
-/// ack/retransmit protocol's work (all zero on runs without channel
-/// faults). See [`crate::transport`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DeliveryStats {
-    /// Cross-host batches handed to the transport (one per
-    /// (sender-host, receiver-host) pair per message round).
-    pub batches_sent: u64,
-    /// Transmission attempts lost on the wire (scripted `drop@` or
-    /// probabilistic `loss=`).
-    pub batches_dropped: u64,
-    /// Batches delivered more than once by the channel (scripted `dup@` or
-    /// probabilistic `dupRate=`).
-    pub batches_duplicated: u64,
-    /// Batches delayed past the ack deadline by a scripted `reorder@`,
-    /// arriving a round late alongside their own retransmission.
-    pub batches_reordered: u64,
-    /// Retransmissions performed after a missed ack.
-    pub retransmits: u64,
-    /// Payload bytes re-shipped by retransmissions.
-    pub retransmitted_bytes: u64,
-    /// Batch copies discarded by the receive-side dedup window.
-    pub dedup_hits: u64,
-    /// Batch copies rejected for a wire-checksum mismatch (each nacked and
-    /// retransmitted).
-    pub checksum_failures: u64,
-    /// Simulated network time of all retransmissions (one ack-deadline
-    /// round of latency plus the re-shipped bytes, per retransmit).
-    pub retransmit_net: Duration,
 }
 
 impl DeliveryStats {
@@ -274,47 +414,6 @@ impl DeliveryStats {
     pub fn overhead(&self) -> Duration {
         self.retransmit_net
     }
-
-    /// Machine-readable rendering (durations in exact ns).
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .set("batches_sent", self.batches_sent)
-            .set("batches_dropped", self.batches_dropped)
-            .set("batches_duplicated", self.batches_duplicated)
-            .set("batches_reordered", self.batches_reordered)
-            .set("retransmits", self.retransmits)
-            .set("retransmitted_bytes", self.retransmitted_bytes)
-            .set("dedup_hits", self.dedup_hits)
-            .set("checksum_failures", self.checksum_failures)
-            .set("retransmit_net_ns", ns_u64(self.retransmit_net))
-            .set("overhead_ns", ns_u64(self.overhead()))
-    }
-}
-
-/// Replicated control-plane counters of a run: elections held, log
-/// entries committed by majority, and byzantine accusations (all zero on
-/// runs without a fault plan). See [`crate::consensus`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ConsensusStats {
-    /// Elections held: the initial election plus every re-election after a
-    /// leader crash.
-    pub elections: u64,
-    /// Leader hosts crashed by `leader@` faults.
-    pub leader_crashes: u64,
-    /// Entries appended to the replicated decision log.
-    pub entries_appended: u64,
-    /// Entries committed by a majority of live hosts (and only then
-    /// applied).
-    pub entries_committed: u64,
-    /// Workers accused of lying by the checksum quorum and escalated to a
-    /// death declaration.
-    pub accusations: u64,
-    /// Simulated network time of election rounds (vote request and grant
-    /// per live host).
-    pub election_net: Duration,
-    /// Simulated network time of log replication (append and ack per live
-    /// host, per committed entry).
-    pub commit_net: Duration,
 }
 
 impl ConsensusStats {
@@ -322,59 +421,6 @@ impl ConsensusStats {
     /// runtime: election traffic plus log-replication traffic.
     pub fn overhead(&self) -> Duration {
         self.election_net + self.commit_net
-    }
-
-    /// Machine-readable rendering (durations in exact ns).
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .set("elections", self.elections)
-            .set("leader_crashes", self.leader_crashes)
-            .set("entries_appended", self.entries_appended)
-            .set("entries_committed", self.entries_committed)
-            .set("accusations", self.accusations)
-            .set("election_net_ns", ns_u64(self.election_net))
-            .set("commit_net_ns", ns_u64(self.commit_net))
-            .set("overhead_ns", ns_u64(self.overhead()))
-    }
-}
-
-/// Durable-checkpoint-store counters of a run: generations committed to
-/// disk, bytes fsynced, and the scrub pass's damage accounting (all zero
-/// on runs without a durable directory). See [`crate::durable`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Checkpoint generations committed to disk (tmp + fsync + rename +
-    /// directory fsync).
-    pub generations_written: u64,
-    /// Bytes written and synced: each generation file once.
-    pub bytes_fsynced: u64,
-    /// Always 0: the store writes whole generations only (DESIGN.md
-    /// §15). Kept because readers of the stats, such as the benchmark's
-    /// per-layer table, still report it.
-    pub delta_frames: u64,
-    /// Generations the scrub pass condemned at open, each a fallback to
-    /// an older one.
-    pub fallbacks: u64,
-    /// Generation commits that failed — an injected `ioerr@` fault or a
-    /// real I/O error. Each is retried at the next superstep; until one
-    /// lands, a resume is verified against the previous generation.
-    pub io_errors: u64,
-    /// On a resumed run, the step whose re-executed state the loaded
-    /// generation's digest confirmed. A resume re-executes every
-    /// superstep; this counts none of them as skipped.
-    pub resumed_steps: u64,
-}
-
-impl DurabilityStats {
-    /// Machine-readable rendering.
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .set("generations_written", self.generations_written)
-            .set("bytes_fsynced", self.bytes_fsynced)
-            .set("delta_frames", self.delta_frames)
-            .set("fallbacks", self.fallbacks)
-            .set("io_errors", self.io_errors)
-            .set("resumed_steps", self.resumed_steps)
     }
 }
 
@@ -422,28 +468,6 @@ impl StorageInfo {
             .set("dense_blocks", self.dense_blocks)
             .set("sparse_blocks", self.sparse_blocks)
     }
-}
-
-/// One [`StepStats`] duration, as the `metrics` block samples it.
-type Phase = fn(&StepStats) -> Duration;
-
-/// The `metrics` block's histograms, one per [`StepStats`] duration.
-const PHASES: [(&str, Phase); 8] = [
-    ("step/compute_ns", |s| s.compute),
-    ("step/compute_max_ns", |s| s.compute_max),
-    ("step/barrier_skew_ns", StepStats::barrier_skew),
-    ("step/serialize_ns", |s| s.serialize),
-    ("step/serialize_max_ns", |s| s.serialize_max),
-    ("step/communicate_ns", |s| s.communicate),
-    ("step/delivery_ns", |s| s.delivery),
-    ("step/simulated_net_ns", |s| s.simulated_net),
-];
-
-/// The rendered [`Histogram`] of `samples`.
-fn histogram(samples: impl Iterator<Item = u64>) -> Json {
-    let mut h = Histogram::new();
-    samples.for_each(|v| h.record(v));
-    h.to_json()
 }
 
 /// Accumulated statistics of a run (a sequence of supersteps).
@@ -531,17 +555,15 @@ impl RunStats {
         self.steps.iter().map(|s| s.compute_max).sum()
     }
 
-    /// The simulated end-to-end parallel runtime: per-superstep worker
-    /// makespans (compute and serialization) + measured communication and
-    /// delivery-protocol time + the simulated network charge, plus the
-    /// recovery overhead (checkpointing, retry backoff and rollback/replay
-    /// traffic), the reliable-delivery overhead (retransmission traffic)
-    /// and the control-plane overhead (election and log-replication
-    /// traffic).
+    /// The simulated end-to-end parallel runtime: every superstep's
+    /// [`StepStats::critical_path`], plus the recovery overhead
+    /// (checkpointing, retry backoff and rollback/replay traffic), the
+    /// reliable-delivery overhead (retransmission traffic) and the
+    /// control-plane overhead (election and log-replication traffic).
     pub fn simulated_parallel_time(&self) -> Duration {
         self.steps
             .iter()
-            .map(|s| s.compute_max + s.serialize_max + s.communicate + s.delivery + s.simulated_net)
+            .map(StepStats::critical_path)
             .sum::<Duration>()
             + self.recovery.overhead()
             + self.delivery.overhead()
@@ -617,19 +639,35 @@ impl RunStats {
     }
 
     /// The `metrics` block: `{"histograms": {name: {count, sum, min, max,
-    /// p50, p90, p99}}}` with one histogram per [`StepStats`] duration and
-    /// one sample per superstep, plus `step/streamed_bytes` on a run that
+    /// p50, p90, p99}}}` with one histogram per [`StepStats`] duration
+    /// (barrier skew included) and one sample per superstep, plus `step/streamed_bytes` on a run that
     /// streamed blocks. A fold over [`RunStats::steps`], so it always
     /// agrees with the per-step records.
     fn metrics_json(&self) -> Json {
-        let mut histograms = Json::object();
-        for (name, phase) in PHASES {
-            let samples = self.steps.iter().map(|s| ns_u64(phase(s)));
-            histograms = histograms.set(name, histogram(samples));
-        }
+        // A zeroed step names every sampled counter, so a run without
+        // supersteps still renders each histogram, empty.
+        let mut sampled = BTreeMap::new();
+        StepStats::default().visit(&mut |key, _, sample| {
+            if sample.is_some() {
+                sampled.insert(key, Histogram::new());
+            }
+        });
         if self.bytes_streamed() > 0 {
-            let samples = self.steps.iter().map(|s| s.streamed_bytes);
-            histograms = histograms.set("step/streamed_bytes", histogram(samples));
+            sampled.insert("streamed_bytes", Histogram::new());
+        }
+        for s in &self.steps {
+            s.visit(&mut |key, _, sample| {
+                if let (Some(v), Some(h)) = (sample, sampled.get_mut(key)) {
+                    h.record(v);
+                }
+            });
+            if let Some(h) = sampled.get_mut("streamed_bytes") {
+                h.record(s.streamed_bytes);
+            }
+        }
+        let mut histograms = Json::object();
+        for (key, h) in sampled {
+            histograms = histograms.set(&format!("step/{key}"), h.to_json());
         }
         Json::object().set("histograms", histograms)
     }
@@ -853,33 +891,65 @@ mod tests {
         );
     }
 
+    /// The summary's `name` block.
+    fn block(r: &RunStats, name: &str) -> Json {
+        r.summary_json()
+            .get(name)
+            .cloned()
+            .expect("summary carries the block")
+    }
+
+    /// The object holding exactly `keys`, each with its value.
+    fn object(keys: &[(&str, u64)]) -> Json {
+        keys.iter()
+            .fold(Json::object(), |obj, &(key, value)| obj.set(key, value))
+    }
+
     #[test]
     fn recovery_json_reports_counters() {
-        let mut r = RunStats::default();
-        r.recovery.checkpoints = 2;
-        r.recovery.rollbacks = 3;
-        r.recovery.replayed_supersteps = 5;
-        r.recovery.membership_epochs = 2;
-        r.recovery.workers_lost = 1;
-        r.recovery.workers_rejoined = 1;
-        r.recovery.vertices_migrated = 40;
-        r.recovery.migrated_bytes = 320;
-        let j = r.summary_json();
-        let rec = j.get("recovery").expect("summary carries recovery");
-        assert_eq!(rec.get("checkpoints").and_then(Json::as_u64), Some(2));
-        assert_eq!(rec.get("rollbacks").and_then(Json::as_u64), Some(3));
+        let r = RunStats {
+            recovery: RecoveryStats {
+                checkpoints: 1,
+                checkpoint_bytes: 2,
+                checkpoint_time: Duration::from_nanos(3),
+                faults_injected: 4,
+                stragglers: 5,
+                straggler_delay: Duration::from_nanos(6),
+                rollbacks: 7,
+                replayed_supersteps: 8,
+                retry_backoff: Duration::from_nanos(9),
+                replay_net: Duration::from_nanos(10),
+                membership_epochs: 11,
+                workers_lost: 12,
+                workers_rejoined: 13,
+                vertices_migrated: 14,
+                migrated_bytes: 15,
+                migration_net: Duration::from_nanos(16),
+            },
+            ..RunStats::default()
+        };
         assert_eq!(
-            rec.get("replayed_supersteps").and_then(Json::as_u64),
-            Some(5)
+            block(&r, "recovery"),
+            object(&[
+                ("checkpoints", 1),
+                ("checkpoint_bytes", 2),
+                ("checkpoint_ns", 3),
+                ("faults_injected", 4),
+                ("stragglers", 5),
+                ("straggler_delay_ns", 6),
+                ("rollbacks", 7),
+                ("replayed_supersteps", 8),
+                ("retry_backoff_ns", 9),
+                ("replay_net_ns", 10),
+                ("membership_epochs", 11),
+                ("workers_lost", 12),
+                ("workers_rejoined", 13),
+                ("vertices_migrated", 14),
+                ("migrated_bytes", 15),
+                ("migration_net_ns", 16),
+                ("overhead_ns", 3 + 9 + 10 + 16),
+            ])
         );
-        assert_eq!(rec.get("membership_epochs").and_then(Json::as_u64), Some(2));
-        assert_eq!(rec.get("workers_lost").and_then(Json::as_u64), Some(1));
-        assert_eq!(rec.get("workers_rejoined").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            rec.get("vertices_migrated").and_then(Json::as_u64),
-            Some(40)
-        );
-        assert_eq!(rec.get("migrated_bytes").and_then(Json::as_u64), Some(320));
     }
 
     #[test]
@@ -889,36 +959,36 @@ mod tests {
         s.compute_max = Duration::from_micros(100);
         r.push(s);
         let base = r.simulated_parallel_time();
-        r.delivery.batches_sent = 12;
-        r.delivery.batches_dropped = 2;
-        r.delivery.batches_duplicated = 1;
-        r.delivery.batches_reordered = 1;
-        r.delivery.retransmits = 2;
-        r.delivery.retransmitted_bytes = 256;
-        r.delivery.dedup_hits = 2;
-        r.delivery.checksum_failures = 1;
-        r.delivery.retransmit_net = Duration::from_micros(60);
+        r.delivery = DeliveryStats {
+            batches_sent: 12,
+            batches_dropped: 2,
+            batches_duplicated: 1,
+            batches_reordered: 3,
+            retransmits: 4,
+            retransmitted_bytes: 256,
+            dedup_hits: 5,
+            checksum_failures: 6,
+            retransmit_net: Duration::from_micros(60),
+        };
         assert_eq!(r.delivery.overhead(), Duration::from_micros(60));
         assert_eq!(
             r.simulated_parallel_time(),
             base + Duration::from_micros(60)
         );
-        let j = r.summary_json();
-        let d = j.get("delivery").expect("summary carries delivery");
-        assert_eq!(d.get("batches_sent").and_then(Json::as_u64), Some(12));
-        assert_eq!(d.get("batches_dropped").and_then(Json::as_u64), Some(2));
-        assert_eq!(d.get("batches_duplicated").and_then(Json::as_u64), Some(1));
-        assert_eq!(d.get("batches_reordered").and_then(Json::as_u64), Some(1));
-        assert_eq!(d.get("retransmits").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            d.get("retransmitted_bytes").and_then(Json::as_u64),
-            Some(256)
-        );
-        assert_eq!(d.get("dedup_hits").and_then(Json::as_u64), Some(2));
-        assert_eq!(d.get("checksum_failures").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            d.get("retransmit_net_ns").and_then(Json::as_u64),
-            Some(60_000)
+            block(&r, "delivery"),
+            object(&[
+                ("batches_sent", 12),
+                ("batches_dropped", 2),
+                ("batches_duplicated", 1),
+                ("batches_reordered", 3),
+                ("retransmits", 4),
+                ("retransmitted_bytes", 256),
+                ("dedup_hits", 5),
+                ("checksum_failures", 6),
+                ("retransmit_net_ns", 60_000),
+                ("overhead_ns", 60_000),
+            ])
         );
         r.clear();
         assert_eq!(
@@ -935,31 +1005,33 @@ mod tests {
         s.compute_max = Duration::from_micros(100);
         r.push(s);
         let base = r.simulated_parallel_time();
-        r.consensus.elections = 2;
-        r.consensus.leader_crashes = 1;
-        r.consensus.entries_appended = 5;
-        r.consensus.entries_committed = 5;
-        r.consensus.accusations = 1;
-        r.consensus.election_net = Duration::from_micros(30);
-        r.consensus.commit_net = Duration::from_micros(20);
+        r.consensus = ConsensusStats {
+            elections: 2,
+            leader_crashes: 1,
+            entries_appended: 6,
+            entries_committed: 5,
+            accusations: 3,
+            election_net: Duration::from_micros(30),
+            commit_net: Duration::from_micros(20),
+        };
         assert_eq!(r.consensus.overhead(), Duration::from_micros(50));
         assert_eq!(
             r.simulated_parallel_time(),
             base + Duration::from_micros(50)
         );
-        let j = r.summary_json();
-        let c = j.get("consensus").expect("summary carries consensus");
-        assert_eq!(c.get("elections").and_then(Json::as_u64), Some(2));
-        assert_eq!(c.get("leader_crashes").and_then(Json::as_u64), Some(1));
-        assert_eq!(c.get("entries_appended").and_then(Json::as_u64), Some(5));
-        assert_eq!(c.get("entries_committed").and_then(Json::as_u64), Some(5));
-        assert_eq!(c.get("accusations").and_then(Json::as_u64), Some(1));
         assert_eq!(
-            c.get("election_net_ns").and_then(Json::as_u64),
-            Some(30_000)
+            block(&r, "consensus"),
+            object(&[
+                ("elections", 2),
+                ("leader_crashes", 1),
+                ("entries_appended", 6),
+                ("entries_committed", 5),
+                ("accusations", 3),
+                ("election_net_ns", 30_000),
+                ("commit_net_ns", 20_000),
+                ("overhead_ns", 50_000),
+            ])
         );
-        assert_eq!(c.get("commit_net_ns").and_then(Json::as_u64), Some(20_000));
-        assert_eq!(c.get("overhead_ns").and_then(Json::as_u64), Some(50_000));
         r.clear();
         assert_eq!(
             r.consensus,
@@ -970,21 +1042,28 @@ mod tests {
 
     #[test]
     fn durability_stats_render_and_clear() {
-        let mut r = RunStats::default();
-        r.durability.generations_written = 3;
-        r.durability.bytes_fsynced = 4096;
-        r.durability.delta_frames = 11;
-        r.durability.fallbacks = 1;
-        r.durability.io_errors = 2;
-        r.durability.resumed_steps = 7;
-        let j = r.summary_json();
-        let d = j.get("durability").expect("summary carries durability");
-        assert_eq!(d.get("generations_written").and_then(Json::as_u64), Some(3));
-        assert_eq!(d.get("bytes_fsynced").and_then(Json::as_u64), Some(4096));
-        assert_eq!(d.get("delta_frames").and_then(Json::as_u64), Some(11));
-        assert_eq!(d.get("fallbacks").and_then(Json::as_u64), Some(1));
-        assert_eq!(d.get("io_errors").and_then(Json::as_u64), Some(2));
-        assert_eq!(d.get("resumed_steps").and_then(Json::as_u64), Some(7));
+        let mut r = RunStats {
+            durability: DurabilityStats {
+                generations_written: 3,
+                bytes_fsynced: 4096,
+                delta_frames: 11,
+                fallbacks: 1,
+                io_errors: 2,
+                resumed_steps: 7,
+            },
+            ..RunStats::default()
+        };
+        assert_eq!(
+            block(&r, "durability"),
+            object(&[
+                ("generations_written", 3),
+                ("bytes_fsynced", 4096),
+                ("delta_frames", 11),
+                ("fallbacks", 1),
+                ("io_errors", 2),
+                ("resumed_steps", 7),
+            ])
+        );
         r.clear();
         assert_eq!(
             r.durability,
@@ -1091,6 +1170,44 @@ mod tests {
         );
         r.clear();
         assert!(!r.metrics, "clear resets the metrics flag");
+    }
+
+    #[test]
+    fn from_json_refuses_a_missing_key_and_a_wrong_type() {
+        let mut s = step(StepKind::EdgeMapSparse, 10, 80, 40);
+        s.compute = Duration::from_nanos(900);
+        let j = s.to_json();
+        let edited = |key: &str, value: Option<Json>| {
+            let Json::Obj(mut map) = j.clone() else {
+                panic!("a step renders as an object")
+            };
+            map.remove(key);
+            map.extend(value.map(|v| (key.to_string(), v)));
+            StepStats::from_json(&Json::Obj(map))
+        };
+        for key in ["kind", "compute_ns", "staged"] {
+            assert_eq!(
+                edited(key, None),
+                Err(format!("stats: missing field {key:?}"))
+            );
+        }
+        // A derived key is not read back, and an absent streaming key
+        // reads as zero.
+        assert_eq!(edited("barrier_skew_ns", None), Ok(s.clone()));
+        assert_eq!(edited("streamed_bytes", None), Ok(s));
+        for (key, value) in [
+            ("upd_bytes", Json::from("80")),
+            ("active", Json::from(-1i64)),
+            ("compute_ns", Json::from(4.5)),
+            ("kind", Json::from("warp")),
+            ("streamed_bytes", Json::Null),
+        ] {
+            let err = edited(key, Some(value)).unwrap_err();
+            assert!(
+                err.starts_with(&format!("stats: field {key:?} has the wrong type")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use flash_graph::generators;
 use flash_obs::{CollectSink, Event, EventKind, Json, JsonLinesSink, Sink};
-use flash_runtime::ClusterConfig;
+use flash_runtime::{ClusterConfig, StepStats};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -51,10 +51,10 @@ fn event_ordering_matches_superstep_order() {
             _ => None,
         })
         .collect();
-    let ends: Vec<(u64, String)> = events
+    let ends: Vec<(u64, &Json)> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::StepEnd { step, kind, .. } => Some((*step, kind.clone())),
+            EventKind::StepEnd { step, stats } => Some((*step, stats)),
             _ => None,
         })
         .collect();
@@ -62,8 +62,11 @@ fn event_ordering_matches_superstep_order() {
     assert_eq!(starts, expected);
     assert_eq!(ends.iter().map(|(s, _)| *s).collect::<Vec<_>>(), expected);
     // The kernel kind label of each step_end matches the RunStats record.
-    for ((_, kind), step) in ends.iter().zip(stats.steps()) {
-        assert_eq!(kind, step.kind.label());
+    for ((_, j), step) in ends.iter().zip(stats.steps()) {
+        assert_eq!(
+            j.get("kind").and_then(Json::as_str),
+            Some(step.kind.label())
+        );
     }
     // Per step: start comes before end.
     for step in expected {
@@ -82,50 +85,28 @@ fn event_ordering_matches_superstep_order() {
 #[test]
 fn event_byte_and_message_counts_equal_runstats_totals() {
     let (events, stats) = traced_bfs(4);
-    let mut bytes = 0u64;
-    let mut messages = 0u64;
-    let mut step_ends = 0usize;
-    for e in &events {
-        if let EventKind::StepEnd {
-            upd_messages,
-            upd_bytes,
-            sync_messages,
-            sync_bytes,
-            compute_max_ns,
-            compute_min_ns,
-            barrier_skew_ns,
-            ..
-        } = &e.kind
-        {
-            bytes += upd_bytes + sync_bytes;
-            messages += upd_messages + sync_messages;
-            step_ends += 1;
-            assert_eq!(*barrier_skew_ns, compute_max_ns - compute_min_ns);
-        }
-    }
-    // Exactly one step_end per superstep; summed counts equal the totals.
-    assert_eq!(step_ends, stats.num_supersteps());
-    assert_eq!(bytes, stats.total_bytes());
-    assert_eq!(messages, stats.total_messages());
-    assert!(bytes > 0, "a 4-worker BFS must cross worker boundaries");
-
-    // Per-superstep: the i-th step_end mirrors stats.steps()[i] exactly.
-    let per_step: Vec<(u64, u64)> = events
+    // The i-th step_end carries exactly stats.steps()[i]'s counters: one
+    // step_end per superstep, whose byte and message counts sum to the
+    // totals.
+    let step_ends: Vec<Json> = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::StepEnd {
-                upd_bytes,
-                sync_bytes,
-                upd_messages,
-                sync_messages,
-                ..
-            } => Some((upd_bytes + sync_bytes, upd_messages + sync_messages)),
+            EventKind::StepEnd { stats, .. } => Some(stats.clone()),
             _ => None,
         })
         .collect();
-    for (got, step) in per_step.iter().zip(stats.steps()) {
-        assert_eq!(got.0, step.total_bytes());
-        assert_eq!(got.1, step.total_messages());
+    let recorded: Vec<Json> = stats.steps().iter().map(StepStats::to_json).collect();
+    assert_eq!(step_ends, recorded);
+    assert!(
+        stats.total_bytes() > 0,
+        "a 4-worker BFS must cross worker boundaries"
+    );
+    for j in &step_ends {
+        let ns = |key| j.get(key).and_then(Json::as_u64).unwrap();
+        assert_eq!(
+            ns("barrier_skew_ns"),
+            ns("compute_max_ns") - ns("compute_min_ns")
+        );
     }
 }
 
@@ -216,14 +197,16 @@ fn jsonl_trace_round_trips_through_the_parser() {
     // The first line is the schema header analyzers validate against.
     let head = flash_obs::json::parse(lines[0]).expect("header parses");
     assert_eq!(head.get("event").and_then(Json::as_str), Some("run_meta"));
-    // Schema 6: `run_meta` is exactly the fields `SCHEMA` declares for it
+    // Schema 7: `run_meta` is exactly the fields `SCHEMA` declares for it
     // (1 also carried the hot-path label, 2 wrote `worker_accused`
     // checksums as numbers, 3 carried `*_us` twins of the `*_ns` timers
     // and `sync_plan` properties, 4 carried the always-constant durable
     // fields `frames`, `fallback` and `op`, 5 did not name the owner
-    // map's scheme in `run_start`); a shape change must bump the version.
-    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(6));
-    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 6);
+    // map's scheme in `run_start`, 6 flattened `step_end`'s counters
+    // instead of nesting them in `stats`); a shape change must bump the
+    // version.
+    assert_eq!(head.get("schema").and_then(Json::as_u64), Some(7));
+    assert_eq!(flash_obs::TRACE_SCHEMA_VERSION, 7);
     let declared = ["schema", "seed", "workers", "hosts", "fault_plan"];
     assert_eq!(flash_obs::SCHEMA[0], ("run_meta", &declared[..]));
     let Json::Obj(fields) = &head else {
@@ -244,8 +227,8 @@ fn jsonl_trace_round_trips_through_the_parser() {
         last_seq = Some(seq);
         let tag = j.get("event").and_then(Json::as_str).expect("event tag");
         if tag == "step_end" {
-            bytes += j.get("upd_bytes").and_then(Json::as_u64).unwrap()
-                + j.get("sync_bytes").and_then(Json::as_u64).unwrap();
+            let counters = j.get("stats").expect("step_end carries its counters");
+            bytes += StepStats::from_json(counters).unwrap().total_bytes();
         }
     }
     // The parsed file carries the same totals as the in-memory stats.

@@ -10,7 +10,7 @@
 use flash_core::prelude::*;
 use flash_graph::generators;
 use flash_graph::{Graph, HashPartitioner, PartitionMap};
-use flash_runtime::{ModePolicy, RunStats, RuntimeError, StorageMode};
+use flash_runtime::{ModePolicy, RunStats, RuntimeError, StepStats, StorageMode};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -121,6 +121,26 @@ fn block_engine_matches_in_memory_on_multi_block_graph() {
             .collect::<Vec<_>>(),
         "pagerank ranks (bitwise)"
     );
+}
+
+/// Every step's counters survive `to_json` and `from_json`, on in-memory
+/// steps (no streaming keys) and on block steps (with them).
+#[test]
+fn step_stats_round_trip_through_json_on_both_engines() {
+    let g = Arc::new(generators::web_graph(9_000, 8, 12, 9));
+    let blk = reopen_as_blocks(&g, "round_trip");
+    let mem = flash_algos::bfs::run(&g, mem_config(2), 0).unwrap();
+    let stream = flash_algos::bfs::run(&blk, blk_config(2), 0).unwrap();
+    let streaming_steps = |stats: &RunStats| {
+        let keyed = |s: &&StepStats| s.to_json().get("streamed_bytes").is_some();
+        stats.steps().iter().filter(keyed).count()
+    };
+    assert_eq!(streaming_steps(&mem.stats), 0);
+    assert!(streaming_steps(&stream.stats) > 0);
+    assert!(mem.stats.steps().iter().any(|s| s.staged > 0));
+    for s in mem.stats.steps().iter().chain(stream.stats.steps()) {
+        assert_eq!(StepStats::from_json(&s.to_json()).as_ref(), Ok(s));
+    }
 }
 
 /// The storage summary in the run stats reports the block grid and the

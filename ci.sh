@@ -92,8 +92,8 @@ exact_gate pr_rmat 'runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.acti
 echo "==> fold gate (cc_push: big-frontier reduce steps, routed, folded and synced lane by lane in the post-compute round, must count exactly the supersteps, frontiers, messages, bytes and events the parent did)"
 exact_gate cc_push 'runtime\.(supersteps|(sync|upd)_(messages|bytes))|core\.active_sum|wire_bytes|obs\.events'
 
-echo "==> checkpoint gate (kcore_ckpt: the checkpoint-only store must not move the schedule, the generations or the sync counts, and appends no delta frame)"
-exact_gate kcore_ckpt 'runtime\.(supersteps|ckpt_generations|ckpt_bytes|sync_messages|sync_bytes)|wire_bytes|obs\.events'
+echo "==> checkpoint gate (kcore_ckpt: the checkpoint-only store and the frontier-driven pull must not move the schedule, the frontiers, the generations or the sync counts, and the store appends no delta frame)"
+exact_gate kcore_ckpt 'runtime\.(supersteps|ckpt_generations|ckpt_bytes|sync_messages|sync_bytes)|core\.(steps_(vmap|dense)|active_sum)|wire_bytes|obs\.events'
 # A generation is one 56 B header: 26 of them fsync exactly 1456 B.
 ckpt="$(bash benchmark/run.sh --workload kcore_ckpt --seed 12 --seconds 1 --trace 1)"
 [[ "$(grep -c '^kcore_ckpt/runtime\.ckpt_delta_frames 0 ' <<<"$ckpt")" == 1 ]] || { echo "kcore_ckpt: the durable store wrote delta frames" >&2; exit 1; }

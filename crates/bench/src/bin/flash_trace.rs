@@ -22,7 +22,10 @@
 use flash_bench::cli::{dispatch, CliOptions};
 use flash_bench::trace::{analyze, chrome_trace, parse_trace, render_report, report_json};
 use flash_obs::json::{self, Json};
-use flash_runtime::{ClusterConfig, NetworkModel};
+use flash_runtime::{
+    ClusterConfig, NetworkModel,
+    StepKind::{EdgeMapDense, EdgeMapSparse},
+};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -134,10 +137,26 @@ fn run(o: &Options) -> Result<(), String> {
                 report.total_path_ns, trace.simulated_parallel_ns
             ));
         }
+        // Only EDGEMAP steps open rows, and the BFS's open some.
+        let arcs = |edgemap: bool| -> u64 {
+            let steps = trace.steps.iter().map(|s| &s.stats);
+            steps
+                .filter(|s| matches!(s.kind, EdgeMapDense | EdgeMapSparse) == edgemap)
+                .map(|s| s.arcs)
+                .sum()
+        };
+        if arcs(true) == 0 || arcs(false) != 0 {
+            return Err(format!(
+                "smoke trace: EDGEMAP steps opened {} arcs and the other steps {}",
+                arcs(true),
+                arcs(false)
+            ));
+        }
         println!(
-            "\nsmoke ok: {} supersteps, {} Chrome events",
+            "\nsmoke ok: {} supersteps, {} Chrome events, {} arcs opened",
             trace.steps.len(),
-            n
+            n,
+            arcs(true)
         );
     }
     Ok(())

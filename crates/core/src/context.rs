@@ -234,14 +234,14 @@ impl<V: VertexData> FlashContext<V> {
         // The density measure drives the Adaptive decision; with a trace
         // sink attached it is also computed under forced policies so every
         // mode_decision event carries it.
-        let frontier_edges: Option<usize> = if tracing
-            || (policy == ModePolicy::Adaptive && h.supports_pull() && h.supports_push())
-        {
+        let measured = policy == ModePolicy::Adaptive && h.supports_pull() && h.supports_push();
+        let frontier_edges: Option<usize> = if tracing || measured {
             let g = self.graph();
             Some(u.iter().map(|v| g.out_degree(v)).sum::<usize>() + u.len())
         } else {
             None
         };
+        let threshold_edges = self.threshold_edges();
         let dense = match policy {
             ModePolicy::ForceDense => h.supports_pull(),
             ModePolicy::ForceSparse => !h.supports_push(),
@@ -251,13 +251,11 @@ impl<V: VertexData> FlashContext<V> {
                 } else if !h.supports_push() {
                     true
                 } else {
-                    frontier_edges.unwrap() as f64
-                        > DENSE_THRESHOLD * self.graph().num_edges() as f64
+                    frontier_edges.unwrap() > threshold_edges
                 }
             }
         };
         if tracing {
-            let threshold_edges = (DENSE_THRESHOLD * self.graph().num_edges() as f64) as usize;
             let policy_label = match policy {
                 ModePolicy::Adaptive => "adaptive",
                 ModePolicy::ForceDense => "force-dense",
@@ -273,16 +271,32 @@ impl<V: VertexData> FlashContext<V> {
             });
         }
         if dense {
-            self.edge_map_dense(u, h, f, m, c)
+            // A pull the count chose already knows `u` is dense.
+            self.pull(u, h, f, m, c, measured)
         } else {
             self.edge_map_sparse(u, h, f, m, c, r)
         }
     }
 
+    /// `DENSE_THRESHOLD · |E|`, rounded down: a frontier whose `|U|` plus
+    /// push-row arcs exceed it is dense. (For an integer count, exceeding
+    /// the rounded value is exceeding the product.)
+    fn threshold_edges(&self) -> usize {
+        (DENSE_THRESHOLD * self.graph().num_edges() as f64) as usize
+    }
+
     /// `EDGEMAPDENSE(U, H, F, M, C)` (Algorithm 5, *pull* mode): every
-    /// master `d` scans its in-edges of `H`, sequentially applying `m` for
-    /// sources in `u` while `c(d)` holds; no reduce function is needed
-    /// because updates apply immediately per vertex.
+    /// master `d` that some source in `u` reaches over `H` scans its
+    /// in-edges of `H`, sequentially applying `m` for sources in `u` while
+    /// `c(d)` holds; no reduce function is needed because updates apply
+    /// immediately per vertex.
+    ///
+    /// Which masters a worker walks is Ligra's density rule applied to the
+    /// pull (DESIGN.md §4): over a stored `H` (`E`, `reverse(E)`,
+    /// `join(E, U')`) from a partial `u` whose push rows hold at most
+    /// `DENSE_THRESHOLD · |E|` arcs (counting `|U|` too), only the targets
+    /// of those push rows it masters, ascending; otherwise every master.
+    /// A master left out has no source in `u`, so the answer is the same.
     ///
     /// # Panics
     /// Panics if `h` cannot be enumerated from the target side
@@ -295,10 +309,25 @@ impl<V: VertexData> FlashContext<V> {
         m: impl Fn(EdgeRef, &V, &mut V) + Sync,
         c: impl Fn(VertexId, &V) -> bool + Sync,
     ) -> VertexSubset {
+        self.pull(u, h, f, m, c, false)
+    }
+
+    /// [`FlashContext::edge_map_dense`], told by `dense_u` that `u` is
+    /// already known to be dense, so it walks every master uncounted.
+    fn pull(
+        &mut self,
+        u: &VertexSubset,
+        h: &EdgeSet<V>,
+        f: impl Fn(EdgeRef, &V, &V) -> bool + Sync,
+        m: impl Fn(EdgeRef, &V, &mut V) + Sync,
+        c: impl Fn(VertexId, &V) -> bool + Sync,
+        dense_u: bool,
+    ) -> VertexSubset {
         assert!(
             h.supports_pull(),
             "EDGEMAPDENSE needs a target-enumerable edge set; use edge_map_sparse"
         );
+        let narrow = !dense_u && self.reaches_few(u, h);
         let scope = sync_scope(h);
         let kind = StepKind::EdgeMapDense;
         let stream = self.streaming(h);
@@ -309,11 +338,18 @@ impl<V: VertexData> FlashContext<V> {
         let out = self.cluster.step_direct(kind, u.len(), scope, |ctx| {
             let g = ctx.graph();
             let worker = ctx.worker();
-            let masters = ctx.masters();
+            let partition = ctx.partition();
             let members = u.bits();
             // Each new value goes straight into the worker's `direct` buffer.
             let (cur, mut sink) = ctx.split_writes();
-            let touches = dense_kernel(
+            let reached;
+            let masters = if narrow {
+                reached = reached_masters(g, u, h, cur, |d| partition.is_master(worker, d));
+                &reached[..]
+            } else {
+                partition.masters(worker)
+            };
+            let (touches, arcs) = dense_kernel(
                 g,
                 masters,
                 cur,
@@ -325,9 +361,34 @@ impl<V: VertexData> FlashContext<V> {
                 TouchRecorder::new(grid, dir),
                 |d, val| sink.write(d, val),
             );
+            ctx.count_arcs(arcs);
             replay(stream, worker, &touches);
         });
         self.written(out.updated)
+    }
+
+    /// Whether a pull from `u` over `h` may walk only the masters `u`'s
+    /// push rows reach: `h` is stored, so its push rows are the transpose
+    /// of its pull rows (a virtual set's are not); `u` is not full; and
+    /// `|U|` plus those rows' arcs — in-degrees for `reverse(E)`,
+    /// out-degrees otherwise — stay within [`Self::threshold_edges`]. The
+    /// count stops once it passes.
+    fn reaches_few(&self, u: &VertexSubset, h: &EdgeSet<V>) -> bool {
+        if !h.is_streamable() || u.len() == u.capacity() {
+            return false;
+        }
+        let g = self.graph();
+        let limit = self.threshold_edges();
+        let reverse = matches!(h, EdgeSet::Reverse);
+        let mut arcs = u.len();
+        u.iter().all(|s| {
+            arcs += if reverse {
+                g.in_degree(s)
+            } else {
+                g.out_degree(s)
+            };
+            arcs <= limit
+        })
     }
 
     /// `EDGEMAPSPARSE(U, H, F, M, C, R)` (Algorithm 6, *push* mode): every
@@ -365,7 +426,7 @@ impl<V: VertexData> FlashContext<V> {
             // Every update is staged the moment it is computed, so one
             // destination's temporaries meet `r` in source order.
             let (cur, mut puts) = ctx.split();
-            let touches = sparse_kernel(
+            let (touches, arcs) = sparse_kernel(
                 g,
                 &actives,
                 cur,
@@ -376,6 +437,7 @@ impl<V: VertexData> FlashContext<V> {
                 TouchRecorder::new(grid, dir),
                 |d, temp| puts.put(d, temp, &r),
             );
+            ctx.count_arcs(arcs);
             replay(stream, worker, &touches);
         });
         self.written(out.updated)
@@ -463,10 +525,12 @@ impl<V: VertexData> FlashContext<V> {
     }
 }
 
-/// The `EDGEMAPDENSE` kernel over a worker's masters: every destination
-/// some qualifying in-edge updated hands `(destination, new value)` to
-/// `sink`, in master order; returns the edge blocks it read. A full
-/// frontier skips the membership probe per arc.
+/// The `EDGEMAPDENSE` kernel over `masters`, a worker's masters in
+/// ascending order — all of them, or only those the frontier reaches:
+/// every destination some qualifying in-edge updated hands `(destination,
+/// new value)` to `sink`, in master order. Returns the edge blocks it read
+/// and the arcs in the rows it opened. A full frontier skips the
+/// membership probe per arc.
 #[allow(clippy::too_many_arguments)]
 fn dense_kernel<V: VertexData>(
     g: &Graph,
@@ -479,9 +543,10 @@ fn dense_kernel<V: VertexData>(
     c: &impl Fn(VertexId, &V) -> bool,
     mut touched: TouchRecorder,
     mut sink: impl FnMut(VertexId, V),
-) -> Vec<BlockTouch> {
+) -> (Vec<BlockTouch>, u64) {
     let members = (members.len() < members.capacity()).then_some(members);
     let mut scratch: Vec<VertexId> = Vec::new();
+    let mut arcs = 0;
     for &d in masters {
         let d_cur = &cur[d as usize];
         if !c(d, d_cur) {
@@ -489,11 +554,39 @@ fn dense_kernel<V: VertexData>(
         }
         let row = h.sources(g, d, d_cur, &mut scratch);
         touched.row(d);
+        arcs += row.ids.len() as u64;
         if let Some(val) = pull_row(d, &row, cur, members, f, m, c, &mut touched) {
             sink(d, val);
         }
     }
-    touched.finish()
+    (touched.finish(), arcs)
+}
+
+/// The masters `owns` accepts that a pull from `u` over a stored `h` can
+/// update, ascending: the targets of `u`'s push rows that `h` admits. `s`
+/// is in `d`'s pull row exactly when `d` is in `s`'s push row, so no other
+/// master's row holds a source in `u`.
+fn reached_masters<V>(
+    g: &Graph,
+    u: &VertexSubset,
+    h: &EdgeSet<V>,
+    cur: &[V],
+    owns: impl Fn(VertexId) -> bool,
+) -> Vec<VertexId> {
+    let mut scratch = Vec::new();
+    let mut reached = Vec::new();
+    for s in u.iter() {
+        let row = h.targets(g, s, &cur[s as usize], &mut scratch);
+        reached.extend(
+            row.ids
+                .iter()
+                .copied()
+                .filter(|&d| row.admits(d) && owns(d)),
+        );
+    }
+    reached.sort_unstable();
+    reached.dedup();
+    reached
 }
 
 /// One row of [`dense_kernel`]: the new value of `d`, if some in-edge of
@@ -557,8 +650,8 @@ fn pull_row<V: VertexData>(
 }
 
 /// The `EDGEMAPSPARSE` kernel over a worker's active sources: every
-/// qualifying edge hands `(target, temporary)` to `sink`, in source order;
-/// returns the edge blocks it read.
+/// qualifying edge hands `(target, temporary)` to `sink`, in source order.
+/// Returns the edge blocks it read and the arcs in the rows it opened.
 #[allow(clippy::too_many_arguments)]
 fn sparse_kernel<V: VertexData>(
     g: &Graph,
@@ -570,12 +663,14 @@ fn sparse_kernel<V: VertexData>(
     c: &impl Fn(VertexId, &V) -> bool,
     mut touched: TouchRecorder,
     mut sink: impl FnMut(VertexId, V),
-) -> Vec<BlockTouch> {
+) -> (Vec<BlockTouch>, u64) {
     let mut scratch: Vec<VertexId> = Vec::new();
+    let mut arcs = 0;
     for &s in actives {
         let s_val = &cur[s as usize];
         let row = h.targets(g, s, s_val, &mut scratch);
         touched.row(s);
+        arcs += row.ids.len() as u64;
         for (i, &d) in row.ids.iter().enumerate() {
             touched.neighbour(d);
             if !row.admits(d) {
@@ -597,7 +692,7 @@ fn sparse_kernel<V: VertexData>(
             }
         }
     }
-    touched.finish()
+    (touched.finish(), arcs)
 }
 
 /// The block handle and per-run scope a streamed `EDGEMAP` charges.

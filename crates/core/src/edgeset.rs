@@ -135,6 +135,11 @@ impl<V> EdgeSet<V> {
 
     /// The row of `H` out of `s` (push orientation). Every neighbour in
     /// the row that [`Row::admits`] is an edge `s → t` of `H`.
+    ///
+    /// Always inlined: it has two callers, the push kernel and the pull's
+    /// list of reached masters, and out of line the push kernel pays a
+    /// call per row.
+    #[inline(always)]
     pub(crate) fn targets<'a>(
         &'a self,
         g: &'a Graph,

@@ -717,10 +717,10 @@ mod tests {
     /// `to_json` the `events!` table replaced printed it — except
     /// `worker_accused`, whose checksums were numbers there and lost their
     /// low bits, the `*_us` twins of `*_ns` fields and the `sync_plan`
-    /// properties, which schema 4 dropped, and `step_end`, whose counters
-    /// schema 7 nested in `stats`.
+    /// properties, which schema 4 dropped, `step_end`, whose counters
+    /// schema 7 nested in `stats`, and `run_meta`'s version.
     const GOLDEN: [&str; 26] = [
-        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":7,"seed":42,"seq":3,"workers":4}"#,
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":8,"seed":42,"seq":3,"workers":4}"#,
         r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"partition":"range","seq":4,"vertices":1000,"workers":4}"#,
         r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
         r#"{"compute_ns":500200,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,

@@ -222,6 +222,7 @@ mod tests {
             st.pending.upsert(0, Val { x: 1 }, &|_, _| {});
             st.direct.push((1, Val { x: 2 }));
             st.op_puts = 7;
+            st.op_arcs = 9;
         }
         cp.restore(&mut states);
         for st in &states {
@@ -230,6 +231,7 @@ mod tests {
             }
             assert!(st.is_clean(), "restore discards staged writes");
             assert_eq!(st.op_puts, 0);
+            assert_eq!(st.op_arcs, 0);
         }
     }
 

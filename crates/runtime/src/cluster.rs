@@ -559,7 +559,7 @@ impl<V: VertexData> Cluster<V> {
         let (host_max, host_min) = self.host_makespan(&durations);
         stats.compute_max = host_max;
         stats.compute_min = host_min;
-        self.emit_worker_phases(step_id, &durations);
+        stats.arcs = self.emit_worker_phases(step_id, &durations);
 
         let updated = self.post_compute(step_id, scope, reduce, &mut stats);
         self.record_delta(&updated);
@@ -710,13 +710,16 @@ impl<V: VertexData> Cluster<V> {
     }
 
     /// Per-worker phase accounting at the barrier: takes (and resets) each
-    /// worker's staged-op counters and emits one `worker_phase` event.
-    fn emit_worker_phases(&mut self, step: u64, durations: &[Duration]) {
+    /// worker's op counters, emits one `worker_phase` event per worker and
+    /// returns the arcs the workers' kernels opened.
+    fn emit_worker_phases(&mut self, step: u64, durations: &[Duration]) -> u64 {
+        let mut arcs = 0;
         for (w, dur) in durations.iter().enumerate() {
             // Counters reset unconditionally so a sink attached mid-run
             // never sees ops from earlier supersteps.
             let staged_puts = std::mem::take(&mut self.states[w].op_puts);
             let staged_writes = std::mem::take(&mut self.states[w].op_writes);
+            arcs += std::mem::take(&mut self.states[w].op_arcs);
             if self.config.sink.is_some() {
                 self.emit(EventKind::WorkerPhase {
                     step,
@@ -727,6 +730,7 @@ impl<V: VertexData> Cluster<V> {
                 });
             }
         }
+        arcs
     }
 
     /// Emits the sync-plan decision for one superstep: payload policy and

@@ -124,6 +124,14 @@ impl<'a, V: VertexData> WorkerCtx<'a, V> {
         self.split().1.put(v, temp, reduce);
     }
 
+    /// Counts `arcs` more arcs in the rows this worker's `EDGEMAP` kernel
+    /// opened this superstep — one call per row or per kernel, never per
+    /// arc; they land in [`StepStats::arcs`](crate::StepStats::arcs).
+    #[inline]
+    pub fn count_arcs(&mut self, arcs: u64) {
+        self.state.op_arcs += arcs;
+    }
+
     /// [`split`](Self::split) for whole-value master writes: the
     /// current-state slice and a [`WriteSink`] staging into the worker's
     /// reused `direct` buffer.

@@ -154,6 +154,10 @@ pub struct WorkerState<V: VertexData> {
     pub(crate) op_puts: u64,
     /// `write_master` operations staged this superstep; reset per barrier.
     pub(crate) op_writes: u64,
+    /// Arcs in the `EDGEMAP` rows this worker opened this superstep
+    /// ([`WorkerCtx::count_arcs`](crate::WorkerCtx::count_arcs)); summed
+    /// into [`StepStats::arcs`](crate::StepStats::arcs) at the barrier.
+    pub(crate) op_arcs: u64,
 }
 
 impl<V: VertexData> WorkerState<V> {
@@ -166,6 +170,7 @@ impl<V: VertexData> WorkerState<V> {
             written: Vec::new(),
             op_puts: 0,
             op_writes: 0,
+            op_arcs: 0,
         }
     }
 
@@ -210,6 +215,7 @@ impl<V: VertexData> WorkerState<V> {
         self.written.clear();
         self.op_puts = 0;
         self.op_writes = 0;
+        self.op_arcs = 0;
     }
 }
 

@@ -162,6 +162,10 @@ step_counters! {
         /// temporaries on a reduce step, written and directly staged
         /// masters on a direct one.
         staged: usize => "staged",
+        /// Arcs in the rows an `EDGEMAP` step's kernels opened, summed over
+        /// workers: a row counts whole once opened, however early the
+        /// kernel leaves it. Zero on other steps.
+        arcs: u64 => "arcs",
         /// Wall time of the compute phase (on a single-core host, the *sum*
         /// of all workers' compute time, since threads timeshare).
         compute: Duration => "compute_ns" histogram,

@@ -51,6 +51,12 @@ halt="$(cli --durable-dir "$cli_dir/store" --halt-after 2 2>&1)" && status=0 || 
 [[ "$(cli --durable-dir "$cli_dir/store" --resume | grep '^result:')" == "$clean" ]] || { echo "flash: the resumed run's answer differs from the clean run's" >&2; exit 1; }
 rm -rf "$cli_dir"
 
+echo "==> paper smoke (the whole evaluation at small scale; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"
+paper_dir="$(mktemp -d)"
+FLASH_SCALE=small FLASH_RESULTS_DIR="$paper_dir" target/release/paper all > "$paper_dir/paper.txt"
+tail -n 1 "$paper_dir/paper.txt"
+rm -rf "$paper_dir"
+
 echo "==> regression gate (supersteps/total_bytes of all 19 algorithms must equal the committed BENCH_flash.json)"
 FLASH_SCALE=small cargo run --release -q -p flash-bench --bin bench_flash -- --baseline BENCH_flash.json
 

@@ -68,7 +68,10 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let g = Arc::new(scale.load(Dataset::Orkut));
     // MSF and SSSP need edge weights; the stand-ins are unweighted, so
     // attach deterministic ones.
@@ -119,10 +122,7 @@ fn main() {
         .set("dataset", "OR")
         .set("workers", 4u64)
         .set("runs", Json::Arr(details));
-    match jsonio::write_results("bench_flash", &detail_doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nwarning: could not write detail json: {e}"),
-    }
+    jsonio::save(&jsonio::results_dir(), "bench_flash", &detail_doc);
     // An algorithm that returned an error has no record: the gate reports
     // it as missing, and write mode must not pin a snapshot without it.
     let outcome = match &gate {

@@ -374,10 +374,7 @@ fn main() {
         .set("identity", Json::Arr(identity_rows))
         .set("scaling", Json::Arr(scale_rows))
         .set("pull_per_arc", Json::Arr(pull_json));
-    match jsonio::write_results("scale", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write scale json: {e}"),
-    }
+    jsonio::save(&jsonio::results_dir(), "scale", &doc);
 
     if !broken.is_empty() {
         eprintln!("\nfig_scale: {} failure(s):", broken.len());

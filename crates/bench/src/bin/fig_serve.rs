@@ -117,10 +117,7 @@ fn main() {
     ];
     println!("{}", render_table(&["metric", "value"], &rows));
 
-    match jsonio::write_results("serve", &report.to_json()) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nwarning: cannot write results: {e}"),
-    }
+    jsonio::save(&jsonio::results_dir(), "serve", &report.to_json());
 
     if !report.ok() {
         eprintln!("\nFAILURES:");

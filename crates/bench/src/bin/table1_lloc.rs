@@ -80,8 +80,5 @@ fn main() {
         .set("leaner_than_pregel", leaner)
         .set("comparable", comparable)
         .set("rows", Json::Arr(json_rows));
-    match jsonio::write_results("table1_lloc", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write json: {e}"),
-    }
+    jsonio::save(&jsonio::results_dir(), "table1_lloc", &doc);
 }

@@ -9,7 +9,10 @@ use flash_graph::Dataset;
 use flash_obs::Json;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!("Table III — dataset collection at scale {scale:?}\n");
     let mut json_rows = Vec::new();
     let rows: Vec<(String, Vec<String>)> = Dataset::ALL
@@ -68,8 +71,5 @@ fn main() {
         .set("table", "table3_datasets")
         .set("scale", format!("{scale:?}"))
         .set("rows", Json::Arr(json_rows));
-    match jsonio::write_results("table3_datasets", &doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write json: {e}"),
-    }
+    jsonio::save(&jsonio::results_dir(), "table3_datasets", &doc);
 }

@@ -227,7 +227,7 @@ pub fn usage() -> String {
 /// Loads the graph an options set refers to.
 pub fn load_graph(opts: &CliOptions) -> Result<Arc<Graph>, String> {
     if let Some(d) = opts.dataset {
-        return Ok(Arc::new(Scale::from_env().load(d)));
+        return Ok(Arc::new(Scale::from_env()?.load(d)));
     }
     let path = opts.input.as_ref().expect("validated by parse_args");
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path:?}: {e}"))?;

@@ -1,14 +1,14 @@
 //! Machine-readable output paths for the experiment binaries.
 //!
 //! Every experiment binary writes a JSON artifact next to its text table:
-//! `results/<name>.json` (override the directory with `FLASH_RESULTS_DIR`).
+//! `<dir>/<name>.json`, with `dir` resolved once by [`results_dir`].
 //! The aggregate perf snapshot `BENCH_flash.json` goes to the repository
 //! root (override with `FLASH_BENCH_DIR`).
 
 use flash_obs::Json;
 use std::fs;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The directory experiment artifacts are written to: `$FLASH_RESULTS_DIR`
 /// when set, else `results/` relative to the working directory.
@@ -18,14 +18,22 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Writes `results/<name>.json` (pretty-printed, trailing newline) and
+/// Writes `<dir>/<name>.json` (pretty-printed, trailing newline) and
 /// returns the path. Creates the directory if missing.
-pub fn write_results(name: &str, value: &Json) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    fs::create_dir_all(&dir)?;
+pub fn write_results(dir: &Path, name: &str, value: &Json) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     fs::write(&path, format!("{}\n", value.to_pretty_string()))?;
     Ok(path)
+}
+
+/// [`write_results`], reporting the outcome: `wrote <path>` on stdout, or
+/// a warning on stderr — a failed write does not stop the run.
+pub fn save(dir: &Path, name: &str, value: &Json) {
+    match write_results(dir, name, value) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {name}.json: {e}"),
+    }
 }
 
 /// Writes the top-level snapshot `BENCH_flash.json` (directory
@@ -52,7 +60,12 @@ pub fn run_record(stats: &flash_runtime::RunStats) -> Json {
 pub fn result_json(r: &crate::harness::RunResult) -> Json {
     use crate::harness::RunResult;
     match r {
-        RunResult::Ok { seconds } => Json::object().set("status", "ok").set("seconds", *seconds),
+        RunResult::Ok(s) => Json::object()
+            .set("status", "ok")
+            .set("seconds", s.makespan.as_secs_f64())
+            .set("supersteps", s.supersteps)
+            .set("messages", s.messages)
+            .set("bytes", s.bytes),
         RunResult::Unsupported => Json::object().set("status", "unsupported"),
         RunResult::Failed(msg) => Json::object()
             .set("status", "failed")
@@ -66,20 +79,16 @@ mod tests {
 
     #[test]
     fn results_dir_honors_env_override() {
-        // Read-only check of the default; env mutation is process-global so
-        // we only exercise the non-overridden path here.
-        if std::env::var_os("FLASH_RESULTS_DIR").is_none() {
-            assert_eq!(results_dir(), PathBuf::from("results"));
-        }
+        let var = std::env::var_os("FLASH_RESULTS_DIR");
+        assert_eq!(results_dir(), var.map_or("results".into(), PathBuf::from));
     }
 
     #[test]
     fn write_results_round_trips() {
         let dir = std::env::temp_dir().join(format!("flash-jsonio-{}", std::process::id()));
-        std::env::set_var("FLASH_RESULTS_DIR", &dir);
         let j = Json::object().set("answer", 42u64);
-        let path = write_results("unit_test", &j).expect("write");
-        std::env::remove_var("FLASH_RESULTS_DIR");
+        let path = write_results(&dir.join("nested"), "unit_test", &j).expect("write");
+        assert_eq!(path, dir.join("nested").join("unit_test.json"));
         let text = fs::read_to_string(&path).expect("read back");
         let parsed = flash_obs::json::parse(&text).expect("parse");
         assert_eq!(parsed.get("answer").and_then(Json::as_u64), Some(42));

@@ -10,15 +10,7 @@
 //! |------------------------|------------|
 //! | `table1_lloc`          | Table I (logical lines of code) |
 //! | `table3_datasets`      | Table III (dataset characteristics) |
-//! | `table5_runtime`       | Table V (first eight applications) |
-//! | `table6_runtime`       | Table VI (last six applications) |
-//! | `fig1_heatmap`         | Figure 1 (slowdown heat map) |
-//! | `fig3_bfs_modes`       | Figure 3 (push/pull/adaptive BFS) |
-//! | `fig4a_mm_frontier`    | Figure 4a (MM frontier sizes) |
-//! | `fig4b_scaling_cores`  | Figure 4b (intra-node scaling) |
-//! | `fig4cd_scaling_nodes` | Figure 4c/d (inter-node scaling) |
-//! | `fig5_breakdown`       | §V-E (time breakdown) |
-//! | `summary_verdicts`     | §V-B headline claims |
+//! | `paper <name>…`        | Tables V/VI, Figure 1 and the §V-B verdicts from one evaluation matrix ([`harness::run`], `results/matrix.json`); Figures 3, 4(a), 4(b), 4(c,d) and the §V-E breakdown (`paper` alone runs all) |
 //! | `bench_flash`          | aggregate `BENCH_flash.json` snapshot, plus the exact `--baseline` regression gate ([`baseline`]) |
 //! | `fig_robust`           | the five fault-family bit-identity suites ([`robust`]) |
 //! | `flash_trace`          | critical-path analyzer over `--trace` JSONL files, with Chrome trace export ([`trace`]) |
@@ -35,5 +27,3 @@ pub mod report;
 pub mod robust;
 pub mod serve;
 pub mod trace;
-
-pub use harness::{App, Framework, RunResult, Scale};

@@ -6,7 +6,7 @@ use crate::harness::RunResult;
 /// "–" for unsupported, "OT"/"FAIL" for budget overruns.
 pub fn cell(r: &RunResult) -> String {
     match r {
-        RunResult::Ok { seconds } => format_secs(*seconds),
+        RunResult::Ok(stats) => format_secs(stats.makespan.as_secs_f64()),
         RunResult::Unsupported => "-".to_string(),
         RunResult::Failed(msg) if msg.contains("converge") => "OT".to_string(),
         RunResult::Failed(_) => "FAIL".to_string(),
@@ -88,7 +88,11 @@ mod tests {
 
     #[test]
     fn cells_render_every_outcome() {
-        assert_eq!(cell(&RunResult::Ok { seconds: 1.5 }), "1.500");
+        let stats = flash_baselines::EngineStats {
+            makespan: std::time::Duration::from_millis(1500),
+            ..Default::default()
+        };
+        assert_eq!(cell(&RunResult::Ok(stats)), "1.500");
         assert_eq!(cell(&RunResult::Unsupported), "-");
         assert_eq!(
             cell(&RunResult::Failed("did not converge within 5".into())),

@@ -247,10 +247,7 @@ impl Sweep {
             .set("smoke", self.smoke)
             .set("rows", Json::Arr(self.rows))
             .set("failures", Json::Arr(failures));
-        match jsonio::write_results(figure, &doc) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write json: {e}"),
-        }
+        jsonio::save(&jsonio::results_dir(), figure, &doc);
         if self.broken.is_empty() {
             println!("\n{verdict}\n");
             return true;

@@ -217,7 +217,8 @@ impl<V: VertexData> FlashContext<V> {
 
     /// `EDGEMAP(U, H, F, M, C, R)` (Algorithm 4): dispatches to the dense
     /// (pull) or sparse (push) kernel by the density of the active set —
-    /// dense when `|U| + outEdges(U) > threshold * |E|`, following Ligra —
+    /// dense when `|U|` plus the arcs of `U`'s push rows (out-degrees;
+    /// in-degrees over `reverse(E)`) exceed `threshold * |E|`, following Ligra —
     /// unless the configured [`ModePolicy`] or the edge set's orientation
     /// capabilities force one kernel.
     pub fn edge_map(
@@ -236,8 +237,7 @@ impl<V: VertexData> FlashContext<V> {
         // mode_decision event carries it.
         let measured = policy == ModePolicy::Adaptive && h.supports_pull() && h.supports_push();
         let frontier_edges: Option<usize> = if tracing || measured {
-            let g = self.graph();
-            Some(u.iter().map(|v| g.out_degree(v)).sum::<usize>() + u.len())
+            Some(u.iter().map(|v| self.push_degree(h, v)).sum::<usize>() + u.len())
         } else {
             None
         };
@@ -370,25 +370,29 @@ impl<V: VertexData> FlashContext<V> {
     /// Whether a pull from `u` over `h` may walk only the masters `u`'s
     /// push rows reach: `h` is stored, so its push rows are the transpose
     /// of its pull rows (a virtual set's are not); `u` is not full; and
-    /// `|U|` plus those rows' arcs — in-degrees for `reverse(E)`,
-    /// out-degrees otherwise — stay within [`Self::threshold_edges`]. The
-    /// count stops once it passes.
+    /// `|U|` plus those rows' arcs ([`Self::push_degree`]) stay within
+    /// [`Self::threshold_edges`]. The count stops once it passes.
     fn reaches_few(&self, u: &VertexSubset, h: &EdgeSet<V>) -> bool {
         if !h.is_streamable() || u.len() == u.capacity() {
             return false;
         }
-        let g = self.graph();
         let limit = self.threshold_edges();
-        let reverse = matches!(h, EdgeSet::Reverse);
         let mut arcs = u.len();
         u.iter().all(|s| {
-            arcs += if reverse {
-                g.in_degree(s)
-            } else {
-                g.out_degree(s)
-            };
+            arcs += self.push_degree(h, s);
             arcs <= limit
         })
+    }
+
+    /// The arcs of `s`'s push row over `h`: its in-degree for
+    /// `reverse(E)`, whose push rows are in-CSR rows, its out-degree
+    /// otherwise.
+    fn push_degree(&self, h: &EdgeSet<V>, s: VertexId) -> usize {
+        if matches!(h, EdgeSet::Reverse) {
+            self.graph().in_degree(s)
+        } else {
+            self.graph().out_degree(s)
+        }
     }
 
     /// `EDGEMAPSPARSE(U, H, F, M, C, R)` (Algorithm 6, *push* mode): every

@@ -228,7 +228,8 @@ events! {
         step: u64,
         /// Frontier size `|U|`.
         frontier: usize,
-        /// `|U| + Σ out_degree(U)` — the Ligra-style density measure.
+        /// `|U|` plus the arcs of `U`'s push rows (out-degrees; in-degrees
+        /// over `reverse(E)`) — the Ligra-style density measure.
         frontier_edges: usize,
         /// Threshold the measure is compared against
         /// (`DENSE_THRESHOLD · |E|`, Ligra's 1/20).

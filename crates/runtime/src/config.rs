@@ -16,7 +16,7 @@ use std::sync::Arc;
 pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 4;
 
 /// The dense/sparse switch of the adaptive `EDGEMAP` dispatch, as a
-/// fraction of `|E|`: an active set whose `|U| + outEdges(U)` exceeds
+/// fraction of `|E|`: an active set whose `|U|` plus push-row arcs exceed
 /// `DENSE_THRESHOLD · |E|` is *dense*. Ligra's value, which the paper
 /// takes as a constant.
 pub const DENSE_THRESHOLD: f64 = 0.05;

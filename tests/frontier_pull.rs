@@ -8,7 +8,7 @@
 use flash_core::prelude::*;
 use flash_graph::rng::Prng;
 use flash_graph::{Graph, GraphBuilder, VertexId, Weight};
-use flash_runtime::{RunStats, StorageMode, DENSE_THRESHOLD};
+use flash_runtime::{RunStats, StepKind, StorageMode, DENSE_THRESHOLD};
 use std::sync::Arc;
 
 /// An order-sensitive float accumulator and a visit counter `c` reads.
@@ -315,46 +315,69 @@ fn sparse_frontier_pull_equals_the_full_walk_model() {
     }
 }
 
+/// One adaptive `EDGEMAP` from `u` over `set` on a fresh context: the
+/// kernel it ran and the arcs it walked.
+fn adaptive(g: &Arc<Graph>, set: Set, u: &[VertexId]) -> (StepKind, u64) {
+    let mut ctx = FlashContext::build(Arc::clone(g), ClusterConfig::with_workers(2), init).unwrap();
+    let frontier = ctx.subset(u.iter().copied());
+    let h = set.edges(&ctx);
+    ctx.edge_map(&frontier, &h, take, add, open, |t, acc| {
+        acc.sum += t.sum;
+        acc.hits += t.hits;
+    });
+    let step = ctx.take_stats().steps()[0].clone();
+    (step.kind, step.arcs)
+}
+
 /// An adaptive `EDGEMAP` hands the verdict of its own count to the pull.
-/// Over `reverse(E)` it counts out-degrees, the pull's rule in-degrees:
-/// from vertices nothing points at, its count is dense while the pull's
-/// would be empty. The adaptive pull still walks every master, and
-/// `edge_map_dense` from the same frontier opens no row.
+/// Over `E`, from the first vertices whose `|U|` plus out-degrees just
+/// pass the limit, the pull walks every master; one vertex fewer is under
+/// the limit and goes sparse.
 #[test]
 fn adaptive_pull_walks_every_master_once_the_count_says_dense() {
+    let g = Arc::new(graph());
+    let limit = (DENSE_THRESHOLD * g.num_edges() as f64) as usize;
+    let (mut u, mut count) = (Vec::new(), 0);
+    for v in 0..g.num_vertices() as VertexId {
+        if count > limit {
+            break;
+        }
+        u.push(v);
+        count += 1 + g.out_degree(v);
+    }
+    let last = *u.last().unwrap();
+    assert!(count > limit && count - 1 - g.out_degree(last) <= limit);
+    let all_in_rows = g.num_edges() as u64;
+    assert_eq!(
+        adaptive(&g, Set::Forward, &u),
+        (StepKind::EdgeMapDense, all_in_rows)
+    );
+    let under = &u[..u.len() - 1];
+    assert_eq!(adaptive(&g, Set::Forward, under).0, StepKind::EdgeMapSparse);
+}
+
+/// A push over `reverse(E)` reads in-rows, so the adaptive count sums
+/// in-degrees: from vertices nothing points at, whose out-degrees alone
+/// pass the limit, it counts only `|U|` and goes sparse.
+#[test]
+fn adaptive_count_over_reverse_reads_in_degrees() {
     let g = Arc::new(graph());
     let limit = (DENSE_THRESHOLD * g.num_edges() as f64) as usize;
     let mut unreached: Vec<VertexId> = (0..g.num_vertices() as VertexId)
         .filter(|&v| g.in_degree(v) == 0)
         .collect();
     unreached.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(v)));
-    let mut count = 0;
-    let u: Vec<VertexId> = unreached
-        .into_iter()
-        .take_while(|&v| {
-            let dense = count > limit;
-            count += 1 + g.out_degree(v);
-            !dense
-        })
-        .collect();
-    assert!(count > limit && u.len() <= limit, "the counts disagree");
-    let step = |adaptive: bool| {
-        let mut ctx =
-            FlashContext::build(Arc::clone(&g), ClusterConfig::with_workers(2), init).unwrap();
-        let frontier = ctx.subset(u.iter().copied());
-        let h = EdgeSet::reverse();
-        if adaptive {
-            ctx.edge_map(&frontier, &h, take, add, open, |t, acc| {
-                acc.sum += t.sum;
-                acc.hits += t.hits;
-            });
-        } else {
-            ctx.edge_map_dense(&frontier, &h, take, add, open);
+    let (mut u, mut out_count) = (Vec::new(), 0);
+    for v in unreached {
+        if out_count > limit {
+            break;
         }
-        let step = ctx.take_stats().steps()[0].clone();
-        (step.kind, step.arcs)
-    };
-    let dense = flash_runtime::StepKind::EdgeMapDense;
-    assert_eq!(step(true), (dense, g.num_edges() as u64));
-    assert_eq!(step(false), (dense, 0));
+        u.push(v);
+        out_count += 1 + g.out_degree(v);
+    }
+    assert!(
+        out_count > limit && u.len() <= limit,
+        "the counts must disagree"
+    );
+    assert_eq!(adaptive(&g, Set::Reverse, &u).0, StepKind::EdgeMapSparse);
 }

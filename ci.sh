@@ -37,9 +37,6 @@ cargo run --release -q -p flash-bench --bin flash_trace -- --smoke
 echo "==> block-storage smoke (out-of-core engine must be bit-identical)"
 cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
 
-echo "==> serving smoke (concurrent sessions + incremental repair must be exact)"
-cargo run --release -q -p flash-bench --bin fig_serve -- --smoke
-
 echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean answer)"
 flash=target/release/flash
 cli_dir="$(mktemp -d)"

@@ -1,6 +1,6 @@
 //! Incrementally maintained query results for the serving layer.
 //!
-//! The serving workload (`fig_serve`, DESIGN.md §16) keeps long-lived
+//! The serving layer (DESIGN.md §16) keeps long-lived
 //! result structures alongside the [`DeltaOverlay`] and repairs them after
 //! each streaming update batch instead of recomputing from scratch:
 //!
@@ -17,8 +17,8 @@
 //!   `eps * d / (1 - d)` (L1) of the true fixed point, so a repaired
 //!   vector and a from-scratch recomputation at the same `eps` differ by
 //!   at most `2 * eps * d / (1 - d)` — the bound
-//!   [`MaintainedPageRank::comparison_bound`] exposes and the
-//!   serve driver asserts.
+//!   [`MaintainedPageRank::comparison_bound`] exposes and the serving
+//!   tests and the benchmark's `serve_mix` assert.
 //!
 //! Both structures are sequential: they answer point-in-time maintenance
 //! over one overlay, while ad-hoc queries run through the full FLASH

@@ -30,7 +30,7 @@
 //! | [`cluster_coeff`] | local clustering coefficients         | (named in §I) |
 //! | [`bridges`]   | bridge detection                          | (named in §I) |
 //! | [`bipartite`] | bipartiteness / 2-coloring                | (extension) |
-//! | [`incremental`] | maintained CC/PageRank for `fig_serve`    | (serving, §16) |
+//! | [`incremental`] | maintained CC/PageRank for serving        | (serving, §16) |
 //!
 //! Every module exposes a `run(graph, config, …) -> AlgoOutput<_>` entry
 //! point and a `plan()` describing its Table II property-access footprint.

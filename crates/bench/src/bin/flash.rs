@@ -10,7 +10,7 @@
 //! stand-ins (set `FLASH_SCALE=small` for the reduced variants).
 //! `--json` prints the full machine-readable run document on stdout;
 //! `--trace` streams per-superstep events (see DESIGN.md "Observability").
-//! The serving workload runs through `fig_serve`.
+//! The serving workload runs through the benchmark's `serve_mix`.
 
 use flash_bench::cli::{dispatch, load_graph, parse_args, run_json};
 use std::time::Instant;

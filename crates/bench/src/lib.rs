@@ -25,5 +25,4 @@ pub mod jsonio;
 pub mod lloc;
 pub mod report;
 pub mod robust;
-pub mod serve;
 pub mod trace;

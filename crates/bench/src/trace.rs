@@ -496,6 +496,7 @@ mod tests {
             r#"{"event":"step_end","seq":5,"step":0,"stats":{"kind":"sparse","active":5,"upd_messages":2,"upd_bytes":32,"sync_messages":2,"sync_bytes":32,"staged":4,"arcs":12,"compute_ns":40000,"compute_max_ns":30000,"compute_min_ns":10000,"barrier_skew_ns":20000,"serialize_ns":2000,"serialize_max_ns":1000,"communicate_ns":3000,"delivery_ns":0,"simulated_net_ns":0}}"#,
             r#"{"event":"step_end","seq":6,"step":1,"stats":{"kind":"dense","active":9,"upd_messages":0,"upd_bytes":0,"sync_messages":0,"sync_bytes":0,"staged":9,"arcs":40,"compute_ns":5000,"compute_max_ns":5000,"compute_min_ns":4900,"barrier_skew_ns":100,"serialize_ns":0,"serialize_max_ns":0,"communicate_ns":90000,"delivery_ns":0,"simulated_net_ns":0}}"#,
             r#"{"event":"run_end","seq":7,"supersteps":2,"total_bytes":64,"total_messages":4,"simulated_parallel_ns":129000}"#,
+            r#"{"event":"session_end","seq":8,"session":1}"#,
         ];
         lines.join("\n")
     }
@@ -506,7 +507,7 @@ mod tests {
         assert_eq!(t.meta.workers, 2);
         assert_eq!(t.meta.fault_plan, "none");
         assert_eq!(t.steps.len(), 2);
-        assert_eq!(t.events, 8);
+        assert_eq!(t.events, 9);
         assert_eq!(t.simulated_parallel_ns, Some(129_000));
         let s0 = &t.steps[0];
         assert_eq!(s0.workers.len(), 2);

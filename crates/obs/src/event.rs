@@ -466,29 +466,7 @@ events! {
     SessionEnd = "session_end" {
         /// The session id.
         session: u64,
-        /// Queries the session answered.
-        queries: u64,
-        /// Total query latency across the session, in microseconds.
-        total_latency_us: u64,
-    } => "session {session} end: {queries} queries, {total_latency_us}us total latency";
-    /// A streaming edge-update batch was applied to the delta overlay
-    /// (and any maintained results incrementally repaired).
-    UpdateApplied = "update_applied" {
-        /// The session id the batch was applied under.
-        session: u64,
-        /// Batch sequence number (0-based within the session).
-        batch: u64,
-        /// Edges effectively inserted (duplicates are no-ops).
-        inserted: u64,
-        /// Edges effectively removed (absent edges are no-ops).
-        removed: u64,
-        /// Vertices whose neighborhoods the batch touched — the repair
-        /// frontier seed.
-        touched: u64,
-        /// Which maintained results were repaired, e.g. `"cc"`,
-        /// `"cc+pagerank"`, or `"none"`.
-        repaired: String,
-    } => "session {session} update batch {batch}: +{inserted} -{removed} edges, {touched} vertices touched, repaired={repaired}";
+    } => "session {session} end";
     /// A run finished (emitted by `Cluster::take_stats`).
     RunEnd = "run_end" {
         /// Supersteps executed.
@@ -690,19 +668,7 @@ mod tests {
                 edges: 5000,
                 workers: 4,
             },
-            EventKind::SessionEnd {
-                session: 3,
-                queries: 250,
-                total_latency_us: 98765,
-            },
-            EventKind::UpdateApplied {
-                session: 3,
-                batch: 0,
-                inserted: 12,
-                removed: 4,
-                touched: 20,
-                repaired: "cc+pagerank".into(),
-            },
+            EventKind::SessionEnd { session: 3 },
             EventKind::RunEnd {
                 supersteps: 12,
                 total_bytes: 2880,
@@ -719,9 +685,10 @@ mod tests {
     /// `worker_accused`, whose checksums were numbers there and lost their
     /// low bits, the `*_us` twins of `*_ns` fields and the `sync_plan`
     /// properties, which schema 4 dropped, `step_end`, whose counters
-    /// schema 7 nested in `stats`, and `run_meta`'s version.
-    const GOLDEN: [&str; 26] = [
-        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":8,"seed":42,"seq":3,"workers":4}"#,
+    /// schema 7 nested in `stats`, `session_end`, whose counters schema 9
+    /// dropped, and `run_meta`'s version.
+    const GOLDEN: [&str; 25] = [
+        r#"{"event":"run_meta","fault_plan":"loss=0.01","hosts":2,"schema":9,"seed":42,"seq":3,"workers":4}"#,
         r#"{"edges":5000,"event":"run_start","net_bandwidth_bps":1000000000,"net_latency_us":50,"partition":"range","seq":4,"vertices":1000,"workers":4}"#,
         r#"{"active":42,"event":"step_start","kind":"sparse","seq":5,"step":3}"#,
         r#"{"compute_ns":500200,"event":"worker_phase","seq":6,"staged_puts":7,"staged_writes":3,"step":3,"worker":1}"#,
@@ -744,9 +711,8 @@ mod tests {
         r#"{"event":"checkpoint_scrubbed","generation":3,"reason":"header checksum mismatch","seq":23}"#,
         r#"{"event":"durable_io_error","seq":24,"step":4}"#,
         r#"{"edges":5000,"event":"session_start","seq":25,"session":3,"vertices":1000,"workers":4}"#,
-        r#"{"event":"session_end","queries":250,"seq":26,"session":3,"total_latency_us":98765}"#,
-        r#"{"batch":0,"event":"update_applied","inserted":12,"removed":4,"repaired":"cc+pagerank","seq":27,"session":3,"touched":20}"#,
-        r#"{"event":"run_end","seq":28,"simulated_parallel_ns":129000,"supersteps":12,"total_bytes":2880,"total_messages":180}"#,
+        r#"{"event":"session_end","seq":26,"session":3}"#,
+        r#"{"event":"run_end","seq":27,"simulated_parallel_ns":129000,"supersteps":12,"total_bytes":2880,"total_messages":180}"#,
     ];
 
     /// The `samples()` event tagged `tag`, checked to survive the trip through
@@ -839,8 +805,7 @@ mod tests {
     #[test]
     fn session_events_render_and_round_trip() {
         checked("session_start", "session 3 start");
-        checked("update_applied", "+12 -4 edges");
-        checked("session_end", "250 queries");
+        checked("session_end", "session 3 end");
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use sink::{CollectSink, JsonLinesSink, NullSink, Sink, TextSink};
 /// Version of the JSONL trace schema. Bumped whenever an event's JSON
 /// shape changes incompatibly; the `run_meta` header event carries it so
 /// analyzers (`flash_trace`) can refuse traces they do not understand.
-pub const TRACE_SCHEMA_VERSION: u64 = 8;
+pub const TRACE_SCHEMA_VERSION: u64 = 9;

@@ -6,7 +6,6 @@
 
 mod recovery;
 
-use crate::checkpoint::Checkpoint;
 use crate::config::{ClusterConfig, StorageMode, SyncMode, SyncScope};
 use crate::ctx::WorkerCtx;
 use crate::durable::{DurableSession, DurableValue, ScrubReport};
@@ -32,16 +31,6 @@ pub struct StepOutput<Out> {
     /// state changed this superstep (the candidates for the output
     /// vertexSubset of `EDGEMAP`).
     pub updated: Vec<Vec<VertexId>>,
-}
-
-impl<Out> StepOutput<Out> {
-    /// Flattens the updated-master lists of all workers (already disjoint
-    /// because masters are).
-    pub fn updated_flat(self) -> Vec<VertexId> {
-        let mut all: Vec<VertexId> = self.updated.into_iter().flatten().collect();
-        all.sort_unstable();
-        all
-    }
 }
 
 /// A FLASH cluster: `m` workers over a partitioned graph, executing BSP
@@ -388,21 +377,6 @@ impl<V: VertexData> Cluster<V> {
     /// reported as failed. Drivers check this once when finishing a run.
     pub fn fault_error(&self) -> Option<RuntimeError> {
         self.failed.clone()
-    }
-
-    /// Captures a consistent snapshot of every worker's replica — the same
-    /// machinery the periodic checkpoint hook uses. Only valid at a
-    /// superstep boundary (nothing staged), which is the only place driver
-    /// code can call it.
-    pub fn checkpoint(&self) -> Checkpoint<V> {
-        Checkpoint::capture(self.next_step, &self.states, &self.partition)
-    }
-
-    /// Restores a snapshot taken by [`Cluster::checkpoint`], overwriting
-    /// every replica and discarding staged writes. The superstep counter
-    /// is *not* rewound: trace step ids stay unique across restores.
-    pub fn restore(&mut self, cp: &Checkpoint<V>) {
-        cp.restore(&mut self.states);
     }
 
     /// Emits a trace event to the configured sink (a no-op without one).
@@ -1068,6 +1042,7 @@ fn merge_batches(into: &mut RoundBatches, from: &mut RoundBatches) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::config::ModePolicy;
     use crate::config::DEFAULT_CHECKPOINT_INTERVAL;
     use flash_graph::{generators, HashPartitioner};
@@ -1145,8 +1120,7 @@ mod tests {
         });
         // Vertex 2 started at 2; 4 masters contributed 1 each.
         assert_eq!(c.value(2).x, 2 + 4);
-        let updated = out.updated_flat();
-        assert_eq!(updated, vec![2]);
+        assert_eq!(out.updated.concat(), vec![2]);
     }
 
     #[test]
@@ -1661,14 +1635,14 @@ mod tests {
     fn manual_checkpoint_restore_round_trips() {
         let mut c = cluster(2, 8);
         let before = c.collect(|_, val| val.x);
-        let cp = c.checkpoint();
+        let cp = Checkpoint::capture(c.next_step, &c.states, &c.partition);
         c.step_direct(StepKind::VertexMap, 8, SyncScope::Necessary, |ctx| {
             for &v in ctx.masters() {
                 ctx.write_master(v, Val { x: 4242 });
             }
         });
         assert_ne!(c.collect(|_, val| val.x), before);
-        c.restore(&cp);
+        cp.restore(&mut c.states);
         assert_eq!(c.collect(|_, val| val.x), before, "restore is exact");
     }
 

@@ -73,7 +73,6 @@ pub mod state;
 pub mod stats;
 pub mod transport;
 
-pub use checkpoint::Checkpoint;
 pub use cluster::{Cluster, StepOutput};
 pub use config::{ClusterConfig, ModePolicy, StorageMode, SyncMode, SyncScope, DENSE_THRESHOLD};
 pub use consensus::{checksum_quorum, ChecksumVerdict, Commit, Consensus, Election, LogEntryKind};
@@ -86,7 +85,7 @@ pub use fault::{
 };
 pub use netmodel::NetworkModel;
 pub use pool::WorkerPool;
-pub use session::{BufferPool, ServingStats, Session};
+pub use session::{BufferPool, Session};
 pub use stats::{
     ns_u64, ConsensusStats, DeliveryStats, DurabilityStats, RecoveryStats, RunStats, StepKind,
     StepStats, StorageInfo,

@@ -4,20 +4,15 @@
 //! `Arc<Graph>` + `Arc<PartitionMap>` while keeping every piece of
 //! *mutable* run state private: each query builds its own cluster (own
 //! `WorkerState`, own [`StreamScope`](flash_graph::StreamScope), own
-//! stats), checks superstep scratch buffers out of a shared
-//! [`BufferPool`], and records its latency into the session's
-//! [`Histogram`]. Nothing a query mutates is reachable from another
+//! stats) and checks superstep scratch buffers out of a shared
+//! [`BufferPool`]. Nothing a query mutates is reachable from another
 //! query, so concurrent results are bit-identical to solo runs.
 //!
 //! A query cluster is an ordinary cluster built from [`Session::config`]:
 //! the template plus the shared map and pool, so it takes its partition
 //! the way every run does (`ClusterConfig::partition_for`). The session
-//! id stamps only the session's own `session_*` / `update_applied`
+//! id stamps only the session's own `session_start` / `session_end`
 //! events.
-//!
-//! The serving driver (`fig_serve`) opens one session per worker thread,
-//! replays a seeded query/update mix, and folds every session's counters
-//! into a [`ServingStats`] — the `serving` block of the stats JSON.
 
 // Serving-layer code must not abort a serving process: no unwraps,
 // expects or panics outside the test module.
@@ -29,7 +24,7 @@ use crate::pool::WorkerPool;
 use crate::state::StepBuffers;
 use crate::VertexData;
 use flash_graph::{Graph, PartitionMap};
-use flash_obs::{Event, EventKind, Histogram, Json};
+use flash_obs::{Event, EventKind};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,18 +147,13 @@ impl std::fmt::Debug for BufferPool {
 /// A session pins an immutable graph snapshot and a partition map built
 /// once, and stamps out per-query [`ClusterConfig`]s that share both —
 /// plus the session's [`BufferPool`] — while leaving all mutable state
-/// per query. Latency is recorded into the session's histogram in
-/// microseconds.
+/// per query.
 pub struct Session {
     id: u64,
     graph: Arc<Graph>,
     partition: Arc<PartitionMap>,
     template: ClusterConfig,
     pool: Arc<BufferPool>,
-    queries: AtomicU64,
-    updates: AtomicU64,
-    total_latency_us: AtomicU64,
-    latency: Mutex<Histogram>,
     /// Session-scoped event sequence (the per-query clusters keep their
     /// own sequences; a trace consumer orders by session id).
     seq: AtomicU64,
@@ -187,10 +177,6 @@ impl Session {
             partition,
             template,
             pool,
-            queries: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            total_latency_us: AtomicU64::new(0),
-            latency: Mutex::new(Histogram::new()),
             seq: AtomicU64::new(0),
             ended: AtomicU64::new(0),
         };
@@ -232,61 +218,10 @@ impl Session {
             .buffer_pool(Arc::clone(&self.pool))
     }
 
-    /// Records one answered query and its latency in microseconds.
-    pub fn record_query(&self, latency_us: u64) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.total_latency_us
-            .fetch_add(latency_us, Ordering::Relaxed);
-        let mut h = self.latency.lock().unwrap_or_else(PoisonError::into_inner);
-        h.record(latency_us);
-    }
-
-    /// Records one applied update batch and emits `update_applied`.
-    pub fn record_update(
-        &self,
-        batch: u64,
-        inserted: u64,
-        removed: u64,
-        touched: u64,
-        repaired: &str,
-    ) {
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::UpdateApplied {
-            session: self.id,
-            batch,
-            inserted,
-            removed,
-            touched,
-            repaired: repaired.to_string(),
-        });
-    }
-
-    /// Queries answered so far.
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Update batches applied so far.
-    pub fn updates(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
-    }
-
-    /// A copy of the latency histogram (microseconds).
-    pub fn latency(&self) -> Histogram {
-        self.latency
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Closes the session: emits `session_end` once (idempotent).
     pub fn end(&self) {
         if self.ended.swap(1, Ordering::Relaxed) == 0 {
-            self.emit(EventKind::SessionEnd {
-                session: self.id,
-                queries: self.queries(),
-                total_latency_us: self.total_latency_us.load(Ordering::Relaxed),
-            });
+            self.emit(EventKind::SessionEnd { session: self.id });
         }
     }
 
@@ -301,48 +236,6 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         self.end();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ServingStats
-// ---------------------------------------------------------------------------
-
-/// Aggregated serving-layer statistics: the stats-JSON `serving` block.
-#[derive(Debug, Default, Clone)]
-pub struct ServingStats {
-    /// Sessions folded in.
-    pub sessions: u64,
-    /// Queries answered across all sessions.
-    pub queries: u64,
-    /// Update batches applied across all sessions.
-    pub updates: u64,
-    /// Merged query-latency histogram (microseconds).
-    pub latency: Histogram,
-}
-
-impl ServingStats {
-    /// An empty aggregate.
-    pub fn new() -> ServingStats {
-        ServingStats::default()
-    }
-
-    /// Folds one session's counters and latency histogram in.
-    pub fn absorb(&mut self, session: &Session) {
-        self.sessions += 1;
-        self.queries += session.queries();
-        self.updates += session.updates();
-        self.latency.merge(&session.latency());
-    }
-
-    /// Renders the `serving` block: session/query/update counts plus
-    /// p50/p90/p99 (and min/max/count) query latency in microseconds.
-    pub fn to_json(&self) -> Json {
-        Json::object()
-            .set("sessions", self.sessions)
-            .set("queries", self.queries)
-            .set("updates", self.updates)
-            .set("latency_us", self.latency.to_json())
     }
 }
 
@@ -405,13 +298,6 @@ mod tests {
         let shared = cfg.shared_partition.as_ref().unwrap();
         assert!(Arc::ptr_eq(shared, s.partition()), "one map, shared");
         assert!(cfg.buffer_pool.is_some());
-
-        s.record_query(120);
-        s.record_query(80);
-        s.record_update(0, 3, 1, 5, "cc");
-        assert_eq!(s.queries(), 2);
-        assert_eq!(s.updates(), 1);
-        assert_eq!(s.latency().count(), 2);
         s.end();
         s.end(); // idempotent
         let tags: Vec<String> = sink
@@ -419,7 +305,7 @@ mod tests {
             .iter()
             .map(|e| e.kind.tag().to_string())
             .collect();
-        assert_eq!(tags, ["session_start", "update_applied", "session_end"]);
+        assert_eq!(tags, ["session_start", "session_end"]);
     }
 
     /// A pooled session pays no thread spawn per query: every query's
@@ -447,24 +333,5 @@ mod tests {
         }
         // The reuse counters keep counting buffer checkouts only.
         assert_eq!((s.pool().checkouts(), s.pool().reuses()), (6, 5));
-    }
-
-    #[test]
-    fn serving_stats_fold_sessions_and_render() {
-        let g = Arc::new(generators::path(16, true));
-        let mut agg = ServingStats::new();
-        for id in 0..2 {
-            let s = Session::new(id, Arc::clone(&g), ClusterConfig::with_workers(2)).unwrap();
-            s.record_query(100 * (id + 1));
-            agg.absorb(&s);
-        }
-        assert_eq!(agg.sessions, 2);
-        assert_eq!(agg.queries, 2);
-        let j = agg.to_json();
-        assert_eq!(j.get("sessions").and_then(Json::as_u64), Some(2));
-        let lat = j.get("latency_us").unwrap();
-        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(2));
-        assert!(lat.get("p50").and_then(Json::as_u64).is_some());
-        assert!(lat.get("p99").and_then(Json::as_u64).is_some());
     }
 }

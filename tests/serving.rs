@@ -4,7 +4,8 @@
 //!
 //! 1. **Snapshot isolation** — N concurrent sessions over one frozen
 //!    snapshot produce answers bit-identical to solo baselines, for a
-//!    sweep of algorithms and roots (the query plane of `fig_serve`).
+//!    sweep of algorithms and roots, while an update plane churns a delta
+//!    overlay over the same snapshot and repairs its maintained results.
 //! 2. **Per-run storage isolation** — two block-backed runs executing
 //!    simultaneously each report exactly the streaming byte/block counts
 //!    a solo run reports (the regression fixed by moving streaming
@@ -17,8 +18,8 @@
 use flash_algos::incremental::{full_cc, full_pagerank, MaintainedCc, MaintainedPageRank};
 use flash_graph::hash::Fnv1a;
 use flash_graph::{generators, DeltaOverlay, EdgeUpdate, Graph, Prng, VertexId};
-use flash_runtime::{ClusterConfig, ServingStats, Session, StorageMode};
-use std::sync::Arc;
+use flash_runtime::{ClusterConfig, Session, StorageMode};
+use std::sync::{Arc, Barrier, RwLock};
 
 /// FNV-1a checksum over little-endian `u32`s.
 fn sum_u32(values: &[u32]) -> u64 {
@@ -46,6 +47,11 @@ fn checksum(graph: &Arc<Graph>, cfg: ClusterConfig, query: usize, root: VertexId
     }
 }
 
+/// L1 distance between a maintained and a recomputed rank vector.
+fn l1(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+}
+
 #[test]
 fn concurrent_sessions_match_solo_baselines_bitwise() {
     let graph = Arc::new(generators::rmat(
@@ -55,6 +61,7 @@ fn concurrent_sessions_match_solo_baselines_bitwise() {
         33,
     ));
     let n = graph.num_vertices() as u64;
+    let root = |s: usize, q: usize| ((s * 31 + q * 7) as u64 % n) as VertexId;
     let template = ClusterConfig::with_workers(2);
     const SESSIONS: usize = 4;
     const QUERIES: usize = 8;
@@ -65,8 +72,7 @@ fn concurrent_sessions_match_solo_baselines_bitwise() {
         let solo = Session::new(0, Arc::clone(&graph), template.clone()).unwrap();
         for (s, row) in baselines.iter_mut().enumerate() {
             for (q, slot) in row.iter_mut().enumerate() {
-                let root = ((s * 31 + q * 7) as u64 % n) as VertexId;
-                *slot = checksum(&graph, solo.config(), q, root);
+                *slot = checksum(&graph, solo.config(), q, root(s, q));
             }
         }
     }
@@ -79,40 +85,60 @@ fn concurrent_sessions_match_solo_baselines_bitwise() {
     shared_template.buffer_pool = Some(Arc::clone(shared.pool()));
     drop(shared);
 
-    let mut stats = ServingStats::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (s, row) in baselines.iter().enumerate() {
-            let session = Arc::new(
-                Session::new(10 + s as u64, Arc::clone(&graph), shared_template.clone()).unwrap(),
-            );
-            let graph = Arc::clone(&graph);
-            let worker = Arc::clone(&session);
-            handles.push((
-                session,
+    // Beside them an update plane churns an overlay over the same snapshot,
+    // checking the repaired CC after every batch and PageRank at the end.
+    // Each session holds its last query back until the plane lets go of
+    // `updating`, so every batch lands while every session is in flight.
+    let updating = RwLock::new(());
+    let start = Barrier::new(SESSIONS + 1);
+    let answered = std::thread::scope(|scope| {
+        let plane = scope.spawn(|| {
+            let _updating = updating.write().unwrap();
+            start.wait();
+            let mut view = DeltaOverlay::new(Arc::clone(&graph));
+            let mut cc = MaintainedCc::new(&view);
+            let mut pr = MaintainedPageRank::new(&view, 1e-9);
+            let mut rng = Prng::seed_from_u64(0xF1A5);
+            for b in 0..12 {
+                let batch = view.apply_batch(&churn_batch(&graph, &mut rng, 8));
+                cc.repair(&view, &batch.touched);
+                pr.repair(&view);
+                let full = full_cc(&view);
+                assert_eq!(cc.labels(), full.as_slice(), "batch {b}: CC diverged");
+            }
+            let l1 = l1(pr.ranks(), &full_pagerank(&view, 1e-9));
+            assert!(l1 <= pr.comparison_bound(), "PageRank L1 {l1:e}");
+        });
+        let sessions: Vec<_> = baselines
+            .iter()
+            .enumerate()
+            .map(|(s, row)| {
+                let session =
+                    Session::new(10 + s as u64, Arc::clone(&graph), shared_template.clone())
+                        .unwrap();
+                let (graph, updating, start) = (&graph, &updating, &start);
                 scope.spawn(move || {
+                    start.wait();
+                    let mut answered = 0;
                     for (q, &expect) in row.iter().enumerate() {
-                        let root =
-                            ((s * 31 + q * 7) as u64 % graph.num_vertices() as u64) as VertexId;
-                        let t = std::time::Instant::now();
-                        let got = checksum(&graph, worker.config(), q, root);
-                        worker.record_query(t.elapsed().as_micros() as u64);
-                        assert_eq!(
-                            got, expect,
-                            "session {s} query {q} diverged from its solo baseline"
-                        );
+                        if q + 1 == QUERIES {
+                            drop(updating.read());
+                        }
+                        let got = checksum(graph, session.config(), q, root(s, q));
+                        assert_eq!(got, expect, "session {s} query {q} diverged from solo");
+                        answered += 1;
                     }
-                }),
-            ));
-        }
-        for (session, handle) in handles {
-            handle.join().unwrap();
-            stats.absorb(&session);
-        }
+                    answered
+                })
+            })
+            .collect();
+        plane.join().unwrap();
+        sessions
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .sum::<usize>()
     });
-    assert_eq!(stats.sessions, SESSIONS as u64);
-    assert_eq!(stats.queries, (SESSIONS * QUERIES) as u64);
-    assert_eq!(stats.latency.count(), (SESSIONS * QUERIES) as u64);
+    assert_eq!(answered, SESSIONS * QUERIES);
 }
 
 #[test]
@@ -188,13 +214,7 @@ fn incremental_repair_survives_long_random_churn() {
             full_cc(&view).as_slice(),
             "round {round}: incremental CC diverged from full recompute"
         );
-        let reference = full_pagerank(&view, eps);
-        let l1: f64 = pr
-            .ranks()
-            .iter()
-            .zip(reference.iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
+        let l1 = l1(pr.ranks(), &full_pagerank(&view, eps));
         assert!(
             l1 <= pr.comparison_bound(),
             "round {round}: PageRank L1 {l1:e} exceeds bound {:e}",

@@ -28,16 +28,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> robustness smokes (chaos, elastic, lossy, consensus, durable: every fault family must recover bit-identically)"
-cargo run --release -q -p flash-bench --bin fig_robust -- --suite all --smoke
-
 echo "==> trace analyzer smoke (record, validate schema, critical path, Chrome export)"
 cargo run --release -q -p flash-bench --bin flash_trace -- --smoke
 
 echo "==> block-storage smoke (out-of-core engine must be bit-identical)"
 cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
 
-echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean answer)"
+echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer)"
 flash=target/release/flash
 cli_dir="$(mktemp -d)"
 cli() { FLASH_SCALE=small "$flash" --algo bfs --dataset OR --workers 3 "$@"; }

@@ -10,10 +10,13 @@
 //! policy.
 
 use crate::harness::Scale;
+use flash_algos::AlgoOutput;
+use flash_graph::hash::Fnv1a;
 use flash_graph::io::{read_edge_list, ReadOptions};
 use flash_graph::{Dataset, Graph};
 use flash_obs::Json;
 use flash_runtime::{ClusterConfig, FaultPlan, ModePolicy, NetworkModel, StorageMode};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -308,8 +311,29 @@ pub fn prepare_storage(opts: &CliOptions, g: &Arc<Graph>) -> Result<Arc<Graph>, 
     Ok(Arc::new(opened?))
 }
 
+/// A finished run as [`dispatch`] returns it: `line`, which describes the
+/// answer, with the digest of the whole answer appended.
+fn answered<T: std::fmt::Debug>(
+    line: String,
+    out: AlgoOutput<T>,
+) -> (String, flash_runtime::RunStats) {
+    struct Hasher(Fnv1a);
+    impl std::fmt::Write for Hasher {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.update(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Hasher(Fnv1a::new());
+    write!(h, "{:?}", out.result).expect("hashing never fails");
+    (format!("{line} [digest {:#018x}]", h.0.finish()), out.stats)
+}
+
 /// Runs the selected algorithm, returning a human-readable result summary
-/// and the execution statistics.
+/// and the execution statistics. The summary ends with ` [digest 0x…]`,
+/// the FNV-1a of the whole result's `Debug` rendering (a float's `Debug`
+/// form round-trips its bits), so comparing two summaries compares the
+/// two answers.
 pub fn dispatch(
     opts: &CliOptions,
     g: &Arc<Graph>,
@@ -327,9 +351,9 @@ pub fn dispatch(
             let out = flash_algos::bfs::run(g, cfg, opts.root).map_err(fail)?;
             let reached = out.result.iter().filter(|&&d| d != u32::MAX).count();
             let ecc = out.result.iter().filter(|&&d| d != u32::MAX).max().copied();
-            (
+            answered(
                 format!("reached {reached} vertices; eccentricity {ecc:?}"),
-                out.stats,
+                out,
             )
         }
         "cc" | "cc-opt" => {
@@ -341,7 +365,7 @@ pub fn dispatch(
             let mut labels = out.result.clone();
             labels.sort_unstable();
             labels.dedup();
-            (format!("{} connected components", labels.len()), out.stats)
+            answered(format!("{} connected components", labels.len()), out)
         }
         "bc" => {
             let out = flash_algos::bc::run(g, cfg, opts.root).map_err(fail)?;
@@ -352,12 +376,12 @@ pub fn dispatch(
                 .filter(|&(v, _)| v as u32 != opts.root)
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(v, s)| (v, *s));
-            (format!("max dependency: {best:?}"), out.stats)
+            answered(format!("max dependency: {best:?}"), out)
         }
         "mis" => {
             let out = flash_algos::mis::run(g, cfg).map_err(fail)?;
             let size = out.result.iter().filter(|&&b| b).count();
-            (format!("independent set of {size} vertices"), out.stats)
+            answered(format!("independent set of {size} vertices"), out)
         }
         "mm" | "mm-opt" => {
             let out = if opts.algo == "mm" {
@@ -366,13 +390,13 @@ pub fn dispatch(
                 flash_algos::mm_opt::run(g, cfg).map_err(fail)?
             };
             let matched = out.result.partner.iter().filter(|p| p.is_some()).count();
-            (
+            answered(
                 format!(
                     "{} matched pairs over {} rounds",
                     matched / 2,
                     out.result.frontier_per_round.len()
                 ),
-                out.stats,
+                out,
             )
         }
         "kcore" | "kcore-opt" => {
@@ -382,25 +406,25 @@ pub fn dispatch(
                 flash_algos::kcore_opt::run(g, cfg).map_err(fail)?
             };
             let max = out.result.iter().max().copied().unwrap_or(0);
-            (format!("max core number {max}"), out.stats)
+            answered(format!("max core number {max}"), out)
         }
         "tc" => {
             let out = flash_algos::tc::run(g, cfg).map_err(fail)?;
-            (format!("{} triangles", out.result), out.stats)
+            answered(format!("{} triangles", out.result), out)
         }
         "gc" => {
             let out = flash_algos::gc::run(g, cfg).map_err(fail)?;
             let colors = out.result.iter().max().map_or(0, |&c| c + 1);
-            (format!("proper coloring with {colors} colors"), out.stats)
+            answered(format!("proper coloring with {colors} colors"), out)
         }
         "scc" => {
             let out = flash_algos::scc::run(g, cfg).map_err(fail)?;
             let mut labels = out.result.clone();
             labels.sort_unstable();
             labels.dedup();
-            (
+            answered(
                 format!("{} strongly connected components", labels.len()),
-                out.stats,
+                out,
             )
         }
         "bcc" => {
@@ -409,41 +433,38 @@ pub fn dispatch(
                 .filter(|&v| out.result.parent[v as usize].is_some())
                 .map(|v| out.result.label[v as usize])
                 .collect();
-            (
-                format!("{} biconnected components", labels.len()),
-                out.stats,
-            )
+            answered(format!("{} biconnected components", labels.len()), out)
         }
         "lpa" => {
             let out = flash_algos::lpa::run(g, cfg, opts.iters).map_err(fail)?;
             let mut labels = out.result.clone();
             labels.sort_unstable();
             labels.dedup();
-            (format!("{} communities", labels.len()), out.stats)
+            answered(format!("{} communities", labels.len()), out)
         }
         "msf" => {
             let out = flash_algos::msf::run(g, cfg).map_err(fail)?;
-            (
+            answered(
                 format!(
                     "forest of {} edges, total weight {:.3}",
                     out.result.edges.len(),
                     out.result.total_weight
                 ),
-                out.stats,
+                out,
             )
         }
         "rc" => {
             let out = flash_algos::rc::run(g, cfg).map_err(fail)?;
-            (format!("{} rectangles", out.result), out.stats)
+            answered(format!("{} rectangles", out.result), out)
         }
         "cl" => {
             let out = flash_algos::clique::run(g, cfg, opts.k).map_err(fail)?;
-            (format!("{} {}-cliques", out.result, opts.k), out.stats)
+            answered(format!("{} {}-cliques", out.result, opts.k), out)
         }
         "sssp" => {
             let out = flash_algos::sssp::run(g, cfg, opts.root).map_err(fail)?;
             let reached = out.result.iter().filter(|d| d.is_finite()).count();
-            (format!("reached {reached} vertices"), out.stats)
+            answered(format!("reached {reached} vertices"), out)
         }
         "pagerank" => {
             let out = flash_algos::pagerank::run(g, cfg, opts.iters).map_err(fail)?;
@@ -453,7 +474,7 @@ pub fn dispatch(
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(v, r)| (v, *r));
-            (format!("top vertex by rank: {top:?}"), out.stats)
+            answered(format!("top vertex by rank: {top:?}"), out)
         }
         other => return Err(format!("unhandled algorithm {other:?}")),
     })
@@ -622,7 +643,7 @@ mod tests {
         .unwrap();
         let g = load_graph(&o).unwrap();
         let (summary, _) = dispatch(&o, &g).unwrap();
-        assert_eq!(summary, "1 triangles");
+        assert_eq!(summary, "1 triangles [digest 0xaf63ac4c86019afc]");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! | `table3_datasets`      | Table III (dataset characteristics) |
 //! | `paper <name>…`        | Tables V/VI, Figure 1 and the §V-B verdicts from one evaluation matrix ([`harness::run`], `results/matrix.json`); Figures 3, 4(a), 4(b), 4(c,d) and the §V-E breakdown (`paper` alone runs all) |
 //! | `bench_flash`          | aggregate `BENCH_flash.json` snapshot, plus the exact `--baseline` regression gate ([`baseline`]) |
-//! | `fig_robust`           | the five fault-family bit-identity suites ([`robust`]) |
+//! | `fig_scale`            | block-storage identity and the PageRank ns/arc ladder (`results/scale.json`) |
+//! | `flash`                | the command-line runner: one algorithm on one dataset or edge list ([`cli`]) |
 //! | `flash_trace`          | critical-path analyzer over `--trace` JSONL files, with Chrome trace export ([`trace`]) |
 //!
-//! Every binary writes a machine-readable JSON artifact via [`jsonio`]
-//! alongside its text table.
+//! Every experiment binary writes a machine-readable JSON artifact via
+//! [`jsonio`] alongside its text table.
 
 pub mod baseline;
 pub mod cli;
@@ -24,5 +25,4 @@ pub mod harness;
 pub mod jsonio;
 pub mod lloc;
 pub mod report;
-pub mod robust;
 pub mod trace;

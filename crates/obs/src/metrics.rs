@@ -1,21 +1,19 @@
 //! A deterministic log2-bucketed histogram with percentile queries.
 //!
 //! It is plain data — no atomics, no clocks, no allocation. Determinism is
-//! the contract: the same samples produce the same histogram, bit for bit,
-//! and [`Histogram::merge`] is commutative and associative so per-session
-//! or per-shard histograms can be folded in any order.
+//! the contract: the same samples produce the same histogram, bit for bit.
 //!
 //! ## Bucketing math
 //!
 //! A [`Histogram`] has 65 buckets indexed by the *bit length* of the
 //! sample: bucket 0 holds exactly the value 0, and bucket `i` (1 ≤ i ≤ 64)
 //! holds values in `[2^(i-1), 2^i - 1]`. Recording is a `leading_zeros`
-//! instruction, merging is element-wise addition, and a percentile query
-//! walks the buckets to the requested rank and reports the containing
-//! bucket's upper bound clamped into `[min, max]` (min and max are tracked
-//! exactly). The reported quantile is therefore *exact within its bucket*:
-//! the true rank statistic lies in the same power-of-two bucket, so the
-//! relative error is bounded by the bucket width — strictly less than 2×.
+//! instruction, and a percentile query walks the buckets to the requested
+//! rank and reports the containing bucket's upper bound clamped into
+//! `[min, max]` (min and max are tracked exactly). The reported quantile
+//! is therefore *exact within its bucket*: the true rank statistic lies in
+//! the same power-of-two bucket, so the relative error is bounded by the
+//! bucket width — strictly less than 2×.
 
 use std::time::Duration;
 
@@ -111,19 +109,6 @@ impl Histogram {
     /// Exact largest sample, or `None` if empty.
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Folds `other` into `self`. Commutative and associative: merging a
-    /// set of histograms yields the same result in any order, which is
-    /// what makes per-worker aggregation deterministic.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// The `p`-th percentile (0 ≤ p ≤ 100, integer), or `None` if the
@@ -251,47 +236,6 @@ mod tests {
             );
             assert!(got >= truth, "upper-bound estimate must not undershoot");
         }
-    }
-
-    #[test]
-    fn merge_is_order_invariant() {
-        let mk = |vals: &[u64]| {
-            let mut h = Histogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h
-        };
-        let parts = [
-            mk(&[1, 5, 5000]),
-            mk(&[]),
-            mk(&[2, 2, 2, 900_000]),
-            mk(&[u64::MAX, 0]),
-        ];
-        let mut fwd = Histogram::new();
-        for p in &parts {
-            fwd.merge(p);
-        }
-        let mut rev = Histogram::new();
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        assert_eq!(fwd, rev);
-        // And merging equals recording everything into one histogram.
-        let all = mk(&[1, 5, 5000, 2, 2, 2, 900_000, u64::MAX, 0]);
-        assert_eq!(fwd, all);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut h = Histogram::new();
-        h.record(42);
-        let before = h.clone();
-        h.merge(&Histogram::new());
-        assert_eq!(h, before);
-        let mut e = Histogram::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

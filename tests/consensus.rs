@@ -3,13 +3,15 @@
 //! re-election with no lost epoch/checkpoint decisions, a lying worker
 //! (`lie@`) must be pinned by the checksum quorum and escalated to a death
 //! declaration, and every catalogue algorithm must stay **bit-identical**
-//! to its clean run under both — while `ConsensusStats` proves the
+//! to its clean run under both (the control-plane rows of the shared
+//! sweep, `tests/sweep/mod.rs`) — while `ConsensusStats` proves the
 //! replicated log actually carried the decisions. Election safety and log
 //! matching are re-checked here as properties of the public
 //! [`Consensus`] API, and losing the honest majority degrades to a typed
 //! [`RuntimeError::QuorumLost`], never a panic.
 
-use flash_bench::cli::{dispatch, CliOptions, ALGOS};
+mod sweep;
+
 use flash_graph::generators;
 use flash_obs::{CollectSink, EventKind, Json, Sink};
 use flash_runtime::{
@@ -88,36 +90,14 @@ fn lying_worker_is_accused_and_declared_dead_bit_identically() {
 
 #[test]
 fn every_algorithm_survives_leader_crash_and_lying_worker_bit_identically() {
-    let g = graph();
-    let wg = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
-    for plan in ["leader@1,retries=1", "lie@1:w2,retries=1"] {
-        for &algo in ALGOS.iter() {
-            let input = if algo == "msf" || algo == "sssp" {
-                &wg
-            } else {
-                &g
-            };
-            let mut clean = CliOptions {
-                algo: algo.to_string(),
-                config: ClusterConfig::with_workers(4),
-                iters: 3,
-                ..CliOptions::default()
-            };
-            clean.dataset = Some(flash_graph::Dataset::Orkut);
-            let (clean_summary, clean_stats) =
-                dispatch(&clean, input).unwrap_or_else(|e| panic!("{algo} (clean): {e}"));
-            let mut faulted = clean.clone();
-            faulted.config.fault_plan = Some(FaultPlan::parse(plan).expect("plan parses"));
-            let (summary, stats) =
-                dispatch(&faulted, input).unwrap_or_else(|e| panic!("{algo} ({plan}): {e}"));
-            assert_eq!(clean_summary, summary, "{algo} ({plan}): result diverged");
-            assert_eq!(
-                clean_stats.num_supersteps(),
-                stats.num_supersteps(),
-                "{algo} ({plan}): superstep count diverged"
-            );
-        }
-    }
+    sweep::sweep(&[
+        "leader-early",
+        "leader@1",
+        "leader-late",
+        "double-leader",
+        "lie",
+        "lie+leader",
+    ]);
 }
 
 #[test]

@@ -7,7 +7,11 @@
 //! re-execution does not match — must degrade to a clean
 //! `RuntimeError::DurabilityLost`, never a panic or a different answer —
 //! and all of it must hold with worker, control-plane and channel faults
-//! firing in the same run.
+//! firing in the same run. Every catalogue algorithm runs the store rows
+//! of the shared sweep (`tests/sweep/mod.rs`): killed at each checkpoint
+//! boundary, and under each disk fault.
+
+mod sweep;
 
 use flash_graph::generators;
 use flash_graph::testutil::TempDirGuard;
@@ -110,6 +114,11 @@ fn sssp_resumes_bit_identically_on_a_weighted_graph() {
             (bits, o.stats)
         })
     });
+}
+
+#[test]
+fn every_algorithm_resumes_exactly_after_kills_and_disk_faults() {
+    sweep::sweep(&["kill", "ioerr", "torn", "bitrot"]);
 }
 
 /// Every fault family at once: a transient crash, a permanent death and

@@ -1,12 +1,14 @@
-//! Cross-crate tests of elastic membership: every catalogue algorithm must
-//! survive a *permanent* worker loss mid-run — and an optional later
-//! rejoin — with **bit-identical** results, the membership change must be
-//! visible in `RecoveryStats`, its JSON rendering and the trace stream,
-//! and a loss with checkpointing disabled must degrade to a clean
-//! [`RuntimeError::WorkerLost`], never a panic. Property tests pin the
-//! [`PartitionMap::rebalance`] invariants the whole protocol rests on.
+//! Cross-crate tests of elastic membership: a *permanent* worker loss
+//! mid-run must be visible in `RecoveryStats`, its JSON rendering and the
+//! trace stream, and a loss with checkpointing disabled must degrade to a
+//! clean [`RuntimeError::WorkerLost`], never a panic. Property tests pin
+//! the [`PartitionMap::rebalance`] invariants the whole protocol rests on.
+//! Every catalogue algorithm must survive a death, a death and rejoin,
+//! and a double death exactly: the membership rows of the shared sweep
+//! (`tests/sweep/mod.rs`).
 
-use flash_bench::cli::{dispatch, CliOptions, ALGOS};
+mod sweep;
+
 use flash_graph::{generators, HashPartitioner, PartitionMap, Prng};
 use flash_obs::{CollectSink, EventKind, Json, Sink};
 use flash_runtime::{ClusterConfig, FaultPlan, NetworkModel, RuntimeError};
@@ -16,85 +18,14 @@ fn graph() -> Arc<flash_graph::Graph> {
     Arc::new(generators::erdos_renyi(48, 160, 11))
 }
 
-fn weighted(g: &Arc<flash_graph::Graph>) -> Arc<flash_graph::Graph> {
-    Arc::new(generators::with_random_weights(g, 0.1, 2.0, 4))
-}
-
-fn opts(algo: &str) -> CliOptions {
-    let mut o = CliOptions {
-        algo: algo.to_string(),
-        config: ClusterConfig::with_workers(4),
-        iters: 3,
-        ..CliOptions::default()
-    };
-    // `dispatch` takes the graph explicitly; the dataset field is only
-    // used for loading, which these tests bypass.
-    o.dataset = Some(flash_graph::Dataset::Orkut);
-    o
-}
-
-/// The per-algorithm elastic fault plan. MSF's only compute superstep is
-/// the per-worker Kruskal gather at step 0 (its tail is one global
-/// reduce), so its membership events are scripted earlier than everyone
-/// else's.
-fn elastic_plan(algo: &str, rejoin: bool) -> FaultPlan {
-    let text = match (algo == "msf", rejoin) {
-        (false, false) => "die@1:w1,retries=1",
-        (false, true) => "die@1:w1,rejoin@4:w1,retries=1",
-        (true, false) => "die@0:w1,retries=1",
-        (true, true) => "die@0:w1,rejoin@1:w1,retries=1",
-    };
-    FaultPlan::parse(text).expect("plan parses")
-}
-
-/// Runs every catalogue algorithm clean and under the elastic plan,
-/// asserting bit-identical results and real membership work.
-fn sweep(rejoin: bool) {
-    let g = graph();
-    let wg = weighted(&g);
-    for &algo in ALGOS.iter() {
-        let input = if algo == "msf" || algo == "sssp" {
-            &wg
-        } else {
-            &g
-        };
-        let clean = opts(algo);
-        let (clean_summary, clean_stats) =
-            dispatch(&clean, input).unwrap_or_else(|e| panic!("{algo} (clean): {e}"));
-        let mut faulted = clean.clone();
-        faulted.config.fault_plan = Some(elastic_plan(algo, rejoin));
-        faulted.config.checkpoint_every = Some(2);
-        let (summary, stats) =
-            dispatch(&faulted, input).unwrap_or_else(|e| panic!("{algo} (elastic): {e}"));
-        assert_eq!(clean_summary, summary, "{algo}: result diverged");
-        assert_eq!(
-            clean_stats.num_supersteps(),
-            stats.num_supersteps(),
-            "{algo}: superstep count diverged"
-        );
-        let rec = &stats.recovery;
-        assert_eq!(rec.workers_lost, 1, "{algo}: {rec:?}");
-        assert!(rec.vertices_migrated > 0, "{algo}: {rec:?}");
-        assert!(rec.migrated_bytes > 0, "{algo}: {rec:?}");
-        assert_eq!(
-            rec.membership_epochs,
-            if rejoin { 2 } else { 1 },
-            "{algo}: {rec:?}"
-        );
-        assert_eq!(rec.workers_rejoined, u64::from(rejoin), "{algo}: {rec:?}");
-        // The clean twin paid nothing.
-        assert_eq!(clean_stats.recovery, Default::default(), "{algo}");
-    }
-}
-
 #[test]
 fn every_algorithm_survives_a_permanent_death_bit_identically() {
-    sweep(false);
+    sweep::sweep(&["die", "double-death"]);
 }
 
 #[test]
 fn every_algorithm_survives_death_plus_rejoin_bit_identically() {
-    sweep(true);
+    sweep::sweep(&["die+rejoin"]);
 }
 
 #[test]

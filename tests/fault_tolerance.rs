@@ -2,7 +2,12 @@
 //! catalogue must survive injected crashes, corrupted sync payloads and
 //! stragglers with **bit-identical** results, the recovery work must be
 //! visible in `RunStats` and in the trace stream, and an exhausted retry
-//! budget must surface as a clean `RuntimeError`, never a panic.
+//! budget must surface as a clean `RuntimeError`, never a panic. The
+//! whole catalogue runs the `chaos` row of the shared sweep
+//! (`tests/sweep/mod.rs`), whose table every fault family's file draws
+//! its rows from.
+
+mod sweep;
 
 use flash_graph::generators;
 use flash_obs::{CollectSink, EventKind, Sink};
@@ -114,6 +119,11 @@ fn scc_recovers_bit_identically() {
         let out = flash_algos::scc::run(&g, cfg).expect("scc");
         (out.result, out.stats)
     });
+}
+
+#[test]
+fn every_algorithm_recovers_exactly_under_chaos() {
+    sweep::sweep(&["chaos"]);
 }
 
 #[test]

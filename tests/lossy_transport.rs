@@ -6,9 +6,12 @@
 //! the work; the protocol must stream its trace events in order, render
 //! its counters into the stats JSON, compose with permanent worker death,
 //! and degrade to a typed [`RuntimeError::DeliveryExhausted`] — never a
-//! panic — when the retransmit budget runs out.
+//! panic — when the retransmit budget runs out. Every catalogue algorithm
+//! runs each scripted kind alone, the seeded loss and all of them
+//! combined: the channel rows of the shared sweep (`tests/sweep/mod.rs`).
 
-use flash_bench::cli::{dispatch, CliOptions, ALGOS};
+mod sweep;
+
 use flash_graph::generators;
 use flash_obs::{CollectSink, EventKind, Json, Sink};
 use flash_runtime::{ClusterConfig, DeliveryStats, FaultPlan, NetworkModel, RuntimeError};
@@ -108,36 +111,13 @@ fn probabilistic_channel_is_exact_and_seed_deterministic() {
 }
 
 #[test]
+fn every_algorithm_survives_each_channel_fault_alone_bit_identically() {
+    sweep::sweep(&["drop", "dup", "reorder", "loss"]);
+}
+
+#[test]
 fn every_algorithm_survives_the_combined_channel_plan_bit_identically() {
-    let g = graph();
-    let wg = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
-    let plan = "drop@1:w1,dup@2:w2,reorder@3:w0,loss=0.05,seed=7,retries=8";
-    for &algo in ALGOS.iter() {
-        let input = if algo == "msf" || algo == "sssp" {
-            &wg
-        } else {
-            &g
-        };
-        let mut clean = CliOptions {
-            algo: algo.to_string(),
-            config: ClusterConfig::with_workers(4),
-            iters: 3,
-            ..CliOptions::default()
-        };
-        clean.dataset = Some(flash_graph::Dataset::Orkut);
-        let (clean_summary, clean_stats) =
-            dispatch(&clean, input).unwrap_or_else(|e| panic!("{algo} (clean): {e}"));
-        let mut lossy = clean.clone();
-        lossy.config.fault_plan = Some(FaultPlan::parse(plan).expect("plan parses"));
-        let (summary, stats) =
-            dispatch(&lossy, input).unwrap_or_else(|e| panic!("{algo} (lossy): {e}"));
-        assert_eq!(clean_summary, summary, "{algo}: result diverged");
-        assert_eq!(
-            clean_stats.num_supersteps(),
-            stats.num_supersteps(),
-            "{algo}: superstep count diverged"
-        );
-    }
+    sweep::sweep(&["combined"]);
 }
 
 #[test]

@@ -18,33 +18,6 @@ fn splitmix(seed: &mut u64) -> u64 {
 }
 
 #[test]
-fn sharded_registries_merge_to_the_same_percentiles_in_any_order() {
-    // Fill per-shard histograms with disjoint slices of one value stream,
-    // then merge them in two different orders: the combined histograms
-    // must be identical, and identical to recording the whole stream into
-    // one histogram.
-    let mut seed = 0xF1A5_u64;
-    let values: Vec<u64> = (0..4000)
-        .map(|_| splitmix(&mut seed) % 10_000_000)
-        .collect();
-    let record = |vals: &[u64]| {
-        let mut h = Histogram::new();
-        vals.iter().for_each(|&v| h.record(v));
-        h
-    };
-    let shards: Vec<Histogram> = values.chunks(500).map(record).collect();
-
-    let mut forward = Histogram::new();
-    shards.iter().for_each(|s| forward.merge(s));
-    let mut reverse = Histogram::new();
-    shards.iter().rev().for_each(|s| reverse.merge(s));
-
-    assert_eq!(forward.to_json().to_string(), reverse.to_json().to_string());
-    assert_eq!(forward, record(&values));
-    assert_eq!(forward.count(), 4000);
-}
-
-#[test]
 fn percentiles_respect_bounds_on_random_streams() {
     // For any recorded stream: min <= p50 <= p90 <= p99 <= max, and each
     // percentile is within one log2 bucket of the true rank statistic.

@@ -34,12 +34,13 @@ cargo run --release -q -p flash-bench --bin flash_trace -- --smoke
 echo "==> block-storage smoke (out-of-core engine must be bit-identical)"
 cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
 
-echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer)"
+echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer; a spec past the schedule's end is counted unfired)"
 flash=target/release/flash
 cli_dir="$(mktemp -d)"
 cli() { FLASH_SCALE=small "$flash" --algo bfs --dataset OR --workers 3 "$@"; }
 clean="$(cli | grep '^result:')"
 [[ "$(cli --faults crash@1:w1 --checkpoint-every 2 | grep '^result:')" == "$clean" ]] || { echo "flash: the faulted run's answer differs from the clean run's" >&2; exit 1; }
+[[ "$(cli --faults crash@1:w1,crash@90000:w0 --checkpoint-every 2 --json | grep -c '"faults_unfired": 1,')" == 1 ]] || { echo "flash: a crash scripted past the schedule's end must be reported as faults_unfired 1" >&2; exit 1; }
 halt="$(cli --durable-dir "$cli_dir/store" --halt-after 2 2>&1)" && status=0 || status=$?
 [[ "$status" == 1 ]] && grep -q 'halted' <<<"$halt" || { echo "flash: --halt-after 2 must exit 1 with \"halted\", got $status: $halt" >&2; exit 1; }
 [[ "$(cli --durable-dir "$cli_dir/store" --resume | grep '^result:')" == "$clean" ]] || { echo "flash: the resumed run's answer differs from the clean run's" >&2; exit 1; }

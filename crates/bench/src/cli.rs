@@ -700,8 +700,14 @@ mod tests {
     fn parses_consensus_fault_specs() {
         let o = parse_args(args("--algo bfs --dataset or --faults leader@2,lie@4:w1")).unwrap();
         let plan = o.config.fault_plan.expect("plan parsed");
-        assert_eq!(plan.specs.len(), 2);
-        assert!(plan.has_consensus_faults());
+        let kinds: Vec<_> = plan.specs.iter().map(|s| s.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                flash_runtime::FaultKind::Leader,
+                flash_runtime::FaultKind::Lie
+            ]
+        );
         assert!(parse_args(args("--algo bfs --dataset or --faults leader@2:w1")).is_err());
         assert!(parse_args(args("--algo bfs --dataset or --faults lie@2")).is_err());
     }

@@ -621,11 +621,6 @@ fn offsets_segment(buf: &Arc<MapBuf>, at: usize, count: usize) -> Segment<usize>
     }
 }
 
-/// `true` when `FLASH_NO_MMAP` asks for the buffered-heap reader.
-fn mmap_disabled() -> bool {
-    std::env::var_os("FLASH_NO_MMAP").is_some_and(|v| v != "0")
-}
-
 fn load_buffer(path: &Path, file_len: usize, force_heap: bool) -> Result<Arc<MapBuf>, GraphError> {
     #[cfg(all(unix, target_pointer_width = "64"))]
     if !force_heap {
@@ -645,10 +640,10 @@ fn load_buffer(path: &Path, file_len: usize, force_heap: bool) -> Result<Arc<Map
 
 /// Opens a `.fgb` file written by [`write_blocks`] as a block-backed
 /// [`Graph`]: adjacency served zero-copy from the mapped file (or a heap
-/// buffer under `FLASH_NO_MMAP=1`), with the block grid and streaming
-/// counters attached as a [`BlockHandle`].
+/// buffer where mapping is unavailable or refused), with the block grid
+/// and streaming counters attached as a [`BlockHandle`].
 pub fn open_blocks(path: impl AsRef<Path>) -> Result<Graph, GraphError> {
-    open_blocks_impl(path.as_ref(), mmap_disabled())
+    open_blocks_impl(path.as_ref(), false)
 }
 
 fn open_blocks_impl(path: &Path, force_heap: bool) -> Result<Graph, GraphError> {

@@ -28,8 +28,8 @@ impl Pod for usize {}
 impl Pod for f32 {}
 
 /// A shared read-only byte buffer backing mapped [`Segment`]s: either an
-/// `mmap`ed file region or a heap copy (the fallback when mapping is
-/// unavailable or disabled via `FLASH_NO_MMAP=1`). The heap variant is
+/// `mmap`ed file region or a heap copy (the fallback where mapping is
+/// unavailable or the kernel refuses it). The heap variant is
 /// allocated as `u64` words so every 8-aligned section offset stays
 /// 8-aligned in memory.
 pub struct MapBuf {

@@ -341,6 +341,7 @@ impl<V: VertexData> Cluster<V> {
     /// taken stats render their `metrics` block.
     pub fn take_stats(&mut self) -> RunStats {
         self.stats.storage = self.storage_info();
+        self.stats.recovery.faults_unfired = self.faults.as_ref().map_or(0, Faults::unfired);
         let mut stats = std::mem::take(&mut self.stats);
         stats.metrics = self.config.metrics;
         let simulated = stats.simulated_parallel_time();

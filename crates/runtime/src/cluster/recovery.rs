@@ -14,7 +14,7 @@ use crate::consensus::{checksum_quorum, Consensus, LogEntryKind};
 use crate::ctx::WorkerCtx;
 use crate::durable::{DiskWrite, DurableSession};
 use crate::error::RuntimeError;
-use crate::fault::{payload_checksum, FaultInjector, FaultKind, FaultPlan, FaultSpec};
+use crate::fault::{payload_checksum, FaultInjector, FaultKind, FaultPlan, FaultSpec, Stage};
 use crate::netmodel::NetworkModel;
 use crate::transport::{RoundBatches, ScriptedChannelFault, Transport};
 use crate::VertexData;
@@ -54,6 +54,11 @@ impl<V: VertexData> Faults<V> {
     /// Whether the routing passes must collect cross-host batches.
     pub(super) fn tracks_batches(&self) -> bool {
         self.transport.is_some()
+    }
+
+    /// Scripted specs that have not fired once.
+    pub(super) fn unfired(&self) -> u64 {
+        self.injector.unfired()
     }
 
     /// Logs a driver-side write to every replica: a later rollback would
@@ -216,7 +221,7 @@ impl<V: VertexData> Cluster<V> {
     ) -> (bool, Vec<(FaultKind, u64, u8)>) {
         let mut ioerr = false;
         let mut damage = Vec::new();
-        for spec in injector.disk_faults(step) {
+        for spec in injector.take(step, Stage::Disk, |_| true) {
             self.emit_fault(step, spec.worker, spec.kind, 0);
             if spec.kind == FaultKind::Ioerr {
                 ioerr = true;
@@ -344,7 +349,7 @@ impl<V: VertexData> Cluster<V> {
         attempt: u64,
         durations: &mut [Duration],
     ) -> Result<bool, RuntimeError> {
-        let stragglers = faults.injector.stragglers(step_id);
+        let stragglers = faults.injector.take(step_id, Stage::Straggler, |_| true);
         let detector = faults.injector.plan().detector_timeout;
         for s in &stragglers {
             if let Some(d) = durations.get_mut(s.worker) {
@@ -378,7 +383,7 @@ impl<V: VertexData> Cluster<V> {
         attempt: u64,
     ) -> Result<bool, RuntimeError> {
         let mut crashed = false;
-        for _ in 0..faults.injector.leader_crashes(step_id) {
+        for _ in faults.injector.take(step_id, Stage::Leader, |_| true) {
             let Some(leader) = faults.consensus.leader() else {
                 break;
             };
@@ -403,7 +408,8 @@ impl<V: VertexData> Cluster<V> {
         attempt: u64,
     ) -> Result<bool, RuntimeError> {
         let mut accused = false;
-        for w in faults.injector.liars(step_id) {
+        for spec in faults.injector.take(step_id, Stage::Lie, |_| true) {
+            let w = spec.worker;
             let expected = self.staged_checksum(w);
             let observed = expected ^ faults.injector.corruption_nonce();
             let liar_host = self.partition.host_of_worker(w);
@@ -456,19 +462,14 @@ impl<V: VertexData> Cluster<V> {
     /// XOR-ed with a nonzero nonce, is compared against the recomputed one.
     fn detect_failures(&mut self, injector: &mut FaultInjector, step_id: u64) -> Vec<FaultSpec> {
         let mut detected = Vec::new();
-        for spec in injector.failures(step_id) {
-            match spec.kind {
-                FaultKind::Crash | FaultKind::Die => detected.push(spec),
-                FaultKind::CorruptSync => {
-                    let computed = self.staged_checksum(spec.worker);
-                    let transmitted = computed ^ injector.corruption_nonce();
-                    if transmitted != computed {
-                        detected.push(spec);
-                    }
+        for spec in injector.take(step_id, Stage::Failure, |_| true) {
+            if spec.kind == FaultKind::CorruptSync {
+                let computed = self.staged_checksum(spec.worker);
+                if computed ^ injector.corruption_nonce() == computed {
+                    continue;
                 }
-                // `failures()` yields no other kind: each has its own stage.
-                _ => {}
             }
+            detected.push(spec);
         }
         detected
     }
@@ -478,7 +479,7 @@ impl<V: VertexData> Cluster<V> {
     pub(super) fn maybe_rejoin(&mut self) {
         self.with_faults(|c, faults| {
             let step_id = c.next_step;
-            for spec in faults.injector.rejoins(step_id) {
+            for spec in faults.injector.take(step_id, Stage::Rejoin, |_| true) {
                 // A worker that was never declared dead (its `die` never
                 // got to fire, or recovery already failed) has nothing to
                 // restore.
@@ -725,7 +726,7 @@ impl<V: VertexData> Cluster<V> {
         let timer = Instant::now();
         let partition = &self.partition;
         let scripted: Vec<ScriptedChannelFault> = injector
-            .channel_faults(step_id, |w| {
+            .take(step_id, Stage::Channel, |w| {
                 let h = partition.host_of_worker(w);
                 batches.keys().any(|&(sender, _)| sender == h)
             })

@@ -79,10 +79,7 @@ pub use consensus::{checksum_quorum, ChecksumVerdict, Commit, Consensus, Electio
 pub use ctx::{PutSink, WorkerCtx, WriteSink};
 pub use durable::{DurableField, DurableValue};
 pub use error::RuntimeError;
-pub use fault::{
-    format_duration, parse_duration, FaultKind, FaultPlan, FaultSpec, DEFAULT_DETECTOR_TIMEOUT,
-    MAX_PLAUSIBLE_STEP,
-};
+pub use fault::{FaultKind, FaultPlan, FaultSpec, DEFAULT_DETECTOR_TIMEOUT, MAX_PLAUSIBLE_STEP};
 pub use netmodel::NetworkModel;
 pub use pool::WorkerPool;
 pub use session::{BufferPool, Session};

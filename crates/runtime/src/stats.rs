@@ -278,6 +278,10 @@ step_counters! {
         checkpoint_time: Duration => "checkpoint_ns",
         /// Crash/corrupted-sync faults injected (each detected at a barrier).
         faults_injected: u64 => "faults_injected",
+        /// Scripted fault specs that never fired: scripted after the last
+        /// superstep a fault can fire at (global reduces fire none), or cut
+        /// off when recovery gave up.
+        faults_unfired: u64 => "faults_unfired",
         /// Straggler delays injected.
         stragglers: u64 => "stragglers",
         /// Total compute delay charged to stragglers.
@@ -917,6 +921,7 @@ mod tests {
                 checkpoint_bytes: 2,
                 checkpoint_time: Duration::from_nanos(3),
                 faults_injected: 4,
+                faults_unfired: 17,
                 stragglers: 5,
                 straggler_delay: Duration::from_nanos(6),
                 rollbacks: 7,
@@ -939,6 +944,7 @@ mod tests {
                 ("checkpoint_bytes", 2),
                 ("checkpoint_ns", 3),
                 ("faults_injected", 4),
+                ("faults_unfired", 17),
                 ("stragglers", 5),
                 ("straggler_delay_ns", 6),
                 ("rollbacks", 7),

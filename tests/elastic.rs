@@ -5,7 +5,8 @@
 //! the [`PartitionMap::rebalance`] invariants the whole protocol rests on.
 //! Every catalogue algorithm must survive a death, a death and rejoin,
 //! and a double death exactly: the membership rows of the shared sweep
-//! (`tests/sweep/mod.rs`).
+//! (`tests/sweep/mod.rs`). A death scripted past the schedule's last
+//! compute step is counted as unfired.
 
 mod sweep;
 
@@ -26,6 +27,24 @@ fn every_algorithm_survives_a_permanent_death_bit_identically() {
 #[test]
 fn every_algorithm_survives_death_plus_rejoin_bit_identically() {
     sweep::sweep(&["die+rejoin"]);
+}
+
+/// msf computes only its step-0 Kruskal gather; step 1 is a global
+/// reduce, where no fault fires. So `die@1:w3` never happens: the run
+/// loses w1 alone and reports the other spec as unfired.
+#[test]
+fn a_death_the_schedule_never_reaches_is_reported_unfired() {
+    let g = Arc::new(generators::with_random_weights(&graph(), 0.1, 2.0, 4));
+    let cfg = ClusterConfig::with_workers(4)
+        .checkpoint_every(2)
+        .faults(FaultPlan::parse("die@0:w1,die@1:w3,retries=1").expect("plan"));
+    let out = flash_algos::msf::run(&g, cfg).expect("elastic recovery succeeds");
+    let rec = &out.stats.recovery;
+    assert_eq!((rec.workers_lost, rec.faults_unfired), (1, 1), "{rec:?}");
+    assert_eq!(
+        rec.to_json().get("faults_unfired").and_then(Json::as_u64),
+        Some(1)
+    );
 }
 
 #[test]

@@ -15,8 +15,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Serializes `g` to a temporary block file and reopens it through the
-/// block reader, cleaning up the file immediately (the open mapping—or
-/// heap copy under `FLASH_NO_MMAP`—keeps the data alive).
+/// block reader, cleaning up the file immediately (the open mapping, or
+/// the heap copy where mapping is refused, keeps the data alive).
 fn reopen_as_blocks(g: &Graph, tag: &str) -> Arc<Graph> {
     let path = std::env::temp_dir().join(format!(
         "flash_storage_test_{}_{tag}.fgb",

@@ -59,24 +59,28 @@ fn no_check(_: &str, _: &RunStats) -> bool {
 /// Crash, corruption and straggler were injected and rolled back, replay
 /// work was done from a checkpoint, and it cost simulated time. msf's
 /// only compute superstep is step 0, before the first fault, so its run
-/// is held to exactness alone.
+/// must report all three specs unfired.
 fn rolled_back(algo: &str, s: &RunStats) -> bool {
     let r = &s.recovery;
-    algo == "msf"
-        || (r.faults_injected >= 2
-            && r.rollbacks >= 2
-            && r.replayed_supersteps >= 1
-            && r.checkpoints >= 1
-            && r.overhead() > Duration::ZERO)
+    if algo == "msf" {
+        return r.faults_unfired == 3;
+    }
+    r.faults_injected >= 2
+        && r.rollbacks >= 2
+        && r.replayed_supersteps >= 1
+        && r.checkpoints >= 1
+        && r.overhead() > Duration::ZERO
 }
 
 /// A real membership change: `lost` permanent losses that migrated
-/// state, `rejoined` rejoins, and `epochs` membership epochs.
+/// state, `rejoined` rejoins, and `epochs` membership epochs, with every
+/// scripted spec fired (msf's own step-0 plan included).
 fn membership(s: &RunStats, lost: u64, rejoined: u64, epochs: u64) -> bool {
     let r = &s.recovery;
     (r.workers_lost, r.workers_rejoined, r.membership_epochs) == (lost, rejoined, epochs)
         && r.vertices_migrated > 0
         && r.migrated_bytes > 0
+        && r.faults_unfired == 0
 }
 
 /// Every decision appended to the replicated log was committed.

@@ -34,7 +34,7 @@ cargo run --release -q -p flash-bench --bin flash_trace -- --smoke
 echo "==> block-storage smoke (out-of-core engine must be bit-identical)"
 cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
 
-echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer; a spec past the schedule's end is counted unfired)"
+echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer; a spec past the schedule's end is counted unfired; a :x0 repeat count is refused)"
 flash=target/release/flash
 cli_dir="$(mktemp -d)"
 cli() { FLASH_SCALE=small "$flash" --algo bfs --dataset OR --workers 3 "$@"; }
@@ -44,6 +44,8 @@ clean="$(cli | grep '^result:')"
 halt="$(cli --durable-dir "$cli_dir/store" --halt-after 2 2>&1)" && status=0 || status=$?
 [[ "$status" == 1 ]] && grep -q 'halted' <<<"$halt" || { echo "flash: --halt-after 2 must exit 1 with \"halted\", got $status: $halt" >&2; exit 1; }
 [[ "$(cli --durable-dir "$cli_dir/store" --resume | grep '^result:')" == "$clean" ]] || { echo "flash: the resumed run's answer differs from the clean run's" >&2; exit 1; }
+bad="$(cli --faults crash@1:w1:x0 2>&1)" && status=0 || status=$?
+[[ "$status" == 2 ]] && grep -q 'invalid repeat count "x0"' <<<"$bad" || { echo "flash: --faults crash@1:w1:x0 must exit 2 naming the repeat count, got $status: $bad" >&2; exit 1; }
 rm -rf "$cli_dir"
 
 echo "==> paper smoke (the whole evaluation at small scale; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"
@@ -51,9 +53,6 @@ paper_dir="$(mktemp -d)"
 FLASH_SCALE=small FLASH_RESULTS_DIR="$paper_dir" target/release/paper all > "$paper_dir/paper.txt"
 tail -n 1 "$paper_dir/paper.txt"
 rm -rf "$paper_dir"
-
-echo "==> regression gate (supersteps/total_bytes of all 19 algorithms must equal the committed BENCH_flash.json)"
-FLASH_SCALE=small cargo run --release -q -p flash-bench --bin bench_flash -- --baseline BENCH_flash.json
 
 echo "==> benchmark package smoke (own workspace with path deps: all six workloads — oracle, bit-identity across reps, exact counters)"
 bash benchmark/run.sh --seconds 1 | tail -n 1

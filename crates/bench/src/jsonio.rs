@@ -2,8 +2,6 @@
 //!
 //! Every experiment binary writes a JSON artifact next to its text table:
 //! `<dir>/<name>.json`, with `dir` resolved once by [`results_dir`].
-//! The aggregate perf snapshot `BENCH_flash.json` goes to the repository
-//! root (override with `FLASH_BENCH_DIR`).
 
 use flash_obs::Json;
 use std::fs;
@@ -34,26 +32,6 @@ pub fn save(dir: &Path, name: &str, value: &Json) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {name}.json: {e}"),
     }
-}
-
-/// Writes the top-level snapshot `BENCH_flash.json` (directory
-/// overridable via `FLASH_BENCH_DIR`) and returns the path.
-pub fn write_bench_snapshot(value: &Json) -> io::Result<PathBuf> {
-    let dir = std::env::var_os("FLASH_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_flash.json");
-    fs::write(&path, format!("{}\n", value.to_pretty_string()))?;
-    Ok(path)
-}
-
-/// The canonical JSON record for one measured algorithm run: the fields
-/// the `BENCH_flash.json` snapshot promises per algorithm.
-pub fn run_record(stats: &flash_runtime::RunStats) -> Json {
-    Json::object()
-        .set("total_bytes", stats.total_bytes())
-        .set("supersteps", stats.num_supersteps())
 }
 
 /// Renders one evaluation-matrix cell as JSON.

@@ -23,7 +23,7 @@
 //! straggle@2:w1:400us   delay worker 1's compute by 400 µs at superstep 2
 //!                       (1 ms without a delay)
 //! crash@3:w1:x2         the crash fires on the first two attempts (as do
-//!                       corrupt@ and straggle@ with :x2)
+//!                       corrupt@ and straggle@ with :x2; :x0 is refused)
 //! die@3:w1              worker 1 dies for good at superstep 3 (elastic
 //!                       membership declares it dead once the retry budget
 //!                       is spent; see DESIGN.md §9)
@@ -313,9 +313,10 @@ pub struct FaultSpec {
     pub worker: usize,
     /// Failure kind.
     pub kind: FaultKind,
-    /// How many attempts of that superstep the fault fires on. `1` means
-    /// the first attempt only, so a single retry recovers; values larger
-    /// than the retry budget exhaust it and degrade the run to a clean
+    /// How many attempts of that superstep the fault fires on, at least
+    /// `1` (the grammar rejects `:x0`). `1` means the first attempt only,
+    /// so a single retry recovers; values larger than the retry budget
+    /// exhaust it and degrade the run to a clean
     /// [`RuntimeError::RecoveryExhausted`](crate::RuntimeError).
     pub times: u32,
     /// Extra compute delay for [`FaultKind::Straggler`]; ignored for other
@@ -326,6 +327,18 @@ pub struct FaultSpec {
     /// at fire time; `0` on a `torn` means the default cut two thirds
     /// in); ignored for other kinds.
     pub byte: u64,
+}
+
+impl FaultSpec {
+    /// The spec's kind, step and target as the grammar writes them:
+    /// `crash@3:w1`, but `leader@2` and `ioerr@1`, which name no worker.
+    fn quoted(&self) -> String {
+        let row = self.kind.row();
+        match row.target {
+            Target::Worker => format!("{}@{}:w{}", row.label, self.step, self.worker),
+            Target::Leader | Target::Store => format!("{}@{}", row.label, self.step),
+        }
+    }
 }
 
 /// A scripted fault-injection plan plus the recovery policy.
@@ -470,32 +483,23 @@ impl FaultPlan {
         for (i, s) in self.specs.iter().enumerate() {
             if s.worker >= workers {
                 return Err(format!(
-                    "{}@{}:w{} targets worker {} but the cluster has only {workers} workers",
-                    s.kind.label(),
-                    s.step,
-                    s.worker,
+                    "{} targets worker {} but the cluster has only {workers} workers",
+                    s.quoted(),
                     s.worker
                 ));
             }
             if s.step > MAX_PLAUSIBLE_STEP {
                 return Err(format!(
-                    "{}@{}:w{} is beyond the plausible superstep horizon ({MAX_PLAUSIBLE_STEP}) \
+                    "{} is beyond the plausible superstep horizon ({MAX_PLAUSIBLE_STEP}) \
                      and would never fire",
-                    s.kind.label(),
-                    s.step,
-                    s.worker
+                    s.quoted()
                 ));
             }
             if self.specs[..i]
                 .iter()
                 .any(|p| p.kind == s.kind && p.step == s.step && p.worker == s.worker)
             {
-                return Err(format!(
-                    "duplicate fault spec {}@{}:w{}",
-                    s.kind.label(),
-                    s.step,
-                    s.worker
-                ));
+                return Err(format!("duplicate fault spec {}", s.quoted()));
             }
             if s.kind == FaultKind::Rejoin
                 && !self
@@ -504,8 +508,9 @@ impl FaultPlan {
                     .any(|p| p.kind == FaultKind::Die && p.worker == s.worker && p.step < s.step)
             {
                 return Err(format!(
-                    "rejoin@{}:w{} has no earlier die@ spec for worker {}",
-                    s.step, s.worker, s.worker
+                    "{} has no earlier die@ spec for worker {}",
+                    s.quoted(),
+                    s.worker
                 ));
             }
         }
@@ -595,9 +600,12 @@ fn parse_spec(part: &str) -> Result<FaultSpec, String> {
     for (i, seg) in segs.enumerate() {
         match (row.tail, seg.strip_prefix('x'), seg.strip_prefix('b')) {
             (Tail::Repeat | Tail::RepeatOrDelay, Some(n), _) => {
-                spec.times = n
-                    .parse()
-                    .map_err(|_| format!("invalid repeat count {seg:?} in fault spec {part:?}"))?;
+                spec.times = n.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                    format!(
+                        "invalid repeat count {seg:?} in fault spec {part:?}: \
+                             a fault fires on at least 1 attempt"
+                    )
+                })?;
             }
             (Tail::RepeatOrDelay, None, _) => spec.delay = parse_duration(seg)?,
             (Tail::Byte, _, Some(b)) if i == 0 => {
@@ -728,21 +736,16 @@ impl FaultInjector {
         for (spec, fired) in self.plan.specs.iter().zip(&mut self.fired) {
             let row = spec.kind.row();
             let channel = row.stage == Stage::Channel;
-            let budget = if channel {
-                spec.times.max(1)
-            } else {
-                spec.times
-            };
             let alive = row.target != Target::Worker
                 || row.stage == Stage::Rejoin
                 || !self.dead[spec.worker];
             if row.stage == stage
                 && spec.step <= step
-                && *fired < budget
+                && *fired < spec.times
                 && alive
                 && ready(spec.worker)
             {
-                *fired = if channel { budget } else { *fired + 1 };
+                *fired = if channel { spec.times } else { *fired + 1 };
                 out.push(spec.clone());
             }
         }
@@ -763,7 +766,7 @@ impl FaultInjector {
     pub(crate) fn drain_through(&mut self, step: u64) {
         for (i, spec) in self.plan.specs.iter().enumerate() {
             if spec.step < step {
-                self.fired[i] = spec.times.max(1);
+                self.fired[i] = spec.times;
             }
         }
     }
@@ -882,6 +885,7 @@ mod tests {
             assert_eq!(FaultPlan::parse(&bare).unwrap().specs[0].kind, want.kind);
             for (seg, tag) in [
                 ("x2", 'x'),
+                ("x0", '-'),
                 ("400us", 'd'),
                 ("b5", 'b'),
                 ("w2", '-'),
@@ -895,6 +899,10 @@ mod tests {
                 FaultPlan::parse(&format!("{bare}:b1:b2")).is_err(),
                 "{label}"
             );
+            if takes.contains('x') {
+                let e = FaultPlan::parse(&format!("{bare}:x0")).unwrap_err();
+                assert!(e.contains("repeat count \"x0\""), "{e}");
+            }
         }
         let e = FaultPlan::parse("explode@1:w0").unwrap_err();
         assert!(KINDS.iter().all(|r| e.contains(r.label)), "{e}");
@@ -1106,6 +1114,24 @@ mod tests {
             .unwrap()
             .validate(3)
             .is_ok());
+    }
+
+    /// A validation error quotes the spec as the grammar writes it, so a
+    /// worker-less kind's quote carries no worker and parses back.
+    #[test]
+    fn validate_quotes_specs_in_the_grammar() {
+        for (text, quote) in [
+            ("leader@2,leader@2", "leader@2"),
+            ("ioerr@1,ioerr@1", "ioerr@1"),
+            ("crash@1:w0,crash@1:w0", "crash@1:w0"),
+        ] {
+            let e = FaultPlan::parse(text).unwrap().validate(4).unwrap_err();
+            assert_eq!(e, format!("duplicate fault spec {quote}"));
+            let back = FaultPlan::parse(quote).unwrap_or_else(|e| panic!("{quote}: {e}"));
+            assert_eq!(back.specs[0].quoted(), quote);
+        }
+        let e = FaultPlan::parse("bitrot@999999:b3").unwrap().validate(2);
+        assert!(e.is_err_and(|m| m.starts_with("bitrot@999999 is beyond")));
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! **bit-identical** from run to run and to the serial reference
 //! (`ClusterConfig::sequential()`, the same phases run lane by lane on the
 //! caller) — and the phase timers (`delivery`, the ns-precision fields)
-//! must be populated.
+//! must be populated. The catalogue-wide checks are rows of the shared
+//! sweep (`tests/sweep/mod.rs`), which also holds every algorithm's counts
+//! on the OR stand-in to its pinned table.
 
-use flash_bench::cli::{dispatch, CliOptions, ALGOS};
+mod sweep;
+
+use flash_bench::cli::{dispatch, CliOptions};
 use flash_graph::{generators, HashPartitioner, PartitionMap};
 use flash_runtime::{ClusterConfig, FaultPlan, RunStats};
 use std::sync::Arc;
@@ -29,81 +33,30 @@ fn opts(algo: &str) -> CliOptions {
     o
 }
 
-/// Per-superstep message/byte counters, which must not move by a single
-/// unit between runs or lane counts.
-fn counter_trace(stats: &RunStats) -> Vec<(u64, u64, u64, u64)> {
-    stats
-        .steps()
-        .iter()
-        .map(|s| (s.upd_messages, s.upd_bytes, s.sync_messages, s.sync_bytes))
-        .collect()
-}
-
 /// The property the hot path hangs on, catalogue-wide: every algorithm is
 /// deterministic against *itself* — two runs give the same result summary,
 /// the same number of supersteps and identical per-superstep traffic
-/// counters. Lanes finish in any order, so this fails if per-lane bucket
-/// sets or batch maps are ever merged in completion order.
+/// counters (the sweep's `again` row).
 #[test]
 fn catalogue_is_self_deterministic() {
-    let g = graph();
-    let weighted = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
-    for &algo in &ALGOS {
-        let graph = if algo == "msf" || algo == "sssp" {
-            &weighted
-        } else {
-            &g
-        };
-        let (summary, stats) =
-            dispatch(&opts(algo), graph).unwrap_or_else(|e| panic!("{algo} (first run): {e}"));
-        let (again, again_stats) =
-            dispatch(&opts(algo), graph).unwrap_or_else(|e| panic!("{algo} (second run): {e}"));
-        assert_eq!(summary, again, "{algo}: result diverged");
-        assert_eq!(
-            stats.num_supersteps(),
-            again_stats.num_supersteps(),
-            "{algo}: superstep count diverged"
-        );
-        assert_eq!(
-            counter_trace(&stats),
-            counter_trace(&again_stats),
-            "{algo}: upd/sync counters diverged"
-        );
-    }
+    sweep::sweep(&["again"]);
 }
 
-/// Catalogue-wide, on a graph big enough that full-frontier steps stage
-/// more updates than the caller-lane rule keeps on the caller (540), so
-/// the post-compute round runs on the pool's lanes: every algorithm's
-/// answer, superstep count and per-superstep traffic equal the serial
-/// reference's at 2 and 4 workers.
+/// Catalogue-wide, on a graph big enough that the post-compute round runs
+/// on the pool's lanes: every algorithm's answer, superstep count and
+/// per-superstep traffic equal the serial reference's at 2 and 4 workers
+/// (the sweep's `serial-2` and `serial-4` rows).
 #[test]
 fn catalogue_on_the_pool_matches_the_serial_reference() {
-    let g = Arc::new(generators::erdos_renyi(1500, 6000, 11));
-    let weighted = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
-    for workers in [2usize, 4] {
-        for &algo in &ALGOS {
-            let graph = if algo == "msf" || algo == "sssp" {
-                &weighted
-            } else {
-                &g
-            };
-            let mut o = opts(algo);
-            o.config = ClusterConfig::with_workers(workers);
-            let (pooled, pooled_stats) =
-                dispatch(&o, graph).unwrap_or_else(|e| panic!("{algo} (pooled): {e}"));
-            o.config = ClusterConfig::with_workers(workers).sequential();
-            let (serial, serial_stats) =
-                dispatch(&o, graph).unwrap_or_else(|e| panic!("{algo} (serial): {e}"));
-            let case = format!("{algo} workers={workers}");
-            assert_eq!(pooled, serial, "{case}: result diverged");
-            assert_eq!(
-                counter_trace(&pooled_stats),
-                counter_trace(&serial_stats),
-                "{case}: upd/sync counters or superstep count diverged"
-            );
-        }
-    }
+    sweep::sweep(&["serial-2", "serial-4"]);
+}
+
+/// Every algorithm's superstep count, total bytes and answer digest on the
+/// OR stand-in at 4 workers equal the sweep's pinned table, which lists
+/// exactly the catalogue (the sweep's `pinned` row).
+#[test]
+fn catalogue_matches_its_pinned_counts() {
+    sweep::sweep(&["pinned"]);
 }
 
 /// The same on the all-push schedule, where every superstep buckets: the
@@ -116,7 +69,7 @@ fn force_sparse_is_self_deterministic() {
     let (s1, t1) = dispatch(&o, &g).expect("first run");
     let (s2, t2) = dispatch(&o, &g).expect("second run");
     assert_eq!(s1, s2);
-    assert_eq!(counter_trace(&t1), counter_trace(&t2));
+    assert_eq!(sweep::counter_trace(&t1), sweep::counter_trace(&t2));
 }
 
 /// The delivery phase (the ack/retransmit protocol of the reliable
@@ -275,8 +228,8 @@ fn heap_owning_values_reduce_identically_on_every_push_path() {
             let case = format!("workers={workers} sequential={sequential}");
             assert_eq!(trails, expected, "{case}: answer diverged");
             assert_eq!(
-                counter_trace(&stats),
-                counter_trace(&base),
+                sweep::counter_trace(&stats),
+                sweep::counter_trace(&base),
                 "{case}: counters diverged"
             );
         }
@@ -396,8 +349,8 @@ fn faults_on_a_sparse_superstep_leave_nothing_staged() {
         let (trails, stats) = run_trails(faulted);
         assert_eq!(trails, expected, "{plan}: answer diverged");
         assert_eq!(
-            counter_trace(&stats),
-            counter_trace(&clean),
+            sweep::counter_trace(&stats),
+            sweep::counter_trace(&clean),
             "{plan}: counters diverged"
         );
         assert_eq!(stats.recovery.faults_injected, 1, "{plan}");

@@ -4,7 +4,9 @@
 //! never changes what an algorithm computes — only what gets reported
 //! about it.
 
-use flash_bench::cli::{dispatch, parse_args, CliOptions, ALGOS};
+mod sweep;
+
+use flash_bench::cli::{dispatch, parse_args, CliOptions};
 use flash_obs::{Histogram, Json};
 use std::sync::Arc;
 
@@ -66,66 +68,11 @@ fn empty_and_single_sample_histograms_behave() {
     assert_eq!((one.min(), one.max()), (Some(12345), Some(12345)));
 }
 
-fn run_catalogue(metrics: bool) -> Vec<(String, String, Json)> {
-    let g = Arc::new(flash_graph::generators::erdos_renyi(60, 240, 5));
-    let weighted = Arc::new(flash_graph::generators::with_random_weights(
-        &g, 0.1, 2.0, 4,
-    ));
-    ALGOS
-        .iter()
-        .map(|algo| {
-            let mut o: CliOptions = parse_args(
-                ["--algo", algo, "--dataset", "OR", "--workers", "3"]
-                    .iter()
-                    .map(|s| s.to_string()),
-            )
-            .unwrap();
-            o.iters = 3;
-            o.config.metrics = metrics;
-            let graph = if *algo == "msf" || *algo == "sssp" {
-                &weighted
-            } else {
-                &g
-            };
-            let (summary, stats) = dispatch(&o, graph).expect(algo);
-            let counters = Json::object()
-                .set("supersteps", stats.num_supersteps())
-                .set("total_bytes", stats.total_bytes())
-                .set("total_messages", stats.total_messages())
-                .set(
-                    "per_step",
-                    Json::Arr(
-                        stats
-                            .steps()
-                            .iter()
-                            .map(|s| {
-                                Json::object()
-                                    .set("upd_bytes", s.upd_bytes)
-                                    .set("upd_messages", s.upd_messages)
-                                    .set("sync_bytes", s.sync_bytes)
-                                    .set("sync_messages", s.sync_messages)
-                            })
-                            .collect(),
-                    ),
-                );
-            (algo.to_string(), summary, counters)
-        })
-        .collect()
-}
-
+/// `--metrics` changes no answer, superstep count or per-superstep
+/// traffic counter of any algorithm (the sweep's `metrics` row).
 #[test]
 fn catalogue_is_bit_identical_with_metrics_on_and_off() {
-    let off = run_catalogue(false);
-    let on = run_catalogue(true);
-    assert_eq!(off.len(), ALGOS.len());
-    for ((algo, sum_off, ctr_off), (_, sum_on, ctr_on)) in off.iter().zip(on.iter()) {
-        assert_eq!(sum_off, sum_on, "{algo}: result digest changed");
-        assert_eq!(
-            ctr_off.to_string(),
-            ctr_on.to_string(),
-            "{algo}: upd/sync counters changed"
-        );
-    }
+    sweep::sweep(&["metrics"]);
 }
 
 #[test]

@@ -1,24 +1,98 @@
-//! The catalogue sweep, shared by the fault-family test files: one
-//! scenario table ([`rows`]) covering every fault family — crash/rollback,
-//! elastic membership, lossy delivery, consensus, durable store — and one
-//! loop ([`sweep`]) that runs every catalogue algorithm clean and under a
-//! selection of its rows. Each faulted run must reproduce the clean
-//! answer (its digest, through `dispatch`'s summary) and superstep count,
-//! with the row's evidence that the mechanism fired. Each family's file
-//! runs its own rows: `fault_tolerance.rs` chaos, `elastic.rs` the
-//! membership rows, `lossy_transport.rs` the channel rows, `consensus.rs`
-//! the control-plane rows and `durable.rs` the store rows.
+//! The catalogue sweep: the one place `cargo test` runs every catalogue
+//! algorithm. One scenario table ([`rows`]) names, per row, an input
+//! graph, a worker count and what the row does to the run; one loop
+//! ([`sweep`]) runs every algorithm's clean twin for each (input,
+//! workers) pair the selected rows use, then each row against it:
+//!
+//! - the fault families (crash/rollback, elastic membership, lossy
+//!   delivery, consensus, durable store) must reproduce the clean answer
+//!   (its digest, through `dispatch`'s summary) and superstep count, with
+//!   the row's evidence that the mechanism fired;
+//! - the fault-free reruns (`again`, `metrics`, `serial-2`, `serial-4`)
+//!   must also reproduce the per-superstep traffic counters;
+//! - `pinned` holds the clean twin on the OR stand-in to [`PINNED`].
+//!
+//! Each test file runs its own rows: `fault_tolerance.rs` chaos,
+//! `elastic.rs` the membership rows, `lossy_transport.rs` the channel
+//! rows, `consensus.rs` the control-plane rows, `durable.rs` the store
+//! rows, `hotpath.rs` the reruns and the pinned counts, `metrics.rs` the
+//! metrics rerun.
 
 use flash_bench::cli::{dispatch, CliOptions, ALGOS};
 use flash_graph::testutil::TempDirGuard;
-use flash_graph::{generators, Graph};
+use flash_graph::{generators, Dataset, Graph};
 use flash_obs::Json;
 use flash_runtime::{ClusterConfig, FaultPlan, RunStats};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How a row of [`rows`] injects its faults.
+/// The clean twin of every catalogue algorithm on the OR stand-in at
+/// `FLASH_SCALE=small` (859 vertices), 4 workers, the CLI's default
+/// options: `(algo, supersteps, total_bytes, answer digest)`, in
+/// [`ALGOS`] order. A change that moves a count on purpose re-pins it by
+/// pasting the rows the failing sweep prints.
+#[rustfmt::skip]
+const PINNED: &[(&str, usize, u64, u64)] = &[
+    ("bfs", 6, 33376, 0xc203b713b6f3579c),
+    ("cc", 5, 36608, 0xce58f903ae6850b7),
+    ("cc-opt", 69, 1231484, 0xce58f903ae6850b7),
+    ("bc", 14, 197960, 0x5d417a64adb65b88),
+    ("mis", 9, 95500, 0xd3c3bc055f14ece1),
+    ("mm", 28, 340020, 0x5d7bf35bbbc6e997),
+    ("mm-opt", 46, 322380, 0xec528a9ac06aa62c),
+    ("kcore", 174, 515940, 0x7a7e33025b11afd5),
+    ("kcore-opt", 76, 524216, 0x7a7e33025b11afd5),
+    ("tc", 5, 231500, 0x00f4c809707f4406),
+    ("gc", 101, 1260904, 0x043ae79b5b1ca961),
+    ("scc", 12, 189560, 0xce58f903ae6850b7),
+    ("bcc", 12, 336528, 0x70aca7c24f30a736),
+    ("lpa", 41, 498696, 0x38a9b23ab811cac4),
+    ("msf", 2, 22500, 0x7a69a59c0034144e),
+    ("rc", 5, 680940, 0xcfdba3235644e715),
+    ("cl", 5, 151792, 0xa94c614cc1679022),
+    ("sssp", 8, 73020, 0x6e14cbe8d8e3acda),
+    ("pagerank", 50, 1154040, 0x47170e45d4754ccb),
+];
+
+/// The graph a row runs on. msf and sssp run on its weighted copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Input {
+    /// ER(48, 160, seed 11): small enough to run every fault scenario.
+    Er48,
+    /// ER(1500, 6000, seed 11): full-frontier steps stage more updates
+    /// than the caller-lane rule keeps on the caller (540), so the
+    /// post-compute round runs on the pool's lanes.
+    Er1500,
+    /// The `FLASH_SCALE=small` OR stand-in, whose counts are [`PINNED`].
+    Orkut,
+}
+
+impl Input {
+    /// The graph and its weighted copy.
+    fn load(self) -> [Arc<Graph>; 2] {
+        let g = match self {
+            Input::Er48 => generators::erdos_renyi(48, 160, 11),
+            Input::Er1500 => generators::erdos_renyi(1500, 6000, 11),
+            Input::Orkut => Dataset::Orkut.load_small(),
+        };
+        let weighted = generators::with_random_weights(&g, 0.1, 2.0, 4);
+        [Arc::new(g), Arc::new(weighted)]
+    }
+}
+
+/// Whether `algo` needs edge weights.
+fn weighted(algo: &str) -> bool {
+    algo == "msf" || algo == "sssp"
+}
+
+/// What a row of [`rows`] does to the run.
 enum Inject {
+    /// No run of its own: the clean twin must equal its [`PINNED`] row.
+    Pinned,
+    /// No fault: one more run under the twin's configuration passed
+    /// through the function, which must also reproduce the twin's
+    /// per-superstep traffic counters.
+    Rerun(fn(ClusterConfig) -> ClusterConfig),
     /// One run under `plan` (or `msf`'s own plan: its only compute
     /// superstep is the Kruskal gather at step 0, so membership events are
     /// scripted earlier), checkpointing every `every` supersteps.
@@ -40,6 +114,7 @@ enum Inject {
 /// One scenario of the sweep, run on every catalogue algorithm.
 struct Row {
     label: &'static str,
+    input: Input,
     workers: usize,
     inject: Inject,
     /// Evidence the algorithm's run compared with the clean twin (the
@@ -104,12 +179,13 @@ const CONSENSUS: &[&str] = &[
     "consensus.entries_committed",
 ];
 
-/// The scenario table: every fault family's scripted plans. Chaos runs on
-/// 3 workers; the others on 4, since the double death leaves two hosts
-/// and a lie needs three live hosts for an honest majority to pin it.
-/// Scripted channel faults arm at their step and fire at the first
-/// cross-host round where the target's host sends, so short schedules
-/// see them too.
+/// The scenario table: the pinned counts, the fault-free reruns and every
+/// fault family's scripted plans. The fault rows run on [`Input::Er48`].
+/// Chaos runs on 3 workers; the others on 4, since the double death leaves
+/// two hosts and a lie needs three live hosts for an honest majority to
+/// pin it. Scripted channel faults arm at their step and fire at the
+/// first cross-host round where the target's host sends, so short
+/// schedules see them too.
 fn rows() -> Vec<Row> {
     let plan = |plan, every| Inject::Plan {
         plan,
@@ -123,15 +199,38 @@ fn rows() -> Vec<Row> {
     };
     let row = |label, workers, inject, check, fired| Row {
         label,
+        input: Input::Er48,
         workers,
         inject,
         check,
         fired,
     };
+    let rerun = |label, input, workers, config| Row {
+        input,
+        ..row(label, workers, Inject::Rerun(config), no_check, &[])
+    };
     let lossy = |label, text, fired| row(label, 4, plan(text, None), no_check, fired);
     let consensus = |label, text, fired| row(label, 4, plan(text, None), log_intact, fired);
     let disk = |label, plan, check, fired| row(label, 4, Inject::Disk { plan }, check, fired);
     vec![
+        Row {
+            input: Input::Orkut,
+            ..row("pinned", 4, Inject::Pinned, no_check, &[])
+        },
+        // Lanes finish in any order: a rerun diverges if per-lane bucket
+        // sets or batch maps are ever merged in completion order.
+        rerun("again", Input::Er48, 4, |c| c),
+        Row {
+            check: |_, s| s.metrics,
+            ..rerun("metrics", Input::Er48, 3, |c| ClusterConfig {
+                metrics: true,
+                ..c
+            })
+        },
+        // The serial reference: the same phases, lane by lane on the
+        // caller.
+        rerun("serial-2", Input::Er1500, 2, ClusterConfig::sequential),
+        rerun("serial-4", Input::Er1500, 4, ClusterConfig::sequential),
         // Crash, corruption, straggler: rollback and replay.
         row(
             "chaos",
@@ -222,22 +321,38 @@ fn rows() -> Vec<Row> {
     ]
 }
 
-/// The options every sweep run shares: `iters` 3, the parallel pool.
-fn sweep_opts(algo: &str, workers: usize) -> CliOptions {
+/// The options every sweep run on `input` shares: the parallel pool, and
+/// `iters` 3 on the random graphs, the CLI's default on OR.
+fn sweep_opts(algo: &str, input: Input, workers: usize) -> CliOptions {
+    let default = CliOptions::default();
     CliOptions {
         algo: algo.to_string(),
         config: ClusterConfig::with_workers(workers),
-        iters: 3,
+        iters: if input == Input::Orkut {
+            default.iters
+        } else {
+            3
+        },
         // `dispatch` takes the graph explicitly; the dataset is only
         // used for loading, which the sweep bypasses.
-        dataset: Some(flash_graph::Dataset::Orkut),
-        ..CliOptions::default()
+        dataset: Some(Dataset::Orkut),
+        ..default
     }
 }
 
 /// A finished run: its summary, which ends with the digest of the whole
 /// answer, and its statistics.
 type Run = (String, RunStats);
+
+/// Per-superstep `(upd_messages, upd_bytes, sync_messages, sync_bytes)`,
+/// which a fault-free rerun must reproduce unit for unit.
+pub fn counter_trace(stats: &RunStats) -> Vec<(u64, u64, u64, u64)> {
+    stats
+        .steps()
+        .iter()
+        .map(|s| (s.upd_messages, s.upd_bytes, s.sync_messages, s.sync_bytes))
+        .collect()
+}
 
 /// Requires `got` to be the clean twin's answer in as many supersteps.
 fn exact(what: &str, got: Result<Run, String>, clean: &Run) -> RunStats {
@@ -249,6 +364,16 @@ fn exact(what: &str, got: Result<Run, String>, clean: &Run) -> RunStats {
         "{what}: superstep count diverged"
     );
     stats
+}
+
+/// The run's `(supersteps, total_bytes, answer digest)`, as [`PINNED`]
+/// holds them.
+fn counts((summary, stats): &Run) -> (usize, u64, u64) {
+    let digest = summary
+        .rsplit_once("[digest 0x")
+        .and_then(|(_, d)| u64::from_str_radix(d.strip_suffix(']')?, 16).ok())
+        .expect("the summary ends with its digest");
+    (stats.num_supersteps(), stats.total_bytes(), digest)
 }
 
 /// Runs `row` on `algo` and returns the stats of every run that finished.
@@ -265,8 +390,20 @@ fn sweep_row(row: &Row, algo: &str, g: &Arc<Graph>, clean: &Run) -> Vec<RunStats
         );
         s
     };
-    let mut base = sweep_opts(algo, row.workers);
+    let mut base = sweep_opts(algo, row.input, row.workers);
     match row.inject {
+        // [`sweep`] compares the twin itself, collecting every moved row.
+        Inject::Pinned => Vec::new(),
+        Inject::Rerun(config) => {
+            base.config = config(base.config);
+            let stats = checked(&what, exact(&what, dispatch(&base, g), clean));
+            assert_eq!(
+                counter_trace(&stats),
+                counter_trace(&clean.1),
+                "{what}: upd/sync counters diverged"
+            );
+            vec![stats]
+        }
         Inject::Plan { plan, msf, every } => {
             let plan = msf.filter(|_| algo == "msf").unwrap_or(plan);
             base.config.fault_plan = Some(parse(plan));
@@ -315,36 +452,41 @@ fn sweep_row(row: &Row, algo: &str, g: &Arc<Graph>, clean: &Run) -> Vec<RunStats
     }
 }
 
-/// Every catalogue algorithm on ER(48, 160, seed 11), weighted for msf
-/// and sssp, runs clean and then under each row of [`rows`] named in
-/// `labels`: each faulted run must reproduce its clean twin's summary,
+/// Every catalogue algorithm runs clean, once per (input, workers) pair
+/// the rows named in `labels` use, and then under each of those rows:
+/// each rerun and faulted run must reproduce its clean twin's summary,
 /// result digest included, and superstep count, and show the row's
 /// evidence; over the whole catalogue every row's mechanisms must fire.
 pub fn sweep(labels: &[&str]) {
-    let g = Arc::new(generators::erdos_renyi(48, 160, 11));
-    let weighted = Arc::new(generators::with_random_weights(&g, 0.1, 2.0, 4));
     let rows: Vec<Row> = rows()
         .into_iter()
         .filter(|r| labels.contains(&r.label))
         .collect();
     assert_eq!(rows.len(), labels.len(), "unknown row among {labels:?}");
-    // One clean twin per worker count the rows use: floats need not agree
-    // bit for bit across worker counts.
-    let mut workers: Vec<usize> = rows.iter().map(|r| r.workers).collect();
-    workers.sort_unstable();
-    workers.dedup();
+    if rows.iter().any(|r| matches!(r.inject, Inject::Pinned)) {
+        let pinned: Vec<&str> = PINNED.iter().map(|p| p.0).collect();
+        assert_eq!(pinned, ALGOS, "PINNED must list exactly cli::ALGOS");
+    }
+    // One clean twin per input and worker count the rows use: floats need
+    // not agree bit for bit across worker counts.
+    let mut twins: Vec<(Input, usize)> = rows.iter().map(|r| (r.input, r.workers)).collect();
+    twins.sort_unstable();
+    twins.dedup();
+    let mut inputs: Vec<Input> = twins.iter().map(|t| t.0).collect();
+    inputs.dedup();
+    let graphs: Vec<(Input, [Arc<Graph>; 2])> = inputs.into_iter().map(|i| (i, i.load())).collect();
     let mut fired: Vec<Vec<u64>> = rows.iter().map(|r| vec![0; r.fired.len()]).collect();
+    let mut moved = Vec::new();
     for algo in ALGOS {
-        let g = if algo == "msf" || algo == "sssp" {
-            &weighted
-        } else {
-            &g
+        let graph = |input| {
+            let (_, g) = graphs.iter().find(|(i, _)| *i == input).expect("loaded");
+            &g[weighted(algo) as usize]
         };
-        let twins: Vec<Run> = workers
+        let clean: Vec<Run> = twins
             .iter()
-            .map(|&workers| {
-                let what = format!("{algo} (clean, {workers} workers)");
-                let (summary, stats) = dispatch(&sweep_opts(algo, workers), g)
+            .map(|&(input, workers)| {
+                let what = format!("{algo} (clean, {input:?}, {workers} workers)");
+                let (summary, stats) = dispatch(&sweep_opts(algo, input, workers), graph(input))
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(stats.recovery, Default::default(), "{what}");
                 assert_eq!(stats.delivery, Default::default(), "{what}");
@@ -353,8 +495,18 @@ pub fn sweep(labels: &[&str]) {
             })
             .collect();
         for (row, fired) in rows.iter().zip(&mut fired) {
-            let twin = &twins[workers.binary_search(&row.workers).expect("twin")];
-            for stats in sweep_row(row, algo, g, twin) {
+            let twin = &clean[twins
+                .binary_search(&(row.input, row.workers))
+                .expect("twin")];
+            if matches!(row.inject, Inject::Pinned) {
+                let (steps, bytes, digest) = counts(twin);
+                if !PINNED.contains(&(algo, steps, bytes, digest)) {
+                    moved.push(format!(
+                        "    (\"{algo}\", {steps}, {bytes}, {digest:#018x}),"
+                    ));
+                }
+            }
+            for stats in sweep_row(row, algo, graph(row.input), twin) {
                 let json = stats.summary_json();
                 for (n, path) in fired.iter_mut().zip(row.fired) {
                     let (family, counter) = path.split_once('.').expect("family.counter");
@@ -364,6 +516,11 @@ pub fn sweep(labels: &[&str]) {
             }
         }
     }
+    assert!(
+        moved.is_empty(),
+        "the pinned counts moved; the fresh PINNED rows:\n{}",
+        moved.join("\n")
+    );
     for (row, fired) in rows.iter().zip(&fired) {
         for (n, path) in fired.iter().zip(row.fired) {
             assert!(

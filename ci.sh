@@ -48,7 +48,7 @@ bad="$(cli --faults crash@1:w1:x0 2>&1)" && status=0 || status=$?
 [[ "$status" == 2 ]] && grep -q 'invalid repeat count "x0"' <<<"$bad" || { echo "flash: --faults crash@1:w1:x0 must exit 2 naming the repeat count, got $status: $bad" >&2; exit 1; }
 rm -rf "$cli_dir"
 
-echo "==> paper smoke (the whole evaluation at small scale; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"
+echo "==> paper smoke (the whole evaluation at small scale, Tables I and III (sections table1, table3) included; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"
 paper_dir="$(mktemp -d)"
 FLASH_SCALE=small FLASH_RESULTS_DIR="$paper_dir" target/release/paper all > "$paper_dir/paper.txt"
 tail -n 1 "$paper_dir/paper.txt"

@@ -32,7 +32,8 @@
 //! (override dir with `FLASH_RESULTS_DIR`).
 
 use flash_algos::{pagerank, reference};
-use flash_bench::cli::{dispatch, prepare_storage, CliOptions, ALGOS};
+use flash_bench::catalogue::CATALOGUE;
+use flash_bench::cli::{dispatch, prepare_storage, CliOptions};
 use flash_bench::jsonio;
 use flash_bench::report::render_table;
 use flash_graph::generators::{rmat, web_graph, with_random_weights, RmatParams};
@@ -228,15 +229,16 @@ fn main() {
     let idn = if smoke { 6_000 } else { 20_000 };
     println!(
         "Catalogue identity sweep: {} algorithms, web graph n={idn}\n",
-        ALGOS.len()
+        CATALOGUE.len()
     );
     let idg = Arc::new(web_graph(idn, 8, 24, 11));
     let idg_w = Arc::new(with_random_weights(&idg, 0.1, 2.0, 4));
     let idg_blk = to_blocks(&idg, workers).expect("block conversion");
     let idg_w_blk = to_blocks(&idg_w, workers).expect("block conversion (weighted)");
     let mut identity_rows = Vec::new();
-    for algo in ALGOS {
-        let (mem_g, blk_g) = if algo == "msf" || algo == "sssp" {
+    for row in &CATALOGUE {
+        let algo = row.name;
+        let (mem_g, blk_g) = if row.weighted {
             (&idg_w, &idg_w_blk)
         } else {
             (&idg, &idg_blk)

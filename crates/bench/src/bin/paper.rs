@@ -1,7 +1,9 @@
-//! `paper [all|table5|table6|fig1|verdicts|fig3|fig4a|fig4b|fig4cd|fig5]…`
+//! `paper [all|table1|table3|table5|table6|fig1|verdicts|fig3|fig4a|fig4b|fig4cd|fig5]…`
 //! regenerates the paper's evaluation (§V); no name means `all`.
 //!
-//! The evaluation matrix (Table V ∪ VI apps × six datasets × five
+//! Table I counts the logical lines of each catalogue row's FLASH source
+//! next to the paper's reported competitor numbers; Table III describes
+//! the dataset stand-ins at the run's scale. The evaluation matrix (Table V ∪ VI apps × six datasets × five
 //! frameworks at 4 workers, each cell the fastest of [`SAMPLES`] with its
 //! exact counts) runs once into `results/matrix.json`; Tables V/VI, Fig. 1
 //! and the §V-B verdicts render from it. Figs. 4(b), 4(c,d) and §V-E render
@@ -12,7 +14,9 @@
 use flash_algos::AlgoOutput;
 use flash_bench::harness::{run, App, Framework, RunResult, Scale, CLIQUE_K, SAMPLES};
 use flash_bench::jsonio;
+use flash_bench::lloc::{flash_lloc, PAPER_LLOC};
 use flash_bench::report::{cell, format_secs, heat_glyph, render_table};
+use flash_graph::stats::graph_stats;
 use flash_graph::Dataset;
 use flash_obs::Json;
 use flash_runtime::{ClusterConfig, ModePolicy, NetworkModel, RunStats, RuntimeError};
@@ -28,7 +32,9 @@ const WORKERS: usize = 4;
 type Section = fn(&Paper);
 
 /// The sections, in the order `all` runs them.
-const SECTIONS: [(&str, Section); 9] = [
+const SECTIONS: [(&str, Section); 11] = [
+    ("table1", table1),
+    ("table3", table3),
     ("table5", table5),
     ("table6", table6),
     ("fig1", fig1),
@@ -163,6 +169,108 @@ impl Paper {
             sweep(&[1, 2, 4, 8], Some(NetworkModel::ten_gbe()), tc)
         })
     }
+}
+
+/// Table I: logical lines of code per algorithm per model. FLASH's
+/// column is measured from the catalogue's sources; the competitor
+/// columns are the paper's reported constants (their code is not ours to
+/// count).
+fn table1(p: &Paper) {
+    let fmt = |v: Option<usize>| v.map_or("-".to_string(), |x| x.to_string());
+    let opt = |v: Option<usize>| v.map_or(Json::Null, Json::from);
+    let (mut rows, mut json, mut leaner) = (Vec::new(), Vec::new(), 0);
+    for (name, pregel, powerg, gemini, ligra, paper) in PAPER_LLOC {
+        let ours = flash_lloc(name).expect("every Table I row has a marked core");
+        leaner += usize::from(pregel.is_some_and(|p| ours < p));
+        json.push(
+            Json::object()
+                .set("algo", name)
+                .set("pregel_plus", opt(pregel))
+                .set("powergraph", opt(powerg))
+                .set("gemini", opt(gemini))
+                .set("ligra", opt(ligra))
+                .set("flash_measured", ours)
+                .set("flash_paper", paper),
+        );
+        let mut cells = [pregel, powerg, gemini, ligra].map(fmt).to_vec();
+        cells.extend([ours, paper].map(|n| n.to_string()));
+        rows.push((name.to_string(), cells));
+    }
+    println!("Table I — Expressiveness & Productivity (LLoC, lower is better)");
+    println!("(competitor columns: the paper's reported values; FLASH: measured here)\n");
+    let headers = [
+        "Algo.",
+        "Pregel+",
+        "PowerG.",
+        "Gemini",
+        "Ligra",
+        "FLASH(ours)",
+        "FLASH(paper)",
+    ];
+    println!("{}", render_table(&headers, &rows));
+    let comparable = PAPER_LLOC.iter().filter(|r| r.1.is_some()).count();
+    println!("FLASH leaner than Pregel+ in {leaner}/{comparable} comparable rows.");
+    let doc = Json::object()
+        .set("table", "table1_lloc")
+        .set("leaner_than_pregel", leaner)
+        .set("comparable", comparable)
+        .set("rows", json);
+    jsonio::save(&p.dir, "table1_lloc", &doc);
+    println!();
+}
+
+/// Table III: the dataset collection — the paper's originals next to the
+/// synthetic stand-ins this run loads (see DESIGN.md §1).
+fn table3(p: &Paper) {
+    println!("Table III — dataset collection at scale {:?}\n", p.scale);
+    let (mut rows, mut json) = (Vec::new(), Vec::new());
+    for d in Dataset::ALL {
+        let s = graph_stats(&p.scale.load(d));
+        let (pv, pe) = d.paper_size();
+        json.push(
+            Json::object()
+                .set("abbr", d.abbr())
+                .set("name", d.name())
+                .set("vertices", s.vertices)
+                .set("undirected_edges", s.edges as u64 / 2)
+                .set("pseudo_diameter", s.pseudo_diameter as u64)
+                .set("avg_degree", s.avg_degree)
+                .set("max_degree", s.max_degree as u64)
+                .set("domain", d.domain().abbr())
+                .set("paper_size", format!("{pv}/{pe}")),
+        );
+        let cells = [
+            d.name().to_string(),
+            s.vertices.to_string(),
+            (s.edges / 2).to_string(),
+            s.pseudo_diameter.to_string(),
+            format!("{:.1}", s.avg_degree),
+            s.max_degree.to_string(),
+            d.domain().abbr().to_string(),
+            format!("{pv}/{pe}"),
+        ];
+        rows.push((d.abbr().to_string(), cells.to_vec()));
+    }
+    let headers = [
+        "Abbr",
+        "Dataset",
+        "|V|",
+        "|E|(und.)",
+        "Diam≈",
+        "AvgDeg",
+        "MaxDeg",
+        "Dom",
+        "Paper |V|/|E|",
+    ];
+    println!("{}", render_table(&headers, &rows));
+    println!("Topology classes match the paper: SN = skewed/small-diameter,");
+    println!("RN = degree≈2-3/huge-diameter, WG = in between.");
+    let doc = Json::object()
+        .set("table", "table3_datasets")
+        .set("scale", format!("{:?}", p.scale))
+        .set("rows", json);
+    jsonio::save(&p.dir, "table3_datasets", &doc);
+    println!();
 }
 
 /// A table header: `first`, then one column per framework.

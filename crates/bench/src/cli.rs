@@ -9,14 +9,12 @@
 //! Kept dependency-free (hand-rolled parsing) per the workspace's crate
 //! policy.
 
+use crate::catalogue::{self, Params, CATALOGUE};
 use crate::harness::Scale;
-use flash_algos::AlgoOutput;
-use flash_graph::hash::Fnv1a;
 use flash_graph::io::{read_edge_list, ReadOptions};
 use flash_graph::{Dataset, Graph};
 use flash_obs::Json;
 use flash_runtime::{ClusterConfig, FaultPlan, ModePolicy, NetworkModel, StorageMode};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,29 +66,6 @@ impl Default for CliOptions {
         }
     }
 }
-
-/// The algorithms the CLI can dispatch.
-pub const ALGOS: [&str; 19] = [
-    "bfs",
-    "cc",
-    "cc-opt",
-    "bc",
-    "mis",
-    "mm",
-    "mm-opt",
-    "kcore",
-    "kcore-opt",
-    "tc",
-    "gc",
-    "scc",
-    "bcc",
-    "lpa",
-    "msf",
-    "rc",
-    "cl",
-    "sssp",
-    "pagerank",
-];
 
 /// Parses CLI arguments (without the program name).
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions, String> {
@@ -182,11 +157,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
     if opts.algo.is_empty() {
         return Err(format!("--algo is required\n{}", usage()));
     }
-    if !ALGOS.contains(&opts.algo.as_str()) {
+    if catalogue::find(&opts.algo).is_none() {
         return Err(format!(
             "unknown algorithm {:?}; available: {}",
             opts.algo,
-            ALGOS.join(", ")
+            algo_names()
         ));
     }
     if opts.dataset.is_none() && opts.input.is_none() {
@@ -223,8 +198,14 @@ pub fn usage() -> String {
          \x20            loss=P, dupRate=P, corruptRate=P options\n\
          \x20            (e.g. --faults drop@3:w1,loss=0.05,retries=4)\n\
          algorithms: {}",
-        ALGOS.join(", ")
+        algo_names()
     )
+}
+
+/// The catalogue's algorithm names, comma-separated.
+fn algo_names() -> String {
+    let names: Vec<&str> = CATALOGUE.iter().map(|a| a.name).collect();
+    names.join(", ")
 }
 
 /// Loads the graph an options set refers to.
@@ -311,33 +292,16 @@ pub fn prepare_storage(opts: &CliOptions, g: &Arc<Graph>) -> Result<Arc<Graph>, 
     Ok(Arc::new(opened?))
 }
 
-/// A finished run as [`dispatch`] returns it: `line`, which describes the
-/// answer, with the digest of the whole answer appended.
-fn answered<T: std::fmt::Debug>(
-    line: String,
-    out: AlgoOutput<T>,
-) -> (String, flash_runtime::RunStats) {
-    struct Hasher(Fnv1a);
-    impl std::fmt::Write for Hasher {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            self.0.update(s.as_bytes());
-            Ok(())
-        }
-    }
-    let mut h = Hasher(Fnv1a::new());
-    write!(h, "{:?}", out.result).expect("hashing never fails");
-    (format!("{line} [digest {:#018x}]", h.0.finish()), out.stats)
-}
-
-/// Runs the selected algorithm, returning a human-readable result summary
-/// and the execution statistics. The summary ends with ` [digest 0x…]`,
-/// the FNV-1a of the whole result's `Debug` rendering (a float's `Debug`
-/// form round-trips its bits), so comparing two summaries compares the
-/// two answers.
+/// Runs the selected algorithm's catalogue row, returning a
+/// human-readable result summary and the execution statistics. The
+/// summary ends with ` [digest 0x…]`, the FNV-1a of the whole result's
+/// `Debug` rendering, so comparing two summaries compares the two answers.
 pub fn dispatch(
     opts: &CliOptions,
     g: &Arc<Graph>,
 ) -> Result<(String, flash_runtime::RunStats), String> {
+    let algo = catalogue::find(&opts.algo)
+        .ok_or_else(|| format!("unhandled algorithm {:?}", opts.algo))?;
     let g = &prepare_storage(opts, g)?;
     let mut cfg = opts.config.clone();
     match trace_sink(opts) {
@@ -345,139 +309,8 @@ pub fn dispatch(
         Ok(None) => {}
         Err(e) => eprintln!("warning: {e}"),
     }
-    let fail = |e: flash_runtime::RuntimeError| e.to_string();
-    Ok(match opts.algo.as_str() {
-        "bfs" => {
-            let out = flash_algos::bfs::run(g, cfg, opts.root).map_err(fail)?;
-            let reached = out.result.iter().filter(|&&d| d != u32::MAX).count();
-            let ecc = out.result.iter().filter(|&&d| d != u32::MAX).max().copied();
-            answered(
-                format!("reached {reached} vertices; eccentricity {ecc:?}"),
-                out,
-            )
-        }
-        "cc" | "cc-opt" => {
-            let out = if opts.algo == "cc" {
-                flash_algos::cc::run(g, cfg).map_err(fail)?
-            } else {
-                flash_algos::cc_opt::run(g, cfg).map_err(fail)?
-            };
-            let mut labels = out.result.clone();
-            labels.sort_unstable();
-            labels.dedup();
-            answered(format!("{} connected components", labels.len()), out)
-        }
-        "bc" => {
-            let out = flash_algos::bc::run(g, cfg, opts.root).map_err(fail)?;
-            let best = out
-                .result
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| v as u32 != opts.root)
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, s)| (v, *s));
-            answered(format!("max dependency: {best:?}"), out)
-        }
-        "mis" => {
-            let out = flash_algos::mis::run(g, cfg).map_err(fail)?;
-            let size = out.result.iter().filter(|&&b| b).count();
-            answered(format!("independent set of {size} vertices"), out)
-        }
-        "mm" | "mm-opt" => {
-            let out = if opts.algo == "mm" {
-                flash_algos::mm::run(g, cfg).map_err(fail)?
-            } else {
-                flash_algos::mm_opt::run(g, cfg).map_err(fail)?
-            };
-            let matched = out.result.partner.iter().filter(|p| p.is_some()).count();
-            answered(
-                format!(
-                    "{} matched pairs over {} rounds",
-                    matched / 2,
-                    out.result.frontier_per_round.len()
-                ),
-                out,
-            )
-        }
-        "kcore" | "kcore-opt" => {
-            let out = if opts.algo == "kcore" {
-                flash_algos::kcore::run(g, cfg).map_err(fail)?
-            } else {
-                flash_algos::kcore_opt::run(g, cfg).map_err(fail)?
-            };
-            let max = out.result.iter().max().copied().unwrap_or(0);
-            answered(format!("max core number {max}"), out)
-        }
-        "tc" => {
-            let out = flash_algos::tc::run(g, cfg).map_err(fail)?;
-            answered(format!("{} triangles", out.result), out)
-        }
-        "gc" => {
-            let out = flash_algos::gc::run(g, cfg).map_err(fail)?;
-            let colors = out.result.iter().max().map_or(0, |&c| c + 1);
-            answered(format!("proper coloring with {colors} colors"), out)
-        }
-        "scc" => {
-            let out = flash_algos::scc::run(g, cfg).map_err(fail)?;
-            let mut labels = out.result.clone();
-            labels.sort_unstable();
-            labels.dedup();
-            answered(
-                format!("{} strongly connected components", labels.len()),
-                out,
-            )
-        }
-        "bcc" => {
-            let out = flash_algos::bcc::run(g, cfg).map_err(fail)?;
-            let labels: std::collections::HashSet<u32> = (0..g.num_vertices() as u32)
-                .filter(|&v| out.result.parent[v as usize].is_some())
-                .map(|v| out.result.label[v as usize])
-                .collect();
-            answered(format!("{} biconnected components", labels.len()), out)
-        }
-        "lpa" => {
-            let out = flash_algos::lpa::run(g, cfg, opts.iters).map_err(fail)?;
-            let mut labels = out.result.clone();
-            labels.sort_unstable();
-            labels.dedup();
-            answered(format!("{} communities", labels.len()), out)
-        }
-        "msf" => {
-            let out = flash_algos::msf::run(g, cfg).map_err(fail)?;
-            answered(
-                format!(
-                    "forest of {} edges, total weight {:.3}",
-                    out.result.edges.len(),
-                    out.result.total_weight
-                ),
-                out,
-            )
-        }
-        "rc" => {
-            let out = flash_algos::rc::run(g, cfg).map_err(fail)?;
-            answered(format!("{} rectangles", out.result), out)
-        }
-        "cl" => {
-            let out = flash_algos::clique::run(g, cfg, opts.k).map_err(fail)?;
-            answered(format!("{} {}-cliques", out.result, opts.k), out)
-        }
-        "sssp" => {
-            let out = flash_algos::sssp::run(g, cfg, opts.root).map_err(fail)?;
-            let reached = out.result.iter().filter(|d| d.is_finite()).count();
-            answered(format!("reached {reached} vertices"), out)
-        }
-        "pagerank" => {
-            let out = flash_algos::pagerank::run(g, cfg, opts.iters).map_err(fail)?;
-            let top = out
-                .result
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(v, r)| (v, *r));
-            answered(format!("top vertex by rank: {top:?}"), out)
-        }
-        other => return Err(format!("unhandled algorithm {other:?}")),
-    })
+    let (root, iters, k) = (opts.root, opts.iters, opts.k);
+    (algo.run)(g, cfg, Params { root, iters, k }).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

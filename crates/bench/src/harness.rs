@@ -1,12 +1,12 @@
 //! The framework × application × dataset execution matrix.
 
-use flash_algos::AlgoOutput;
+use crate::catalogue::{self, Answer, Params};
 use flash_baselines::gas::{self, GasConfig};
 use flash_baselines::ligra;
 use flash_baselines::pregel::{self, PregelConfig};
 use flash_baselines::{BaselineError, BaselineOutput, EngineStats};
 use flash_graph::{Dataset, Graph};
-use flash_runtime::{ClusterConfig, RuntimeError};
+use flash_runtime::ClusterConfig;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -207,14 +207,14 @@ fn from_baseline<T>(start: Instant, r: Result<BaselineOutput<T>, BaselineError>)
     }
 }
 
-fn from_flash<T>(start: Instant, r: Result<AlgoOutput<T>, RuntimeError>) -> RunResult {
+fn from_flash(start: Instant, r: Answer) -> RunResult {
     match r {
-        Ok(out) => {
+        Ok((_, stats)) => {
             let stats = EngineStats {
-                supersteps: out.stats.num_supersteps(),
-                messages: out.stats.total_messages(),
-                bytes: out.stats.total_bytes(),
-                makespan: out.stats.simulated_parallel_time(),
+                supersteps: stats.num_supersteps(),
+                messages: stats.total_messages(),
+                bytes: stats.total_bytes(),
+                makespan: stats.simulated_parallel_time(),
             };
             from_baseline(start, Ok(BaselineOutput { result: (), stats }))
         }
@@ -257,25 +257,29 @@ fn flash_cfg(workers: usize) -> ClusterConfig {
     ClusterConfig::with_workers(workers).sequential()
 }
 
+/// FLASH runs `app` as the catalogue row of the same name, except where
+/// the paper evaluates the optimized variant: MM-opt, KC-opt, and CC-opt
+/// when `cc_opt` says the graph's diameter is large.
 fn run_flash(app: App, g: &Arc<Graph>, workers: usize, cc_opt: bool) -> RunResult {
+    let name = match app {
+        App::Cc if cc_opt => "cc-opt".to_string(),
+        App::Mm => "mm-opt".to_string(),
+        App::Kc => "kcore-opt".to_string(),
+        _ => app.abbr().to_lowercase(),
+    };
+    run_row(&name, g, workers)
+}
+
+/// Runs the catalogue row `name` with the matrix's parameters.
+fn run_row(name: &str, g: &Arc<Graph>, workers: usize) -> RunResult {
+    let algo = catalogue::find(name).expect("every app has a catalogue row");
+    let params = Params {
+        root: 0,
+        iters: LPA_ITERS,
+        k: CLIQUE_K,
+    };
     let t = Instant::now();
-    match app {
-        App::Cc if cc_opt => from_flash(t, flash_algos::cc_opt::run(g, flash_cfg(workers))),
-        App::Cc => from_flash(t, flash_algos::cc::run(g, flash_cfg(workers))),
-        App::Bfs => from_flash(t, flash_algos::bfs::run(g, flash_cfg(workers), 0)),
-        App::Bc => from_flash(t, flash_algos::bc::run(g, flash_cfg(workers), 0)),
-        App::Mis => from_flash(t, flash_algos::mis::run(g, flash_cfg(workers))),
-        App::Mm => from_flash(t, flash_algos::mm_opt::run(g, flash_cfg(workers))),
-        App::Kc => from_flash(t, flash_algos::kcore_opt::run(g, flash_cfg(workers))),
-        App::Tc => from_flash(t, flash_algos::tc::run(g, flash_cfg(workers))),
-        App::Gc => from_flash(t, flash_algos::gc::run(g, flash_cfg(workers))),
-        App::Scc => from_flash(t, flash_algos::scc::run(g, flash_cfg(workers))),
-        App::Bcc => from_flash(t, flash_algos::bcc::run(g, flash_cfg(workers))),
-        App::Lpa => from_flash(t, flash_algos::lpa::run(g, flash_cfg(workers), LPA_ITERS)),
-        App::Msf => from_flash(t, flash_algos::msf::run(g, flash_cfg(workers))),
-        App::Rc => from_flash(t, flash_algos::rc::run(g, flash_cfg(workers))),
-        App::Cl => from_flash(t, flash_algos::clique::run(g, flash_cfg(workers), CLIQUE_K)),
-    }
+    from_flash(t, (algo.run)(g, flash_cfg(workers), params))
 }
 
 /// Gemini: the FLASH runtime constrained to Gemini's programming model —
@@ -284,7 +288,7 @@ fn run_flash(app: App, g: &Arc<Graph>, workers: usize, cc_opt: bool) -> RunResul
 fn run_gemini(app: App, g: &Arc<Graph>, workers: usize) -> RunResult {
     match app {
         App::Cc | App::Bfs | App::Bc | App::Mis => run_flash(app, g, workers, false),
-        App::Mm => from_flash(Instant::now(), flash_algos::mm::run(g, flash_cfg(workers))),
+        App::Mm => run_row("mm", g, workers),
         _ => RunResult::Unsupported,
     }
 }

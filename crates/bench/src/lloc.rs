@@ -11,101 +11,7 @@
 //! Competitor LLoCs cannot be measured (we own none of their code); Table
 //! I's reported constants are reproduced in [`PAPER_LLOC`].
 
-/// One algorithm's embedded source and metadata.
-pub struct AlgoSource {
-    /// Table I row label.
-    pub name: &'static str,
-    /// Marker key inside the source file.
-    pub key: &'static str,
-    /// The full module source (embedded at compile time).
-    pub source: &'static str,
-}
-
-/// All Table I rows with their FLASH sources.
-pub fn sources() -> Vec<AlgoSource> {
-    vec![
-        AlgoSource {
-            name: "CC-basic",
-            key: "cc",
-            source: include_str!("../../algos/src/cc.rs"),
-        },
-        AlgoSource {
-            name: "CC-opt",
-            key: "cc_opt",
-            source: include_str!("../../algos/src/cc_opt.rs"),
-        },
-        AlgoSource {
-            name: "BFS",
-            key: "bfs",
-            source: include_str!("../../algos/src/bfs.rs"),
-        },
-        AlgoSource {
-            name: "BC",
-            key: "bc",
-            source: include_str!("../../algos/src/bc.rs"),
-        },
-        AlgoSource {
-            name: "MIS",
-            key: "mis",
-            source: include_str!("../../algos/src/mis.rs"),
-        },
-        AlgoSource {
-            name: "MM-basic",
-            key: "mm",
-            source: include_str!("../../algos/src/mm.rs"),
-        },
-        AlgoSource {
-            name: "MM-opt",
-            key: "mm_opt",
-            source: include_str!("../../algos/src/mm_opt.rs"),
-        },
-        AlgoSource {
-            name: "KC",
-            key: "kcore",
-            source: include_str!("../../algos/src/kcore.rs"),
-        },
-        AlgoSource {
-            name: "TC",
-            key: "tc",
-            source: include_str!("../../algos/src/tc.rs"),
-        },
-        AlgoSource {
-            name: "GC",
-            key: "gc",
-            source: include_str!("../../algos/src/gc.rs"),
-        },
-        AlgoSource {
-            name: "SCC",
-            key: "scc",
-            source: include_str!("../../algos/src/scc.rs"),
-        },
-        AlgoSource {
-            name: "BCC",
-            key: "bcc",
-            source: include_str!("../../algos/src/bcc.rs"),
-        },
-        AlgoSource {
-            name: "LPA",
-            key: "lpa",
-            source: include_str!("../../algos/src/lpa.rs"),
-        },
-        AlgoSource {
-            name: "MSF",
-            key: "msf",
-            source: include_str!("../../algos/src/msf.rs"),
-        },
-        AlgoSource {
-            name: "RC",
-            key: "rc",
-            source: include_str!("../../algos/src/rc.rs"),
-        },
-        AlgoSource {
-            name: "CL",
-            key: "clique",
-            source: include_str!("../../algos/src/clique.rs"),
-        },
-    ]
-}
+use crate::catalogue::CATALOGUE;
 
 /// Extracts the marked core region of an algorithm source.
 pub fn core_region<'a>(source: &'a str, key: &str) -> Option<&'a str> {
@@ -136,12 +42,11 @@ pub fn count_lloc(code: &str) -> usize {
         .count()
 }
 
-/// LLoC of one Table I row's FLASH implementation.
-pub fn flash_lloc(key: &str) -> Option<usize> {
-    sources()
-        .into_iter()
-        .find(|s| s.key == key)
-        .and_then(|s| core_region(s.source, s.key).map(count_lloc))
+/// The LLoC of the FLASH implementation of the Table I row `label`:
+/// the catalogue row carrying that label, its marked core counted.
+pub fn flash_lloc(label: &str) -> Option<usize> {
+    let row = CATALOGUE.iter().find(|a| a.label == Some(label))?;
+    core_region(row.source, row.module).map(count_lloc)
 }
 
 /// Table I as reported by the paper: `(row, pregel+, powergraph, gemini,
@@ -181,12 +86,10 @@ mod tests {
 
     #[test]
     fn every_algorithm_has_a_marked_core() {
-        for s in sources() {
-            let region = core_region(s.source, s.key);
-            assert!(region.is_some(), "{} missing markers", s.name);
-            let lloc = count_lloc(region.unwrap());
-            assert!(lloc > 3, "{}: suspiciously few lines ({lloc})", s.name);
-            assert!(lloc < 200, "{}: suspiciously many lines ({lloc})", s.name);
+        for (label, ..) in PAPER_LLOC {
+            let lloc = flash_lloc(label).unwrap_or_else(|| panic!("{label}: no marked core"));
+            assert!(lloc > 3, "{label}: suspiciously few lines ({lloc})");
+            assert!(lloc < 200, "{label}: suspiciously many lines ({lloc})");
         }
     }
 
@@ -208,12 +111,7 @@ mod tests {
         // The productivity claim, measured on our own sources against the
         // paper's reported Pregel+ numbers.
         for (name, pregel, _, _, _, _) in PAPER_LLOC {
-            let key = sources()
-                .into_iter()
-                .find(|s| s.name == name)
-                .map(|s| s.key)
-                .unwrap();
-            let ours = flash_lloc(key).unwrap();
+            let ours = flash_lloc(name).unwrap();
             if let Some(p) = pregel {
                 assert!(
                     ours <= p,
@@ -226,6 +124,7 @@ mod tests {
     #[test]
     fn paper_table_has_16_rows() {
         assert_eq!(PAPER_LLOC.len(), 16);
-        assert_eq!(sources().len(), 16);
+        let rows = CATALOGUE.iter().filter(|a| a.label.is_some());
+        assert_eq!(rows.count(), 16);
     }
 }

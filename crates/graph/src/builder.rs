@@ -106,11 +106,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges currently staged (before symmetrization/dedup).
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Validates and assembles the [`Graph`].
     pub fn build(self) -> Result<Graph, GraphError> {
         let GraphBuilder {
@@ -279,11 +274,5 @@ mod tests {
         let g = GraphBuilder::new(0).build().unwrap();
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.num_edges(), 0);
-    }
-
-    #[test]
-    fn staged_edges_counts() {
-        let b = GraphBuilder::new(3).edges([(0, 1), (1, 2)]);
-        assert_eq!(b.staged_edges(), 2);
     }
 }

@@ -83,18 +83,6 @@ impl Dataset {
         }
     }
 
-    /// Original dataset name in the paper.
-    pub fn paper_name(self) -> &'static str {
-        match self {
-            Dataset::Orkut => "soc-orkut",
-            Dataset::Twitter => "soc-twitter",
-            Dataset::RoadUsa => "road-USA",
-            Dataset::EuropeOsm => "europe-osm",
-            Dataset::Uk2002 => "uk-2002",
-            Dataset::Sk2005 => "sk-2005",
-        }
-    }
-
     /// Original `(|V|, |E|)` as reported in Table III (for the report).
     pub fn paper_size(self) -> (&'static str, &'static str) {
         match self {

@@ -50,14 +50,6 @@ impl DisjointSets {
         v
     }
 
-    /// Read-only find (no compression) for shared contexts.
-    pub fn find_immutable(&self, mut v: VertexId) -> VertexId {
-        while self.parent[v as usize] != v {
-            v = self.parent[v as usize];
-        }
-        v
-    }
-
     /// Merges the sets of `a` and `b` (the paper's `dsu_union`); returns
     /// `true` if they were previously disjoint.
     pub fn union(&mut self, a: VertexId, b: VertexId) -> bool {
@@ -129,17 +121,6 @@ mod tests {
         let labels = d.labels();
         assert_eq!(labels[0], labels[3]);
         assert_ne!(labels[0], labels[1]);
-    }
-
-    #[test]
-    fn find_immutable_matches_find() {
-        let mut d = DisjointSets::new(8);
-        d.union(0, 1);
-        d.union(1, 2);
-        d.union(5, 6);
-        for v in 0..8 {
-            assert_eq!(d.find_immutable(v), d.clone().find(v));
-        }
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! the same power-of-two bucket, so the relative error is bounded by the
 //! bucket width — strictly less than 2×.
 
-use std::time::Duration;
-
 use crate::json::Json;
 
 /// Number of histogram buckets: one for zero plus one per possible bit
@@ -83,12 +81,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Records a [`Duration`] as whole nanoseconds (saturating at
-    /// `u64::MAX`, ≈ 584 years).
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of samples recorded.
@@ -236,12 +228,5 @@ mod tests {
             );
             assert!(got >= truth, "upper-bound estimate must not undershoot");
         }
-    }
-
-    #[test]
-    fn duration_recording_uses_nanos() {
-        let mut h = Histogram::new();
-        h.record_duration(Duration::from_micros(3));
-        assert_eq!(h.min(), Some(3000));
     }
 }

@@ -637,15 +637,6 @@ impl RunStats {
         self.steps.iter().map(StepStats::barrier_skew).sum()
     }
 
-    /// The largest single-superstep barrier skew of the run.
-    pub fn max_barrier_skew(&self) -> Duration {
-        self.steps
-            .iter()
-            .map(StepStats::barrier_skew)
-            .max()
-            .unwrap_or_default()
-    }
-
     /// The `metrics` block: `{"histograms": {name: {count, sum, min, max,
     /// p50, p90, p99}}}` with one histogram per [`StepStats`] duration
     /// (barrier skew included) and one sample per superstep, plus `step/streamed_bytes` on a run that
@@ -844,7 +835,6 @@ mod tests {
         s.compute_min = Duration::from_micros(50);
         r.push(s);
         assert_eq!(r.barrier_skew_time(), Duration::from_micros(120));
-        assert_eq!(r.max_barrier_skew(), Duration::from_micros(120));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   the row's evidence that the mechanism fired;
 //! - the fault-free reruns (`again`, `metrics`, `serial-2`, `serial-4`)
 //!   must also reproduce the per-superstep traffic counters;
-//! - `pinned` holds the clean twin on the OR stand-in to [`PINNED`].
+//! - `pinned` holds the clean twin on the OR stand-in, and the bytes of
+//!   its rerun at full sync, to [`PINNED`].
 //!
 //! Each test file runs its own rows: `fault_tolerance.rs` chaos,
 //! `elastic.rs` the membership rows, `lossy_transport.rs` the channel
@@ -18,43 +19,49 @@
 //! rows, `hotpath.rs` the reruns and the pinned counts, `metrics.rs` the
 //! metrics rerun.
 
-use flash_bench::cli::{dispatch, CliOptions, ALGOS};
+use flash_bench::catalogue::CATALOGUE;
+use flash_bench::cli::{dispatch, CliOptions};
 use flash_graph::testutil::TempDirGuard;
 use flash_graph::{generators, Dataset, Graph};
 use flash_obs::Json;
-use flash_runtime::{ClusterConfig, FaultPlan, RunStats};
+use flash_runtime::{ClusterConfig, FaultPlan, RunStats, SyncMode};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The clean twin of every catalogue algorithm on the OR stand-in at
-/// `FLASH_SCALE=small` (859 vertices), 4 workers, the CLI's default
-/// options: `(algo, supersteps, total_bytes, answer digest)`, in
-/// [`ALGOS`] order. A change that moves a count on purpose re-pins it by
-/// pasting the rows the failing sweep prints.
+/// `FLASH_SCALE=small` (1 024 vertices), 4 workers, the CLI's default
+/// options: `(algo, supersteps, total_bytes, full-sync total_bytes,
+/// answer digest)`, in catalogue order. The default sync ships only each
+/// vertex's critical part; full sync ships its whole `VertexData::bytes()`,
+/// so the fourth column sees a change to a value's size that the third
+/// may miss. A change
+/// that moves a count on purpose re-pins it by pasting the rows the
+/// failing sweep prints.
 #[rustfmt::skip]
-const PINNED: &[(&str, usize, u64, u64)] = &[
-    ("bfs", 6, 33376, 0xc203b713b6f3579c),
-    ("cc", 5, 36608, 0xce58f903ae6850b7),
-    ("cc-opt", 69, 1231484, 0xce58f903ae6850b7),
-    ("bc", 14, 197960, 0x5d417a64adb65b88),
-    ("mis", 9, 95500, 0xd3c3bc055f14ece1),
-    ("mm", 28, 340020, 0x5d7bf35bbbc6e997),
-    ("mm-opt", 46, 322380, 0xec528a9ac06aa62c),
-    ("kcore", 174, 515940, 0x7a7e33025b11afd5),
-    ("kcore-opt", 76, 524216, 0x7a7e33025b11afd5),
-    ("tc", 5, 231500, 0x00f4c809707f4406),
-    ("gc", 101, 1260904, 0x043ae79b5b1ca961),
-    ("scc", 12, 189560, 0xce58f903ae6850b7),
-    ("bcc", 12, 336528, 0x70aca7c24f30a736),
-    ("lpa", 41, 498696, 0x38a9b23ab811cac4),
-    ("msf", 2, 22500, 0x7a69a59c0034144e),
-    ("rc", 5, 680940, 0xcfdba3235644e715),
-    ("cl", 5, 151792, 0xa94c614cc1679022),
-    ("sssp", 8, 73020, 0x6e14cbe8d8e3acda),
-    ("pagerank", 50, 1154040, 0x47170e45d4754ccb),
+const PINNED: &[(&str, usize, u64, u64, u64)] = &[
+    ("bfs", 6, 33376, 33376, 0xc203b713b6f3579c),
+    ("cc", 5, 36608, 36608, 0xce58f903ae6850b7),
+    ("cc-opt", 69, 1231484, 1476912, 0xce58f903ae6850b7),
+    ("bc", 14, 197960, 197960, 0x5d417a64adb65b88),
+    ("mis", 9, 95500, 95500, 0xd3c3bc055f14ece1),
+    ("mm", 28, 340020, 340020, 0x5d7bf35bbbc6e997),
+    ("mm-opt", 46, 322380, 322380, 0xec528a9ac06aa62c),
+    ("kcore", 174, 515940, 515940, 0x7a7e33025b11afd5),
+    ("kcore-opt", 76, 524216, 1896400, 0x7a7e33025b11afd5),
+    ("tc", 5, 231500, 231500, 0x00f4c809707f4406),
+    ("gc", 101, 1260904, 4482156, 0x043ae79b5b1ca961),
+    ("scc", 12, 189560, 189560, 0xce58f903ae6850b7),
+    ("bcc", 12, 336528, 336528, 0x70aca7c24f30a736),
+    ("lpa", 41, 498696, 4872000, 0x38a9b23ab811cac4),
+    ("msf", 2, 22500, 22500, 0x7a69a59c0034144e),
+    ("rc", 5, 680940, 680940, 0xcfdba3235644e715),
+    ("cl", 5, 151792, 151792, 0xa94c614cc1679022),
+    ("sssp", 8, 73020, 73020, 0x6e14cbe8d8e3acda),
+    ("pagerank", 50, 1154040, 1154040, 0x47170e45d4754ccb),
 ];
 
-/// The graph a row runs on. msf and sssp run on its weighted copy.
+/// The graph a row runs on. The catalogue's weighted algorithms run on
+/// its weighted copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Input {
     /// ER(48, 160, seed 11): small enough to run every fault scenario.
@@ -80,14 +87,10 @@ impl Input {
     }
 }
 
-/// Whether `algo` needs edge weights.
-fn weighted(algo: &str) -> bool {
-    algo == "msf" || algo == "sssp"
-}
-
 /// What a row of [`rows`] does to the run.
 enum Inject {
-    /// No run of its own: the clean twin must equal its [`PINNED`] row.
+    /// The clean twin, and one rerun of it at [`SyncMode::Full`], must
+    /// equal the algorithm's [`PINNED`] row.
     Pinned,
     /// No fault: one more run under the twin's configuration passed
     /// through the function, which must also reproduce the twin's
@@ -392,8 +395,11 @@ fn sweep_row(row: &Row, algo: &str, g: &Arc<Graph>, clean: &Run) -> Vec<RunStats
     };
     let mut base = sweep_opts(algo, row.input, row.workers);
     match row.inject {
-        // [`sweep`] compares the twin itself, collecting every moved row.
-        Inject::Pinned => Vec::new(),
+        // [`sweep`] compares the counts, collecting every moved row.
+        Inject::Pinned => {
+            base.config.sync_mode = SyncMode::Full;
+            vec![exact(&what, dispatch(&base, g), clean)]
+        }
         Inject::Rerun(config) => {
             base.config = config(base.config);
             let stats = checked(&what, exact(&what, dispatch(&base, g), clean));
@@ -464,8 +470,12 @@ pub fn sweep(labels: &[&str]) {
         .collect();
     assert_eq!(rows.len(), labels.len(), "unknown row among {labels:?}");
     if rows.iter().any(|r| matches!(r.inject, Inject::Pinned)) {
-        let pinned: Vec<&str> = PINNED.iter().map(|p| p.0).collect();
-        assert_eq!(pinned, ALGOS, "PINNED must list exactly cli::ALGOS");
+        let pinned = PINNED.iter().map(|p| p.0);
+        let catalogue = CATALOGUE.iter().map(|a| a.name);
+        assert!(
+            pinned.eq(catalogue),
+            "PINNED must list exactly the catalogue"
+        );
     }
     // One clean twin per input and worker count the rows use: floats need
     // not agree bit for bit across worker counts.
@@ -477,10 +487,11 @@ pub fn sweep(labels: &[&str]) {
     let graphs: Vec<(Input, [Arc<Graph>; 2])> = inputs.into_iter().map(|i| (i, i.load())).collect();
     let mut fired: Vec<Vec<u64>> = rows.iter().map(|r| vec![0; r.fired.len()]).collect();
     let mut moved = Vec::new();
-    for algo in ALGOS {
+    for row in &CATALOGUE {
+        let algo = row.name;
         let graph = |input| {
             let (_, g) = graphs.iter().find(|(i, _)| *i == input).expect("loaded");
-            &g[weighted(algo) as usize]
+            &g[row.weighted as usize]
         };
         let clean: Vec<Run> = twins
             .iter()
@@ -498,15 +509,17 @@ pub fn sweep(labels: &[&str]) {
             let twin = &clean[twins
                 .binary_search(&(row.input, row.workers))
                 .expect("twin")];
+            let runs = sweep_row(row, algo, graph(row.input), twin);
             if matches!(row.inject, Inject::Pinned) {
                 let (steps, bytes, digest) = counts(twin);
-                if !PINNED.contains(&(algo, steps, bytes, digest)) {
+                let full = runs[0].total_bytes();
+                if !PINNED.contains(&(algo, steps, bytes, full, digest)) {
                     moved.push(format!(
-                        "    (\"{algo}\", {steps}, {bytes}, {digest:#018x}),"
+                        "    (\"{algo}\", {steps}, {bytes}, {full}, {digest:#018x}),"
                     ));
                 }
             }
-            for stats in sweep_row(row, algo, graph(row.input), twin) {
+            for stats in runs {
                 let json = stats.summary_json();
                 for (n, path) in fired.iter_mut().zip(row.fired) {
                     let (family, counter) = path.split_once('.').expect("family.counter");

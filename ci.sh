@@ -28,12 +28,6 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> trace analyzer smoke (record, validate schema, critical path, Chrome export)"
-cargo run --release -q -p flash-bench --bin flash_trace -- --smoke
-
-echo "==> block-storage smoke (out-of-core engine must be bit-identical)"
-cargo run --release -q -p flash-bench --bin fig_scale -- --smoke
-
 echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer; a spec past the schedule's end is counted unfired; a :x0 repeat count is refused)"
 flash=target/release/flash
 cli_dir="$(mktemp -d)"
@@ -48,7 +42,7 @@ bad="$(cli --faults crash@1:w1:x0 2>&1)" && status=0 || status=$?
 [[ "$status" == 2 ]] && grep -q 'invalid repeat count "x0"' <<<"$bad" || { echo "flash: --faults crash@1:w1:x0 must exit 2 naming the repeat count, got $status: $bad" >&2; exit 1; }
 rm -rf "$cli_dir"
 
-echo "==> paper smoke (the whole evaluation at small scale, Tables I and III (sections table1, table3) included; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"
+echo "==> paper smoke (the whole evaluation at small scale, Tables I and III (sections table1, table3) and the per-arc cost ladder (section cost) included; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"
 paper_dir="$(mktemp -d)"
 FLASH_SCALE=small FLASH_RESULTS_DIR="$paper_dir" target/release/paper all > "$paper_dir/paper.txt"
 tail -n 1 "$paper_dir/paper.txt"

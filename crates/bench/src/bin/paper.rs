@@ -1,4 +1,4 @@
-//! `paper [all|table1|table3|table5|table6|fig1|verdicts|fig3|fig4a|fig4b|fig4cd|fig5]…`
+//! `paper [all|table1|table3|table5|table6|fig1|verdicts|fig3|fig4a|fig4b|fig4cd|fig5|cost]…`
 //! regenerates the paper's evaluation (§V); no name means `all`.
 //!
 //! Table I counts the logical lines of each catalogue row's FLASH source
@@ -7,23 +7,25 @@
 //! frameworks at 4 workers, each cell the fastest of [`SAMPLES`] with its
 //! exact counts) runs once into `results/matrix.json`; Tables V/VI, Fig. 1
 //! and the §V-B verdicts render from it. Figs. 4(b), 4(c,d) and §V-E render
-//! from one worker [`sweep`], and 4(c,d)'s TC sweep is §V-E's. Each section
-//! writes `results/<name>.json`. Exits 1 when the count half of §V-B fails;
-//! nothing timed is checked.
+//! from one worker [`sweep`], and 4(c,d)'s TC sweep is §V-E's. `cost`
+//! times the PageRank pull kernel per arc against the serial reference
+//! loop (DESIGN.md §11). Each section writes `results/<name>.json`. Exits
+//! 1 when the count half of §V-B fails; nothing timed is checked.
 
-use flash_algos::AlgoOutput;
+use flash_algos::{pagerank, reference, AlgoOutput};
 use flash_bench::harness::{run, App, Framework, RunResult, Scale, CLIQUE_K, SAMPLES};
 use flash_bench::jsonio;
 use flash_bench::lloc::{flash_lloc, PAPER_LLOC};
 use flash_bench::report::{cell, format_secs, heat_glyph, render_table};
+use flash_graph::generators::{rmat, RmatParams};
 use flash_graph::stats::graph_stats;
-use flash_graph::Dataset;
+use flash_graph::{Dataset, Graph};
 use flash_obs::Json;
-use flash_runtime::{ClusterConfig, ModePolicy, NetworkModel, RunStats, RuntimeError};
+use flash_runtime::{ClusterConfig, ModePolicy, NetworkModel, RunStats, RuntimeError, StepKind};
 use std::cell::{Cell, OnceCell};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Workers of every matrix cell and of Figs. 3 and 4(a).
 const WORKERS: usize = 4;
@@ -32,7 +34,7 @@ const WORKERS: usize = 4;
 type Section = fn(&Paper);
 
 /// The sections, in the order `all` runs them.
-const SECTIONS: [(&str, Section); 11] = [
+const SECTIONS: [(&str, Section); 12] = [
     ("table1", table1),
     ("table3", table3),
     ("table5", table5),
@@ -44,6 +46,7 @@ const SECTIONS: [(&str, Section); 11] = [
     ("fig4b", fig4b),
     ("fig4cd", fig4cd),
     ("fig5", fig5),
+    ("cost", cost),
 ];
 
 /// Table VI's baseline column: Pregel+ for SCC/MSF (and BCC, which the
@@ -176,6 +179,14 @@ impl Paper {
 /// columns are the paper's reported constants (their code is not ours to
 /// count).
 fn table1(p: &Paper) {
+    let (text, doc) = render_table1();
+    print!("{text}");
+    jsonio::save(&p.dir, "table1_lloc", &doc);
+    println!();
+}
+
+/// Table I as printed, which `results/table1_lloc.txt` holds, and as JSON.
+fn render_table1() -> (String, Json) {
     let fmt = |v: Option<usize>| v.map_or("-".to_string(), |x| x.to_string());
     let opt = |v: Option<usize>| v.map_or(Json::Null, Json::from);
     let (mut rows, mut json, mut leaner) = (Vec::new(), Vec::new(), 0);
@@ -196,8 +207,6 @@ fn table1(p: &Paper) {
         cells.extend([ours, paper].map(|n| n.to_string()));
         rows.push((name.to_string(), cells));
     }
-    println!("Table I — Expressiveness & Productivity (LLoC, lower is better)");
-    println!("(competitor columns: the paper's reported values; FLASH: measured here)\n");
     let headers = [
         "Algo.",
         "Pregel+",
@@ -207,16 +216,19 @@ fn table1(p: &Paper) {
         "FLASH(ours)",
         "FLASH(paper)",
     ];
-    println!("{}", render_table(&headers, &rows));
     let comparable = PAPER_LLOC.iter().filter(|r| r.1.is_some()).count();
-    println!("FLASH leaner than Pregel+ in {leaner}/{comparable} comparable rows.");
+    let text = format!(
+        "Table I — Expressiveness & Productivity (LLoC, lower is better)\n\
+         (competitor columns: the paper's reported values; FLASH: measured here)\n\n\
+         {}\nFLASH leaner than Pregel+ in {leaner}/{comparable} comparable rows.\n",
+        render_table(&headers, &rows)
+    );
     let doc = Json::object()
         .set("table", "table1_lloc")
         .set("leaner_than_pregel", leaner)
         .set("comparable", comparable)
         .set("rows", json);
-    jsonio::save(&p.dir, "table1_lloc", &doc);
-    println!();
+    (text, doc)
 }
 
 /// Table III: the dataset collection — the paper's originals next to the
@@ -495,6 +507,75 @@ fn fig5(p: &Paper) {
     p.save("fig5_breakdown", sweep_json("TC", "TW", p.tc_sweep()));
 }
 
+/// PageRank iterations per run of the `cost` ladder (the benchmark's count).
+const PULL_ITERS: usize = 10;
+
+/// The cost of a pulled arc: PageRank on one sequential worker over
+/// `rmat(12..)`, up to `rmat14` at small scale and `rmat18` at full, in ns
+/// per arc. A flat ns/arc across the rungs is per-arc instruction cost;
+/// one that rises with n is cache misses. Nothing in it is checked.
+fn cost(p: &Paper) {
+    p.title(&format!(
+        "PageRank per arc (1 worker, sequential, {PULL_ITERS} iterations, best of 3; \
+         ratio = compute / reference)"
+    ));
+    let top = if p.scale == Scale::Small { 14 } else { 18 };
+    let (mut rows, mut json) = (Vec::new(), Vec::new());
+    for scale in 12..=top {
+        let label = format!("rmat{scale}");
+        let g = Arc::new(rmat(scale, 8, RmatParams::default(), 7));
+        let (pull, compute, serial) = pull_rung(&g);
+        let mut cells = vec![g.num_edges().to_string()];
+        cells.extend([pull, compute, serial, compute / serial].map(|x| format!("{x:.2}")));
+        rows.push((label.clone(), cells));
+        json.push(
+            Json::object()
+                .set("dataset", label)
+                .set("arcs", g.num_edges())
+                .set("iters", PULL_ITERS)
+                .set("pull_ns_per_arc", pull)
+                .set("compute_ns_per_arc", compute)
+                .set("reference_ns_per_arc", serial)
+                .set("ratio", compute / serial),
+        );
+    }
+    let headers = [
+        "Graph",
+        "arcs",
+        "pull ns/arc",
+        "compute ns/arc",
+        "reference ns/arc",
+        "ratio",
+    ];
+    println!("{}", render_table(&headers, &rows));
+    p.save("cost", Json::object().set("rows", json));
+}
+
+/// One rung of the `cost` ladder, in ns per arc: `(pull, compute,
+/// reference)` for PageRank on `g`, each the best of three runs taken
+/// alternately. FLASH runs one sequential worker in memory; `pull` is its
+/// `EDGEMAPDENSE` compute alone, `compute` that of every step (the
+/// dangling fold, both vertex maps and the pull), which is the work the
+/// reference's wall covers: its dangling scan, per-iteration `next` vector
+/// and push scatter.
+fn pull_rung(g: &Arc<Graph>) -> (f64, f64, f64) {
+    let arcs = (g.num_edges() * PULL_ITERS) as f64;
+    let ns_per_arc = |d: Duration| d.as_secs_f64() * 1e9 / arcs;
+    let (mut pull, mut compute, mut serial) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let cfg = ClusterConfig::with_workers(1).sequential();
+        let out = pagerank::run(g, cfg, PULL_ITERS).expect("pagerank");
+        let steps = out.stats.steps();
+        let dense = steps.iter().filter(|s| s.kind == StepKind::EdgeMapDense);
+        pull = pull.min(ns_per_arc(dense.map(|s| s.compute).sum()));
+        compute = compute.min(ns_per_arc(steps.iter().map(|s| s.compute).sum()));
+        let t = Instant::now();
+        std::hint::black_box(reference::pagerank(g, PULL_ITERS));
+        serial = serial.min(ns_per_arc(t.elapsed()));
+    }
+    (pull, compute, serial)
+}
+
 /// One run per worker count, workers executed sequentially so each is
 /// timed in isolation and the per-superstep maximum is a true BSP
 /// makespan (real parallel wall time is unobservable on a single-core
@@ -543,4 +624,14 @@ fn sweep_json(app: &str, data: &str, rows: &[(usize, RunStats)]) -> Json {
         .map(|(w, s)| s.summary_json().set("workers", *w));
     let doc = Json::object().set("app", app).set("dataset", data);
     doc.set("rows", rows.collect::<Vec<_>>())
+}
+
+#[cfg(test)]
+mod tests {
+    /// The tracked Table I snapshot is what `paper table1` prints today.
+    #[test]
+    fn table1_matches_its_snapshot() {
+        let snapshot = include_str!("../../../../results/table1_lloc.txt");
+        assert_eq!(super::render_table1().0, snapshot);
+    }
 }

@@ -274,7 +274,7 @@ static NEXT_BLOCK_FILE: AtomicU64 = AtomicU64::new(0);
 /// platform allows), so the runtime streams edge blocks instead of
 /// walking the heap CSR. The in-memory default passes the graph through
 /// untouched, as does a graph that is already block-backed.
-pub fn prepare_storage(opts: &CliOptions, g: &Arc<Graph>) -> Result<Arc<Graph>, String> {
+fn prepare_storage(opts: &CliOptions, g: &Arc<Graph>) -> Result<Arc<Graph>, String> {
     if opts.config.storage != StorageMode::Block || g.block_handle().is_some() {
         return Ok(Arc::clone(g));
     }

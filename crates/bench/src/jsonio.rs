@@ -1,6 +1,6 @@
-//! Machine-readable output paths for the experiment binaries.
+//! Machine-readable output paths for the `paper` sections.
 //!
-//! Every experiment binary writes a JSON artifact next to its text table:
+//! Every section writes a JSON artifact next to its text table:
 //! `<dir>/<name>.json`, with `dir` resolved once by [`results_dir`].
 
 use flash_obs::Json;

@@ -8,13 +8,12 @@
 //!
 //! | Binary                 | Reproduces |
 //! |------------------------|------------|
-//! | `paper <name>…`        | Tables I and III; Tables V/VI, Figure 1 and the §V-B verdicts from one evaluation matrix ([`harness::run`], `results/matrix.json`); Figures 3, 4(a), 4(b), 4(c,d) and the §V-E breakdown (`paper` alone runs all) |
-//! | `fig_scale`            | block-storage identity and the PageRank ns/arc ladder (`results/scale.json`) |
+//! | `paper <name>…`        | Tables I and III; Tables V/VI, Figure 1 and the §V-B verdicts from one evaluation matrix ([`harness::run`], `results/matrix.json`); Figures 3, 4(a), 4(b), 4(c,d), the §V-E breakdown and the PageRank ns/arc ladder (`cost`; `paper` alone runs all) |
 //! | `flash`                | the command-line runner: one algorithm on one dataset or edge list ([`cli`]) |
 //! | `flash_trace`          | critical-path analyzer over `--trace` JSONL files, with Chrome trace export ([`trace`]) |
 //!
 //! Every algorithm they run is a row of [`catalogue::CATALOGUE`]. Every
-//! experiment binary writes a machine-readable JSON artifact via
+//! `paper` section writes a machine-readable JSON artifact via
 //! [`jsonio`] alongside its text table.
 
 pub mod catalogue;

@@ -636,4 +636,46 @@ mod tests {
             .iter()
             .any(|e| e.get("name").and_then(Json::as_str) == Some("step 1 (dense) compute")));
     }
+
+    /// A real trace: BFS at 4 workers under the 10 GbE model on
+    /// ER(200, 900), recorded through the CLI's `--trace` file sink.
+    #[test]
+    fn a_recorded_trace_parses_exports_and_sums_to_its_clock() {
+        use crate::cli::{dispatch, CliOptions};
+        use flash_runtime::{ClusterConfig, NetworkModel, StepKind};
+        let dir = flash_graph::testutil::TempDirGuard::new("trace-recorded");
+        let path = dir.path().join("bfs.jsonl");
+        let g = std::sync::Arc::new(flash_graph::generators::erdos_renyi(200, 900, 11));
+        let opts = CliOptions {
+            algo: "bfs".to_string(),
+            config: ClusterConfig::with_workers(4).network(NetworkModel::ten_gbe()),
+            trace: Some(path.display().to_string()),
+            ..CliOptions::default()
+        };
+        // The sink is flushed when `dispatch` drops the cluster.
+        dispatch(&opts, &g).unwrap();
+        let t = parse_trace(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert!(!t.steps.is_empty());
+        let report = analyze(&t, DEFAULT_TOP_K);
+
+        let chrome = chrome_trace(&t).to_string();
+        let back = json::parse(&chrome).unwrap();
+        let events = back.get("traceEvents").and_then(Json::as_array);
+        assert!(events.is_some_and(|e| !e.is_empty()), "no Chrome events");
+
+        // Fault-free, so run_end's clock is exactly the sum of the steps'
+        // critical paths: no recovery overhead is added to it.
+        assert_eq!(t.simulated_parallel_ns, Some(report.total_path_ns));
+
+        // Only EDGEMAP steps open rows, and the BFS's open some.
+        let arcs = |edgemap: bool| -> u64 {
+            let steps = t.steps.iter().map(|s| &s.stats);
+            let edgemap_kind = |s: &&StepStats| {
+                matches!(s.kind, StepKind::EdgeMapDense | StepKind::EdgeMapSparse) == edgemap
+            };
+            steps.filter(edgemap_kind).map(|s| s.arcs).sum()
+        };
+        assert!(arcs(true) > 0, "the EDGEMAP steps opened no arcs");
+        assert_eq!(arcs(false), 0, "a non-EDGEMAP step opened arcs");
+    }
 }

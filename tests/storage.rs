@@ -5,7 +5,10 @@
 //! format, run the scaling algorithms under `ClusterConfig::storage =
 //! Block`, and compare every per-vertex result *and* the deterministic
 //! run statistics (supersteps, message bytes) against in-memory runs of
-//! the same configuration.
+//! the same configuration. The whole catalogue runs under block storage
+//! as the shared sweep's `block` row (`tests/sweep/mod.rs`).
+
+mod sweep;
 
 use flash_core::prelude::*;
 use flash_graph::generators;
@@ -172,24 +175,13 @@ fn block_storage_without_block_graph_is_rejected() {
     );
 }
 
-/// Weighted adjacency (SSSP) round-trips through the block format too.
+/// Every catalogue algorithm, the weighted ones on the weighted copy,
+/// gives its in-memory answer under block storage in as many supersteps
+/// with the same per-superstep traffic, and the catalogue streams blocks
+/// (the sweep's `block` row).
 #[test]
-fn weighted_blocks_match_in_memory() {
-    let base = generators::web_graph(6_000, 8, 10, 5);
-    let g = Arc::new(generators::with_random_weights(&base, 0.5, 2.0, 7));
-    let blk = reopen_as_blocks(&g, "weighted");
-    let mem = flash_algos::sssp::run(&g, mem_config(3), 0).unwrap();
-    let stream = flash_algos::sssp::run(&blk, blk_config(3), 0).unwrap();
-    assert_eq!(
-        mem.result.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-        stream
-            .result
-            .iter()
-            .map(|d| d.to_bits())
-            .collect::<Vec<_>>(),
-        "sssp distances (bitwise)"
-    );
-    assert!(stream.stats.bytes_streamed() > 0);
+fn catalogue_under_block_storage_matches_in_memory() {
+    sweep::sweep(&["block"]);
 }
 
 /// The *push* kernel on its own: under `ForceSparse` every `EDGEMAP` of

@@ -8,8 +8,9 @@
 //!   delivery, consensus, durable store) must reproduce the clean answer
 //!   (its digest, through `dispatch`'s summary) and superstep count, with
 //!   the row's evidence that the mechanism fired;
-//! - the fault-free reruns (`again`, `metrics`, `serial-2`, `serial-4`)
-//!   must also reproduce the per-superstep traffic counters;
+//! - the fault-free reruns (`again`, `metrics`, `serial-2`, `serial-4`,
+//!   and `block`, which streams the graph through the out-of-core block
+//!   engine) must also reproduce the per-superstep traffic counters;
 //! - `pinned` holds the clean twin on the OR stand-in, and the bytes of
 //!   its rerun at full sync, to [`PINNED`].
 //!
@@ -17,14 +18,14 @@
 //! `elastic.rs` the membership rows, `lossy_transport.rs` the channel
 //! rows, `consensus.rs` the control-plane rows, `durable.rs` the store
 //! rows, `hotpath.rs` the reruns and the pinned counts, `metrics.rs` the
-//! metrics rerun.
+//! metrics rerun, `storage.rs` the block rerun.
 
 use flash_bench::catalogue::CATALOGUE;
 use flash_bench::cli::{dispatch, CliOptions};
 use flash_graph::testutil::TempDirGuard;
 use flash_graph::{generators, Dataset, Graph};
 use flash_obs::Json;
-use flash_runtime::{ClusterConfig, FaultPlan, RunStats, SyncMode};
+use flash_runtime::{ClusterConfig, FaultPlan, RunStats, StorageMode, SyncMode};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,6 +71,10 @@ enum Input {
     /// than the caller-lane rule keeps on the caller (540), so the
     /// post-compute round runs on the pool's lanes.
     Er1500,
+    /// ER(5000, 20000, seed 11): more than the block format's 4 096-vertex
+    /// block width, so its block copy is a 2×2 grid of source×destination
+    /// blocks and the streamed kernels cross block boundaries.
+    Er5000,
     /// The `FLASH_SCALE=small` OR stand-in, whose counts are [`PINNED`].
     Orkut,
 }
@@ -80,6 +85,7 @@ impl Input {
         let g = match self {
             Input::Er48 => generators::erdos_renyi(48, 160, 11),
             Input::Er1500 => generators::erdos_renyi(1500, 6000, 11),
+            Input::Er5000 => generators::erdos_renyi(5_000, 20_000, 11),
             Input::Orkut => Dataset::Orkut.load_small(),
         };
         let weighted = generators::with_random_weights(&g, 0.1, 2.0, 4);
@@ -234,6 +240,16 @@ fn rows() -> Vec<Row> {
         // caller.
         rerun("serial-2", Input::Er1500, 2, ClusterConfig::sequential),
         rerun("serial-4", Input::Er1500, 4, ClusterConfig::sequential),
+        // Out-of-core: `dispatch` writes the graph to a block file and
+        // reopens it, so every stored-edge `EDGEMAP` streams blocks.
+        Row {
+            check: |_, s| s.storage.mode == "block",
+            fired: &["storage.bytes_streamed"],
+            ..rerun("block", Input::Er5000, 4, |c| ClusterConfig {
+                storage: StorageMode::Block,
+                ..c
+            })
+        },
         // Crash, corruption, straggler: rollback and replay.
         row(
             "chaos",

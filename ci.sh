@@ -28,18 +28,20 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
-echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill and its resume must print the clean result: line, whose digest covers the whole answer; a spec past the schedule's end is counted unfired; a :x0 repeat count is refused)"
+echo "==> flash CLI smoke (the run settings parsed into ClusterConfig: a faulted run, a durable kill (halt@) and its resume must print the clean result: line, whose digest covers the whole answer; a spec past the schedule's end is counted unfired; a :x0 repeat count and a store fault without a store are refused)"
 flash=target/release/flash
 cli_dir="$(mktemp -d)"
 cli() { FLASH_SCALE=small "$flash" --algo bfs --dataset OR --workers 3 "$@"; }
 clean="$(cli | grep '^result:')"
 [[ "$(cli --faults crash@1:w1 --checkpoint-every 2 | grep '^result:')" == "$clean" ]] || { echo "flash: the faulted run's answer differs from the clean run's" >&2; exit 1; }
 [[ "$(cli --faults crash@1:w1,crash@90000:w0 --checkpoint-every 2 --json | grep -c '"faults_unfired": 1,')" == 1 ]] || { echo "flash: a crash scripted past the schedule's end must be reported as faults_unfired 1" >&2; exit 1; }
-halt="$(cli --durable-dir "$cli_dir/store" --halt-after 2 2>&1)" && status=0 || status=$?
-[[ "$status" == 1 ]] && grep -q 'halted' <<<"$halt" || { echo "flash: --halt-after 2 must exit 1 with \"halted\", got $status: $halt" >&2; exit 1; }
+halt="$(cli --durable-dir "$cli_dir/store" --faults halt@2 2>&1)" && status=0 || status=$?
+[[ "$status" == 1 ]] && grep -q 'halted' <<<"$halt" || { echo "flash: --faults halt@2 must exit 1 with \"halted\", got $status: $halt" >&2; exit 1; }
 [[ "$(cli --durable-dir "$cli_dir/store" --resume | grep '^result:')" == "$clean" ]] || { echo "flash: the resumed run's answer differs from the clean run's" >&2; exit 1; }
 bad="$(cli --faults crash@1:w1:x0 2>&1)" && status=0 || status=$?
 [[ "$status" == 2 ]] && grep -q 'invalid repeat count "x0"' <<<"$bad" || { echo "flash: --faults crash@1:w1:x0 must exit 2 naming the repeat count, got $status: $bad" >&2; exit 1; }
+cli --faults ioerr@1 >/dev/null 2>&1 && status=0 || status=$?
+[[ "$status" == 2 ]] || { echo "flash: --faults ioerr@1 without --durable-dir must exit 2, got $status" >&2; exit 1; }
 rm -rf "$cli_dir"
 
 echo "==> paper smoke (the whole evaluation at small scale, Tables I and III (sections table1, table3) and the per-arc cost ladder (section cost) included; exit 1 when the count half of §V-B fails: CC-opt rounds not below CC-basic supersteps on US, or a time in a cell Table I marks inexpressible; nothing timed is gated)"

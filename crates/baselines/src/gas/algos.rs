@@ -3,8 +3,8 @@
 //! Per Table I, the GAS model expresses CC, BFS, BC, MIS, MM-basic, KC,
 //! TC, GC and LPA — and **cannot** express CC-opt, MM-opt, SCC, BCC, MSF,
 //! RC or CL (no communication beyond the neighborhood, no custom edge
-//! sets, no global set operations). The unsupported entries return
-//! [`BaselineError::Unsupported`] so the harness reports the ∅ cells.
+//! sets, no global set operations), so this module has no entry for
+//! them and the harness reports those cells as unsupported.
 
 use super::engine::{run, run_with, GasConfig, GasProgram};
 use crate::{BaselineError, BaselineOutput, EngineStats};
@@ -794,47 +794,6 @@ pub fn bc(
     Ok(BaselineOutput { result, stats })
 }
 
-/// The ∅ cells of Table I: algorithms the GAS model cannot express.
-pub mod unsupported {
-    use super::*;
-
-    fn err(reason: &'static str) -> BaselineError {
-        BaselineError::Unsupported {
-            model: "GAS",
-            reason,
-        }
-    }
-
-    /// CC-opt needs virtual parent-pointer edges.
-    pub fn cc_opt() -> BaselineError {
-        err("star contraction communicates along virtual parent edges, beyond the neighborhood")
-    }
-    /// MM-opt needs user-defined edge sets for the wake-up frontier.
-    pub fn mm_opt() -> BaselineError {
-        err("the wake-up frontier requires arbitrary user-defined edge sets")
-    }
-    /// SCC needs subgraph-restricted traversals and flexible control flow.
-    pub fn scc() -> BaselineError {
-        err("coloring phases need traversals restricted to dynamic vertex subsets")
-    }
-    /// BCC needs a global union–find over tree paths.
-    pub fn bcc() -> BaselineError {
-        err("cycle joining walks tree paths far outside any neighborhood")
-    }
-    /// MSF needs global edge-set reduction.
-    pub fn msf() -> BaselineError {
-        err("Kruskal's global edge reduction has no neighborhood formulation")
-    }
-    /// RC needs two-hop joins.
-    pub fn rc() -> BaselineError {
-        err("rectangle counting intersects two-hop neighbor lists")
-    }
-    /// CL needs arbitrary-vertex reads during recursion.
-    pub fn cl() -> BaselineError {
-        err("clique recursion reads neighbor lists of arbitrary vertices")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -993,14 +952,5 @@ mod tests {
         let g = Arc::new(b.edge(4, 5).build().unwrap());
         let out = lpa(&g, GasConfig::with_workers(2).sequential(), 20).unwrap();
         assert_ne!(out.result[0], out.result[9]);
-    }
-
-    #[test]
-    fn unsupported_cells_report_reasons() {
-        assert!(matches!(
-            unsupported::rc(),
-            BaselineError::Unsupported { model: "GAS", .. }
-        ));
-        assert!(unsupported::msf().to_string().contains("Kruskal"));
     }
 }

@@ -64,14 +64,6 @@ pub enum BaselineError {
         /// The exhausted budget.
         supersteps: usize,
     },
-    /// The programming model cannot express this algorithm — the ∅ cells
-    /// of the paper's Table I.
-    Unsupported {
-        /// The model's name.
-        model: &'static str,
-        /// Why it cannot be expressed.
-        reason: &'static str,
-    },
     /// The graph could not be partitioned over the configured workers.
     Partition(flash_graph::GraphError),
 }
@@ -81,9 +73,6 @@ impl std::fmt::Display for BaselineError {
         match self {
             BaselineError::NotConverged { supersteps } => {
                 write!(f, "did not converge within {supersteps} supersteps")
-            }
-            BaselineError::Unsupported { model, reason } => {
-                write!(f, "{model} cannot express this algorithm: {reason}")
             }
             BaselineError::Partition(e) => write!(f, "cannot partition the graph: {e}"),
         }
@@ -98,11 +87,6 @@ mod tests {
 
     #[test]
     fn errors_display() {
-        let e = BaselineError::Unsupported {
-            model: "GAS",
-            reason: "beyond-neighborhood communication",
-        };
-        assert!(e.to_string().contains("GAS"));
         assert!(BaselineError::NotConverged { supersteps: 3 }
             .to_string()
             .contains('3'));

@@ -3,7 +3,8 @@
 //! Per Table I, Ligra expresses CC, BFS, BC, MIS, MM-basic, KC and TC;
 //! the rest of the catalogue (CC-opt, MM-opt, GC, SCC, BCC, LPA, MSF, RC,
 //! CL) is beyond the model — no custom edge sets, no variable-length
-//! property exchange, no global reductions.
+//! property exchange, no global reductions — so this module has no entry
+//! for them and the harness reports those cells as unsupported.
 
 use super::engine::{Frontier, Ligra};
 use super::sorted_intersection_size;
@@ -359,55 +360,6 @@ pub fn tc(graph: &Arc<Graph>) -> BaselineOutput<u64> {
     output(count, 2)
 }
 
-/// The ∅ cells of Table I for Ligra.
-pub mod unsupported {
-    use crate::BaselineError;
-
-    fn err(reason: &'static str) -> BaselineError {
-        BaselineError::Unsupported {
-            model: "Ligra",
-            reason,
-        }
-    }
-
-    /// Needs virtual edge sets.
-    pub fn cc_opt() -> BaselineError {
-        err("edgeMap only walks the original edges E")
-    }
-    /// Needs user-defined edge sets.
-    pub fn mm_opt() -> BaselineError {
-        err("edgeMap only walks the original edges E")
-    }
-    /// Needs variable-length per-vertex property exchange.
-    pub fn gc() -> BaselineError {
-        err("no variable-length vertex properties over edgeMap")
-    }
-    /// Needs subgraph-restricted traversals chained with global state.
-    pub fn scc() -> BaselineError {
-        err("no mechanism for per-color restricted traversals")
-    }
-    /// Needs a global union–find across tree paths.
-    pub fn bcc() -> BaselineError {
-        err("no global reduction operators")
-    }
-    /// Needs label multisets per vertex.
-    pub fn lpa() -> BaselineError {
-        err("no variable-length vertex properties over edgeMap")
-    }
-    /// Needs global edge-set reduction.
-    pub fn msf() -> BaselineError {
-        err("no global reduction operators")
-    }
-    /// Needs two-hop joins.
-    pub fn rc() -> BaselineError {
-        err("edgeMap cannot address two-hop pairs")
-    }
-    /// Needs arbitrary-vertex reads.
-    pub fn cl() -> BaselineError {
-        err("no arbitrary-vertex access during recursion")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -522,10 +474,5 @@ mod tests {
             tc(&Arc::new(generators::bipartite_complete(4, 4))).result,
             0
         );
-    }
-
-    #[test]
-    fn unsupported_report() {
-        assert!(unsupported::gc().to_string().contains("Ligra"));
     }
 }

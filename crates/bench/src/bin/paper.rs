@@ -15,7 +15,7 @@
 use flash_algos::{pagerank, reference, AlgoOutput};
 use flash_bench::harness::{run, App, Framework, RunResult, Scale, CLIQUE_K, SAMPLES};
 use flash_bench::jsonio;
-use flash_bench::lloc::{flash_lloc, PAPER_LLOC};
+use flash_bench::lloc::{flash_lloc, inexpressible, PAPER_LLOC};
 use flash_bench::report::{cell, format_secs, heat_glyph, render_table};
 use flash_graph::generators::{rmat, RmatParams};
 use flash_graph::stats::graph_stats;
@@ -380,7 +380,6 @@ fn fig1(p: &Paper) {
 /// the count half (checked): CC-opt's round collapse on US, and no time in
 /// a cell Table I marks inexpressible.
 fn verdicts(p: &Paper) {
-    use App::*;
     let m = p.matrix();
     p.title("§V-B headline verdicts");
     let doc = headline(m);
@@ -391,14 +390,9 @@ fn verdicts(p: &Paper) {
     let rounds = flash_algos::cc_opt::rounds_of(&opt.stats);
     let basic = basic.supersteps();
     println!("[claim] CC on road-USA-sim: label propagation {basic} iterations vs star contraction {rounds} rounds — paper: 6262 vs 7");
-    let inexpressible: [(Framework, &[App]); 3] = [
-        (Framework::PowerGraph, &[Scc, Bcc, Msf, Rc, Cl]),
-        (Framework::Gemini, &[Kc, Tc, Gc, Scc, Bcc, Lpa, Msf, Rc, Cl]),
-        (Framework::Ligra, &[Gc, Scc, Bcc, Lpa, Msf, Rc, Cl]),
-    ];
     let mut timed = Vec::new();
-    for (f, apps) in inexpressible {
-        for r in m.iter().filter(|r| apps.contains(&r.app)) {
+    for (f, app) in inexpressible() {
+        for r in m.iter().filter(|r| r.app == app) {
             if r.get(f).seconds().is_some() {
                 timed.push(format!("{} {}", f.name(), r.name()));
             }

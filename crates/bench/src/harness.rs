@@ -202,7 +202,6 @@ fn from_baseline<T>(start: Instant, r: Result<BaselineOutput<T>, BaselineError>)
             }
             RunResult::Ok(stats)
         }
-        Err(BaselineError::Unsupported { .. }) => RunResult::Unsupported,
         Err(e) => RunResult::Failed(e.to_string()),
     }
 }

@@ -12,6 +12,7 @@
 //! I's reported constants are reproduced in [`PAPER_LLOC`].
 
 use crate::catalogue::CATALOGUE;
+use crate::harness::{App, Framework};
 
 /// Extracts the marked core region of an algorithm source.
 pub fn core_region<'a>(source: &'a str, key: &str) -> Option<&'a str> {
@@ -80,6 +81,33 @@ pub const PAPER_LLOC: [PaperRow; 16] = [
     ("CL", None, None, None, None, 33),
 ];
 
+/// The matrix cells Table I marks ∅ (inexpressible), read off
+/// [`PAPER_LLOC`]. A row's label names its application: CC-basic and
+/// MM-basic are CC and MM, the rest their abbreviation; the FLASH-only
+/// rows CC-opt and MM-opt name no cell.
+pub fn inexpressible() -> Vec<(Framework, App)> {
+    use Framework::*;
+    let mut cells = Vec::new();
+    for (label, pregel, powerg, gemini, ligra, _) in PAPER_LLOC {
+        let abbr = label.strip_suffix("-basic").unwrap_or(label);
+        let mut apps = App::TABLE5.into_iter().chain(App::TABLE6);
+        let Some(app) = apps.find(|a| a.abbr() == abbr) else {
+            continue;
+        };
+        for (f, lloc) in [
+            (PregelPlus, pregel),
+            (PowerGraph, powerg),
+            (Gemini, gemini),
+            (Ligra, ligra),
+        ] {
+            if lloc.is_none() {
+                cells.push((f, app));
+            }
+        }
+    }
+    cells
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,6 +147,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn inexpressible_cells_are_the_blanks_of_table_i() {
+        use App::*;
+        let want: [(Framework, &[App]); 4] = [
+            (Framework::PregelPlus, &[Rc, Cl]),
+            (Framework::PowerGraph, &[Scc, Bcc, Msf, Rc, Cl]),
+            (Framework::Gemini, &[Kc, Tc, Gc, Scc, Bcc, Lpa, Msf, Rc, Cl]),
+            (Framework::Ligra, &[Gc, Scc, Bcc, Lpa, Msf, Rc, Cl]),
+        ];
+        let cells = inexpressible();
+        let want: Vec<(Framework, App)> = want
+            .into_iter()
+            .flat_map(|(f, apps)| apps.iter().map(move |&a| (f, a)))
+            .collect();
+        assert_eq!(cells.len(), want.len(), "{cells:?}");
+        assert!(want.iter().all(|c| cells.contains(c)), "{cells:?}");
     }
 
     #[test]

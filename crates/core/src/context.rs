@@ -68,12 +68,9 @@ impl<V: VertexData> FlashContext<V> {
         V: flash_runtime::DurableValue,
     {
         let partition = config.partition_for(&graph)?;
-        let cluster = if config.durable_dir.is_some() {
-            Cluster::new_durable(graph, partition, config, init)?
-        } else {
-            Cluster::new(graph, partition, config, init)?
-        };
-        Ok(FlashContext { cluster })
+        Ok(FlashContext {
+            cluster: Cluster::new_durable(graph, partition, config, init)?,
+        })
     }
 
     /// The shared graph.

@@ -103,16 +103,17 @@ impl<V: VertexData> Cluster<V> {
         Self::new_inner(graph, partition, config, init, None, Vec::new())
     }
 
-    /// Builds a cluster with the durable checkpoint store attached
-    /// (`config.durable_dir` must be set): every checkpoint commits a
-    /// generation file — its step and a digest of the state — through a
-    /// crash-consistent two-phase commit, so a killed run's re-execution
-    /// can be verified against it. With `config.durable_resume` set, this
-    /// *opens* the store instead of starting it fresh: the scrub pass
-    /// takes the newest valid generation (falling back past condemned
-    /// ones), the driver re-executes the schedule from step 0, and at the
-    /// generation's step the re-executed state must match its digest —
-    /// else the run ends in [`RuntimeError::DurabilityLost`].
+    /// Builds a cluster with the durable checkpoint store attached when
+    /// `config.durable_dir` names one, else exactly like [`Cluster::new`].
+    /// Every checkpoint commits a generation file — its step and a digest
+    /// of the state — through a crash-consistent two-phase commit, so a
+    /// killed run's re-execution can be verified against it. With
+    /// `config.durable_resume` set, this *opens* the store instead of
+    /// starting it fresh: the scrub pass takes the newest valid generation
+    /// (falling back past condemned ones), the driver re-executes the
+    /// schedule from step 0, and at the generation's step the re-executed
+    /// state must match its digest — else the run ends in
+    /// [`RuntimeError::DurabilityLost`].
     pub fn new_durable(
         graph: Arc<Graph>,
         partition: Arc<PartitionMap>,
@@ -123,9 +124,7 @@ impl<V: VertexData> Cluster<V> {
         V: DurableValue,
     {
         let Some(dir) = config.durable_dir.clone() else {
-            return Err(RuntimeError::Storage(
-                "Cluster::new_durable requires config.durable_dir".into(),
-            ));
+            return Self::new_inner(graph, partition, config, init, None, Vec::new());
         };
         if config.checkpoint_every == Some(0) {
             return Err(RuntimeError::Storage(
@@ -136,12 +135,11 @@ impl<V: VertexData> Cluster<V> {
         }
         let workers = config.workers;
         let vertices = graph.num_vertices();
-        let halt = config.durable_halt_after;
         let (session, scrubs) = if config.durable_resume {
-            DurableSession::open(&dir, workers, vertices, halt, V::encode)?
+            DurableSession::open(&dir, workers, vertices, V::encode)?
         } else {
             (
-                DurableSession::create(&dir, workers, vertices, halt, V::encode)?,
+                DurableSession::create(&dir, workers, vertices, V::encode)?,
                 Vec::new(),
             )
         };
@@ -1550,11 +1548,7 @@ mod tests {
     fn program_over(cfg: ClusterConfig, g: Arc<Graph>) -> Cluster<Val> {
         let p = Arc::new(PartitionMap::build(&g, cfg.workers, &HashPartitioner).unwrap());
         let init = |v| Val { x: v as u64 };
-        let mut c = if cfg.durable_dir.is_some() {
-            Cluster::new_durable(g, p, cfg, init).unwrap()
-        } else {
-            Cluster::new(g, p, cfg, init).unwrap()
-        };
+        let mut c = Cluster::new_durable(g, p, cfg, init).unwrap();
         let reduce = |t: &Val, acc: &mut Val| acc.x = acc.x.max(t.x);
         for round in 0..6u64 {
             c.step_reduce(0, SyncScope::Necessary, reduce, |ctx| {

@@ -160,7 +160,7 @@ impl<V: VertexData> Cluster<V> {
         // checkpoint the rest never heard about.
         self.with_faults(|c, faults| {
             let voters = c.partition.num_live_hosts();
-            let entry = LogEntryKind::CheckpointCommit { bytes };
+            let entry = LogEntryKind::CheckpointCommit;
             c.commit_decision(&mut faults.consensus, step, entry, voters);
             faults
                 .log
@@ -170,9 +170,10 @@ impl<V: VertexData> Cluster<V> {
 
     /// The durable half of the checkpoint stage, ahead of the consensus
     /// `CheckpointCommit` so the log never commits bytes that are not
-    /// durable. The step's disk faults fire here: `ioerr@` fails the commit
-    /// due now, and `torn@`/`bitrot@` damage the newest generation right
-    /// after it (the store writes nothing else before the next one).
+    /// durable. The step's disk faults fire here: `halt@` kills the process
+    /// before the commit due now, `ioerr@` fails that commit, and
+    /// `torn@`/`bitrot@` damage the newest generation right after it (the
+    /// store writes nothing else before the next one).
     /// Returns whether the due checkpoint stands; a failed write skips it
     /// whole, and the next superstep retries.
     fn persist(&mut self, due: bool) -> bool {
@@ -212,8 +213,11 @@ impl<V: VertexData> Cluster<V> {
         }
     }
 
-    /// Consumes the disk-fault specs armed for `step`: whether its commit
-    /// fails, and the at-rest damage `(kind, byte, mask)` to apply after.
+    /// Consumes the disk-fault specs armed for `step`. A `halt@` is handed
+    /// to the store at once and degrades the run to `Halted`: compute
+    /// continues deterministically, but its result is work a real kill
+    /// would lose. The rest come back as whether the step's commit fails
+    /// and the at-rest damage `(kind, byte, mask)` to apply after it.
     fn poll_disk_faults(
         &mut self,
         injector: &mut FaultInjector,
@@ -223,26 +227,27 @@ impl<V: VertexData> Cluster<V> {
         let mut damage = Vec::new();
         for spec in injector.take(step, Stage::Disk, |_| true) {
             self.emit_fault(step, spec.worker, spec.kind, 0);
-            if spec.kind == FaultKind::Ioerr {
-                ioerr = true;
-            } else {
-                // The mask is a seeded nonzero byte, so a bitrot flip is
-                // guaranteed to actually change the file.
-                let mask = (injector.corruption_nonce() % 255 + 1) as u8;
-                damage.push((spec.kind, spec.byte, mask));
+            match spec.kind {
+                FaultKind::Ioerr => ioerr = true,
+                FaultKind::Halt => {
+                    if let Some(d) = self.durable.as_mut() {
+                        d.halt();
+                    }
+                    self.fail(RuntimeError::Halted { step });
+                }
+                _ => {
+                    // The mask is a seeded nonzero byte, so a bitrot flip
+                    // is guaranteed to actually change the file.
+                    let mask = (injector.corruption_nonce() % 255 + 1) as u8;
+                    damage.push((spec.kind, spec.byte, mask));
+                }
             }
         }
         (ioerr, damage)
     }
 
-    /// The step's end: the kill switch, then the redo log. Once the switch
-    /// fires the run is doomed work a real kill would lose, so it degrades
-    /// to `Halted` while compute continues deterministically.
+    /// The step's end: the redo log.
     pub(super) fn record_delta(&mut self, updated: &[Vec<VertexId>]) {
-        let step = self.next_step;
-        if let Some(k) = self.durable.as_mut().and_then(|d| d.halt_check(step)) {
-            self.fail(RuntimeError::Halted { step: k });
-        }
         if let Some(faults) = &mut self.faults {
             faults.log.record(StepDelta::capture(&self.states, updated));
         }
@@ -533,10 +538,7 @@ impl<V: VertexData> Cluster<V> {
         if leader_gone && !survivors.is_empty() {
             self.elect_leader(&mut faults.consensus, step_id, &survivors);
         }
-        let entry = LogEntryKind::DeathDeclaration {
-            hosts: dead.to_vec(),
-            reason: reason.to_string(),
-        };
+        let entry = LogEntryKind::DeathDeclaration;
         self.commit_decision(&mut faults.consensus, step_id, entry, survivors.len());
         let Some(restored) = faults.log.rollback(&mut self.states) else {
             return Err(lost());
@@ -606,11 +608,7 @@ impl<V: VertexData> Cluster<V> {
         // The epoch bump is a control-plane decision: the survivors must
         // majority-commit it before acting under the new hosting.
         let voters = self.partition.num_live_hosts();
-        let entry = LogEntryKind::EpochBump {
-            epoch: report.epoch,
-            cause: cause.to_string(),
-        };
-        self.commit_decision(consensus, step_id, entry, voters);
+        self.commit_decision(consensus, step_id, LogEntryKind::EpochBump, voters);
     }
 
     /// Runs one election among `live` hosts: seats the smallest one under a

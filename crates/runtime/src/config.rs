@@ -126,12 +126,6 @@ pub struct ClusterConfig {
     /// From there the run commits like the killed one. Ignored without a
     /// durable directory.
     pub durable_resume: bool,
-    /// Scripted cold-restart kill switch: durable persistence freezes at
-    /// the first superstep `>= N` and the run degrades to
-    /// [`RuntimeError::Halted`](crate::RuntimeError) — simulating a
-    /// whole-process kill whose in-memory result is lost. Ignored without
-    /// a durable directory.
-    pub durable_halt_after: Option<u64>,
     /// Pre-built partition the context constructors reuse instead of
     /// building the default map again (see
     /// [`ClusterConfig::partition_for`]). Serving sessions set it so every
@@ -162,7 +156,6 @@ impl fmt::Debug for ClusterConfig {
             .field("storage", &self.storage)
             .field("durable_dir", &self.durable_dir)
             .field("durable_resume", &self.durable_resume)
-            .field("durable_halt_after", &self.durable_halt_after)
             .field(
                 "shared_partition",
                 &self.shared_partition.as_ref().map(|_| "<PartitionMap>"),
@@ -190,7 +183,6 @@ impl Default for ClusterConfig {
             storage: StorageMode::default(),
             durable_dir: None,
             durable_resume: false,
-            durable_halt_after: None,
             shared_partition: None,
             buffer_pool: None,
         }
@@ -315,14 +307,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Arms the scripted cold-restart kill switch (builder style):
-    /// durable persistence freezes at the first superstep `>= n` and the
-    /// run degrades to [`RuntimeError::Halted`](crate::RuntimeError).
-    pub fn halt_after(mut self, n: u64) -> Self {
-        self.durable_halt_after = Some(n);
-        self
-    }
-
     /// Reuses a pre-built partition (builder style): the context
     /// constructors skip building the default map and share this one. The
     /// map's worker count must equal `workers` and its vertex count must
@@ -443,7 +427,6 @@ mod tests {
         let c = ClusterConfig::default();
         assert!(c.durable_dir.is_none());
         assert!(!c.durable_resume);
-        assert!(c.durable_halt_after.is_none());
 
         let c = ClusterConfig::default().durable_dir("/tmp/x");
         assert_eq!(
@@ -461,15 +444,11 @@ mod tests {
             .durable_dir("/tmp/x");
         assert_eq!(c.checkpoint_interval(), 7, "explicit interval wins");
 
-        let c = ClusterConfig::default()
-            .durable_dir("/tmp/x")
-            .resume()
-            .halt_after(9);
+        let c = ClusterConfig::default().durable_dir("/tmp/x").resume();
         assert!(c.durable_resume);
-        assert_eq!(c.durable_halt_after, Some(9));
         let dbg = format!("{c:?}");
         assert!(
-            dbg.contains("durable_dir") && dbg.contains("halt_after"),
+            dbg.contains("durable_dir") && dbg.contains("durable_resume"),
             "{dbg}"
         );
     }

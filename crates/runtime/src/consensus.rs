@@ -42,43 +42,29 @@
 /// A control-plane decision, committed by a majority before it is
 /// applied. The serialized form (see [`LogEntryKind::label`]) is what the
 /// `log_committed` trace event reports.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LogEntryKind {
     /// A membership epoch bump: the partition map re-homed partitions
     /// (death rebalance or rejoin) and every survivor must agree on the
     /// epoch before acting under it.
-    EpochBump {
-        /// The epoch the cluster moves to.
-        epoch: u64,
-        /// What caused the bump (`"die"`, `"rejoin"`, `"deadline"`,
-        /// `"leader"`, `"accused"`).
-        cause: String,
-    },
+    EpochBump,
     /// A checkpoint becomes the durable recovery point only once a
     /// majority acknowledges it — otherwise a surviving minority could
     /// roll back to a checkpoint the leader never finished installing.
-    CheckpointCommit {
-        /// Serialized size of the checkpoint being committed.
-        bytes: u64,
-    },
+    CheckpointCommit,
     /// A declaration that hosts are permanently dead. Voted on by the
     /// *survivors* only — the dying hosts cannot acknowledge their own
     /// funeral.
-    DeathDeclaration {
-        /// The hosts being declared dead.
-        hosts: Vec<usize>,
-        /// Why (`"die"`, `"deadline"`, `"leader"`, `"accused"`).
-        reason: String,
-    },
+    DeathDeclaration,
 }
 
 impl LogEntryKind {
     /// The stable string tag used in trace events and result JSON.
-    pub fn label(&self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
-            LogEntryKind::EpochBump { .. } => "epoch_bump",
-            LogEntryKind::CheckpointCommit { .. } => "checkpoint_commit",
-            LogEntryKind::DeathDeclaration { .. } => "death_declaration",
+            LogEntryKind::EpochBump => "epoch_bump",
+            LogEntryKind::CheckpointCommit => "checkpoint_commit",
+            LogEntryKind::DeathDeclaration => "death_declaration",
         }
     }
 }
@@ -264,11 +250,7 @@ mod tests {
         let e = c.commit(2).unwrap();
         assert_eq!((e.index, e.term), (3, 2), "the index runs on across terms");
         assert_eq!(c.committed(), 3);
-        let kind = LogEntryKind::DeathDeclaration {
-            hosts: vec![2],
-            reason: "die".into(),
-        };
-        assert_eq!(kind.label(), "death_declaration");
+        assert_eq!(LogEntryKind::DeathDeclaration.label(), "death_declaration");
     }
 
     #[test]

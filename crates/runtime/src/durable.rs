@@ -223,7 +223,7 @@ pub(crate) struct ScrubReport {
 /// Outcome of a checkpoint commit attempt, for the cluster's bookkeeping.
 #[derive(Debug)]
 pub(crate) enum DiskWrite {
-    /// Nothing written: the store is resuming, frozen or halted.
+    /// Nothing written: the store is resuming, wedged or halted.
     None,
     /// A new generation was committed (tmp + fsync + rename + directory
     /// fsync all succeeded).
@@ -259,11 +259,9 @@ pub(crate) struct DurableSession<V> {
     /// to the next cold start. Models the process dying right after the
     /// damage landed; a run that failed its check commits nothing.
     wedged: bool,
-    /// The scripted cold-restart kill switch: persistence freezes at the
-    /// first superstep `>= halt_after` and the run degrades to
-    /// [`RuntimeError::Halted`].
-    halt_after: Option<u64>,
-    halted: Option<u64>,
+    /// Set when a `halt@` spec kills the process: nothing more is
+    /// written, and damage scripted after the kill never reaches the disk.
+    halted: bool,
 }
 
 impl<V> std::fmt::Debug for DurableSession<V> {
@@ -275,7 +273,6 @@ impl<V> std::fmt::Debug for DurableSession<V> {
             .field("generation", &self.generation)
             .field("pending", &self.pending)
             .field("wedged", &self.wedged)
-            .field("halt_after", &self.halt_after)
             .field("halted", &self.halted)
             .finish_non_exhaustive()
     }
@@ -290,13 +287,7 @@ impl<V> DurableSession<V> {
 }
 
 impl<V: VertexData> DurableSession<V> {
-    fn new(
-        dir: &Path,
-        workers: usize,
-        vertices: usize,
-        halt_after: Option<u64>,
-        encode: fn(&V, &mut Vec<u8>),
-    ) -> Self {
+    fn new(dir: &Path, workers: usize, vertices: usize, encode: fn(&V, &mut Vec<u8>)) -> Self {
         DurableSession {
             dir: dir.to_path_buf(),
             encode,
@@ -305,8 +296,7 @@ impl<V: VertexData> DurableSession<V> {
             generation: None,
             pending: None,
             wedged: false,
-            halt_after,
-            halted: None,
+            halted: false,
         }
     }
 
@@ -316,7 +306,6 @@ impl<V: VertexData> DurableSession<V> {
         dir: &Path,
         workers: usize,
         vertices: usize,
-        halt_after: Option<u64>,
         encode: fn(&V, &mut Vec<u8>),
     ) -> Result<Self, RuntimeError> {
         fs::create_dir_all(dir)
@@ -325,7 +314,7 @@ impl<V: VertexData> DurableSession<V> {
             let _ = fs::remove_file(path);
         }
         remove_tmp_files(dir);
-        Ok(Self::new(dir, workers, vertices, halt_after, encode))
+        Ok(Self::new(dir, workers, vertices, encode))
     }
 
     /// Opens an existing store for resume: scrubs the directory and
@@ -336,7 +325,6 @@ impl<V: VertexData> DurableSession<V> {
         dir: &Path,
         workers: usize,
         vertices: usize,
-        halt_after: Option<u64>,
         encode: fn(&V, &mut Vec<u8>),
     ) -> Result<(Self, Vec<ScrubReport>), RuntimeError> {
         remove_tmp_files(dir);
@@ -370,7 +358,7 @@ impl<V: VertexData> DurableSession<V> {
                 });
             match loaded {
                 Ok(parsed) => {
-                    let mut session = Self::new(dir, workers, vertices, halt_after, encode);
+                    let mut session = Self::new(dir, workers, vertices, encode);
                     session.generation = Some(*gen);
                     session.pending = Some((parsed.step, parsed.digest));
                     return Ok((session, reports));
@@ -392,14 +380,10 @@ impl<V: VertexData> DurableSession<V> {
         )))
     }
 
-    /// The per-superstep hook of the scripted kill switch: persistence
-    /// freezes at the first `step >= halt_after`. Returns the superstep
-    /// the switch fired at, if it has.
-    pub(crate) fn halt_check(&mut self, step: u64) -> Option<u64> {
-        if self.halted.is_none() && self.halt_after.is_some_and(|k| step >= k) {
-            self.halted = Some(step);
-        }
-        self.halted
+    /// A `halt@` spec fired: the process is dead, so the store writes
+    /// nothing from here on.
+    pub(crate) fn halt(&mut self) {
+        self.halted = true;
     }
 
     fn gen_path(&self, generation: u64) -> PathBuf {
@@ -458,7 +442,6 @@ impl<V: VertexData> DurableSession<V> {
         ioerr: bool,
         stats: &mut DurabilityStats,
     ) -> Result<DiskWrite, RuntimeError> {
-        self.halt_check(step);
         match self.pending.take() {
             Some((at, digest)) if at == step => {
                 let reexecuted = self.digest(states);
@@ -478,7 +461,7 @@ impl<V: VertexData> DurableSession<V> {
             }
             None => {}
         }
-        if self.wedged || self.halted.is_some() {
+        if self.wedged || self.halted {
             return Ok(DiskWrite::None);
         }
         let generation = self.generation.map_or(0, |g| g + 1);
@@ -510,7 +493,7 @@ impl<V: VertexData> DurableSession<V> {
     /// store is a killed process: damage scripted after the kill never
     /// reaches the disk.
     pub(crate) fn damage(&mut self, kind: FaultKind, byte: u64, mask: u8) {
-        if self.halted.is_some() {
+        if self.halted {
             return;
         }
         self.wedged = true;
@@ -679,7 +662,7 @@ mod tests {
         let mut stats = DurabilityStats::default();
         let mut states = val_states(2, 4);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 2, 4, None, Val::encode).unwrap();
+            DurableSession::create(dir.path(), 2, 4, Val::encode).unwrap();
         // Three checkpoints: gen 0, 1, 2 — retention keeps the last two.
         for step in [0u64, 4, 8] {
             states[0].current[0].a = step as u32;
@@ -702,7 +685,7 @@ mod tests {
         // The newest generation re-opens as the pending digest. A resumed
         // run writes nothing before reaching its step, and there a
         // diverged state is refused, not committed.
-        let open = || DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode).unwrap();
+        let open = || DurableSession::<Val>::open(dir.path(), 2, 4, Val::encode).unwrap();
         let (mut s2, reports) = open();
         assert!(reports.is_empty());
         assert_eq!(s2.generation, Some(2));
@@ -744,7 +727,7 @@ mod tests {
         let mut stats = DurabilityStats::default();
         let states = val_states(1, 2);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 1, 2, None, Val::encode).unwrap();
+            DurableSession::create(dir.path(), 1, 2, Val::encode).unwrap();
         let out = s.on_checkpoint(0, &states, true, &mut stats).unwrap();
         assert!(matches!(out, DiskWrite::Failed));
         assert_eq!(stats.io_errors, 1);
@@ -760,7 +743,7 @@ mod tests {
         let mut stats = DurabilityStats::default();
         let states = val_states(1, 2);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 1, 2, None, Val::encode).unwrap();
+            DurableSession::create(dir.path(), 1, 2, Val::encode).unwrap();
         s.on_checkpoint(0, &states, false, &mut stats).unwrap();
         // A real failure after the tmp file is written: the rename target
         // is occupied by a directory.
@@ -789,7 +772,7 @@ mod tests {
             let mut stats = DurabilityStats::default();
             let states = val_states(2, 4);
             let mut s: DurableSession<Val> =
-                DurableSession::create(dir.path(), 2, 4, None, Val::encode).unwrap();
+                DurableSession::create(dir.path(), 2, 4, Val::encode).unwrap();
             s.on_checkpoint(0, &states, false, &mut stats).unwrap();
             s.on_checkpoint(4, &states, false, &mut stats).unwrap();
             // Damage the newest committed generation (gen 1) and verify
@@ -799,8 +782,7 @@ mod tests {
             assert!(matches!(out, DiskWrite::None), "wedged store is frozen");
             assert_eq!(stats.generations_written, 2);
 
-            let (s2, reports) =
-                DurableSession::<Val>::open(dir.path(), 2, 4, None, Val::encode).unwrap();
+            let (s2, reports) = DurableSession::<Val>::open(dir.path(), 2, 4, Val::encode).unwrap();
             assert_eq!(
                 s2.generation,
                 Some(0),
@@ -814,12 +796,12 @@ mod tests {
     #[test]
     fn open_with_nothing_valid_degrades_to_durability_lost() {
         let dir = TempDirGuard::new("durable-lost");
-        let err = DurableSession::<Val>::open(dir.path(), 1, 2, None, Val::encode).unwrap_err();
+        let err = DurableSession::<Val>::open(dir.path(), 1, 2, Val::encode).unwrap_err();
         assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
 
         // A lone damaged generation is scrubbed and then nothing remains.
         fs::write(dir.path().join("gen-0.fck"), b"FCK1garbage").unwrap();
-        let err = DurableSession::<Val>::open(dir.path(), 1, 2, None, Val::encode).unwrap_err();
+        let err = DurableSession::<Val>::open(dir.path(), 1, 2, Val::encode).unwrap_err();
         assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
     }
 
@@ -829,27 +811,29 @@ mod tests {
         let mut stats = DurabilityStats::default();
         let states = val_states(2, 4);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 2, 4, None, Val::encode).unwrap();
+            DurableSession::create(dir.path(), 2, 4, Val::encode).unwrap();
         s.on_checkpoint(0, &states, false, &mut stats).unwrap();
         // Re-open with a different cluster geometry: the generation is
         // valid bytes but unusable, so it must be scrubbed.
-        let err = DurableSession::<Val>::open(dir.path(), 3, 4, None, Val::encode).unwrap_err();
+        let err = DurableSession::<Val>::open(dir.path(), 3, 4, Val::encode).unwrap_err();
         assert!(matches!(err, RuntimeError::DurabilityLost(_)), "{err}");
         assert!(err.to_string().contains("geometry mismatch"), "{err}");
     }
 
     #[test]
-    fn halt_after_freezes_persistence() {
+    fn a_halted_store_writes_and_damages_nothing() {
         let dir = TempDirGuard::new("durable-halt");
         let mut stats = DurabilityStats::default();
         let states = val_states(1, 2);
         let mut s: DurableSession<Val> =
-            DurableSession::create(dir.path(), 1, 2, Some(3), Val::encode).unwrap();
+            DurableSession::create(dir.path(), 1, 2, Val::encode).unwrap();
         s.on_checkpoint(0, &states, false, &mut stats).unwrap();
-        assert_eq!(s.halt_check(2), None);
-        assert_eq!(s.halt_check(3), Some(3));
-        assert_eq!(s.halt_check(4), Some(3), "the first halted step sticks");
-        s.on_checkpoint(4, &states, false, &mut stats).unwrap();
-        assert_eq!(stats.generations_written, 1, "nothing persists after");
+        let before = fs::read(s.gen_path(0)).unwrap();
+        s.halt();
+        let out = s.on_checkpoint(4, &states, false, &mut stats).unwrap();
+        assert!(matches!(out, DiskWrite::None), "nothing persists after");
+        assert_eq!(stats.generations_written, 1);
+        s.damage(FaultKind::Torn, 0, 0x20);
+        assert_eq!(fs::read(s.gen_path(0)).unwrap(), before, "no damage lands");
     }
 }

@@ -92,10 +92,10 @@ pub enum RuntimeError {
     /// the durability-layer mirror of
     /// [`RuntimeError::RecoveryExhausted`].
     DurabilityLost(String),
-    /// The run was halted by the scripted cold-restart kill switch
-    /// (`durable_halt_after`): durable persistence froze at the scripted
-    /// superstep — simulating a whole-process kill — so the in-memory
-    /// result is discarded and the run must be resumed from disk.
+    /// The run was halted by a `halt@` fault spec: durable persistence
+    /// froze at the scripted superstep — simulating a whole-process kill —
+    /// so the in-memory result is discarded and the run must be resumed
+    /// from disk.
     Halted {
         /// The superstep the simulated kill landed on.
         step: u64,

@@ -61,6 +61,9 @@
 //!                       generation is flipped (seeded nonzero mask) after
 //!                       superstep 4's commit — at-rest corruption the
 //!                       scrub pass must detect via the header checksum
+//! halt@4                the process is killed at superstep 4: the durable
+//!                       store writes nothing from that step on and the
+//!                       run ends in `Halted`; a `--resume` picks it up
 //! loss=0.05             seeded probabilistic mode: every cross-host batch
 //!                       transmission is dropped with probability 0.05
 //! dupRate=0.01          every delivered batch is duplicated with
@@ -173,6 +176,11 @@ pub enum FaultKind {
     /// (seeded nonzero mask) after the scripted superstep's commit —
     /// at-rest corruption detected by the scrub pass via the header checksum.
     Bitrot,
+    /// The process is killed at the scripted superstep, before its
+    /// commit: the store writes nothing more and ignores later damage,
+    /// and the run ends in [`RuntimeError::Halted`](crate::RuntimeError),
+    /// its in-memory result lost. A resume re-executes from the store.
+    Halt,
 }
 
 /// What a kind's spec targets.
@@ -243,7 +251,7 @@ struct KindRow {
 
 /// One row per [`FaultKind`], in declaration order.
 #[rustfmt::skip]
-const KINDS: [KindRow; 13] = {
+const KINDS: [KindRow; 14] = {
     use {FaultKind as K, Stage as S, Tail as T, Target::*};
     const fn row(kind: K, label: &'static str, target: Target, tail: T, stage: S, times: u32) -> KindRow {
         KindRow { kind, label, target, tail, stage, times }
@@ -262,6 +270,7 @@ const KINDS: [KindRow; 13] = {
         row(K::Ioerr,       "ioerr",    Store,  T::Nothing,       S::Disk,      1),
         row(K::Torn,        "torn",     Store,  T::Byte,          S::Disk,      1),
         row(K::Bitrot,      "bitrot",   Store,  T::Byte,          S::Disk,      1),
+        row(K::Halt,        "halt",     Store,  T::Nothing,       S::Disk,      1),
     ]
 };
 
@@ -868,6 +877,7 @@ mod tests {
             ("ioerr@3", spec(Ioerr, 0, 1, d, 0), ""),
             ("torn@3:b2000", spec(Torn, 0, 1, d, 2000), "b"),
             ("bitrot@3:b17", spec(Bitrot, 0, 1, d, 17), "b"),
+            ("halt@3", spec(Halt, 0, 1, d, 0), ""),
         ];
         assert_eq!(cases.len(), KINDS.len());
         for (form, want, takes) in cases {

@@ -5,6 +5,7 @@
 use flash_baselines::gas::{self, GasConfig};
 use flash_baselines::ligra;
 use flash_baselines::pregel::{self, PregelConfig};
+use flash_bench::harness::RunResult;
 use flash_graph::generators;
 use flash_runtime::ClusterConfig;
 use std::sync::Arc;
@@ -233,17 +234,14 @@ fn msf_flash_matches_pregel_weight() {
 
 #[test]
 fn expressiveness_gaps_match_table_i() {
-    // The ∅ cells: GAS and Ligra cannot express these at all.
-    assert!(matches!(
-        gas::algos::unsupported::rc(),
-        flash_baselines::BaselineError::Unsupported { model: "GAS", .. }
-    ));
-    assert!(matches!(
-        ligra::algos::unsupported::lpa(),
-        flash_baselines::BaselineError::Unsupported { model: "Ligra", .. }
-    ));
-    // ... while FLASH runs them outright.
+    // The harness reports every ∅ cell of Table I as unsupported ...
     let g = Arc::new(generators::erdos_renyi(40, 160, 3));
+    for (f, app) in flash_bench::lloc::inexpressible() {
+        let r = flash_bench::harness::run(f, app, &g, 2);
+        let cell = format!("{} {}", f.name(), app.abbr());
+        assert!(matches!(r, RunResult::Unsupported), "{cell}: {r:?}");
+    }
+    // ... while FLASH runs them outright.
     let rc = flash_algos::rc::run(&g, ClusterConfig::with_workers(2).sequential()).unwrap();
     assert_eq!(rc.result, flash_algos::reference::rectangle_count(&g));
     let lpa = flash_algos::lpa::run(&g, ClusterConfig::with_workers(2).sequential(), 6).unwrap();

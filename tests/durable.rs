@@ -29,10 +29,19 @@ fn base_config(workers: usize) -> ClusterConfig {
         .checkpoint_every(2)
 }
 
+/// `config` with `halt@k` added to its fault plan: the process is killed
+/// at superstep `k`.
+fn halt_at(mut config: ClusterConfig, k: u64) -> ClusterConfig {
+    let halt = FaultPlan::parse(&format!("halt@{k}")).expect("plan parses");
+    let plan = config.fault_plan.get_or_insert_with(FaultPlan::default);
+    plan.specs.extend(halt.specs);
+    config
+}
+
 /// Runs `run` clean (no durable store, no faults), then once per
 /// superstep `k`: halts a durable run under the fault plan `faults` (if
-/// any) at `k` (the scripted kill switch), resumes from the on-disk store
-/// under the same plan, and requires the resumed result and superstep
+/// any) plus `halt@k`, resumes from the on-disk store under the plan
+/// without it, and requires the resumed result and superstep
 /// count to match the clean run exactly. Reports, summed over the kill
 /// points, the step whose state the disk's digest confirmed and the
 /// supersteps past it up to the kill that no generation covered.
@@ -51,11 +60,11 @@ where
     let (mut kills, mut verified, mut uncovered) = (0u64, 0u64, 0u64);
     for k in 1..supersteps {
         let dir = TempDirGuard::new(&format!("durable-{name}-{k}"));
-        let halted = run(faulted().durable_dir(dir.path()).halt_after(k));
+        let halted = run(halt_at(faulted(), k).durable_dir(dir.path()));
         let killed_at = match halted {
             Err(RuntimeError::Halted { step }) => step,
             Err(e) => panic!("{name}@{k}: unexpected error {e}"),
-            // The kill switch only fires at a durable hook; a run that
+            // The halt only fires at the checkpoint stage; a run that
             // finished first must still have matched the clean result.
             Ok((out, _)) => {
                 assert_eq!(clean, out, "{name}@{k}: uninterrupted durable diverged");
@@ -288,12 +297,39 @@ fn io_errors_skip_the_commit_but_never_touch_results() {
         .any(|e| matches!(e.kind, EventKind::CheckpointDurable { .. })));
 }
 
+/// A kill is one scripted fault: the trace carries exactly one
+/// `fault_injected` event of kind `halt`, at the superstep `Halted` names
+/// — the first one at or after the spec's, between two checkpoints.
+#[test]
+fn a_halt_is_one_fault_injected_event_at_the_halted_step() {
+    let g = graph();
+    let dir = TempDirGuard::new("durable-halt-trace");
+    let sink = Arc::new(CollectSink::new());
+    let cfg = halt_at(base_config(3), 3)
+        .durable_dir(dir.path())
+        .sink(Arc::clone(&sink) as Arc<dyn Sink>);
+    let step = match flash_algos::bfs::run(&g, cfg, 0) {
+        Err(RuntimeError::Halted { step }) => step,
+        other => panic!("expected Halted, got {other:?}"),
+    };
+    assert_eq!(step, 3);
+    let halts: Vec<u64> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::FaultInjected { step, kind, .. } if kind == "halt" => Some(*step),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(halts, [step]);
+}
+
 #[test]
 fn nothing_valid_on_disk_degrades_to_durability_lost() {
     let g = graph();
     // Kill before the first commit: the store directory stays empty.
     let dir = TempDirGuard::new("durable-lost");
-    let halted = flash_algos::bfs::run(&g, base_config(3).durable_dir(dir.path()).halt_after(0), 0);
+    let halted = flash_algos::bfs::run(&g, halt_at(base_config(3), 0).durable_dir(dir.path()), 0);
     assert!(
         matches!(halted, Err(RuntimeError::Halted { .. })),
         "{halted:?}"
@@ -310,7 +346,7 @@ fn nothing_valid_on_disk_degrades_to_durability_lost() {
 /// Halts pagerank at step 12 with two generations on disk and returns
 /// their paths.
 fn halted_pagerank(g: &Arc<flash_graph::Graph>, dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let halted = flash_algos::pagerank::run(g, base_config(3).durable_dir(dir).halt_after(12), 5);
+    let halted = flash_algos::pagerank::run(g, halt_at(base_config(3), 12).durable_dir(dir), 5);
     assert!(
         matches!(halted, Err(RuntimeError::Halted { .. })),
         "{halted:?}"
@@ -462,7 +498,7 @@ fn newest_generation_cut_or_flipped_anywhere_falls_back_bit_identically() {
     let cfg = || base_config(3).checkpoint_every(4);
     let clean = flash_algos::bfs::run(&g, cfg(), 0).expect("clean");
     let master = TempDirGuard::new("durable-cut-master");
-    let halted = flash_algos::bfs::run(&g, cfg().durable_dir(master.path()).halt_after(12), 0);
+    let halted = flash_algos::bfs::run(&g, halt_at(cfg(), 12).durable_dir(master.path()), 0);
     assert!(
         matches!(halted, Err(RuntimeError::Halted { .. })),
         "{halted:?}"

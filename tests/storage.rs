@@ -369,17 +369,3 @@ fn direct_kernels_match_in_memory_over_reverse_and_targets_in() {
         "streamed counters repeat"
     );
 }
-
-/// ~10⁶-arc identity check — ignored by default (slow under the debug
-/// profile); run with `cargo test --release -- --ignored`.
-#[test]
-#[ignore = "large graph; run explicitly under --release"]
-fn block_engine_matches_in_memory_on_million_arc_graph() {
-    let g = Arc::new(generators::rmat(16, 8, Default::default(), 7));
-    let blk = reopen_as_blocks(&g, "million");
-    let mem = flash_algos::bfs::run(&g, mem_config(4), 0).unwrap();
-    let stream = flash_algos::bfs::run(&blk, blk_config(4), 0).unwrap();
-    assert_eq!(mem.result, stream.result);
-    assert_eq!(mem.stats.total_bytes(), stream.stats.total_bytes());
-    assert!(stream.stats.bytes_streamed() > 0);
-}

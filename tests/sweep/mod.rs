@@ -110,8 +110,9 @@ enum Inject {
         msf: Option<&'static str>,
         every: Option<usize>,
     },
-    /// A durable run killed at every `every`-step checkpoint boundary in
-    /// turn, each kill followed by a cold resume from the store.
+    /// A durable run killed by `halt@k` at every `every`-step checkpoint
+    /// boundary `k` in turn, each kill followed by a cold resume from the
+    /// store without the spec.
     Kill { every: usize },
     /// A durable run at checkpoint cadence 1 under the disk fault `plan`,
     /// then a cold resume. The fault lands at step 1, so any schedule long
@@ -438,16 +439,17 @@ fn sweep_row(row: &Row, algo: &str, g: &Arc<Graph>, clean: &Run) -> Vec<RunStats
             for k in (every..clean.1.num_supersteps()).step_by(every) {
                 let what = format!("{what} at {k}");
                 let dir = TempDirGuard::new("sweep-kill");
-                let mut halted = base.clone();
-                halted.config.durable_dir = Some(dir.path().to_path_buf());
-                let mut resume = halted.clone();
+                base.config.durable_dir = Some(dir.path().to_path_buf());
+                let mut resume = base.clone();
                 resume.config.durable_resume = true;
-                halted.config.durable_halt_after = Some(k as u64);
+                let mut halted = base.clone();
+                let halt = FaultPlan::parse(&format!("halt@{k}"));
+                halted.config.fault_plan = Some(halt.expect("halt parses"));
                 runs.push(match dispatch(&halted, g) {
                     Err(e) if e.contains("halted") => {
                         checked(&what, exact(&what, dispatch(&resume, g), clean))
                     }
-                    // The schedule ended before the kill switch fired.
+                    // The schedule ended before the halt fired.
                     done => exact(&what, done, clean),
                 });
             }
